@@ -81,7 +81,7 @@ type checker struct {
 	info *types.Info
 	// mutators are this package's methods that write through their
 	// receiver's backing (an index or pointer store rooted at the
-	// receiver), so e.hashValid.set(p) counts as a store to hashValid.
+	// receiver), so e.bits.set(p) counts as a store to bits.
 	mutators map[*types.Func]bool
 }
 

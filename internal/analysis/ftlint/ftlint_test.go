@@ -173,7 +173,7 @@ func TestSerialAndParallelLoadersAgree(t *testing.T) {
 // repo relies on: deleting one would silently shrink cowcheck's coverage.
 func TestCowAnnotationsPresent(t *testing.T) {
 	files := map[string]int{ // file -> minimum number of cowshared annotations
-		"../../vista/vista.go":   3, // mem, pageHash, hashValid
+		"../../vista/vista.go":   1, // mem
 		"../../kernel/kernel.go": 2, // node.fs, Kernel.nodes
 		"../../dc/dc.go":         2, // msgDeps, ndLog
 		"../../apps/nvi/nvi.go":  4, // Lines, LineSums, UndoLines, UndoSums
@@ -195,7 +195,7 @@ func TestCowAnnotationsPresent(t *testing.T) {
 // nothing, so their presence is asserted here.
 func TestHotpathRootsAnnotated(t *testing.T) {
 	roots := map[string]int{ // file -> minimum number of hotpath annotations
-		"../../vista/vista.go": 3, // (*Segment).Write, SetContents, Commit
+		"../../vista/vista.go": 4, // (*Segment).Write, SetContents, CommitImage, Commit
 		"../../sim/proc.go":    1, // (*Proc).AppendCheckpointImage
 		"../../dc/dc.go":       1, // (*DC).diffOne
 	}

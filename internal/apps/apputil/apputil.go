@@ -14,21 +14,13 @@ import (
 type Enc struct{ B []byte }
 
 // I64 appends an int64.
-func (e *Enc) I64(v int64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(v))
-	e.B = append(e.B, b[:]...)
-}
+func (e *Enc) I64(v int64) { e.B = binary.LittleEndian.AppendUint64(e.B, uint64(v)) }
 
 // Int appends an int.
 func (e *Enc) Int(v int) { e.I64(int64(v)) }
 
 // F64 appends a float64.
-func (e *Enc) F64(v float64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], mathFloat64bits(v))
-	e.B = append(e.B, b[:]...)
-}
+func (e *Enc) F64(v float64) { e.B = binary.LittleEndian.AppendUint64(e.B, mathFloat64bits(v)) }
 
 // Bytes appends a length-prefixed byte slice.
 func (e *Enc) Bytes(v []byte) {

@@ -20,6 +20,7 @@ package nvi
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -106,8 +107,12 @@ type Editor struct {
 	faultSalt uint64
 	skipClamp bool
 	// encBuf is the reusable MarshalState buffer (not part of the
-	// state; rebuilt lazily after a restore).
-	encBuf []byte
+	// state; rebuilt lazily after a restore). encHint is the length of the
+	// image the editor this one was forked from last marshaled: a fork's
+	// first MarshalState allocates encBuf once at that size (plus an
+	// eighth and 256 bytes to grow into) instead of growing it by doubling.
+	encBuf  []byte
+	encHint int
 	// pendingFlip defers a heap bit flip to after the checksum
 	// maintenance in the same apply step, so the corruption is latent
 	// (set and consumed within one step; no checkpoint can interleave).
@@ -173,6 +178,9 @@ func (e *Editor) Fork() (sim.Program, error) {
 	}
 	ne.ExBuf = append([]byte(nil), e.ExBuf...)
 	ne.encBuf = nil
+	if n := len(e.encBuf); n > 0 {
+		ne.encHint = n
+	}
 	ne.frozen = false
 	return &ne, nil
 }
@@ -333,18 +341,36 @@ func (e *Editor) Step(ctx *sim.Ctx) sim.Status {
 	}
 }
 
-// render emits the screen update: status line plus the cursor line. It
-// trusts the cursor: a corrupted row crashes here, before the visible
-// event (and before any commit-prior-to-visible).
+// screenLine builds the screen update: status line plus the cursor line. It
+// trusts the cursor: a corrupted row panics here.
+func (e *Editor) screenLine() []byte {
+	line := e.Lines[e.Row]
+	b := make([]byte, 0, len(line)+32)
+	b = append(b, '[')
+	b = strconv.AppendInt(b, int64(e.Row), 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(e.Col), 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(len(e.Lines)), 10)
+	b = append(b, 'L')
+	if e.Dirty {
+		b = append(b, " +"...)
+	}
+	b = append(b, "] "...)
+	return append(b, line...)
+}
+
+// render emits the screen update. A corrupted row crashes in screenLine,
+// before the visible event (and before any commit-prior-to-visible).
 func (e *Editor) render(ctx *sim.Ctx) {
-	screen := fmt.Sprintf("[%d,%d %dL%s] %s", e.Row, e.Col, len(e.Lines), map[bool]string{true: " +", false: ""}[e.Dirty], e.Lines[e.Row])
+	screen := e.screenLine()
 	if e.UseSyscall {
-		if _, err := ctx.Syscall("write", kernel.I64(1), []byte(screen)); err != nil {
+		if _, err := ctx.Syscall("write", kernel.I64(1), screen); err != nil {
 			ctx.Crash(err.Error())
 			return
 		}
 	} else {
-		ctx.Output(screen)
+		ctx.Output(string(screen))
 	}
 }
 
@@ -790,6 +816,9 @@ func (e *Editor) Contents() []string {
 // before the next marshal), so a steady-state commit allocates nothing
 // here.
 func (e *Editor) MarshalState() ([]byte, error) {
+	if e.encBuf == nil && e.encHint > 0 {
+		e.encBuf = make([]byte, 0, e.encHint+e.encHint/8+256)
+	}
 	enc := apputil.Enc{B: e.encBuf[:0]}
 	defer func() { e.encBuf = enc.B }()
 	enc.Int(len(e.Lines))

@@ -151,6 +151,34 @@ func TestRendersEveryKeystroke(t *testing.T) {
 	}
 }
 
+// TestScreenLineGolden pins the rendered screen line byte for byte — it is
+// visible output, so every study's ledger and trace depend on it: the
+// "[row,col nL] " status (with " +" while the buffer is dirty) and then the
+// cursor line.
+func TestScreenLineGolden(t *testing.T) {
+	w, e := runSession(t, "ihi\x1b:w\n", []string{"first", "second line"})
+	want := []string{
+		"[0,0 2L] first",     // i
+		"[0,1 2L +] hfirst",  // h
+		"[0,2 2L +] hifirst", // i
+		"[0,1 2L +] hifirst", // ESC
+		"[0,1 2L +] hifirst", // :
+		"[0,1 2L +] hifirst", // w
+		"[0,1 2L] hifirst",   // \n: written, clean again
+	}
+	if got := w.Outputs[0]; strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("screen lines:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	e.Row, e.Col, e.Dirty = 1, 11, true
+	if got, want := string(e.screenLine()), "[1,11 2L +] second line"; got != want {
+		t.Errorf("screenLine() = %q, want %q", got, want)
+	}
+	e.Dirty = false
+	if got, want := string(e.screenLine()), "[1,11 2L] second line"; got != want {
+		t.Errorf("screenLine() = %q, want %q", got, want)
+	}
+}
+
 func TestUnknownExCommandIgnored(t *testing.T) {
 	w, e := runSession(t, ":zz\nix\x1b", nil)
 	if got := e.Contents()[0]; got != "x" {
@@ -521,5 +549,45 @@ func TestSigwinchForcesRedraw(t *testing.T) {
 	// 3 keystroke renders + 1 signal-forced redraw.
 	if got := len(w.Outputs[0]); got != 4 {
 		t.Errorf("renders = %d, want 4: %v", got, w.Outputs[0])
+	}
+}
+
+// TestForkMarshalBufferSizedOnce: a fork's first MarshalState allocates its
+// buffer once, sized from the image the template last marshaled, and the
+// hint survives a second generation of forks that never marshaled.
+func TestForkMarshalBufferSizedOnce(t *testing.T) {
+	_, e := runSession(t, "ihello\x1b", []string{"some", "lines", "of text"})
+	img, err := e.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	img = append([]byte(nil), img...)
+	snap, err := e.Fork() // a campaign snapshot: forked, frozen, never marshaled
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.(*Editor).Freeze()
+	const runs = 20
+	forks := make([]*Editor, runs+1) // AllocsPerRun makes one warm-up call
+	for i := range forks {
+		f, err := snap.(sim.Forker).Fork()
+		if err != nil {
+			t.Fatal(err)
+		}
+		forks[i] = f.(*Editor)
+	}
+	i := 0
+	n := testing.AllocsPerRun(runs, func() {
+		got, err := forks[i].MarshalState()
+		if err != nil || string(got) != string(img) {
+			t.Fatalf("fork marshals a different image (err %v)", err)
+		}
+		i++
+	})
+	if n != 1 {
+		t.Errorf("a fork's first MarshalState allocates %.1f times, want 1", n)
+	}
+	if c := cap(forks[0].encBuf); c <= len(img) {
+		t.Errorf("fork's marshal buffer cap %d for a %d-byte image, want headroom", c, len(img))
 	}
 }

@@ -459,14 +459,19 @@ func (db *DB) MarshalState() ([]byte, error) {
 // instance: Unmarshal rebuilds the BTree and buffer pool from scratch, and
 // marshalInto only reads the receiver (the encoder here is deliberately
 // fresh, not the shared encBuf), so a quiescent template may be forked
-// from many goroutines at once.
+// from many goroutines at once. The round-trip buffer is sized once from
+// the template's last image (plus an eighth and 256 bytes to grow into)
+// and, since Unmarshal copies everything out of it, becomes the fork's own
+// encBuf.
 func (db *DB) Fork() (sim.Program, error) {
-	var e apputil.Enc
+	n := len(db.encBuf)
+	e := apputil.Enc{B: make([]byte, 0, n+n/8+256)}
 	db.marshalInto(&e)
 	nd := &DB{}
 	if err := nd.UnmarshalState(e.B); err != nil {
 		return nil, err
 	}
+	nd.encBuf = e.B
 	return nd, nil
 }
 

@@ -609,3 +609,34 @@ func TestDBCount(t *testing.T) {
 		t.Errorf("outputs = %v", out)
 	}
 }
+
+// TestForkKeepsRoundTripBuffer: Fork's marshal round trip runs in a buffer
+// sized once from the template's last image, and the fork keeps that buffer
+// as its own, so its first MarshalState allocates nothing.
+func TestForkKeepsRoundTripBuffer(t *testing.T) {
+	_, db := runDB(t, "insert 1 alpha", "insert 2 beta", "insert 3 gamma", "quit")
+	img, err := db.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	img = append([]byte(nil), img...)
+	p, err := db.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := p.(*DB)
+	if c := cap(f.encBuf); c <= len(img) {
+		t.Fatalf("fork's marshal buffer cap %d for a %d-byte image, want headroom", c, len(img))
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		got, err := f.MarshalState()
+		if err != nil || string(got) != string(img) {
+			t.Fatalf("fork marshals a different image (err %v)", err)
+		}
+	}); n != 0 {
+		t.Errorf("a fork's MarshalState allocates %.1f times, want 0", n)
+	}
+	if got, _ := db.MarshalState(); string(got) != string(img) {
+		t.Error("forking changed the template's image")
+	}
+}

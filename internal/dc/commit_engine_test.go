@@ -88,6 +88,59 @@ func TestCommitSteadyStateZeroAllocsWithMetrics(t *testing.T) {
 	}
 }
 
+// Fork implements sim.Forker so an idle world can be frozen and forked.
+func (p *idleProg) Fork() (sim.Program, error) {
+	return &idleProg{buf: make([]byte, 0, 256), state: p.state}, nil
+}
+
+// TestForkImageBufferSizedOnce: a copy-on-write fork starts without an image
+// buffer; its first commit (or rollback) allocates one from the segment's
+// extent with room to grow into, and every later cycle reuses it.
+func TestForkImageBufferSizedOnce(t *testing.T) {
+	w := sim.NewWorld(1, &idleProg{})
+	w.RecordTrace = false
+	d := New(w, protocol.CPVS, stablestore.Rio)
+	if err := d.Attach(); err != nil {
+		t.Fatal(err)
+	}
+	w.Freeze()
+	for _, first := range []string{"commit", "rollback"} {
+		fw, err := w.Fork()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fd, p := fw.Recovery.(*DC), fw.Procs[0]
+		if fd.imgBuf[0] != nil {
+			t.Fatalf("%s: fork already holds an image buffer", first)
+		}
+		if first == "commit" {
+			err = fd.Checkpoint(p)
+		} else {
+			err = fd.Rollback(p)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		size, grown := fd.seg(0).Size(), cap(fd.imgBuf[0])
+		if size == 0 || grown <= size {
+			t.Fatalf("%s: image buffer cap %d for a %d-byte segment, want headroom", first, grown, size)
+		}
+		if n := testing.AllocsPerRun(50, func() {
+			if err := fd.Checkpoint(p); err != nil {
+				t.Fatal(err)
+			}
+			if err := fd.Rollback(p); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: warmed fork commit+rollback allocates %.1f times per run, want 0", first, n)
+		}
+		if cap(fd.imgBuf[0]) != grown {
+			t.Errorf("%s: image buffer reallocated (%d -> %d)", first, grown, cap(fd.imgBuf[0]))
+		}
+	}
+}
+
 // TestParallelCoordinatedCommitDeterministic runs the requester/responder
 // pair under CPV-2PC twice — once on the serial coordinated-commit path,
 // once with the member page diffs fanned out to goroutines — and demands

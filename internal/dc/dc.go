@@ -301,22 +301,37 @@ func (d *DC) commitOne(p *sim.Proc, label string) error {
 }
 
 // diffOne serializes p's checkpoint image into its reusable per-process
-// buffer and lays it into the Vista segment with page-granularity diffing.
-// It touches only p's own state (program, session counters, segment,
-// buffer), so coordinated commits run it for different processes
-// concurrently. All global bookkeeping lives in finishCommit.
+// buffer and commits it into the Vista segment in one compare-and-copy pass.
+// No event — hence no simulated crash — can land inside the call, so the
+// segment keeps no undo record for it. It touches only p's own state
+// (program, session counters, segment, buffer), so coordinated commits run
+// it for different processes concurrently. All global bookkeeping lives in
+// finishCommit.
 //
 //failtrans:hotpath
 func (d *DC) diffOne(p *sim.Proc) (vista.Stats, error) {
-	buf, err := p.AppendCheckpointImage(d.imgBuf[p.Index][:0], d.EssentialOnly)
+	buf, err := p.AppendCheckpointImage(d.image(p.Index), d.EssentialOnly)
 	if err != nil {
 		//failtrans:alloc cold error path: a failed serialization aborts the commit, so the formatting never runs in a committing cycle
 		return vista.Stats{}, fmt.Errorf("dc: commit %s: %w", p.Prog.Name(), err)
 	}
 	d.imgBuf[p.Index] = buf
-	seg := d.seg(p.Index)
-	seg.SetContents(buf)
-	return seg.Commit(d.registers), nil
+	return d.seg(p.Index).CommitImage(buf, d.registers), nil
+}
+
+// image returns process i's checkpoint-image buffer, emptied. A fork starts
+// without one; its segment's extent is the size of the image it will next
+// marshal or restore, so the buffer is allocated once at that size plus an
+// eighth and 256 bytes for the state to grow into, rather than grown by
+// doubling.
+func (d *DC) image(i int) []byte {
+	if d.imgBuf[i] == nil {
+		if n := d.seg(i).Size(); n > 0 {
+			//failtrans:alloc one-time per process (per fork): every later commit and rollback reuses the buffer
+			d.imgBuf[i] = make([]byte, 0, n+n/8+256)
+		}
+	}
+	return d.imgBuf[i][:0]
 }
 
 // finishCommit applies a commit's bookkeeping: virtual-time charge, stats,
@@ -824,7 +839,7 @@ func (d *DC) rollbackRestore(p *sim.Proc) error {
 	i := p.Index
 	seg := d.seg(i)
 	seg.RollbackPages()
-	img := seg.AppendContents(d.imgBuf[i][:0])
+	img := seg.AppendContents(d.image(i))
 	d.imgBuf[i] = img
 	return p.RestoreCheckpointImage(img)
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"encoding/binary"
 	"fmt"
+	"strconv"
 	"time"
 
 	"failtrans/internal/event"
@@ -333,7 +334,7 @@ func (c *Ctx) Output(s string) {
 	}
 	w := c.p.World
 	w.Outputs[c.p.Index] = append(w.Outputs[c.p.Index], s)
-	w.GlobalOutputs = append(w.GlobalOutputs, fmt.Sprintf("p%d:%s", c.p.Index, s))
+	w.GlobalOutputs = append(w.GlobalOutputs, "p"+strconv.Itoa(c.p.Index)+":"+s)
 	c.after(event.Visible, event.Deterministic, false, 0, 0, "output")
 }
 
@@ -348,22 +349,23 @@ func (c *Ctx) Syscall(name string, args ...[]byte) ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.before(event.Internal, nd, "sys."+name)
+	label := "sys." + name
+	c.before(event.Internal, nd, label)
 	logged := false
 	if nd != event.Deterministic {
 		if r := c.p.World.Recovery; r != nil {
 			// During constrained re-execution a logged result
 			// replaces the live one (the live call above already
 			// replayed any kernel-state side effects).
-			if v, ok := r.SupplyND(c.p, "sys."+name); ok {
+			if v, ok := r.SupplyND(c.p, label); ok {
 				ret = DecodeParts(v)
 				logged = true
 			} else {
-				logged = r.RecordND(c.p, "sys."+name, EncodeParts(ret))
+				logged = r.RecordND(c.p, label, EncodeParts(ret))
 			}
 		}
 	}
-	c.after(event.Internal, nd, logged, 0, 0, "sys."+name)
+	c.after(event.Internal, nd, logged, 0, 0, label)
 	return ret, nil
 }
 

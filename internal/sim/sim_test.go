@@ -3,6 +3,7 @@ package sim
 import (
 	"encoding/binary"
 	"fmt"
+	"sort"
 	"testing"
 	"time"
 
@@ -68,6 +69,26 @@ func TestCounterRunsToCompletion(t *testing.T) {
 	}
 	if vis != 3 {
 		t.Errorf("visible events = %d, want 3", vis)
+	}
+}
+
+// TestGlobalOutputsPrefixGolden pins the "p<index>:" prefix of the global
+// output interleaving byte for byte, multi-digit indices included.
+func TestGlobalOutputsPrefixGolden(t *testing.T) {
+	progs := make([]Program, 11)
+	for i := range progs {
+		progs[i] = &counter{}
+	}
+	progs[0], progs[10] = &counter{N: 1}, &counter{N: 2}
+	w := NewWorld(1, progs...)
+	if err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	got := append([]string(nil), w.GlobalOutputs...)
+	sort.Strings(got) // the interleaving is the scheduler's business, not this test's
+	want := []string{"p0:tick 0", "p10:tick 0", "p10:tick 1"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("GlobalOutputs = %q, want %q", got, want)
 	}
 }
 

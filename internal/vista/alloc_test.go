@@ -116,7 +116,7 @@ func pat(n int, seed byte) []byte {
 }
 
 // TestSetContentsBoundaryCases drives the page-diff path across the
-// boundary shapes the hash cache must get right: growth with a partial
+// boundary shapes the page comparison must get right: growth with a partial
 // final page, shrinking, an all-zero tail, emptying, and re-growth within
 // retained capacity.
 func TestSetContentsBoundaryCases(t *testing.T) {
@@ -170,8 +170,7 @@ func TestSetContentsBoundaryCases(t *testing.T) {
 // TestSetContentsRandomizedAgainstReference interleaves SetContents, Write,
 // Commit and Rollback with random extents and checks the segment against
 // the naive model after every operation — including that rollback restores
-// exactly the committed image (hash-cache invalidation must not let a
-// stale entry skip a page that rollback changed).
+// exactly the committed image.
 func TestSetContentsRandomizedAgainstReference(t *testing.T) {
 	const ps = 32
 	rng := rand.New(rand.NewSource(7))

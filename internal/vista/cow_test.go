@@ -193,7 +193,7 @@ func TestFrozenSegmentMutationPanics(t *testing.T) {
 
 // TestCOWForkCommitCycleZeroAllocs extends the zero-allocation pin to COW
 // forks: once a fork has privatized its working set, a SetContents→commit
-// cycle allocates nothing — overlay lookups are map reads, undo buffers
+// cycle allocates nothing — overlay lookups are slice reads, undo buffers
 // come from the pool, and borrowed before-images are plain slices.
 func TestCOWForkCommitCycleZeroAllocs(t *testing.T) {
 	tmpl := NewSegment(0, 4096)

@@ -10,21 +10,23 @@
 // after a crash is the same operation, because the undo log itself lives in
 // reliable memory.
 //
-// The commit path is engineered to do work proportional to the *dirty*
-// bytes with zero steady-state heap allocations: the dirty set is a
-// reusable bitset cleared in place, undo-record page buffers are pooled
-// across commit cycles, page comparison is word-wise, and a per-page hash
-// cache (maintained across commits) lets SetContents reject changed pages
-// after a single pass over the incoming image.
+// The commit path does one compare-and-copy pass over the incoming image
+// with zero steady-state heap allocations: each page is compared with the
+// resident one (bytes.Equal stops at the first differing word, and nearly
+// every page of a checkpoint image is dirty) and copied in place when it
+// differs. The transactional API (Write/SetContents, then Commit or
+// Rollback) keeps before-images in a pooled undo log and a reusable dirty
+// bitset; CommitImage, the entry Discount Checking commits through, is the
+// same walk with no undo log at all, because nothing can interrupt it.
 //
 // A segment also supports the same trick one level up, for the fault
 // campaign engine that forks whole worlds off memoized clean prefixes:
 // Freeze seals a segment as an immutable template, and Fork of a frozen
 // segment returns a copy-on-write fork that shares the template's memory
-// image and page-hash cache. A fork privatizes a page into its private
-// overlay on first write — exactly the Discount Checking first-touch trap,
-// applied to the meta-level engine — so forking costs O(metadata), not
-// O(state), and each fork pays only for the pages it actually changes.
+// image. A fork privatizes a page into its private overlay on first write —
+// exactly the Discount Checking first-touch trap, applied to the meta-level
+// engine — so forking costs O(metadata), not O(state), and each fork pays
+// only for the pages it actually changes.
 package vista
 
 import (
@@ -96,27 +98,12 @@ type Segment struct {
 	// forked from. Page contents are read overlay-first, then base; pages
 	// past the base's extent (the fork grew) read as zeros until written.
 	base *Segment
-	// overlay holds the fork's privatized pages: full pageSize buffers
-	// (drawn from bufPool) whose logical tail beyond the extent is kept
-	// zeroed, so growth re-exposes zeros exactly like flat memory does.
-	overlay map[int][]byte
-
-	// pageHash caches, per page, the hash of the page's current contents
-	// whenever the matching hashValid bit is set. SetContents maintains
-	// it so a changed incoming page is detected from the hash alone —
-	// without re-reading the segment's committed bytes. Write-path
-	// updates (whose contents SetContents never sees) just invalidate.
-	// A COW fork inherits the template's cache (valid entries carry over
-	// because fork shares the template's bytes), so its first commit
-	// skips clean pages without ever reading them.
-	//failtrans:cowshared privatizeHash
-	pageHash []uint64
-	//failtrans:cowshared privatizeHash
-	hashValid pageBitset
-	// hashShared marks pageHash/hashValid as clamped views of the frozen
-	// template's arrays: valid to read (the shared bytes cannot change),
-	// privatized by privatizeHash before the first invalidation or update.
-	hashShared bool
+	// overlay holds the fork's privatized pages by page number (nil: the
+	// page is still served from base): full pageSize buffers (drawn from
+	// bufPool) whose logical tail beyond the extent is kept zeroed, so
+	// growth re-exposes zeros exactly like flat memory does. It is
+	// allocated at the first privatization, one slot per page.
+	overlay [][]byte
 
 	// bufPool recycles undo-record page buffers across commit cycles.
 	bufPool [][]byte
@@ -177,21 +164,12 @@ func (s *Segment) pageExtent(p int) (start, end int) {
 	return start, end
 }
 
-// sizeTracking (re)sizes the dirty/hash structures to the segment size,
-// preserving existing entries.
+// sizeTracking (re)sizes the dirty bitset to the segment size, preserving
+// existing entries.
 func (s *Segment) sizeTracking() {
-	np := s.pages()
-	words := (np + 63) / 64
+	words := (s.pages() + 63) / 64
 	for len(s.dirty) < words {
 		s.dirty = append(s.dirty, 0)
-	}
-	for len(s.hashValid) < words {
-		//failtrans:cowok a fork's view is capacity-clamped at cowFork, so append always reallocates instead of writing the frozen template's array
-		s.hashValid = append(s.hashValid, 0)
-	}
-	for len(s.pageHash) < np {
-		//failtrans:cowok a fork's view is capacity-clamped at cowFork, so append always reallocates instead of writing the frozen template's array
-		s.pageHash = append(s.pageHash, 0)
 	}
 }
 
@@ -286,10 +264,19 @@ func (s *Segment) resident(p int) []byte {
 	if s.base == nil {
 		return s.mem[start:end]
 	}
-	if b, ok := s.overlay[p]; ok {
+	if b := s.private(p); b != nil {
 		return b[:end-start]
 	}
 	return s.base.basePage(p, end-start)
+}
+
+// private returns a COW fork's own buffer for page p, or nil while the page
+// is still served from the frozen base.
+func (s *Segment) private(p int) []byte {
+	if p < len(s.overlay) {
+		return s.overlay[p]
+	}
+	return nil
 }
 
 // privatize gives page p of a COW fork its own overlay buffer, copying the
@@ -297,10 +284,7 @@ func (s *Segment) resident(p int) []byte {
 // first-touch copy, applied to the fork engine itself. No-op on flat
 // segments and already-private pages.
 func (s *Segment) privatize(p int) {
-	if s.base == nil {
-		return
-	}
-	if _, ok := s.overlay[p]; ok {
+	if s.base == nil || s.private(p) != nil {
 		return
 	}
 	buf := s.pageBuf(s.pageSize)
@@ -308,9 +292,11 @@ func (s *Segment) privatize(p int) {
 	for i := n; i < len(buf); i++ {
 		buf[i] = 0
 	}
-	if s.overlay == nil {
-		//failtrans:alloc one-time per fork: the overlay map is deferred out of cowFork to the first privatized page
-		s.overlay = make(map[int][]byte, 8)
+	if p >= len(s.overlay) {
+		//failtrans:alloc one-time per fork (again only when the fork has outgrown it): the overlay index is deferred out of cowFork to the first privatized page
+		grown := make([][]byte, s.pages())
+		copy(grown, s.overlay)
+		s.overlay = grown
 	}
 	s.overlay[p] = buf
 	s.CowPages++
@@ -319,20 +305,6 @@ func (s *Segment) privatize(p int) {
 		m.PagesPrivatized++
 		m.BytesCOW += int64(n)
 	}
-}
-
-// privatizeHash unshares the hash cache from the frozen template before
-// its first mutation. Shared reads need no copy — the template's entries
-// stay correct for every page still served from its bytes.
-func (s *Segment) privatizeHash() {
-	if !s.hashShared {
-		return
-	}
-	//failtrans:alloc one-time per fork: the hash cache is COW — shared at fork, copied at first invalidation
-	s.pageHash = append([]uint64(nil), s.pageHash...)
-	//failtrans:alloc one-time per fork: the hash cache is COW — shared at fork, copied at first invalidation
-	s.hashValid = append(pageBitset(nil), s.hashValid...)
-	s.hashShared = false
 }
 
 // writablePage returns the mutable extent of page p, privatizing it first
@@ -360,7 +332,7 @@ func (s *Segment) touchPage(p int) {
 	var img []byte
 	borrowed := false
 	if s.base != nil {
-		if _, ok := s.overlay[p]; !ok {
+		if s.private(p) == nil {
 			img = s.base.basePage(p, end-start)
 			borrowed = true
 		}
@@ -378,9 +350,7 @@ func (s *Segment) touchPage(p int) {
 }
 
 // Write copies data into the segment at off, growing it as needed and
-// logging before-images of every touched page. The hash cache entries of
-// the touched pages are invalidated (Write does not know the final page
-// contents; SetContents recomputes them on its next pass).
+// logging before-images of every touched page.
 //
 //failtrans:hotpath
 func (s *Segment) Write(off int, data []byte) error {
@@ -394,10 +364,8 @@ func (s *Segment) Write(off int, data []byte) error {
 	}
 	s.grow(off + len(data))
 	first, last := off/s.pageSize, (off+len(data)-1)/s.pageSize
-	s.privatizeHash()
 	for p := first; p <= last; p++ {
 		s.touchPage(p)
-		s.hashValid.clear(p)
 	}
 	if s.base == nil {
 		copy(s.mem[off:], data)
@@ -459,83 +427,93 @@ func (s *Segment) ReadInto(off int, dst []byte) error {
 	return nil
 }
 
-// SetContents replaces the whole segment with data, but touches only the
-// pages that actually differ — the analogue of copy-on-write, where clean
-// pages never fault. It is the path Discount Checking uses to lay a
-// serialized process image into the segment.
-//
-// Each incoming page is hashed in one pass and compared against the cached
-// hash of the resident page, so clean pages are skipped without reading
-// the resident bytes at all; only pages without a cached hash yet fall
-// back to a word-wise byte comparison. On a COW fork, a page is privatized
-// only when it differs — clean pages keep reading through to the shared
-// template.
+// SetContents replaces the whole segment with data inside the open
+// transaction, but touches only the pages that actually differ — the
+// analogue of copy-on-write, where clean pages never fault. Each dirtied
+// page's before-image goes to the undo log, so Rollback restores the last
+// committed image and Commit makes the new one durable. On a COW fork, a
+// page is privatized only when it differs — clean pages keep reading through
+// to the shared template.
 //
 //failtrans:hotpath
 func (s *Segment) SetContents(data []byte) {
 	s.mustMutable()
+	s.layImage(data, true)
+}
+
+// CommitImage replaces the whole segment with img and commits it with the
+// register file in one step — SetContents immediately followed by Commit,
+// which is the only way Discount Checking ever commits. Nothing can
+// interrupt the step (a simulated crash lands between events, never inside
+// a commit), so no rollback could ever read the dirtied pages'
+// before-images: none are copied and no undo record is written. The undo
+// log a real Vista would have written is accounted arithmetically, so
+// Stats, LoggedBytes and every Metrics counter match the two-call form
+// exactly. It panics inside an open transaction, whose undo log the fused
+// step would otherwise have to extend.
+//
+//failtrans:hotpath
+func (s *Segment) CommitImage(img, registers []byte) Stats {
+	s.mustMutable()
+	if len(s.undo) != 0 {
+		panic("vista: CommitImage inside an open transaction")
+	}
+	pages, logged := s.layImage(img, false)
+	s.LoggedBytes += logged
+	s.savedReg = append(s.savedReg[:0], registers...)
+	s.CommitCount++
+	if m := s.Metrics; m != nil {
+		m.PagesDirtied += int64(pages)
+		m.UndoBytes += logged
+		m.Commits++
+	}
+	return Stats{Pages: pages, Bytes: pages*s.pageSize + len(registers)}
+}
+
+// layImage is the page walk behind SetContents and CommitImage: it grows the
+// segment to len(data), compares every page of the extent with the matching
+// page of data (bytes past len(data) are zeros: a shorter image clears the
+// old tail) and copies the ones that differ. With logUndo each dirtied page
+// first goes through touchPage; without, the walk only counts the pages it
+// dirtied and the before-image bytes touchPage would have logged for them.
+func (s *Segment) layImage(data []byte, logUndo bool) (pages int, logged int64) {
 	s.grow(len(data))
-	// Pages beyond len(data) that contain old bytes must be cleared.
-	limit := s.size
-	for start := 0; start < limit; start += s.pageSize {
-		end := start + s.pageSize
-		if end > limit {
-			end = limit
-		}
+	clean := int64(0)
+	for p, np := 0, s.pages(); p < np; p++ {
+		start, end := s.pageExtent(p)
 		var src []byte
 		switch {
 		case start >= len(data):
-			src = nil
 		case end > len(data):
-			src = data[start:len(data):len(data)]
+			src = data[start:]
 		default:
 			src = data[start:end]
 		}
-		p := start / s.pageSize
-		h := pageHashOf(src, end-start)
-		if s.hashValid.has(p) {
-			if s.pageHash[p] == h {
-				// Clean: the cached hash of the resident page matches
-				// the incoming page's, so the resident bytes are never
-				// read at all. A 64-bit collision (~2^-64 per page)
-				// would wrongly skip the copy; the commit path accepts
-				// that in exchange for halving clean-page work.
-				if m := s.Metrics; m != nil {
-					m.HashHits++
-				}
-				continue
-			}
-			if m := s.Metrics; m != nil {
-				m.HashMisses++
-			}
-		} else if pageEqual(s.resident(p), src) {
-			// First sighting of a clean page: adopt its hash so the
-			// next commit cycle skips the byte comparison path on a
-			// mismatch.
-			s.privatizeHash()
-			s.pageHash[p] = h
-			s.hashValid.set(p)
+		cur := s.resident(p)
+		if pageEqual(cur, src) {
+			clean++
 			continue
 		}
-		s.touchPage(p)
-		page := s.writablePage(p)
-		n := copy(page, src)
-		for i := n; i < len(page); i++ {
-			page[i] = 0
+		if logUndo {
+			s.touchPage(p)
+		} else {
+			pages++
+			logged += int64(len(cur))
 		}
-		s.privatizeHash()
-		s.pageHash[p] = h
-		s.hashValid.set(p)
+		page := s.writablePage(p)
+		clear(page[copy(page, src):])
 	}
+	if m := s.Metrics; m != nil {
+		m.HashHits += clean
+	}
+	return pages, logged
 }
 
-// pageHashOf hashes the logical contents of one page extent: the bytes of
-// src followed by implicit zeros out to extent bytes. Logical word j
-// always lands in lane j%4 with its logical (zero-padded) value, so the
-// result is a pure function of the extent's contents regardless of where
-// len(src) falls. Four independent multiply lanes break the serial
-// xor-multiply dependency chain and keep the common clean-page scan
-// memory-bound rather than latency-bound.
+// pageHashOf hashes the logical contents of one page extent for
+// ContentDigest: the bytes of src followed by implicit zeros out to extent
+// bytes. Logical word j always lands in lane j%4 with its logical
+// (zero-padded) value, so the result is a pure function of the extent's
+// contents regardless of where len(src) falls.
 func pageHashOf(src []byte, extent int) uint64 {
 	const mul = 0x9E3779B97F4A7C15
 	h0 := uint64(0x243F6A8885A308D3)
@@ -643,10 +621,10 @@ func (s *Segment) ContentDigest() uint64 {
 
 // Freeze seals the segment as an immutable copy-on-write template: every
 // subsequent Fork returns an O(metadata) COW fork sharing this segment's
-// memory image and page-hash cache, and every mutator panics. The memory
-// image is padded to a page boundary so forks can borrow whole-page slices
-// without bounds juggling. A frozen segment may be forked concurrently from
-// any number of goroutines without locking — nothing ever writes it again.
+// memory image, and every mutator panics. The memory image is padded to a
+// page boundary so forks can borrow whole-page slices without bounds
+// juggling. A frozen segment may be forked concurrently from any number of
+// goroutines without locking — nothing ever writes it again.
 func (s *Segment) Freeze() {
 	if s.frozen {
 		return
@@ -668,10 +646,10 @@ func (s *Segment) Freeze() {
 }
 
 // Fork returns an independent copy of the segment, mid-transaction state
-// included: memory image, undo log, dirty set and hash cache all carry
-// over, so a rollback of either copy behaves identically. The buffer pool
-// and Metrics sink do not carry over (the fork warms its own pool;
-// observability is per-run).
+// included: memory image, undo log and dirty set all carry over, so a
+// rollback of either copy behaves identically. The buffer pool and Metrics
+// sink do not carry over (the fork warms its own pool; observability is
+// per-run).
 //
 // Forking a frozen template is O(metadata): the fork shares the template's
 // memory image and privatizes pages only as it writes them. Forking an
@@ -688,8 +666,6 @@ func (s *Segment) Fork() *Segment {
 		dirty:       append(pageBitset(nil), s.dirty...),
 		nDirty:      s.nDirty,
 		savedReg:    append([]byte(nil), s.savedReg...),
-		pageHash:    append([]uint64(nil), s.pageHash...),
-		hashValid:   append(pageBitset(nil), s.hashValid...),
 		CommitCount: s.CommitCount,
 		LoggedBytes: s.LoggedBytes,
 	}
@@ -706,32 +682,22 @@ func (s *Segment) Fork() *Segment {
 }
 
 // cowFork builds a copy-on-write fork of a frozen template. Only the small
-// per-page metadata (dirty set, hash cache, undo headers) is copied; the
-// memory image and any pending undo before-images are shared with the
-// template, which Freeze guarantees can never change.
+// per-page metadata (dirty set, undo headers) is copied; the memory image
+// and any pending undo before-images are shared with the template, which
+// Freeze guarantees can never change. The overlay index waits for the first
+// privatized page.
 func (s *Segment) cowFork() *Segment {
-	// Everything possible is shared or deferred: the hash cache stays a
-	// clamped view of the template's arrays until first invalidation
-	// (privatizeHash), and the overlay map waits for the first privatized
-	// page. Only the dirty bitset is copied — touchPage mutates it on the
-	// fork's first write, which for most campaign forks is immediate.
-	nd := len(s.dirty)
-	words := make([]uint64, nd)
 	ns := &Segment{
 		pageSize:    s.pageSize,
 		size:        s.size,
 		base:        s,
 		undo:        make([]undoRec, len(s.undo)),
-		dirty:       pageBitset(words[0:nd:nd]),
+		dirty:       append(pageBitset(nil), s.dirty...),
 		nDirty:      s.nDirty,
 		savedReg:    append([]byte(nil), s.savedReg...),
-		pageHash:    s.pageHash[:len(s.pageHash):len(s.pageHash)],
-		hashValid:   pageBitset(s.hashValid[:len(s.hashValid):len(s.hashValid)]),
-		hashShared:  true,
 		CommitCount: s.CommitCount,
 		LoggedBytes: s.LoggedBytes,
 	}
-	copy(ns.dirty, s.dirty)
 	for i, rec := range s.undo {
 		ns.undo[i] = undoRec{page: rec.page, data: rec.data, borrowed: true}
 	}
@@ -764,9 +730,7 @@ func (s *Segment) Commit(registers []byte) Stats {
 // its last committed state, without copying out the saved register file —
 // the zero-allocation form of Rollback for recovery paths that read the
 // registers elsewhere. After a simulated crash this is exactly recovery:
-// the undo log is persistent. Restored pages' hash cache entries are
-// invalidated (their contents no longer match what SetContents last
-// hashed).
+// the undo log is persistent.
 //
 //failtrans:hotpath
 func (s *Segment) RollbackPages() {
@@ -774,15 +738,10 @@ func (s *Segment) RollbackPages() {
 	for i := len(s.undo) - 1; i >= 0; i-- {
 		rec := s.undo[i]
 		page := s.writablePage(rec.page)
-		n := copy(page, rec.data)
 		// A before-image shorter than the current extent means the page
 		// grew after it was touched; the grown region was committed as
 		// zeros, so restore zeros there.
-		for j := n; j < len(page); j++ {
-			page[j] = 0
-		}
-		s.privatizeHash()
-		s.hashValid.clear(rec.page)
+		clear(page[copy(page, rec.data):])
 	}
 	s.releaseUndo()
 	if m := s.Metrics; m != nil {
