@@ -13,15 +13,18 @@
 // Every campaign (fault-injection runs, Figure 8 cells) fans out over
 // -parallel workers; results are byte-identical to a serial run for the
 // same seed (see internal/campaign), so parallelism is purely a wall-clock
-// knob. The fault studies additionally serve injection runs from a
-// prefix-snapshot cache (-snapshots, on by default): one template run
-// memoizes the clean session and every injection run forks it mid-stream
-// instead of re-executing the prefix — also byte-identical either way.
+// knob. The fault studies serve injection runs from a prefix-snapshot
+// cache: one template run memoizes the clean session and every injection
+// run forks it copy-on-write mid-stream instead of re-executing the prefix.
+// That path, and the indexed World scheduler under every experiment, are
+// the only ones this command reaches; from-scratch replay, deep-copied
+// forks and the O(procs) scan scheduler survive as the references
+// internal/bench's matrix test holds them byte-identical to.
 //
 // With -ledger, every experiment run additionally appends one forensic
 // record to the named campaign-ledger file (see internal/obs/ledger); the
-// file's bytes are invariant across -parallel, -snapshots and -cow, and
-// cmd/ftreport turns it into the full campaign report.
+// file's bytes are invariant across -parallel, and cmd/ftreport turns it
+// into the full campaign report.
 //
 // With -veto, the table1/table2 studies additionally arm each app's
 // Discount Checking instance with the matching mined commit-veto policy
@@ -30,22 +33,20 @@
 // policy, phase 2 re-runs the same seeds under it) and prints the
 // clawed-back violation delta.
 //
-// Usage:
-//
 // -experiment fleet runs the scheduler scalability sweep: the fleet echo
 // workload at -fleet-sizes processes (default 100,1000,10000) under the
 // unrecoverable baseline with both schedulers plus every measured protocol
 // under the indexed one, printing ns-per-scheduling-decision curves and the
-// indexed-vs-scan speedup (see internal/bench/fleet.go). -sched selects the
-// World scheduler for every other experiment: "indexed" (default) or the
-// legacy O(procs) "scan"; results are byte-identical either way, which CI
-// enforces by diffing the two.
+// indexed-vs-scan speedup (see internal/bench/fleet.go).
+//
+// Bad input is rejected before any simulation starts (exit 2), and every
+// output file is created up front, so a typo cannot cost a campaign.
 //
 // Usage:
 //
 //	ftbench -experiment all|fig8|table1|table2|space|veto|fleet [-app nvi] [-scale 1] [-crashes 50]
 //	ftbench -bench [-json BENCH.json] [-scale 1]
-//	ftbench ... [-sched indexed|scan] [-fleet-sizes 100,1000,10000]
+//	ftbench ... [-fleet-sizes 100,1000,10000]
 //	ftbench ... [-parallel N] [-json out.json] [-ledger campaign.ftl] [-veto policy.ftv]
 //	ftbench ... [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 package main
@@ -55,9 +56,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -65,104 +68,151 @@ import (
 	"failtrans/internal/bench"
 	"failtrans/internal/obs"
 	"failtrans/internal/obs/ledger"
-	"failtrans/internal/sim"
 	"failtrans/internal/statemachine"
 )
 
+// experiments lists the accepted -experiment values.
+var experiments = []string{"all", "fig8", "table1", "table2", "space", "veto", "fleet"}
+
+// options is the parsed command line.
+type options struct {
+	experiment, app          string
+	scale, crashes, parallel int
+	bench                    bool
+	jsonPath, ledgerPath     string
+	vetoPath, fleetSizes     string
+	cpuprofile, memprofile   string
+}
+
+// check rejects a command line that could only fail — or silently do
+// nothing — once simulation is under way, and returns the parsed fleet
+// sizes.
+func (o *options) check() ([]int, error) {
+	if !slices.Contains(experiments, o.experiment) {
+		return nil, fmt.Errorf("unknown -experiment %q (accepted: %s)", o.experiment, strings.Join(experiments, ", "))
+	}
+	if o.crashes < 1 {
+		return nil, fmt.Errorf("-crashes must be at least 1, got %d", o.crashes)
+	}
+	// -ledger records experiment runs, so it has nothing to write under
+	// -bench.
+	if o.ledgerPath != "" && o.bench {
+		return nil, fmt.Errorf("-ledger records experiment runs; it cannot be combined with -bench")
+	}
+	// The veto experiment mines its own phase-1 policy and must start
+	// veto-free.
+	if o.vetoPath != "" && (o.bench || o.experiment == "veto") {
+		return nil, fmt.Errorf("-veto arms table1/table2 studies; it cannot be combined with -bench or -experiment veto")
+	}
+	sizes := []int{100, 1_000, 10_000}
+	if o.fleetSizes != "" {
+		sizes = sizes[:0]
+		for _, tok := range strings.Split(o.fleetSizes, ",") {
+			n, err := strconv.Atoi(strings.TrimSpace(tok))
+			if err != nil || n < 2 {
+				return nil, fmt.Errorf("-fleet-sizes: bad size %q (want integers >= 2)", tok)
+			}
+			sizes = append(sizes, n)
+		}
+	}
+	return sizes, nil
+}
+
+// die reports a failure of the environment or of a run and exits 1.
+func die(what string, err error) {
+	fmt.Fprintf(os.Stderr, "ftbench: %s: %v\n", what, err)
+	os.Exit(1)
+}
+
 func main() {
-	experiment := flag.String("experiment", "all", "fig8 | table1 | table2 | space | veto | fleet | all")
-	app := flag.String("app", "", "restrict fig8 to one app (nvi, magic, xpilot, treadmarks) or veto to one app (nvi, postgres)")
-	scale := flag.Int("scale", 1, "workload scale factor for fig8 (1 = quick, 10 ≈ paper-length sessions)")
-	crashes := flag.Int("crashes", 50, "crashes to collect per fault type in table1/table2 (paper: 50)")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "campaign worker count (1 = serial; results are identical either way)")
-	snapshots := flag.Bool("snapshots", true, "serve table1/table2 injection runs from a prefix-snapshot cache (results are identical either way)")
-	cow := flag.Bool("cow", true, "fork snapshot templates copy-on-write instead of deep-copying (results are identical either way)")
-	doBench := flag.Bool("bench", false, "run the commit microbenchmarks + Fig 8 drivers instead of an experiment")
-	jsonPath := flag.String("json", "", "also write the results as JSON to this path")
-	ledgerPath := flag.String("ledger", "", "append one forensic record per run to this campaign-ledger file (for ftreport)")
-	vetoPath := flag.String("veto", "", "arm table1/table2 studies with mined commit-veto policies from this .ftv file (see ftreport -veto)")
-	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	memprofile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
-	sched := flag.String("sched", "indexed", "World scheduler: indexed (readiness heap) or scan (legacy O(procs); differential oracle)")
-	fleetSizes := flag.String("fleet-sizes", "", "comma-separated fleet sizes for -experiment fleet (default 100,1000,10000)")
+	var o options
+	flag.StringVar(&o.experiment, "experiment", "all", strings.Join(experiments[1:], " | ")+" | all")
+	flag.StringVar(&o.app, "app", "", "restrict fig8 to one app (nvi, magic, xpilot, treadmarks) or veto to one app (nvi, postgres)")
+	flag.IntVar(&o.scale, "scale", 1, "workload scale factor for fig8 (1 = quick, 10 ≈ paper-length sessions)")
+	flag.IntVar(&o.crashes, "crashes", 50, "crashes to collect per fault type in table1/table2 (paper: 50)")
+	flag.IntVar(&o.parallel, "parallel", runtime.GOMAXPROCS(0), "campaign worker count (1 = serial; results are identical either way)")
+	flag.BoolVar(&o.bench, "bench", false, "run the commit microbenchmarks + Fig 8 drivers instead of an experiment")
+	flag.StringVar(&o.jsonPath, "json", "", "also write the results as JSON to this path")
+	flag.StringVar(&o.ledgerPath, "ledger", "", "append one forensic record per run to this campaign-ledger file (for ftreport)")
+	flag.StringVar(&o.vetoPath, "veto", "", "arm table1/table2 studies with mined commit-veto policies from this .ftv file (see ftreport -veto)")
+	flag.StringVar(&o.cpuprofile, "cpuprofile", "", "write a pprof CPU profile of the run to this file")
+	flag.StringVar(&o.memprofile, "memprofile", "", "write a pprof heap profile at exit to this file")
+	flag.StringVar(&o.fleetSizes, "fleet-sizes", "", "comma-separated fleet sizes for -experiment fleet (default 100,1000,10000)")
 	flag.Parse()
 
-	switch *sched {
-	case "indexed":
-		sim.DefaultScanSched = false
-	case "scan":
-		sim.DefaultScanSched = true
-	default:
-		fmt.Fprintf(os.Stderr, "ftbench: -sched must be indexed or scan, got %q\n", *sched)
+	fleetSizes, err := o.check()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ftbench: %v\n", err)
 		os.Exit(2)
 	}
 
-	// Validate -ledger up front: it records experiment runs, so it has
-	// nothing to write under -bench, and a bad path should fail before an
-	// hours-long campaign rather than after.
-	if *ledgerPath != "" && *doBench {
-		fmt.Fprintln(os.Stderr, "ftbench: -ledger records experiment runs; it cannot be combined with -bench")
-		os.Exit(2)
-	}
-	// Load -veto before any simulation so a bad policy file fails fast. The
-	// veto experiment mines its own phase-1 policy and must start veto-free.
+	// Every input is read and every output created before any simulation,
+	// so a bad path fails now rather than after an hours-long campaign.
 	var vetoPolicies []*statemachine.VetoPolicy
-	if *vetoPath != "" {
-		if *doBench || *experiment == "veto" {
-			fmt.Fprintln(os.Stderr, "ftbench: -veto arms table1/table2 studies; it cannot be combined with -bench or -experiment veto")
-			os.Exit(2)
-		}
-		f, err := os.Open(*vetoPath)
+	if o.vetoPath != "" {
+		f, err := os.Open(o.vetoPath)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "ftbench: -veto: %v\n", err)
-			os.Exit(1)
+			die("-veto", err)
 		}
 		vetoPolicies, err = statemachine.ReadPolicies(f)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "ftbench: -veto: %v\n", err)
-			os.Exit(1)
+			die("-veto", err)
 		}
+	}
+	var jsonFile *os.File
+	if o.jsonPath != "" {
+		if jsonFile, err = os.Create(o.jsonPath); err != nil {
+			die("-json", err)
+		}
+	}
+	// writeJSON fills the -json file (a no-op without one).
+	writeJSON := func(write func(io.Writer) error) {
+		if jsonFile == nil {
+			return
+		}
+		err := write(jsonFile)
+		if cerr := jsonFile.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			die("-json", err)
+		}
+		fmt.Printf("(wrote %s)\n", o.jsonPath)
 	}
 	var lw *ledger.Writer
 	var ledgerFlush func()
-	if *ledgerPath != "" {
-		f, err := os.Create(*ledgerPath)
+	if o.ledgerPath != "" {
+		f, err := os.Create(o.ledgerPath)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "ftbench: -ledger: %v\n", err)
-			os.Exit(1)
+			die("-ledger", err)
 		}
 		bw := bufio.NewWriterSize(f, 1<<16)
 		lw = ledger.NewWriter(bw)
 		ledgerFlush = func() {
-			if err := lw.Err(); err == nil {
+			err := lw.Err()
+			if err == nil {
 				err = bw.Flush()
 				if cerr := f.Close(); err == nil {
 					err = cerr
 				}
-				if err == nil {
-					fmt.Printf("(wrote %s: %d records)\n", *ledgerPath, lw.Records())
-					return
-				}
-				fmt.Fprintf(os.Stderr, "ftbench: -ledger: %v\n", err)
-			} else {
-				fmt.Fprintf(os.Stderr, "ftbench: -ledger: %v\n", lw.Err())
 			}
-			os.Exit(1)
+			if err != nil {
+				die("-ledger", err)
+			}
+			fmt.Printf("(wrote %s: %d records)\n", o.ledgerPath, lw.Records())
 		}
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
+	if o.cpuprofile != "" {
+		f, err := os.Create(o.cpuprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "ftbench: -cpuprofile: %v\n", err)
-			os.Exit(1)
+			die("-cpuprofile", err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "ftbench: -cpuprofile: %v\n", err)
-			os.Exit(1)
+			die("-cpuprofile", err)
 		}
 		defer func() {
 			pprof.StopCPUProfile()
@@ -171,9 +221,9 @@ func main() {
 			}
 		}()
 	}
-	if *memprofile != "" {
+	if o.memprofile != "" {
 		defer func() {
-			f, err := os.Create(*memprofile)
+			f, err := os.Create(o.memprofile)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "ftbench: -memprofile: %v\n", err)
 				return
@@ -188,61 +238,45 @@ func main() {
 		}()
 	}
 
-	if *doBench {
-		rep, err := bench.RunBench(*scale, *parallel)
+	if o.bench {
+		rep, err := bench.RunBench(o.scale, o.parallel)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "ftbench: bench: %v\n", err)
-			os.Exit(1)
+			die("bench", err)
 		}
 		rep.Print(os.Stdout)
-		if *jsonPath != "" {
-			f, err := os.Create(*jsonPath)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "ftbench: bench: %v\n", err)
-				os.Exit(1)
-			}
-			if err := rep.WriteJSON(f); err != nil {
-				f.Close() //failtrans:errok best-effort cleanup; the write error being reported is the primary failure
-				fmt.Fprintf(os.Stderr, "ftbench: bench: %v\n", err)
-				os.Exit(1)
-			}
-			if err := f.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "ftbench: bench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("\n(wrote %s)\n", *jsonPath)
-		}
+		writeJSON(rep.WriteJSON)
 		return
 	}
 
-	// campObs accumulates per-worker campaign counters across every study
-	// below; report holds the experiment results for -json. The JSON
-	// deliberately excludes wall-clock and worker counters so a serial and
-	// a parallel run of the same seed produce byte-identical files.
-	campObs := obs.NewCampaignMetrics(*parallel)
+	// study is what every fault study below shares; campObs accumulates
+	// per-worker campaign counters across them. report holds the experiment
+	// results for -json, which deliberately excludes wall-clock and worker
+	// counters so a serial and a parallel run of the same seed produce
+	// byte-identical files.
+	campObs := obs.NewCampaignMetrics(o.parallel)
+	study := bench.StudyOptions{Crashes: o.crashes, Workers: o.parallel, CampaignObs: campObs, Ledger: lw, Veto: vetoPolicies}
 	report := map[string]any{}
 
 	run := func(name string, fn func() error) {
 		start := time.Now()
 		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "ftbench: %s: %v\n", name, err)
-			os.Exit(1)
+			die(name, err)
 		}
 		fmt.Printf("(%s completed in %.1fs)\n\n", name, time.Since(start).Seconds())
 	}
 
-	want := func(name string) bool { return *experiment == "all" || *experiment == name }
+	want := func(name string) bool { return o.experiment == "all" || o.experiment == name }
 
 	if want("fig8") {
 		apps := bench.Fig8Apps
-		if *app != "" {
-			apps = []string{*app}
+		if o.app != "" {
+			apps = []string{o.app}
 		}
 		var sweeps []*bench.Fig8Result
 		for _, a := range apps {
 			a := a
 			run("fig8/"+a, func() error {
-				res, err := bench.Fig8(a, *scale, *parallel, lw)
+				res, err := bench.Fig8(a, o.scale, o.parallel, lw)
 				if err != nil {
 					return err
 				}
@@ -255,7 +289,7 @@ func main() {
 	}
 	if want("table1") {
 		run("table1", func() error {
-			res, err := bench.Table1(*crashes, *parallel, *snapshots, *cow, campObs, lw, vetoPolicies)
+			res, err := bench.Table1(study)
 			if err != nil {
 				return err
 			}
@@ -266,7 +300,7 @@ func main() {
 	}
 	if want("table2") {
 		run("table2", func() error {
-			res, err := bench.Table2(*crashes, *parallel, *snapshots, *cow, campObs, lw, vetoPolicies)
+			res, err := bench.Table2(study)
 			if err != nil {
 				return err
 			}
@@ -277,16 +311,16 @@ func main() {
 	}
 	// "veto" is not part of "all": the two-phase campaign re-runs table1
 	// twice per app and exists to measure the mined policy, not the paper.
-	if *experiment == "veto" {
+	if o.experiment == "veto" {
 		apps := []string{"nvi"}
-		if *app != "" {
-			apps = []string{*app}
+		if o.app != "" {
+			apps = []string{o.app}
 		}
 		var outs []*bench.VetoResult
 		for _, a := range apps {
 			a := a
 			run("veto/"+a, func() error {
-				res, err := bench.VetoCampaign(a, *crashes, *parallel, *snapshots, *cow, campObs, lw)
+				res, err := bench.VetoCampaign(a, study)
 				if err != nil {
 					return err
 				}
@@ -299,21 +333,9 @@ func main() {
 	}
 	// "fleet" is not part of "all": it is a scalability benchmark, not one
 	// of the paper's experiments, and its 10⁴-proc cells dominate wall time.
-	if *experiment == "fleet" {
-		sizes := []int{100, 1_000, 10_000}
-		if *fleetSizes != "" {
-			sizes = sizes[:0]
-			for _, tok := range strings.Split(*fleetSizes, ",") {
-				n, err := strconv.Atoi(strings.TrimSpace(tok))
-				if err != nil || n < 2 {
-					fmt.Fprintf(os.Stderr, "ftbench: -fleet-sizes: bad size %q\n", tok)
-					os.Exit(2)
-				}
-				sizes = append(sizes, n)
-			}
-		}
+	if o.experiment == "fleet" {
 		run("fleet", func() error {
-			res, err := bench.FleetCurves(sizes)
+			res, err := bench.FleetCurves(fleetSizes)
 			if err != nil {
 				return err
 			}
@@ -335,16 +357,12 @@ func main() {
 	if ledgerFlush != nil {
 		ledgerFlush()
 	}
-	if *jsonPath != "" {
+	writeJSON(func(w io.Writer) error {
 		buf, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "ftbench: -json: %v\n", err)
-			os.Exit(1)
+			return err
 		}
-		if err := os.WriteFile(*jsonPath, append(buf, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "ftbench: -json: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("(wrote %s)\n", *jsonPath)
-	}
+		_, err = w.Write(append(buf, '\n'))
+		return err
+	})
 }

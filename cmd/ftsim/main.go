@@ -18,11 +18,6 @@
 // per seed. The lines are printed in seed order and are byte-identical to
 // a -parallel=1 run (see internal/campaign).
 //
-// -snapshots runs the snapshot/fork engine's self-check on the configured
-// run: the run is forked at its halfway point and both the fork and the
-// original must finish byte-identically to an uninterrupted reference run.
-// Apps whose programs do not implement sim.Forker fail with a clear error.
-//
 // -ledger appends one forensic record per run (study "ftsim") to the named
 // campaign-ledger file — single runs and -seeds campaigns alike — for
 // cmd/ftreport and dangerous -ledger.
@@ -106,34 +101,14 @@ func main() {
 	debug := flag.Bool("debug", false, "print scheduler/recovery debug diagnostics to stderr")
 	seeds := flag.Int("seeds", 1, "run a campaign over this many consecutive seeds instead of one run")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "campaign worker count for -seeds (1 = serial; output is identical either way)")
-	snapCheck := flag.Bool("snapshots", false, "fork self-check: fork the run mid-stream and verify the fork finishes byte-identically")
 	ledgerPath := flag.String("ledger", "", "append one forensic record per run to this campaign-ledger file (for ftreport)")
 	vetoPath := flag.String("veto", "", "arm the DC with a mined commit-veto policy from this .ftv file (key ftsim/<app>/<protocol>)")
-	schedName := flag.String("sched", "indexed", "World scheduler: indexed (readiness heap) or scan (legacy O(procs); runs are byte-identical either way)")
 	var stops stopList
 	flag.Var(&stops, "stop", "inject a stop failure as proc:step (repeatable)")
 	flag.Parse()
 
-	switch *schedName {
-	case "indexed":
-		sim.DefaultScanSched = false
-	case "scan":
-		sim.DefaultScanSched = true
-	default:
-		fail(fmt.Errorf("-sched must be indexed or scan, got %q", *schedName))
-	}
 	if err := validateChoices(*app, *polName, *mediumName); err != nil {
 		fail(err)
-	}
-
-	if *snapCheck {
-		if *seeds > 1 || *tracefile != "" || *dump != "" || *metricsFlag || *debug || len(stops) > 0 || *ledgerPath != "" || *vetoPath != "" {
-			fail(fmt.Errorf("-snapshots supports none of -seeds, -tracefile, -dump, -metrics, -debug, -stop, -ledger, -veto"))
-		}
-		if err := runSnapshotCheck(*app, *polName, *mediumName, *scale, *seed); err != nil {
-			fail(err)
-		}
-		return
 	}
 
 	// The ledger file is created before any simulation so a bad path fails
@@ -438,94 +413,6 @@ func runCampaign(app, polName, mediumName string, scale int, baseSeed int64, n, 
 		return err
 	}
 	return campObs.WriteSummary(os.Stderr)
-}
-
-// runSnapshotCheck exercises the snapshot/fork engine on one configured
-// run: execute the run to completion for reference, rebuild it, step to the
-// halfway point, fork, and run both the fork and the original to the end.
-// All three executions must produce byte-identical visible output. Apps
-// whose programs do not implement sim.Forker fail with a clear error.
-func runSnapshotCheck(app, polName, mediumName string, scale int, seed int64) error {
-	medium := stablestore.Rio
-	if mediumName == "disk" {
-		medium = stablestore.Disk
-	}
-	build := func() (*sim.World, error) {
-		w, err := bench.BuildWorld(app, scale, seed)
-		if err != nil {
-			return nil, err
-		}
-		w.RecordTrace = false
-		if polName != "NONE" {
-			pol, err := protocol.ByName(polName)
-			if err != nil {
-				return nil, err
-			}
-			d := dc.New(w, pol, medium)
-			if err := d.Attach(); err != nil {
-				return nil, err
-			}
-		}
-		return w, nil
-	}
-	ref, err := build()
-	if err != nil {
-		return err
-	}
-	if err := ref.Run(); err != nil {
-		return err
-	}
-	total := ref.StepCount()
-
-	w, err := build()
-	if err != nil {
-		return err
-	}
-	if err := w.Init(); err != nil {
-		return err
-	}
-	for w.StepCount() < total/2 {
-		more, err := w.Step()
-		if err != nil {
-			return err
-		}
-		if !more {
-			break
-		}
-	}
-	forkAt := w.StepCount()
-	fw, err := w.Fork()
-	if err != nil {
-		return fmt.Errorf("fork at step %d: %w", forkAt, err)
-	}
-	if err := fw.Run(); err != nil {
-		return fmt.Errorf("forked run: %w", err)
-	}
-	if err := w.Run(); err != nil {
-		return fmt.Errorf("original run after fork: %w", err)
-	}
-	same := func(a, b []string) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if !same(fw.GlobalOutputs, ref.GlobalOutputs) {
-		return fmt.Errorf("fork diverged from reference: %d vs %d outputs", len(fw.GlobalOutputs), len(ref.GlobalOutputs))
-	}
-	if !same(w.GlobalOutputs, ref.GlobalOutputs) {
-		return fmt.Errorf("original diverged after being forked: %d vs %d outputs", len(w.GlobalOutputs), len(ref.GlobalOutputs))
-	}
-	fmt.Printf("snapshot self-check: app=%s protocol=%s medium=%s\n", app, polName, medium.Name)
-	fmt.Printf("forked at step %d of %d; fork and original both finished byte-identical to the reference\n", forkAt, total)
-	fmt.Printf("steps saved by resuming from the fork: %d (%.0f%% of the run)\n",
-		forkAt, 100*float64(forkAt)/float64(total))
-	return nil
 }
 
 func fail(err error) {

@@ -234,13 +234,13 @@ func Fig8(app string, scale int) (*Fig8Result, error) {
 // across the machine's cores and are served from a prefix-snapshot cache;
 // results are byte-identical to a serial from-scratch study.
 func Table1(crashTarget int) (*Table1Result, error) {
-	return bench.Table1(crashTarget, runtime.GOMAXPROCS(0), true, true, nil, nil, nil)
+	return bench.Table1(bench.StudyOptions{Crashes: crashTarget, Workers: runtime.GOMAXPROCS(0)})
 }
 
 // Table2 reproduces the OS fault-injection study, parallel and
 // snapshot-served as in Table1.
 func Table2(crashTarget int) (*Table2Result, error) {
-	return bench.Table2(crashTarget, runtime.GOMAXPROCS(0), true, true, nil, nil, nil)
+	return bench.Table2(bench.StudyOptions{Crashes: crashTarget, Workers: runtime.GOMAXPROCS(0)})
 }
 
 // PrintProtocolSpace renders the Figure 3 protocol space.

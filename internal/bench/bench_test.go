@@ -151,7 +151,7 @@ func TestFig8UnknownApp(t *testing.T) {
 }
 
 func TestTable1Small(t *testing.T) {
-	res, err := Table1(3, 4, true, true, nil, nil, nil)
+	res, err := Table1(StudyOptions{Crashes: 3, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestTable1Small(t *testing.T) {
 }
 
 func TestTable2Small(t *testing.T) {
-	res, err := Table2(2, 4, true, true, nil, nil, nil)
+	res, err := Table2(StudyOptions{Crashes: 2, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,36 +8,13 @@ import (
 	"failtrans/internal/obs"
 )
 
-// CampaignSnapshotResult is the campaign-snapshot bench row: the same
-// reduced nvi Table 1 campaign measured from scratch and snapshot-served,
-// at the study's default SessionLen (where the clean prefix dominates each
-// injection run). Both modes produce byte-identical study results; the row
-// quantifies what the prefix-snapshot cache saves.
-type CampaignSnapshotResult struct {
-	App  string `json:"app"`
-	Runs int64  `json:"runs"` // injection runs executed per mode
-
-	ScratchNsPerRun  float64 `json:"scratch_ns_per_run"`
-	SnapshotNsPerRun float64 `json:"snapshot_ns_per_run"`
-	SpeedupX         float64 `json:"speedup_x"`
-
-	// Steps of the clean prefix re-executed before fault activation, per
-	// activated injection run: the work memoization removes.
-	ScratchStepsReplayedPerRun  float64 `json:"scratch_steps_replayed_per_run"`
-	SnapshotStepsReplayedPerRun float64 `json:"snapshot_steps_replayed_per_run"`
-	ReplayReductionX            float64 `json:"replay_reduction_x"`
-
-	Snapshots  int64 `json:"snapshots"`
-	Forks      int64 `json:"forks"`
-	ForkMeanNs int64 `json:"fork_mean_ns"`
-}
-
 // CampaignCOWResult is the campaign-cow bench row: the same reduced nvi
-// Table 1 campaign measured three ways — from scratch, served from
-// deep-copied snapshots, and served from frozen copy-on-write templates
-// through the content-addressed snapshot store. All three modes produce
-// byte-identical study results; the row quantifies what structural sharing
-// saves on top of memoization.
+// Table 1 campaign, at the study's default SessionLen (where the clean
+// prefix dominates each injection run), measured three ways — from scratch,
+// served from deep-copied snapshots, and served from frozen copy-on-write
+// templates (the production path). All three produce byte-identical study
+// results; the row quantifies what memoization saves and what structural
+// sharing saves on top of it.
 type CampaignCOWResult struct {
 	App  string `json:"app"`
 	Runs int64  `json:"runs"` // injection runs executed per mode
@@ -47,35 +24,34 @@ type CampaignCOWResult struct {
 	COWNsPerRun      float64 `json:"cow_ns_per_run"`
 	SpeedupX         float64 `json:"speedup_x"` // scratch / cow
 
+	// Steps of the clean prefix re-executed before fault activation, per
+	// activated injection run: the work memoization removes.
+	ScratchStepsReplayedPerRun float64 `json:"scratch_steps_replayed_per_run"`
+	COWStepsReplayedPerRun     float64 `json:"cow_steps_replayed_per_run"`
+	ReplayReductionX           float64 `json:"replay_reduction_x"`
+
 	DeepForkMeanNs int64   `json:"deepfork_fork_mean_ns"`
 	COWForkMeanNs  int64   `json:"cow_fork_mean_ns"`
 	ForkSpeedupX   float64 `json:"fork_speedup_x"` // deep / cow
 
-	// COW traffic observed in the final cow-mode iteration.
+	// COW traffic observed in the final cow-mode iteration (the counters
+	// are identical across iterations).
 	PagesPrivatized int64 `json:"pages_privatized"`
 	BytesCOW        int64 `json:"bytes_cow"`
-	// StoreHits across the best-of-3 cow iterations sharing one store:
-	// iterations 2 and 3 skip their template runs entirely.
-	StoreHits int64 `json:"store_hits"`
 }
 
-// benchCampaignCOW measures the three modes serially and best-of-three,
-// with the cow mode sharing one SnapshotStore across its iterations so the
-// row also exercises (and accounts) prefix reuse between campaigns.
+// benchCampaignCOW measures the three modes serially (so the ns/run
+// comparison is not confounded by worker scheduling) and best-of-three (so a
+// cold first iteration does not masquerade as the steady state).
 func benchCampaignCOW(scale int) (CampaignCOWResult, error) {
 	res := CampaignCOWResult{App: "nvi"}
-	store := faults.NewSnapshotStore()
-	var storeHits int64
-	runMode := func(snapshots, cow, shared bool) (ns, forkNs int64, m *obs.CampaignMetrics, err error) {
+	runMode := func(snapshots, cow bool) (ns, forkNs int64, m *obs.CampaignMetrics, err error) {
 		for i := 0; i < 3; i++ {
 			s := faults.NewAppStudy("nvi") // default SessionLen
 			s.CrashTarget = 2 * scale
 			s.MaxRunsPerType = s.CrashTarget * 12
 			s.Snapshots = snapshots
 			s.COW = cow
-			if shared {
-				s.Store = store
-			}
 			s.WallClock = wallClock
 			m = obs.NewCampaignMetrics(1)
 			s.CampaignObs = m
@@ -97,25 +73,25 @@ func benchCampaignCOW(scale int) (CampaignCOWResult, error) {
 			if fm := m.Snapshot.ForkLatency.Mean(); i == 0 || (fm > 0 && fm < forkNs) {
 				forkNs = fm
 			}
-			storeHits += m.Snapshot.StoreHits
 		}
 		return ns, forkNs, m, nil
 	}
 
-	scratchNs, _, scratchM, err := runMode(false, false, false)
+	scratchNs, _, scratchM, err := runMode(false, false)
 	if err != nil {
 		return res, err
 	}
-	deepNs, deepForkNs, _, err := runMode(true, false, false)
+	deepNs, deepForkNs, _, err := runMode(true, false)
 	if err != nil {
 		return res, err
 	}
-	storeHits = 0 // only the cow mode's store traffic belongs in the row
-	cowNs, cowForkNs, cowM, err := runMode(true, true, true)
+	cowNs, cowForkNs, cowM, err := runMode(true, true)
 	if err != nil {
 		return res, err
 	}
 
+	// Every mode executes the identical run sequence, so one run count
+	// divides all three timings.
 	res.Runs = scratchM.SerialRuns
 	if res.Runs > 0 {
 		res.ScratchNsPerRun = float64(scratchNs) / float64(res.Runs)
@@ -125,6 +101,15 @@ func benchCampaignCOW(scale int) (CampaignCOWResult, error) {
 	if res.COWNsPerRun > 0 {
 		res.SpeedupX = res.ScratchNsPerRun / res.COWNsPerRun
 	}
+	if steps, runs := scratchM.Snapshot.ReplaySnapshot(); runs > 0 {
+		res.ScratchStepsReplayedPerRun = float64(steps) / float64(runs)
+	}
+	if steps, runs := cowM.Snapshot.ReplaySnapshot(); runs > 0 {
+		res.COWStepsReplayedPerRun = float64(steps) / float64(runs)
+	}
+	if res.COWStepsReplayedPerRun > 0 {
+		res.ReplayReductionX = res.ScratchStepsReplayedPerRun / res.COWStepsReplayedPerRun
+	}
 	res.DeepForkMeanNs = deepForkNs
 	res.COWForkMeanNs = cowForkNs
 	if res.COWForkMeanNs > 0 {
@@ -132,73 +117,5 @@ func benchCampaignCOW(scale int) (CampaignCOWResult, error) {
 	}
 	res.PagesPrivatized = cowM.Snapshot.PagesPrivatized
 	res.BytesCOW = cowM.Snapshot.BytesCOW
-	res.StoreHits = storeHits
-	return res, nil
-}
-
-// benchCampaignSnapshot runs the reduced campaign in both modes, serially
-// (so the ns/run comparison is not confounded by worker scheduling) and
-// best-of-three (so a cold first iteration does not masquerade as the
-// steady state). The counters come from the final iteration; they are
-// identical across iterations.
-func benchCampaignSnapshot(scale int) (CampaignSnapshotResult, error) {
-	res := CampaignSnapshotResult{App: "nvi"}
-	runCampaign := func(snapshots bool) (ns, forkNs int64, m *obs.CampaignMetrics, err error) {
-		for i := 0; i < 3; i++ {
-			s := faults.NewAppStudy("nvi") // default SessionLen
-			s.CrashTarget = 2 * scale
-			s.MaxRunsPerType = s.CrashTarget * 12
-			s.Snapshots = snapshots
-			s.WallClock = wallClock
-			m = obs.NewCampaignMetrics(1)
-			s.CampaignObs = m
-			runtime.GC() // collected heap per iteration, as testing.B does
-			start := time.Now()
-			if _, err := s.Run(); err != nil {
-				return 0, 0, nil, err
-			}
-			if d := time.Since(start).Nanoseconds(); i == 0 || d < ns {
-				ns = d
-			}
-			if fm := m.Snapshot.ForkLatency.Mean(); i == 0 || (fm > 0 && fm < forkNs) {
-				forkNs = fm // best-of-3, same estimator as the wall clock
-			}
-		}
-		return ns, forkNs, m, nil
-	}
-
-	scratchNs, _, scratchM, err := runCampaign(false)
-	if err != nil {
-		return res, err
-	}
-	snapNs, snapForkNs, snapM, err := runCampaign(true)
-	if err != nil {
-		return res, err
-	}
-
-	// Both modes execute the identical run sequence, so either run count
-	// divides both timings.
-	res.Runs = scratchM.SerialRuns
-	if res.Runs > 0 {
-		res.ScratchNsPerRun = float64(scratchNs) / float64(res.Runs)
-		res.SnapshotNsPerRun = float64(snapNs) / float64(res.Runs)
-	}
-	if res.SnapshotNsPerRun > 0 {
-		res.SpeedupX = res.ScratchNsPerRun / res.SnapshotNsPerRun
-	}
-	ssteps, sruns := scratchM.Snapshot.ReplaySnapshot()
-	nsteps, nruns := snapM.Snapshot.ReplaySnapshot()
-	if sruns > 0 {
-		res.ScratchStepsReplayedPerRun = float64(ssteps) / float64(sruns)
-	}
-	if nruns > 0 {
-		res.SnapshotStepsReplayedPerRun = float64(nsteps) / float64(nruns)
-	}
-	if res.SnapshotStepsReplayedPerRun > 0 {
-		res.ReplayReductionX = res.ScratchStepsReplayedPerRun / res.SnapshotStepsReplayedPerRun
-	}
-	res.Snapshots = snapM.Snapshot.Snapshots
-	res.Forks = snapM.Snapshot.Forks
-	res.ForkMeanNs = snapForkNs
 	return res, nil
 }

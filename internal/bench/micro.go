@@ -26,16 +26,6 @@ type MicroResult struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 }
 
-// SeedReference is the same microbenchmark suite measured at the growth
-// seed (commit bf636d4), before the incremental commit engine: the
-// baseline the ≥50% allocs/op and ≥25% ns/op acceptance deltas are
-// computed against.
-var SeedReference = []MicroResult{
-	{Name: "VistaCommit", NsPerOp: 42093, BytesPerOp: 4288, AllocsPerOp: 3},
-	{Name: "DCCommit", NsPerOp: 6903, BytesPerOp: 12737, AllocsPerOp: 16},
-	{Name: "DCRollback", NsPerOp: 2744, BytesPerOp: 6992, AllocsPerOp: 48},
-}
-
 // MediumInfo records a stable-storage cost model alongside the numbers
 // that were measured under it.
 type MediumInfo struct {
@@ -75,23 +65,19 @@ type Fig8Summary struct {
 }
 
 // BenchReport is the machine-readable output of `ftbench -bench`: the
-// commit-path microbenchmarks plus the Figure 8 drivers, with the seed
-// baseline and the media cost models they were measured under.
+// commit-path microbenchmarks plus the Figure 8 drivers, with the media
+// cost models they were measured under.
 type BenchReport struct {
 	GOOS   string `json:"goos"`
 	GOARCH string `json:"goarch"`
 	Scale  int    `json:"scale"`
 
 	Media []MediumInfo `json:"media"`
-	// Seed holds the microbenchmark baseline measured at the growth seed.
-	Seed []MicroResult `json:"seed_reference"`
-	// Micro holds the same suite measured by this run.
+	// Micro holds the microbenchmark suite measured by this run.
 	Micro []MicroResult `json:"micro"`
-	// CampaignSnapshot compares a reduced fault campaign from scratch vs
-	// served from the prefix-snapshot cache.
-	CampaignSnapshot CampaignSnapshotResult `json:"campaign_snapshot"`
-	// CampaignCOW compares scratch vs deep-copied snapshots vs frozen
-	// copy-on-write templates served through the snapshot store.
+	// CampaignCOW compares a reduced fault campaign from scratch vs served
+	// from deep-copied snapshots vs served from frozen copy-on-write
+	// templates.
 	CampaignCOW CampaignCOWResult `json:"campaign_cow"`
 	Fig8        []Fig8Summary     `json:"fig8"`
 	// Fleet is the scheduler/protocol scalability sweep (see fleet.go);
@@ -179,7 +165,6 @@ func RunBench(scale, workers int) (*BenchReport, error) {
 		GOARCH: runtime.GOARCH,
 		Scale:  scale,
 		Media:  []MediumInfo{mediumInfo(stablestore.Rio), mediumInfo(stablestore.Disk)},
-		Seed:   SeedReference,
 	}
 	rep.Micro = []MicroResult{
 		runMicro("VistaCommit", benchVistaCommit),
@@ -188,11 +173,6 @@ func RunBench(scale, workers int) (*BenchReport, error) {
 		runMicro("SchedUpdate", benchSchedUpdate),
 		runMicro("FleetStep", benchFleetStep),
 	}
-	cs, err := benchCampaignSnapshot(scale)
-	if err != nil {
-		return nil, err
-	}
-	rep.CampaignSnapshot = cs
 	cc, err := benchCampaignCOW(scale)
 	if err != nil {
 		return nil, err
@@ -236,38 +216,23 @@ func (r *BenchReport) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// Print renders the report for a terminal, with deltas vs the seed.
+// Print renders the report for a terminal.
 func (r *BenchReport) Print(w io.Writer) {
 	fmt.Fprintf(w, "Commit-path microbenchmarks (%s/%s):\n", r.GOOS, r.GOARCH)
-	fmt.Fprintf(w, "%-12s %12s %10s %10s %18s\n", "benchmark", "ns/op", "B/op", "allocs/op", "vs seed")
-	seed := make(map[string]MicroResult, len(r.Seed))
-	for _, s := range r.Seed {
-		seed[s.Name] = s
-	}
+	fmt.Fprintf(w, "%-12s %12s %10s %10s\n", "benchmark", "ns/op", "B/op", "allocs/op")
 	for _, m := range r.Micro {
-		delta := ""
-		if s, ok := seed[m.Name]; ok && s.NsPerOp > 0 {
-			delta = fmt.Sprintf("%+.0f%% ns, %d→%d allocs",
-				100*(m.NsPerOp-s.NsPerOp)/s.NsPerOp, s.AllocsPerOp, m.AllocsPerOp)
-		}
-		fmt.Fprintf(w, "%-12s %12.0f %10d %10d %18s\n", m.Name, m.NsPerOp, m.BytesPerOp, m.AllocsPerOp, delta)
+		fmt.Fprintf(w, "%-12s %12.0f %10d %10d\n", m.Name, m.NsPerOp, m.BytesPerOp, m.AllocsPerOp)
 	}
-	cs := r.CampaignSnapshot
-	fmt.Fprintf(w, "\nCampaign snapshot cache (%s, %d runs):\n", cs.App, cs.Runs)
-	fmt.Fprintf(w, "%-14s %14s %14s %10s\n", "", "from-scratch", "snapshot", "ratio")
-	fmt.Fprintf(w, "%-14s %14.0f %14.0f %9.1fx\n", "ns/run", cs.ScratchNsPerRun, cs.SnapshotNsPerRun, cs.SpeedupX)
-	fmt.Fprintf(w, "%-14s %14.1f %14.1f %9.1fx\n", "steps replayed", cs.ScratchStepsReplayedPerRun,
-		cs.SnapshotStepsReplayedPerRun, cs.ReplayReductionX)
-	fmt.Fprintf(w, "%-14s snapshots=%d forks=%d fork-mean=%dns\n", "", cs.Snapshots, cs.Forks, cs.ForkMeanNs)
 	cc := r.CampaignCOW
-	fmt.Fprintf(w, "\nCampaign COW forking (%s, %d runs):\n", cc.App, cc.Runs)
-	fmt.Fprintf(w, "%-14s %14s %14s %14s %10s\n", "", "from-scratch", "deep-fork", "cow+store", "ratio")
+	fmt.Fprintf(w, "\nCampaign snapshot + COW forking (%s, %d runs):\n", cc.App, cc.Runs)
+	fmt.Fprintf(w, "%-14s %14s %14s %14s %10s\n", "", "from-scratch", "deep-fork", "cow", "ratio")
 	fmt.Fprintf(w, "%-14s %14.0f %14.0f %14.0f %9.1fx\n", "ns/run",
 		cc.ScratchNsPerRun, cc.DeepForkNsPerRun, cc.COWNsPerRun, cc.SpeedupX)
+	fmt.Fprintf(w, "%-14s %14.1f %14s %14.1f %9.1fx\n", "steps replayed",
+		cc.ScratchStepsReplayedPerRun, "-", cc.COWStepsReplayedPerRun, cc.ReplayReductionX)
 	fmt.Fprintf(w, "%-14s %14s %14d %14d %9.1fx\n", "fork ns", "-",
 		cc.DeepForkMeanNs, cc.COWForkMeanNs, cc.ForkSpeedupX)
-	fmt.Fprintf(w, "%-14s pages-privatized=%d bytes-cow=%d store-hits=%d\n", "",
-		cc.PagesPrivatized, cc.BytesCOW, cc.StoreHits)
+	fmt.Fprintf(w, "%-14s pages-privatized=%d bytes-cow=%d\n", "", cc.PagesPrivatized, cc.BytesCOW)
 	for _, f := range r.Fig8 {
 		fmt.Fprintf(w, "\nFigure 8 (%s): baseline %.2fs virtual\n", f.App, f.BaselineVirtualSec)
 		fmt.Fprintf(w, "%-12s %8s %8s %10s %10s\n", "protocol", "ckpts", "logrecs", "DC ovhd", "disk ovhd")

@@ -10,8 +10,9 @@ import (
 // These tests are the cross-layer half of the scheduler-equivalence
 // guarantee (the sim package pins the per-world edge cases): full seeded
 // studies — fault campaigns and the Figure 8 sweep — must serialize to
-// byte-identical JSON whichever scheduler built their worlds. CI runs the
-// same check end-to-end through the ftbench binary.
+// byte-identical JSON whichever scheduler built their worlds.
+// TestExecutionModeMatrix's scan cell extends the comparison to ledgers,
+// Table 2 and a Perfetto trace.
 
 // withScan runs fn with the package-default scheduler forced to the legacy
 // scan, restoring the default afterwards.
@@ -32,12 +33,12 @@ func mustJSON(t *testing.T, v any) string {
 }
 
 func TestTable1ScanIndexedIdentical(t *testing.T) {
-	indexed, err := Table1(2, 2, true, true, nil, nil, nil)
+	indexed, err := Table1(StudyOptions{Crashes: 2, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var scan *Table1Result
-	withScan(func() { scan, err = Table1(2, 2, true, true, nil, nil, nil) })
+	withScan(func() { scan, err = Table1(StudyOptions{Crashes: 2, Workers: 2}) })
 	if err != nil {
 		t.Fatal(err)
 	}

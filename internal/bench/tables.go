@@ -23,31 +23,44 @@ type Table1Result struct {
 	Postgres []faults.TypeResult
 }
 
-// Table1 runs the application fault-injection study. crashTarget ~50
-// reproduces the paper; smaller values run faster. workers fans injection
-// runs out over that many goroutines (0 or 1 = serial) with results
-// byte-identical to the serial loop; snapshots serves injection runs from a
-// prefix-snapshot cache (also byte-identical, much faster); cow freezes the
-// cached templates and forks them copy-on-write (byte-identical again — the
-// CI study diffs cow on/off); campObs, if non-nil, collects per-worker
-// campaign counters; lw, if non-nil, receives one forensic ledger record per
-// run (byte-identical across workers, snapshots and cow — the record holds
-// only logical coordinates); veto, if non-empty, arms each app's study with
-// its matching mined commit-veto policy (key "table1/<app>/<protocol>";
-// apps without a matching policy run veto-free).
-func Table1(crashTarget, workers int, snapshots, cow bool, campObs *obs.CampaignMetrics, lw *ledger.Writer, veto []*statemachine.VetoPolicy) (*Table1Result, error) {
+// StudyOptions is what a caller chooses about a fault study; everything
+// else is the paper's configuration (faults.NewAppStudy). None of the five
+// changes a result: studies are byte-identical for any worker count, and
+// metrics and the ledger are pure observation.
+type StudyOptions struct {
+	// Crashes is how many crashes to collect per fault type (~50 reproduces
+	// the paper; smaller values run faster).
+	Crashes int
+	// Workers fans injection runs out over that many goroutines (0 or 1 =
+	// serial).
+	Workers int
+	// CampaignObs, if non-nil, collects per-worker campaign counters.
+	CampaignObs *obs.CampaignMetrics
+	// Ledger, if non-nil, receives one forensic record per run.
+	Ledger *ledger.Writer
+	// Veto arms each app's study with its matching mined commit-veto
+	// policy (key "<study>/<app>/<protocol>"; apps without one run
+	// veto-free).
+	Veto []*statemachine.VetoPolicy
+}
+
+// apply configures one app's study ("table1" or "table2") from the options.
+func (o StudyOptions) apply(s *faults.AppStudy, study string) {
+	s.CrashTarget = o.Crashes
+	s.MaxRunsPerType = o.Crashes * 12
+	s.Parallel = o.Workers
+	s.WallClock = wallClock
+	s.CampaignObs = o.CampaignObs
+	s.Ledger = o.Ledger
+	s.Veto = statemachine.FindPolicy(o.Veto, study+"/"+s.App+"/"+s.Policy.Name)
+}
+
+// Table1 runs the application fault-injection study.
+func Table1(o StudyOptions) (*Table1Result, error) {
 	out := &Table1Result{}
 	for _, app := range []string{"nvi", "postgres"} {
 		s := faults.NewAppStudy(app)
-		s.CrashTarget = crashTarget
-		s.MaxRunsPerType = crashTarget * 12
-		s.Parallel = workers
-		s.Snapshots = snapshots
-		s.COW = cow
-		s.WallClock = wallClock
-		s.CampaignObs = campObs
-		s.Ledger = lw
-		s.Veto = statemachine.FindPolicy(veto, "table1/"+app+"/"+s.Policy.Name)
+		o.apply(s, "table1")
 		rs, err := s.Run()
 		if err != nil {
 			return nil, err
@@ -103,21 +116,12 @@ type Table2Result struct {
 	Postgres []faults.OSTypeResult
 }
 
-// Table2 runs the OS fault-injection study; workers, snapshots, cow,
-// campObs, lw and veto behave as in Table1 (policy keys "table2/...").
-func Table2(crashTarget, workers int, snapshots, cow bool, campObs *obs.CampaignMetrics, lw *ledger.Writer, veto []*statemachine.VetoPolicy) (*Table2Result, error) {
+// Table2 runs the OS fault-injection study.
+func Table2(o StudyOptions) (*Table2Result, error) {
 	out := &Table2Result{}
 	for _, app := range []string{"nvi", "postgres"} {
 		s := faults.NewOSStudy(app)
-		s.CrashTarget = crashTarget
-		s.MaxRunsPerType = crashTarget * 12
-		s.Parallel = workers
-		s.Snapshots = snapshots
-		s.COW = cow
-		s.WallClock = wallClock
-		s.CampaignObs = campObs
-		s.Ledger = lw
-		s.Veto = statemachine.FindPolicy(veto, "table2/"+app+"/"+s.Policy.Name)
+		o.apply(s.AppStudy, "table2")
 		rs, err := s.Run()
 		if err != nil {
 			return nil, err

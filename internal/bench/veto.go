@@ -5,8 +5,6 @@ import (
 	"io"
 
 	"failtrans/internal/faults"
-	"failtrans/internal/obs"
-	"failtrans/internal/obs/ledger"
 )
 
 // VetoResult wraps one application's two-phase commit-veto campaign for
@@ -19,18 +17,11 @@ type VetoResult struct {
 // VetoCampaign runs the two-phase commit-veto campaign for one application:
 // phase 1 reproduces the Table 1 study while mining the dangerous-path
 // machine in memory, phase 2 re-runs the identical seeds with the mined
-// commit veto armed. workers/snapshots/cow/campObs/lw behave as in Table1;
-// both phases' records (phase 2 flagged 'V') land in lw when set.
-func VetoCampaign(app string, crashTarget, workers int, snapshots, cow bool, campObs *obs.CampaignMetrics, lw *ledger.Writer) (*VetoResult, error) {
+// commit veto armed. o.Veto must be empty (phase 1 mines the policy); both
+// phases' records (phase 2 flagged 'V') land in o.Ledger when set.
+func VetoCampaign(app string, o StudyOptions) (*VetoResult, error) {
 	s := faults.NewAppStudy(app)
-	s.CrashTarget = crashTarget
-	s.MaxRunsPerType = crashTarget * 12
-	s.Parallel = workers
-	s.Snapshots = snapshots
-	s.COW = cow
-	s.WallClock = wallClock
-	s.CampaignObs = campObs
-	s.Ledger = lw
+	o.apply(s, "table1")
 	out, err := s.RunVeto()
 	if err != nil {
 		return nil, err

@@ -139,35 +139,3 @@ func (d *DC) CowStats() (pages int, bytes int64) {
 	}
 	return pages, bytes
 }
-
-// ContentDigest folds every segment's page digests with the recovery
-// protocol's replay state (epochs, watermarks, log lengths) into one
-// deterministic value — the recovery layer's contribution to a snapshot's
-// content address.
-func (d *DC) ContentDigest() uint64 {
-	const mul = 0x9E3779B97F4A7C15
-	h := uint64(0xD15C0C4EC4E8B1A7)
-	for i, seg := range d.segs {
-		h = (h ^ uint64(i)) * mul
-		if seg != nil {
-			h = (h ^ seg.ContentDigest()) * mul
-		}
-		if i < len(d.epoch) {
-			h = (h ^ uint64(d.epoch[i])) * mul
-		}
-		if i < len(d.watermark) {
-			h = (h ^ uint64(d.watermark[i])) * mul
-		}
-		if i < len(d.ndLog) {
-			h = (h ^ uint64(len(d.ndLog[i]))) * mul
-		}
-		if i < len(d.flushed) {
-			h = (h ^ uint64(d.flushed[i])) * mul
-		}
-	}
-	h = (h ^ uint64(len(d.registers))) * mul
-	for _, c := range d.registers {
-		h = (h ^ uint64(c)) * mul
-	}
-	return h
-}

@@ -124,22 +124,18 @@ type AppStudy struct {
 	// template run per study executes the clean session, capturing world
 	// snapshots keyed by fault-site visit count; each injection run forks
 	// the snapshot below its fire point and resumes, skipping the clean
-	// prefix. Results are byte-identical to the from-scratch loop.
+	// prefix. On is the production path (NewAppStudy sets it and no command
+	// clears it). Off, every run starts from the zero snapshot — a world
+	// built from scratch, no Fork involved — which is the reference the
+	// equivalence matrix (internal/bench/matrix_test.go) holds the fork
+	// engine byte-identical to.
 	Snapshots bool
 	// COW freezes every captured snapshot world as an immutable template,
 	// so injection runs fork copy-on-write overlays — O(metadata) per fork,
-	// pages privatized on first write — instead of deep copies. Off, forks
-	// deep-copy the whole world. Results are byte-identical either way
-	// (CI diffs the two study outputs); the knob exists for that check and
-	// for the benchmark's before/after comparison.
+	// pages privatized on first write — instead of deep copies. On is the
+	// production path; off (deep-copied forks) is the matrix test's second
+	// reference and the deep-fork column of the campaign_cow bench row.
 	COW bool
-	// Store, if non-nil, memoizes the study's frozen prefix cache
-	// content-addressed by configuration and template digest, so repeated
-	// studies of the same clean prefix (benchmark iterations, protocol
-	// sweeps over one app/seed) skip the template run entirely. Only
-	// consulted when COW is set: freezing is what guarantees a stored
-	// template can never be mutated by the runs it serves.
-	Store *SnapshotStore
 	// WallClock, if set, supplies wall-clock nanoseconds for the fork
 	// latency histogram. It is injected by the bench/cmd layers; the
 	// deterministic core this study belongs to cannot call time.Now
@@ -419,38 +415,87 @@ func (s *AppStudy) acceptLedger(run int, rec *ledger.Record) {
 	ledger.Put(rec)
 }
 
-// RunOne executes a single injection run from scratch: arm the fault at a
-// point derived from injSeed (the workload session itself is fixed by the
-// study seed), run under the study protocol, record the timeline, then
-// (for crashes) re-run end-to-end with recovery enabled and the fault
-// suppressed.
-func (s *AppStudy) RunOne(kind sim.FaultKind, injSeed int64, clean []string) (RunResult, error) {
-	var res RunResult
-	w, err := s.buildWorld(s.Seed)
-	if err != nil {
-		return res, err
+// recordCommits installs the CommitHook every study DC carries: it appends
+// each commit's process step position to *commits.
+func recordCommits(d *dc.DC, commits *[]int) {
+	d.CommitHook = func(p *sim.Proc, label string) {
+		*commits = append(*commits, p.Steps)
 	}
-	w.RecordTrace = false
-	inj := &oneShot{kind: kind, fireAt: s.fireAtFor(injSeed)}
-	w.Faults = inj
-	d := dc.New(w, s.Policy, stablestore.Rio)
+}
+
+// armInjection configures d as an injection run's DC is until its fault
+// activates — and so as the template's must be: recovery off (the measured
+// run only classifies the crash), the study's commit check, commit positions
+// recorded.
+func (s *AppStudy) armInjection(d *dc.DC, commits *[]int) {
 	d.DisableRecovery = true
 	d.CheckBeforeCommit = s.CheckBeforeCommit
-	var commits []int
-	d.CommitHook = func(p *sim.Proc, label string) {
-		commits = append(commits, p.Steps)
+	recordCommits(d, commits)
+}
+
+// open yields the world one run starts from and its recovery layer: a fork
+// of snap's template, or — for the zero snapshot — a world built and
+// attached from scratch. arm sets the run's DC flags and hooks (a fork
+// inherits its template's flags but never its hooks). From scratch it runs
+// before Attach, because the "initial" commit Attach takes must reach the
+// CommitHook: a template's snap.commits recorded it the same way. The
+// scratch branch never forks, so a Snapshots-off study stays an
+// independent oracle for the fork engine.
+func (s *AppStudy) open(snap *prefixSnapshot, inj sim.FaultInjector, arm func(*dc.DC)) (*sim.World, *dc.DC, error) {
+	if snap.world != nil {
+		w, d, err := s.forkSnap(snap)
+		if err != nil {
+			return nil, nil, err
+		}
+		w.Faults = inj
+		arm(d)
+		return w, d, nil
 	}
-	s.armVeto(d, inj, &commits)
+	w, err := s.buildWorld(s.Seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	w.RecordTrace = false
+	w.Faults = inj
+	d := dc.New(w, s.Policy, stablestore.Rio)
+	arm(d)
 	if err := d.Attach(); err != nil {
+		return nil, nil, err
+	}
+	return w, d, nil
+}
+
+// runOne executes a single injection run: start from the deepest snapshot
+// before a fire point derived from injSeed (the workload session itself is
+// fixed by the study seed), with a one-shot injector seeded with the
+// snapshot's visit count and the snapshot's commit history prepended; run
+// under the study protocol, record the timeline, then (for crashes) re-run
+// end-to-end with recovery enabled and the fault suppressed. The result is
+// byte-identical for every snapshot that qualifies, the zero one included.
+func (s *AppStudy) runOne(kind sim.FaultKind, injSeed int64, clean []string, cache *prefixCache) (RunResult, error) {
+	var res RunResult
+	fireAt := s.fireAtFor(injSeed)
+	snap := cache.byVisits(fireAt)
+	inj := &oneShot{kind: kind, fireAt: fireAt, visits: snap.visits}
+	commits := append([]int(nil), snap.commits...)
+	w, d, err := s.open(snap, inj, func(d *dc.DC) {
+		s.armInjection(d, &commits)
+		// Templates run veto-free (pre-activation states are never doomed,
+		// so a veto would have deferred nothing anyway); each run arms the
+		// study's policy over its full commit history.
+		s.armVeto(d, inj, &commits)
+	})
+	if err != nil {
 		return res, err
 	}
 	if err := w.Run(); err != nil {
 		return res, err
 	}
-	s.noteReplay(inj, 0)
+	s.noteReplay(inj, snap.steps)
+	s.noteCOW(w, d)
 	res = s.finishRun(w, inj, commits, clean)
 	if res.Crashed {
-		res.Recovered = s.endToEnd(kind, inj.fireAt)
+		res.Recovered = s.endToEnd(kind, fireAt, snap)
 	}
 	if s.records() {
 		res.Rec = s.ledgerRecord(kind, w, d, inj, commits, res)
@@ -462,43 +507,40 @@ func (s *AppStudy) RunOne(kind sim.FaultKind, injSeed int64, clean []string) (Ru
 // fires once (activating identically), the crash rolls the process back,
 // and the one-shot injector stays quiet during re-execution ("suppressing
 // the fault activation during recovery"). Success means the run completes
-// without looping on crashes.
-func (s *AppStudy) endToEnd(kind sim.FaultKind, fireAt int) bool {
-	w, err := s.buildWorld(s.Seed)
-	if err != nil {
-		return false
-	}
-	w.RecordTrace = false
-	inj := &oneShot{kind: kind, fireAt: fireAt}
-	w.Faults = inj
-	d := dc.New(w, s.Policy, stablestore.Rio)
-	d.CheckBeforeCommit = s.CheckBeforeCommit
-	// The end-to-end check runs under the same veto the measured run did;
-	// a one-shot injector stays fired across rollback, so post-recovery
-	// commits keep consulting the activated chain.
-	var commits []int
-	if s.Veto != nil {
-		d.CommitHook = func(p *sim.Proc, label string) {
-			commits = append(commits, p.Steps)
-		}
-		s.armVeto(d, inj, &commits)
-	}
+// without looping on crashes. It starts from the same snapshot the measured
+// run did: the clean prefix is identical with recovery enabled or disabled
+// (the flag only matters after a crash, and the prefix has none).
+func (s *AppStudy) endToEnd(kind sim.FaultKind, fireAt int, snap *prefixSnapshot) bool {
+	inj := &oneShot{kind: kind, fireAt: fireAt, visits: snap.visits}
 	crashes := 0
-	d.RecoveryHook = func(p *sim.Proc, reason string) {
-		crashes++
-		if crashes > 3 {
-			// Crash-looping: the committed state re-triggers the
-			// failure every time. Give up, as an operator would.
-			d.DisableRecovery = true
+	w, d, err := s.open(snap, inj, func(d *dc.DC) {
+		d.DisableRecovery = false
+		d.CheckBeforeCommit = s.CheckBeforeCommit
+		// The end-to-end check runs under the same veto the measured run
+		// did; a one-shot injector stays fired across rollback, so
+		// post-recovery commits keep consulting the activated chain.
+		if s.Veto != nil {
+			commits := append([]int(nil), snap.commits...)
+			recordCommits(d, &commits)
+			s.armVeto(d, inj, &commits)
 		}
-	}
-	if err := d.Attach(); err != nil {
+		d.RecoveryHook = func(p *sim.Proc, reason string) {
+			crashes++
+			if crashes > 3 {
+				// Crash-looping: the committed state re-triggers the
+				// failure every time. Give up, as an operator would.
+				d.DisableRecovery = true
+			}
+		}
+	})
+	if err != nil {
 		return false
 	}
 	if err := w.Run(); err != nil {
 		return false
 	}
-	s.noteReplay(inj, 0)
+	s.noteReplay(inj, snap.steps)
+	s.noteCOW(w, d)
 	return w.AllDone()
 }
 
@@ -526,13 +568,12 @@ func (s *AppStudy) campaignConfig(phase string) campaign.Config {
 }
 
 // Run executes the study for every fault type. Injection runs within a
-// fault type fan out over s.Parallel workers; because each run builds a
-// fresh world from (kind, injSeed) alone and results are accepted in
-// serial run order with the same early exit, the aggregate is
-// byte-identical to the serial loop's. With Snapshots set, one template
-// run's prefix-snapshot cache serves every injection run of every fault
-// type (the clean prefix is fault-type-independent); the cache is
-// immutable once built, so parallel workers fork it freely.
+// fault type fan out over s.Parallel workers; because each run is a function
+// of (kind, injSeed) alone and results are accepted in serial run order with
+// the same early exit, the aggregate is byte-identical to the serial
+// loop's. One template run's prefix-snapshot cache serves every injection
+// run of every fault type (the clean prefix is fault-type-independent); the
+// cache is immutable once built, so parallel workers fork it freely.
 func (s *AppStudy) Run() ([]TypeResult, error) {
 	if s.SessionLen < 1 {
 		return nil, fmt.Errorf("faults: SessionLen %d, need >= 1", s.SessionLen)
@@ -542,11 +583,9 @@ func (s *AppStudy) Run() ([]TypeResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var cache *prefixCache
-	if s.Snapshots {
-		if cache, err = s.cachedPrefix("table1", s.buildPrefixCache); err != nil {
-			return nil, err
-		}
+	cache, err := s.prefixes(s.buildPrefixCache)
+	if err != nil {
+		return nil, err
 	}
 	for _, kind := range AppFaultTypes {
 		kind := kind
@@ -555,11 +594,7 @@ func (s *AppStudy) Run() ([]TypeResult, error) {
 			func(run int) (RunResult, error) {
 				// The workload session is fixed by the study seed; only
 				// the injection point varies.
-				injSeed := s.Seed*100000 + int64(run)
-				if cache != nil {
-					return s.runOneSnap(kind, injSeed, clean, cache)
-				}
-				return s.RunOne(kind, injSeed, clean)
+				return s.runOne(kind, s.Seed*100000+int64(run), clean, cache)
 			},
 			func(run int, res RunResult) bool {
 				s.acceptLedger(run, res.Rec)

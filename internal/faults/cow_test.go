@@ -40,96 +40,3 @@ func TestAppStudyCOWMatchesDeepFork(t *testing.T) {
 		}
 	}
 }
-
-// TestSnapshotStoreReuse: two studies with equal configuration sharing a
-// store must agree byte-for-byte, with the second skipping its template
-// run via a store hit.
-func TestSnapshotStoreReuse(t *testing.T) {
-	store := NewSnapshotStore()
-	run := func() (string, *obs.CampaignMetrics) {
-		s := smallStudy("nvi")
-		s.Store = store
-		s.CampaignObs = obs.NewCampaignMetrics(1)
-		rs, err := s.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return asJSON(t, rs), s.CampaignObs
-	}
-	first, m1 := run()
-	if m1.Snapshot.StoreMisses != 1 || m1.Snapshot.StoreHits != 0 {
-		t.Errorf("first study: hits=%d misses=%d, want 0/1",
-			m1.Snapshot.StoreHits, m1.Snapshot.StoreMisses)
-	}
-	second, m2 := run()
-	if second != first {
-		t.Errorf("store-served study diverged:\n got %s\nwant %s", second, first)
-	}
-	if m2.Snapshot.StoreHits != 1 {
-		t.Errorf("second study: hits=%d, want 1 (template run should have been skipped)",
-			m2.Snapshot.StoreHits)
-	}
-	if m2.Snapshot.Snapshots != 0 {
-		t.Errorf("second study captured %d snapshots despite a store hit", m2.Snapshot.Snapshots)
-	}
-	if store.Len() != 1 {
-		t.Errorf("store holds %d entries, want 1", store.Len())
-	}
-}
-
-// TestSnapshotStoreKeysByConfig: a study with a different configuration
-// must not be served another configuration's prefix.
-func TestSnapshotStoreKeysByConfig(t *testing.T) {
-	store := NewSnapshotStore()
-	a := smallStudy("nvi")
-	a.Store = store
-	if _, err := a.Run(); err != nil {
-		t.Fatal(err)
-	}
-	b := smallStudy("nvi")
-	b.SessionLen = a.SessionLen / 2
-	b.Store = store
-	b.CampaignObs = obs.NewCampaignMetrics(1)
-	if _, err := b.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if b.CampaignObs.Snapshot.StoreHits != 0 {
-		t.Error("differently-configured study hit the other configuration's entry")
-	}
-	if store.Len() != 2 {
-		t.Errorf("store holds %d entries, want 2", store.Len())
-	}
-}
-
-// TestSnapshotStoreDigestTripwire: an entry whose content digest no longer
-// matches what was published is treated as a miss and rebuilt, not served.
-func TestSnapshotStoreDigestTripwire(t *testing.T) {
-	store := NewSnapshotStore()
-	s := smallStudy("nvi")
-	s.Store = store
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a mutation leak: tamper with the stored cache's recorded
-	// commit history, which the digest covers.
-	store.mu.Lock()
-	for _, e := range store.entries {
-		if len(e.cache.snaps) > 1 {
-			e.cache.snaps[1].commits = append(e.cache.snaps[1].commits, 9999)
-		}
-	}
-	store.mu.Unlock()
-	s2 := smallStudy("nvi")
-	s2.Store = store
-	s2.CampaignObs = obs.NewCampaignMetrics(1)
-	rs, err := s2.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.CampaignObs.Snapshot.StoreHits != 0 {
-		t.Error("tampered entry was served as a hit; digest tripwire failed")
-	}
-	if len(rs) == 0 {
-		t.Fatal("rebuilt study returned no results")
-	}
-}

@@ -108,10 +108,14 @@ func TestEndToEndMatchesTimeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cache, err := s.buildPrefixCache()
+	if err != nil {
+		t.Fatal(err)
+	}
 	checked := 0
 	for _, kind := range []sim.FaultKind{sim.HeapBitFlip, sim.InitFault, sim.DeleteBranch} {
 		for run := int64(0); run < 20 && checked < 12; run++ {
-			res, err := s.RunOne(kind, s.Seed*100000+run, clean)
+			res, err := s.runOne(kind, s.Seed*100000+run, clean, cache)
 			if err != nil {
 				t.Fatal(err)
 			}

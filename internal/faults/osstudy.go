@@ -153,48 +153,14 @@ func (o *OSStudy) fillOSRecord(rec *ledger.Record, kind sim.FaultKind, w *sim.Wo
 	}
 }
 
-// RunOne injects one kernel fault at a time drawn from injSeed and reports
-// whether the application crashed and whether it recovered end-to-end.
-func (o *OSStudy) RunOne(kind sim.FaultKind, injSeed int64) (crashed, recovered, propagated bool, err error) {
-	return o.runOne(kind, injSeed, nil)
-}
-
-// runOne is RunOne with an optional forensic record to fill.
-func (o *OSStudy) runOne(kind sim.FaultKind, injSeed int64, rec *ledger.Record) (crashed, recovered, propagated bool, err error) {
-	w, err := o.buildWorld(o.Seed)
-	if err != nil {
-		return false, false, false, err
-	}
-	w.RecordTrace = false
-	k := w.OS.(*kernel.Kernel)
-	scribble := &memoryScribble{}
-	w.Faults = scribble
-	// Each buggy kernel execution serving a syscall has a small chance of
-	// writing through a wild pointer into user pages; the application's
-	// exposure is therefore proportional to its syscall rate within the
-	// fault window — the paper's explanation for nvi propagating 4x more
-	// often than postgres.
-	propRng := newSplitmix(injSeed ^ 0x2545f491)
-	k.OnCorrupt = func(pid int) {
-		if propRng.Float64() < scribbleProbability {
-			scribble.armed = true
-		}
-	}
-
-	d := dc.New(w, o.Policy, stablestore.Rio)
-	crashes := 0
-	d.RecoveryHook = func(p *sim.Proc, reason string) {
-		crashes++
-		if crashes > 3 {
-			d.DisableRecovery = true // crash-looping on committed corruption
-		}
-	}
-	injected := false
-	o.armOSVeto(d, kind, &injected)
-	if err := d.Attach(); err != nil {
-		return false, false, false, err
-	}
-
+// runOne injects one kernel fault at a virtual time drawn from injSeed and
+// reports whether the application crashed and whether it recovered
+// end-to-end, filling rec (if non-nil) with the run's forensic record. The
+// run starts from the deepest snapshot before the injection time; every
+// outcome and record field is invariant under that choice — the world
+// resumes at the template's absolute step count and clock, and a forked
+// DC's stats carry the template's checkpoint count forward.
+func (o *OSStudy) runOne(kind sim.FaultKind, injSeed int64, cache *prefixCache, rec *ledger.Record) (crashed, recovered, propagated bool, err error) {
 	// Estimate run length, then inject at a random fraction of it.
 	cleanDur, err := o.cleanDuration()
 	if err != nil {
@@ -202,6 +168,34 @@ func (o *OSStudy) runOne(kind sim.FaultKind, injSeed int64, rec *ledger.Record) 
 	}
 	r := newSplitmix(injSeed)
 	injectAt := time.Duration(float64(cleanDur) * (0.05 + 0.9*r.Float64()))
+	snap := cache.byClock(injectAt)
+	scribble := &memoryScribble{}
+	crashes := 0
+	injected := false
+	w, d, err := o.open(snap, scribble, func(d *dc.DC) {
+		d.RecoveryHook = func(p *sim.Proc, reason string) {
+			crashes++
+			if crashes > 3 {
+				d.DisableRecovery = true // crash-looping on committed corruption
+			}
+		}
+		o.armOSVeto(d, kind, &injected)
+	})
+	if err != nil {
+		return false, false, false, err
+	}
+	// Each buggy kernel execution serving a syscall has a small chance of
+	// writing through a wild pointer into user pages; the application's
+	// exposure is therefore proportional to its syscall rate within the
+	// fault window — the paper's explanation for nvi propagating 4x more
+	// often than postgres.
+	k := w.OS.(*kernel.Kernel)
+	propRng := newSplitmix(injSeed ^ 0x2545f491)
+	k.OnCorrupt = func(pid int) {
+		if propRng.Float64() < scribbleProbability {
+			scribble.armed = true
+		}
+	}
 	window := osFaultWindow[kind]
 	injSteps := -1
 	for {
@@ -216,9 +210,14 @@ func (o *OSStudy) runOne(kind sim.FaultKind, injSeed int64, rec *ledger.Record) 
 			injected = true
 			injSteps = w.StepCount()
 			k.InjectFault(0, window)
-			o.noteOSReplay(w.StepCount())
+			// The clean prefix this run re-executed, in world steps up to
+			// the injection boundary.
+			if o.CampaignObs != nil {
+				o.CampaignObs.Snapshot.AddReplay(w.StepCount() - snap.steps)
+			}
 		}
 	}
+	o.noteCOW(w, d)
 	propagated = k.FaultCorrupted(0)
 	if injected && crashes > 0 {
 		crashed = true
@@ -252,21 +251,18 @@ func (o *OSStudy) cleanDuration() (time.Duration, error) {
 
 // Run executes the OS study for every fault type, fanning injection runs
 // out over o.Parallel workers with the same ordered-acceptance guarantee
-// as AppStudy.Run. With Snapshots set, one template run's clock-keyed
-// prefix-snapshot cache serves every injection run of every fault type
-// (the clean prefix is fault-type-independent).
+// as AppStudy.Run. One template run's clock-keyed prefix-snapshot cache
+// serves every injection run of every fault type (the clean prefix is
+// fault-type-independent).
 func (o *OSStudy) Run() ([]OSTypeResult, error) {
 	// Measure the clean duration before spawning workers so the first
 	// parallel batch doesn't serialize behind the sync.Once anyway.
 	if _, err := o.cleanDuration(); err != nil {
 		return nil, err
 	}
-	var cache *prefixCache
-	if o.Snapshots {
-		var err error
-		if cache, err = o.cachedPrefix("table2", o.buildOSPrefixCache); err != nil {
-			return nil, err
-		}
+	cache, err := o.prefixes(o.buildOSPrefixCache)
+	if err != nil {
+		return nil, err
 	}
 	var out []OSTypeResult
 	for _, kind := range AppFaultTypes {
@@ -278,16 +274,11 @@ func (o *OSStudy) Run() ([]OSTypeResult, error) {
 		}
 		err := campaign.Run(o.campaignConfig("table2/"+o.App+"/"+kind.String()), o.MaxRunsPerType,
 			func(run int) (osRun, error) {
-				injSeed := o.Seed*77777 + int64(run)
 				var rec *ledger.Record
 				if o.records() {
 					rec = ledger.Get()
 				}
-				if cache != nil {
-					crashed, recovered, propagated, err := o.runOneSnap(kind, injSeed, cache, rec)
-					return osRun{crashed, recovered, propagated, rec}, err
-				}
-				crashed, recovered, propagated, err := o.runOne(kind, injSeed, rec)
+				crashed, recovered, propagated, err := o.runOne(kind, o.Seed*77777+int64(run), cache, rec)
 				return osRun{crashed, recovered, propagated, rec}, err
 			},
 			func(run int, r osRun) bool {

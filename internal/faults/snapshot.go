@@ -5,10 +5,7 @@ import (
 	"time"
 
 	"failtrans/internal/dc"
-	"failtrans/internal/kernel"
-	"failtrans/internal/obs/ledger"
 	"failtrans/internal/sim"
-	"failtrans/internal/stablestore"
 )
 
 // This file is the campaign-side consumer of the sim snapshot/fork engine:
@@ -31,8 +28,14 @@ import (
 // fork cannot regenerate — the commit positions its Timeline must report —
 // is stored in the snapshot and prepended.
 //
-// The cache is immutable once built; PR 3's parallel campaign workers fork
-// it concurrently without locking (Fork only reads the template).
+// The cache is immutable once built; parallel campaign workers fork it
+// concurrently without locking (Fork only reads the template).
+//
+// From-scratch replay is the degenerate cache: one zero-valued snapshot
+// with no template world, which AppStudy.open answers by building the world
+// instead of forking one. The run bodies are therefore written once, against
+// a snapshot, and the Snapshots-off reference differs from production only
+// in where the world comes from.
 
 // snapshotEveryVisits spaces AppStudy snapshots in fault-site visits (the
 // unit fire points are expressed in).
@@ -64,7 +67,8 @@ type prefixSnapshot struct {
 	// point; forks prepend it so their timelines cover the whole run.
 	commits []int
 	// world is the quiescent deep copy injection runs fork from. It is
-	// never stepped.
+	// never stepped. Nil in the zero snapshot, whose runs build their world
+	// from scratch.
 	world *sim.World
 }
 
@@ -76,9 +80,9 @@ type prefixCache struct {
 
 // byVisits returns the deepest snapshot strictly before the given fire
 // point. Strictly: a one-shot injector seeded with the snapshot's visit
-// count must still have the firing visit ahead of it. The baseline
-// snapshot (visits 0, taken before the first step) matches every fire
-// point, so there is always a hit.
+// count must still have the firing visit ahead of it. The first snapshot
+// (visits 0: the template before its first step, or the zero snapshot)
+// matches every fire point, so there is always a hit.
 //
 //failtrans:hotpath
 func (c *prefixCache) byVisits(fireAt int) *prefixSnapshot {
@@ -106,6 +110,15 @@ func (c *prefixCache) byClock(injectAt time.Duration) *prefixSnapshot {
 		}
 	}
 	return best
+}
+
+// prefixes resolves the cache a study's runs start from: the template's
+// snapshot sequence, or with Snapshots off the single zero snapshot.
+func (s *AppStudy) prefixes(build func() (*prefixCache, error)) (*prefixCache, error) {
+	if !s.Snapshots {
+		return &prefixCache{snaps: make([]prefixSnapshot, 1)}, nil
+	}
+	return build()
 }
 
 // capture forks the running template into a new snapshot. With COW set the
@@ -163,21 +176,10 @@ func (s *AppStudy) forkSnap(snap *prefixSnapshot) (*sim.World, *dc.DC, error) {
 // snapshotEveryVisits fault-site visits. The template stops once every
 // possible fire point is behind it.
 func (s *AppStudy) buildPrefixCache() (*prefixCache, error) {
-	w, err := s.buildWorld(s.Seed)
-	if err != nil {
-		return nil, err
-	}
-	w.RecordTrace = false
 	vc := &visitCounter{}
-	w.Faults = vc
-	d := dc.New(w, s.Policy, stablestore.Rio)
-	d.DisableRecovery = true
-	d.CheckBeforeCommit = s.CheckBeforeCommit
 	var commits []int
-	d.CommitHook = func(p *sim.Proc, label string) {
-		commits = append(commits, p.Steps)
-	}
-	if err := d.Attach(); err != nil {
+	w, _, err := s.open(&prefixSnapshot{}, vc, func(d *dc.DC) { s.armInjection(d, &commits) })
+	if err != nil {
 		return nil, err
 	}
 	cache := &prefixCache{}
@@ -206,82 +208,6 @@ func (s *AppStudy) buildPrefixCache() (*prefixCache, error) {
 	return cache, nil
 }
 
-// runOneSnap is RunOne served from the prefix cache: fork the deepest
-// snapshot before the fire point, arm a one-shot injector seeded with the
-// snapshot's visit count, and resume. Byte-identical to RunOne for the
-// same (kind, injSeed).
-func (s *AppStudy) runOneSnap(kind sim.FaultKind, injSeed int64, clean []string, cache *prefixCache) (RunResult, error) {
-	var res RunResult
-	fireAt := s.fireAtFor(injSeed)
-	snap := cache.byVisits(fireAt)
-	w, d, err := s.forkSnap(snap)
-	if err != nil {
-		return res, err
-	}
-	inj := &oneShot{kind: kind, fireAt: fireAt, visits: snap.visits}
-	w.Faults = inj
-	commits := append([]int(nil), snap.commits...)
-	d.CommitHook = func(p *sim.Proc, label string) {
-		commits = append(commits, p.Steps)
-	}
-	// The template ran veto-free (pre-activation states are never doomed,
-	// so a veto would have deferred nothing anyway); the fork gets the
-	// study's policy armed over its full commit history.
-	s.armVeto(d, inj, &commits)
-	if err := w.Run(); err != nil {
-		return res, err
-	}
-	s.noteReplay(inj, snap.steps)
-	s.noteCOW(w, d)
-	res = s.finishRun(w, inj, commits, clean)
-	if res.Crashed {
-		res.Recovered = s.endToEndSnap(kind, inj.fireAt, cache)
-	}
-	if s.records() {
-		// Every record field is fork-invariant (the fork resumed at the
-		// template's step count and clock), so this record is
-		// byte-identical to the one RunOne would have produced.
-		res.Rec = s.ledgerRecord(kind, w, d, inj, commits, res)
-	}
-	return res, nil
-}
-
-// endToEndSnap is endToEnd served from the same cache: the clean prefix is
-// identical with recovery enabled or disabled (the flags only matter after
-// a crash, and the prefix has none), so the fork just flips the flag on.
-func (s *AppStudy) endToEndSnap(kind sim.FaultKind, fireAt int, cache *prefixCache) bool {
-	snap := cache.byVisits(fireAt)
-	w, d, err := s.forkSnap(snap)
-	if err != nil {
-		return false
-	}
-	inj := &oneShot{kind: kind, fireAt: fireAt, visits: snap.visits}
-	w.Faults = inj
-	d.DisableRecovery = false
-	if s.Veto != nil {
-		commits := append([]int(nil), snap.commits...)
-		d.CommitHook = func(p *sim.Proc, label string) {
-			commits = append(commits, p.Steps)
-		}
-		s.armVeto(d, inj, &commits)
-	}
-	crashes := 0
-	d.RecoveryHook = func(p *sim.Proc, reason string) {
-		crashes++
-		if crashes > 3 {
-			// Crash-looping: the committed state re-triggers the
-			// failure every time. Give up, as an operator would.
-			d.DisableRecovery = true
-		}
-	}
-	if err := w.Run(); err != nil {
-		return false
-	}
-	s.noteReplay(inj, snap.steps)
-	s.noteCOW(w, d)
-	return w.AllDone()
-}
-
 // buildOSPrefixCache runs the Table 2 template: the clean session under a
 // recovery-enabled DC (the OS study's injection-run configuration),
 // snapshotted every 1/osSnapshotSlices of the clean duration. An unarmed
@@ -292,13 +218,8 @@ func (o *OSStudy) buildOSPrefixCache() (*prefixCache, error) {
 	if err != nil {
 		return nil, err
 	}
-	w, err := o.buildWorld(o.Seed)
+	w, _, err := o.open(&prefixSnapshot{}, nil, func(*dc.DC) {})
 	if err != nil {
-		return nil, err
-	}
-	w.RecordTrace = false
-	d := dc.New(w, o.Policy, stablestore.Rio)
-	if err := d.Attach(); err != nil {
 		return nil, err
 	}
 	cache := &prefixCache{}
@@ -329,77 +250,4 @@ func (o *OSStudy) buildOSPrefixCache() (*prefixCache, error) {
 		}
 	}
 	return cache, nil
-}
-
-// runOneSnap is OSStudy.RunOne served from the prefix cache: fork the
-// deepest snapshot before the injection time and resume the injection
-// loop. Byte-identical to RunOne for the same (kind, injSeed).
-func (o *OSStudy) runOneSnap(kind sim.FaultKind, injSeed int64, cache *prefixCache, rec *ledger.Record) (crashed, recovered, propagated bool, err error) {
-	cleanDur, err := o.cleanDuration()
-	if err != nil {
-		return false, false, false, err
-	}
-	r := newSplitmix(injSeed)
-	injectAt := time.Duration(float64(cleanDur) * (0.05 + 0.9*r.Float64()))
-	snap := cache.byClock(injectAt)
-	w, d, err := o.forkSnap(snap)
-	if err != nil {
-		return false, false, false, err
-	}
-	k := w.OS.(*kernel.Kernel)
-	scribble := &memoryScribble{}
-	w.Faults = scribble
-	propRng := newSplitmix(injSeed ^ 0x2545f491)
-	k.OnCorrupt = func(pid int) {
-		if propRng.Float64() < scribbleProbability {
-			scribble.armed = true
-		}
-	}
-	crashes := 0
-	d.RecoveryHook = func(p *sim.Proc, reason string) {
-		crashes++
-		if crashes > 3 {
-			d.DisableRecovery = true // crash-looping on committed corruption
-		}
-	}
-	window := osFaultWindow[kind]
-	injected := false
-	injSteps := -1
-	o.armOSVeto(d, kind, &injected)
-	for {
-		more, err := w.Step()
-		if err != nil {
-			return false, false, false, err
-		}
-		if !more {
-			break
-		}
-		if !injected && w.Clock >= injectAt {
-			injected = true
-			injSteps = w.StepCount()
-			k.InjectFault(0, window)
-			o.noteOSReplay(w.StepCount() - snap.steps)
-		}
-	}
-	o.noteCOW(w, d)
-	propagated = k.FaultCorrupted(0)
-	if injected && crashes > 0 {
-		crashed = true
-		recovered = w.AllDone()
-		propagated = propagated || scribble.fired
-	}
-	// Every record field is fork-invariant: the fork resumes at the
-	// template's absolute step count and clock, and the forked DC's stats
-	// carry the template's checkpoint count forward.
-	o.fillOSRecord(rec, kind, w, d, injectAt, injSteps, injected, crashed, recovered, propagated)
-	return crashed, recovered, propagated, nil
-}
-
-// noteOSReplay accounts one injection run's re-executed clean prefix (in
-// world steps up to the injection boundary).
-func (o *OSStudy) noteOSReplay(steps int) {
-	if o.CampaignObs == nil {
-		return
-	}
-	o.CampaignObs.Snapshot.AddReplay(steps)
 }

@@ -3,6 +3,7 @@ package faults
 import (
 	"testing"
 
+	"failtrans/internal/dc"
 	"failtrans/internal/obs"
 	"failtrans/internal/sim"
 )
@@ -49,7 +50,8 @@ func TestAppStudySnapshotMatchesScratch(t *testing.T) {
 
 // TestAppStudySnapshotTimelines compares individual runs, not just the
 // aggregate: the fault timeline (commit positions, activation, crash) each
-// run reports must match between a from-scratch run and a fork-served run.
+// run reports must match between a run from the zero snapshot (built from
+// scratch) and a fork-served run.
 func TestAppStudySnapshotTimelines(t *testing.T) {
 	s := smallStudy("nvi")
 	clean, err := s.cleanOutputs(s.Seed)
@@ -60,6 +62,7 @@ func TestAppStudySnapshotTimelines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	scratch := &prefixCache{snaps: make([]prefixSnapshot, 1)}
 	if len(cache.snaps) < 3 {
 		t.Fatalf("template captured only %d snapshots", len(cache.snaps))
 	}
@@ -67,11 +70,11 @@ func TestAppStudySnapshotTimelines(t *testing.T) {
 	for _, kind := range []sim.FaultKind{sim.HeapBitFlip, sim.DeleteBranch, sim.OffByOne} {
 		for run := int64(0); run < 10; run++ {
 			injSeed := s.Seed*100000 + run
-			want, err := s.RunOne(kind, injSeed, clean)
+			want, err := s.runOne(kind, injSeed, clean, scratch)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := s.runOneSnap(kind, injSeed, clean, cache)
+			got, err := s.runOne(kind, injSeed, clean, cache)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,14 +110,14 @@ func TestSnapshotForkIsolation(t *testing.T) {
 	// Two different faults from one snapshot, interleaved with a repeat of
 	// the first: run 1 and run 3 must agree exactly despite run 2.
 	seed := s.Seed*100000 + 2
-	r1, err := s.runOneSnap(sim.HeapBitFlip, seed, clean, cache)
+	r1, err := s.runOne(sim.HeapBitFlip, seed, clean, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.runOneSnap(sim.DeleteBranch, seed, clean, cache); err != nil {
+	if _, err := s.runOne(sim.DeleteBranch, seed, clean, cache); err != nil {
 		t.Fatal(err)
 	}
-	r3, err := s.runOneSnap(sim.HeapBitFlip, seed, clean, cache)
+	r3, err := s.runOne(sim.HeapBitFlip, seed, clean, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +126,7 @@ func TestSnapshotForkIsolation(t *testing.T) {
 	}
 
 	// The template snapshot still forks a clean, fault-free continuation.
-	w, _, err := s.forkSnap(snap)
+	w, _, err := s.open(snap, nil, func(*dc.DC) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +172,7 @@ func TestOSStudySnapshotMatchesScratch(t *testing.T) {
 }
 
 // TestSnapshotReplayAccounting: the steps-replayed counters that back the
-// campaign-snapshot bench row must show forks re-executing well under half
+// campaign_cow bench row must show forks re-executing well under half
 // the prefix steps a from-scratch campaign replays (the ISSUE's >= 2x bar;
 // the snapshot interval targets ~10x).
 func TestSnapshotReplayAccounting(t *testing.T) {

@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"sort"
 	"time"
 
 	"failtrans/internal/sim"
@@ -98,36 +97,4 @@ func cloneNode(tn *node) *node {
 		}
 	}
 	return nn
-}
-
-// ContentDigest returns a deterministic digest of every node's live
-// filesystem contents and file tables — the kernel's contribution to a
-// snapshot's content address.
-func (k *Kernel) ContentDigest() uint64 {
-	const mul = 0x9E3779B97F4A7C15
-	h := uint64(0x8BADF00D5CA1AB1E)
-	for _, pid := range k.pids() {
-		n, _ := k.lookup(pid)
-		h = (h ^ uint64(pid)) * mul
-		set := make(map[string]bool, len(n.fs))
-		n.addNames(set)
-		paths := make([]string, 0, len(set))
-		for p := range set {
-			paths = append(paths, p)
-		}
-		sort.Strings(paths)
-		for _, p := range paths {
-			for _, c := range []byte(p) {
-				h = (h ^ uint64(c)) * mul
-			}
-			data, _ := n.file(p)
-			h = (h ^ uint64(len(data))) * mul
-			for _, c := range data {
-				h = (h ^ uint64(c)) * mul
-			}
-		}
-		h = (h ^ uint64(n.nextFD)) * mul
-		h = (h ^ uint64(len(n.fds))) * mul
-	}
-	return h
 }

@@ -36,8 +36,7 @@ type CampaignMetrics struct {
 	// SerialRuns counts runs executed on the serial (single-worker) path.
 	SerialRuns int64
 
-	// Snapshot accounts the prefix-snapshot cache when a study runs with
-	// snapshots enabled.
+	// Snapshot accounts the fault studies' prefix-snapshot cache.
 	Snapshot SnapshotMetrics
 }
 
@@ -76,11 +75,9 @@ type SnapshotMetrics struct {
 	PagesPrivatized int64
 	BytesCOW        int64
 	ForkSize        Histogram
-	// StoreHits and StoreMisses account the content-addressed snapshot
-	// store: a hit reuses a memoized template's snapshot cache outright, a
-	// miss builds (and publishes) a new one.
-	StoreHits   int64
-	StoreMisses int64
+	// StoreHits is always 0: the snapshot store it counted is gone, and the
+	// field stays only because benchmark/ reads it as faults.store_hits.
+	StoreHits int64
 }
 
 // AddSnapshot records one captured snapshot.
@@ -109,22 +106,6 @@ func (s *SnapshotMetrics) AddCOW(pages int, bytes int64) {
 	s.PagesPrivatized += int64(pages)
 	s.BytesCOW += bytes
 	s.ForkSize.Observe(bytes)
-	s.mu.Unlock()
-}
-
-// AddStoreHit records a snapshot-store lookup that reused a memoized
-// template; AddStoreMiss records one that had to build it.
-func (s *SnapshotMetrics) AddStoreHit() {
-	s.mu.Lock()
-	s.StoreHits++
-	s.mu.Unlock()
-}
-
-// AddStoreMiss records a snapshot-store lookup that found no memoized
-// template.
-func (s *SnapshotMetrics) AddStoreMiss() {
-	s.mu.Lock()
-	s.StoreMisses++
 	s.mu.Unlock()
 }
 
@@ -175,9 +156,9 @@ func (c *CampaignMetrics) WriteSummary(w io.Writer) error {
 			return err
 		}
 	}
-	if s.PagesPrivatized > 0 || s.BytesCOW > 0 || s.StoreHits > 0 || s.StoreMisses > 0 {
-		if _, err := fmt.Fprintf(w, "  cow pages-privatized=%d bytes-copied=%d fork-size-mean=%dB fork-size-p99=%dB store-hits=%d store-misses=%d\n",
-			s.PagesPrivatized, s.BytesCOW, s.ForkSize.Mean(), s.ForkSize.Quantile(0.99), s.StoreHits, s.StoreMisses); err != nil {
+	if s.PagesPrivatized > 0 || s.BytesCOW > 0 {
+		if _, err := fmt.Fprintf(w, "  cow pages-privatized=%d bytes-copied=%d fork-size-mean=%dB fork-size-p99=%dB\n",
+			s.PagesPrivatized, s.BytesCOW, s.ForkSize.Mean(), s.ForkSize.Quantile(0.99)); err != nil {
 			return err
 		}
 	}

@@ -61,8 +61,9 @@ func (c *commitPair) commit(t *testing.T, img, reg []byte) {
 	if !bytes.Equal(c.fused.Contents(), c.oracle.Contents()) {
 		t.Fatal("Contents diverged from the SetContents+Commit oracle")
 	}
-	if g, w := c.fused.ContentDigest(), c.oracle.ContentDigest(); g != w {
-		t.Fatalf("ContentDigest = %x, oracle %x", g, w)
+	if c.fused.Size() != c.oracle.Size() || !bytes.Equal(c.fused.savedReg, c.oracle.savedReg) {
+		t.Fatalf("size/registers = %d/%x, oracle %d/%x",
+			c.fused.Size(), c.fused.savedReg, c.oracle.Size(), c.oracle.savedReg)
 	}
 	if c.fused.CowPages != c.oracle.CowPages || c.fused.CowBytes != c.oracle.CowBytes {
 		t.Fatalf("COW cost = %d pages/%d bytes, oracle %d/%d",

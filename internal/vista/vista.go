@@ -31,7 +31,6 @@ package vista
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 
 	"failtrans/internal/obs"
@@ -509,53 +508,6 @@ func (s *Segment) layImage(data []byte, logUndo bool) (pages int, logged int64) 
 	return pages, logged
 }
 
-// pageHashOf hashes the logical contents of one page extent for
-// ContentDigest: the bytes of src followed by implicit zeros out to extent
-// bytes. Logical word j always lands in lane j%4 with its logical
-// (zero-padded) value, so the result is a pure function of the extent's
-// contents regardless of where len(src) falls.
-func pageHashOf(src []byte, extent int) uint64 {
-	const mul = 0x9E3779B97F4A7C15
-	h0 := uint64(0x243F6A8885A308D3)
-	h1 := uint64(0x13198A2E03707344)
-	h2 := uint64(0xA4093822299F31D0)
-	h3 := uint64(0x082EFA98EC4E6C89)
-	n := len(src)
-	i := 0
-	for ; i+32 <= n; i += 32 {
-		h0 = (h0 ^ binary.LittleEndian.Uint64(src[i:])) * mul
-		h1 = (h1 ^ binary.LittleEndian.Uint64(src[i+8:])) * mul
-		h2 = (h2 ^ binary.LittleEndian.Uint64(src[i+16:])) * mul
-		h3 = (h3 ^ binary.LittleEndian.Uint64(src[i+24:])) * mul
-	}
-	// Tail: the remaining real words (zero-padded) and the implicit zero
-	// words out to extent, one word at a time, continuing the round-robin
-	// lane assignment the block loop established.
-	for lane := (i / 8) & 3; i < extent; i += 8 {
-		var w uint64
-		switch {
-		case i+8 <= n:
-			w = binary.LittleEndian.Uint64(src[i:])
-		case i < n:
-			var tail [8]byte
-			copy(tail[:], src[i:])
-			w = binary.LittleEndian.Uint64(tail[:])
-		}
-		switch lane {
-		case 0:
-			h0 = (h0 ^ w) * mul
-		case 1:
-			h1 = (h1 ^ w) * mul
-		case 2:
-			h2 = (h2 ^ w) * mul
-		default:
-			h3 = (h3 ^ w) * mul
-		}
-		lane = (lane + 1) & 3
-	}
-	return ((h0*mul^h1)*mul^h2)*mul ^ h3
-}
-
 // pageEqual compares two views of one page extent, treating bytes beyond
 // either slice's length as zero. The common full-length comparison runs
 // word-wise through bytes.Equal.
@@ -596,27 +548,6 @@ func (s *Segment) AppendContents(buf []byte) []byte {
 		}
 	}
 	return buf
-}
-
-// ContentDigest folds every page's logical contents and the saved register
-// file into one deterministic 64-bit value — the segment's contribution to
-// a snapshot's content address. Two segments with identical committed
-// state, extent and registers digest identically whether they are flat,
-// frozen, or COW forks.
-func (s *Segment) ContentDigest() uint64 {
-	const mul = 0x9E3779B97F4A7C15
-	h := uint64(0x5E97A11DC0117EC7)
-	h = (h ^ uint64(s.size)) * mul
-	np := s.pages()
-	for p := 0; p < np; p++ {
-		start, end := s.pageExtent(p)
-		h = (h ^ pageHashOf(s.resident(p), end-start)) * mul
-	}
-	h = (h ^ uint64(len(s.savedReg))) * mul
-	for _, c := range s.savedReg {
-		h = (h ^ uint64(c)) * mul
-	}
-	return h
 }
 
 // Freeze seals the segment as an immutable copy-on-write template: every
