@@ -17,9 +17,9 @@
 // cache: one template run memoizes the clean session and every injection
 // run forks it copy-on-write mid-stream instead of re-executing the prefix.
 // That path, and the indexed World scheduler under every experiment, are
-// the only ones this command reaches; from-scratch replay, deep-copied
-// forks and the O(procs) scan scheduler survive as the references
-// internal/bench's matrix test holds them byte-identical to.
+// the only ones this command reaches; from-scratch replay and the O(procs)
+// scan scheduler survive as the references internal/bench's matrix test
+// holds them byte-identical to.
 //
 // With -ledger, every experiment run additionally appends one forensic
 // record to the named campaign-ledger file (see internal/obs/ledger); the

@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strconv"
 	"strings"
 	"time"
 
@@ -51,24 +52,29 @@ import (
 	"failtrans/internal/trace"
 )
 
-// apps lists the workloads BuildWorld accepts.
-var apps = []string{"nvi", "magic", "xpilot", "treadmarks"}
+// apps lists the workloads BuildWorld accepts, each with the number of
+// processes its world has (at every -scale).
+var apps = []struct {
+	name  string
+	procs int
+}{{"nvi", 1}, {"magic", 1}, {"xpilot", 4}, {"treadmarks", 4}}
 
 // validateChoices rejects bad -app/-protocol/-medium values before any work
-// happens, each with a one-line error naming the accepted values.
-func validateChoices(app, pol, medium string) error {
-	ok := false
-	for _, a := range apps {
-		if app == a {
-			ok = true
-			break
+// happens, each with a one-line error naming the accepted values. It returns
+// the app's process count.
+func validateChoices(app, pol, medium string) (procs int, err error) {
+	names := make([]string, len(apps))
+	for i, a := range apps {
+		names[i] = a.name
+		if app == a.name {
+			procs = a.procs
 		}
 	}
-	if !ok {
-		return fmt.Errorf("unknown -app %q (accepted: %s)", app, strings.Join(apps, ", "))
+	if procs == 0 {
+		return 0, fmt.Errorf("unknown -app %q (accepted: %s)", app, strings.Join(names, ", "))
 	}
 	if medium != "rio" && medium != "disk" {
-		return fmt.Errorf("unknown -medium %q (accepted: rio, disk)", medium)
+		return 0, fmt.Errorf("unknown -medium %q (accepted: rio, disk)", medium)
 	}
 	if pol != "NONE" {
 		if _, err := protocol.ByName(pol); err != nil {
@@ -77,10 +83,30 @@ func validateChoices(app, pol, medium string) error {
 			for _, p := range protocol.Space() {
 				names = append(names, p.Name)
 			}
-			return fmt.Errorf("unknown -protocol %q (accepted: %s)", pol, strings.Join(names, ", "))
+			return 0, fmt.Errorf("unknown -protocol %q (accepted: %s)", pol, strings.Join(names, ", "))
 		}
 	}
-	return nil
+	return procs, nil
+}
+
+// stop is one parsed -stop flag.
+type stop struct{ proc, step int }
+
+// parseStops checks every -stop value against the app's process count before
+// anything is built: proc:step, both decimal with nothing after them, proc in
+// [0, procs), step >= 0.
+func parseStops(vals []string, app string, procs int) ([]stop, error) {
+	stops := make([]stop, 0, len(vals))
+	for _, v := range vals {
+		ps, ss, ok := strings.Cut(v, ":")
+		proc, perr := strconv.Atoi(ps)
+		step, serr := strconv.Atoi(ss)
+		if !ok || perr != nil || serr != nil || proc < 0 || proc >= procs || step < 0 {
+			return nil, fmt.Errorf("bad -stop %q (want proc:step with proc in 0..%d for -app %s and step >= 0)", v, procs-1, app)
+		}
+		stops = append(stops, stop{proc, step})
+	}
+	return stops, nil
 }
 
 type stopList []string
@@ -103,12 +129,25 @@ func main() {
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "campaign worker count for -seeds (1 = serial; output is identical either way)")
 	ledgerPath := flag.String("ledger", "", "append one forensic record per run to this campaign-ledger file (for ftreport)")
 	vetoPath := flag.String("veto", "", "arm the DC with a mined commit-veto policy from this .ftv file (key ftsim/<app>/<protocol>)")
-	var stops stopList
-	flag.Var(&stops, "stop", "inject a stop failure as proc:step (repeatable)")
+	var stopVals stopList
+	flag.Var(&stopVals, "stop", "inject a stop failure as proc:step (repeatable)")
 	flag.Parse()
 
-	if err := validateChoices(*app, *polName, *mediumName); err != nil {
-		fail(err)
+	// Every flag is checked before a file is created or a world built; a
+	// command line ftsim cannot run exits 2.
+	procs, err := validateChoices(*app, *polName, *mediumName)
+	if err != nil {
+		usage(err)
+	}
+	stops, err := parseStops(stopVals, *app, procs)
+	if err != nil {
+		usage(err)
+	}
+	if *seeds > 1 && (*tracefile != "" || *dump != "" || *metricsFlag || *debug || len(stops) > 0 || *vetoPath != "") {
+		usage(fmt.Errorf("-seeds campaigns support none of -tracefile, -dump, -metrics, -debug, -stop, -veto (run a single seed for those)"))
+	}
+	if *vetoPath != "" && *polName == "NONE" {
+		usage(fmt.Errorf("-veto arms the DC's commit decisions; it needs a -protocol other than NONE"))
 	}
 
 	// The ledger file is created before any simulation so a bad path fails
@@ -139,9 +178,6 @@ func main() {
 	}
 
 	if *seeds > 1 {
-		if *tracefile != "" || *dump != "" || *metricsFlag || *debug || len(stops) > 0 || *vetoPath != "" {
-			fail(fmt.Errorf("-seeds campaigns support none of -tracefile, -dump, -metrics, -debug, -stop, -veto (run a single seed for those)"))
-		}
 		if err := runCampaign(*app, *polName, *mediumName, *scale, *seed, *seeds, *parallel, lw); err != nil {
 			fail(err)
 		}
@@ -178,15 +214,9 @@ func main() {
 		if err := d.Attach(); err != nil {
 			fail(err)
 		}
-	} else if *vetoPath != "" {
-		fail(fmt.Errorf("-veto arms the DC's commit decisions; it needs a -protocol other than NONE"))
 	}
 	for _, s := range stops {
-		var proc, step int
-		if _, err := fmt.Sscanf(s, "%d:%d", &proc, &step); err != nil {
-			fail(fmt.Errorf("bad -stop %q (want proc:step)", s))
-		}
-		w.ScheduleStop(proc, step)
+		w.ScheduleStop(s.proc, s.step)
 	}
 	if err := w.Run(); err != nil {
 		fail(err)
@@ -415,7 +445,14 @@ func runCampaign(app, polName, mediumName string, scale int, baseSeed int64, n, 
 	return campObs.WriteSummary(os.Stderr)
 }
 
+// fail reports a failure of the environment or of the run and exits 1.
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "ftsim:", err)
 	os.Exit(1)
+}
+
+// usage reports a command line ftsim cannot run and exits 2.
+func usage(err error) {
+	fmt.Fprintln(os.Stderr, "ftsim:", err)
+	os.Exit(2)
 }

@@ -1,0 +1,106 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"failtrans/internal/bench"
+)
+
+// TestMain lets the tests run ftsim itself: re-executed with
+// FTSIM_TEST_MAIN set, the test binary is the command.
+func TestMain(m *testing.M) {
+	if os.Getenv("FTSIM_TEST_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// ftsim runs the command and returns its exit code and output streams.
+func ftsim(t *testing.T, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "FTSIM_TEST_MAIN=1")
+	var out, errb bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errb
+	err := cmd.Run()
+	if ee, ok := err.(*exec.ExitError); ok {
+		return ee.ExitCode(), out.String(), errb.String()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return 0, out.String(), errb.String()
+}
+
+// TestRejectsBadInputUpFront: every command line ftsim cannot run exits 2
+// with a message naming what it accepts, before it has printed anything or
+// created the -ledger file.
+func TestRejectsBadInputUpFront(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string // substring of stderr
+	}{
+		{"stop proc past the app's processes", []string{"-app", "nvi", "-stop", "3:10"}, `bad -stop "3:10" (want proc:step with proc in 0..0 for -app nvi`},
+		{"stop proc past treadmarks' processes", []string{"-app", "treadmarks", "-stop", "1:60", "-stop", "4:60"}, `bad -stop "4:60" (want proc:step with proc in 0..3 for -app treadmarks`},
+		{"negative stop proc", []string{"-stop", "-1:10"}, `bad -stop "-1:10"`},
+		{"negative stop step", []string{"-stop", "0:-10"}, `bad -stop "0:-10"`},
+		{"junk after the stop step", []string{"-stop", "0:10junk"}, `bad -stop "0:10junk"`},
+		{"stop without a step", []string{"-stop", "0"}, `bad -stop "0"`},
+		{"unknown app", []string{"-app", "emacs"}, "accepted: nvi, magic, xpilot, treadmarks"},
+		{"unknown protocol", []string{"-protocol", "CPVX"}, "accepted: NONE, "},
+		{"unknown medium", []string{"-medium", "tape"}, "accepted: rio, disk"},
+		{"seeds with tracefile", []string{"-seeds", "3", "-tracefile", "t.json"}, "-seeds campaigns support none of -tracefile"},
+		{"veto without a protocol", []string{"-protocol", "NONE", "-veto", "x.ftv"}, "needs a -protocol other than NONE"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ledger := filepath.Join(t.TempDir(), "runs.ftl")
+			code, stdout, stderr := ftsim(t, append(tc.args, "-ledger", ledger)...)
+			if code != 2 || !strings.Contains(stderr, tc.want) {
+				t.Errorf("exit %d, stderr %q; want exit 2 mentioning %q", code, stderr, tc.want)
+			}
+			if stdout != "" {
+				t.Errorf("printed %q before rejecting its input", stdout)
+			}
+			if _, err := os.Stat(ledger); err == nil {
+				t.Error("created the -ledger file before rejecting its input")
+			}
+		})
+	}
+}
+
+// TestStopInjectsAFailure: an in-range -stop runs, crashes the process once
+// and recovers it.
+func TestStopInjectsAFailure(t *testing.T) {
+	code, stdout, stderr := ftsim(t, "-app", "nvi", "-stop", "0:60")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	for _, want := range []string{"proc 0 (nvi): status=done steps=", "crashes=1", "recoveries:     1"} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("output lacks %q:\n%s", want, stdout)
+		}
+	}
+}
+
+// TestAppsTableMatchesBuildWorld: the process counts -stop is checked
+// against are the ones the worlds really have, at more than one scale.
+func TestAppsTableMatchesBuildWorld(t *testing.T) {
+	for _, a := range apps {
+		for _, scale := range []int{1, 3} {
+			w, err := bench.BuildWorld(a.name, scale, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(w.Procs) != a.procs {
+				t.Errorf("%s at scale %d has %d processes, apps says %d", a.name, scale, len(w.Procs), a.procs)
+			}
+		}
+	}
+}

@@ -118,9 +118,8 @@ type Editor struct {
 	// (set and consumed within one step; no checkpoint can interleave).
 	pendingFlip bool
 
-	// frozen marks a sealed fork template (sim.Freezer): the editor will
-	// never be stepped again, so Fork hands out its buffers for
-	// structural sharing instead of deep-copying them.
+	// frozen marks a sealed fork template (sim.Freezer): forks alias its
+	// buffers, so it must never be stepped again and Step panics if it is.
 	frozen bool
 	// linesShared / undoShared mark Lines+LineSums / UndoLines+UndoSums
 	// as aliasing a frozen template's buffers; every in-place mutation
@@ -157,25 +156,23 @@ func (e *Editor) setLineSum(i int) {
 // Freeze implements sim.Freezer: it seals the editor as an immutable fork
 // template. A frozen editor must never be stepped again; its buffers are
 // handed to forks read-only and privatized by each fork on first mutation.
-func (e *Editor) Freeze() { e.frozen = true }
-
-// Fork implements sim.Forker: an independent copy of the editor. Unlike a
-// MarshalState round trip it never touches the receiver (no shared encBuf,
-// no flag writes), so a quiescent template editor may be forked from many
-// goroutines at once. A frozen template shares its line buffers with the
-// fork (copy-on-write, O(header) instead of O(document)); an unfrozen
-// editor deep-copies.
-func (e *Editor) Fork() (sim.Program, error) {
-	ne := *e
-	if e.frozen {
-		ne.linesShared = true
-		ne.undoShared = true
-	} else {
-		ne.Lines = forkLines(e.Lines)
-		ne.UndoLines = forkLines(e.UndoLines)
-		ne.UndoSums = append([]uint32(nil), e.UndoSums...)
-		ne.LineSums = append([]uint32(nil), e.LineSums...)
+// Idempotent, and a second call writes nothing, so a sealed editor may be
+// forked from many goroutines at once.
+func (e *Editor) Freeze() {
+	if !e.frozen {
+		e.frozen = true
 	}
+}
+
+// Fork implements sim.Forker: it seals the editor with Freeze and returns a
+// copy-on-write fork that shares the line buffers (O(header) instead of
+// O(document)) until its first mutation. Unlike a MarshalState round trip it
+// leaves a sealed receiver untouched (no shared encBuf, no flag writes).
+func (e *Editor) Fork() (sim.Program, error) {
+	e.Freeze()
+	ne := *e
+	ne.linesShared = true
+	ne.undoShared = true
 	ne.ExBuf = append([]byte(nil), e.ExBuf...)
 	ne.encBuf = nil
 	if n := len(e.encBuf); n > 0 {
@@ -291,6 +288,9 @@ func (e *Editor) clamp() {
 
 // Step implements sim.Program.
 func (e *Editor) Step(ctx *sim.Ctx) sim.Status {
+	if e.frozen {
+		panic("nvi: step of a frozen template editor")
+	}
 	switch e.Phase {
 	case phaseRead:
 		// Asynchronous signals are handled between keystrokes, as a

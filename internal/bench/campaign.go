@@ -10,19 +10,17 @@ import (
 
 // CampaignCOWResult is the campaign-cow bench row: the same reduced nvi
 // Table 1 campaign, at the study's default SessionLen (where the clean
-// prefix dominates each injection run), measured three ways — from scratch,
-// served from deep-copied snapshots, and served from frozen copy-on-write
-// templates (the production path). All three produce byte-identical study
-// results; the row quantifies what memoization saves and what structural
-// sharing saves on top of it.
+// prefix dominates each injection run), measured from scratch and served
+// from copy-on-write forks of sealed snapshots (the production path). Both
+// produce byte-identical study results; the row quantifies what memoization
+// saves and what a fork costs.
 type CampaignCOWResult struct {
 	App  string `json:"app"`
 	Runs int64  `json:"runs"` // injection runs executed per mode
 
-	ScratchNsPerRun  float64 `json:"scratch_ns_per_run"`
-	DeepForkNsPerRun float64 `json:"deepfork_ns_per_run"`
-	COWNsPerRun      float64 `json:"cow_ns_per_run"`
-	SpeedupX         float64 `json:"speedup_x"` // scratch / cow
+	ScratchNsPerRun float64 `json:"scratch_ns_per_run"`
+	COWNsPerRun     float64 `json:"cow_ns_per_run"`
+	SpeedupX        float64 `json:"speedup_x"` // scratch / cow
 
 	// Steps of the clean prefix re-executed before fault activation, per
 	// activated injection run: the work memoization removes.
@@ -30,9 +28,7 @@ type CampaignCOWResult struct {
 	COWStepsReplayedPerRun     float64 `json:"cow_steps_replayed_per_run"`
 	ReplayReductionX           float64 `json:"replay_reduction_x"`
 
-	DeepForkMeanNs int64   `json:"deepfork_fork_mean_ns"`
-	COWForkMeanNs  int64   `json:"cow_fork_mean_ns"`
-	ForkSpeedupX   float64 `json:"fork_speedup_x"` // deep / cow
+	COWForkMeanNs int64 `json:"cow_fork_mean_ns"`
 
 	// COW traffic observed in the final cow-mode iteration (the counters
 	// are identical across iterations).
@@ -40,18 +36,17 @@ type CampaignCOWResult struct {
 	BytesCOW        int64 `json:"bytes_cow"`
 }
 
-// benchCampaignCOW measures the three modes serially (so the ns/run
+// benchCampaignCOW measures the two modes serially (so the ns/run
 // comparison is not confounded by worker scheduling) and best-of-three (so a
 // cold first iteration does not masquerade as the steady state).
 func benchCampaignCOW(scale int) (CampaignCOWResult, error) {
 	res := CampaignCOWResult{App: "nvi"}
-	runMode := func(snapshots, cow bool) (ns, forkNs int64, m *obs.CampaignMetrics, err error) {
+	runMode := func(snapshots bool) (ns, forkNs int64, m *obs.CampaignMetrics, err error) {
 		for i := 0; i < 3; i++ {
 			s := faults.NewAppStudy("nvi") // default SessionLen
 			s.CrashTarget = 2 * scale
 			s.MaxRunsPerType = s.CrashTarget * 12
 			s.Snapshots = snapshots
-			s.COW = cow
 			s.WallClock = wallClock
 			m = obs.NewCampaignMetrics(1)
 			s.CampaignObs = m
@@ -77,25 +72,20 @@ func benchCampaignCOW(scale int) (CampaignCOWResult, error) {
 		return ns, forkNs, m, nil
 	}
 
-	scratchNs, _, scratchM, err := runMode(false, false)
+	scratchNs, _, scratchM, err := runMode(false)
 	if err != nil {
 		return res, err
 	}
-	deepNs, deepForkNs, _, err := runMode(true, false)
-	if err != nil {
-		return res, err
-	}
-	cowNs, cowForkNs, cowM, err := runMode(true, true)
+	cowNs, cowForkNs, cowM, err := runMode(true)
 	if err != nil {
 		return res, err
 	}
 
-	// Every mode executes the identical run sequence, so one run count
-	// divides all three timings.
+	// Both modes execute the identical run sequence, so one run count
+	// divides both timings.
 	res.Runs = scratchM.SerialRuns
 	if res.Runs > 0 {
 		res.ScratchNsPerRun = float64(scratchNs) / float64(res.Runs)
-		res.DeepForkNsPerRun = float64(deepNs) / float64(res.Runs)
 		res.COWNsPerRun = float64(cowNs) / float64(res.Runs)
 	}
 	if res.COWNsPerRun > 0 {
@@ -110,11 +100,7 @@ func benchCampaignCOW(scale int) (CampaignCOWResult, error) {
 	if res.COWStepsReplayedPerRun > 0 {
 		res.ReplayReductionX = res.ScratchStepsReplayedPerRun / res.COWStepsReplayedPerRun
 	}
-	res.DeepForkMeanNs = deepForkNs
 	res.COWForkMeanNs = cowForkNs
-	if res.COWForkMeanNs > 0 {
-		res.ForkSpeedupX = float64(res.DeepForkMeanNs) / float64(res.COWForkMeanNs)
-	}
 	res.PagesPrivatized = cowM.Snapshot.PagesPrivatized
 	res.BytesCOW = cowM.Snapshot.BytesCOW
 	return res, nil

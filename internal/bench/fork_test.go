@@ -33,8 +33,9 @@ func buildRecoverable(t *testing.T, app, polName string, medium stablestore.Medi
 }
 
 // TestForkMidRun is the snapshot/fork engine's self-check on whole measured
-// runs: a run forked at its halfway step must yield a fork and an original
-// that both finish byte-identical to an uninterrupted reference run.
+// runs: a run sealed at its halfway step must yield forks — the second taken
+// after the first has run to completion — that both finish byte-identical to
+// a never-forked twin's uninterrupted run.
 func TestForkMidRun(t *testing.T) {
 	for _, polName := range []string{"NONE", "CPVS", "CBNDVS-LOG"} {
 		for _, medium := range []stablestore.Medium{stablestore.Rio, stablestore.Disk} {
@@ -52,17 +53,14 @@ func TestForkMidRun(t *testing.T) {
 						t.Fatalf("stepping to the fork point: more=%v err=%v", more, err)
 					}
 				}
-				fw, err := w.Fork()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := fw.Run(); err != nil {
-					t.Fatal(err)
-				}
-				if err := w.Run(); err != nil {
-					t.Fatal(err)
-				}
-				for name, got := range map[string]*sim.World{"fork": fw, "original": w} {
+				for _, name := range []string{"first fork", "second fork"} {
+					got, err := w.Fork()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := got.Run(); err != nil {
+						t.Fatal(err)
+					}
 					if !reflect.DeepEqual(got.GlobalOutputs, ref.GlobalOutputs) {
 						t.Errorf("%s diverged from the reference: %d vs %d outputs",
 							name, len(got.GlobalOutputs), len(ref.GlobalOutputs))
@@ -78,7 +76,8 @@ func TestForkMidRun(t *testing.T) {
 }
 
 // TestForkRejectsUnforkableApps: the Figure 8 apps whose programs do not
-// implement sim.Forker must refuse to fork with an error that says so.
+// implement sim.Forker must refuse to fork with an error that says so, and
+// the refusal must leave the world unsealed: it still steps.
 func TestForkRejectsUnforkableApps(t *testing.T) {
 	for _, app := range []string{"magic", "xpilot", "treadmarks"} {
 		w := buildRecoverable(t, app, "CPVS", stablestore.Rio)
@@ -87,6 +86,9 @@ func TestForkRejectsUnforkableApps(t *testing.T) {
 		}
 		if _, err := w.Fork(); err == nil || !strings.Contains(err.Error(), "is not forkable") {
 			t.Errorf("%s: Fork error = %v, want a \"not forkable\" error", app, err)
+		}
+		if more, err := w.Step(); w.Frozen() || err != nil || !more {
+			t.Errorf("%s: after the refused Fork: frozen=%v, Step more=%v err=%v", app, w.Frozen(), more, err)
 		}
 	}
 }

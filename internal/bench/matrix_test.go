@@ -15,8 +15,8 @@ import (
 )
 
 // The execution-mode matrix. Worker count, where an injection run's world
-// comes from (built from scratch, deep-copied fork, copy-on-write fork) and
-// the World scheduler (O(procs) scan, readiness index) change the effort a
+// comes from (built from scratch, forked from a sealed snapshot) and the
+// World scheduler (O(procs) scan, readiness index) change the effort a
 // campaign spends, never its work: every artefact the tools emit must be
 // byte-identical across them. Exactly one combination is reachable from
 // cmd/ and from this package's production code; the others survive as
@@ -24,10 +24,10 @@ import (
 
 // cell is one point of the matrix.
 type cell struct {
-	name           string
-	workers        int
-	snapshots, cow bool
-	scan           bool
+	name      string
+	workers   int
+	snapshots bool
+	scan      bool
 	// tablesOnly marks a cell that differs from production only in the
 	// world source. Fig 8 and the ftsim trace fork nothing, so such a cell
 	// would re-run production's sweep verbatim.
@@ -35,17 +35,16 @@ type cell struct {
 }
 
 // production is what ftbench and ftsim run.
-var production = cell{name: "production", workers: 4, snapshots: true, cow: true}
+var production = cell{name: "production", workers: 4, snapshots: true}
 
 // matrix holds the reference (every axis at its oldest, simplest setting),
 // production, and every single-axis deviation from production.
 var matrix = []cell{
 	{name: "reference", workers: 1, scan: true},
 	production,
-	{name: "serial", workers: 1, snapshots: true, cow: true},
+	{name: "serial", workers: 1, snapshots: true},
 	{name: "scratch", workers: 4, tablesOnly: true},
-	{name: "deepfork", workers: 4, snapshots: true, tablesOnly: true},
-	{name: "scan", workers: 4, snapshots: true, cow: true, scan: true},
+	{name: "scan", workers: 4, snapshots: true, scan: true},
 }
 
 // matrixCrashes is the per-type crash target CI's cmp blocks used. The
@@ -73,7 +72,7 @@ func (c cell) table1(t *testing.T, m *obs.CampaignMetrics, out map[string][]byte
 		for _, app := range []string{"nvi", "postgres"} {
 			s := faults.NewAppStudy(app)
 			o.apply(s, "table1")
-			s.Snapshots, s.COW = c.snapshots, c.cow
+			s.Snapshots = c.snapshots
 			rs, err := s.Run()
 			if err != nil {
 				t.Fatal(err)
@@ -106,7 +105,7 @@ func (c cell) table2(t *testing.T, name string, crashes int, veto []*statemachin
 		for _, app := range []string{"nvi", "postgres"} {
 			s := faults.NewOSStudy(app)
 			o.apply(s.AppStudy, "table2")
-			s.Snapshots, s.COW = c.snapshots, c.cow
+			s.Snapshots = c.snapshots
 			rs, err := s.Run()
 			if err != nil {
 				t.Fatal(err)
@@ -219,10 +218,9 @@ func TestExecutionModeMatrix(t *testing.T) {
 		switch {
 		case !c.snapshots && (sn.Forks != 0 || sn.Snapshots != 0):
 			t.Errorf("%s: from-scratch cell forked (%d forks, %d snapshots)", c.name, sn.Forks, sn.Snapshots)
-		case c.snapshots && sn.Forks == 0:
-			t.Errorf("%s: snapshot-served cell never forked", c.name)
-		case c.snapshots && c.cow != (sn.PagesPrivatized > 0):
-			t.Errorf("%s: cow=%v but %d pages privatized", c.name, c.cow, sn.PagesPrivatized)
+		case c.snapshots && (sn.Forks == 0 || sn.PagesPrivatized == 0):
+			t.Errorf("%s: snapshot-served cell never forked or never privatized a page (%d forks, %d pages)",
+				c.name, sn.Forks, sn.PagesPrivatized)
 		}
 
 		if ref == nil {

@@ -76,8 +76,7 @@ type BenchReport struct {
 	// Micro holds the microbenchmark suite measured by this run.
 	Micro []MicroResult `json:"micro"`
 	// CampaignCOW compares a reduced fault campaign from scratch vs served
-	// from deep-copied snapshots vs served from frozen copy-on-write
-	// templates.
+	// from copy-on-write forks of sealed snapshots.
 	CampaignCOW CampaignCOWResult `json:"campaign_cow"`
 	Fig8        []Fig8Summary     `json:"fig8"`
 	// Fleet is the scheduler/protocol scalability sweep (see fleet.go);
@@ -225,13 +224,12 @@ func (r *BenchReport) Print(w io.Writer) {
 	}
 	cc := r.CampaignCOW
 	fmt.Fprintf(w, "\nCampaign snapshot + COW forking (%s, %d runs):\n", cc.App, cc.Runs)
-	fmt.Fprintf(w, "%-14s %14s %14s %14s %10s\n", "", "from-scratch", "deep-fork", "cow", "ratio")
-	fmt.Fprintf(w, "%-14s %14.0f %14.0f %14.0f %9.1fx\n", "ns/run",
-		cc.ScratchNsPerRun, cc.DeepForkNsPerRun, cc.COWNsPerRun, cc.SpeedupX)
-	fmt.Fprintf(w, "%-14s %14.1f %14s %14.1f %9.1fx\n", "steps replayed",
-		cc.ScratchStepsReplayedPerRun, "-", cc.COWStepsReplayedPerRun, cc.ReplayReductionX)
-	fmt.Fprintf(w, "%-14s %14s %14d %14d %9.1fx\n", "fork ns", "-",
-		cc.DeepForkMeanNs, cc.COWForkMeanNs, cc.ForkSpeedupX)
+	fmt.Fprintf(w, "%-14s %14s %14s %10s\n", "", "from-scratch", "cow", "ratio")
+	fmt.Fprintf(w, "%-14s %14.0f %14.0f %9.1fx\n", "ns/run",
+		cc.ScratchNsPerRun, cc.COWNsPerRun, cc.SpeedupX)
+	fmt.Fprintf(w, "%-14s %14.1f %14.1f %9.1fx\n", "steps replayed",
+		cc.ScratchStepsReplayedPerRun, cc.COWStepsReplayedPerRun, cc.ReplayReductionX)
+	fmt.Fprintf(w, "%-14s %14s %14d\n", "fork ns", "-", cc.COWForkMeanNs)
 	fmt.Fprintf(w, "%-14s pages-privatized=%d bytes-cow=%d\n", "", cc.PagesPrivatized, cc.BytesCOW)
 	for _, f := range r.Fig8 {
 		fmt.Fprintf(w, "\nFigure 8 (%s): baseline %.2fs virtual\n", f.App, f.BaselineVirtualSec)

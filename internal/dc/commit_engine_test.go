@@ -2,9 +2,7 @@ package dc
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
-	"time"
 
 	"failtrans/internal/protocol"
 	"failtrans/internal/sim"
@@ -138,74 +136,6 @@ func TestForkImageBufferSizedOnce(t *testing.T) {
 		if cap(fd.imgBuf[0]) != grown {
 			t.Errorf("%s: image buffer reallocated (%d -> %d)", first, grown, cap(fd.imgBuf[0]))
 		}
-	}
-}
-
-// TestParallelCoordinatedCommitDeterministic runs the requester/responder
-// pair under CPV-2PC twice — once on the serial coordinated-commit path,
-// once with the member page diffs fanned out to goroutines — and demands
-// byte-identical traces, outputs, virtual clocks, stats, metrics snapshots
-// and observability trace JSON. The parallel diff phase must not reorder or
-// perturb any globally visible bookkeeping, including trace emission.
-func TestParallelCoordinatedCommitDeterministic(t *testing.T) {
-	type outcome struct {
-		events   interface{}
-		outputs  []string
-		clock    time.Duration
-		ckpts    int
-		bytes    int64
-		rounds   int
-		snapshot []byte
-		obsJSON  []byte
-	}
-	run := func(serial bool) outcome {
-		w := sim.NewWorld(13, &requester{Rounds: 5}, &responder{Max: 5})
-		m, tr := w.EnableObs(true)
-		d := New(w, protocol.CPV2PC, stablestore.Rio)
-		d.SerialCommit = serial
-		if err := d.Attach(); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Run(); err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := tr.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return outcome{
-			events:   w.Trace.Events,
-			outputs:  w.GlobalOutputs,
-			clock:    w.Clock,
-			ckpts:    d.Stats.TotalCheckpoints(),
-			bytes:    d.Stats.CommitBytes,
-			rounds:   d.Stats.TwoPhaseRounds,
-			snapshot: m.Snapshot(),
-			obsJSON:  buf.Bytes(),
-		}
-	}
-	serial := run(true)
-	parallel := run(false)
-	if serial.rounds == 0 {
-		t.Fatal("workload triggered no coordinated commits; test is vacuous")
-	}
-	if serial.clock != parallel.clock || serial.ckpts != parallel.ckpts ||
-		serial.bytes != parallel.bytes || serial.rounds != parallel.rounds {
-		t.Fatalf("serial/parallel stats diverge: clock %v/%v ckpts %d/%d bytes %d/%d rounds %d/%d",
-			serial.clock, parallel.clock, serial.ckpts, parallel.ckpts,
-			serial.bytes, parallel.bytes, serial.rounds, parallel.rounds)
-	}
-	if !reflect.DeepEqual(serial.outputs, parallel.outputs) {
-		t.Fatalf("outputs diverge:\nserial:   %q\nparallel: %q", serial.outputs, parallel.outputs)
-	}
-	if !reflect.DeepEqual(serial.events, parallel.events) {
-		t.Fatal("event traces diverge between serial and parallel coordinated commits")
-	}
-	if !bytes.Equal(serial.snapshot, parallel.snapshot) {
-		t.Errorf("metrics snapshots diverge:\nserial:\n%s\nparallel:\n%s", serial.snapshot, parallel.snapshot)
-	}
-	if !bytes.Equal(serial.obsJSON, parallel.obsJSON) {
-		t.Error("observability trace JSON diverges between serial and parallel coordinated commits")
 	}
 }
 

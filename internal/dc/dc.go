@@ -19,11 +19,9 @@ package dc
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"failtrans/internal/event"
-	"failtrans/internal/obs"
 	"failtrans/internal/protocol"
 	"failtrans/internal/sim"
 	"failtrans/internal/stablestore"
@@ -98,9 +96,8 @@ type DC struct {
 	msgDeps map[int64]map[int]int
 	// msgDepsShared marks msgDeps as borrowed from a frozen template; the
 	// first write copies it (the inner snapshots are write-once and stay
-	// shared). frozen marks this instance sealed as a COW fork template.
+	// shared).
 	msgDepsShared bool
-	frozen        bool
 
 	// ndLog's outer array is remade per fork (fork clones the headers),
 	// but each inner per-process log aliases the frozen template's
@@ -130,10 +127,6 @@ type DC struct {
 	// imgBuf holds one reusable checkpoint-image buffer per process, so
 	// a steady-state commit serializes into preallocated memory.
 	imgBuf [][]byte
-	// coStats/coErrs are reusable scratch for the parallel coordinated-
-	// commit diff phase.
-	coStats []vista.Stats
-	coErrs  []error
 
 	// CommitHook, if set, is called after every commit (fault studies
 	// record commit positions through it).
@@ -145,9 +138,8 @@ type DC struct {
 	// until the policy relents at a later decision point. The fault
 	// studies wire this to a mined dangerous-path coloring — the commit
 	// veto that trades induced Save-work violations (counted in
-	// Stats.VetoedSaveWork, never hidden) for Lose-work safety. Setting
-	// the hook forces coordinated commits onto the serial member path so
-	// every member's commit funnels through the veto check.
+	// Stats.VetoedSaveWork, never hidden) for Lose-work safety. Every
+	// member of a coordinated commit funnels through the check in turn.
 	CommitVeto func(p *sim.Proc, label string) bool
 	// RecoveryHook, if set, is called after every successful rollback.
 	RecoveryHook func(p *sim.Proc, reason string)
@@ -164,10 +156,8 @@ type DC struct {
 	// recomputed during recovery — the paper's §2.6 "reduce the
 	// comprehensiveness of the state saved" mitigation.
 	EssentialOnly bool
-	// SerialCommit forces coordinated (2PC) commits to diff and log
-	// members one at a time instead of in parallel goroutines. The two
-	// paths produce byte-identical traces (asserted in tests); the knob
-	// exists for that assertion and for debugging.
+	// SerialCommit is vestigial: members of a coordinated commit are always
+	// diffed in turn. Nothing reads it; benchmark/shims.go still assigns it.
 	SerialCommit bool
 	// ExpandResourcesOnCrash calls the hook after each rollback — the
 	// paper's §2.6 "make some fixed non-deterministic events into
@@ -237,8 +227,6 @@ func (d *DC) seg(i int) *vista.Segment {
 		//failtrans:alloc lazy one-time segment construction; every later commit of the process reuses it
 		d.segs[i] = vista.NewSegment(0, d.PageSize)
 		if m := d.World.Metrics; m != nil && i < len(m.Vista) {
-			// Each segment gets its own fixed slot: coordinated commits
-			// diff different segments in parallel goroutines.
 			d.segs[i].Metrics = &m.Vista[i]
 		}
 	}
@@ -304,9 +292,8 @@ func (d *DC) commitOne(p *sim.Proc, label string) error {
 // buffer and commits it into the Vista segment in one compare-and-copy pass.
 // No event — hence no simulated crash — can land inside the call, so the
 // segment keeps no undo record for it. It touches only p's own state
-// (program, session counters, segment, buffer), so coordinated commits run
-// it for different processes concurrently. All global bookkeeping lives in
-// finishCommit.
+// (program, session counters, segment, buffer); all global bookkeeping lives
+// in finishCommit.
 //
 //failtrans:hotpath
 func (d *DC) diffOne(p *sim.Proc) (vista.Stats, error) {
@@ -335,9 +322,7 @@ func (d *DC) image(i int) []byte {
 }
 
 // finishCommit applies a commit's bookkeeping: virtual-time charge, stats,
-// trace, retention release and replay anchors. Coordinated commits call it
-// in fixed member order so seeded runs stay byte-identical regardless of
-// how the diff phase was scheduled.
+// trace, retention release and replay anchors.
 func (d *DC) finishCommit(p *sim.Proc, st vista.Stats, label string) {
 	start := p.Ctx().NowVirtual()
 	cost := d.Medium.CommitCost(st.Bytes)
@@ -373,16 +358,9 @@ func (d *DC) finishCommit(p *sim.Proc, st vista.Stats, label string) {
 
 // commitCoordinated runs a two-phase commit over the given set. The
 // triggering process pays the coordination round trips; every member pays
-// its own commit.
-//
-// The members' page diffs are independent (each reads only its own
-// process's state and writes only its own segment), so they run in
-// parallel goroutines, joined before any bookkeeping; the bookkeeping then
-// runs serially in member order, charging stats/trace/virtual time exactly
-// as the serial path would — seeded traces are byte-identical either way.
-// Policies that interleave per-member side effects with the diff
-// (pre-commit consistency checks, asynchronous log flushes) take the
-// serial path.
+// its own commit, in member order. Members are diffed in turn, not in
+// parallel: a member's diff is a few microseconds of compare-and-copy, less
+// than starting and joining a goroutine for it costs (DESIGN §4c).
 func (d *DC) commitCoordinated(trigger *sim.Proc, members []*sim.Proc, label string) {
 	d.Stats.TwoPhaseRounds++
 	if m := d.World.Metrics; m != nil {
@@ -395,45 +373,21 @@ func (d *DC) commitCoordinated(trigger *sim.Proc, members []*sim.Proc, label str
 	if tr != nil {
 		tr.SpanArgs(trigger.Index, "dc", "2pc", start, rounds, "label", label, "members", int64(len(members)))
 	}
-	if d.SerialCommit || d.CheckBeforeCommit || d.Policy.LogAsync || d.CommitVeto != nil || len(members) < 2 {
-		for _, q := range members {
-			fid := d.flowToMember(tr, trigger, q, start)
-			qs := q.Ctx().NowVirtual()
-			err := d.commitOne(q, label)
-			if err != nil && !errors.Is(err, errCheckFailed) {
-				// A process whose state cannot be serialized cannot
-				// be made recoverable; surface loudly.
-				panic(err)
-			}
-			if q != trigger {
-				d.World.Delay(q, d.Medium.CommitCost(0))
-			}
-			if fid != 0 {
-				tr.FlowEnd(q.Index, "dc", "2pc", fid, qs)
-			}
+	for _, q := range members {
+		// The coordinator→member flow arrow is anchored in the trigger's
+		// 2pc span and ends at the member's commit.
+		var fid int64
+		if tr != nil && q != trigger {
+			fid = tr.NewFlowID()
+			tr.FlowStart(trigger.Index, "dc", "2pc", fid, start)
 		}
-		return
-	}
-	if d.coStats == nil { // scratch is lazy: most forks never 2PC
-		d.coStats = make([]vista.Stats, len(d.segs))
-		d.coErrs = make([]error, len(d.segs))
-	}
-	var wg sync.WaitGroup
-	for i, q := range members {
-		wg.Add(1)
-		go func(i int, q *sim.Proc) {
-			defer wg.Done()
-			d.coStats[i], d.coErrs[i] = d.diffOne(q)
-		}(i, q)
-	}
-	wg.Wait()
-	for i, q := range members {
-		if err := d.coErrs[i]; err != nil {
+		qs := q.Ctx().NowVirtual()
+		err := d.commitOne(q, label)
+		if err != nil && !errors.Is(err, errCheckFailed) {
+			// A process whose state cannot be serialized cannot
+			// be made recoverable; surface loudly.
 			panic(err)
 		}
-		fid := d.flowToMember(tr, trigger, q, start)
-		qs := q.Ctx().NowVirtual()
-		d.finishCommit(q, d.coStats[i], label)
 		if q != trigger {
 			d.World.Delay(q, d.Medium.CommitCost(0))
 		}
@@ -441,20 +395,6 @@ func (d *DC) commitCoordinated(trigger *sim.Proc, members []*sim.Proc, label str
 			tr.FlowEnd(q.Index, "dc", "2pc", fid, qs)
 		}
 	}
-}
-
-// flowToMember opens a coordinator→member flow arrow anchored in the
-// trigger's 2pc span and returns its id (0 when not traced or q is the
-// trigger itself). The caller terminates the arrow at the member's commit.
-// Both coordinated paths (serial and parallel diff) call it at the same
-// point in member order, so their trace buffers stay byte-identical.
-func (d *DC) flowToMember(tr *obs.Tracer, trigger, q *sim.Proc, start time.Duration) int64 {
-	if tr == nil || q == trigger {
-		return 0
-	}
-	fid := tr.NewFlowID()
-	tr.FlowStart(trigger.Index, "dc", "2pc", fid, start)
-	return fid
 }
 
 // dependentSet returns the processes whose uncommitted non-determinism p

@@ -5,23 +5,22 @@ import (
 	"failtrans/internal/vista"
 )
 
-// ForkRecovery implements sim.ForkableRecovery: it copies the whole
-// Discount Checking state — Vista segments mid-transaction, ND logs and
-// replay cursors, dependency maps, commit epochs — against the forked world
-// w, so the copy recovers and commits exactly as the original would from
-// this point on. The CommitHook/RecoveryHook/CommitVeto/
-// ExpandResourcesOnCrash callbacks do NOT carry over: they are per-run
-// harness wiring (the original's closures would observe the wrong run);
-// callers re-install their own on the returned *DC (the concrete type is
-// the return value's dynamic type).
-//
-// Forking a frozen DC is copy-on-write: segments fork as overlay views of
-// the frozen template pages, the ND logs and message-dependency map are
-// shared behind immutable references (log slices are capacity-clamped so a
-// fork's appends reallocate instead of scribbling on the shared backing;
+// ForkRecovery implements sim.ForkableRecovery: it seals the DC with Freeze
+// and returns a copy-on-write fork of the whole Discount Checking state —
+// Vista segments mid-transaction, ND logs and replay cursors, dependency
+// maps, commit epochs — against the forked world w, so the fork recovers and
+// commits exactly as the original would from this point on. Segments fork as
+// overlay views of the sealed pages, the ND logs and message-dependency map
+// are shared behind immutable references (log slices are capacity-clamped so
+// a fork's appends reallocate instead of scribbling on the shared backing;
 // msgDeps is copied top-level on first insert), and the per-process image
-// buffers start empty and grow lazily. Forking a mutable DC deep-copies.
+// buffers start empty and grow lazily. The CommitHook/RecoveryHook/
+// CommitVeto/ExpandResourcesOnCrash callbacks do NOT carry over: they are
+// per-run harness wiring (the original's closures would observe the wrong
+// run); callers re-install their own on the returned *DC (the concrete type
+// is the return value's dynamic type).
 func (d *DC) ForkRecovery(w *sim.World) sim.Recovery {
+	d.Freeze()
 	n := len(d.segs)
 	// The fixed-length per-process bookkeeping shares two backing arrays —
 	// forks are taken millions of times per campaign, and each separate
@@ -48,12 +47,17 @@ func (d *DC) ForkRecovery(w *sim.World) sim.Recovery {
 		pendingCommit: append([]string(nil), d.pendingCommit...),
 		// registers is written once at New and only ever read afterwards
 		// (Segment.Commit copies it out), so every fork shares it.
-		registers:         d.registers,
-		imgBuf:            make([][]byte, n),
+		registers: d.registers,
+		// imgBuf slots stay nil: they grow on the fork's first commit or
+		// rollback, and most campaign forks crash before either.
+		imgBuf: make([][]byte, n),
+		// Message-dependency snapshots are write-once; the top-level map is
+		// copied on the fork's first insert (mutableMsgDeps).
+		msgDeps:           d.msgDeps,
+		msgDepsShared:     true,
 		DisableRecovery:   d.DisableRecovery,
 		CheckBeforeCommit: d.CheckBeforeCommit,
 		EssentialOnly:     d.EssentialOnly,
-		SerialCommit:      d.SerialCommit,
 		ChecksFailed:      d.ChecksFailed,
 		Stats:             d.Stats,
 	}
@@ -77,59 +81,33 @@ func (d *DC) ForkRecovery(w *sim.World) sim.Recovery {
 	}
 	for i, seg := range d.segs {
 		if seg != nil {
-			nd.segs[i] = seg.Fork() // COW automatically when seg is frozen
+			nd.segs[i] = seg.Fork()
 		}
 	}
-	if d.frozen {
-		// Records are appended, truncated and read, never mutated in
-		// place; with the capacity clamp a fork's append can only
-		// reallocate, so sharing the frozen template's backing is safe.
-		for i, log := range d.ndLog {
-			nd.ndLog[i] = log[:len(log):len(log)]
-		}
-		// Message-dependency snapshots are write-once; the top-level map
-		// is copied on the fork's first insert (mutableMsgDeps).
-		nd.msgDeps = d.msgDeps
-		nd.msgDepsShared = true
-		// imgBuf slots stay nil: they grow on the fork's first commit or
-		// rollback, and most campaign forks crash before either.
-		return nd
-	}
-	nd.msgDeps = make(map[int64]map[int]int, len(d.msgDeps))
-	for msg, snap := range d.msgDeps {
-		c := make(map[int]int, len(snap))
-		for q, ep := range snap {
-			c[q] = ep
-		}
-		nd.msgDeps[msg] = c
-	}
+	// Records are appended, truncated and read, never mutated in place; with
+	// the capacity clamp a fork's append can only reallocate, so sharing the
+	// sealed DC's backing is safe.
 	for i, log := range d.ndLog {
-		// Same sharing argument as the frozen branch: record slices are
-		// copied, the value bytes stay shared.
-		nd.ndLog[i] = append([]logRec(nil), log...)
-	}
-	for i, buf := range d.imgBuf {
-		nd.imgBuf[i] = make([]byte, 0, cap(buf))
+		nd.ndLog[i] = log[:len(log):len(log)]
 	}
 	return nd
 }
 
-// Freeze seals the DC as an immutable fork template: every segment is
-// frozen (mutators panic; forks become COW overlays) and subsequent
-// ForkRecovery calls take the structural-sharing path. There is no thaw —
-// a frozen DC exists only to be forked.
+// Freeze seals the DC as an immutable fork template by freezing every
+// segment: any later commit or rollback panics in vista, and the logs and
+// dependency maps are only ever written from a World.Step, which a sealed
+// world refuses. There is no thaw — a frozen DC exists only to be forked.
 func (d *DC) Freeze() {
 	for _, seg := range d.segs {
 		if seg != nil {
 			seg.Freeze()
 		}
 	}
-	d.frozen = true
 }
 
 // CowStats sums the copy-on-write cost this DC's segments have paid since
 // forking: pages privatized out of their frozen templates and bytes copied
-// doing so. Zero for deep-copied forks and templates.
+// doing so.
 func (d *DC) CowStats() (pages int, bytes int64) {
 	for _, seg := range d.segs {
 		if seg != nil {

@@ -130,11 +130,8 @@ type AppStudy struct {
 	// equivalence matrix (internal/bench/matrix_test.go) holds the fork
 	// engine byte-identical to.
 	Snapshots bool
-	// COW freezes every captured snapshot world as an immutable template,
-	// so injection runs fork copy-on-write overlays — O(metadata) per fork,
-	// pages privatized on first write — instead of deep copies. On is the
-	// production path; off (deep-copied forks) is the matrix test's second
-	// reference and the deep-fork column of the campaign_cow bench row.
+	// COW is vestigial: every fork is a copy-on-write fork of a sealed
+	// world. Nothing reads it; benchmark/tables.go still assigns it.
 	COW bool
 	// WallClock, if set, supplies wall-clock nanoseconds for the fork
 	// latency histogram. It is injected by the bench/cmd layers; the
@@ -152,7 +149,7 @@ type AppStudy struct {
 	// serial run order, on the calling goroutine — so the ledger bytes are
 	// identical for any worker count. Records carry only logical run
 	// coordinates (step positions, virtual time), which forking preserves,
-	// so they are also identical with Snapshots/COW on or off.
+	// so they are also identical with Snapshots on or off.
 	Ledger *ledger.Writer
 	// RecordHook, if non-nil, also receives every accepted run's record (in
 	// serial run order, before the record returns to the pool). The
@@ -181,7 +178,6 @@ func NewAppStudy(app string) *AppStudy {
 		Seed:           1,
 		SessionLen:     400,
 		Snapshots:      true,
-		COW:            true,
 	}
 }
 
@@ -267,8 +263,7 @@ func (s *AppStudy) noteReplay(inj *oneShot, baseSteps int) {
 // noteCOW accounts one finished fork's copy-on-write cost: segment pages
 // privatized by the recovery layer plus files privatized by the kernel
 // (counted as pages too — both are first-touch copy units), and the bytes
-// moved. Zero for deep-copied forks, so the counters double as proof the
-// COW path was actually exercised.
+// moved.
 func (s *AppStudy) noteCOW(w *sim.World, d *dc.DC) {
 	if s.CampaignObs == nil || d == nil {
 		return
@@ -340,9 +335,9 @@ func (s *AppStudy) armVeto(d *dc.DC, inj *oneShot, commits *[]int) {
 // Every field is a logical coordinate of the simulated run — process step
 // positions, world step counts, virtual time — all of which World.Fork
 // preserves, so a record is identical whether the run executed from
-// scratch, from a deep-copied snapshot, or from a COW overlay. The
-// physical counts that DO differ by mode (steps actually re-executed,
-// fork latencies) stay in obs.SnapshotMetrics.
+// scratch or from a fork of a snapshot. The physical counts that DO differ
+// by mode (steps actually re-executed, fork latencies) stay in
+// obs.SnapshotMetrics.
 func (s *AppStudy) ledgerRecord(kind sim.FaultKind, w *sim.World, d *dc.DC, inj *oneShot, commits []int, res RunResult) *ledger.Record {
 	r := ledger.Get()
 	if s.Veto != nil {
@@ -443,13 +438,12 @@ func (s *AppStudy) armInjection(d *dc.DC, commits *[]int) {
 // independent oracle for the fork engine.
 func (s *AppStudy) open(snap *prefixSnapshot, inj sim.FaultInjector, arm func(*dc.DC)) (*sim.World, *dc.DC, error) {
 	if snap.world != nil {
-		w, d, err := s.forkSnap(snap)
+		w, err := s.forkSnap(snap)
 		if err != nil {
 			return nil, nil, err
 		}
-		w.Faults = inj
-		arm(d)
-		return w, d, nil
+		d, err := armFork(w, inj, arm)
+		return w, d, err
 	}
 	w, err := s.buildWorld(s.Seed)
 	if err != nil {
@@ -475,8 +469,8 @@ func (s *AppStudy) open(snap *prefixSnapshot, inj sim.FaultInjector, arm func(*d
 func (s *AppStudy) runOne(kind sim.FaultKind, injSeed int64, clean []string, cache *prefixCache) (RunResult, error) {
 	var res RunResult
 	fireAt := s.fireAtFor(injSeed)
-	snap := cache.byVisits(fireAt)
-	inj := &oneShot{kind: kind, fireAt: fireAt, visits: snap.visits}
+	snap := cache.before(int64(fireAt))
+	inj := &oneShot{kind: kind, fireAt: fireAt, visits: int(snap.at)}
 	commits := append([]int(nil), snap.commits...)
 	w, d, err := s.open(snap, inj, func(d *dc.DC) {
 		s.armInjection(d, &commits)
@@ -511,7 +505,7 @@ func (s *AppStudy) runOne(kind sim.FaultKind, injSeed int64, clean []string, cac
 // run did: the clean prefix is identical with recovery enabled or disabled
 // (the flag only matters after a crash, and the prefix has none).
 func (s *AppStudy) endToEnd(kind sim.FaultKind, fireAt int, snap *prefixSnapshot) bool {
-	inj := &oneShot{kind: kind, fireAt: fireAt, visits: snap.visits}
+	inj := &oneShot{kind: kind, fireAt: fireAt, visits: int(snap.at)}
 	crashes := 0
 	w, d, err := s.open(snap, inj, func(d *dc.DC) {
 		d.DisableRecovery = false

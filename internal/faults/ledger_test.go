@@ -26,7 +26,7 @@ func ledgerBytes(t *testing.T, configure func(*AppStudy)) ([]byte, []TypeResult)
 }
 
 // TestLedgerByteIdentity is the ledger's core promise: the bytes are
-// invariant across worker counts and across snapshot/COW execution modes,
+// invariant across worker counts and snapshot-served execution,
 // because records are emitted from the ordered acceptor and hold only
 // logical run coordinates.
 func TestLedgerByteIdentity(t *testing.T) {
@@ -35,11 +35,10 @@ func TestLedgerByteIdentity(t *testing.T) {
 		t.Fatal("serial ledger is empty")
 	}
 	modes := map[string]func(*AppStudy){
-		"parallel-4":        func(s *AppStudy) { s.Parallel = 4 },
-		"snapshots":         func(s *AppStudy) { s.Snapshots = true },
-		"snapshots-cow":     func(s *AppStudy) { s.Snapshots = true; s.COW = true },
-		"parallel-4-snap":   func(s *AppStudy) { s.Parallel = 4; s.Snapshots = true },
-		"parallel-7-all-on": func(s *AppStudy) { s.Parallel = 7; s.Snapshots = true; s.COW = true },
+		"parallel-4":      func(s *AppStudy) { s.Parallel = 4 },
+		"snapshots":       func(s *AppStudy) { s.Snapshots = true },
+		"parallel-4-snap": func(s *AppStudy) { s.Parallel = 4; s.Snapshots = true },
+		"parallel-7-snap": func(s *AppStudy) { s.Parallel = 7; s.Snapshots = true },
 	}
 	for name, conf := range modes {
 		got, _ := ledgerBytes(t, conf)
@@ -72,9 +71,8 @@ func TestOSLedgerByteIdentity(t *testing.T) {
 		t.Fatal("serial ledger is empty")
 	}
 	for name, conf := range map[string]func(*OSStudy){
-		"parallel-4":    func(o *OSStudy) { o.Parallel = 4 },
-		"snapshots":     func(o *OSStudy) { o.Snapshots = true },
-		"snapshots-cow": func(o *OSStudy) { o.Snapshots = true; o.COW = true },
+		"parallel-4": func(o *OSStudy) { o.Parallel = 4 },
+		"snapshots":  func(o *OSStudy) { o.Snapshots = true },
 	} {
 		if got := run(conf); !bytes.Equal(got, want) {
 			t.Errorf("%s OS ledger diverged from serial (%d vs %d bytes)", name, len(got), len(want))

@@ -168,7 +168,7 @@ func (o *OSStudy) runOne(kind sim.FaultKind, injSeed int64, cache *prefixCache, 
 	}
 	r := newSplitmix(injSeed)
 	injectAt := time.Duration(float64(cleanDur) * (0.05 + 0.9*r.Float64()))
-	snap := cache.byClock(injectAt)
+	snap := cache.before(int64(injectAt))
 	scribble := &memoryScribble{}
 	crashes := 0
 	injected := false
@@ -231,7 +231,8 @@ func (o *OSStudy) runOne(kind sim.FaultKind, injSeed int64, cache *prefixCache, 
 // cleanDuration measures the fault-free run's virtual duration, once. A
 // build or run failure is propagated instead of silently substituting a
 // placeholder duration (which would skew every injection point and thus
-// FailurePct). sync.Once makes the cache safe for parallel RunOne calls.
+// FailurePct). sync.Once makes the cache safe for the campaign's parallel
+// workers, each of which reads it on every run.
 func (o *OSStudy) cleanDuration() (time.Duration, error) {
 	o.cleanOnce.Do(func() {
 		w, err := o.buildWorld(o.Seed)

@@ -98,7 +98,6 @@ func TestRunVetoModeInvariant(t *testing.T) {
 	run := func(snap bool) *VetoOutcome {
 		s := smallStudy("nvi")
 		s.Snapshots = snap
-		s.COW = snap
 		out, err := s.RunVeto()
 		if err != nil {
 			t.Fatal(err)

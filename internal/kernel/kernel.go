@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"failtrans/internal/event"
@@ -70,22 +69,22 @@ type node struct {
 	// base, when non-nil, is the frozen template node this node was COW-
 	// forked from: file contents read through it until the first mutation
 	// privatizes them into fs, and deleted masks paths unlinked locally.
-	// The base belongs to a frozen kernel, so it can never change.
+	// The base belongs to a frozen kernel, so it can never change and has no
+	// base of its own (Freeze flattens).
 	base    *node
 	deleted map[string]bool
 
 	// saveFDs and saveBuf are SaveProcState's reusable scratch: the commit
 	// path serializes the file table once per checkpoint and appends the
-	// blob into the image immediately. Per-node (not per-kernel) because a
-	// coordinated commit saves all processes concurrently; never cloned
-	// into forks (each fork's nodes start with zero scratch).
+	// blob into the image immediately. Never cloned into forks (each fork's
+	// nodes start with zero scratch).
 	saveFDs []int
 	saveBuf []byte
 }
 
 // file resolves a path overlay-first: the node's own fs, then (unless
-// locally deleted) the frozen base chain. The returned slice must not be
-// mutated unless it came from the node's own fs.
+// locally deleted) the frozen base. The returned slice must not be mutated
+// unless it came from the node's own fs.
 func (n *node) file(path string) ([]byte, bool) {
 	if d, ok := n.fs[path]; ok {
 		return d, true
@@ -93,7 +92,8 @@ func (n *node) file(path string) ([]byte, bool) {
 	if n.base == nil || n.deleted[path] {
 		return nil, false
 	}
-	return n.base.file(path)
+	d, ok := n.base.fs[path]
+	return d, ok
 }
 
 // setFile stores data (which the node must own) under path, clearing any
@@ -118,7 +118,7 @@ func (n *node) ownFile(path string, k *Kernel) ([]byte, bool) {
 	if n.base == nil || n.deleted[path] {
 		return nil, false
 	}
-	d, ok := n.base.file(path)
+	d, ok := n.base.fs[path]
 	if !ok {
 		return nil, false
 	}
@@ -147,14 +147,31 @@ func (n *node) removeFile(path string) {
 // deletions, plus the node's own.
 func (n *node) addNames(set map[string]bool) {
 	if n.base != nil {
-		n.base.addNames(set)
-		for p := range n.deleted {
-			delete(set, p)
+		for p := range n.base.fs {
+			if !n.deleted[p] {
+				set[p] = true
+			}
 		}
 	}
 	for p := range n.fs {
 		set[p] = true
 	}
+}
+
+// flatten folds the base into the node ahead of a freeze: one merged file
+// map, sharing the file bytes (a frozen node's files are never written, its
+// own no more than its base's), and no base reference left behind.
+func (n *node) flatten() {
+	fs := make(map[string][]byte, len(n.base.fs)+len(n.fs))
+	for p, d := range n.base.fs {
+		if !n.deleted[p] {
+			fs[p] = d
+		}
+	}
+	for p, d := range n.fs {
+		fs[p] = d
+	}
+	n.fs, n.base, n.deleted = fs, nil, nil
 }
 
 // Kernel implements sim.OS for any number of processes, each on its own
@@ -182,28 +199,36 @@ type Kernel struct {
 	CowFiles int
 	CowBytes int64
 
-	// nodes's *node values are cloned out of the frozen base chain by
-	// node() before any mutation; a COW fork starts with a nil map and
-	// node() also materializes it, so inserts outside node() would hand
-	// a fork a template-owned node.
+	// nodes's *node values are cloned out of the frozen base by node()
+	// before any mutation; a COW fork starts with a nil map and node() also
+	// materializes it, so inserts outside node() would hand a fork a
+	// template-owned node.
 	//failtrans:cowshared node
-	nodes  map[int]*node
-	frozen bool
+	nodes map[int]*node
 	// base, when non-nil, is the frozen template kernel this one was COW-
-	// forked from: nodes absent from the local map are cloned out of the
-	// base chain on first touch. The base is frozen, so it never changes.
+	// forked from: nodes absent from the local map are cloned out of it on
+	// first touch. The base is frozen, so it never changes and has no base
+	// of its own.
 	base *Kernel
-	// mu guards the nodes map. Stepping is serial, but a coordinated commit
-	// saves every process's state from one goroutine per process, and on a
-	// COW fork those saves can materialize node clones concurrently.
-	mu sync.RWMutex
 }
 
-// Freeze seals the kernel as an immutable copy-on-write template:
-// subsequent ForkOS calls share node filesystems behind base references
-// instead of deep-copying them, and the template must never serve another
-// syscall. Any number of forks may then be taken concurrently.
-func (k *Kernel) Freeze() { k.frozen = true }
+// Freeze seals the kernel as an immutable copy-on-write template: forks
+// share its node filesystems behind base references, and it must never serve
+// another syscall. A kernel that is itself a COW fork is flattened first —
+// every template node is cloned in and folded into one file map that shares
+// the file bytes — so forks of it resolve a lookup in one step and cost the
+// same however many generations of template preceded it. Freeze is
+// idempotent and writes nothing the second time, so any number of forks may
+// then be taken concurrently.
+func (k *Kernel) Freeze() {
+	if k.base == nil {
+		return
+	}
+	for pid := range k.base.nodes {
+		k.node(pid).flatten()
+	}
+	k.base = nil
+}
 
 // New returns a kernel with no nodes; nodes are created on first use.
 func New() *Kernel {
@@ -218,73 +243,20 @@ func (k *Kernel) SetObs(m *obs.Metrics, t *obs.Tracer) {
 }
 
 func (k *Kernel) node(pid int) *node {
-	k.mu.RLock()
-	n, ok := k.nodes[pid]
-	k.mu.RUnlock()
-	if ok {
-		return n
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	if n, ok := k.nodes[pid]; ok {
-		return n // raced with another materializing save
+		return n
 	}
 	if k.nodes == nil {
 		k.nodes = make(map[int]*node) // COW forks start with no local map
 	}
-	if tn, ok := k.lookupBase(pid); ok {
-		n = cloneNode(tn)
+	var n *node
+	if k.base != nil && k.base.nodes[pid] != nil {
+		n = cloneNode(k.base.nodes[pid])
 	} else {
 		n = &node{fs: make(map[string][]byte), fds: make(map[int]*fdEntry), nextFD: 3, fdLimit: MaxOpenFiles}
 	}
 	k.nodes[pid] = n
 	return n
-}
-
-// lookup resolves pid to its node without materializing a clone: the local
-// map first, then the frozen base chain.
-func (k *Kernel) lookup(pid int) (*node, bool) {
-	k.mu.RLock()
-	n, ok := k.nodes[pid]
-	k.mu.RUnlock()
-	if ok {
-		return n, true
-	}
-	return k.lookupBase(pid)
-}
-
-// lookupBase resolves pid through the frozen base chain only. Frozen
-// kernels never serve syscalls, so their maps are immutable and need no
-// locking.
-func (k *Kernel) lookupBase(pid int) (*node, bool) {
-	for b := k.base; b != nil; b = b.base {
-		if n, ok := b.nodes[pid]; ok {
-			return n, true
-		}
-	}
-	return nil, false
-}
-
-// pids returns the sorted union of node ids across this kernel and its
-// frozen base chain.
-func (k *Kernel) pids() []int {
-	k.mu.RLock()
-	seen := make(map[int]bool, len(k.nodes))
-	for pid := range k.nodes {
-		seen[pid] = true
-	}
-	k.mu.RUnlock()
-	for b := k.base; b != nil; b = b.base {
-		for pid := range b.nodes {
-			seen[pid] = true
-		}
-	}
-	out := make([]int, 0, len(seen))
-	for pid := range seen {
-		out = append(out, pid)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // WriteFile seeds a file on pid's node (test/bench setup).
@@ -578,10 +550,7 @@ func (k *Kernel) dispatch(n *node, name string, args [][]byte) ([][]byte, error)
 // SaveProcState implements sim.OS: it serializes pid's open-file table.
 // The returned slice aliases a per-node buffer reused across calls; callers
 // that retain it past the node's next save must copy (the commit path
-// appends it into the checkpoint image immediately). The scratch lives on
-// the node, not the kernel, because a coordinated commit saves every
-// process concurrently — one goroutine per process, so per-pid state is the
-// widest scratch that stays race-free.
+// appends it into the checkpoint image immediately).
 func (k *Kernel) SaveProcState(pid int) []byte {
 	n := k.node(pid)
 	fds := n.saveFDs[:0]

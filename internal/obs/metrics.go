@@ -160,10 +160,8 @@ type ProcMetrics struct {
 }
 
 // VistaMetrics is one segment's fixed-slot counter block, updated from the
-// vista page-diff/undo-log hot path (plain increments only). Coordinated
-// commits diff different processes' segments in parallel goroutines, so the
-// registry keeps one block per process and each segment touches only its
-// own.
+// vista page-diff/undo-log hot path (plain increments only). The registry
+// keeps one block per process and each segment touches only its own.
 type VistaMetrics struct {
 	Commits      int64
 	Rollbacks    int64

@@ -6,53 +6,53 @@ import (
 	"time"
 )
 
-// This file is the snapshot/fork engine: World.Fork deep-copies a mid-run
-// world in O(state) so fault campaigns can resume from a memoized clean
-// prefix instead of re-executing it from step zero. A forked world is fully
-// independent of the original — stepping one never changes the other — and
-// a quiescent template world may be forked concurrently from many
-// goroutines (Fork only reads the template).
+// This file is the snapshot/fork engine: World.Fork seals a mid-run world and
+// returns a copy-on-write fork of it in O(metadata), so fault campaigns can
+// resume from a memoized clean prefix instead of re-executing it from step
+// zero. A fork is fully independent of the sealed original and of its sibling
+// forks — stepping one never changes another — and a sealed world may be
+// forked concurrently from many goroutines (Fork of a sealed world only reads
+// it).
 //
 // Three optional interfaces extend the protocol to pluggable components:
 // the Program, OS and Recovery attached to a world must implement their
 // respective Forkable* interface for the world to be forkable.
 
-// Forker is implemented by Programs that can produce an independent deep
-// copy of themselves. Implementations must copy every bit of state that
-// influences future Step calls; scratch buffers may be omitted.
+// Forker is implemented by Programs that can produce an independent copy of
+// themselves. Implementations must carry over every bit of state that
+// influences future Step calls; scratch buffers may be omitted. The receiver
+// is never stepped again (World.Fork seals its world), so a copy may share
+// state with it as long as the copy privatizes that state before writing it.
 type Forker interface {
 	Fork() (Program, error)
 }
 
-// ForkableOS is implemented by OS implementations that can deep-copy their
-// state into a new instance. The clock callback reads the forked world's
-// virtual clock (the original's callback would read the template).
+// ForkableOS is implemented by OS implementations that can fork their state
+// into a new instance. The clock callback reads the forked world's virtual
+// clock (the original's callback would read the template).
 type ForkableOS interface {
 	ForkOS(clock func() time.Duration) OS
 }
 
-// ForkableRecovery is implemented by Recovery layers that can deep-copy
-// their state against a forked world. The returned Recovery must observe w
-// (not the template world) from then on.
+// ForkableRecovery is implemented by Recovery layers that can fork their
+// state against a forked world. The returned Recovery must observe w (not
+// the template world) from then on.
 type ForkableRecovery interface {
 	ForkRecovery(w *World) Recovery
 }
 
-// Freezer is implemented by components (OS, Recovery) that can seal
-// themselves as immutable fork templates: after Freeze, the component is
-// never mutated again, and its Forkable* method returns structural-sharing
-// copy-on-write forks instead of deep copies.
+// Freezer is implemented by components (Program, OS, Recovery) that share
+// structure with their forks: after Freeze the component is never mutated
+// again, so its forks may alias its memory and privatize on first write. A
+// component that is itself such a fork flattens on Freeze, so fork cost and
+// lookup depth do not grow with the number of generations.
 type Freezer interface {
 	Freeze()
 }
 
-// Freeze seals a quiescent world as an immutable fork template: components
-// that implement Freezer switch their fork paths from deep-copy to
-// copy-on-write, and the world itself must never be stepped again. Forks
-// taken afterwards are O(metadata); the template's pages are shared and
-// privatized by each fork on first write. Freeze is idempotent, and
-// freezing a world whose components lack Freezer is a no-op (forks simply
-// stay deep copies).
+// Freeze seals a quiescent world as an immutable fork template: every
+// component that implements Freezer is sealed, and the world itself refuses
+// to step again. Freeze is idempotent, and a second call writes nothing.
 func (w *World) Freeze() {
 	if w.frozen {
 		return
@@ -74,15 +74,31 @@ func (w *World) Freeze() {
 // Frozen reports whether Freeze has sealed this world as a fork template.
 func (w *World) Frozen() bool { return w.frozen }
 
-// Fork returns an independent deep copy of the world, ready to resume from
-// the exact point the original has reached. Observability sinks (Metrics,
+// Fork seals the world with Freeze and returns an independent fork of it,
+// ready to resume from the exact point the original has reached; to carry the
+// original's run on, step another fork. The template's pages are shared and
+// privatized by each fork on first write. Observability sinks (Metrics,
 // Tracer, DebugLog) and the Faults injector are NOT carried over — they are
 // per-run harness concerns; the caller re-installs what it needs. The event
 // Trace is copied when RecordTrace is set.
 //
-// Fork fails if an attached Program, OS or Recovery does not implement its
-// Forkable* interface.
+// Fork fails, leaving the world unsealed, if an attached Program, OS or
+// Recovery does not implement its Forkable* interface.
 func (w *World) Fork() (*World, error) {
+	for _, p := range w.Procs {
+		if _, ok := p.Prog.(Forker); !ok {
+			return nil, fmt.Errorf("sim: program %T (%s) is not forkable", p.Prog, p.Prog.Name())
+		}
+	}
+	fo, ok := w.OS.(ForkableOS)
+	if w.OS != nil && !ok {
+		return nil, fmt.Errorf("sim: attached OS %T is not forkable", w.OS)
+	}
+	fr, ok := w.Recovery.(ForkableRecovery)
+	if w.Recovery != nil && !ok {
+		return nil, fmt.Errorf("sim: attached recovery %T is not forkable", w.Recovery)
+	}
+	w.Freeze()
 	nw := &World{
 		Clock:         w.Clock,
 		Latency:       w.Latency,
@@ -106,7 +122,7 @@ func (w *World) Fork() (*World, error) {
 	// likewise start fresh; the template's messages are immutable and
 	// shared by pointer.
 	// Outputs slices are append-only; a capacity-clamped reslice shares the
-	// committed prefix copy-on-write: either side's next append reallocates.
+	// committed prefix copy-on-write: a fork's next append reallocates.
 	for i, o := range w.Outputs {
 		nw.Outputs[i] = o[:len(o):len(o)]
 	}
@@ -124,32 +140,21 @@ func (w *World) Fork() (*World, error) {
 		}
 		nw.Procs[i] = np
 	}
-	if w.OS != nil {
-		fo, ok := w.OS.(ForkableOS)
-		if !ok {
-			return nil, fmt.Errorf("sim: attached OS %T is not forkable", w.OS)
-		}
+	if fo != nil {
 		nw.OS = fo.ForkOS(func() time.Duration { return nw.Clock })
 	}
-	if w.Recovery != nil {
-		fr, ok := w.Recovery.(ForkableRecovery)
-		if !ok {
-			return nil, fmt.Errorf("sim: attached recovery %T is not forkable", w.Recovery)
-		}
+	if fr != nil {
 		nw.Recovery = fr.ForkRecovery(nw)
 	}
 	return nw, nil
 }
 
-// forkInto deep-copies the process into slab slot np of world nw. Messages
-// are immutable once enqueued (every mutation path copies first), so
-// inbox/retained/replay entries share *Msg pointers with the template.
+// forkInto copies the process into slab slot np of world nw; Fork has checked
+// that its program is a Forker. Messages are immutable once enqueued (every
+// mutation path copies first), so inbox/retained/replay entries share *Msg
+// pointers with the template.
 func (p *Proc) forkInto(np *Proc, nw *World) error {
-	fp, ok := p.Prog.(Forker)
-	if !ok {
-		return fmt.Errorf("sim: program %T (%s) is not forkable", p.Prog, p.Prog.Name())
-	}
-	prog, err := fp.Fork()
+	prog, err := p.Prog.(Forker).Fork()
 	if err != nil {
 		return fmt.Errorf("sim: fork program %s: %w", p.Prog.Name(), err)
 	}

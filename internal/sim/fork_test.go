@@ -67,9 +67,10 @@ func outputsEqual(a, b []string) bool {
 	return true
 }
 
-// TestForkContinuationIdentical is the fork engine's core promise: a world
-// forked mid-run and resumed produces byte-for-byte the outputs of the
-// uninterrupted run, including rng draws past the fork point.
+// TestForkContinuationIdentical is the fork engine's core promise: a fork
+// of a world sealed mid-run, resumed, produces byte-for-byte the outputs of
+// a never-forked twin's uninterrupted run, including rng draws past the fork
+// point.
 func TestForkContinuationIdentical(t *testing.T) {
 	ref := NewWorld(42, &rngCounter{counter{N: 20}})
 	finish(t, ref)
@@ -93,9 +94,10 @@ func TestForkContinuationIdentical(t *testing.T) {
 	}
 }
 
-// TestForkIsolation: stepping the original never changes the fork and vice
-// versa, and one quiescent world can serve multiple forks that each run to
-// the same completion.
+// TestForkIsolation: Fork seals the world — it refuses to step again — and
+// running one fork never changes the sealed world or a sibling fork: every
+// fork of it, however many others ran first, finishes as a never-forked twin
+// does.
 func TestForkIsolation(t *testing.T) {
 	ref := NewWorld(7, &rngCounter{counter{N: 16}})
 	finish(t, ref)
@@ -103,9 +105,16 @@ func TestForkIsolation(t *testing.T) {
 
 	w := NewWorld(7, &rngCounter{counter{N: 16}})
 	runToStep(t, w, 8)
+	sealed := append([]string(nil), w.Outputs[0]...)
 	f1, err := w.Fork()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !w.Frozen() {
+		t.Fatal("Fork left the world unsealed")
+	}
+	if _, err := w.Step(); err == nil {
+		t.Fatal("a sealed world stepped")
 	}
 	// Run the first fork to completion BEFORE forking again: if forks
 	// shared mutable state with the template, the second fork would see it.
@@ -115,13 +124,13 @@ func TestForkIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	finish(t, f2)
-	finish(t, w)
-	for name, got := range map[string][]string{
-		"fork1": f1.Outputs[0], "fork2": f2.Outputs[0], "original": w.Outputs[0],
-	} {
+	for name, got := range map[string][]string{"fork1": f1.Outputs[0], "fork2": f2.Outputs[0]} {
 		if !outputsEqual(got, want) {
 			t.Errorf("%s diverged:\n got %v\nwant %v", name, got, want)
 		}
+	}
+	if !outputsEqual(w.Outputs[0], sealed) || w.StepCount() != 8 {
+		t.Errorf("sealed world changed under its forks: step %d, outputs %v", w.StepCount(), w.Outputs[0])
 	}
 }
 
@@ -134,23 +143,27 @@ func TestForkUnforkableProgram(t *testing.T) {
 	}
 }
 
-// TestForkOutputsCopyOnWrite: the fork shares the committed output prefix
-// with the template, but appends on either side must not bleed across.
+// TestForkOutputsCopyOnWrite: forks share the committed output prefix with
+// the sealed world, but appends by one fork must not bleed into a sibling.
 func TestForkOutputsCopyOnWrite(t *testing.T) {
 	w := NewWorld(3, &rngCounter{counter{N: 12}})
 	runToStep(t, w, 6)
 	prefix := append([]string(nil), w.Outputs[0]...)
-	fw, err := w.Fork()
+	f1, err := w.Fork()
 	if err != nil {
 		t.Fatal(err)
 	}
-	finish(t, w) // template appends first...
-	finish(t, fw)
-	if !outputsEqual(fw.Outputs[0][:len(prefix)], prefix) {
-		t.Errorf("fork's committed prefix changed: %v", fw.Outputs[0][:len(prefix)])
+	f2, err := w.Fork()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !outputsEqual(fw.Outputs[0], w.Outputs[0]) {
-		t.Errorf("fork and template finished differently:\n got %v\nwant %v",
-			fw.Outputs[0], w.Outputs[0])
+	finish(t, f1) // one fork appends first...
+	finish(t, f2)
+	if !outputsEqual(f2.Outputs[0][:len(prefix)], prefix) || !outputsEqual(w.Outputs[0], prefix) {
+		t.Errorf("committed prefix changed: fork %v, sealed world %v", f2.Outputs[0][:len(prefix)], w.Outputs[0])
+	}
+	if !outputsEqual(f2.Outputs[0], f1.Outputs[0]) {
+		t.Errorf("sibling forks finished differently:\n got %v\nwant %v",
+			f2.Outputs[0], f1.Outputs[0])
 	}
 }

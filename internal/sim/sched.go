@@ -14,7 +14,7 @@ import "time"
 // readyAt, i.e. the lowest pid among the earliest. Byte-identical schedules
 // therefore do not depend on the heap's internal arrangement, only on the
 // comparison key, and the scan scheduler survives behind World.ScanSched as
-// an escape hatch and differential oracle (CI diffs the two).
+// the differential oracle (TestExecutionModeMatrix diffs the two).
 //
 // Invalidation is lazy: every mutation that can change a process's readyAt
 // — a message append (send, RequeueLogged), an inbox removal or rebuild
@@ -27,13 +27,12 @@ import "time"
 // DropRetained, which touch only the retained list) are not hooked, exactly
 // matching the scan's semantics. The heap rebuilds from scratch lazily
 // after construction and after Fork (schedBuilt=false), so forking carries
-// no index cost and frozen templates hold no index at all.
+// no index cost.
 
 // DefaultScanSched selects the scheduler for worlds built by NewWorld: false
 // (the default) uses the readiness index, true the legacy O(Procs) scan.
-// Command-line `-sched=scan` escape hatches set it at startup; tests flip it
-// between (never during) runs. Fork inherits the world's own setting, not
-// this default.
+// No command sets it; tests flip it between (never during) runs. Fork
+// inherits the world's own setting, not this default.
 var DefaultScanSched bool
 
 // schedLess is the scheduling order: earliest readyAt first, lowest pid on

@@ -220,12 +220,9 @@ func TestSchedForkRearms(t *testing.T) {
 	if !forkB.AllDone() {
 		t.Fatal("fork did not finish")
 	}
-	// The parent's own index kept working across the forks.
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !w.AllDone() {
-		t.Fatal("parent did not finish after forking")
+	// Fork sealed the parent: its run carries on only on a fork.
+	if _, err := w.Step(); err == nil {
+		t.Fatal("a forked parent stepped again")
 	}
 }
 

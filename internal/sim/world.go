@@ -220,8 +220,8 @@ type World struct {
 	DebugLog *obs.DebugLog
 
 	// ScanSched selects the legacy O(Procs) scheduling scan instead of
-	// the readiness index — the `-sched=scan` escape hatch and the
-	// differential oracle the equivalence tests and CI diff against.
+	// the readiness index — the differential oracle the equivalence tests
+	// compare against and the fleet sweep's baseline; no command sets it.
 	// Must be set before the first Step; Fork inherits it.
 	ScanSched bool
 
@@ -526,8 +526,8 @@ func (w *World) readyAt(p *Proc) (time.Duration, bool) {
 
 // scanPick is the legacy O(Procs) scheduling scan: the first process with
 // the strictly smallest readyAt wins, so ties go to the lowest pid. Kept
-// behind ScanSched as an escape hatch and as the differential oracle the
-// readiness index is byte-identity-checked against.
+// behind ScanSched as the differential oracle the readiness index is
+// byte-identity-checked against.
 func (w *World) scanPick() (*Proc, time.Duration) {
 	var pick *Proc
 	var pickAt time.Duration

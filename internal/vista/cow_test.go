@@ -35,25 +35,31 @@ func randomOp(rng *rand.Rand, seg *Segment, ps int, iter int) {
 	}
 }
 
-// TestCOWForkMatchesDeepForkOracle is the fork-isolation property test: a
-// template segment is built up with random operations, deep-forked (the
-// oracle, taken while still mutable), then frozen and COW-forked. The same
-// randomized operation stream is applied to both forks; after every step
-// their contents must be byte-identical, and the frozen template must never
-// change.
-func TestCOWForkMatchesDeepForkOracle(t *testing.T) {
+// randomPrefix returns a fresh segment driven through n random operations
+// from seed. Two calls with the same arguments build twins: equal in every
+// respect, the open transaction included, and sharing nothing.
+func randomPrefix(seed int64, n, ps int) *Segment {
+	rng := rand.New(rand.NewSource(seed))
+	seg := NewSegment(0, ps)
+	for i := 0; i < n; i++ {
+		randomOp(rng, seg, ps, i)
+	}
+	return seg
+}
+
+// TestCOWForkMatchesNeverForkedTwin is the fork-isolation property test: two
+// twin segments are built up with the same random operations; one is never
+// forked (the oracle), the other is sealed by Fork. The same randomized
+// operation stream is applied to the oracle and the fork; after every step
+// their contents must be byte-identical — rollbacks into the transaction the
+// prefix left open included — and the sealed template must never change.
+func TestCOWForkMatchesNeverForkedTwin(t *testing.T) {
 	const ps = 32
 	for seed := int64(1); seed <= 8; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		tmpl := NewSegment(0, ps)
-		for i := 0; i < 50; i++ {
-			randomOp(rng, tmpl, ps, i)
-		}
-		oracle := tmpl.Fork() // deep copy, taken while still mutable
-		tmpl.Freeze()
+		oracle, tmpl := randomPrefix(seed, 50, ps), randomPrefix(seed, 50, ps)
 		cow := tmpl.Fork()
-		if cow.base == nil {
-			t.Fatal("fork of a frozen segment is not a COW fork")
+		if cow.base != tmpl || !tmpl.frozen {
+			t.Fatal("Fork did not seal its receiver and fork copy-on-write from it")
 		}
 		tmplBefore := tmpl.Contents()
 
@@ -63,11 +69,11 @@ func TestCOWForkMatchesDeepForkOracle(t *testing.T) {
 			randomOp(rand.New(rand.NewSource(opSeed)), oracle, ps, i)
 			got, want := cow.Contents(), oracle.Contents()
 			if !bytes.Equal(got, want) {
-				t.Fatalf("seed %d iter %d: COW fork diverged from deep-fork oracle (len %d vs %d)", seed, i, len(got), len(want))
+				t.Fatalf("seed %d iter %d: COW fork diverged from its never-forked twin (len %d vs %d)", seed, i, len(got), len(want))
 			}
 		}
 		if !bytes.Equal(tmpl.Contents(), tmplBefore) {
-			t.Fatalf("seed %d: frozen template mutated by its fork", seed)
+			t.Fatalf("seed %d: sealed template mutated by its fork", seed)
 		}
 		if cow.CowPages == 0 {
 			t.Fatalf("seed %d: fork privatized no pages across 400 random mutations", seed)
@@ -78,19 +84,12 @@ func TestCOWForkMatchesDeepForkOracle(t *testing.T) {
 // TestCOWForksConcurrentNeverAlias runs N concurrent COW forks of one
 // frozen template, each mutating independently, and checks that no fork's
 // writes leak into another fork or into the template: every fork must end
-// byte-identical to a serial deep-fork oracle given the same operations.
+// byte-identical to a never-forked twin of the template given the same
+// operations serially.
 func TestCOWForksConcurrentNeverAlias(t *testing.T) {
 	const ps = 64
 	const forks = 8
-	tmpl := NewSegment(0, ps)
-	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 80; i++ {
-		randomOp(rng, tmpl, ps, i)
-	}
-	oracles := make([]*Segment, forks)
-	for i := range oracles {
-		oracles[i] = tmpl.Fork() // deep copies while mutable
-	}
+	tmpl := randomPrefix(42, 80, ps)
 	tmpl.Freeze()
 	tmplBefore := tmpl.Contents()
 
@@ -111,12 +110,13 @@ func TestCOWForksConcurrentNeverAlias(t *testing.T) {
 	wg.Wait()
 
 	for i := 0; i < forks; i++ {
+		oracle := randomPrefix(42, 80, ps)
 		r := rand.New(rand.NewSource(int64(i) * 7919))
 		for op := 0; op < 300; op++ {
-			randomOp(r, oracles[i], ps, op)
+			randomOp(r, oracle, ps, op)
 		}
-		if !bytes.Equal(results[i], oracles[i].Contents()) {
-			t.Errorf("fork %d diverged from its deep-fork oracle", i)
+		if !bytes.Equal(results[i], oracle.Contents()) {
+			t.Errorf("fork %d diverged from its never-forked twin", i)
 		}
 	}
 	if !bytes.Equal(tmpl.Contents(), tmplBefore) {
@@ -222,30 +222,31 @@ func TestCOWForkCommitCycleZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestDeepForkOfCOWForkMaterializes checks the remaining fork direction: a
-// deep Fork taken from a live COW fork materializes the overlay-then-base
-// view into an independent flat segment.
-func TestDeepForkOfCOWForkMaterializes(t *testing.T) {
+// TestForkOfCOWForkMaterializes checks the next generation: forking a live
+// COW fork seals it flat — its overlay-then-base view is materialized, so
+// however long the ancestry a fork reads through exactly one base — and the
+// new fork starts from the same contents and shares no writes with it.
+func TestForkOfCOWForkMaterializes(t *testing.T) {
 	const ps = 32
 	tmpl := NewSegment(0, ps)
 	tmpl.SetContents(pat(ps*3, 3))
 	tmpl.Commit(nil)
-	tmpl.Freeze()
 
 	f := tmpl.Fork()
 	if err := f.Write(ps+1, []byte{0xEE}); err != nil {
 		t.Fatal(err)
 	}
-	deep := f.Fork()
-	if deep.base != nil {
-		t.Fatal("deep fork of a COW fork still chains to a base")
+	want := f.Contents()
+	g := f.Fork()
+	if f.base != nil || g.base != f {
+		t.Fatal("fork of a COW fork still chains to the first template")
 	}
-	if !bytes.Equal(deep.Contents(), f.Contents()) {
-		t.Fatal("materialized deep fork != COW fork contents")
+	if !bytes.Equal(f.Contents(), want) || !bytes.Equal(g.Contents(), want) {
+		t.Fatal("materializing changed the COW fork's contents")
 	}
-	deep.SetContents(pat(ps*2, 5))
-	if bytes.Equal(deep.Contents(), f.Contents()) {
-		t.Fatal("deep fork still aliases the COW fork")
+	g.SetContents(pat(ps*2, 5))
+	if !bytes.Equal(f.Contents(), want) {
+		t.Fatal("second-generation fork wrote through to the sealed COW fork")
 	}
 }
 

@@ -21,9 +21,9 @@
 //
 // A segment also supports the same trick one level up, for the fault
 // campaign engine that forks whole worlds off memoized clean prefixes:
-// Freeze seals a segment as an immutable template, and Fork of a frozen
-// segment returns a copy-on-write fork that shares the template's memory
-// image. A fork privatizes a page into its private overlay on first write —
+// Freeze seals a segment as an immutable template, and Fork seals its receiver
+// and returns a copy-on-write fork that shares the template's memory image. A
+// fork privatizes a page into its private overlay on first write —
 // exactly the Discount Checking first-touch trap, applied to the meta-level
 // engine — so forking costs O(metadata), not O(state), and each fork pays
 // only for the pages it actually changes.
@@ -88,10 +88,9 @@ type Segment struct {
 	nDirty   int
 	savedReg []byte
 
-	// frozen marks a sealed template: mutators panic, and Fork returns a
-	// copy-on-write fork sharing this segment's memory instead of a deep
-	// copy. A frozen segment is immutable forever, so any number of forks
-	// may read it concurrently without locking.
+	// frozen marks a sealed template: mutators panic, and forks share this
+	// segment's memory. A frozen segment is immutable forever, so any number
+	// of forks may read it concurrently without locking.
 	frozen bool
 	// base, when non-nil, is the frozen template this segment was COW-
 	// forked from. Page contents are read overlay-first, then base; pages
@@ -119,9 +118,7 @@ type Segment struct {
 
 	// Metrics, if non-nil, receives the segment's page-diff and undo-log
 	// counters (plain increments: the commit hot path stays at zero
-	// allocations with metrics enabled). Coordinated commits diff
-	// different segments in parallel, so each segment must be wired to its
-	// own slot.
+	// allocations with metrics enabled), one slot per segment.
 	Metrics *obs.VistaMetrics
 }
 
@@ -551,18 +548,19 @@ func (s *Segment) AppendContents(buf []byte) []byte {
 }
 
 // Freeze seals the segment as an immutable copy-on-write template: every
-// subsequent Fork returns an O(metadata) COW fork sharing this segment's
-// memory image, and every mutator panics. The memory image is padded to a
-// page boundary so forks can borrow whole-page slices without bounds
-// juggling. A frozen segment may be forked concurrently from any number of
-// goroutines without locking — nothing ever writes it again.
+// mutator panics from now on, and forks share this segment's memory image.
+// The image is padded to a page boundary so forks can borrow whole-page
+// slices without bounds juggling. A frozen segment may be forked concurrently
+// from any number of goroutines without locking — nothing ever writes it
+// again, Freeze included (it is idempotent and returns before any store).
 func (s *Segment) Freeze() {
 	if s.frozen {
 		return
 	}
 	if s.base != nil {
 		// Freezing a COW fork: materialize it flat first, so forks taken
-		// from this template never chase a base chain.
+		// from this template never chase a base chain and fork cost stays
+		// independent of how many generations preceded it.
 		flat := make([]byte, 0, s.pages()*s.pageSize)
 		flat = s.AppendContents(flat)
 		s.mem = flat
@@ -576,48 +574,17 @@ func (s *Segment) Freeze() {
 	s.frozen = true
 }
 
-// Fork returns an independent copy of the segment, mid-transaction state
-// included: memory image, undo log and dirty set all carry over, so a
-// rollback of either copy behaves identically. The buffer pool and Metrics
-// sink do not carry over (the fork warms its own pool; observability is
-// per-run).
-//
-// Forking a frozen template is O(metadata): the fork shares the template's
-// memory image and privatizes pages only as it writes them. Forking an
-// ordinary segment deep-copies, as a mutable segment cannot be safely
-// shared.
-func (s *Segment) Fork() *Segment {
-	if s.frozen {
-		return s.cowFork()
-	}
-	ns := &Segment{
-		pageSize:    s.pageSize,
-		size:        s.size,
-		undo:        make([]undoRec, len(s.undo)),
-		dirty:       append(pageBitset(nil), s.dirty...),
-		nDirty:      s.nDirty,
-		savedReg:    append([]byte(nil), s.savedReg...),
-		CommitCount: s.CommitCount,
-		LoggedBytes: s.LoggedBytes,
-	}
-	if s.base == nil {
-		ns.mem = append([]byte(nil), s.mem[:s.size]...)
-	} else {
-		// Deep fork of a COW fork: materialize the overlay-then-base view.
-		ns.mem = s.AppendContents(make([]byte, 0, s.size))
-	}
-	for i, rec := range s.undo {
-		ns.undo[i] = undoRec{page: rec.page, data: append([]byte(nil), rec.data...)}
-	}
-	return ns
-}
-
-// cowFork builds a copy-on-write fork of a frozen template. Only the small
-// per-page metadata (dirty set, undo headers) is copied; the memory image
-// and any pending undo before-images are shared with the template, which
-// Freeze guarantees can never change. The overlay index waits for the first
+// Fork seals the segment with Freeze and returns an independent copy-on-write
+// fork of it, mid-transaction state included: dirty set and undo headers are
+// copied, the memory image and any pending undo before-images are shared with
+// the receiver — which Freeze guarantees can never change — and pages are
+// privatized only as the fork writes them, so forking costs O(metadata). A
+// rollback of the fork behaves exactly as one of the receiver would have.
+// The buffer pool and Metrics sink do not carry over (the fork warms its own
+// pool; observability is per-run), and the overlay index waits for the first
 // privatized page.
-func (s *Segment) cowFork() *Segment {
+func (s *Segment) Fork() *Segment {
+	s.Freeze()
 	ns := &Segment{
 		pageSize:    s.pageSize,
 		size:        s.size,
