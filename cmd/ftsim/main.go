@@ -276,7 +276,7 @@ func main() {
 		fmt.Printf("save-work:      violated on the raw trace (rollback-discarded events are counted) (%d), first: %v\n", len(vs), vs[0])
 	}
 	if *verbose {
-		for _, line := range w.GlobalOutputs {
+		for _, line := range w.GlobalOutputs() {
 			fmt.Println("  |", line)
 		}
 	}

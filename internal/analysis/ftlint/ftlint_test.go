@@ -176,7 +176,7 @@ func TestCowAnnotationsPresent(t *testing.T) {
 		"../../vista/vista.go":   1, // mem
 		"../../kernel/kernel.go": 2, // node.fs, Kernel.nodes
 		"../../dc/dc.go":         2, // msgDeps, ndLog
-		"../../apps/nvi/nvi.go":  4, // Lines, LineSums, UndoLines, UndoSums
+		"../../apps/nvi/nvi.go":  3, // Lines, LineSums, undo
 	}
 	for file, min := range files {
 		data, err := os.ReadFile(file)

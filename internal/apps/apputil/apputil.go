@@ -5,7 +5,7 @@ package apputil
 
 import (
 	"encoding/binary"
-	"fmt"
+	"errors"
 	"hash/crc32"
 	"math"
 )
@@ -29,7 +29,25 @@ func (e *Enc) Bytes(v []byte) {
 }
 
 // Str appends a length-prefixed string.
-func (e *Enc) Str(v string) { e.Bytes([]byte(v)) }
+func (e *Enc) Str(v string) {
+	e.Int(len(v))
+	e.B = append(e.B, v...)
+}
+
+// U32s appends a count-prefixed []uint32, one 8-byte word per element (the
+// format of a loop of I64 calls), growing the buffer at most once for the
+// whole run.
+func (e *Enc) U32s(v []uint32) {
+	e.Int(len(v))
+	if need := len(e.B) + 8*len(v); need > cap(e.B) {
+		grown := make([]byte, len(e.B), max(need, 2*cap(e.B)))
+		copy(grown, e.B)
+		e.B = grown
+	}
+	for _, x := range v {
+		e.B = binary.LittleEndian.AppendUint64(e.B, uint64(x))
+	}
+}
 
 // Bool appends a bool.
 func (e *Enc) Bool(v bool) {
@@ -47,16 +65,58 @@ type Dec struct {
 	Err error
 }
 
+// Decode errors are static: a checkpoint image can be hostile (the faults
+// under study corrupt them), restore sits on the rollback path, and a
+// malformed image aborts recovery whatever the message says.
+var (
+	ErrOverrun   = errors.New("apputil: decode overrun")
+	ErrNegLength = errors.New("apputil: negative length")
+)
+
+// need reports whether n more bytes are available, setting Err if not. The
+// comparison is against the remaining length, so a length word near MaxInt64
+// cannot wrap past the check.
 func (d *Dec) need(n int) bool {
 	if d.Err != nil {
 		return false
 	}
-	if d.pos+n > len(d.B) {
-		d.Err = fmt.Errorf("apputil: decode overrun at byte %d (+%d of %d)", d.pos, n, len(d.B))
+	if n < 0 {
+		d.Err = ErrNegLength
+		return false
+	}
+	if n > len(d.B)-d.pos {
+		d.Err = ErrOverrun
 		return false
 	}
 	return true
 }
+
+// Skip advances past n bytes without decoding them.
+func (d *Dec) Skip(n int) {
+	if d.need(n) {
+		d.pos += n
+	}
+}
+
+// Count reads the length of a sequence whose elements take at least elem
+// bytes each, rejecting one the rest of the input cannot hold — so a caller
+// may allocate for the count before decoding the elements.
+func (d *Dec) Count(elem int) int {
+	n := d.Int()
+	if d.Err == nil && n < 0 {
+		d.Err = ErrNegLength
+	}
+	if d.Err == nil && n > (len(d.B)-d.pos)/elem {
+		d.Err = ErrOverrun
+	}
+	if d.Err != nil {
+		return 0
+	}
+	return n
+}
+
+// Pos returns the offset of the next byte to decode.
+func (d *Dec) Pos() int { return d.pos }
 
 // I64 reads an int64.
 func (d *Dec) I64() int64 {
@@ -84,10 +144,7 @@ func (d *Dec) F64() float64 {
 // Bytes reads a length-prefixed byte slice (copied).
 func (d *Dec) Bytes() []byte {
 	n := d.Int()
-	if n < 0 || !d.need(n) {
-		if d.Err == nil {
-			d.Err = fmt.Errorf("apputil: negative length %d", n)
-		}
+	if !d.need(n) {
 		return nil
 	}
 	out := make([]byte, n)
@@ -101,10 +158,7 @@ func (d *Dec) Bytes() []byte {
 // restore paths that decode into long-lived buffers every rollback.
 func (d *Dec) BytesInto(dst []byte) []byte {
 	n := d.Int()
-	if n < 0 || !d.need(n) {
-		if d.Err == nil {
-			d.Err = fmt.Errorf("apputil: negative length %d", n)
-		}
+	if !d.need(n) {
 		return dst[:0]
 	}
 	if cap(dst) < n {
@@ -124,10 +178,7 @@ func (d *Dec) Str() string { return string(d.Bytes()) }
 // checkpoints, so the steady-state restore allocates nothing for them.
 func (d *Dec) StrReuse(cur string) string {
 	n := d.Int()
-	if n < 0 || !d.need(n) {
-		if d.Err == nil {
-			d.Err = fmt.Errorf("apputil: negative length %d", n)
-		}
+	if !d.need(n) {
 		return ""
 	}
 	b := d.B[d.pos : d.pos+n]

@@ -1,6 +1,7 @@
 package apputil
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -148,5 +149,61 @@ func TestCodecProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDecLengthNearMaxInt: a length word near MaxInt64 behind an already
+// decoded word must fail the bounds check, not wrap it and reach make.
+func TestDecLengthNearMaxInt(t *testing.T) {
+	var e Enc
+	e.Int(7)
+	e.I64(math.MaxInt64)
+	e.B = append(e.B, "tail"...)
+	for name, read := range map[string]func(d *Dec){
+		"Bytes":     func(d *Dec) { d.Bytes() },
+		"BytesInto": func(d *Dec) { d.BytesInto(nil) },
+		"StrReuse":  func(d *Dec) { d.StrReuse("") },
+		"Skip":      func(d *Dec) { d.Skip(d.Int()) },
+		"Count":     func(d *Dec) { d.Count(1) },
+	} {
+		d := Dec{B: e.B}
+		if d.Int() != 7 {
+			t.Fatal("first word")
+		}
+		read(&d)
+		if !errors.Is(d.Err, ErrOverrun) {
+			t.Errorf("%s of a MaxInt64 length: Err = %v, want ErrOverrun", name, d.Err)
+		}
+	}
+}
+
+// TestU32sMatchesI64Loop: the bulk append writes what the element loop wrote,
+// and Skip and Count walk it.
+func TestU32sMatchesI64Loop(t *testing.T) {
+	sums := []uint32{0, 1, math.MaxUint32, 0xdeadbeef}
+	var loop, bulk Enc
+	loop.Int(len(sums))
+	for _, s := range sums {
+		loop.I64(int64(s))
+	}
+	bulk.B = []byte("prefix")
+	bulk.U32s(sums)
+	if string(bulk.B) != "prefix"+string(loop.B) {
+		t.Errorf("U32s = %x, want %x behind the prefix", bulk.B, loop.B)
+	}
+	d := Dec{B: loop.B}
+	if n := d.Count(8); n != len(sums) {
+		t.Fatalf("Count = %d, want %d", n, len(sums))
+	}
+	d.Skip(8 * len(sums))
+	if d.Err != nil || d.Pos() != len(loop.B) {
+		t.Errorf("after Skip: pos %d of %d, Err %v", d.Pos(), len(loop.B), d.Err)
+	}
+	if d.Skip(1); !errors.Is(d.Err, ErrOverrun) {
+		t.Errorf("Skip past the end: Err = %v, want ErrOverrun", d.Err)
+	}
+	short := Dec{B: loop.B[:16]}
+	if n := short.Count(8); n != 0 || !errors.Is(short.Err, ErrOverrun) {
+		t.Errorf("Count of %d elements with one left = %d, Err %v", len(sums), n, short.Err)
 	}
 }

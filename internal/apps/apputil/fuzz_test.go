@@ -1,6 +1,9 @@
 package apputil
 
-import "testing"
+import (
+	"encoding/binary"
+	"testing"
+)
 
 // FuzzDecNoPanic: the decoder must reject arbitrary bytes gracefully (set
 // Err), never panic — checkpoint images can be corrupted by the faults
@@ -14,6 +17,16 @@ func FuzzDecNoPanic(f *testing.F) {
 	f.Add(e.B)
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	// Length words that used to wrap pos+n past the bounds check once
+	// pos > 0 and reach make([]byte, n): MaxInt64 behind one decoded word
+	// (what Bytes sees below), and the two hostile checkpoint images of
+	// sim's TestRestoreCheckpointImageHostile (mode byte, cursor, send
+	// sequence, then a 2^60 highwater count or a MaxInt64 state length).
+	word := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
+	f.Add(append(word(3), word(1<<63-1)...))
+	header := append([]byte{0}, append(word(3), word(5)...)...)
+	f.Add(append(append([]byte(nil), header...), word(1<<60)...))
+	f.Add(append(append(append([]byte(nil), header...), word(0)...), word(1<<63-1)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := Dec{B: data}
 		// Exercise every accessor in a fixed pattern; all must return
@@ -25,5 +38,9 @@ func FuzzDecNoPanic(f *testing.F) {
 		_ = d.Str()
 		_ = d.Byte()
 		_ = d.I64()
+		_ = d.BytesInto(nil)
+		_ = d.StrReuse("")
+		d.Skip(d.Int())
+		_ = d.Count(8)
 	})
 }

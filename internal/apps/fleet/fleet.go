@@ -146,8 +146,6 @@ type Server struct {
 
 	Byes    int
 	Pending []reply
-
-	buf []byte
 }
 
 // NewServer returns shard `shard` of the fleet.
@@ -192,8 +190,11 @@ func (s *Server) Step(ctx *sim.Ctx) sim.Status {
 }
 
 // MarshalState implements sim.Program.
-func (s *Server) MarshalState() ([]byte, error) {
-	e := apputil.Enc{B: s.buf[:0]}
+func (s *Server) MarshalState() ([]byte, error) { return s.AppendState(nil) }
+
+// AppendState implements sim.StateAppender.
+func (s *Server) AppendState(dst []byte) ([]byte, error) {
+	e := apputil.Enc{B: dst}
 	e.Int(s.Shard)
 	e.Int(s.Byes)
 	e.Int(len(s.Pending))
@@ -201,8 +202,7 @@ func (s *Server) MarshalState() ([]byte, error) {
 		e.Int(r.To)
 		e.Bytes(r.Payload)
 	}
-	s.buf = e.B
-	return s.buf, nil
+	return e.B, nil
 }
 
 // UnmarshalState implements sim.Program.
@@ -252,7 +252,6 @@ type Client struct {
 	Round int
 
 	req []byte
-	buf []byte
 }
 
 // NewClient returns fleet client id.
@@ -350,13 +349,15 @@ func (c *Client) nextRound(ctx *sim.Ctx) sim.Status {
 }
 
 // MarshalState implements sim.Program.
-func (c *Client) MarshalState() ([]byte, error) {
-	e := apputil.Enc{B: c.buf[:0]}
+func (c *Client) MarshalState() ([]byte, error) { return c.AppendState(nil) }
+
+// AppendState implements sim.StateAppender.
+func (c *Client) AppendState(dst []byte) ([]byte, error) {
+	e := apputil.Enc{B: dst}
 	e.Int(c.ID)
 	e.Int(c.Phase)
 	e.Int(c.Round)
-	c.buf = e.B
-	return c.buf, nil
+	return e.B, nil
 }
 
 // UnmarshalState implements sim.Program.

@@ -43,7 +43,7 @@ func TestFleetRunsToCompletion(t *testing.T) {
 	}
 	// Every reporter printed one line per round, nobody else printed.
 	want := cfg.Reporters * cfg.Rounds
-	if got := len(w.GlobalOutputs); got != want {
+	if got := len(w.GlobalOutputs()); got != want {
 		t.Fatalf("visible outputs = %d, want %d (= reporters×rounds)", got, want)
 	}
 	// Virtual time is bounded by rounds of think time, not fleet size.
@@ -63,7 +63,7 @@ func TestFleetScanIndexedIdentical(t *testing.T) {
 		t.Fatalf("scan (clock=%v steps=%d events=%d) != indexed (clock=%v steps=%d events=%d)",
 			a.Clock, a.StepCount(), a.EventCount, b.Clock, b.StepCount(), b.EventCount)
 	}
-	if fmt.Sprint(a.GlobalOutputs) != fmt.Sprint(b.GlobalOutputs) {
+	if fmt.Sprint(a.GlobalOutputs()) != fmt.Sprint(b.GlobalOutputs()) {
 		t.Fatal("scan and indexed schedulers produced different visible output")
 	}
 	for i := range a.Procs {

@@ -470,8 +470,12 @@ func (l *Layout) TotalTiles() int {
 }
 
 // MarshalState implements sim.Program.
-func (l *Layout) MarshalState() ([]byte, error) {
-	var e apputil.Enc
+func (l *Layout) MarshalState() ([]byte, error) { return l.AppendState(nil) }
+
+// AppendState implements sim.StateAppender: the commit path encodes the
+// layout straight into the checkpoint image.
+func (l *Layout) AppendState(dst []byte) ([]byte, error) {
+	e := apputil.Enc{B: dst}
 	e.Int(len(l.Layers))
 	for _, layer := range l.Layers {
 		e.Str(layer.Name)

@@ -57,19 +57,24 @@ type Editor struct {
 	ExBuf []byte
 	// PendingOp holds the first 'd' of a dd.
 	PendingOp byte
-	// Undo state: classic vi's single-level undo. UndoLines/UndoSums/
-	// UndoRow/UndoCol snapshot the buffer before the last mutating
-	// command; 'u' swaps it with the current buffer (so a second 'u'
-	// redoes).
+	// Undo state: classic vi's single-level undo. undo/UndoRow/UndoCol
+	// snapshot the buffer before the last mutating command; 'u' swaps it
+	// with the current buffer (so a second 'u' redoes). The snapshot has
+	// one writer and is read back only by 'u', so it is held as its section
+	// of the checkpoint image — Lines then LineSums in wire form,
+	// [n][len,bytes]…[n][sum]… — and a commit appends it with one copy
+	// instead of re-encoding it line by line; nil stands for the empty
+	// snapshot. A fork reads the template's section until snapshotUndo,
+	// swapUndo or UnmarshalState replaces it: those write undoBuf, the
+	// editor's own storage, which Fork never hands on, and point undo at it.
 	UndoValid bool
 	//failtrans:cowshared snapshotUndo
-	UndoLines [][]byte
-	//failtrans:cowshared snapshotUndo
-	UndoSums []uint32
-	UndoRow   int
-	UndoCol   int
-	Filename  string
-	Dirty     bool
+	undo     []byte
+	undoBuf  []byte
+	UndoRow  int
+	UndoCol  int
+	Filename string
+	Dirty    bool
 
 	// LineCount shadows len(Lines); the delete-instruction fault skips
 	// its update and the consistency check compares them.
@@ -106,13 +111,6 @@ type Editor struct {
 
 	faultSalt uint64
 	skipClamp bool
-	// encBuf is the reusable MarshalState buffer (not part of the
-	// state; rebuilt lazily after a restore). encHint is the length of the
-	// image the editor this one was forked from last marshaled: a fork's
-	// first MarshalState allocates encBuf once at that size (plus an
-	// eighth and 256 bytes to grow into) instead of growing it by doubling.
-	encBuf  []byte
-	encHint int
 	// pendingFlip defers a heap bit flip to after the checksum
 	// maintenance in the same apply step, so the corruption is latent
 	// (set and consumed within one step; no checkpoint can interleave).
@@ -121,13 +119,12 @@ type Editor struct {
 	// frozen marks a sealed fork template (sim.Freezer): forks alias its
 	// buffers, so it must never be stepped again and Step panics if it is.
 	frozen bool
-	// linesShared / undoShared mark Lines+LineSums / UndoLines+UndoSums
-	// as aliasing a frozen template's buffers; every in-place mutation
-	// privatizes first (the buffer-modifying commands all pass through
-	// snapshotUndo, the heap-flip fault and the restore path are guarded
-	// explicitly). Runtime bookkeeping, never marshaled.
+	// linesShared marks Lines+LineSums as aliasing a frozen template's
+	// buffers; every in-place mutation privatizes first (the
+	// buffer-modifying commands all pass through snapshotUndo, the heap-flip
+	// fault and the restore path are guarded explicitly). Runtime
+	// bookkeeping, never marshaled.
 	linesShared bool
-	undoShared  bool
 }
 
 // New returns an editor whose session will edit `filename` with the given
@@ -166,18 +163,14 @@ func (e *Editor) Freeze() {
 
 // Fork implements sim.Forker: it seals the editor with Freeze and returns a
 // copy-on-write fork that shares the line buffers (O(header) instead of
-// O(document)) until its first mutation. Unlike a MarshalState round trip it
-// leaves a sealed receiver untouched (no shared encBuf, no flag writes).
+// O(document)) until its first mutation, and the undo section for as long as
+// the fork does not replace it. A sealed receiver is only read.
 func (e *Editor) Fork() (sim.Program, error) {
 	e.Freeze()
 	ne := *e
 	ne.linesShared = true
-	ne.undoShared = true
 	ne.ExBuf = append([]byte(nil), e.ExBuf...)
-	ne.encBuf = nil
-	if n := len(e.encBuf); n > 0 {
-		ne.encHint = n
-	}
+	ne.undoBuf = nil
 	ne.frozen = false
 	return &ne, nil
 }
@@ -460,7 +453,7 @@ func (e *Editor) apply(ctx *sim.Ctx) {
 		case 'b':
 			e.wordBack()
 		case 'u':
-			e.undo()
+			e.swapUndo()
 		case 'd':
 			if e.PendingOp == 'd' {
 				e.PendingOp = 0
@@ -676,36 +669,70 @@ func (e *Editor) appendRecoveryRecord(ctx *sim.Ctx) {
 	}
 }
 
-// snapshotUndo saves the buffer for vi's single-level undo.
+// snapshotUndo saves the buffer for vi's single-level undo, encoding it over
+// the editor's previous snapshot (no allocation once undoBuf has reached the
+// document's size), and unshares the working buffer the command is about to
+// edit.
 func (e *Editor) snapshotUndo() {
-	if e.linesShared {
-		// The shared frozen buffer is itself an immutable image: adopt
-		// it as the undo snapshot and privatize the working copy — one
-		// arena copy where the eager fork paid two.
-		e.UndoLines, e.UndoSums = e.Lines, e.LineSums
-		e.undoShared = true
-		e.Lines = forkLines(e.Lines)
-		e.LineSums = append([]uint32(nil), e.LineSums...)
-		e.linesShared = false
-	} else {
-		e.UndoLines = forkLines(e.Lines)
-		e.UndoSums = append([]uint32(nil), e.LineSums...)
-	}
+	e.encodeUndo()
+	e.privatizeLines()
 	e.UndoRow, e.UndoCol = e.Row, e.Col
 	e.UndoValid = true
 }
 
-// undo swaps the buffer with the undo snapshot (a second 'u' redoes, as in
-// classic vi).
-func (e *Editor) undo() {
+// encodeUndo makes the working buffer the undo snapshot. It writes only
+// undoBuf, so a section still shared with a frozen template is left as it is.
+func (e *Editor) encodeUndo() {
+	need := 16 + 8*len(e.Lines) + 8*len(e.LineSums)
+	for _, l := range e.Lines {
+		need += len(l)
+	}
+	if cap(e.undoBuf) < need {
+		e.undoBuf = make([]byte, 0, need+need/8+256)
+	}
+	enc := apputil.Enc{B: e.undoBuf[:0]}
+	appendLines(&enc, e.Lines)
+	enc.U32s(e.LineSums)
+	e.undoBuf = enc.B
+	e.undo = e.undoBuf
+}
+
+// appendLines encodes a line buffer as [n][len,bytes]….
+func appendLines(enc *apputil.Enc, lines [][]byte) {
+	enc.Int(len(lines))
+	for _, l := range lines {
+		enc.Bytes(l)
+	}
+}
+
+// undoBuffer decodes the undo section into a private line buffer packed as
+// forkLines packs one. The section is the editor's own encoding or one
+// UnmarshalState has bounds-walked, so its counts are consistent with its
+// length.
+func (e *Editor) undoBuffer() ([][]byte, []uint32) {
+	d := apputil.Dec{B: e.undo}
+	lines := make([][]byte, d.Count(8))
+	arena := make([]byte, 0, len(e.undo))
+	for i := range lines {
+		l := d.BytesInto(arena[len(arena):])
+		if len(l) == 0 {
+			continue
+		}
+		arena = arena[:len(arena)+len(l)]
+		lines[i] = l[:len(l):len(l)]
+	}
+	return lines, decSums(&d, nil, d.Count(8))
+}
+
+// swapUndo implements 'u': it swaps the buffer with the undo snapshot (a
+// second 'u' redoes, as in classic vi).
+func (e *Editor) swapUndo() {
 	if !e.UndoValid {
 		return
 	}
-	e.Lines, e.UndoLines = e.UndoLines, e.Lines
-	e.LineSums, e.UndoSums = e.UndoSums, e.LineSums
-	// The shared-ness travels with the buffers: a swapped-in shared
-	// buffer is read-only until the next mutating command privatizes it.
-	e.linesShared, e.undoShared = e.undoShared, e.linesShared
+	lines, sums := e.undoBuffer() // copies out of undo before encodeUndo overwrites it
+	e.encodeUndo()
+	e.Lines, e.LineSums, e.linesShared = lines, sums, false
 	e.Row, e.UndoRow = e.UndoRow, e.Row
 	e.Col, e.UndoCol = e.UndoCol, e.Col
 	e.LineCount = len(e.Lines)
@@ -811,43 +838,32 @@ func (e *Editor) Contents() []string {
 	return out
 }
 
-// MarshalState implements sim.Program. The returned slice reuses one
-// buffer across calls (the runtime copies it into the checkpoint image
-// before the next marshal), so a steady-state commit allocates nothing
-// here.
-func (e *Editor) MarshalState() ([]byte, error) {
-	if e.encBuf == nil && e.encHint > 0 {
-		e.encBuf = make([]byte, 0, e.encHint+e.encHint/8+256)
-	}
-	enc := apputil.Enc{B: e.encBuf[:0]}
-	defer func() { e.encBuf = enc.B }()
-	enc.Int(len(e.Lines))
-	for _, l := range e.Lines {
-		enc.Bytes(l)
-	}
+// MarshalState implements sim.Program.
+func (e *Editor) MarshalState() ([]byte, error) { return e.AppendState(nil) }
+
+// AppendState implements sim.StateAppender: the commit path encodes the
+// editor straight into the checkpoint image.
+func (e *Editor) AppendState(dst []byte) ([]byte, error) {
+	enc := apputil.Enc{B: dst}
+	appendLines(&enc, e.Lines)
 	enc.Int(e.Row)
 	enc.Int(e.Col)
 	enc.Int(e.Mode)
 	enc.Bytes(e.ExBuf)
 	enc.B = append(enc.B, e.PendingOp)
 	enc.Bool(e.UndoValid)
-	enc.Int(len(e.UndoLines))
-	for _, l := range e.UndoLines {
-		enc.Bytes(l)
-	}
-	enc.Int(len(e.UndoSums))
-	for _, s := range e.UndoSums {
-		enc.I64(int64(s))
+	if e.undo == nil {
+		enc.Int(0) // no lines
+		enc.Int(0) // no sums
+	} else {
+		enc.B = append(enc.B, e.undo...)
 	}
 	enc.Int(e.UndoRow)
 	enc.Int(e.UndoCol)
 	enc.Str(e.Filename)
 	enc.Bool(e.Dirty)
 	enc.Int(e.LineCount)
-	enc.Int(len(e.LineSums))
-	for _, s := range e.LineSums {
-		enc.I64(int64(s))
-	}
+	enc.U32s(e.LineSums)
 	enc.Int(e.Phase)
 	enc.B = append(enc.B, e.Key)
 	enc.Int(e.Keystroke)
@@ -866,9 +882,8 @@ func (e *Editor) MarshalState() ([]byte, error) {
 }
 
 // decLines decodes n length-prefixed lines, reusing old's header array and
-// per-line buffers. Safe because Lines and UndoLines never share buffers
-// (saveUndo copies, undo swaps whole slices) and the image being decoded is
-// separate memory from any line buffer.
+// per-line buffers. Safe because the image being decoded is separate memory
+// from any line buffer.
 func decLines(d *apputil.Dec, old [][]byte, n int) [][]byte {
 	lines := old[:0]
 	if cap(lines) < n {
@@ -896,11 +911,11 @@ func decSums(d *apputil.Dec, old []uint32, n int) []uint32 {
 	return sums
 }
 
-// UnmarshalState implements sim.Program. Like MarshalState it is
-// allocation-free in the steady state: line buffers, checksum arrays and
-// rarely-changing strings are decoded back into the editor's existing
-// storage, so the rollback path (restore every crash) costs no garbage once
-// the editor has reached its working size.
+// UnmarshalState implements sim.Program. It is allocation-free in the steady
+// state: line buffers, checksum arrays and rarely-changing strings are decoded
+// back into the editor's existing storage and the undo section is copied over
+// the previous one, so the rollback path (restore every crash) costs no
+// garbage once the editor has reached its working size.
 func (e *Editor) UnmarshalState(data []byte) error {
 	// Decoding reuses the existing buffers as write targets; buffers still
 	// shared with a frozen template must be dropped, not written through.
@@ -908,42 +923,32 @@ func (e *Editor) UnmarshalState(data []byte) error {
 		e.Lines, e.LineSums = nil, nil
 		e.linesShared = false
 	}
-	if e.undoShared {
-		e.UndoLines, e.UndoSums = nil, nil
-		e.undoShared = false
-	}
 	d := apputil.Dec{B: data}
-	n := d.Int()
-	if n < 0 || n > 1<<24 {
-		return fmt.Errorf("nvi: implausible line count %d", n)
-	}
-	e.Lines = decLines(&d, e.Lines, n)
+	e.Lines = decLines(&d, e.Lines, d.Count(8))
 	e.Row = d.Int()
 	e.Col = d.Int()
 	e.Mode = d.Int()
 	e.ExBuf = d.BytesInto(e.ExBuf)
 	e.PendingOp = d.Byte()
 	e.UndoValid = d.Bool()
-	un := d.Int()
-	if un < 0 || un > 1<<24 {
-		return fmt.Errorf("nvi: implausible undo line count %d", un)
+	// The undo section stays in wire form: walk it for its extent (every
+	// count and length checked against the image) and keep the bytes.
+	undoAt := d.Pos()
+	for i := d.Count(8); i > 0 && d.Err == nil; i-- {
+		d.Skip(d.Int())
 	}
-	e.UndoLines = decLines(&d, e.UndoLines, un)
-	un = d.Int()
-	if un < 0 || un > 1<<24 {
-		return fmt.Errorf("nvi: implausible undo sum count %d", un)
+	d.Skip(8 * d.Count(8))
+	if d.Err != nil {
+		return d.Err
 	}
-	e.UndoSums = decSums(&d, e.UndoSums, un)
+	e.undoBuf = append(e.undoBuf[:0], data[undoAt:d.Pos()]...)
+	e.undo = e.undoBuf
 	e.UndoRow = d.Int()
 	e.UndoCol = d.Int()
 	e.Filename = d.StrReuse(e.Filename)
 	e.Dirty = d.Bool()
 	e.LineCount = d.Int()
-	ns := d.Int()
-	if ns < 0 || ns > 1<<24 {
-		return fmt.Errorf("nvi: implausible sum count %d", ns)
-	}
-	e.LineSums = decSums(&d, e.LineSums, ns)
+	e.LineSums = decSums(&d, e.LineSums, d.Count(8))
 	e.Phase = d.Int()
 	e.Key = d.Byte()
 	e.Keystroke = d.Int()
@@ -969,10 +974,7 @@ func (e *Editor) UnmarshalState(data []byte) error {
 // price of a failure.
 func (e *Editor) MarshalEssential() ([]byte, error) {
 	var enc apputil.Enc
-	enc.Int(len(e.Lines))
-	for _, l := range e.Lines {
-		enc.Bytes(l)
-	}
+	appendLines(&enc, e.Lines)
 	enc.Int(e.Row)
 	enc.Int(e.Col)
 	enc.Int(e.Mode)
@@ -1001,10 +1003,7 @@ func (e *Editor) MarshalEssential() ([]byte, error) {
 // undo history.
 func (e *Editor) UnmarshalEssential(data []byte) error {
 	d := apputil.Dec{B: data}
-	n := d.Int()
-	if n < 0 || n > 1<<24 {
-		return fmt.Errorf("nvi: implausible line count %d", n)
-	}
+	n := d.Count(8)
 	lines := make([][]byte, 0, n)
 	for i := 0; i < n; i++ {
 		lines = append(lines, d.Bytes())
@@ -1040,10 +1039,8 @@ func (e *Editor) UnmarshalEssential(data []byte) error {
 		e.setLineSum(i)
 	}
 	e.UndoValid = false
-	e.UndoLines = nil
-	e.UndoSums = nil
+	e.undo = nil
 	e.linesShared = false // Lines/LineSums were rebuilt wholesale above
-	e.undoShared = false
 	e.skipClamp = false
 	e.pendingFlip = false
 	return nil

@@ -44,10 +44,9 @@ type DB struct {
 
 	faultSalt uint64
 
-	// encBuf is the reusable MarshalState buffer. Not part of the state:
-	// it never round-trips through the image and is rebuilt lazily after a
-	// restore or fork.
-	encBuf []byte
+	// encLen is the length of the last encoded state: Fork's size hint for
+	// its round-trip buffer. Not part of the state.
+	encLen int
 }
 
 // New returns a database storing its heap in `file`.
@@ -429,8 +428,10 @@ func field(fields []string, i int) string {
 	return ""
 }
 
-// marshalInto encodes the full database state into e.
-func (db *DB) marshalInto(e *apputil.Enc) {
+// appendState encodes the full database state behind dst. It only reads the
+// receiver.
+func (db *DB) appendState(dst []byte) []byte {
+	e := &apputil.Enc{B: dst}
 	db.Index.Marshal(e)
 	db.Pool.Marshal(e)
 	e.I64(int64(db.CurPage))
@@ -443,35 +444,33 @@ func (db *DB) marshalInto(e *apputil.Enc) {
 	e.I64(int64(db.OpCost))
 	e.Int(db.PoolCap)
 	e.I64(int64(db.faultSalt))
+	return e.B
 }
 
-// MarshalState implements sim.Program. The returned slice aliases an
-// internal buffer reused across calls; callers that retain it must copy
-// (the checkpoint path appends it into the image immediately).
-func (db *DB) MarshalState() ([]byte, error) {
-	e := apputil.Enc{B: db.encBuf[:0]}
-	db.marshalInto(&e)
-	db.encBuf = e.B
-	return e.B, nil
+// MarshalState implements sim.Program.
+func (db *DB) MarshalState() ([]byte, error) { return db.AppendState(nil) }
+
+// AppendState implements sim.StateAppender: the commit path encodes the
+// database straight into the checkpoint image.
+func (db *DB) AppendState(dst []byte) ([]byte, error) {
+	out := db.appendState(dst)
+	db.encLen = len(out) - len(dst)
+	return out, nil
 }
 
 // Fork implements sim.Forker via a marshal round trip into a fresh
 // instance: Unmarshal rebuilds the BTree and buffer pool from scratch, and
-// marshalInto only reads the receiver (the encoder here is deliberately
-// fresh, not the shared encBuf), so a quiescent template may be forked
+// appendState only reads the receiver, so a quiescent template may be forked
 // from many goroutines at once. The round-trip buffer is sized once from
-// the template's last image (plus an eighth and 256 bytes to grow into)
-// and, since Unmarshal copies everything out of it, becomes the fork's own
-// encBuf.
+// the template's last image (plus an eighth and 256 bytes to grow into);
+// Unmarshal copies everything out of it.
 func (db *DB) Fork() (sim.Program, error) {
-	n := len(db.encBuf)
-	e := apputil.Enc{B: make([]byte, 0, n+n/8+256)}
-	db.marshalInto(&e)
-	nd := &DB{}
-	if err := nd.UnmarshalState(e.B); err != nil {
+	n := db.encLen
+	img := db.appendState(make([]byte, 0, n+n/8+256))
+	nd := &DB{encLen: len(img)}
+	if err := nd.UnmarshalState(img); err != nil {
 		return nil, err
 	}
-	nd.encBuf = e.B
 	return nd, nil
 }
 

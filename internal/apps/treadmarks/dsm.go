@@ -53,14 +53,21 @@ type dsmMsg struct {
 }
 
 func (m dsmMsg) encode() []byte {
-	var e apputil.Enc
+	e := apputil.Enc{B: make([]byte, 0, m.encodedLen())}
+	m.appendTo(&e)
+	return e.B
+}
+
+// appendTo appends the wire form to e; encodedLen is its length.
+func (m dsmMsg) appendTo(e *apputil.Enc) {
 	e.Int(m.Type)
 	e.Int(m.Page)
 	e.Int(m.Requester)
 	e.Int(m.Barrier)
 	e.Bytes(m.Data)
-	return e.B
 }
+
+func (m dsmMsg) encodedLen() int { return 5*8 + len(m.Data) }
 
 func decodeMsg(b []byte) (dsmMsg, error) {
 	d := apputil.Dec{B: b}
@@ -118,6 +125,9 @@ type dsm struct {
 	// Stats.
 	Faults    int64
 	Transfers int64
+
+	// keys is marshal's scratch for the sorted key lists (not state).
+	keys []int
 }
 
 // newDSM initializes page ownership round-robin: page p starts owned by its
@@ -424,14 +434,15 @@ func (d *dsm) marshal(e *apputil.Enc) {
 	e.Int(len(d.Outbox))
 	for _, om := range d.Outbox {
 		e.Int(om.To)
-		e.Bytes(om.Msg.encode())
+		e.Int(om.Msg.encodedLen()) // the queued message as a length-prefixed blob
+		om.Msg.appendTo(e)
 	}
 	e.Int(d.AwaitPage)
 	e.Int(d.BarrierSeq)
 	e.Bool(d.BarrierWaiting)
 	e.Int(d.BarrierCount)
 	e.Bool(d.LockWaiting)
-	held := make([]int, 0, len(d.HeldLocks))
+	held := d.keys[:0]
 	for id := range d.HeldLocks {
 		held = append(held, id)
 	}
@@ -440,7 +451,7 @@ func (d *dsm) marshal(e *apputil.Enc) {
 	for _, id := range held {
 		e.Int(id)
 	}
-	owners := make([]int, 0, len(d.LockOwner))
+	owners := held[:0]
 	for id := range d.LockOwner {
 		owners = append(owners, id)
 	}
@@ -450,7 +461,7 @@ func (d *dsm) marshal(e *apputil.Enc) {
 		e.Int(id)
 		e.Int(d.LockOwner[id])
 	}
-	lockQueued := make([]int, 0, len(d.LockQueue))
+	lockQueued := owners[:0]
 	for id := range d.LockQueue {
 		if len(d.LockQueue[id]) > 0 {
 			lockQueued = append(lockQueued, id)
@@ -465,6 +476,7 @@ func (d *dsm) marshal(e *apputil.Enc) {
 			e.Int(r)
 		}
 	}
+	d.keys = lockQueued
 	e.I64(d.Faults)
 	e.I64(d.Transfers)
 }

@@ -241,8 +241,12 @@ func (t *TM) FinalBodies() []Body {
 }
 
 // MarshalState implements sim.Program.
-func (t *TM) MarshalState() ([]byte, error) {
-	var e apputil.Enc
+func (t *TM) MarshalState() ([]byte, error) { return t.AppendState(nil) }
+
+// AppendState implements sim.StateAppender: the commit path encodes the
+// process straight into the checkpoint image.
+func (t *TM) AppendState(dst []byte) ([]byte, error) {
+	e := apputil.Enc{B: dst}
 	t.DSM.marshal(&e)
 	e.Int(t.NBodies)
 	e.Int(t.Iters)

@@ -370,8 +370,12 @@ func (s *Server) encodeFrame() []byte {
 }
 
 // MarshalState implements sim.Program.
-func (s *Server) MarshalState() ([]byte, error) {
-	var e apputil.Enc
+func (s *Server) MarshalState() ([]byte, error) { return s.AppendState(nil) }
+
+// AppendState implements sim.StateAppender: the commit path encodes the
+// server straight into the checkpoint image.
+func (s *Server) AppendState(dst []byte) ([]byte, error) {
+	e := apputil.Enc{B: dst}
 	e.Int(len(s.Ships))
 	for _, sh := range s.Ships {
 		e.Int(sh.X)
@@ -551,8 +555,11 @@ func (c *Client) Step(ctx *sim.Ctx) sim.Status {
 }
 
 // MarshalState implements sim.Program.
-func (c *Client) MarshalState() ([]byte, error) {
-	var e apputil.Enc
+func (c *Client) MarshalState() ([]byte, error) { return c.AppendState(nil) }
+
+// AppendState implements sim.StateAppender.
+func (c *Client) AppendState(dst []byte) ([]byte, error) {
+	e := apputil.Enc{B: dst}
 	e.Int(c.Server)
 	e.Int(c.Me)
 	e.Int(c.Phase)

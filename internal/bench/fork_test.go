@@ -61,9 +61,9 @@ func TestForkMidRun(t *testing.T) {
 					if err := got.Run(); err != nil {
 						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(got.GlobalOutputs, ref.GlobalOutputs) {
+					if !reflect.DeepEqual(got.GlobalOutputs(), ref.GlobalOutputs()) {
 						t.Errorf("%s diverged from the reference: %d vs %d outputs",
-							name, len(got.GlobalOutputs), len(ref.GlobalOutputs))
+							name, len(got.GlobalOutputs()), len(ref.GlobalOutputs()))
 					}
 					if got.Clock != ref.Clock || got.StepCount() != ref.StepCount() {
 						t.Errorf("%s finished at clock %v step %d, reference %v step %d",

@@ -306,10 +306,12 @@ func (d *DC) diffOne(p *sim.Proc) (vista.Stats, error) {
 	return d.seg(p.Index).CommitImage(buf, d.registers), nil
 }
 
-// image returns process i's checkpoint-image buffer, emptied. A fork starts
-// without one; its segment's extent is the size of the image it will next
-// marshal or restore, so the buffer is allocated once at that size plus an
-// eighth and 256 bytes for the state to grow into, rather than grown by
+// image returns process i's checkpoint-image buffer, emptied: the one buffer
+// a process's image is assembled in (the program appends its state straight
+// into it, see sim.StateAppender) and the one place a buffer is sized. A fork
+// starts without one; its segment's extent is the size of the image it will
+// next marshal or restore, so the buffer is allocated once at that size plus
+// an eighth and 256 bytes for the state to grow into, rather than grown by
 // doubling.
 func (d *DC) image(i int) []byte {
 	if d.imgBuf[i] == nil {

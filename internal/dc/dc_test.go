@@ -787,7 +787,7 @@ func TestDeterministicWithRecovery(t *testing.T) {
 		if err := w.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return w.GlobalOutputs, d.Stats.TotalCheckpoints(), w.Clock
+		return w.GlobalOutputs(), d.Stats.TotalCheckpoints(), w.Clock
 	}
 	o1, c1, t1 := run()
 	o2, c2, t2 := run()

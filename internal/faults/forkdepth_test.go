@@ -61,10 +61,12 @@ func TestForkCostBySnapshotDepth(t *testing.T) {
 				}
 			})
 		}
-		if got, want := allocs(deepest.world), allocs(twin); got != want {
+		got, want := allocs(deepest.world), allocs(twin)
+		if got != want {
 			t.Errorf("%s: forking snapshot %d allocates %.0f times, a never-forked world at the same step %.0f times",
 				app, len(c.snaps)-1, got, want)
 		}
+		t.Logf("%s: a fork of snapshot %d allocates %.0f times", app, len(c.snaps)-1, got)
 		for i := range c.snaps {
 			snap := &c.snaps[i]
 			segs := reflect.ValueOf(snap.world.Recovery).Elem().FieldByName("segs")

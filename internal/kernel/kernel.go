@@ -80,6 +80,20 @@ type node struct {
 	// nodes start with zero scratch).
 	saveFDs []int
 	saveBuf []byte
+
+	// ret and retWord are dispatch's scratch for a call that returns one
+	// integer, so the common calls build no result slices. The result is
+	// valid until the node's next call; whoever keeps it longer copies
+	// (corrupt before flipping a bit, the ND log before recording).
+	ret     [1][]byte
+	retWord [8]byte
+}
+
+// i64Result returns v as a one-part syscall result in the node's scratch.
+func (n *node) i64Result(v int64) [][]byte {
+	binary.LittleEndian.PutUint64(n.retWord[:], uint64(v))
+	n.ret[0] = n.retWord[:]
+	return n.ret[:]
 }
 
 // file resolves a path overlay-first: the node's own fs, then (unless
@@ -350,7 +364,8 @@ func Classify(name string) event.NDClass {
 	}
 }
 
-// Call implements sim.OS.
+// Call implements sim.OS. A one-integer result lives in per-node scratch and
+// is valid until the node's next call.
 func (k *Kernel) Call(pid int, name string, args [][]byte) ([][]byte, event.NDClass, error) {
 	n := k.node(pid)
 	nd := Classify(name)
@@ -435,7 +450,7 @@ func (k *Kernel) dispatch(n *node, name string, args [][]byte) ([][]byte, error)
 		fd := n.nextFD
 		n.nextFD++
 		n.fds[fd] = &fdEntry{Path: path}
-		return [][]byte{I64(int64(fd))}, nil
+		return n.i64Result(int64(fd)), nil
 	case "close":
 		fd, err := fdArg(args)
 		if err != nil {
@@ -491,7 +506,7 @@ func (k *Kernel) dispatch(n *node, name string, args [][]byte) ([][]byte, error)
 		copy(file[e.Offset:], data)
 		n.setFile(e.Path, file)
 		e.Offset += int64(len(data))
-		return [][]byte{I64(int64(len(data)))}, nil
+		return n.i64Result(int64(len(data))), nil
 	case "lseek":
 		fd, err := fdArg(args)
 		if err != nil {
@@ -505,7 +520,7 @@ func (k *Kernel) dispatch(n *node, name string, args [][]byte) ([][]byte, error)
 			return nil, fmt.Errorf("kernel: lseek needs an offset")
 		}
 		e.Offset = Int(args[1])
-		return [][]byte{I64(e.Offset)}, nil
+		return n.i64Result(e.Offset), nil
 	case "truncate":
 		if len(args) < 2 {
 			return nil, fmt.Errorf("kernel: truncate needs path and size")
@@ -532,16 +547,16 @@ func (k *Kernel) dispatch(n *node, name string, args [][]byte) ([][]byte, error)
 		}
 		data, ok := n.file(string(args[0]))
 		if !ok {
-			return [][]byte{I64(-1)}, nil
+			return n.i64Result(-1), nil
 		}
-		return [][]byte{I64(int64(len(data)))}, nil
+		return n.i64Result(int64(len(data))), nil
 	case "gettimeofday":
-		return [][]byte{I64(int64(k.Clock()))}, nil
+		return n.i64Result(int64(k.Clock())), nil
 	case "select":
 		// Readiness polling: in the simulator, always "ready".
-		return [][]byte{I64(1)}, nil
+		return n.i64Result(1), nil
 	case "getpid":
-		return [][]byte{I64(int64(0))}, nil
+		return n.i64Result(0), nil
 	default:
 		return nil, fmt.Errorf("kernel: unknown syscall %q", name)
 	}
@@ -590,7 +605,7 @@ func (k *Kernel) RestoreProcState(pid int, blob []byte) {
 		off := Int(blob[p+8 : p+16])
 		plen := int(Int(blob[p+16 : p+24]))
 		p += 24
-		if p+plen > len(blob) {
+		if plen < 0 || plen > len(blob)-p {
 			return
 		}
 		path := string(blob[p : p+plen])

@@ -3,7 +3,6 @@ package sim
 import (
 	"encoding/binary"
 	"fmt"
-	"strconv"
 	"time"
 
 	"failtrans/internal/event"
@@ -173,7 +172,9 @@ func (c *Ctx) Rand() uint64 {
 
 // Input consumes the next scripted user input: a fixed non-deterministic
 // event (the user will retype the same thing after a failure). ok=false
-// means the script is exhausted.
+// means the script is exhausted. The returned bytes are read-only: they are
+// the script's own (or, in a replay, the log's), capacity-clamped so an
+// append cannot reach them; a Program that wants to edit its input copies it.
 func (c *Ctx) Input() ([]byte, bool) {
 	if c.p.InputCursor >= len(c.Inputs) {
 		return nil, false
@@ -181,7 +182,7 @@ func (c *Ctx) Input() ([]byte, bool) {
 	c.before(event.Internal, event.FixedND, "input")
 	v, logged := c.ndValue("input", func() []byte {
 		v := c.Inputs[c.p.InputCursor]
-		return append([]byte(nil), v...)
+		return v[:len(v):len(v)]
 	})
 	c.p.InputCursor++
 	c.after(event.Internal, event.FixedND, logged, 0, 0, "input")
@@ -334,12 +335,13 @@ func (c *Ctx) Output(s string) {
 	}
 	w := c.p.World
 	w.Outputs[c.p.Index] = append(w.Outputs[c.p.Index], s)
-	w.GlobalOutputs = append(w.GlobalOutputs, "p"+strconv.Itoa(c.p.Index)+":"+s)
+	w.outProc = append(w.outProc, int32(c.p.Index))
 	c.after(event.Visible, event.Deterministic, false, 0, 0, "output")
 }
 
 // Syscall calls into the simulated OS. The kernel classifies each call's
 // non-determinism; deterministic calls need no logging or commit support.
+// The result is valid until the process's next Syscall.
 func (c *Ctx) Syscall(name string, args ...[]byte) ([][]byte, error) {
 	os := c.p.World.OS
 	if os == nil {
@@ -349,7 +351,7 @@ func (c *Ctx) Syscall(name string, args ...[]byte) ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	label := "sys." + name
+	label := sysLabel(name)
 	c.before(event.Internal, nd, label)
 	logged := false
 	if nd != event.Deterministic {
@@ -367,6 +369,36 @@ func (c *Ctx) Syscall(name string, args ...[]byte) ([][]byte, error) {
 	}
 	c.after(event.Internal, nd, logged, 0, 0, label)
 	return ret, nil
+}
+
+// sysLabel is the event label of a syscall, "sys."+name, as a constant for
+// the calls the kernel serves so that a syscall builds no string.
+func sysLabel(name string) string {
+	switch name {
+	case "open":
+		return "sys.open"
+	case "close":
+		return "sys.close"
+	case "read":
+		return "sys.read"
+	case "write":
+		return "sys.write"
+	case "lseek":
+		return "sys.lseek"
+	case "truncate":
+		return "sys.truncate"
+	case "unlink":
+		return "sys.unlink"
+	case "stat":
+		return "sys.stat"
+	case "gettimeofday":
+		return "sys.gettimeofday"
+	case "select":
+		return "sys.select"
+	case "getpid":
+		return "sys.getpid"
+	}
+	return "sys." + name
 }
 
 // Fault consults the fault injector at a named site. Applications call it

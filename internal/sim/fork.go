@@ -100,21 +100,21 @@ func (w *World) Fork() (*World, error) {
 	}
 	w.Freeze()
 	nw := &World{
-		Clock:         w.Clock,
-		Latency:       w.Latency,
-		RecordTrace:   w.RecordTrace,
-		Outputs:       make([][]string, len(w.Procs)),
-		GlobalOutputs: w.GlobalOutputs[:len(w.GlobalOutputs):len(w.GlobalOutputs)],
-		MaxTime:       w.MaxTime,
-		MaxSteps:      w.MaxSteps,
-		EventCount:    w.EventCount,
-		ScanSched:     w.ScanSched,
-		doneCount:     w.doneCount,
-		deadCount:     w.deadCount,
-		msgSeq:        w.msgSeq,
-		stepCount:     w.stepCount,
-		seed:          w.seed,
-		inited:        w.inited,
+		Clock:       w.Clock,
+		Latency:     w.Latency,
+		RecordTrace: w.RecordTrace,
+		Outputs:     make([][]string, len(w.Procs)),
+		outProc:     w.outProc[:len(w.outProc):len(w.outProc)],
+		MaxTime:     w.MaxTime,
+		MaxSteps:    w.MaxSteps,
+		EventCount:  w.EventCount,
+		ScanSched:   w.ScanSched,
+		doneCount:   w.doneCount,
+		deadCount:   w.deadCount,
+		msgSeq:      w.msgSeq,
+		stepCount:   w.stepCount,
+		seed:        w.seed,
+		inited:      w.inited,
 	}
 	// The readiness index is not forked: nw.schedBuilt stays false and the
 	// fork's first scheduling decision rebuilds its own heap (O(live), and

@@ -166,4 +166,17 @@ func TestForkOutputsCopyOnWrite(t *testing.T) {
 		t.Errorf("sibling forks finished differently:\n got %v\nwant %v",
 			f2.Outputs[0], f1.Outputs[0])
 	}
+	// The emitter history behind GlobalOutputs is shared the same way.
+	global := func(w *World) []string {
+		out := make([]string, len(w.Outputs[0]))
+		for i, s := range w.Outputs[0] {
+			out[i] = "p0:" + s
+		}
+		return out
+	}
+	for name, x := range map[string]*World{"sealed world": w, "first fork": f1, "second fork": f2} {
+		if got, want := x.GlobalOutputs(), global(x); !outputsEqual(got, want) {
+			t.Errorf("%s: GlobalOutputs = %v, want %v", name, got, want)
+		}
+	}
 }

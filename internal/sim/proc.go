@@ -47,26 +47,17 @@ func appendI64(buf []byte, v int64) []byte {
 // AppendCheckpointImage appends the checkpoint image to buf and returns the
 // extended slice — the zero-allocation form of CheckpointImage for callers
 // (Discount Checking's commit path) that reuse one buffer per process
-// across commit cycles.
+// across commit cycles. A StateAppender writes its state straight behind the
+// session header; the section's length word is reserved first and patched
+// once the program has appended, so the image is the same bytes whichever
+// way the state arrives.
 //
 //failtrans:hotpath
 func (p *Proc) AppendCheckpointImage(buf []byte, essential bool) ([]byte, error) {
-	var app []byte
-	var err error
 	mode := byte(0)
-	if ps, ok := p.Prog.(PartialState); ok && essential {
+	ps, partial := p.Prog.(PartialState)
+	if partial && essential {
 		mode = 1
-		app, err = ps.MarshalEssential()
-	} else {
-		app, err = p.Prog.MarshalState()
-	}
-	if err != nil {
-		//failtrans:alloc cold error path: a failed marshal aborts the commit, so the formatting never runs in a committing cycle
-		return nil, fmt.Errorf("sim: marshal %s state: %w", p.Prog.Name(), err)
-	}
-	var kern []byte
-	if p.World.OS != nil {
-		kern = p.World.OS.SaveProcState(p.Index)
 	}
 	buf = append(buf, mode)
 	buf = appendI64(buf, int64(p.InputCursor))
@@ -82,8 +73,29 @@ func (p *Proc) AppendCheckpointImage(buf []byte, essential bool) ([]byte, error)
 		buf = appendI64(buf, int64(s))
 		buf = appendI64(buf, p.RecvHW[s])
 	}
-	buf = appendI64(buf, int64(len(app)))
-	buf = append(buf, app...)
+	lenAt := len(buf)
+	buf = appendI64(buf, 0)
+	var err error
+	if sa, ok := p.Prog.(StateAppender); ok && mode == 0 {
+		buf, err = sa.AppendState(buf)
+	} else {
+		var app []byte
+		if mode == 1 {
+			app, err = ps.MarshalEssential()
+		} else {
+			app, err = p.Prog.MarshalState()
+		}
+		buf = append(buf, app...)
+	}
+	if err != nil {
+		//failtrans:alloc cold error path: a failed marshal aborts the commit, so the formatting never runs in a committing cycle
+		return nil, fmt.Errorf("sim: marshal %s state: %w", p.Prog.Name(), err)
+	}
+	binary.LittleEndian.PutUint64(buf[lenAt:], uint64(len(buf)-lenAt-8))
+	var kern []byte
+	if p.World.OS != nil {
+		kern = p.World.OS.SaveProcState(p.Index)
+	}
 	buf = appendI64(buf, int64(len(kern)))
 	buf = append(buf, kern...)
 	return buf, nil
@@ -137,7 +149,10 @@ func (p *Proc) RestoreCheckpointImage(img []byte) error {
 	if err != nil {
 		return err
 	}
-	if pos+int(nhw)*16 > len(img) {
+	// Counts and lengths are compared against what is left of the image,
+	// never added to pos first: a hostile word near MaxInt64 would wrap the
+	// sum past the check.
+	if nhw < 0 || nhw > int64(len(img)-pos)/16 {
 		return errImageTruncated
 	}
 	hwPos := pos
@@ -146,7 +161,7 @@ func (p *Proc) RestoreCheckpointImage(img []byte) error {
 	if err != nil {
 		return err
 	}
-	if appLen < 0 || pos+int(appLen) > len(img) {
+	if appLen < 0 || appLen > int64(len(img)-pos) {
 		return errImageOverrun
 	}
 	app := img[pos : pos+int(appLen)]
@@ -155,7 +170,7 @@ func (p *Proc) RestoreCheckpointImage(img []byte) error {
 	if err != nil {
 		return err
 	}
-	if kernLen < 0 || pos+int(kernLen) > len(img) {
+	if kernLen < 0 || kernLen > int64(len(img)-pos) {
 		return errImageOverrun
 	}
 	kern := img[pos : pos+int(kernLen)]

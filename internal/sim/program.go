@@ -80,13 +80,23 @@ type Program interface {
 	// Step executes one unit of work and reports how to schedule the
 	// process next.
 	Step(ctx *Ctx) Status
-	// MarshalState serializes the complete mutable state. The runtime
-	// copies the result into the checkpoint image before the next call,
-	// so implementations may reuse one buffer across calls to keep the
-	// commit hot path allocation-free.
+	// MarshalState serializes the complete mutable state into a buffer
+	// of its own. The commit path asks a StateAppender to write into the
+	// checkpoint image instead; MarshalState is what a wrapper that hides
+	// the optional interfaces, a round-trip Fork and the tests call.
 	MarshalState() ([]byte, error)
 	// UnmarshalState replaces the state with a previously marshaled one.
 	UnmarshalState(data []byte) error
+}
+
+// StateAppender is an optional Program extension: AppendState appends
+// exactly the bytes MarshalState would return to dst and returns the
+// extended slice, so a process's checkpoint image is assembled in the
+// recovery layer's one buffer instead of being encoded elsewhere and copied
+// in. Every in-tree program implements it, and MarshalState as
+// AppendState(nil).
+type StateAppender interface {
+	AppendState(dst []byte) ([]byte, error)
 }
 
 // Checker is an optional Program extension: a consistency check over the
@@ -152,7 +162,8 @@ type OS interface {
 	// Call executes a system call for process pid. It returns the
 	// result, the call's non-determinism class (e.g. gettimeofday is
 	// transient, open is fixed, a plain read of a regular file is
-	// deterministic), and an error for invalid calls.
+	// deterministic), and an error for invalid calls. The result may live
+	// in storage the OS reuses: it is valid until pid's next Call.
 	Call(pid int, name string, args [][]byte) ([][]byte, event.NDClass, error)
 	// SaveProcState captures the kernel state Discount Checking must
 	// preserve for process pid (open file table entries, offsets, ...).

@@ -36,7 +36,7 @@ func assertSameSchedule(t *testing.T, scan, indexed *World) {
 		t.Fatalf("scan clock=%v steps=%d, indexed clock=%v steps=%d",
 			scan.Clock, scan.StepCount(), indexed.Clock, indexed.StepCount())
 	}
-	if got, want := fmt.Sprint(indexed.GlobalOutputs), fmt.Sprint(scan.GlobalOutputs); got != want {
+	if got, want := fmt.Sprint(indexed.GlobalOutputs()), fmt.Sprint(scan.GlobalOutputs()); got != want {
 		t.Fatalf("visible output diverged:\nscan:    %s\nindexed: %s", want, got)
 	}
 	if got, want := fmt.Sprint(indexed.Trace.Events), fmt.Sprint(scan.Trace.Events); got != want {

@@ -84,7 +84,7 @@ func TestGlobalOutputsPrefixGolden(t *testing.T) {
 	if err := w.Run(); err != nil {
 		t.Fatal(err)
 	}
-	got := append([]string(nil), w.GlobalOutputs...)
+	got := append([]string(nil), w.GlobalOutputs()...)
 	sort.Strings(got) // the interleaving is the scheduler's business, not this test's
 	want := []string{"p0:tick 0", "p10:tick 0", "p10:tick 1"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
@@ -215,7 +215,7 @@ func TestDeterminism(t *testing.T) {
 		if err := w.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return w.GlobalOutputs, w.Clock, w.EventCount
+		return w.GlobalOutputs(), w.Clock, w.EventCount
 	}
 	o1, c1, e1 := run()
 	o2, c2, e2 := run()

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"time"
 
 	"failtrans/internal/event"
@@ -195,9 +196,9 @@ type World struct {
 
 	// Outputs collects each process's visible output, in emission order.
 	Outputs [][]string
-	// GlobalOutputs interleaves all visible output in global order as
-	// "p<idx>:<payload>".
-	GlobalOutputs []string
+	// outProc is the emitting process of every visible output, in global
+	// order: what GlobalOutputs needs to interleave Outputs again.
+	outProc []int32
 
 	// MaxTime aborts the run when the virtual clock passes it (0 = no
 	// limit); MaxSteps bounds total steps likewise.
@@ -295,6 +296,20 @@ func (w *World) allocBytes(n int) []byte {
 	off := len(w.payloadBlock)
 	w.payloadBlock = w.payloadBlock[:off+n]
 	return w.payloadBlock[off : off+n : off+n]
+}
+
+// GlobalOutputs interleaves all visible output in global order as
+// "p<idx>:<payload>". It is built on each call — the commands and tests
+// that print or compare a whole run read it once — so that a visible event
+// pays for one process index, not for a second copy of its string.
+func (w *World) GlobalOutputs() []string {
+	out := make([]string, len(w.outProc))
+	next := make([]int, len(w.Outputs))
+	for i, p := range w.outProc {
+		out[i] = "p" + strconv.Itoa(int(p)) + ":" + w.Outputs[p][next[p]]
+		next[p]++
+	}
+	return out
 }
 
 // NewWorld creates a computation of the given programs, seeded
