@@ -174,7 +174,8 @@ func (n *node) scan(lo, hi int64, fn func(int64, RID) bool) bool {
 func (t *BTree) Check() error {
 	depth := -1
 	count := 0
-	var last *int64
+	var last int64
+	haveLast := false
 	var walk func(n *node, d int, lo, hi *int64) error
 	walk = func(n *node, d int, lo, hi *int64) error {
 		for i, k := range n.Keys {
@@ -200,11 +201,10 @@ func (t *BTree) Check() error {
 			}
 			count += len(n.Keys)
 			for _, k := range n.Keys {
-				if last != nil && k <= *last {
-					return fmt.Errorf("postgres: btree keys out of order across leaves (%d after %d)", k, *last)
+				if haveLast && k <= last {
+					return fmt.Errorf("postgres: btree keys out of order across leaves (%d after %d)", k, last)
 				}
-				kk := k
-				last = &kk
+				last, haveLast = k, true
 			}
 			return nil
 		}

@@ -156,6 +156,11 @@ func TestBTreeManyKeysAndScan(t *testing.T) {
 	if err := bt.Check(); err != nil {
 		t.Fatalf("Check: %v", err)
 	}
+	// The engine's consistency check walks the whole index every time it
+	// runs: its cost must not include a heap object per key.
+	if allocs := testing.AllocsPerRun(10, func() { _ = bt.Check() }); allocs > 8 {
+		t.Errorf("Check of %d keys allocates %.0f objects, want a constant few", n, allocs)
+	}
 	for k := 0; k < n; k++ {
 		rid, ok := bt.Get(int64(k))
 		if !ok || rid.Page != uint32(k) {

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -186,6 +187,15 @@ func TestPrintSpace(t *testing.T) {
 		if !strings.Contains(out, name) {
 			t.Errorf("space print missing %s", name)
 		}
+	}
+	// The rendering is pinned whole: the x axis spans the plot, and the
+	// catalogue lines under it do not move.
+	want, err := os.ReadFile("testdata/space.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != string(want) {
+		t.Errorf("Figure 3 rendering differs from testdata/space.golden:\n%s", out)
 	}
 }
 

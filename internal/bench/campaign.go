@@ -81,9 +81,10 @@ func benchCampaignCOW(scale int) (CampaignCOWResult, error) {
 		return res, err
 	}
 
-	// Both modes execute the identical run sequence, so one run count
-	// divides both timings.
-	res.Runs = scratchM.SerialRuns
+	// Both modes execute the identical sequence of injection cells — a
+	// serial campaign runs each distinct (kind, fire point) its run indexes
+	// draw once — so one count of executed runs divides both timings.
+	res.Runs = scratchM.Cells.Load()
 	if res.Runs > 0 {
 		res.ScratchNsPerRun = float64(scratchNs) / float64(res.Runs)
 		res.COWNsPerRun = float64(cowNs) / float64(res.Runs)

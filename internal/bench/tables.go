@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"strings"
 	"time"
 
 	"failtrans/internal/faults"
@@ -184,7 +185,7 @@ func PrintSpace(w io.Writer) {
 	for _, row := range grid {
 		fmt.Fprintf(w, "|%s\n", string(row))
 	}
-	fmt.Fprintf(w, "+%s> x\n", string(make([]byte, 0)))
+	fmt.Fprintf(w, "+%s> x\n", strings.Repeat("-", width))
 	for _, p := range protocol.Space() {
 		fmt.Fprintf(w, "  %-12s (%2.0f,%2.0f)  leaves-ND=%+.0f  %s\n",
 			p.Name, p.SpaceX, p.SpaceY, p.LeavesNonDeterminism(), p.Note)

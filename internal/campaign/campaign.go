@@ -11,9 +11,21 @@
 // order, but results are accepted strictly in serial run order, and the
 // loop stops at exactly the run the serial loop would have stopped at.
 // Results computed beyond that point (the speculation overshoot) are
-// discarded. Provided each job is independent — it reads only its index and
-// immutable configuration, as the studies' fresh-world-per-run jobs do —
-// the accepted sequence is identical to the serial one.
+// discarded.
+//
+// The job contract: job(i) is a pure function of its index and the
+// campaign's immutable configuration — whatever goroutine calls it, however
+// often and in whatever order, it returns the same value. Jobs need not be
+// independent of one another beyond that: two indexes that denote the same
+// unit of work may share a once-cell (a sync.Once guarding the unit's
+// result), so the unit executes on first demand and every later demand —
+// a repeat in serial order or a speculative one on another worker, which
+// then waits on the Once — is served the stored result. That is how Table 1
+// executes each distinct (fault kind, fire point) once however many run
+// indexes draw it (internal/faults). What a job hands to accept must be the
+// caller's to keep: a shared cell returns copies of anything accept may
+// mutate or recycle. Under this contract the accepted sequence is identical
+// to the serial one at any worker count.
 package campaign
 
 import (
@@ -67,9 +79,9 @@ type result[T any] struct {
 //	}
 //
 // but with up to cfg.Workers jobs in flight. accept runs on the calling
-// goroutine and needs no locking. Jobs must be independent of one another;
-// jobs past the stopping point may or may not execute, and their results
-// are discarded.
+// goroutine and needs no locking. Jobs must be pure functions of their index
+// (they may share once-cells, see the package comment); jobs past the
+// stopping point may or may not execute, and their results are discarded.
 func Run[T any](cfg Config, n int, job func(i int) (T, error), accept func(i int, v T) bool) error {
 	m := cfg.Metrics
 	if m != nil {
@@ -108,6 +120,9 @@ func runSerial[T any](cfg Config, n int, job func(i int) (T, error), accept func
 		if m != nil {
 			m.SerialRuns++
 			m.Dispatched++
+			if len(m.Workers) > 0 {
+				m.Workers[0].Runs++ // the calling goroutine is worker 0
+			}
 		}
 		if err != nil {
 			return err

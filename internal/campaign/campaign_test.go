@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -177,6 +178,15 @@ func TestSerialPathMetricsAndSpan(t *testing.T) {
 	}
 	if m.SerialRuns != 5 || m.Accepted != 5 {
 		t.Errorf("serial runs=%d accepted=%d, want 5/5", m.SerialRuns, m.Accepted)
+	}
+	// The calling goroutine is worker 0: a serial summary must not print
+	// serial=5 over "worker 0 runs=0".
+	var sum strings.Builder
+	if err := m.WriteSummary(&sum); err != nil {
+		t.Fatal(err)
+	}
+	if m.Workers[0].Runs != 5 || !strings.Contains(sum.String(), "serial=5 cells=0 reused=0\n  worker 0 runs=5\n") {
+		t.Errorf("worker 0 credited %d of 5 serial runs; summary:\n%s", m.Workers[0].Runs, sum.String())
 	}
 	if tr.Len() != 1 {
 		t.Errorf("tracer has %d events, want 1 progress span", tr.Len())

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"failtrans/internal/apps/nvi"
@@ -73,7 +74,9 @@ type RunResult struct {
 	// Recovered reports the end-to-end check: with the fault suppressed
 	// on re-execution, did recovery complete the run?
 	Recovered bool
-	Timeline  recovery.FaultTimeline
+	// Timeline.Commits is read-only once the run is classified: every run
+	// index that draws the same injection cell shares it.
+	Timeline recovery.FaultTimeline
 	// Rec is the run's forensic ledger record, filled by the worker only
 	// when the study carries a Ledger; the campaign acceptor appends it in
 	// run order and returns it to the pool. Excluded from JSON so studies
@@ -249,6 +252,9 @@ func (s *AppStudy) fireAtFor(injSeed int64) int {
 	r := newSplitmix(injSeed ^ 0x5deece66d)
 	return fireBase + r.Intn(s.fireSpan())
 }
+
+// injSeedFor derives run index run's injection seed from the study seed.
+func (s *AppStudy) injSeedFor(run int) int64 { return s.Seed*100000 + int64(run) }
 
 // noteReplay accounts one activated run's re-executed clean prefix: the
 // steps from the run's resume point (0 from scratch, the snapshot's step
@@ -550,6 +556,52 @@ func equalOutputs(a, b []string) bool {
 	return true
 }
 
+// injectionCell is one (fault kind, fire point) of Table 1: the unit the
+// study executes. A run is a pure function of its kind and fire point —
+// session, world seed, protocol, snapshot cache and veto policy are fixed
+// for the whole Run, and the injection seed only picks the fire point
+// (TestRunOneDependsOnlyOnFirePoint) — while a kind's run indexes draw
+// fire points with replacement from fireSpan() of them, so most indexes
+// repeat a cell an earlier index already drew. The cell executes on first
+// demand, under once, and serves every demand from what it stored; a worker
+// that draws a cell another is still executing waits on once instead of
+// forking a second world for it.
+type injectionCell struct {
+	once sync.Once
+	// res is the cell's outcome. res.Rec is the master record: it never
+	// reaches accept, so acceptLedger's ledger.Put cannot recycle it under
+	// a later demand.
+	res RunResult
+	err error
+}
+
+// demand returns the cell's result as one run index's own: the shared
+// RunResult with a pooled copy of the master record for accept to stamp,
+// append and recycle.
+func (c *injectionCell) demand(run func() (RunResult, error), m *obs.CampaignMetrics) (RunResult, error) {
+	executed := false
+	c.once.Do(func() {
+		executed = true
+		c.res, c.err = run()
+	})
+	if m != nil {
+		if executed {
+			m.Cells.Add(1)
+		} else {
+			m.Reused.Add(1)
+		}
+	}
+	res := c.res
+	if master := res.Rec; master != nil {
+		rec := ledger.Get()
+		commits := append(rec.Commits, master.Commits...)
+		*rec = *master
+		rec.Commits = commits
+		res.Rec = rec
+	}
+	return res, c.err
+}
+
 // campaignConfig builds one fault type's executor configuration.
 func (s *AppStudy) campaignConfig(phase string) campaign.Config {
 	return campaign.Config{
@@ -563,11 +615,14 @@ func (s *AppStudy) campaignConfig(phase string) campaign.Config {
 
 // Run executes the study for every fault type. Injection runs within a
 // fault type fan out over s.Parallel workers; because each run is a function
-// of (kind, injSeed) alone and results are accepted in serial run order with
-// the same early exit, the aggregate is byte-identical to the serial
-// loop's. One template run's prefix-snapshot cache serves every injection
-// run of every fault type (the clean prefix is fault-type-independent); the
-// cache is immutable once built, so parallel workers fork it freely.
+// of (kind, fire point) alone and results are accepted in serial run order
+// with the same early exit, the aggregate is byte-identical to the serial
+// loop's. Each fault type gets a once-table with one injectionCell per fire
+// point, born and dropped with the type's campaign, so what executes is the
+// distinct cells its run indexes draw, not the indexes. One template run's
+// prefix-snapshot cache serves every cell of every fault type (the clean
+// prefix is fault-type-independent); the cache is immutable once built, so
+// parallel workers fork it freely.
 func (s *AppStudy) Run() ([]TypeResult, error) {
 	if s.SessionLen < 1 {
 		return nil, fmt.Errorf("faults: SessionLen %d, need >= 1", s.SessionLen)
@@ -584,11 +639,15 @@ func (s *AppStudy) Run() ([]TypeResult, error) {
 	for _, kind := range AppFaultTypes {
 		kind := kind
 		tr := TypeResult{Kind: kind}
+		cells := make([]injectionCell, s.fireSpan())
 		err := campaign.Run(s.campaignConfig("table1/"+s.App+"/"+kind.String()), s.MaxRunsPerType,
 			func(run int) (RunResult, error) {
 				// The workload session is fixed by the study seed; only
 				// the injection point varies.
-				return s.runOne(kind, s.Seed*100000+int64(run), clean, cache)
+				injSeed := s.injSeedFor(run)
+				return cells[s.fireAtFor(injSeed)-fireBase].demand(func() (RunResult, error) {
+					return s.runOne(kind, injSeed, clean, cache)
+				}, s.CampaignObs)
 			},
 			func(run int, res RunResult) bool {
 				s.acceptLedger(run, res.Rec)

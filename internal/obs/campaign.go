@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 )
 
 // CampaignWorkerMetrics is one campaign worker's fixed-slot counter block.
@@ -12,7 +13,8 @@ import (
 // race-free.
 type CampaignWorkerMetrics struct {
 	// Runs counts the jobs this worker executed, whether their results
-	// were later accepted or discarded as speculative overshoot.
+	// were later accepted or discarded as speculative overshoot. The serial
+	// path's calling goroutine is worker 0.
 	Runs int64
 }
 
@@ -35,6 +37,15 @@ type CampaignMetrics struct {
 	Discarded  int64
 	// SerialRuns counts runs executed on the serial (single-worker) path.
 	SerialRuns int64
+	// Cells counts distinct units of work a study executed behind a
+	// once-cell (Table 1: one per fault kind and fire point demanded);
+	// Reused counts the jobs served a cell's stored result instead of
+	// executing. Workers update both concurrently. A study whose jobs all
+	// go through cells has Cells + Reused == Accepted + Discarded; under
+	// speculation the split varies with the worker count (an overshoot job
+	// may be the first demand of a cell no accepted job draws).
+	Cells  atomic.Int64
+	Reused atomic.Int64
 
 	// Snapshot accounts the fault studies' prefix-snapshot cache.
 	Snapshot SnapshotMetrics
@@ -45,12 +56,17 @@ type CampaignMetrics struct {
 // worker asks, so the counters are mutex-guarded. Fork and StepsSaved
 // totals count every fork served, including speculative overshoot runs
 // whose results were later discarded, so they vary with the worker count
-// (diagnostic, like the per-worker run distribution).
+// (diagnostic, like the per-worker run distribution). A job served from a
+// once-cell (CampaignMetrics.Reused) forks and replays nothing, so in
+// Table 1 Forks, StepsSaved and InjectionRuns count executed cells, not
+// run indexes.
 type SnapshotMetrics struct {
 	mu sync.Mutex
 	// Snapshots counts snapshots captured from template runs.
 	Snapshots int64
-	// Forks counts worlds forked from a snapshot.
+	// Forks counts worlds forked from a snapshot: per executed cell in
+	// Table 1 (one for the measured run, one more for a crash's end-to-end
+	// check), per run in Table 2.
 	Forks int64
 	// StepsSaved totals the clean-prefix steps the forks did not have to
 	// re-execute (the snapshot's step count, per fork).
@@ -61,7 +77,8 @@ type SnapshotMetrics struct {
 	ForkLatency Histogram
 	// StepsReplayed totals the clean-prefix steps injection runs actually
 	// re-executed before fault activation; InjectionRuns counts the runs
-	// (activated faults only). Both study modes update them — a
+	// executed (activated faults only; a run served from a once-cell
+	// executes nothing and is not counted). Both study modes update them — a
 	// from-scratch run replays its whole prefix, a fork only the tail past
 	// its snapshot — so the pair quantifies what memoization saves.
 	StepsReplayed int64
@@ -137,8 +154,8 @@ func NewCampaignMetrics(workers int) *CampaignMetrics {
 
 // WriteSummary writes a human-readable summary block.
 func (c *CampaignMetrics) WriteSummary(w io.Writer) error {
-	_, err := fmt.Fprintf(w, "campaign phases=%d dispatched=%d accepted=%d discarded=%d serial=%d\n",
-		c.Phases, c.Dispatched, c.Accepted, c.Discarded, c.SerialRuns)
+	_, err := fmt.Fprintf(w, "campaign phases=%d dispatched=%d accepted=%d discarded=%d serial=%d cells=%d reused=%d\n",
+		c.Phases, c.Dispatched, c.Accepted, c.Discarded, c.SerialRuns, c.Cells.Load(), c.Reused.Load())
 	if err != nil {
 		return err
 	}
