@@ -325,10 +325,12 @@ func BenchmarkDCCommit(b *testing.B) {
 	}
 }
 
-// BenchmarkDCRollback measures a rollback + state reload.
+// BenchmarkDCRollback measures a rollback + state reload, with the
+// observability metrics registry attached.
 func BenchmarkDCRollback(b *testing.B) {
 	e := nvi.New("doc.txt", faults.NviInitial())
 	w := sim.NewWorld(1, e)
+	w.EnableObs(false)
 	d := dc.New(w, protocol.CPVS, stablestore.Rio)
 	if err := d.Attach(); err != nil {
 		b.Fatal(err)

@@ -18,12 +18,14 @@
 //   - otherwise it reads a machine description from the file named by -f
 //     (or stdin):
 //
-//     states <n>
+//     states <n>            (once, first; n at most maxStates)
 //     start <state>
 //     crash <state>
 //     edge <from> <to> det|transient|fixed [label ...]
 //
-// In every mode it prints the coloring and the safe commit states.
+// In every mode it prints the coloring and the safe commit states. A command
+// line it cannot run (a flag of another mode, a stray argument) exits 2
+// before any input is read.
 package main
 
 import (
@@ -32,6 +34,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 
 	"failtrans/internal/event"
@@ -51,15 +54,8 @@ func main() {
 	dot := flag.String("dot", "", "also write a Graphviz rendering of the coloring to this file")
 	flag.Parse()
 	dotOut = *dot
-
-	modes := 0
-	for _, on := range []bool{*demo, *file != "", *traceFile != "", *ledgerFile != ""} {
-		if on {
-			modes++
-		}
-	}
-	if modes > 1 {
-		fmt.Fprintln(os.Stderr, "dangerous: -demo, -f, -trace and -ledger are mutually exclusive")
+	if err := checkArgs(*demo, *file != "", *traceFile != "", *ledgerFile != ""); err != nil {
+		fmt.Fprintln(os.Stderr, "dangerous:", err)
 		os.Exit(2)
 	}
 
@@ -86,6 +82,30 @@ func main() {
 		}
 		report(m)
 	}
+}
+
+// checkArgs rejects a command line selecting more than one input mode, a
+// mode's option without its mode, or a positional argument.
+func checkArgs(demoOn, fileOn, traceOn, ledgerOn bool) error {
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	n := 0
+	for _, on := range []bool{demoOn, fileOn, traceOn, ledgerOn} {
+		if on {
+			n++
+		}
+	}
+	switch {
+	case n > 1:
+		return fmt.Errorf("-demo, -f, -trace and -ledger are mutually exclusive")
+	case (set["proc"] || set["crashed"]) && !traceOn:
+		return fmt.Errorf("-proc and -crashed apply only with -trace")
+	case set["key"] && !ledgerOn:
+		return fmt.Errorf("-key applies only with -ledger")
+	case flag.NArg() > 0:
+		return fmt.Errorf("unexpected argument %q (the description file is named by -f)", flag.Arg(0))
+	}
+	return nil
 }
 
 // fromTrace loads a recorded run trace and builds the executed-path machine
@@ -144,10 +164,14 @@ func fromLedger(path, key string) *statemachine.Machine {
 	return md.Machine()
 }
 
+// maxStates caps a description's state count: the coloring allocates per
+// state, so an unbounded count is an out-of-memory crash, not a machine.
+const maxStates = 1 << 20
+
 func parse(in io.Reader) (*statemachine.Machine, error) {
 	sc := bufio.NewScanner(in)
 	var m *statemachine.Machine
-	line := 0
+	line, statesLine := 0, 0
 	for sc.Scan() {
 		line++
 		fields := strings.Fields(sc.Text())
@@ -157,11 +181,17 @@ func parse(in io.Reader) (*statemachine.Machine, error) {
 		bad := func(msg string) error { return fmt.Errorf("line %d: %s", line, msg) }
 		switch fields[0] {
 		case "states":
+			if m != nil {
+				return nil, bad(fmt.Sprintf("repeated states line (first on line %d)", statesLine))
+			}
 			var n int
 			if len(fields) != 2 || scan(fields[1], &n) != nil || n <= 0 {
 				return nil, bad("states <n>")
 			}
-			m = statemachine.New(n)
+			if n > maxStates {
+				return nil, bad(fmt.Sprintf("states %d exceeds the limit of %d", n, maxStates))
+			}
+			m, statesLine = statemachine.New(n), line
 		case "start":
 			if m == nil {
 				return nil, bad("start before states")
@@ -219,8 +249,8 @@ func parse(in io.Reader) (*statemachine.Machine, error) {
 	return m, sc.Err()
 }
 
-func scan(s string, v *int) error {
-	_, err := fmt.Sscanf(s, "%d", v)
+func scan(s string, v *int) (err error) {
+	*v, err = strconv.Atoi(s)
 	return err
 }
 

@@ -2,13 +2,8 @@
 // performance for nvi, magic, xpilot and TreadMarks under Discount Checking
 // on reliable memory and on disk), Table 1 (application faults vs the
 // Lose-work invariant), Table 2 (OS faults vs recovery), and the Figure 3
-// protocol space.
-//
-// It also carries the repository's performance regression harness: with
-// -bench it runs the commit-path microbenchmarks (Vista page-diff commit,
-// full Discount Checking commit, rollback) plus the Figure 8 drivers, and
-// with -json it writes the machine-readable BENCH.json checked in at the
-// repository root.
+// protocol space. Its performance is measured from outside, by the
+// benchmark/ module (BENCHMARK.json), and its hot paths by `go test -bench`.
 //
 // Every campaign (fault-injection runs, Figure 8 cells) fans out over
 // -parallel workers; results are byte-identical to a serial run for the
@@ -45,7 +40,6 @@
 // Usage:
 //
 //	ftbench -experiment all|fig8|table1|table2|space|veto|fleet [-app nvi] [-scale 1] [-crashes 50]
-//	ftbench -bench [-json BENCH.json] [-scale 1]
 //	ftbench ... [-fleet-sizes 100,1000,10000]
 //	ftbench ... [-parallel N] [-json out.json] [-ledger campaign.ftl] [-veto policy.ftv]
 //	ftbench ... [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
@@ -56,7 +50,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -78,7 +71,6 @@ var experiments = []string{"all", "fig8", "table1", "table2", "space", "veto", "
 type options struct {
 	experiment, app          string
 	scale, crashes, parallel int
-	bench                    bool
 	jsonPath, ledgerPath     string
 	vetoPath, fleetSizes     string
 	cpuprofile, memprofile   string
@@ -94,15 +86,10 @@ func (o *options) check() ([]int, error) {
 	if o.crashes < 1 {
 		return nil, fmt.Errorf("-crashes must be at least 1, got %d", o.crashes)
 	}
-	// -ledger records experiment runs, so it has nothing to write under
-	// -bench.
-	if o.ledgerPath != "" && o.bench {
-		return nil, fmt.Errorf("-ledger records experiment runs; it cannot be combined with -bench")
-	}
 	// The veto experiment mines its own phase-1 policy and must start
 	// veto-free.
-	if o.vetoPath != "" && (o.bench || o.experiment == "veto") {
-		return nil, fmt.Errorf("-veto arms table1/table2 studies; it cannot be combined with -bench or -experiment veto")
+	if o.vetoPath != "" && o.experiment == "veto" {
+		return nil, fmt.Errorf("-veto arms table1/table2 studies; it cannot be combined with -experiment veto")
 	}
 	sizes := []int{100, 1_000, 10_000}
 	if o.fleetSizes != "" {
@@ -131,7 +118,6 @@ func main() {
 	flag.IntVar(&o.scale, "scale", 1, "workload scale factor for fig8 (1 = quick, 10 ≈ paper-length sessions)")
 	flag.IntVar(&o.crashes, "crashes", 50, "crashes to collect per fault type in table1/table2 (paper: 50)")
 	flag.IntVar(&o.parallel, "parallel", runtime.GOMAXPROCS(0), "campaign worker count (1 = serial; results are identical either way)")
-	flag.BoolVar(&o.bench, "bench", false, "run the commit microbenchmarks + Fig 8 drivers instead of an experiment")
 	flag.StringVar(&o.jsonPath, "json", "", "also write the results as JSON to this path")
 	flag.StringVar(&o.ledgerPath, "ledger", "", "append one forensic record per run to this campaign-ledger file (for ftreport)")
 	flag.StringVar(&o.vetoPath, "veto", "", "arm table1/table2 studies with mined commit-veto policies from this .ftv file (see ftreport -veto)")
@@ -167,20 +153,6 @@ func main() {
 		if jsonFile, err = os.Create(o.jsonPath); err != nil {
 			die("-json", err)
 		}
-	}
-	// writeJSON fills the -json file (a no-op without one).
-	writeJSON := func(write func(io.Writer) error) {
-		if jsonFile == nil {
-			return
-		}
-		err := write(jsonFile)
-		if cerr := jsonFile.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			die("-json", err)
-		}
-		fmt.Printf("(wrote %s)\n", o.jsonPath)
 	}
 	var lw *ledger.Writer
 	var ledgerFlush func()
@@ -236,16 +208,6 @@ func main() {
 				fmt.Fprintf(os.Stderr, "ftbench: -memprofile: close: %v\n", err)
 			}
 		}()
-	}
-
-	if o.bench {
-		rep, err := bench.RunBench(o.scale, o.parallel)
-		if err != nil {
-			die("bench", err)
-		}
-		rep.Print(os.Stdout)
-		writeJSON(rep.WriteJSON)
-		return
 	}
 
 	// study is what every fault study below shares; campObs accumulates
@@ -357,12 +319,17 @@ func main() {
 	if ledgerFlush != nil {
 		ledgerFlush()
 	}
-	writeJSON(func(w io.Writer) error {
+	if jsonFile != nil {
 		buf, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
+		if err == nil {
+			_, err = jsonFile.Write(append(buf, '\n'))
 		}
-		_, err = w.Write(append(buf, '\n'))
-		return err
-	})
+		if cerr := jsonFile.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			die("-json", err)
+		}
+		fmt.Printf("(wrote %s)\n", o.jsonPath)
+	}
 }

@@ -48,8 +48,7 @@ func TestRejectsBadInputUpFront(t *testing.T) {
 	}{
 		{"unknown experiment", []string{"-experiment", "tabel1"}, 2, "accepted: all, fig8, table1, table2, space, veto, fleet"},
 		{"zero crashes", []string{"-experiment", "table1", "-crashes", "0"}, 2, "-crashes must be at least 1"},
-		{"ledger under bench", []string{"-bench", "-ledger", "x.ftl"}, 2, "-ledger records experiment runs"},
-		{"veto under bench", []string{"-bench", "-veto", "x.ftv"}, 2, "-veto arms table1/table2 studies"},
+		{"retired bench flag", []string{"-bench"}, 2, "flag provided but not defined: -bench"},
 		{"veto under veto experiment", []string{"-experiment", "veto", "-veto", "x.ftv"}, 2, "-veto arms table1/table2 studies"},
 		{"bad fleet size", []string{"-experiment", "fleet", "-fleet-sizes", "100,x"}, 2, `bad size "x"`},
 		{"tiny fleet size", []string{"-experiment", "fleet", "-fleet-sizes", "1"}, 2, `bad size "1"`},

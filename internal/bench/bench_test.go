@@ -24,17 +24,29 @@ func TestMagicSessionTerminates(t *testing.T) {
 	}
 }
 
-func TestFig8Nvi(t *testing.T) {
-	res, err := Fig8("nvi", 1, 4, nil)
+// fig8Rows runs one app's Figure 8 sweep, indexes its rows by protocol, and
+// checks what every row must carry: a row that took checkpoints has a
+// metrics block that counted them.
+func fig8Rows(t *testing.T, app string) (*Fig8Result, map[string]Fig8Row) {
+	t.Helper()
+	res, err := Fig8(app, 1, 4, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(res.Rows) != 7 {
-		t.Fatalf("rows = %d", len(res.Rows))
 	}
 	rows := map[string]Fig8Row{}
 	for _, r := range res.Rows {
 		rows[r.Protocol] = r
+		if r.Checkpoints > 0 && r.Metrics.Commits == 0 {
+			t.Errorf("%s %s: %d checkpoints but Metrics.Commits = 0", app, r.Protocol, r.Checkpoints)
+		}
+	}
+	return res, rows
+}
+
+func TestFig8Nvi(t *testing.T) {
+	res, rows := fig8Rows(t, "nvi")
+	if len(res.Rows) != 7 {
+		t.Fatalf("rows = %d", len(res.Rows))
 	}
 	// Paper shape: CAND/CPVS/CBNDVS take thousands of checkpoints (one
 	// per keystroke-ish); the LOG variants collapse to almost none.
@@ -70,14 +82,7 @@ func TestFig8Nvi(t *testing.T) {
 }
 
 func TestFig8Magic(t *testing.T) {
-	res, err := Fig8("magic", 1, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := map[string]Fig8Row{}
-	for _, r := range res.Rows {
-		rows[r.Protocol] = r
-	}
+	_, rows := fig8Rows(t, "magic")
 	// Paper shape: magic has more ND than visible events, so CAND
 	// commits far more than CPVS/CBNDVS.
 	if rows["CAND"].Checkpoints <= rows["CPVS"].Checkpoints {
@@ -90,14 +95,7 @@ func TestFig8Magic(t *testing.T) {
 }
 
 func TestFig8Xpilot(t *testing.T) {
-	res, err := Fig8("xpilot", 1, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := map[string]Fig8Row{}
-	for _, r := range res.Rows {
-		rows[r.Protocol] = r
-	}
+	res, rows := fig8Rows(t, "xpilot")
 	// DC sustains full speed (~15 fps) for the low-commit protocols.
 	if rows["CBNDVS"].FPSRio < 13 {
 		t.Errorf("CBNDVS DC fps = %.1f, want ~15", rows["CBNDVS"].FPSRio)
@@ -122,14 +120,7 @@ func TestFig8Xpilot(t *testing.T) {
 }
 
 func TestFig8TreadMarks(t *testing.T) {
-	res, err := Fig8("treadmarks", 1, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := map[string]Fig8Row{}
-	for _, r := range res.Rows {
-		rows[r.Protocol] = r
-	}
+	_, rows := fig8Rows(t, "treadmarks")
 	// Paper shape: the 2PC protocols are the big win (rare visibles).
 	if rows["CBNDV-2PC"].Checkpoints*5 > rows["CPVS"].Checkpoints {
 		t.Errorf("CBNDV-2PC (%d ckpts) should be far below CPVS (%d)",

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"testing"
 	"time"
 
 	"failtrans/internal/apps/fleet"
@@ -15,8 +14,8 @@ import (
 
 // This file is the fleet-scale scalability driver: protocol overhead vs
 // fleet size at 10²–10⁵ processes, plus the scan-vs-indexed scheduler
-// comparison the O(active) refactor is judged by (BENCH.json `fleet` rows;
-// CI gates the n=10⁴ step-throughput ratio).
+// comparison the O(active) refactor is judged by (`ftbench -experiment
+// fleet`; CI's fleet smoke holds the n=10⁴ step-throughput ratio ≥ 10×).
 
 // FleetScanMax caps the fleet sizes the legacy scan scheduler is measured
 // at: the scan is O(procs) per step, so a 10⁵-proc run would cost ~10¹⁰
@@ -142,14 +141,6 @@ func FleetCurves(sizes []int) (*FleetResult, error) {
 	return res, nil
 }
 
-// FleetSizesForScale picks the default sweep sizes: the full 10²–10⁵ curve
-// at every scale. The expensive cells are capped by size, not by scale —
-// the scan and the protocols stop at 10⁴, so the 10⁵ point costs only one
-// indexed baseline run (~2s) and fits the CI budget.
-func FleetSizesForScale(scale int) []int {
-	return []int{100, 1_000, 10_000, 100_000}
-}
-
 // Print renders the sweep.
 func (r *FleetResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "Fleet scalability (sizes %v):\n", r.Sizes)
@@ -164,74 +155,6 @@ func (r *FleetResult) Print(w io.Writer) {
 	for _, n := range r.Sizes {
 		if x, ok := r.SpeedupAt[fmt.Sprint(n)]; ok {
 			fmt.Fprintf(w, "indexed vs scan at n=%d: %.1fx step throughput\n", n, x)
-		}
-	}
-}
-
-// sleeper is the SchedUpdate microbenchmark's program: every step does one
-// Sleep and nothing else, so a world of sleepers measures pure scheduler
-// cost — one pick, one reindex, no events, no allocation.
-type sleeper struct{ d time.Duration }
-
-func (s *sleeper) Name() string                  { return "sleeper" }
-func (s *sleeper) Init(ctx *sim.Ctx) error       { return nil }
-func (s *sleeper) MarshalState() ([]byte, error) { return nil, nil }
-func (s *sleeper) UnmarshalState([]byte) error   { return nil }
-func (s *sleeper) Step(ctx *sim.Ctx) sim.Status {
-	ctx.Sleep(s.d)
-	return sim.Sleeping
-}
-
-// benchSchedUpdate measures one scheduling decision on a 10⁴-process world
-// where every process is a sleeper: each Step is a heap peek plus exactly
-// one reindex of the stepped process (steady state: zero allocations).
-func benchSchedUpdate(b *testing.B) {
-	const n = 10_000
-	progs := make([]sim.Program, n)
-	for i := range progs {
-		progs[i] = &sleeper{d: time.Duration(1+i%7) * time.Millisecond}
-	}
-	w := sim.NewWorld(3, progs...)
-	w.RecordTrace = false
-	if err := w.Init(); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := w.Step(); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := w.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchFleetStep measures end-to-end scheduling-decision cost on the real
-// 10⁴-proc fleet baseline, rebuilding the world off-clock whenever a run
-// drains.
-func benchFleetStep(b *testing.B) {
-	cfg := fleet.Sized(10_000)
-	build := func() *sim.World {
-		w := sim.NewWorld(23, fleet.Fleet(cfg)...)
-		w.RecordTrace = false
-		if err := w.Init(); err != nil {
-			b.Fatal(err)
-		}
-		return w
-	}
-	b.StopTimer()
-	w := build()
-	b.StartTimer()
-	for i := 0; i < b.N; i++ {
-		more, err := w.Step()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !more {
-			b.StopTimer()
-			w = build()
-			b.StartTimer()
 		}
 	}
 }

@@ -63,9 +63,8 @@ func TestFig8ScanIndexedIdentical(t *testing.T) {
 }
 
 // TestFleetCurvesShape runs the sweep at its smallest size and checks the
-// result carries what BENCH.json's regression gates key on: both scheduler
-// rows for the baseline, one row per measured protocol, and the speedup
-// ratio.
+// result carries what CI's fleet smoke keys on: both scheduler rows for the
+// baseline, one row per measured protocol, and the speedup ratio.
 func TestFleetCurvesShape(t *testing.T) {
 	res, err := FleetCurves([]int{100})
 	if err != nil {

@@ -127,8 +127,8 @@ type AppStudy struct {
 	// template run per study executes the clean session, capturing world
 	// snapshots keyed by fault-site visit count; each injection run forks
 	// the snapshot below its fire point and resumes, skipping the clean
-	// prefix. On is the production path (NewAppStudy sets it and no command
-	// clears it). Off, every run starts from the zero snapshot — a world
+	// prefix. On is the production path (NewAppStudy sets it and only tests
+	// clear it). Off, every run starts from the zero snapshot — a world
 	// built from scratch, no Fork involved — which is the reference the
 	// equivalence matrix (internal/bench/matrix_test.go) holds the fork
 	// engine byte-identical to.

@@ -171,10 +171,10 @@ func TestOSStudySnapshotMatchesScratch(t *testing.T) {
 	}
 }
 
-// TestSnapshotReplayAccounting: the steps-replayed counters that back the
-// campaign_cow bench row must show forks re-executing well under half
-// the prefix steps a from-scratch campaign replays (the ISSUE's >= 2x bar;
-// the snapshot interval targets ~10x).
+// TestSnapshotReplayAccounting: the steps-replayed counters
+// (faults.steps_replayed_per_run in benchmark/) must show forks
+// re-executing well under half the prefix steps a from-scratch campaign
+// replays (a >= 2x bar; the snapshot interval targets ~10x).
 func TestSnapshotReplayAccounting(t *testing.T) {
 	replayPerRun := func(snapshots bool) float64 {
 		s := smallStudy("nvi")

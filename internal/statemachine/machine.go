@@ -21,6 +21,7 @@ package statemachine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"failtrans/internal/event"
@@ -72,8 +73,8 @@ func (m *Machine) AddEdge(e Edge) EventID {
 // MarkCrash marks state s as a crash state.
 func (m *Machine) MarkCrash(s StateID) { m.CrashStates[s] = true }
 
-// Validate checks structural sanity: states in range, crash states have no
-// outgoing edges.
+// Validate checks structural sanity: states (crash states included) in
+// range, crash states have no outgoing edges.
 func (m *Machine) Validate() error {
 	for i, e := range m.Edges {
 		if e.From < 0 || int(e.From) >= m.NumStates {
@@ -88,6 +89,15 @@ func (m *Machine) Validate() error {
 	}
 	if m.Start < 0 || int(m.Start) >= m.NumStates {
 		return fmt.Errorf("statemachine: start state %d out of range", m.Start)
+	}
+	var bad []StateID
+	for s, crash := range m.CrashStates {
+		if crash && (s < 0 || int(s) >= m.NumStates) {
+			bad = append(bad, s)
+		}
+	}
+	if len(bad) > 0 {
+		return fmt.Errorf("statemachine: crash state %d out of range", slices.Min(bad))
 	}
 	return nil
 }

@@ -195,6 +195,11 @@ func TestValidate(t *testing.T) {
 	if err := m4.Validate(); err == nil {
 		t.Error("out-of-range start state must fail validation")
 	}
+	m5 := New(3)
+	m5.MarkCrash(7)
+	if err := m5.Validate(); err == nil {
+		t.Error("out-of-range crash state must fail validation")
+	}
 }
 
 // randomDAG builds a random acyclic machine: edges only go from lower to

@@ -54,6 +54,11 @@ func NewVetoPolicyFromColoring(key string, runs int64, names map[string]StateID,
 	return p
 }
 
+// delimiters may not appear in a machine key or state name: '|' separates
+// fields, and a line ends at '\n' with one '\r' before it dropped, so a
+// name ending in '\r' would not read back as written.
+const delimiters = "|\r\n"
+
 // WritePolicies serializes policies in the given order as an ftveto v1
 // document: a magic line, then per policy one "machine|key|runs" line
 // followed by its sorted "unsafe|state" lines. Sorting makes the bytes a
@@ -64,7 +69,7 @@ func WritePolicies(w io.Writer, ps []*VetoPolicy) error {
 		return err
 	}
 	for _, p := range ps {
-		if strings.ContainsAny(p.Key, "|\n") {
+		if strings.ContainsAny(p.Key, delimiters) {
 			return fmt.Errorf("ftveto: machine key %q contains a delimiter", p.Key)
 		}
 		if _, err := fmt.Fprintf(bw, "machine|%s|%d\n", p.Key, p.Runs); err != nil {
@@ -78,7 +83,7 @@ func WritePolicies(w io.Writer, ps []*VetoPolicy) error {
 		}
 		sort.Strings(states)
 		for _, s := range states {
-			if strings.ContainsAny(s, "|\n") {
+			if strings.ContainsAny(s, delimiters) {
 				return fmt.Errorf("ftveto: state %q contains a delimiter", s)
 			}
 			if _, err := bw.WriteString("unsafe|" + s + "\n"); err != nil {
@@ -90,7 +95,8 @@ func WritePolicies(w io.Writer, ps []*VetoPolicy) error {
 }
 
 // ReadPolicies parses an ftveto v1 document, returning policies in file
-// order.
+// order. A machine key may appear once: FindPolicy serves the first match,
+// so a repeat could only be silently ignored.
 func ReadPolicies(r io.Reader) ([]*VetoPolicy, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -106,11 +112,15 @@ func ReadPolicies(r io.Reader) ([]*VetoPolicy, error) {
 	var ps []*VetoPolicy
 	var cur *VetoPolicy
 	line := 1
+	first := map[string]int{} // machine key -> line it was defined on
 	for sc.Scan() {
 		line++
 		text := sc.Text()
 		if text == "" {
 			continue
+		}
+		if strings.ContainsRune(text, '\r') {
+			return nil, fmt.Errorf("ftveto: line %d: carriage return inside a line", line)
 		}
 		fields := strings.Split(text, "|")
 		switch fields[0] {
@@ -122,6 +132,10 @@ func ReadPolicies(r io.Reader) ([]*VetoPolicy, error) {
 			if err != nil {
 				return nil, fmt.Errorf("ftveto: line %d: bad run count %q", line, fields[2])
 			}
+			if at, dup := first[fields[1]]; dup {
+				return nil, fmt.Errorf("ftveto: line %d: repeated machine %q (first on line %d)", line, fields[1], at)
+			}
+			first[fields[1]] = line
 			cur = &VetoPolicy{Key: fields[1], Runs: runs, Unsafe: make(map[string]bool)}
 			ps = append(ps, cur)
 		case "unsafe":

@@ -2,6 +2,7 @@ package statemachine
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -128,11 +129,38 @@ func TestVetoPolicyRejects(t *testing.T) {
 		"bad run count":   VetoMagic + "\nmachine|k|many\n",
 		"unknown line":    VetoMagic + "\nwat|c1\n",
 		"machine 2 field": VetoMagic + "\nmachine|k\n",
+		"repeated key":    VetoMagic + "\nmachine|k|1\nunsafe|c1\nmachine|k|2\n",
 	} {
 		if _, err := ReadPolicies(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
+}
+
+// FuzzReadPolicies: whatever ReadPolicies accepts, WritePolicies writes
+// back and ReadPolicies reads again unchanged — read → write → read is a
+// fixed point.
+func FuzzReadPolicies(f *testing.F) {
+	f.Add(VetoMagic + "\nmachine|table1/nvi/CPVS|42\nunsafe|c3\nunsafe|a2/stop:1\n\nmachine|table2/nvi/CPVS|0\n")
+	f.Add(VetoMagic + "\nmachine|k|1\nunsafe|c1\nmachine|k|2\n")
+	f.Add(VetoMagic + "\r\nmachine|k|+7\r\nunsafe|s\r\r\n")
+	f.Fuzz(func(t *testing.T, in string) {
+		ps, err := ReadPolicies(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WritePolicies(&buf, ps); err != nil {
+			t.Fatalf("WritePolicies refused what ReadPolicies accepted: %v", err)
+		}
+		again, err := ReadPolicies(&buf)
+		if err != nil {
+			t.Fatalf("re-read of %q: %v", buf.String(), err)
+		}
+		if !reflect.DeepEqual(again, ps) {
+			t.Fatalf("read → write → read moved the policies of %q (rewritten as %q)", in, buf.String())
+		}
+	})
 }
 
 // chainMachine builds a deep commit chain with a branchy tail, the shape
