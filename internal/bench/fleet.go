@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"time"
 
 	"failtrans/internal/apps/fleet"
@@ -45,6 +46,9 @@ type FleetPoint struct {
 	VirtualUs    int64 `json:"virtual_us"`
 	Checkpoints  int   `json:"checkpoints,omitempty"`
 	SchedUpdates int64 `json:"sched_updates,omitempty"`
+	// HeapKiBPerProc is the live heap once the run is over and collected,
+	// divided by the process count: what a process costs to keep.
+	HeapKiBPerProc float64 `json:"heap_kib_per_proc"`
 }
 
 // FleetResult is the full sweep.
@@ -101,7 +105,19 @@ func runFleetOnce(n int, pol *protocol.Policy, scan bool) (FleetPoint, error) {
 	if d != nil {
 		pt.Checkpoints = d.Stats.TotalCheckpoints()
 	}
+	pt.HeapKiBPerProc = liveHeapKiBPerProc(w)
 	return pt, nil
+}
+
+// liveHeapKiBPerProc collects garbage and returns the live heap, in KiB,
+// divided by w's process count. w — and the recovery layer and metrics
+// registry it holds — is kept alive across the collection.
+func liveHeapKiBPerProc(w *sim.World) float64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(w)
+	return float64(ms.HeapAlloc) / 1024 / float64(len(w.Procs))
 }
 
 // FleetCurves measures the overhead-vs-fleet-size sweep: for every size the
@@ -144,13 +160,13 @@ func FleetCurves(sizes []int) (*FleetResult, error) {
 // Print renders the sweep.
 func (r *FleetResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "Fleet scalability (sizes %v):\n", r.Sizes)
-	fmt.Fprintf(w, "%8s %-12s %-8s %10s %12s %10s %12s %8s\n",
-		"procs", "protocol", "sched", "steps", "wall", "ns/step", "virtual", "ckpts")
+	fmt.Fprintf(w, "%8s %-12s %-8s %10s %12s %10s %12s %8s %10s\n",
+		"procs", "protocol", "sched", "steps", "wall", "ns/step", "virtual", "ckpts", "KiB/proc")
 	for _, p := range r.Points {
-		fmt.Fprintf(w, "%8d %-12s %-8s %10d %12s %10.0f %12s %8d\n",
+		fmt.Fprintf(w, "%8d %-12s %-8s %10d %12s %10.0f %12s %8d %10.2f\n",
 			p.Procs, p.Protocol, p.Sched, p.Steps,
 			time.Duration(p.WallNs).Round(time.Millisecond),
-			p.StepNs, time.Duration(p.VirtualUs)*time.Microsecond, p.Checkpoints)
+			p.StepNs, time.Duration(p.VirtualUs)*time.Microsecond, p.Checkpoints, p.HeapKiBPerProc)
 	}
 	for _, n := range r.Sizes {
 		if x, ok := r.SpeedupAt[fmt.Sprint(n)]; ok {

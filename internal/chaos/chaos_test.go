@@ -271,9 +271,9 @@ func TestChaosObservability(t *testing.T) {
 	if pm.Crashes == 0 {
 		t.Error("metrics recorded no crashes despite a scheduled stop")
 	}
-	if pm.Rollbacks == 0 || pm.RollbackDepth.Count != pm.Rollbacks {
+	if depth := m.Hists(0).RollbackDepth.Count; pm.Rollbacks == 0 || depth != pm.Rollbacks {
 		t.Errorf("rollback metrics inconsistent: rollbacks=%d depth count=%d",
-			pm.Rollbacks, pm.RollbackDepth.Count)
+			pm.Rollbacks, depth)
 	}
 	if pm.Commits == 0 || pm.CommitBytes == 0 {
 		t.Errorf("commit metrics empty: commits=%d bytes=%d", pm.Commits, pm.CommitBytes)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"failtrans/internal/event"
 	"failtrans/internal/protocol"
 	"failtrans/internal/sim"
 	"failtrans/internal/stablestore"
@@ -78,11 +79,38 @@ func TestCommitSteadyStateZeroAllocsWithMetrics(t *testing.T) {
 		t.Errorf("instrumented steady-state commit allocates %.1f times per run, want 0", n)
 	}
 	pm := &m.Procs[0]
-	if pm.Commits == 0 || pm.CommitLatency.Count != pm.Commits {
-		t.Errorf("commit metrics did not accumulate: commits=%d latency count=%d", pm.Commits, pm.CommitLatency.Count)
+	if lat := m.Hists(0).CommitLatency.Count; pm.Commits == 0 || lat != pm.Commits {
+		t.Errorf("commit metrics did not accumulate: commits=%d latency count=%d", pm.Commits, lat)
 	}
 	if m.Vista[0].Commits == 0 {
 		t.Error("vista metrics slot was not wired to the segment")
+	}
+}
+
+// TestSendWithoutDependenciesAllocFree: a send by a process with no
+// uncommitted non-deterministic event of its own or of anyone it received
+// from carries no dependency snapshot, so dc's send bookkeeping allocates
+// nothing; once the process has uncommitted ND, the send records it.
+func TestSendWithoutDependenciesAllocFree(t *testing.T) {
+	w := sim.NewWorld(1, &idleProg{}, &idleProg{})
+	w.RecordTrace = false
+	d := New(w, protocol.CPVS, stablestore.Rio)
+	if err := d.Attach(); err != nil {
+		t.Fatal(err)
+	}
+	p := w.Procs[0]
+	send := event.Event{Kind: event.Send, Msg: 1, Peer: 1}
+	if n := testing.AllocsPerRun(100, func() { d.AfterEvent(p, send) }); n != 0 {
+		t.Errorf("dependency-free send allocates %.1f times in dc, want 0", n)
+	}
+	if len(d.msgDeps) != 0 {
+		t.Fatalf("dependency-free send stored a snapshot: %v", d.msgDeps)
+	}
+	d.ndSince[p.Index] = true
+	send.Msg = 2
+	d.AfterEvent(p, send)
+	if snap := d.msgDeps[2]; len(snap) != 1 || snap[p.Index] != d.epoch[p.Index] {
+		t.Errorf("send after uncommitted ND carries %v, want {%d: %d}", snap, p.Index, d.epoch[p.Index])
 	}
 }
 

@@ -90,7 +90,7 @@ type DC struct {
 	// deps[p][q] = q's commit epoch when p acquired a dependence on q's
 	// then-uncommitted non-determinism; stale entries (q committed
 	// since) are pruned at coordination time.
-	deps    []map[int]int
+	deps  []map[int]int
 	epoch []int
 	//failtrans:cowshared mutableMsgDeps
 	msgDeps map[int64]map[int]int
@@ -337,8 +337,9 @@ func (d *DC) finishCommit(p *sim.Proc, st vista.Stats, label string) {
 		pm.Commits++
 		pm.CommitBytes += int64(st.Bytes)
 		pm.CommitPages += int64(st.Pages)
-		pm.CommitLatency.ObserveDuration(cost)
-		pm.CommitSize.Observe(int64(st.Bytes))
+		h := m.Hists(p.Index)
+		h.CommitLatency.ObserveDuration(cost)
+		h.CommitSize.Observe(int64(st.Bytes))
 	}
 	if t := d.World.Tracer; t != nil {
 		t.SpanArgs(p.Index, "dc", "commit", start, cost, "label", label, "bytes", int64(st.Bytes))
@@ -447,7 +448,7 @@ func (d *DC) noteLogForce(p *sim.Proc, start time.Duration, cost time.Duration, 
 	if m := d.World.Metrics; m != nil {
 		pm := &m.Procs[p.Index]
 		pm.LogForces++
-		pm.LogForceLatency.ObserveDuration(cost)
+		m.Hists(p.Index).LogForceLatency.ObserveDuration(cost)
 	}
 	if t := d.World.Tracer; t != nil {
 		t.SpanArgs(p.Index, "dc", "log-force", start, cost, "", "", "bytes", int64(bytes))
@@ -520,17 +521,25 @@ func (d *DC) AfterEvent(p *sim.Proc, ev event.Event) {
 	switch ev.Kind {
 	case event.Send:
 		// Piggyback p's uncommitted-ND dependency snapshot on the
-		// message (out of band; a real system stamps the packet).
-		snap := make(map[int]int, len(d.deps[p.Index])+1)
-		for q, ep := range d.deps[p.Index] {
+		// message (out of band; a real system stamps the packet). The
+		// snapshot is built by its first dependency: most sends carry none.
+		deps := d.deps[p.Index]
+		var snap map[int]int
+		for q, ep := range deps {
 			if d.epoch[q] == ep {
+				if snap == nil {
+					snap = make(map[int]int, len(deps)+1)
+				}
 				snap[q] = ep
 			}
 		}
 		if d.ndSince[p.Index] {
+			if snap == nil {
+				snap = make(map[int]int, 1)
+			}
 			snap[p.Index] = d.epoch[p.Index]
 		}
-		if len(snap) > 0 {
+		if snap != nil {
 			d.mutableMsgDeps()[ev.Msg] = snap
 		}
 	case event.Receive:
@@ -754,7 +763,7 @@ func (d *DC) Rollback(p *sim.Proc) error {
 		pm := &m.Procs[i]
 		pm.Rollbacks++
 		pm.RolledBackEvents += depth
-		pm.RollbackDepth.Observe(depth)
+		m.Hists(i).RollbackDepth.Observe(depth)
 	}
 	if t := d.World.Tracer; t != nil {
 		t.SpanArgs(i, "dc", "rollback", start, cost, "", "", "depth", depth)

@@ -88,10 +88,10 @@ func TestMetricsMerge(t *testing.T) {
 	b.Steps = 32
 	a.Procs[0].Commits = 3
 	a.Procs[0].InboxPeak = 7
-	a.Procs[0].CommitLatency.ObserveDuration(time.Millisecond)
+	a.Hists(0).CommitLatency.ObserveDuration(time.Millisecond)
 	b.Procs[0].Commits = 4
 	b.Procs[0].InboxPeak = 5
-	b.Procs[0].CommitLatency.ObserveDuration(2 * time.Millisecond)
+	b.Hists(0).CommitLatency.ObserveDuration(2 * time.Millisecond)
 	b.Procs[1].Rollbacks = 9
 	b.Vista[1].PagesDirtied = 11
 	a.SyscallByName["read"] = 2
@@ -111,8 +111,8 @@ func TestMetricsMerge(t *testing.T) {
 	if a.Procs[0].InboxPeak != 7 {
 		t.Fatalf("InboxPeak = %d, want max 7", a.Procs[0].InboxPeak)
 	}
-	if a.Procs[0].CommitLatency.Count != 2 {
-		t.Fatalf("CommitLatency.Count = %d, want 2", a.Procs[0].CommitLatency.Count)
+	if a.Hists(0).CommitLatency.Count != 2 {
+		t.Fatalf("CommitLatency.Count = %d, want 2", a.Hists(0).CommitLatency.Count)
 	}
 	if a.Procs[1].Rollbacks != 9 || a.Vista[1].PagesDirtied != 11 {
 		t.Fatal("grown slots did not receive o's values")

@@ -5,9 +5,10 @@
 // debug logger.
 //
 // The registry is engineered so the instrumented commit hot paths stay at
-// zero steady-state heap allocations: every per-process slot is
-// preallocated at construction, counters are plain int64 fields, and
-// histogram observation is a single array-bucket increment. The tracer, by
+// zero steady-state heap allocations: every per-process counter slot is
+// preallocated at construction, the histogram blocks once per registry by
+// their first observer, counters are plain int64 fields, and histogram
+// observation is a single array-bucket increment. The tracer, by
 // contrast, buffers events in a growing slice (tracing is a diagnostic
 // mode, not a hot-path one) and serializes them deterministically, so the
 // same seed produces a byte-identical trace file.
@@ -113,7 +114,9 @@ func (h *Histogram) Quantile(q float64) int64 {
 }
 
 // ProcMetrics is one process's fixed-slot counter block. Every field is
-// updated by plain increments on paths that must not allocate.
+// updated by plain increments on paths that must not allocate. The
+// distributions a recovery layer observes live apart, in ProcHists, so a
+// process that never commits, logs or rolls back carries counters only.
 type ProcMetrics struct {
 	// Events counts recorded events by kind (internal, visible, send,
 	// receive, commit, crash).
@@ -124,27 +127,20 @@ type ProcMetrics struct {
 	Logged        int64
 
 	// Commits / CommitBytes / CommitPages account the Discount Checking
-	// commit path; CommitLatency is the per-commit virtual-time cost and
-	// CommitSize the per-commit dirty payload in bytes. CommitsVetoed
-	// counts commits a CommitVeto policy deferred.
+	// commit path. CommitsVetoed counts commits a CommitVeto policy
+	// deferred.
 	Commits       int64
 	CommitBytes   int64
 	CommitPages   int64
 	CommitsVetoed int64
-	CommitLatency Histogram
-	CommitSize    Histogram
 
-	// LogForces counts synchronous log-force points; LogForceLatency is
-	// their virtual-time cost.
-	LogForces       int64
-	LogForceLatency Histogram
+	// LogForces counts synchronous log-force points.
+	LogForces int64
 
 	// Rollbacks counts recoveries; RolledBackEvents sums the events
-	// discarded by them; RollbackDepth is the per-recovery distribution of
-	// that depth (events since the last commit).
+	// discarded by them.
 	Rollbacks        int64
 	RolledBackEvents int64
-	RollbackDepth    Histogram
 	// ReplayedEvents counts events executed under constrained re-execution
 	// (the recovery tax the paper's timelines visualize).
 	ReplayedEvents int64
@@ -157,6 +153,22 @@ type ProcMetrics struct {
 
 	// InboxPeak is a gauge: the deepest the process's inbox ever got.
 	InboxPeak int64
+}
+
+// ProcHists is one process's histogram block: the virtual-time
+// distributions only a recovery layer observes. Metrics allocates the blocks
+// of every process at once, on the first Hists call.
+type ProcHists struct {
+	// CommitLatency is the per-commit virtual-time cost and CommitSize the
+	// per-commit dirty payload in bytes.
+	CommitLatency Histogram
+	CommitSize    Histogram
+	// LogForceLatency is the virtual-time cost of each synchronous log
+	// force.
+	LogForceLatency Histogram
+	// RollbackDepth is the per-recovery distribution of the events a
+	// rollback discards (events since the last commit).
+	RollbackDepth Histogram
 }
 
 // VistaMetrics is one segment's fixed-slot counter block, updated from the
@@ -177,12 +189,18 @@ type VistaMetrics struct {
 	BytesCOW        int64
 }
 
-// Metrics is the per-run registry. All slots are preallocated by NewMetrics
-// so instrumented hot paths never allocate; the syscall-by-name map is the
-// one exception and is touched only on the (cold) kernel dispatch path.
+// Metrics is the per-run registry. All counter slots are preallocated by
+// NewMetrics so instrumented hot paths never allocate; the two exceptions are
+// the syscall-by-name map, touched only on the (cold) kernel dispatch path,
+// and the histogram blocks, allocated once per registry by their first
+// observer.
 type Metrics struct {
 	Procs []ProcMetrics
 	Vista []VistaMetrics
+	// hists holds one ProcHists per process once anything has been
+	// observed, and is nil before: readers treat a nil block as empty
+	// histograms.
+	hists []ProcHists
 
 	// Steps counts scheduler decisions; TwoPhaseRounds counts coordinated
 	// commit rounds.
@@ -214,8 +232,32 @@ func NewMetrics(n int) *Metrics {
 	}
 }
 
-// merge folds one process block into another (counter sums, gauge max,
-// histogram merges).
+// Hists returns process pid's histogram block, allocating the blocks of
+// every process on the registry's first call — the first commit, log force
+// or rollback a recovery layer observes — and again only if Merge grew Procs.
+func (m *Metrics) Hists(pid int) *ProcHists {
+	if len(m.hists) < len(m.Procs) {
+		grown := make([]ProcHists, len(m.Procs))
+		copy(grown, m.hists)
+		m.hists = grown
+	}
+	return &m.hists[pid]
+}
+
+// hist returns process i's histogram block for reading without allocating:
+// a registry nothing was observed into reads as empty histograms.
+func (m *Metrics) hist(i int) *ProcHists {
+	if i < len(m.hists) {
+		return &m.hists[i]
+	}
+	return &emptyHists
+}
+
+// emptyHists is the block hist returns when none has been allocated; it is
+// only ever read.
+var emptyHists ProcHists
+
+// merge folds one process block into another (counter sums, gauge max).
 func (p *ProcMetrics) merge(o *ProcMetrics) {
 	for i := range o.Events {
 		p.Events[i] += o.Events[i]
@@ -226,19 +268,23 @@ func (p *ProcMetrics) merge(o *ProcMetrics) {
 	p.CommitBytes += o.CommitBytes
 	p.CommitPages += o.CommitPages
 	p.CommitsVetoed += o.CommitsVetoed
-	p.CommitLatency.Merge(&o.CommitLatency)
-	p.CommitSize.Merge(&o.CommitSize)
 	p.LogForces += o.LogForces
-	p.LogForceLatency.Merge(&o.LogForceLatency)
 	p.Rollbacks += o.Rollbacks
 	p.RolledBackEvents += o.RolledBackEvents
-	p.RollbackDepth.Merge(&o.RollbackDepth)
 	p.ReplayedEvents += o.ReplayedEvents
 	p.Crashes += o.Crashes
 	p.Syscalls += o.Syscalls
 	if o.InboxPeak > p.InboxPeak {
 		p.InboxPeak = o.InboxPeak
 	}
+}
+
+// merge folds one histogram block into another.
+func (h *ProcHists) merge(o *ProcHists) {
+	h.CommitLatency.Merge(&o.CommitLatency)
+	h.CommitSize.Merge(&o.CommitSize)
+	h.LogForceLatency.Merge(&o.LogForceLatency)
+	h.RollbackDepth.Merge(&o.RollbackDepth)
 }
 
 // merge folds one segment block into another.
@@ -266,6 +312,9 @@ func (m *Metrics) Merge(o *Metrics) {
 	}
 	for i := range o.Procs {
 		m.Procs[i].merge(&o.Procs[i])
+	}
+	for i := range o.hists {
+		m.Hists(i).merge(&o.hists[i])
 	}
 	for len(m.Vista) < len(o.Vista) {
 		m.Vista = append(m.Vista, VistaMetrics{})
@@ -323,7 +372,7 @@ func (m *Metrics) WriteSnapshot(w io.Writer) error {
 		fmt.Fprintf(w, "syscall %s %d\n", name, m.SyscallByName[name])
 	}
 	for i := range m.Procs {
-		p := &m.Procs[i]
+		p, h := &m.Procs[i], m.hist(i)
 		fmt.Fprintf(w, "proc %d\n", i)
 		fmt.Fprintf(w, "  events internal=%d visible=%d send=%d receive=%d commit=%d crash=%d\n",
 			p.Events[event.Internal], p.Events[event.Visible], p.Events[event.Send],
@@ -331,13 +380,13 @@ func (m *Metrics) WriteSnapshot(w io.Writer) error {
 		fmt.Fprintf(w, "  effectively_nd %d\n", p.EffectivelyND)
 		fmt.Fprintf(w, "  logged %d\n", p.Logged)
 		fmt.Fprintf(w, "  commits %d bytes=%d pages=%d vetoed=%d\n", p.Commits, p.CommitBytes, p.CommitPages, p.CommitsVetoed)
-		writeHist(w, "  ", "commit_latency_ns", &p.CommitLatency)
-		writeHist(w, "  ", "commit_size_bytes", &p.CommitSize)
+		writeHist(w, "  ", "commit_latency_ns", &h.CommitLatency)
+		writeHist(w, "  ", "commit_size_bytes", &h.CommitSize)
 		fmt.Fprintf(w, "  log_forces %d\n", p.LogForces)
-		writeHist(w, "  ", "log_force_latency_ns", &p.LogForceLatency)
+		writeHist(w, "  ", "log_force_latency_ns", &h.LogForceLatency)
 		fmt.Fprintf(w, "  rollbacks %d rolled_back_events=%d replayed_events=%d\n",
 			p.Rollbacks, p.RolledBackEvents, p.ReplayedEvents)
-		writeHist(w, "  ", "rollback_depth_events", &p.RollbackDepth)
+		writeHist(w, "  ", "rollback_depth_events", &h.RollbackDepth)
 		fmt.Fprintf(w, "  crashes %d\n", p.Crashes)
 		fmt.Fprintf(w, "  syscalls %d\n", p.Syscalls)
 		fmt.Fprintf(w, "  inbox_peak %d\n", p.InboxPeak)
@@ -396,14 +445,9 @@ func (m *Metrics) Summarize() RunSummary {
 		s.LogForces += p.LogForces
 		s.Rollbacks += p.Rollbacks
 		s.ReplayedEvents += p.ReplayedEvents
-		lat.Count += p.CommitLatency.Count
-		lat.Sum += p.CommitLatency.Sum
-		if p.CommitLatency.Max > lat.Max {
-			lat.Max = p.CommitLatency.Max
-		}
-		for b := range p.CommitLatency.Buckets {
-			lat.Buckets[b] += p.CommitLatency.Buckets[b]
-		}
+	}
+	for i := range m.hists {
+		lat.Merge(&m.hists[i].CommitLatency)
 	}
 	for i := range m.Vista {
 		s.VistaPagesDirty += m.Vista[i].PagesDirtied

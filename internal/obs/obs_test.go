@@ -48,7 +48,7 @@ func TestMetricsSnapshotDeterministic(t *testing.T) {
 	build := func() *Metrics {
 		m := NewMetrics(2)
 		m.Procs[0].Events[1] = 3
-		m.Procs[0].CommitLatency.Observe(1500)
+		m.Hists(0).CommitLatency.Observe(1500)
 		m.Procs[1].Rollbacks = 2
 		m.Vista[1].PagesDirtied = 9
 		m.Syscall(0, "open")
@@ -73,10 +73,10 @@ func TestMetricsSnapshotDeterministic(t *testing.T) {
 func TestMetricsSummarize(t *testing.T) {
 	m := NewMetrics(2)
 	m.Procs[0].Commits = 2
-	m.Procs[0].CommitLatency.Observe(1000)
-	m.Procs[0].CommitLatency.Observe(3000)
+	m.Hists(0).CommitLatency.Observe(1000)
+	m.Hists(0).CommitLatency.Observe(3000)
 	m.Procs[1].Commits = 1
-	m.Procs[1].CommitLatency.Observe(8000)
+	m.Hists(1).CommitLatency.Observe(8000)
 	m.Procs[1].Syscalls = 5
 	m.TwoPhaseRounds = 4
 	m.Vista[0].PagesDirtied = 7

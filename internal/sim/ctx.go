@@ -3,6 +3,7 @@ package sim
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 
 	"failtrans/internal/event"
@@ -215,7 +216,7 @@ func (c *Ctx) TakeSignal() (string, bool) {
 	}
 	c.before(event.Internal, event.TransientND, "signal")
 	sig := c.p.signals[idx].sig
-	c.p.signals = append(c.p.signals[:idx], c.p.signals[idx+1:]...)
+	c.p.signals = slices.Delete(c.p.signals, idx, idx+1)
 	logged := false
 	if r := c.p.World.Recovery; r != nil {
 		logged = r.RecordND(c.p, "signal", []byte(sig))
@@ -266,10 +267,11 @@ func (c *Ctx) Recv() (Msg, bool) {
 		rel := c.p.Steps - c.p.retainBase
 		switch {
 		case rel == head.pos:
+			c.p.replayQueue[0] = retainedMsg{} // the slot leaves the slice: drop its pointer
 			c.p.replayQueue = c.p.replayQueue[1:]
 			m := *head.m
 			c.before(event.Receive, event.TransientND, "recv")
-			c.p.retained = append(c.p.retained, retainedMsg{m: &m, pos: rel})
+			c.p.retain(&m, rel)
 			c.p.bumpRecvHW(m.From, m.SendIdx)
 			logged := false
 			if r := c.p.World.Recovery; r != nil {
@@ -290,15 +292,10 @@ func (c *Ctx) Recv() (Msg, bool) {
 	// Drop duplicates produced by re-executed sends: anything at or
 	// below the consumed high-water mark for its sender.
 	before := len(c.p.inbox)
-	kept := c.p.inbox[:0]
-	for _, m := range c.p.inbox {
-		if m.DeliverAt <= now && m.SendIdx <= c.p.RecvHW[m.From] {
-			continue
-		}
-		kept = append(kept, m)
-	}
-	c.p.inbox = kept
-	if len(kept) != before {
+	c.p.inbox = slices.DeleteFunc(c.p.inbox, func(m *Msg) bool {
+		return m.DeliverAt <= now && m.SendIdx <= c.p.RecvHW[m.From]
+	})
+	if len(c.p.inbox) != before {
 		c.p.inboxChanged()
 	}
 	idx := -1
@@ -313,9 +310,9 @@ func (c *Ctx) Recv() (Msg, bool) {
 	m := c.p.inbox[idx]
 	rel := c.p.Steps - c.p.retainBase
 	c.before(event.Receive, event.TransientND, "recv")
-	c.p.inbox = append(c.p.inbox[:idx], c.p.inbox[idx+1:]...)
+	c.p.inbox = slices.Delete(c.p.inbox, idx, idx+1)
 	c.p.inboxChanged()
-	c.p.retained = append(c.p.retained, retainedMsg{m: m, pos: rel})
+	c.p.retain(m, rel)
 	c.p.bumpRecvHW(m.From, m.SendIdx)
 	logged := false
 	if r := c.p.World.Recovery; r != nil {

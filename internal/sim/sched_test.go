@@ -233,6 +233,7 @@ func TestSchedRequeueRearmsBlockedProc(t *testing.T) {
 	// Ponger consumes two pings, then its partner finishes; a rollback
 	// re-arms redelivery of the consumed messages.
 	w := NewWorld(21, &pinger{Rounds: 2}, &ponger{Max: 4})
+	w.Recovery = noopRecovery{}
 	for {
 		more, err := w.Step()
 		if err != nil {

@@ -353,6 +353,19 @@ func (h *hookRecorder) EndStep(p *Proc)                     {}
 func (h *hookRecorder) OnBlocked(p *Proc) bool              { return false }
 func (h *hookRecorder) OnCrash(p *Proc, reason string) bool { return false }
 
+// noopRecovery is a Recovery stub that intercepts nothing and never
+// recovers: attaching it is what makes a world keep consumed messages for
+// redelivery, which tests of the retention machinery need.
+type noopRecovery struct{}
+
+func (noopRecovery) BeforeEvent(*Proc, event.Kind, event.NDClass, string) {}
+func (noopRecovery) AfterEvent(*Proc, event.Event)                        {}
+func (noopRecovery) SupplyND(*Proc, string) ([]byte, bool)                { return nil, false }
+func (noopRecovery) RecordND(*Proc, string, []byte) bool                  { return false }
+func (noopRecovery) EndStep(*Proc)                                        {}
+func (noopRecovery) OnBlocked(*Proc) bool                                 { return false }
+func (noopRecovery) OnCrash(*Proc, string) bool                           { return false }
+
 func TestRecoveryHooksInvoked(t *testing.T) {
 	h := &hookRecorder{replay: map[string][][]byte{}}
 	w := NewWorld(5, &ndUser{})
@@ -399,6 +412,7 @@ func TestNDReplayOverridesLive(t *testing.T) {
 
 func TestRetainedRedelivery(t *testing.T) {
 	w := NewWorld(11, &pinger{Rounds: 1}, &ponger{Max: 1})
+	w.Recovery = noopRecovery{}
 	if err := w.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -37,9 +37,13 @@ type Proc struct {
 	inbox []*Msg
 	// retained holds messages consumed since the process's last commit,
 	// for redelivery if the process rolls back (the paper's "recovery
-	// buffer"). Each entry remembers the event position (relative to the
+	// buffer"); without a recovery layer nothing rolls back and it stays
+	// empty. Each entry remembers the event position (relative to the
 	// last commit) at which it was consumed, so redelivery reproduces
-	// the original interleaving of receives with computation.
+	// the original interleaving of receives with computation. Every
+	// removal from retained, replayQueue and inbox clears the slots it
+	// vacates, so a consumed message (and the arena blocks behind it) is
+	// not kept alive by a queue it has left.
 	retained []retainedMsg
 	// retainBase anchors those relative positions.
 	retainBase int
@@ -444,11 +448,28 @@ type retainedMsg struct {
 	pos int
 }
 
+// retain remembers a consumed message for redelivery after a rollback. Only
+// a recovery layer rolls a process back (it is RequeueRetained's one
+// caller), so a world without one keeps nothing.
+func (p *Proc) retain(m *Msg, pos int) {
+	if p.World.Recovery != nil {
+		p.retained = append(p.retained, retainedMsg{m: m, pos: pos})
+	}
+}
+
+// truncate empties a queue, dropping the pointers its slots hold so the
+// backing array it keeps for reuse pins no message (or the arena blocks the
+// message lives in).
+func truncate(q []retainedMsg) []retainedMsg {
+	clear(q)
+	return q[:0]
+}
+
 // CommitPoint tells the network that p's consumed messages need no longer
 // be retained for redelivery: p's state, including their effects, is now
 // stable. It also re-anchors the position counter for future retention.
 func (w *World) CommitPoint(p *Proc) {
-	p.retained = p.retained[:0]
+	p.retained = truncate(p.retained)
 	p.retainBase = p.Steps
 }
 
@@ -456,7 +477,7 @@ func (w *World) CommitPoint(p *Proc) {
 // position counter — used when a persistent log now covers redelivery of
 // everything consumed so far (an asynchronous log flush).
 func (w *World) DropRetained(p *Proc) {
-	p.retained = p.retained[:0]
+	p.retained = truncate(p.retained)
 }
 
 // RequeueRetained arms redelivery of every message p consumed since its
@@ -464,8 +485,8 @@ func (w *World) DropRetained(p *Proc) {
 // position it was originally consumed at, reproducing the pre-failure
 // interleaving. The recovery layer calls this when rolling p back.
 func (w *World) RequeueRetained(p *Proc) {
-	p.replayQueue = append(p.replayQueue[:0], p.retained...)
-	p.retained = p.retained[:0]
+	p.replayQueue = append(truncate(p.replayQueue), p.retained...)
+	p.retained = truncate(p.retained)
 	p.retainBase = p.Steps
 	// A non-empty replay queue makes a blocked process runnable at wake.
 	w.schedTouch(p)
@@ -487,7 +508,7 @@ func (w *World) flushReplayQueue(p *Proc) {
 		pre = append(pre, &c)
 	}
 	p.inbox = append(pre, p.inbox...)
-	p.replayQueue = p.replayQueue[:0]
+	p.replayQueue = truncate(p.replayQueue)
 	p.inboxChanged()
 }
 
