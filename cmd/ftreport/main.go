@@ -1,5 +1,5 @@
-// Command ftreport turns campaign ledgers (see internal/obs/ledger) into
-// forensic artifacts:
+// Command ftreport is the forensic command. From campaign ledgers (see
+// internal/obs/ledger) it writes:
 //
 //   - a deterministic markdown report that reproduces the paper's Table 1
 //     and Table 2 conflict counts from the ledger alone, plus injection-point
@@ -12,10 +12,24 @@
 //   - a commit-veto policy file (.ftv) serializing every mined machine's
 //     commit-unsafe states, loadable by ftbench/ftsim -veto.
 //
-// Every output is a pure function of the ledger bytes, which are themselves
-// invariant across worker counts and snapshot modes — so two campaigns that
-// ran differently but computed the same runs produce byte-identical
-// reports.
+// Every ledger output is a pure function of the ledger bytes, which are
+// themselves invariant across worker counts and snapshot modes — so two
+// campaigns that ran differently but computed the same runs produce
+// byte-identical reports.
+//
+// Its other inputs are single process state machines, for which it prints
+// the paper's dangerous paths — the events along which a commit would
+// violate the Lose-work invariant — and the safe and doomed commit states:
+//
+//   - -demo colors the paper's Figures 5, 6B and 6C;
+//   - -machine reads a machine description (statemachine.ReadMachine;
+//     "-" is stdin);
+//   - -events builds one process's executed-path machine from an event
+//     trace written by ftsim -dump, exactly as statemachine.FromExecution
+//     does inside the recovery checkers.
+//
+// -dot renders the selected machine's coloring (with -demo, Figure 6C's).
+// A command line it cannot run exits 2 before any input is read.
 //
 // Usage:
 //
@@ -23,6 +37,8 @@
 //	         [-md report.md] [-trace trace.json -workers 8]
 //	         [-dot machine.dot [-key table1/nvi/two-phase]]
 //	         [-veto policy.ftv]
+//	ftreport -demo | -machine FILE | -events FILE [-proc 0] [-crashed=false]
+//	         [-dot machine.dot]
 package main
 
 import (
@@ -33,8 +49,10 @@ import (
 	"os"
 	"strings"
 
+	"failtrans/internal/event"
 	"failtrans/internal/obs/ledger"
 	"failtrans/internal/statemachine"
+	"failtrans/internal/trace"
 )
 
 // multiFlag collects a repeatable string flag.
@@ -43,40 +61,91 @@ type multiFlag []string
 func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
 func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
 
+// options is the parsed command line.
+type options struct {
+	ledgers         multiFlag
+	machine, events string
+	demo            bool
+	md, trace       string
+	workers         int
+	dot, key, veto  string
+	proc            int
+	crashed         bool
+}
+
 func main() {
-	var ledgers multiFlag
-	flag.Var(&ledgers, "ledger", "campaign ledger file (repeatable; concatenated in flag order)")
-	mdPath := flag.String("md", "", "write the markdown report to this file (default: stdout)")
-	tracePath := flag.String("trace", "", "write the Perfetto campaign trace JSON to this file")
-	workers := flag.Int("workers", 8, "virtual worker tracks for -trace")
-	dotPath := flag.String("dot", "", "write a mined machine's Graphviz coloring to this file")
-	key := flag.String("key", "", "mined machine to render with -dot (study/app/protocol; default: first mined)")
-	vetoPath := flag.String("veto", "", "write the mined commit-veto policies (.ftv, for ftbench -veto) to this file")
+	var o options
+	flag.Var(&o.ledgers, "ledger", "campaign ledger file (repeatable; concatenated in flag order)")
+	flag.StringVar(&o.machine, "machine", "", "color the machine described in this file (- for stdin)")
+	flag.StringVar(&o.events, "events", "", "color one process's executed path from this event trace (ftsim -dump)")
+	flag.BoolVar(&o.demo, "demo", false, "color the paper's Figure 5, 6B and 6C machines")
+	flag.StringVar(&o.md, "md", "", "with -ledger: write the markdown report to this file (default: stdout)")
+	flag.StringVar(&o.trace, "trace", "", "with -ledger: write the Perfetto campaign trace JSON to this file")
+	flag.IntVar(&o.workers, "workers", 8, "with -ledger: virtual worker tracks for -trace")
+	flag.StringVar(&o.dot, "dot", "", "write the selected machine's Graphviz coloring to this file")
+	flag.StringVar(&o.key, "key", "", "with -ledger: mined machine to render with -dot (study/app/protocol; default: first mined)")
+	flag.StringVar(&o.veto, "veto", "", "with -ledger: write the mined commit-veto policies (.ftv, for ftbench -veto) to this file")
+	flag.IntVar(&o.proc, "proc", 0, "with -events: process whose events form the path")
+	flag.BoolVar(&o.crashed, "crashed", true, "with -events: treat the path's final state as a crash state")
 	flag.Parse()
-
-	// Validate the flag set before reading anything: a misspelled flag
-	// combination should fail instantly, not after parsing gigabytes.
-	if len(ledgers) == 0 {
-		fmt.Fprintln(os.Stderr, "ftreport: at least one -ledger file is required")
-		flag.Usage()
-		os.Exit(2)
-	}
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "ftreport: unexpected arguments %v\n", flag.Args())
-		os.Exit(2)
-	}
-	if *workers < 1 {
-		fmt.Fprintln(os.Stderr, "ftreport: -workers must be >= 1")
-		os.Exit(2)
-	}
-	if *key != "" && *dotPath == "" {
-		fmt.Fprintln(os.Stderr, "ftreport: -key selects the -dot machine; it needs -dot")
+	if err := o.check(); err != nil {
+		fmt.Fprintln(os.Stderr, "ftreport:", err)
 		os.Exit(2)
 	}
 
+	var c *statemachine.Coloring
+	switch {
+	case len(o.ledgers) > 0:
+		o.reportLedgers()
+		return
+	case o.demo:
+		c = runDemo()
+	case o.machine != "":
+		c = report(readMachine(o.machine))
+	default:
+		c = report(fromEvents(o.events, o.proc, o.crashed))
+	}
+	if o.dot != "" {
+		writeTo(o.dot, func(w io.Writer) error { return c.WriteDot(w, "dangerous") })
+	}
+}
+
+// check validates the command line before any input is read: a misspelled
+// flag combination should fail instantly, not after parsing gigabytes. The
+// first failing row is the error.
+func (o *options) check() error {
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	ledgerOn, eventsOn := len(o.ledgers) > 0, o.events != ""
+	modes := 0
+	for _, on := range []bool{ledgerOn, o.machine != "", eventsOn, o.demo} {
+		if on {
+			modes++
+		}
+	}
+	for _, row := range []struct {
+		bad bool
+		msg string
+	}{
+		{modes != 1, "exactly one of -ledger, -machine, -events and -demo is required"},
+		{!ledgerOn && (set["md"] || set["trace"] || set["workers"] || set["veto"]), "-md, -trace, -workers and -veto apply only with -ledger"},
+		{o.workers < 1, "-workers must be >= 1"},
+		{set["key"] && (!ledgerOn || o.dot == ""), "-key selects the -dot machine of a -ledger report; it needs both"},
+		{(set["proc"] || set["crashed"]) && !eventsOn, "-proc and -crashed apply only with -events"},
+		{flag.NArg() > 0, fmt.Sprintf("unexpected argument %q", flag.Arg(0))},
+	} {
+		if row.bad {
+			return errors.New(row.msg)
+		}
+	}
+	return nil
+}
+
+// reportLedgers writes the ledger artifacts the options ask for.
+func (o *options) reportLedgers() {
 	recs, err := ledger.ReadFiles(func(path string) (io.ReadCloser, error) {
 		return os.Open(path)
-	}, ledgers)
+	}, o.ledgers)
 	if err != nil {
 		// A torn final record (crash mid-append) leaves a clean prefix;
 		// every other read error is fatal.
@@ -89,8 +158,8 @@ func main() {
 
 	out := io.Writer(os.Stdout)
 	var mdFile *os.File
-	if *mdPath != "" {
-		mdFile, err = os.Create(*mdPath)
+	if o.md != "" {
+		mdFile, err = os.Create(o.md)
 		if err != nil {
 			fail(err)
 		}
@@ -103,16 +172,16 @@ func main() {
 		if err := mdFile.Close(); err != nil {
 			fail(err)
 		}
-		fmt.Printf("wrote %s\n", *mdPath)
+		fmt.Printf("wrote %s\n", o.md)
 	}
 
-	if *tracePath != "" {
-		writeTo(*tracePath, func(w io.Writer) error {
-			return rp.WriteCampaignTrace(w, *workers)
+	if o.trace != "" {
+		writeTo(o.trace, func(w io.Writer) error {
+			return rp.WriteCampaignTrace(w, o.workers)
 		})
 	}
-	if *dotPath != "" {
-		k := *key
+	if o.dot != "" {
+		k := o.key
 		if k == "" {
 			keys := rp.Miner.Keys()
 			if len(keys) == 0 {
@@ -120,19 +189,132 @@ func main() {
 			}
 			k = keys[0]
 		}
-		writeTo(*dotPath, func(w io.Writer) error {
+		writeTo(o.dot, func(w io.Writer) error {
 			return rp.WriteMachineDot(w, k)
 		})
 	}
-	if *vetoPath != "" {
+	if o.veto != "" {
 		ps := rp.Miner.VetoPolicies()
 		if len(ps) == 0 {
 			fail(fmt.Errorf("no machines mined from %d records; nothing for -veto", len(recs)))
 		}
-		writeTo(*vetoPath, func(w io.Writer) error {
+		writeTo(o.veto, func(w io.Writer) error {
 			return statemachine.WritePolicies(w, ps)
 		})
 	}
+}
+
+// readMachine parses the machine description at path ("-" is stdin).
+func readMachine(path string) *statemachine.Machine {
+	in := io.Reader(os.Stdin)
+	if path != "-" {
+		f, err := os.Open(path)
+		if err != nil {
+			fail(err)
+		}
+		defer f.Close()
+		in = f
+	}
+	m, err := statemachine.ReadMachine(in)
+	if err != nil {
+		fail(err)
+	}
+	return m
+}
+
+// fromEvents loads an ftsim -dump event trace and builds the executed-path
+// machine of one process.
+func fromEvents(path string, proc int, crashed bool) *statemachine.Machine {
+	f, err := os.Open(path)
+	if err != nil {
+		fail(err)
+	}
+	defer f.Close()
+	t, err := trace.Load(f)
+	if err != nil {
+		fail(err)
+	}
+	var evs []event.Event
+	for _, e := range t.Events {
+		if e.ID.P == proc {
+			evs = append(evs, e)
+		}
+	}
+	if len(evs) == 0 {
+		fail(fmt.Errorf("trace %s has no events for process %d (of %d procs)", path, proc, t.NumProcs))
+	}
+	fmt.Printf("trace %s: proc %d, %d events, crashed=%v\n", path, proc, len(evs), crashed)
+	return statemachine.FromExecution(evs, crashed)
+}
+
+// report prints a machine's coloring and its safe and doomed commit
+// states, and returns the coloring.
+func report(m *statemachine.Machine) *statemachine.Coloring {
+	c := m.DangerousPaths()
+	fmt.Printf("machine: %d states, %d events, %d crash states\n", m.NumStates, len(m.Edges), len(m.CrashStates))
+	fmt.Println("events (colored = on a dangerous path):")
+	for i, e := range m.Edges {
+		mark := " "
+		if c.Dangerous(statemachine.EventID(i)) {
+			mark = "*"
+		}
+		nd := map[event.NDClass]string{event.Deterministic: "det", event.TransientND: "transient", event.FixedND: "fixed"}[e.ND]
+		fmt.Printf("  %s e%-3d %3d -> %-3d %-9s %s\n", mark, i, e.From, e.To, nd, e.Label)
+	}
+	fmt.Print("safe commit states: ")
+	for _, s := range c.SafeCommitStates() {
+		fmt.Printf("%d ", s)
+	}
+	fmt.Println()
+	fmt.Print("doomed commit states: ")
+	for s := 0; s < m.NumStates; s++ {
+		if !m.CrashStates[statemachine.StateID(s)] && c.CommitUnsafeAt(statemachine.StateID(s)) {
+			fmt.Printf("%d ", s)
+		}
+	}
+	fmt.Println()
+	return c
+}
+
+// runDemo reports the paper's Figure 5, 6B and 6C machines and returns the
+// last coloring.
+func runDemo() *statemachine.Coloring {
+	fmt.Println("=== Figure 5: buffer-overrun timeline ===")
+	fmt.Println("A transient ND event e sends execution down a path that overruns a")
+	fmt.Println("buffer, trashes a pointer, and crashes on its use. Committing any")
+	fmt.Println("time after e dooms recovery; committing before e is safe.")
+	m := statemachine.New(7)
+	m.AddEdge(statemachine.Edge{From: 0, To: 1, ND: event.TransientND, Label: "ND event e (unlucky result)"})
+	m.AddEdge(statemachine.Edge{From: 0, To: 6, ND: event.TransientND, Label: "ND event e (lucky result)"})
+	m.AddEdge(statemachine.Edge{From: 1, To: 2, Label: "begin buffer init"})
+	m.AddEdge(statemachine.Edge{From: 2, To: 3, Label: "overwrite pointer"})
+	m.AddEdge(statemachine.Edge{From: 3, To: 4, Label: "use pointer (crash)"})
+	m.MarkCrash(4)
+	report(m)
+
+	fmt.Println()
+	fmt.Println("=== Figure 6B: transient non-determinism with an escape ===")
+	b := statemachine.New(5)
+	b.AddEdge(statemachine.Edge{From: 0, To: 1, ND: event.TransientND, Label: "bad result"})
+	b.AddEdge(statemachine.Edge{From: 0, To: 2, ND: event.TransientND, Label: "good result"})
+	b.AddEdge(statemachine.Edge{From: 1, To: 3, Label: "doomed"})
+	b.AddEdge(statemachine.Edge{From: 2, To: 4, Label: "completes"})
+	b.MarkCrash(3)
+	report(b)
+
+	fmt.Println()
+	fmt.Println("=== Figure 6C: the same fork, but FIXED non-determinism ===")
+	c := statemachine.New(5)
+	c.AddEdge(statemachine.Edge{From: 0, To: 1, ND: event.FixedND, Label: "bad result"})
+	c.AddEdge(statemachine.Edge{From: 0, To: 2, ND: event.FixedND, Label: "good result"})
+	c.AddEdge(statemachine.Edge{From: 1, To: 3, Label: "doomed"})
+	c.AddEdge(statemachine.Edge{From: 2, To: 4, Label: "completes"})
+	c.MarkCrash(3)
+	coloring := report(c)
+	fmt.Println()
+	fmt.Println("Note how state 0 is a safe commit point under transient ND (6B) but")
+	fmt.Println("doomed under fixed ND (6C): recovery cannot rely on fixed events changing.")
+	return coloring
 }
 
 // writeTo writes one artifact file, failing the command on any error.

@@ -20,7 +20,7 @@
 //
 // -ledger appends one forensic record per run (study "ftsim") to the named
 // campaign-ledger file — single runs and -seeds campaigns alike — for
-// cmd/ftreport and dangerous -ledger.
+// cmd/ftreport.
 //
 // -veto arms the run's Discount Checking instance with a mined commit-veto
 // policy (an .ftv file from ftreport -veto, key "ftsim/<app>/<protocol>"):

@@ -51,9 +51,9 @@ var DurabilityStrict = []string{
 // recovery protocol can only replay what the DC layer logged, so an
 // effect that escapes interception here is exactly the "unintercepted
 // environment interaction" failure class of §4. interceptcheck treats
-// every function in these packages as a workload root. A scratch package
-// planted under internal/apps by the CI negative check is picked up
-// automatically via the prefix match.
+// every function in these packages as a workload root. A new package
+// under internal/apps is picked up automatically via the prefix match
+// (TestPlantedEffectIsCaught plants one).
 var RecoverableCore = []string{
 	"failtrans/internal/apps",
 	"failtrans/internal/kernel",
@@ -74,8 +74,7 @@ var InterceptionBoundary = []string{
 }
 
 // Analyzers returns the ftlint suite. extraDetPkgs extends detlint's
-// deterministic core (the CI negative check plants a scratch package and
-// passes it here).
+// deterministic core (ftlint -detpkg; TestExtraDetPkgExtendsCore).
 func Analyzers(extraDetPkgs ...string) []*analysis.Analyzer {
 	det := append(append([]string(nil), DeterministicCore...), extraDetPkgs...)
 	return []*analysis.Analyzer{

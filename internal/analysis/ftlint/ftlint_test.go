@@ -24,8 +24,8 @@ func TestRepoTreeIsClean(t *testing.T) {
 	}
 }
 
-// TestPlantedNondetIsCaught is the in-process twin of CI's negative check:
-// a module with a time.Now planted in internal/sim must fail the suite.
+// TestPlantedNondetIsCaught: a module with a time.Now planted in
+// internal/sim must fail the suite.
 // It proves the clean run above is not vacuous.
 func TestPlantedNondetIsCaught(t *testing.T) {
 	dir := t.TempDir()

@@ -47,7 +47,7 @@ var matrix = []cell{
 	{name: "scan", workers: 4, snapshots: true, scan: true},
 }
 
-// matrixCrashes is the per-type crash target CI's cmp blocks used. The
+// matrixCrashes is the per-type crash target CI's campaign ledgers use. The
 // veto row needs vetoCrashes: Table 2's mined machines only start deferring
 // commits once a campaign has a few hundred runs to mine.
 const (

@@ -3,6 +3,7 @@ package ledger
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"reflect"
 	"strings"
@@ -108,6 +109,15 @@ func TestAppendZeroAllocs(t *testing.T) {
 }
 
 func TestReaderRejects(t *testing.T) {
+	// countOnly is a one-record ledger whose record carries only commitn.
+	countOnly := func(commitN int) string {
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
+		r := sampleRecords()[0]
+		r.Commits, r.CommitN = nil, commitN
+		w.Append(&r)
+		return buf.String()
+	}
 	valid := func() string {
 		var buf bytes.Buffer
 		w := NewWriter(&buf)
@@ -122,11 +132,20 @@ func TestReaderRejects(t *testing.T) {
 		"short line":     headerOnly + "0|only|three\n",
 		"bad outcome":    strings.Replace(valid, "|crash|L|", "|exploded|L|", 1),
 		"commit count":   strings.Replace(valid, "3,7,40", "3,7", 1),
+		// A count-only record's commitn sizes the commit chain the miner
+		// builds: a million is an out-of-memory kill.
+		"commitn past the cap": countOnly(MaxCommitN + 1),
 	}
 	for name, in := range cases {
 		if _, err := ReadAll(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+	if _, err := ReadAll(strings.NewReader(countOnly(1_000_000))); !errors.Is(err, ErrCommitN) {
+		t.Errorf("commitn 10⁶: ReadAll error %v, want ErrCommitN", err)
+	}
+	if _, err := ReadAll(strings.NewReader(countOnly(MaxCommitN))); err != nil {
+		t.Errorf("commitn at the cap: %v", err)
 	}
 }
 
@@ -377,14 +396,6 @@ func FuzzReadAll(f *testing.F) {
 			t.Fatalf("records moved across Append → ReadAll:\n got %+v\nwant %+v", again, recs)
 		}
 
-		// A count-only record's commitn sizes its mined commit chain, and
-		// no format rule bounds it yet (ROADMAP): analyze campaign-sized
-		// counts only, or a long digit run is an out-of-memory kill.
-		for i := range recs {
-			if recs[i].CommitN > 1<<12 {
-				return
-			}
-		}
 		rp := Analyze(recs)
 		if err := rp.WriteMarkdown(io.Discard); err != nil {
 			t.Fatal(err)

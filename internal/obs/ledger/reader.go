@@ -16,6 +16,15 @@ import (
 // (recoverable: analyze the prefix) from in-line corruption (not).
 var ErrTruncated = errors.New("ledger: truncated final record")
 
+// MaxCommitN caps a record's commitn. A count-only record's commitn sizes
+// the commit chain the miner builds for it, so an unbounded count is an
+// out-of-memory kill, not a run. The largest commitn `ftbench -experiment
+// all -ledger` writes is 1 607 (fig8, xpilot); the cap leaves 20x headroom.
+const MaxCommitN = 1 << 15
+
+// ErrCommitN reports a record whose commitn exceeds MaxCommitN.
+var ErrCommitN = errors.New("ledger: commitn past the limit")
+
 // outcomeByName inverts outcomeNames for the reader.
 func outcomeByName(s string) (Outcome, bool) {
 	for i, n := range outcomeNames {
@@ -193,6 +202,9 @@ func parseLine(text string, version int) (Record, error) {
 	}
 	if err := ints(17, &r.CommitN); err != nil {
 		return r, err
+	}
+	if r.CommitN > MaxCommitN {
+		return r, fmt.Errorf("commitn %d exceeds %d: %w", r.CommitN, MaxCommitN, ErrCommitN)
 	}
 	if err := ints(18, &r.ViolFirst); err != nil {
 		return r, err
