@@ -30,9 +30,9 @@
 //
 // -experiment fleet runs the scheduler scalability sweep: the fleet echo
 // workload at -fleet-sizes processes (default 100,1000,10000) under the
-// unrecoverable baseline with both schedulers plus every measured protocol
-// under the indexed one, printing ns-per-scheduling-decision curves and the
-// indexed-vs-scan speedup (see internal/bench/fleet.go).
+// unrecoverable baseline and every measured protocol, printing
+// ns-per-scheduling-decision and protocol-overhead curves (see
+// internal/bench/fleet.go).
 //
 // Bad input is rejected before any simulation starts (exit 2), and every
 // output file is created up front, so a typo cannot cost a campaign.

@@ -23,9 +23,9 @@
 // itself a finding.
 //
 // -json writes the findings to stdout as a JSON document (CI archives it
-// as an artifact); the human-readable lines then go to stderr. -parallel
-// caps package-loading concurrency: 0 means GOMAXPROCS, 1 reproduces the
-// old serial loader (the CI timing guard compares the two).
+// as an artifact); the human-readable lines then go to stderr. Relative
+// patterns resolve against the working directory, as with the go tool:
+// ./internal/sim, ./internal/..., or ./... from a subdirectory.
 package main
 
 import (
@@ -40,18 +40,15 @@ import (
 
 func main() {
 	var (
-		detpkg   string
-		jsonOut  bool
-		parallel int
+		detpkg  string
+		jsonOut bool
 	)
 	flag.StringVar(&detpkg, "detpkg", "",
 		"comma-separated extra import paths to add to detlint's deterministic core")
 	flag.BoolVar(&jsonOut, "json", false,
 		"write findings to stdout as JSON (human-readable lines move to stderr)")
-	flag.IntVar(&parallel, "parallel", 0,
-		"max packages loading concurrently (0 = GOMAXPROCS, 1 = serial)")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: ftlint [-detpkg pkgs] [-json] [-parallel n] [patterns]\n\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: ftlint [-detpkg pkgs] [-json] [patterns]\n\n")
 		flag.PrintDefaults()
 		fmt.Fprintf(flag.CommandLine.Output(), "\nanalyzers:\n")
 		for _, a := range ftlint.Analyzers() {
@@ -64,7 +61,7 @@ func main() {
 	if detpkg != "" {
 		extra = strings.Split(detpkg, ",")
 	}
-	res, err := ftlint.RunParallel(".", flag.Args(), parallel, extra...)
+	res, err := ftlint.Run(".", flag.Args(), extra...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ftlint:", err)
 		os.Exit(2)

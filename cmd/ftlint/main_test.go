@@ -37,30 +37,45 @@ func module(t *testing.T, files map[string]string) string {
 }
 
 // TestExitCodes: ftlint exits 0 on a clean tree, 1 when it has findings and
-// 2 when it cannot load the tree.
+// 2 when it cannot load the tree. Relative patterns resolve against the
+// working directory, as with the go tool.
 func TestExitCodes(t *testing.T) {
 	const gomod = "module failtrans\n\ngo 1.22\n"
+	const clean = "package sim\n\nfunc Stamp(now int64) int64 { return now + 1 }\n"
+	const planted = "package sim\n\nimport \"time\"\n\nfunc Stamp() int64 { return time.Now().UnixNano() }\n"
+	// mixed has a planted internal/sim beside a clean internal/event.
+	mixed := map[string]string{
+		"go.mod":                 gomod,
+		"internal/sim/clock.go":  planted,
+		"internal/event/next.go": "package event\n\nfunc Next(n int64) int64 { return n + 1 }\n",
+	}
 	for _, tc := range []struct {
 		name  string
 		files map[string]string
+		dir   string // working directory, relative to the module root
+		args  []string
 		code  int
 		want  string // substring of the combined output
 	}{
 		{"clean", map[string]string{
 			"go.mod":                gomod,
-			"internal/sim/clock.go": "package sim\n\nfunc Stamp(now int64) int64 { return now + 1 }\n",
-		}, 0, ""},
+			"internal/sim/clock.go": clean,
+		}, ".", []string{"./..."}, 0, ""},
 		{"planted time.Now", map[string]string{
 			"go.mod":                gomod,
-			"internal/sim/clock.go": "package sim\n\nimport \"time\"\n\nfunc Stamp() int64 { return time.Now().UnixNano() }\n",
-		}, 1, "time.Now"},
+			"internal/sim/clock.go": planted,
+		}, ".", []string{"./..."}, 1, "time.Now"},
 		{"no module", map[string]string{
 			"clock.go": "package clock\n",
-		}, 2, "no go.mod found"},
+		}, ".", []string{"./..."}, 2, "no go.mod found"},
+		{"clean subpackage", mixed, ".", []string{"./internal/event"}, 0, ""},
+		{"planted subpackage", mixed, ".", []string{"./internal/sim"}, 1, "time.Now"},
+		{"planted subtree from subdirectory", mixed, "internal", []string{"./sim/..."}, 1, "time.Now"},
+		{"clean subdirectory tree", mixed, "internal/event", []string{"./..."}, 0, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cmd := exec.Command(os.Args[0], "./...")
-			cmd.Dir = module(t, tc.files)
+			cmd := exec.Command(os.Args[0], tc.args...)
+			cmd.Dir = filepath.Join(module(t, tc.files), tc.dir)
 			cmd.Env = append(os.Environ(), "FTLINT_TEST_MAIN=1")
 			var out bytes.Buffer
 			cmd.Stdout, cmd.Stderr = &out, &out

@@ -390,7 +390,7 @@ func runCampaign(app, polName, mediumName string, scale int, baseSeed int64, n, 
 		line string
 		rec  *ledger.Record
 	}
-	err := campaign.Run(campaign.Config{Workers: workers, Phase: "ftsim/" + app, Metrics: campObs}, n,
+	err := campaign.Run(campaign.Config{Workers: workers, Metrics: campObs}, n,
 		func(i int) (seedRun, error) {
 			seed := baseSeed + int64(i)
 			w, err := bench.BuildWorld(app, scale, seed)

@@ -6,6 +6,7 @@ package ftlint
 
 import (
 	"fmt"
+	"go/build"
 	"os"
 	"path/filepath"
 	"strings"
@@ -91,27 +92,32 @@ func Analyzers(extraDetPkgs ...string) []*analysis.Analyzer {
 }
 
 // Run lints the module that contains dir with the full suite and returns
-// the findings. Patterns default to ./... .
+// the findings. No patterns means the whole module; a relative pattern
+// ("./p", "./p/...") is resolved against dir, as the go tool resolves it
+// against the working directory.
 func Run(dir string, patterns []string, extraDetPkgs ...string) (*analysis.Result, error) {
-	return RunParallel(dir, patterns, 0, extraDetPkgs...)
-}
-
-// RunParallel is Run with an explicit package-loading parallelism cap
-// (0 = GOMAXPROCS, 1 = the old serial loader; the CI timing guard
-// compares the two).
-func RunParallel(dir string, patterns []string, parallel int, extraDetPkgs ...string) (*analysis.Result, error) {
 	root, modpath, err := findModule(dir)
 	if err != nil {
 		return nil, err
 	}
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
+	pats := []string{"./..."} // relative to root: the whole module
+	if len(patterns) > 0 {
+		pats = make([]string, len(patterns))
+		for i, pat := range patterns {
+			if build.IsLocalImport(pat) {
+				pat = filepath.Join(abs, pat)
+			}
+			pats[i] = pat
+		}
 	}
 	return analysis.Run(analysis.Config{
 		Dir:        root,
 		ModulePath: modpath,
-		Patterns:   patterns,
-		Parallel:   parallel,
+		Patterns:   pats,
 	}, Analyzers(extraDetPkgs...))
 }
 

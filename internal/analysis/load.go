@@ -3,17 +3,16 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // Config tells the driver what to load and how to map import paths to
@@ -26,13 +25,10 @@ type Config struct {
 	Dir string
 	// ModulePath is the module's import-path prefix ("failtrans").
 	ModulePath string
-	// Patterns selects packages: "./..." for every package under Dir, or
-	// explicit import paths.
+	// Patterns selects packages: a directory, relative to Dir ("./p") or
+	// absolute; a directory and every package below it ("./p/...",
+	// "./..."); or an import path.
 	Patterns []string
-	// Parallel caps how many packages parse and type-check concurrently;
-	// 0 means GOMAXPROCS. 1 reproduces the old fully-serial loader (the
-	// CI timing guard compares the two).
-	Parallel int
 }
 
 // Package is one loaded, type-checked package.
@@ -44,48 +40,30 @@ type Package struct {
 	Info  *types.Info
 }
 
-// loader loads and type-checks packages from source, in parallel. Local
-// packages (as defined by Config) are resolved under Dir; everything else
-// falls back to the standard library's source importer, so the whole run
-// works with no compiled export data and no network.
-//
-// Loading runs in three phases. Phase 1 discovers and parses every local
-// package reachable from the patterns — a concurrent BFS over syntactic
-// import clauses (token.FileSet is safe for concurrent use). Phase 2
-// topologically sorts the local dependency graph, which also rejects
-// import cycles up front so the scheduler cannot starve. Phase 3
-// type-checks packages concurrently, each becoming ready the moment its
-// local dependencies are done — go/types checks distinct packages in
-// parallel safely as long as shared dependencies are complete, which the
-// scheduling guarantees. The one serial chokepoint left is the standard
-// library's source importer, which is not thread-safe and sits behind a
-// mutex; each stdlib package still parses only once per run.
+// loader loads and type-checks packages from source. Local packages (as
+// defined by Config) are resolved under Dir; everything else falls back to
+// the standard library's source importer, so the whole run works with no
+// compiled export data and no network. Each stdlib package parses only once
+// per run.
 type loader struct {
 	cfg  Config
 	fset *token.FileSet
+	std  types.Importer
 
-	stdMu sync.Mutex
-	std   types.Importer
-
-	mu   sync.Mutex
-	pkgs map[string]*Package
+	pkgs     map[string]*Package // type-checked local packages
+	visiting map[string]bool     // on the current walk's stack
+	order    []*Package          // dependencies first
 }
 
 func newLoader(cfg Config) *loader {
 	fset := token.NewFileSet()
 	return &loader{
-		cfg:  cfg,
-		fset: fset,
-		std:  importer.ForCompiler(fset, "source", nil),
-		pkgs: make(map[string]*Package),
+		cfg:      cfg,
+		fset:     fset,
+		std:      importer.ForCompiler(fset, "source", nil),
+		pkgs:     make(map[string]*Package),
+		visiting: make(map[string]bool),
 	}
-}
-
-func (l *loader) parallelism() int {
-	if l.cfg.Parallel > 0 {
-		return l.cfg.Parallel
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // dirFor maps an import path to a local directory, or ok=false when the
@@ -109,24 +87,19 @@ func (l *loader) dirFor(path string) (string, bool) {
 }
 
 // Import implements types.Importer for the type checker's import clauses.
-// Local packages must already be complete — phase 3 schedules dependencies
-// first — and stdlib imports serialize through the source importer's
-// mutex.
+// The walk type-checks a package's local dependencies before the package
+// itself, so a local import is always complete by the time it is asked for.
 func (l *loader) Import(path string) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
 	}
 	if _, ok := l.dirFor(path); ok {
-		l.mu.Lock()
 		pkg := l.pkgs[path]
-		l.mu.Unlock()
 		if pkg == nil {
 			return nil, fmt.Errorf("internal: local package %q imported before it was type-checked", path)
 		}
 		return pkg.Types, nil
 	}
-	l.stdMu.Lock()
-	defer l.stdMu.Unlock()
 	return l.std.Import(path)
 }
 
@@ -150,33 +123,24 @@ func sourceFiles(dir string) ([]string, error) {
 	return names, nil
 }
 
-// parsedPkg is the phase-1 product: a package's syntax and its local
-// dependencies, before type checking.
-type parsedPkg struct {
-	path  string
-	dir   string
-	files []*ast.File
-	deps  []string // local imports, sorted and deduplicated
-}
-
-// parsePkg parses one package directory and extracts its local imports.
-func (l *loader) parsePkg(path, dir string) (*parsedPkg, error) {
+// parsePkg parses one package directory and returns its files and its
+// local imports, sorted and deduplicated.
+func (l *loader) parsePkg(dir string) (files []*ast.File, deps []string, err error) {
 	names, err := sourceFiles(dir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if len(names) == 0 {
-		return nil, fmt.Errorf("no Go source files in %s", dir)
+		return nil, nil, fmt.Errorf("no Go source files in %s", dir)
 	}
-	pp := &parsedPkg{path: path, dir: dir}
 	depSet := make(map[string]bool)
 	for _, name := range names {
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil,
 			parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		pp.files = append(pp.files, f)
+		files = append(files, f)
 		for _, imp := range f.Imports {
 			p, err := strconv.Unquote(imp.Path.Value)
 			if err != nil || p == "unsafe" {
@@ -188,118 +152,37 @@ func (l *loader) parsePkg(path, dir string) (*parsedPkg, error) {
 		}
 	}
 	for p := range depSet {
-		pp.deps = append(pp.deps, p)
+		deps = append(deps, p)
 	}
-	sort.Strings(pp.deps)
-	return pp, nil
+	sort.Strings(deps)
+	return files, deps, nil
 }
 
-// discover runs the concurrent parse BFS from the root packages and
-// returns every local package reachable through import clauses. Import
-// clauses are syntactic, so the discovered set is complete before any
-// type checking starts.
-func (l *loader) discover(roots []string) (map[string]*parsedPkg, error) {
-	var (
-		mu     sync.Mutex
-		wg     sync.WaitGroup
-		sem    = make(chan struct{}, l.parallelism())
-		seen   = make(map[string]bool)
-		parsed = make(map[string]*parsedPkg)
-		errs   []string
-	)
-	var visit func(path string)
-	visit = func(path string) {
-		mu.Lock()
-		if seen[path] {
-			mu.Unlock()
-			return
-		}
-		seen[path] = true
-		mu.Unlock()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			dir, ok := l.dirFor(path)
-			if !ok {
-				mu.Lock()
-				errs = append(errs, fmt.Sprintf("package %q is outside the analysis root", path))
-				mu.Unlock()
-				return
-			}
-			pp, err := l.parsePkg(path, dir)
-			if err != nil {
-				mu.Lock()
-				errs = append(errs, err.Error())
-				mu.Unlock()
-				return
-			}
-			mu.Lock()
-			parsed[path] = pp
-			mu.Unlock()
-			for _, dep := range pp.deps {
-				visit(dep)
-			}
-		}()
-	}
-	for _, r := range roots {
-		visit(r)
-	}
-	wg.Wait()
-	if len(errs) > 0 {
-		sort.Strings(errs) // deterministic despite concurrent discovery
-		return nil, fmt.Errorf("%s", errs[0])
-	}
-	return parsed, nil
-}
-
-// toposort orders the parsed packages dependencies-first, deterministically
-// (DFS over sorted paths and sorted deps), rejecting import cycles.
-func toposort(parsed map[string]*parsedPkg) ([]*parsedPkg, error) {
-	paths := make([]string, 0, len(parsed))
-	for p := range parsed {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	const (
-		visiting = 1
-		done     = 2
-	)
-	state := make(map[string]int, len(parsed))
-	order := make([]*parsedPkg, 0, len(parsed))
-	var visit func(p string) error
-	visit = func(p string) error {
-		switch state[p] {
-		case visiting:
-			return fmt.Errorf("import cycle through %q", p)
-		case done:
-			return nil
-		}
-		state[p] = visiting
-		for _, d := range parsed[p].deps {
-			if parsed[d] == nil {
-				continue // parse failed elsewhere; reported already
-			}
-			if err := visit(d); err != nil {
-				return err
-			}
-		}
-		state[p] = done
-		order = append(order, parsed[p])
+// load walks the local import graph depth-first from path: it parses the
+// package, loads its local dependencies in sorted order, then type-checks
+// it and appends it to l.order. A dependency still on the walk's stack is
+// an import cycle.
+func (l *loader) load(path string) error {
+	if l.pkgs[path] != nil {
 		return nil
 	}
-	for _, p := range paths {
-		if err := visit(p); err != nil {
-			return nil, err
+	if l.visiting[path] {
+		return fmt.Errorf("import cycle through %q", path)
+	}
+	l.visiting[path] = true
+	dir, ok := l.dirFor(path)
+	if !ok {
+		return fmt.Errorf("package %q is outside the analysis root", path)
+	}
+	files, deps, err := l.parsePkg(dir)
+	if err != nil {
+		return err
+	}
+	for _, d := range deps {
+		if err := l.load(d); err != nil {
+			return err
 		}
 	}
-	return order, nil
-}
-
-// check type-checks one parsed package whose local dependencies are
-// complete and publishes it for importers.
-func (l *loader) check(pp *parsedPkg) error {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Instances:  make(map[*ast.Ident]types.Instance),
@@ -310,102 +193,67 @@ func (l *loader) check(pp *parsedPkg) error {
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
 	conf := types.Config{Importer: l}
-	tpkg, err := conf.Check(pp.path, l.fset, pp.files, info)
+	tpkg, err := conf.Check(path, l.fset, files, info)
 	if err != nil {
-		return fmt.Errorf("type-checking %s: %w", pp.path, err)
+		return fmt.Errorf("type-checking %s: %w", path, err)
 	}
-	l.mu.Lock()
-	l.pkgs[pp.path] = &Package{Path: pp.path, Dir: pp.dir, Files: pp.files, Types: tpkg, Info: info}
-	l.mu.Unlock()
+	pkg := &Package{Path: path, Dir: dir, Files: files, Types: tpkg, Info: info}
+	l.visiting[path] = false
+	l.pkgs[path] = pkg
+	l.order = append(l.order, pkg)
 	return nil
 }
 
-// checkAll type-checks the topologically-sorted packages with bounded
-// parallelism: a package becomes ready the moment its last local
-// dependency completes, so independent subtrees overlap while the stdlib
-// importer's mutex serializes only what it must.
-func (l *loader) checkAll(order []*parsedPkg) error {
-	indeg := make(map[string]int, len(order))
-	dependents := make(map[string][]*parsedPkg)
-	inSet := make(map[string]*parsedPkg, len(order))
-	for _, pp := range order {
-		inSet[pp.path] = pp
+// importPath maps a directory under Dir to its import path, or ok=false
+// for a GOPATH-style root itself, which is not a package.
+func (l *loader) importPath(dir string) (string, bool, error) {
+	rel, err := filepath.Rel(l.cfg.Dir, dir)
+	if err != nil {
+		return "", false, err
 	}
-	for _, pp := range order {
-		n := 0
-		for _, d := range pp.deps {
-			if inSet[d] != nil {
-				n++
-				dependents[d] = append(dependents[d], pp)
-			}
-		}
-		indeg[pp.path] = n
+	rel = filepath.ToSlash(rel)
+	switch {
+	case rel == ".." || strings.HasPrefix(rel, "../"):
+		return "", false, fmt.Errorf("directory %s is outside the analysis root", dir)
+	case rel == "." && l.cfg.ModulePath != "":
+		return l.cfg.ModulePath, true, nil
+	case rel == ".":
+		return "", false, nil
+	case l.cfg.ModulePath != "":
+		return l.cfg.ModulePath + "/" + rel, true, nil
 	}
-	ready := make(chan *parsedPkg, len(order))
-	var (
-		mu        sync.Mutex
-		firstErr  error
-		remaining = len(order)
-	)
-	if remaining == 0 {
-		return nil
-	}
-	for _, pp := range order {
-		if indeg[pp.path] == 0 {
-			ready <- pp
-		}
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < l.parallelism(); i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for pp := range ready {
-				mu.Lock()
-				failed := firstErr != nil
-				mu.Unlock()
-				var err error
-				if !failed {
-					err = l.check(pp)
-				}
-				mu.Lock()
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
-				for _, dep := range dependents[pp.path] {
-					indeg[dep.path]--
-					if indeg[dep.path] == 0 {
-						ready <- dep // buffered to len(order): never blocks
-					}
-				}
-				remaining--
-				if remaining == 0 {
-					close(ready)
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
+	return rel, true, nil
 }
 
-// expand resolves the Config patterns into import paths.
+// expand resolves the Config patterns into sorted import paths. A relative
+// or absolute pattern names a directory under Dir, and with a "/..."
+// suffix every package at or below it; anything else is an import path.
 func (l *loader) expand() ([]string, error) {
-	var paths []string
 	seen := make(map[string]bool)
-	add := func(p string) {
-		if !seen[p] {
+	add := func(dir string) error {
+		p, ok, err := l.importPath(dir)
+		if ok {
 			seen[p] = true
-			paths = append(paths, p)
 		}
+		return err
 	}
 	for _, pat := range l.cfg.Patterns {
-		if pat != "./..." {
-			add(pat)
+		if !build.IsLocalImport(pat) && !filepath.IsAbs(pat) {
+			seen[pat] = true
 			continue
 		}
-		err := filepath.WalkDir(l.cfg.Dir, func(p string, d os.DirEntry, err error) error {
+		base, tree := strings.CutSuffix(filepath.ToSlash(pat), "/...")
+		root := filepath.FromSlash(base)
+		if !filepath.IsAbs(root) {
+			root = filepath.Join(l.cfg.Dir, root)
+		}
+		if !tree {
+			if err := add(root); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		err := filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
 			if err != nil {
 				return err
 			}
@@ -413,7 +261,7 @@ func (l *loader) expand() ([]string, error) {
 				return nil
 			}
 			name := d.Name()
-			if p != l.cfg.Dir && (name == "testdata" || name == "vendor" ||
+			if p != root && (name == "testdata" || name == "vendor" ||
 				strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 				return filepath.SkipDir
 			}
@@ -421,51 +269,32 @@ func (l *loader) expand() ([]string, error) {
 			if err != nil || len(names) == 0 {
 				return nil
 			}
-			rel, err := filepath.Rel(l.cfg.Dir, p)
-			if err != nil {
-				return err
-			}
-			switch {
-			case rel == "." && l.cfg.ModulePath != "":
-				add(l.cfg.ModulePath)
-			case rel == ".":
-				// A GOPATH-style root itself is not a package.
-			case l.cfg.ModulePath != "":
-				add(l.cfg.ModulePath + "/" + filepath.ToSlash(rel))
-			default:
-				add(filepath.ToSlash(rel))
-			}
-			return nil
+			return add(p)
 		})
 		if err != nil {
 			return nil, err
 		}
 	}
+	paths := make([]string, 0, len(seen))
+	for p := range seen {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
 	return paths, nil
 }
 
-// loadAll loads every package the patterns select (plus their local
-// transitive dependencies) and returns them in deterministic topological
+// loadAll loads every package the patterns select, plus their local
+// transitive dependencies, and returns them in deterministic topological
 // order, dependencies first.
 func (l *loader) loadAll() ([]*Package, error) {
 	roots, err := l.expand()
 	if err != nil {
 		return nil, err
 	}
-	parsed, err := l.discover(roots)
-	if err != nil {
-		return nil, err
+	for _, r := range roots {
+		if err := l.load(r); err != nil {
+			return nil, err
+		}
 	}
-	order, err := toposort(parsed)
-	if err != nil {
-		return nil, err
-	}
-	if err := l.checkAll(order); err != nil {
-		return nil, err
-	}
-	out := make([]*Package, len(order))
-	for i, pp := range order {
-		out[i] = l.pkgs[pp.path]
-	}
-	return out, nil
+	return l.order, nil
 }

@@ -191,7 +191,7 @@ func runOnce(app string, scale int, pol *protocol.Policy, medium stablestore.Med
 func Fig8(app string, scale, workers int, lw *ledger.Writer) (*Fig8Result, error) {
 	measured := protocol.Measured()
 	cells := make([]onceResult, 1+2*len(measured))
-	err := campaign.Run(campaign.Config{Workers: workers, Phase: "fig8/" + app}, len(cells),
+	err := campaign.Run(campaign.Config{Workers: workers}, len(cells),
 		func(i int) (onceResult, error) {
 			if i == 0 {
 				return runOnce(app, scale, nil, stablestore.Rio) // unrecoverable baseline

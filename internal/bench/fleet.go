@@ -13,16 +13,9 @@ import (
 	"failtrans/internal/stablestore"
 )
 
-// This file is the fleet-scale scalability driver: protocol overhead vs
-// fleet size at 10²–10⁵ processes, plus the scan-vs-indexed scheduler
-// comparison the O(active) refactor is judged by (`ftbench -experiment
-// fleet`; CI's fleet smoke holds the n=10⁴ step-throughput ratio ≥ 10×).
-
-// FleetScanMax caps the fleet sizes the legacy scan scheduler is measured
-// at: the scan is O(procs) per step, so a 10⁵-proc run would cost ~10¹⁰
-// proc-visits — the very behavior the index removes. The indexed points
-// above the cap stand alone.
-const FleetScanMax = 10_000
+// This file is the fleet-scale scalability driver: scheduling cost and
+// protocol overhead vs fleet size at 10²–10⁵ processes (`ftbench
+// -experiment fleet`).
 
 // FleetProtocolMax caps the sizes the seven recoverable protocols are
 // measured at. Discount Checking's per-process bookkeeping (vista segments,
@@ -30,11 +23,10 @@ const FleetScanMax = 10_000
 // still extends to 10⁵ to show scheduler scaling alone.
 const FleetProtocolMax = 10_000
 
-// FleetPoint is one (size, protocol, scheduler) fleet measurement.
+// FleetPoint is one (size, protocol) fleet measurement.
 type FleetPoint struct {
 	Procs    int    `json:"procs"`
 	Protocol string `json:"protocol"` // "NONE" = unrecoverable baseline
-	Sched    string `json:"sched"`    // "indexed" | "scan"
 
 	Steps  int   `json:"steps"`
 	WallNs int64 `json:"wall_ns"`
@@ -55,16 +47,12 @@ type FleetPoint struct {
 type FleetResult struct {
 	Sizes  []int        `json:"sizes"`
 	Points []FleetPoint `json:"points"`
-	// SpeedupAt is the indexed-vs-scan step-throughput ratio per size for
-	// the NONE baseline (sizes above FleetScanMax are absent).
-	SpeedupAt map[string]float64 `json:"speedup_at"`
 }
 
 // runFleetOnce runs one fleet cell and measures it.
-func runFleetOnce(n int, pol *protocol.Policy, scan bool) (FleetPoint, error) {
+func runFleetOnce(n int, pol *protocol.Policy) (FleetPoint, error) {
 	cfg := fleet.Sized(n)
 	w := sim.NewWorld(23, fleet.Fleet(cfg)...)
-	w.ScanSched = scan
 	w.RecordTrace = false
 	w.MaxSteps = 100_000_000
 	m, _ := w.EnableObs(false)
@@ -77,23 +65,18 @@ func runFleetOnce(n int, pol *protocol.Policy, scan bool) (FleetPoint, error) {
 			return FleetPoint{}, err
 		}
 	}
-	sched := "indexed"
-	if scan {
-		sched = "scan"
-	}
 	start := time.Now()
 	if err := w.Run(); err != nil {
 		return FleetPoint{}, err
 	}
 	wall := time.Since(start)
 	if !w.AllDone() {
-		return FleetPoint{}, fmt.Errorf("bench: fleet n=%d %s/%s did not finish (%d/%d done)",
-			n, name, sched, w.DoneCount(), len(w.Procs))
+		return FleetPoint{}, fmt.Errorf("bench: fleet n=%d %s did not finish (%d/%d done)",
+			n, name, w.DoneCount(), len(w.Procs))
 	}
 	pt := FleetPoint{
 		Procs:        len(w.Procs),
 		Protocol:     name,
-		Sched:        sched,
 		Steps:        w.StepCount(),
 		WallNs:       wall.Nanoseconds(),
 		VirtualUs:    int64(w.Clock / time.Microsecond),
@@ -121,33 +104,22 @@ func liveHeapKiBPerProc(w *sim.World) float64 {
 }
 
 // FleetCurves measures the overhead-vs-fleet-size sweep: for every size the
-// unrecoverable baseline under both schedulers (scan capped at
-// FleetScanMax), and every measured protocol under the indexed scheduler
-// (capped at FleetProtocolMax).
+// unrecoverable baseline, and every measured protocol up to
+// FleetProtocolMax.
 func FleetCurves(sizes []int) (*FleetResult, error) {
-	res := &FleetResult{Sizes: sizes, SpeedupAt: map[string]float64{}}
+	res := &FleetResult{Sizes: sizes}
 	for _, n := range sizes {
-		base, err := runFleetOnce(n, nil, false)
+		base, err := runFleetOnce(n, nil)
 		if err != nil {
 			return nil, err
 		}
 		res.Points = append(res.Points, base)
-		if n <= FleetScanMax {
-			scanPt, err := runFleetOnce(n, nil, true)
-			if err != nil {
-				return nil, err
-			}
-			res.Points = append(res.Points, scanPt)
-			if base.StepNs > 0 {
-				res.SpeedupAt[fmt.Sprint(n)] = scanPt.StepNs / base.StepNs
-			}
-		}
 		if n > FleetProtocolMax {
 			continue
 		}
 		for _, pol := range protocol.Measured() {
 			pol := pol
-			pt, err := runFleetOnce(n, &pol, false)
+			pt, err := runFleetOnce(n, &pol)
 			if err != nil {
 				return nil, err
 			}
@@ -160,17 +132,12 @@ func FleetCurves(sizes []int) (*FleetResult, error) {
 // Print renders the sweep.
 func (r *FleetResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "Fleet scalability (sizes %v):\n", r.Sizes)
-	fmt.Fprintf(w, "%8s %-12s %-8s %10s %12s %10s %12s %8s %10s\n",
-		"procs", "protocol", "sched", "steps", "wall", "ns/step", "virtual", "ckpts", "KiB/proc")
+	fmt.Fprintf(w, "%8s %-12s %10s %12s %10s %12s %8s %10s\n",
+		"procs", "protocol", "steps", "wall", "ns/step", "virtual", "ckpts", "KiB/proc")
 	for _, p := range r.Points {
-		fmt.Fprintf(w, "%8d %-12s %-8s %10d %12s %10.0f %12s %8d %10.2f\n",
-			p.Procs, p.Protocol, p.Sched, p.Steps,
+		fmt.Fprintf(w, "%8d %-12s %10d %12s %10.0f %12s %8d %10.2f\n",
+			p.Procs, p.Protocol, p.Steps,
 			time.Duration(p.WallNs).Round(time.Millisecond),
 			p.StepNs, time.Duration(p.VirtualUs)*time.Microsecond, p.Checkpoints, p.HeapKiBPerProc)
-	}
-	for _, n := range r.Sizes {
-		if x, ok := r.SpeedupAt[fmt.Sprint(n)]; ok {
-			fmt.Fprintf(w, "indexed vs scan at n=%d: %.1fx step throughput\n", n, x)
-		}
 	}
 }

@@ -87,7 +87,7 @@ const fleetKiBPerProcCeiling = 2.0
 // layer nothing can redeliver a consumed message and nothing observes a
 // histogram, so neither may stay on the heap once the fleet is done.
 func TestFleetFootprint(t *testing.T) {
-	pt, err := runFleetOnce(10_000, nil, false)
+	pt, err := runFleetOnce(10_000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

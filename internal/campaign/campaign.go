@@ -30,7 +30,6 @@ package campaign
 
 import (
 	"sync"
-	"time"
 
 	"failtrans/internal/obs"
 )
@@ -45,16 +44,9 @@ const speculation = 2
 type Config struct {
 	// Workers is the pool size; values <= 1 run the serial loop directly.
 	Workers int
-	// Phase labels the progress span and debug output (e.g. "table1/nvi/HeapBitFlip").
-	Phase string
 	// Metrics, if non-nil, receives per-worker run counts and the
 	// dispatched/accepted/discarded totals.
 	Metrics *obs.CampaignMetrics
-	// Tracer, if non-nil, receives one campaign progress span per phase on
-	// Track, positioned by cumulative accepted-run count (deterministic,
-	// unlike wall time).
-	Tracer *obs.Tracer
-	Track  int
 }
 
 // result carries one speculative run's outcome back to the acceptor.
@@ -83,33 +75,13 @@ type result[T any] struct {
 // (they may share once-cells, see the package comment); jobs past the
 // stopping point may or may not execute, and their results are discarded.
 func Run[T any](cfg Config, n int, job func(i int) (T, error), accept func(i int, v T) bool) error {
-	m := cfg.Metrics
-	if m != nil {
+	if m := cfg.Metrics; m != nil {
 		m.Phases++
 	}
-	acceptedBefore := int64(0)
-	if m != nil {
-		acceptedBefore = m.Accepted
-	}
-	var err error
 	if cfg.Workers <= 1 || n <= 1 {
-		err = runSerial(cfg, n, job, accept)
-	} else {
-		err = runParallel(cfg, n, job, accept)
+		return runSerial(cfg, n, job, accept)
 	}
-	if t := cfg.Tracer; t != nil {
-		// Progress spans over a deterministic "accepted runs" timeline:
-		// this phase covers [acceptedBefore, accepted) in microseconds.
-		accepted := int64(0)
-		if m != nil {
-			accepted = m.Accepted - acceptedBefore
-		}
-		t.SpanArgs(cfg.Track, "campaign", cfg.Phase,
-			time.Duration(acceptedBefore)*time.Microsecond,
-			time.Duration(accepted)*time.Microsecond,
-			"phase", cfg.Phase, "accepted", accepted)
-	}
-	return err
+	return runParallel(cfg, n, job, accept)
 }
 
 // runSerial is the reference loop, with the same metrics accounting.

@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -167,10 +166,9 @@ func TestMetricsAccounting(t *testing.T) {
 	}
 }
 
-func TestSerialPathMetricsAndSpan(t *testing.T) {
+func TestSerialPathMetrics(t *testing.T) {
 	m := obs.NewCampaignMetrics(1)
-	tr := obs.NewTracer()
-	err := Run(Config{Workers: 1, Phase: "unit", Metrics: m, Tracer: tr}, 10,
+	err := Run(Config{Workers: 1, Metrics: m}, 10,
 		func(i int) (int, error) { return i, nil },
 		func(i, v int) bool { return i < 4 })
 	if err != nil {
@@ -187,9 +185,6 @@ func TestSerialPathMetricsAndSpan(t *testing.T) {
 	}
 	if m.Workers[0].Runs != 5 || !strings.Contains(sum.String(), "serial=5 cells=0 reused=0\n  worker 0 runs=5\n") {
 		t.Errorf("worker 0 credited %d of 5 serial runs; summary:\n%s", m.Workers[0].Runs, sum.String())
-	}
-	if tr.Len() != 1 {
-		t.Errorf("tracer has %d events, want 1 progress span", tr.Len())
 	}
 }
 
@@ -212,9 +207,8 @@ func TestZeroAndTinyN(t *testing.T) {
 
 func TestManyPhasesShareMetrics(t *testing.T) {
 	m := obs.NewCampaignMetrics(3)
-	tr := obs.NewTracer()
 	for phase := 0; phase < 4; phase++ {
-		err := Run(Config{Workers: 3, Phase: fmt.Sprintf("phase-%d", phase), Metrics: m, Tracer: tr}, 12,
+		err := Run(Config{Workers: 3, Metrics: m}, 12,
 			jitteryJob(int64(phase)),
 			func(i, v int) bool { return i < 6 })
 		if err != nil {
@@ -226,8 +220,5 @@ func TestManyPhasesShareMetrics(t *testing.T) {
 	}
 	if m.Accepted != 4*7 {
 		t.Errorf("Accepted = %d, want 28", m.Accepted)
-	}
-	if tr.Len() != 4 {
-		t.Errorf("tracer has %d spans, want 4", tr.Len())
 	}
 }

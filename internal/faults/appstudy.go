@@ -143,10 +143,6 @@ type AppStudy struct {
 	WallClock func() int64
 	// CampaignObs, if non-nil, receives per-worker campaign counters.
 	CampaignObs *obs.CampaignMetrics
-	// CampaignTracer, if non-nil, receives one progress span per fault
-	// type on track CampaignTrack.
-	CampaignTracer *obs.Tracer
-	CampaignTrack  int
 	// Ledger, if non-nil, receives one forensic record per injection run,
 	// appended from the campaign's ordered accept callback — strictly in
 	// serial run order, on the calling goroutine — so the ledger bytes are
@@ -603,14 +599,8 @@ func (c *injectionCell) demand(run func() (RunResult, error), m *obs.CampaignMet
 }
 
 // campaignConfig builds one fault type's executor configuration.
-func (s *AppStudy) campaignConfig(phase string) campaign.Config {
-	return campaign.Config{
-		Workers: s.Parallel,
-		Phase:   phase,
-		Metrics: s.CampaignObs,
-		Tracer:  s.CampaignTracer,
-		Track:   s.CampaignTrack,
-	}
+func (s *AppStudy) campaignConfig() campaign.Config {
+	return campaign.Config{Workers: s.Parallel, Metrics: s.CampaignObs}
 }
 
 // Run executes the study for every fault type. Injection runs within a
@@ -640,7 +630,7 @@ func (s *AppStudy) Run() ([]TypeResult, error) {
 		kind := kind
 		tr := TypeResult{Kind: kind}
 		cells := make([]injectionCell, s.fireSpan())
-		err := campaign.Run(s.campaignConfig("table1/"+s.App+"/"+kind.String()), s.MaxRunsPerType,
+		err := campaign.Run(s.campaignConfig(), s.MaxRunsPerType,
 			func(run int) (RunResult, error) {
 				// The workload session is fixed by the study seed; only
 				// the injection point varies.

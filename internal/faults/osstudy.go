@@ -273,7 +273,7 @@ func (o *OSStudy) Run() ([]OSTypeResult, error) {
 			crashed, recovered, propagated bool
 			rec                            *ledger.Record
 		}
-		err := campaign.Run(o.campaignConfig("table2/"+o.App+"/"+kind.String()), o.MaxRunsPerType,
+		err := campaign.Run(o.campaignConfig(), o.MaxRunsPerType,
 			func(run int) (osRun, error) {
 				var rec *ledger.Record
 				if o.records() {

@@ -75,18 +75,6 @@ func TestOSStudyParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestAppStudyCampaignTrace(t *testing.T) {
-	s := smallStudy("nvi")
-	s.Parallel = 4
-	s.CampaignTracer = obs.NewTracer()
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := s.CampaignTracer.Len(), len(AppFaultTypes); got != want {
-		t.Errorf("campaign trace has %d spans, want one per fault type (%d)", got, want)
-	}
-}
-
 // BenchmarkAppStudyNvi measures the nvi application study serial vs fanned
 // out over all cores — the speedup the parallel campaign runner exists
 // for. The study is sized a notch above smallStudy so the speculation

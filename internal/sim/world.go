@@ -226,7 +226,7 @@ type World struct {
 
 	// ScanSched selects the legacy O(Procs) scheduling scan instead of
 	// the readiness index — the differential oracle the equivalence tests
-	// compare against and the fleet sweep's baseline; no command sets it.
+	// compare against; no command sets it.
 	// Must be set before the first Step; Fork inherits it.
 	ScanSched bool
 
