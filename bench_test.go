@@ -277,7 +277,7 @@ func BenchmarkBTreeInsert(b *testing.B) {
 // bodies.
 func BenchmarkOctreeForce(b *testing.B) {
 	bodies := treadmarks.InitBodies(512)
-	tree := treadmarks.BuildTree(bodies)
+	tree := new(treadmarks.Octree).Build(bodies)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tree.Force(bodies[i%len(bodies)])

@@ -179,6 +179,15 @@ func TestHotpathRootsAnnotated(t *testing.T) {
 		"../../vista/vista.go": 4, // (*Segment).Write, SetContents, CommitImage, Commit
 		"../../sim/proc.go":    1, // (*Proc).AppendCheckpointImage
 		"../../dc/dc.go":       1, // (*DC).diffOne
+		// The ND scratch: (*Ctx).Now, Rand, TakeSignal, Recv, Syscall,
+		// AppendMsgRecord, AppendParts; (*World).ndWord beside the arenas.
+		"../../sim/ctx.go":   7,
+		"../../sim/world.go": 3, // (*World).allocMsg, allocBytes, ndWord
+		// The octree arena and the send buffer: (*Octree).node, Build,
+		// step; (*TM).encodeHead, stepBodies.
+		"../../apps/treadmarks/barneshut.go": 3,
+		"../../apps/treadmarks/program.go":   2,
+		"../../apps/magic/magic.go":          2, // Rect.Subtract, (*Layer).cut
 	}
 	for file, min := range roots {
 		data, err := os.ReadFile(file)

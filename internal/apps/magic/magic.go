@@ -56,25 +56,28 @@ func (r Rect) Intersect(o Rect) Rect {
 	return out
 }
 
-// Subtract returns the up-to-four fragments of r outside b.
-func (r Rect) Subtract(b Rect) []Rect {
+// Subtract appends the up-to-four fragments of r outside b to dst and
+// returns the extended slice.
+//
+//failtrans:hotpath
+func (r Rect) Subtract(dst []Rect, b Rect) []Rect {
 	if !r.Intersects(b) {
-		return []Rect{r}
+		return append(dst, r)
 	}
-	var out []Rect
-	add := func(f Rect) {
+	y1, y2 := max(r.Y1, b.Y1), min(r.Y2, b.Y2)
+	for _, f := range [4]Rect{
+		// Bands below and above b.
+		{r.X1, r.Y1, r.X2, min(r.Y2, b.Y1)},
+		{r.X1, max(r.Y1, b.Y2), r.X2, r.Y2},
+		// Side fragments within b's vertical span.
+		{r.X1, y1, min(r.X2, b.X1), y2},
+		{max(r.X1, b.X2), y1, r.X2, y2},
+	} {
 		if !f.Empty() {
-			out = append(out, f)
+			dst = append(dst, f)
 		}
 	}
-	// Bands below and above b.
-	add(Rect{r.X1, r.Y1, r.X2, min(r.Y2, b.Y1)})
-	add(Rect{r.X1, max(r.Y1, b.Y2), r.X2, r.Y2})
-	// Side fragments within b's vertical span.
-	y1, y2 := max(r.Y1, b.Y1), min(r.Y2, b.Y2)
-	add(Rect{r.X1, y1, min(r.X2, b.X1), y2})
-	add(Rect{max(r.X1, b.X2), y1, r.X2, y2})
-	return out
+	return dst
 }
 
 // Spacing returns the L∞ gap between two disjoint rectangles (0 if they
@@ -101,6 +104,35 @@ type Layer struct {
 	Name  string
 	Rects []Rect
 	Area  int
+
+	// spare is the tile buffer the next edit rebuilds Rects into (see cut):
+	// the two swap at every Paint and Erase, so an editing session stops
+	// allocating tile lists once both have grown. A Layer owns spare, so
+	// two live copies of one Layer value must never exist: an edit through
+	// one would overwrite the other's Rects.
+	spare []Rect
+}
+
+// cut removes r's area from the layer's tiles and returns the area
+// removed. The surviving tiles and fragments are rebuilt, in order, into
+// the spare buffer, which then becomes Rects while the old Rects becomes
+// the spare.
+//
+//failtrans:hotpath
+func (layer *Layer) cut(r Rect) int {
+	kept := layer.spare[:0]
+	removed := 0
+	for _, t := range layer.Rects {
+		if t.Intersects(r) {
+			removed += t.Intersect(r).Area()
+			kept = t.Subtract(kept, r)
+		} else {
+			kept = append(kept, t)
+		}
+	}
+	layer.spare = layer.Rects[:0]
+	layer.Rects = kept
+	return removed
 }
 
 // Phases of the command cycle.
@@ -178,18 +210,7 @@ func (l *Layout) Paint(ctx *sim.Ctx, layer *Layer, r Rect) {
 		return
 	}
 	if !l.skipOverlap {
-		var kept []Rect
-		removed := 0
-		for _, t := range layer.Rects {
-			if t.Intersects(r) {
-				removed += t.Intersect(r).Area()
-				kept = append(kept, t.Subtract(r)...)
-			} else {
-				kept = append(kept, t)
-			}
-		}
-		layer.Rects = kept
-		layer.Area -= removed
+		layer.Area -= layer.cut(r)
 	}
 	layer.Rects = append(layer.Rects, r)
 	layer.Area += r.Area()
@@ -201,18 +222,7 @@ func (l *Layout) Erase(ctx *sim.Ctx, layer *Layer, r Rect) {
 	if r.Empty() {
 		return
 	}
-	var kept []Rect
-	removed := 0
-	for _, t := range layer.Rects {
-		if t.Intersects(r) {
-			removed += t.Intersect(r).Area()
-			kept = append(kept, t.Subtract(r)...)
-		} else {
-			kept = append(kept, t)
-		}
-	}
-	layer.Rects = kept
-	layer.Area -= removed
+	layer.Area -= layer.cut(r)
 }
 
 // DRC counts min-spacing violations on a layer.

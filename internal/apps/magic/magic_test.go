@@ -2,6 +2,7 @@ package magic
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -34,14 +35,14 @@ func TestRectBasics(t *testing.T) {
 
 func TestSubtractFullCover(t *testing.T) {
 	r := Rect{1, 1, 3, 3}
-	if frags := r.Subtract(Rect{0, 0, 5, 5}); len(frags) != 0 {
+	if frags := r.Subtract(nil, Rect{0, 0, 5, 5}); len(frags) != 0 {
 		t.Errorf("fully covered rect should vanish, got %v", frags)
 	}
 }
 
 func TestSubtractDisjoint(t *testing.T) {
 	r := Rect{0, 0, 2, 2}
-	frags := r.Subtract(Rect{5, 5, 6, 6})
+	frags := r.Subtract(nil, Rect{5, 5, 6, 6})
 	if len(frags) != 1 || frags[0] != r {
 		t.Errorf("disjoint subtract = %v", frags)
 	}
@@ -49,7 +50,7 @@ func TestSubtractDisjoint(t *testing.T) {
 
 func TestSubtractHole(t *testing.T) {
 	r := Rect{0, 0, 10, 10}
-	frags := r.Subtract(Rect{4, 4, 6, 6})
+	frags := r.Subtract(nil, Rect{4, 4, 6, 6})
 	if len(frags) != 4 {
 		t.Fatalf("hole should leave 4 fragments, got %v", frags)
 	}
@@ -79,7 +80,7 @@ func TestSubtractProperty(t *testing.T) {
 			return Rect{x, y, x + 1 + rng.Intn(8), y + 1 + rng.Intn(8)}
 		}
 		r, b := rr(), rr()
-		frags := r.Subtract(b)
+		frags := r.Subtract(nil, b)
 		// Check point-by-point over the bounding grid.
 		for x := r.X1; x < r.X2; x++ {
 			for y := r.Y1; y < r.Y2; y++ {
@@ -102,6 +103,36 @@ func TestSubtractProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWarmedEditsAllocateNothing pins the double-buffered tile lists: once a
+// layer's two buffers have grown to its working size, Paint and Erase
+// rebuild its tiles without allocating, and the tiles are the ones a fresh
+// layer would hold.
+func TestWarmedEditsAllocateNothing(t *testing.T) {
+	l := New("m1")
+	ctx := sim.NewWorld(1, l).Procs[0].Ctx()
+	layer := l.layer("m1")
+	for _, r := range []Rect{{0, 0, 30, 30}, {40, 0, 60, 20}, {10, 40, 50, 45}} {
+		l.Paint(ctx, layer, r)
+	}
+	// Painting then erasing one rect fragments the tiles under it once;
+	// from then on every cycle leaves the same tile set behind.
+	cycle := func() {
+		l.Paint(ctx, layer, Rect{20, 10, 45, 42})
+		l.Erase(ctx, layer, Rect{20, 10, 45, 42})
+	}
+	cycle()
+	want := append([]Rect(nil), layer.Rects...)
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("a warmed paint+erase cycle allocates %.0f times, want 0", n)
+	}
+	if !slices.Equal(layer.Rects, want) {
+		t.Errorf("tiles after the cycles = %v, want %v", layer.Rects, want)
+	}
+	if !l.check(ctx) {
+		t.Error("the layer's invariants broke")
 	}
 }
 

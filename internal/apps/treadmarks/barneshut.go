@@ -53,11 +53,44 @@ type octNode struct {
 	Kids    [8]*octNode
 }
 
-// BuildTree constructs the octree over the bodies.
-func BuildTree(bodies []Body) *octNode {
+// octChunk is how many nodes one arena chunk holds.
+const octChunk = 64
+
+// Octree is a node arena that builds Barnes-Hut octrees and recycles their
+// nodes from one build to the next. Nodes live in fixed-size chunks that
+// are never reallocated, so a node pointer stays valid as the arena grows;
+// each build rewinds to the first node, so a tree rebuilt every step
+// allocates nothing once the chunks cover its size. A build invalidates
+// every tree built before it. The zero value is ready.
+type Octree struct {
+	chunks [][]octNode
+	used   int
+}
+
+// node returns a fresh node for the cube centred at (cx, cy, cz).
+//
+//failtrans:hotpath
+func (a *Octree) node(cx, cy, cz, half float64) *octNode {
+	c := a.used / octChunk
+	if c == len(a.chunks) {
+		//failtrans:alloc the arena grows a chunk only while the trees it builds outgrow it
+		a.chunks = append(a.chunks, make([]octNode, octChunk))
+	}
+	n := &a.chunks[c][a.used%octChunk]
+	a.used++
+	*n = octNode{CX: cx, CY: cy, CZ: cz, Half: half}
+	return n
+}
+
+// Build constructs the octree over the bodies out of the arena's nodes,
+// reusing them from the first.
+//
+//failtrans:hotpath
+func (a *Octree) Build(bodies []Body) *octNode {
 	if len(bodies) == 0 {
 		return nil
 	}
+	a.used = 0
 	// Bounding cube.
 	min, max := math.Inf(1), math.Inf(-1)
 	for _, b := range bodies {
@@ -72,9 +105,9 @@ func BuildTree(bodies []Body) *octNode {
 	}
 	half := (max-min)/2 + 1e-9
 	c := (max + min) / 2
-	root := &octNode{CX: c, CY: c, CZ: c, Half: half}
+	root := a.node(c, c, c, half)
 	for _, b := range bodies {
-		root.insert(b)
+		root.insert(a, b)
 	}
 	root.summarize()
 	return root
@@ -110,7 +143,7 @@ func (n *octNode) childCube(i int) (cx, cy, cz, half float64) {
 	return
 }
 
-func (n *octNode) insert(b Body) {
+func (n *octNode) insert(a *Octree, b Body) {
 	if n.NBodies == 0 {
 		n.Body = b
 		n.NBodies = 1
@@ -125,19 +158,18 @@ func (n *octNode) insert(b Body) {
 			return
 		}
 		old := n.Body
-		n.pushDown(old)
+		n.pushDown(a, old)
 	}
 	n.NBodies++
-	n.pushDown(b)
+	n.pushDown(a, b)
 }
 
-func (n *octNode) pushDown(b Body) {
+func (n *octNode) pushDown(a *Octree, b Body) {
 	i := n.octant(b)
 	if n.Kids[i] == nil {
-		cx, cy, cz, half := n.childCube(i)
-		n.Kids[i] = &octNode{CX: cx, CY: cy, CZ: cz, Half: half}
+		n.Kids[i] = a.node(n.childCube(i))
 	}
-	n.Kids[i].insert(b)
+	n.Kids[i].insert(a, b)
 }
 
 // summarize computes mass and center of mass bottom-up.
@@ -218,11 +250,13 @@ func (n *octNode) Force(b Body) (ax, ay, az float64) {
 	return ax, ay, az
 }
 
-// StepBodies advances the subset [lo,hi) of bodies one dt using forces from
-// the tree built over all bodies; it returns the updated slice entries.
-func StepBodies(all []Body, lo, hi int) []Body {
-	tree := BuildTree(all)
-	out := make([]Body, hi-lo)
+// step advances the subset [lo,hi) of bodies one dt using forces from the
+// tree built over all bodies in the arena, appends the updated entries to
+// out (which must not overlap all) and returns the extended slice.
+//
+//failtrans:hotpath
+func (a *Octree) step(all []Body, lo, hi int, out []Body) []Body {
+	tree := a.Build(all)
 	for i := lo; i < hi; i++ {
 		b := all[i]
 		ax, ay, az := tree.Force(b)
@@ -232,7 +266,7 @@ func StepBodies(all []Body, lo, hi int) []Body {
 		b.X += b.VX * dt
 		b.Y += b.VY * dt
 		b.Z += b.VZ * dt
-		out[i-lo] = b
+		out = append(out, b)
 	}
 	return out
 }

@@ -52,12 +52,6 @@ type dsmMsg struct {
 	Data    []byte
 }
 
-func (m dsmMsg) encode() []byte {
-	e := apputil.Enc{B: make([]byte, 0, m.encodedLen())}
-	m.appendTo(&e)
-	return e.B
-}
-
 // appendTo appends the wire form to e; encodedLen is its length.
 func (m dsmMsg) appendTo(e *apputil.Enc) {
 	e.Int(m.Type)

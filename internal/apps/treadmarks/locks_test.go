@@ -37,7 +37,9 @@ func (c *counterWorker) Init(ctx *sim.Ctx) error { return nil }
 func (c *counterWorker) Step(ctx *sim.Ctx) sim.Status {
 	if len(c.DSM.Outbox) > 0 {
 		om := c.DSM.Outbox[0]
-		if err := ctx.Send(om.To, om.Msg.encode()); err != nil {
+		var e apputil.Enc
+		om.Msg.appendTo(&e)
+		if err := ctx.Send(om.To, e.B); err != nil {
 			ctx.Crash(err.Error())
 			return sim.Crashed
 		}

@@ -41,6 +41,12 @@ type TM struct {
 
 	ReportEvery int
 	ForceCost   time.Duration // virtual cost per body force evaluation
+
+	// tree and sendBuf are scratch, not state: the octree arena every
+	// compute phase rebuilds its tree in, and the buffer the outbox head is
+	// encoded into for Ctx.Send, which copies it.
+	tree    Octree
+	sendBuf []byte
 }
 
 // New builds process `me` of an nprocs-wide run over n bodies for iters
@@ -125,8 +131,7 @@ func (t *TM) Step(ctx *sim.Ctx) sim.Status {
 	// the message still queued, or a rollback to that commit would skip
 	// the send and diverge (the runtime's one-event-per-step contract).
 	if len(t.DSM.Outbox) > 0 {
-		om := t.DSM.Outbox[0]
-		if err := ctx.Send(om.To, om.Msg.encode()); err != nil {
+		if err := ctx.Send(t.DSM.Outbox[0].To, t.encodeHead()); err != nil {
 			ctx.Crash(err.Error())
 			return sim.Crashed
 		}
@@ -182,7 +187,7 @@ func (t *TM) progress(ctx *sim.Ctx) sim.Status {
 		return sim.Ready
 	case phCompute:
 		ctx.Compute(time.Duration(t.Hi-t.Lo) * t.ForceCost)
-		t.Updated = StepBodies(t.Bodies, t.Lo, t.Hi)
+		t.stepBodies()
 		t.Phase = phBarrier1
 		t.DSM.EnterBarrier()
 		return sim.Ready
@@ -221,6 +226,26 @@ func (t *TM) progress(ctx *sim.Ctx) sim.Status {
 	default:
 		return sim.Done
 	}
+}
+
+// encodeHead encodes the outbox's head message into the send buffer and
+// returns it; it is valid until the next call.
+//
+//failtrans:hotpath
+func (t *TM) encodeHead() []byte {
+	e := apputil.Enc{B: t.sendBuf[:0]}
+	t.DSM.Outbox[0].Msg.appendTo(&e)
+	t.sendBuf = e.B
+	return t.sendBuf
+}
+
+// stepBodies integrates this process's slice one step into Updated. The
+// octree comes out of the process's arena and Updated keeps its backing
+// array, so every compute phase after the first allocates nothing.
+//
+//failtrans:hotpath
+func (t *TM) stepBodies() {
+	t.Updated = t.tree.step(t.Bodies, t.Lo, t.Hi, t.Updated[:0])
 }
 
 // writeMySlice writes the updated bodies that fall in page p.
@@ -325,8 +350,10 @@ func (t *TM) UnmarshalState(data []byte) error {
 // exactly.
 func SequentialOracle(n, iters int) []Body {
 	bodies := InitBodies(n)
+	var tree Octree
+	var next []Body
 	for it := 0; it < iters; it++ {
-		next := StepBodies(bodies, 0, n)
+		next = tree.step(bodies, 0, n, next[:0])
 		copy(bodies, next)
 	}
 	return bodies

@@ -2,6 +2,7 @@ package treadmarks
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -23,7 +24,7 @@ func TestBodyCodecRoundTrip(t *testing.T) {
 
 func TestOctreeCountAndMass(t *testing.T) {
 	bodies := InitBodies(100)
-	tree := BuildTree(bodies)
+	tree := new(Octree).Build(bodies)
 	if got := tree.Count(); got != 100 {
 		t.Errorf("Count = %d, want 100", got)
 	}
@@ -39,7 +40,7 @@ func TestOctreeCountAndMass(t *testing.T) {
 func TestOctreeForceSymmetryTwoBodies(t *testing.T) {
 	a := Body{X: 0, Mass: 1}
 	b := Body{X: 2, Mass: 1}
-	tree := BuildTree([]Body{a, b})
+	tree := new(Octree).Build([]Body{a, b})
 	ax, _, _ := tree.Force(a)
 	bx, _, _ := tree.Force(b)
 	if ax <= 0 || bx >= 0 {
@@ -52,7 +53,7 @@ func TestOctreeForceSymmetryTwoBodies(t *testing.T) {
 
 func TestForceApproximatesDirectSum(t *testing.T) {
 	bodies := InitBodies(200)
-	tree := BuildTree(bodies)
+	tree := new(Octree).Build(bodies)
 	// Compare the tree force on a body against the exact direct sum.
 	target := bodies[17]
 	var ex, ey, ez float64
@@ -76,11 +77,37 @@ func TestForceApproximatesDirectSum(t *testing.T) {
 	}
 }
 
+// TestStepBodiesRecyclesTree pins the octree arena: a TM's second and later
+// compute phases allocate no tree node (and no Updated slice), and a tree
+// built in a reused arena — one that last held a larger tree — integrates
+// the bodies bit for bit as a fresh arena does.
+func TestStepBodiesRecyclesTree(t *testing.T) {
+	tm, err := New(1, 4, 72, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm.Bodies = InitBodies(72)
+	tm.tree.Build(InitBodies(200)) // leaves stale nodes past the 72-body tree
+	tm.stepBodies()
+	want := new(Octree).step(tm.Bodies, tm.Lo, tm.Hi, nil)
+	if !slices.Equal(tm.Updated, want) {
+		t.Fatalf("reused arena integrated %v, fresh arena %v", tm.Updated, want)
+	}
+	if n := testing.AllocsPerRun(50, tm.stepBodies); n != 0 {
+		t.Errorf("stepBodies allocates %.0f times after the first, want 0", n)
+	}
+	for i, b := range tm.Updated {
+		if b != want[i] {
+			t.Fatalf("body %d = %+v after repeated steps, want %+v", tm.Lo+i, b, want[i])
+		}
+	}
+}
+
 func TestEnergyRoughlyConserved(t *testing.T) {
 	bodies := InitBodies(64)
 	e0 := TotalEnergy(bodies)
 	for it := 0; it < 10; it++ {
-		copy(bodies, StepBodies(bodies, 0, len(bodies)))
+		copy(bodies, new(Octree).step(bodies, 0, len(bodies), nil))
 	}
 	e1 := TotalEnergy(bodies)
 	if math.Abs(e1-e0) > 0.2*math.Abs(e0) {

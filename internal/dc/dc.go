@@ -674,7 +674,8 @@ func (d *DC) OnBlocked(p *sim.Proc) bool {
 }
 
 // RecordND implements sim.Recovery: log the ND value if the policy asks,
-// charging the synchronous log-force cost.
+// charging the synchronous log-force cost. The log keeps a copy of val,
+// which belongs to the caller's scratch.
 func (d *DC) RecordND(p *sim.Proc, label string, val []byte) bool {
 	if !d.Policy.LogsLabel(label) {
 		return false

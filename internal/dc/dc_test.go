@@ -150,6 +150,30 @@ func TestHypervisorRecoversByReplay(t *testing.T) {
 	}
 }
 
+// TestRecordNDCopiesValue pins dc's side of the sim.Recovery RecordND
+// contract: the value is the caller's scratch, which the next ND event
+// overwrites, so the log must keep a copy and replay the bytes as they were
+// recorded.
+func TestRecordNDCopiesValue(t *testing.T) {
+	w := sim.NewWorld(1, &flip{})
+	d := New(w, protocol.Hypervisor, stablestore.Rio)
+	if err := d.Attach(); err != nil {
+		t.Fatal(err)
+	}
+	p := w.Procs[0]
+	buf := []byte("recorded")
+	if !d.RecordND(p, "rand", buf) {
+		t.Fatal("Hypervisor did not log a rand value")
+	}
+	copy(buf, "CLOBBER!")
+	if err := d.Rollback(p); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := d.SupplyND(p, "rand"); !ok || string(v) != "recorded" {
+		t.Errorf("replayed %q, %v; want the recorded bytes", v, ok)
+	}
+}
+
 // ndWorker does `Rounds` of: one rand draw, one visible output.
 type ndWorker struct {
 	Rounds int

@@ -125,50 +125,59 @@ func (c *Ctx) after(kind event.Kind, nd event.NDClass, logged bool, msg int64, p
 	return ev
 }
 
-// ndValue runs the replay/log protocol for one ND event: during constrained
-// re-execution the logged value is replayed; otherwise the live value may be
-// recorded into the log. It returns the value to use and whether the event
-// counts as logged (deterministic for Save-work).
-func (c *Ctx) ndValue(label string, live func() []byte) ([]byte, bool) {
-	r := c.p.World.Recovery
-	if r != nil {
-		if v, ok := r.SupplyND(c.p, label); ok {
-			return v, true
-		}
+// replayND gives the recovery layer the chance to supply the logged value
+// of the next ND event with this label during constrained re-execution;
+// ok=false means the event executes live.
+func (c *Ctx) replayND(label string) ([]byte, bool) {
+	if r := c.p.World.Recovery; r != nil {
+		return r.SupplyND(c.p, label)
 	}
-	v := live()
-	logged := false
-	if r != nil {
-		logged = r.RecordND(c.p, label, v)
+	return nil, false
+}
+
+// recordND offers the live value of an ND event to the recovery layer for
+// logging and reports whether it was logged (deterministic for Save-work).
+// val need only be valid during the call, since RecordND copies what it
+// keeps: callers encode into the world's scratch buffer.
+func (c *Ctx) recordND(label string, val []byte) bool {
+	if r := c.p.World.Recovery; r != nil {
+		return r.RecordND(c.p, label, val)
 	}
-	return v, logged
+	return false
 }
 
 // Now executes a gettimeofday: a transient non-deterministic event.
+//
+//failtrans:hotpath
 func (c *Ctx) Now() time.Duration {
 	c.before(event.Internal, event.TransientND, "gettimeofday")
-	v, logged := c.ndValue("gettimeofday", func() []byte {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], uint64(c.NowVirtual()))
-		return b[:]
-	})
+	v, logged := c.replayND("gettimeofday")
+	if !logged {
+		v = c.p.World.ndWord(uint64(c.NowVirtual()))
+		logged = c.recordND("gettimeofday", v)
+	}
+	now := time.Duration(binary.LittleEndian.Uint64(v))
 	c.after(event.Internal, event.TransientND, logged, 0, 0, "gettimeofday")
-	return time.Duration(binary.LittleEndian.Uint64(v))
+	return now
 }
 
 // Rand draws from the process's transient-ND random stream (scheduling
 // jitter, signal timing and similar sources are modeled through it).
+//
+//failtrans:hotpath
 func (c *Ctx) Rand() uint64 {
 	c.before(event.Internal, event.TransientND, "rand")
-	v, logged := c.ndValue("rand", func() []byte {
-		var b [8]byte
+	v, logged := c.replayND("rand")
+	if !logged {
+		//failtrans:alloc the generator materializes once per process (and once per fork, on its first draw)
 		r := c.p.rand() // materialize before counting this draw
 		c.p.rngDraws++
-		binary.LittleEndian.PutUint64(b[:], r.Uint64())
-		return b[:]
-	})
+		v = c.p.World.ndWord(r.Uint64())
+		logged = c.recordND("rand", v)
+	}
+	x := binary.LittleEndian.Uint64(v)
 	c.after(event.Internal, event.TransientND, logged, 0, 0, "rand")
-	return binary.LittleEndian.Uint64(v)
+	return x
 }
 
 // Input consumes the next scripted user input: a fixed non-deterministic
@@ -181,10 +190,12 @@ func (c *Ctx) Input() ([]byte, bool) {
 		return nil, false
 	}
 	c.before(event.Internal, event.FixedND, "input")
-	v, logged := c.ndValue("input", func() []byte {
-		v := c.Inputs[c.p.InputCursor]
-		return v[:len(v):len(v)]
-	})
+	v, logged := c.replayND("input")
+	if !logged {
+		v = c.Inputs[c.p.InputCursor]
+		v = v[:len(v):len(v)]
+		logged = c.recordND("input", v)
+	}
 	c.p.InputCursor++
 	c.after(event.Internal, event.FixedND, logged, 0, 0, "input")
 	return v, true
@@ -194,15 +205,16 @@ func (c *Ctx) Input() ([]byte, bool) {
 // event (its timing relative to the computation is unpredictable, and a
 // re-execution may not see it at the same point — or at all). ok=false
 // means no signal is pending.
+//
+//failtrans:hotpath
 func (c *Ctx) TakeSignal() (string, bool) {
 	// Constrained re-execution replays logged signals at their recorded
 	// positions.
-	if r := c.p.World.Recovery; r != nil {
-		if v, ok := r.SupplyND(c.p, "signal"); ok {
-			c.before(event.Internal, event.TransientND, "signal")
-			c.after(event.Internal, event.TransientND, true, 0, 0, "signal")
-			return string(v), true
-		}
+	if v, ok := c.replayND("signal"); ok {
+		c.before(event.Internal, event.TransientND, "signal")
+		c.after(event.Internal, event.TransientND, true, 0, 0, "signal")
+		//failtrans:alloc constrained re-execution only: the replayed signal is rebuilt from its log record
+		return string(v), true
 	}
 	now := c.NowVirtual()
 	idx := -1
@@ -217,9 +229,11 @@ func (c *Ctx) TakeSignal() (string, bool) {
 	c.before(event.Internal, event.TransientND, "signal")
 	sig := c.p.signals[idx].sig
 	c.p.signals = slices.Delete(c.p.signals, idx, idx+1)
+	w := c.p.World
 	logged := false
-	if r := c.p.World.Recovery; r != nil {
-		logged = r.RecordND(c.p, "signal", []byte(sig))
+	if w.Recovery != nil {
+		w.ndBuf = append(w.ndBuf[:0], sig...)
+		logged = c.recordND("signal", w.ndBuf)
 	}
 	c.after(event.Internal, event.TransientND, logged, 0, 0, "signal")
 	return sig, true
@@ -244,19 +258,21 @@ func (c *Ctx) Send(to int, payload []byte) error {
 // Recv consumes the next delivered message. ok=false means nothing has
 // arrived yet and the Program should return WaitMsg. A receive is a
 // transient non-deterministic event (message timing and ordering).
+//
+//failtrans:hotpath
 func (c *Ctx) Recv() (Msg, bool) {
+	w := c.p.World
 	// Constrained re-execution: replay a logged receive without
 	// touching the inbox. The high-water mark still advances so that a
 	// rolled-back sender's re-sent duplicate of this message is
 	// filtered.
-	if r := c.p.World.Recovery; r != nil {
-		if v, ok := r.SupplyND(c.p, "recv"); ok {
-			m := DecodeMsgRecord(v)
-			c.p.bumpRecvHW(m.From, m.SendIdx)
-			c.before(event.Receive, event.TransientND, "recv")
-			c.after(event.Receive, event.TransientND, true, m.ID, m.From, "recv")
-			return m, true
-		}
+	if v, ok := c.replayND("recv"); ok {
+		//failtrans:alloc constrained re-execution only: the replayed message is rebuilt from its log record
+		m := DecodeMsgRecord(v)
+		c.p.bumpRecvHW(m.From, m.SendIdx)
+		c.before(event.Receive, event.TransientND, "recv")
+		c.after(event.Receive, event.TransientND, true, m.ID, m.From, "recv")
+		return m, true
 	}
 	// Position-gated redelivery of retained messages after a rollback:
 	// each message is handed back at the event position it was
@@ -273,10 +289,8 @@ func (c *Ctx) Recv() (Msg, bool) {
 			c.before(event.Receive, event.TransientND, "recv")
 			c.p.retain(&m, rel)
 			c.p.bumpRecvHW(m.From, m.SendIdx)
-			logged := false
-			if r := c.p.World.Recovery; r != nil {
-				logged = r.RecordND(c.p, "recv", EncodeMsgRecord(m))
-			}
+			w.ndBuf = AppendMsgRecord(w.ndBuf[:0], m)
+			logged := c.recordND("recv", w.ndBuf)
 			c.after(event.Receive, event.TransientND, logged, m.ID, m.From, "recv")
 			return m, true
 		case rel < head.pos:
@@ -285,18 +299,13 @@ func (c *Ctx) Recv() (Msg, bool) {
 			// scheduler detects the divergence and flushes.)
 			return Msg{}, false
 		default: // rel > head.pos: ran past the due position
-			c.p.World.flushReplayQueue(c.p)
+			//failtrans:alloc rollback divergence only: the abandoned redeliveries move to the inbox
+			w.flushReplayQueue(c.p)
 		}
 	}
 	now := c.NowVirtual()
-	// Drop duplicates produced by re-executed sends: anything at or
-	// below the consumed high-water mark for its sender.
-	before := len(c.p.inbox)
-	c.p.inbox = slices.DeleteFunc(c.p.inbox, func(m *Msg) bool {
-		return m.DeliverAt <= now && m.SendIdx <= c.p.RecvHW[m.From]
-	})
-	if len(c.p.inbox) != before {
-		c.p.inboxChanged()
+	if w.Recovery != nil {
+		c.p.dropDuplicates(now)
 	}
 	idx := -1
 	for i, m := range c.p.inbox {
@@ -315,11 +324,32 @@ func (c *Ctx) Recv() (Msg, bool) {
 	c.p.retain(m, rel)
 	c.p.bumpRecvHW(m.From, m.SendIdx)
 	logged := false
-	if r := c.p.World.Recovery; r != nil {
-		logged = r.RecordND(c.p, "recv", EncodeMsgRecord(*m))
+	if w.Recovery != nil {
+		w.ndBuf = AppendMsgRecord(w.ndBuf[:0], *m)
+		logged = c.recordND("recv", w.ndBuf)
 	}
 	c.after(event.Receive, event.TransientND, logged, m.ID, m.From, "recv")
 	return *m, true
+}
+
+// dropDuplicates removes from the inbox every delivered message at or below
+// the consumed high-water mark for its sender: the duplicates that a
+// rolled-back sender's re-executed sends produce. Only a recovery layer
+// rolls a process back, so Recv filters only under one. Vacated slots are
+// cleared, so the inbox's spare capacity pins no message.
+func (p *Proc) dropDuplicates(now time.Duration) {
+	kept := p.inbox[:0]
+	for _, m := range p.inbox {
+		if m.DeliverAt <= now && m.SendIdx <= p.RecvHW[m.From] {
+			continue
+		}
+		kept = append(kept, m)
+	}
+	if len(kept) != len(p.inbox) {
+		clear(p.inbox[len(kept):])
+		p.inbox = kept
+		p.inboxChanged()
+	}
 }
 
 // Output emits a visible event the user can see. Visible events can never
@@ -339,9 +369,13 @@ func (c *Ctx) Output(s string) {
 // Syscall calls into the simulated OS. The kernel classifies each call's
 // non-determinism; deterministic calls need no logging or commit support.
 // The result is valid until the process's next Syscall.
+//
+//failtrans:hotpath
 func (c *Ctx) Syscall(name string, args ...[]byte) ([][]byte, error) {
-	os := c.p.World.OS
+	w := c.p.World
+	os := w.OS
 	if os == nil {
+		//failtrans:alloc cold error path: a world without an OS fails the call before any event
 		return nil, fmt.Errorf("sim: no OS attached (syscall %s)", name)
 	}
 	ret, nd, err := os.Call(c.p.Index, name, args)
@@ -351,17 +385,17 @@ func (c *Ctx) Syscall(name string, args ...[]byte) ([][]byte, error) {
 	label := sysLabel(name)
 	c.before(event.Internal, nd, label)
 	logged := false
-	if nd != event.Deterministic {
-		if r := c.p.World.Recovery; r != nil {
-			// During constrained re-execution a logged result
-			// replaces the live one (the live call above already
-			// replayed any kernel-state side effects).
-			if v, ok := r.SupplyND(c.p, label); ok {
-				ret = DecodeParts(v)
-				logged = true
-			} else {
-				logged = r.RecordND(c.p, label, EncodeParts(ret))
-			}
+	if nd != event.Deterministic && w.Recovery != nil {
+		// During constrained re-execution a logged result replaces the
+		// live one (the live call above already replayed any
+		// kernel-state side effects).
+		if v, ok := c.replayND(label); ok {
+			//failtrans:alloc constrained re-execution only: the replayed result is rebuilt from its log record
+			ret = DecodeParts(v)
+			logged = true
+		} else {
+			w.ndBuf = AppendParts(w.ndBuf[:0], ret)
+			logged = c.recordND(label, w.ndBuf)
 		}
 	}
 	c.after(event.Internal, nd, logged, 0, 0, label)
@@ -408,17 +442,19 @@ func (c *Ctx) Fault(site string) FaultKind {
 	return c.p.World.Faults.At(c.p, site)
 }
 
-// EncodeMsgRecord serializes a message for the receive log.
-func EncodeMsgRecord(m Msg) []byte {
-	b := make([]byte, 24+len(m.Payload))
-	binary.LittleEndian.PutUint64(b[0:8], uint64(m.ID))
-	binary.LittleEndian.PutUint64(b[8:16], uint64(m.From))
-	binary.LittleEndian.PutUint64(b[16:24], uint64(m.SendIdx))
-	copy(b[24:], m.Payload)
-	return b
+// AppendMsgRecord appends m's receive-log record to dst and returns the
+// extended slice: the message's ID, sender and send index as little-endian
+// words, then its payload.
+//
+//failtrans:hotpath
+func AppendMsgRecord(dst []byte, m Msg) []byte {
+	dst = appendI64(dst, m.ID)
+	dst = appendI64(dst, int64(m.From))
+	dst = appendI64(dst, m.SendIdx)
+	return append(dst, m.Payload...)
 }
 
-// DecodeMsgRecord is the inverse of EncodeMsgRecord.
+// DecodeMsgRecord is the inverse of AppendMsgRecord.
 func DecodeMsgRecord(b []byte) Msg {
 	if len(b) < 24 {
 		return Msg{}
@@ -431,22 +467,21 @@ func DecodeMsgRecord(b []byte) Msg {
 	}
 }
 
-// EncodeParts serializes a multi-part syscall result with length prefixes
-// so logged values can be replayed structurally intact.
-func EncodeParts(parts [][]byte) []byte {
-	var out []byte
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(len(parts)))
-	out = append(out, b[:]...)
+// AppendParts appends a multi-part syscall result to dst with length
+// prefixes, so logged values can be replayed structurally intact, and
+// returns the extended slice.
+//
+//failtrans:hotpath
+func AppendParts(dst []byte, parts [][]byte) []byte {
+	dst = appendI64(dst, int64(len(parts)))
 	for _, p := range parts {
-		binary.LittleEndian.PutUint64(b[:], uint64(len(p)))
-		out = append(out, b[:]...)
-		out = append(out, p...)
+		dst = appendI64(dst, int64(len(p)))
+		dst = append(dst, p...)
 	}
-	return out
+	return dst
 }
 
-// DecodeParts is the inverse of EncodeParts.
+// DecodeParts is the inverse of AppendParts.
 func DecodeParts(data []byte) [][]byte {
 	if len(data) < 8 {
 		return nil

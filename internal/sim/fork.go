@@ -205,6 +205,7 @@ func (p *Proc) bumpRecvHW(from int, idx int64) {
 		return
 	}
 	if p.RecvHW == nil {
+		//failtrans:alloc the map materializes once per process (and per fork), on its first receive
 		p.RecvHW = make(map[int]int64)
 	}
 	p.RecvHW[from] = idx

@@ -148,7 +148,10 @@ type Recovery interface {
 	SupplyND(p *Proc, label string) (val []byte, ok bool)
 	// RecordND offers the live value of an ND event for logging; the
 	// return value reports whether it was logged (rendering the event
-	// deterministic for Save-work purposes).
+	// deterministic for Save-work purposes). val is valid only during
+	// the call: the simulator encodes ND values into one scratch buffer
+	// that the next ND event overwrites, so an implementation that keeps
+	// the value must copy it.
 	RecordND(p *Proc, label string, val []byte) bool
 	// OnCrash handles a crash of p; returning true means the process was
 	// rolled back and may continue, false leaves it dead.

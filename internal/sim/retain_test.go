@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"testing"
+	"time"
 )
 
 // rollbackStub is the smallest recovery layer that redelivers: it holds each
@@ -47,6 +48,41 @@ func checkVacatedNil(t *testing.T, w *World) {
 				}
 			}
 		}
+	}
+}
+
+// TestDuplicateFilterUnderRecovery: a rolled-back sender re-executes its
+// sends with the send indexes it used before, and under a recovery layer
+// the receiver drops the re-sent duplicate of a message it already
+// consumed, then takes the sender's next new message.
+func TestDuplicateFilterUnderRecovery(t *testing.T) {
+	w := NewWorld(1, &counter{}, &counter{})
+	w.RecordTrace = false
+	w.Recovery = noopRecovery{}
+	sender, receiver := w.Procs[0], w.Procs[1]
+	send := func(payload string) {
+		t.Helper()
+		if err := sender.Ctx().Send(1, []byte(payload)); err != nil {
+			t.Fatal(err)
+		}
+		w.Clock += time.Second // delivered
+	}
+	send("first")
+	if m, ok := receiver.Ctx().Recv(); !ok || string(m.Payload) != "first" {
+		t.Fatalf("recv = %q, %v; want first", m.Payload, ok)
+	}
+	sender.SendSeq = 0 // the sender rolls back past the send and re-executes it
+	send("first")
+	if m, ok := receiver.Ctx().Recv(); ok {
+		t.Fatalf("the duplicate %q (send index %d) was delivered", m.Payload, m.SendIdx)
+	}
+	if len(receiver.inbox) != 0 {
+		t.Errorf("the duplicate stayed in the inbox (%d messages)", len(receiver.inbox))
+	}
+	checkVacatedNil(t, w)
+	send("second")
+	if m, ok := receiver.Ctx().Recv(); !ok || string(m.Payload) != "second" {
+		t.Fatalf("recv = %q, %v; want second", m.Payload, ok)
 	}
 }
 

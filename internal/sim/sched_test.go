@@ -296,7 +296,7 @@ func TestSchedRequeueLoggedRearmsBlockedProc(t *testing.T) {
 	}
 	// SendIdx must clear the receive high-water mark or Recv dedups the
 	// reinjected record as a re-executed duplicate.
-	record := EncodeMsgRecord(Msg{From: 0, To: 1, SendIdx: 99, Payload: []byte("replayed ping")})
+	record := AppendMsgRecord(nil, Msg{From: 0, To: 1, SendIdx: 99, Payload: []byte("replayed ping")})
 	w.RequeueLogged(ponger, record)
 	if _, ok := w.readyAt(ponger); !ok {
 		t.Fatal("RequeueLogged did not make the ponger runnable")

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"strconv"
@@ -252,6 +253,13 @@ type World struct {
 	msgBlock     []Msg
 	payloadBlock []byte
 
+	// ndBuf is the scratch every live ND value that needs encoding (a
+	// receive record, a syscall result, a signal name, a clock or random
+	// word) is built in before Recovery.RecordND sees it. RecordND copies
+	// what it keeps, so one buffer serves the whole world; a fork starts
+	// without one.
+	ndBuf []byte
+
 	msgSeq    int64
 	stepCount int
 	seed      int64
@@ -300,6 +308,15 @@ func (w *World) allocBytes(n int) []byte {
 	off := len(w.payloadBlock)
 	w.payloadBlock = w.payloadBlock[:off+n]
 	return w.payloadBlock[off : off+n : off+n]
+}
+
+// ndWord encodes one 64-bit ND value (a clock reading, a random draw) into
+// the world's ND scratch and returns it; it is valid until the next ND event.
+//
+//failtrans:hotpath
+func (w *World) ndWord(v uint64) []byte {
+	w.ndBuf = binary.LittleEndian.AppendUint64(w.ndBuf[:0], v)
+	return w.ndBuf
 }
 
 // GlobalOutputs interleaves all visible output in global order as
@@ -389,6 +406,7 @@ func (w *World) record(p *Proc, kind event.Kind, nd event.NDClass, logged bool, 
 		}
 	}
 	if w.RecordTrace {
+		//failtrans:alloc full trace recording is the checkers' mode and grows the trace by design; measured runs set RecordTrace=false
 		return w.Trace.MustAppend(ev)
 	}
 	// Without tracing we still need a plausible ID for bookkeeping.

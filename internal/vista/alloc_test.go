@@ -74,6 +74,42 @@ func TestCommitCycleZeroAllocsWithMetrics(t *testing.T) {
 	}
 }
 
+// TestFlatGrowthIsGeometric pins the growth policy of a flat segment: an
+// image one byte longer at every commit (nvi's, as the user types) must not
+// reallocate the segment at every commit. 4 096 such commits may reallocate
+// at most log2(4096)+1 times; the capacity past the extent stays zero, and
+// what a commit reports depends on the extent alone.
+func TestFlatGrowthIsGeometric(t *testing.T) {
+	const ps, commits = 64, 4096
+	seg := NewSegment(0, ps)
+	img := make([]byte, 0, commits)
+	reallocs := 0
+	for i := 0; i < commits; i++ {
+		img = append(img, byte(i)|1)
+		before := cap(seg.mem)
+		st := seg.CommitImage(img, nil)
+		if cap(seg.mem) != before {
+			reallocs++
+		}
+		// The appended byte dirties the final page; a byte that opens a
+		// page also rewrites nothing before it.
+		if want := (Stats{Pages: 1, Bytes: ps}); st != want {
+			t.Fatalf("commit %d: stats %+v, want %+v", i, st, want)
+		}
+	}
+	if reallocs > 13 {
+		t.Errorf("%d one-byte-longer commits reallocated the segment %d times, want at most 13", commits, reallocs)
+	}
+	for i, b := range seg.mem[len(seg.mem):cap(seg.mem)] {
+		if b != 0 {
+			t.Fatalf("capacity byte len+%d = %#x, want zero", i, b)
+		}
+	}
+	if !bytes.Equal(seg.Contents(), img) {
+		t.Error("segment contents differ from the last image")
+	}
+}
+
 // refSegment is the naive reference model for SetContents semantics: the
 // segment holds the last image, zero-padded to the largest extent ever set.
 type refSegment struct {

@@ -170,7 +170,10 @@ func (s *Segment) sizeTracking() {
 }
 
 // grow extends the segment to at least n bytes. New memory is zeroed and
-// considered committed (like fresh pages from the OS).
+// considered committed (like fresh pages from the OS). A flat segment that
+// outgrows its capacity doubles it, rounded up to a whole page, so an image
+// that grows a little at every commit reallocates O(log size) times, not at
+// every commit.
 func (s *Segment) grow(n int) {
 	if n <= s.size {
 		return
@@ -188,8 +191,10 @@ func (s *Segment) grow(n int) {
 		// re-extending within capacity needs no clearing or copying.
 		s.mem = s.mem[:n]
 	} else {
-		//failtrans:alloc segment growth is O(log size) over a process lifetime; the steady-state commit cycle never grows
-		bigger := make([]byte, n)
+		c := max(2*cap(s.mem), n)
+		c = (c + s.pageSize - 1) / s.pageSize * s.pageSize
+		//failtrans:alloc geometric growth: O(log size) reallocations over a process lifetime, and the capacity beyond n is zero like the rest
+		bigger := make([]byte, n, c)
 		copy(bigger, s.mem)
 		s.mem = bigger
 	}
