@@ -156,7 +156,7 @@ func TestCowAnnotationsPresent(t *testing.T) {
 	files := map[string]int{ // file -> minimum number of cowshared annotations
 		"../../vista/vista.go":   1, // mem
 		"../../kernel/kernel.go": 2, // node.fs, Kernel.nodes
-		"../../dc/dc.go":         2, // msgDeps, ndLog
+		"../../dc/dc.go":         2, // DC.msgDeps, ndLog.segs
 		"../../apps/nvi/nvi.go":  3, // Lines, LineSums, undo
 	}
 	for file, min := range files {
@@ -178,7 +178,7 @@ func TestHotpathRootsAnnotated(t *testing.T) {
 	roots := map[string]int{ // file -> minimum number of hotpath annotations
 		"../../vista/vista.go": 4, // (*Segment).Write, SetContents, CommitImage, Commit
 		"../../sim/proc.go":    1, // (*Proc).AppendCheckpointImage
-		"../../dc/dc.go":       1, // (*DC).diffOne
+		"../../dc/dc.go":       2, // (*DC).diffOne, RecordND
 		// The ND scratch: (*Ctx).Now, Rand, TakeSignal, Recv, Syscall,
 		// AppendMsgRecord, AppendParts; (*World).ndWord beside the arenas.
 		"../../sim/ctx.go":   7,

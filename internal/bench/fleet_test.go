@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"failtrans/internal/apps/fleet"
+	"failtrans/internal/protocol"
 	"failtrans/internal/sim"
 )
 
@@ -83,16 +84,33 @@ func BenchmarkFleetStep(b *testing.B) {
 // carried four histograms inline in its metrics block.
 const fleetKiBPerProcCeiling = 2.0
 
+// fleetLogKiBPerProcCeiling bounds the same under CBNDVS-LOG, where each
+// process also keeps its checkpoint segment and its ND log of every receive.
+// Measured on linux/amd64: 8.51 KiB with log segments that double from 64 B
+// to 4 KiB; 8.67 KiB with a record-header array and a heap copy per value;
+// 12.14 KiB with fixed 4 KiB segments.
+const fleetLogKiBPerProcCeiling = 10.0
+
 // TestFleetFootprint: a process costs only what it uses. Without a recovery
 // layer nothing can redeliver a consumed message and nothing observes a
-// histogram, so neither may stay on the heap once the fleet is done.
+// histogram, so neither may stay on the heap once the fleet is done; under
+// a logging protocol a process's log is as small as what it logged.
 func TestFleetFootprint(t *testing.T) {
-	pt, err := runFleetOnce(10_000, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pt.HeapKiBPerProc <= 0 || pt.HeapKiBPerProc > fleetKiBPerProcCeiling {
-		t.Errorf("finished fleet keeps %.2f KiB per process live, want (0, %.1f]", pt.HeapKiBPerProc, fleetKiBPerProcCeiling)
+	for _, c := range []struct {
+		pol     *protocol.Policy
+		ceiling float64
+	}{
+		{nil, fleetKiBPerProcCeiling},
+		{&protocol.CBNDVSLog, fleetLogKiBPerProcCeiling},
+	} {
+		pt, err := runFleetOnce(10_000, c.pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%s: %.2f KiB per process", pt.Protocol, pt.HeapKiBPerProc)
+		if pt.HeapKiBPerProc <= 0 || pt.HeapKiBPerProc > c.ceiling {
+			t.Errorf("%s: finished fleet keeps %.2f KiB per process live, want (0, %.1f]", pt.Protocol, pt.HeapKiBPerProc, c.ceiling)
+		}
 	}
 }
 

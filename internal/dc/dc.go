@@ -17,8 +17,10 @@
 package dc
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"failtrans/internal/event"
@@ -66,15 +68,120 @@ func (s *Stats) TotalCheckpoints() int {
 	return n
 }
 
-type logRec struct {
-	label string
-	val   []byte
-	// pos is the event's position relative to the process's last commit
-	// (its receive sequence number). Replay supplies the record only
-	// when the re-execution reaches the same position, preserving the
-	// original interleaving of consumption with computation.
-	pos int
+// Segment sizes of the ND log: a process's first segment holds logSegMin
+// bytes, and each later one doubles, up to logSegMax. A record larger than
+// that gets a segment of its own.
+const (
+	logSegMin = 64
+	logSegMax = 4 << 10
+)
+
+// ndLog is one process's ND log in wire form: a stream of records
+//
+//	uvarint(pos) uvarint(len(label)) label uvarint(len(val)) val
+//
+// where pos is the event's position relative to the process's last commit
+// (its receive sequence number). Replay supplies a record only when the
+// re-execution reaches the same position, preserving the original
+// interleaving of consumption with computation.
+//
+// Records are appended into a spine of byte segments, and written bytes
+// never move: a record goes into the last segment when it fits and into a
+// new one otherwise, so neither growth nor a fork copies a record. A place
+// in the stream is a packed (segment, offset) position (logPos), ordered as
+// an int. A record is read in place, capacity-clamped (rec), so a value is
+// copied exactly once, into the log.
+type ndLog struct {
+	// segs' segments may be shared with frozen fork templates: a fork
+	// copies the spine with every inherited segment capacity-clamped, and a
+	// truncation clamps the segment it cuts, so appends only ever write a
+	// segment this log made. There is no privatizer — every store must
+	// justify why it cannot write a template's bytes.
+	//failtrans:cowshared none
+	segs [][]byte
 }
+
+// logPos packs a log position: the segment index in the high 32 bits, the
+// byte offset in it in the low 32. splitPos unpacks it.
+func logPos(seg, off int) int { return seg<<32 | off }
+
+func splitPos(at int) (seg, off int) { return at >> 32, int(uint32(at)) }
+
+// end is the position just past the log's last record.
+func (l *ndLog) end() int {
+	n := len(l.segs)
+	if n == 0 {
+		return 0
+	}
+	return logPos(n-1, len(l.segs[n-1]))
+}
+
+// append writes one record at the end of the log. It starts a new segment
+// when the record does not fit the last one's capacity — always, for a
+// segment inherited from a fork template or cut by a truncation, whose
+// capacity is clamped to its length.
+func (l *ndLog) append(pos int, label string, val []byte) {
+	need := uvarintLen(pos) + uvarintLen(len(label)) + len(label) + uvarintLen(len(val)) + len(val)
+	n := len(l.segs)
+	if n == 0 || cap(l.segs[n-1])-len(l.segs[n-1]) < need {
+		size := logSegMin
+		if n > 0 {
+			size = min(max(2*cap(l.segs[n-1]), logSegMin), logSegMax)
+		}
+		//failtrans:alloc one segment per logSegMax bytes logged, fewer while the log is young; written bytes never move
+		fresh := make([]byte, 0, max(size, need))
+		//failtrans:cowok the spine is the log's own (a fork copies it), so adding a segment writes no template's backing
+		l.segs = append(l.segs, fresh)
+		n++
+	}
+	seg := l.segs[n-1]
+	seg = binary.AppendUvarint(seg, uint64(pos))
+	seg = binary.AppendUvarint(seg, uint64(len(label)))
+	seg = append(seg, label...)
+	seg = binary.AppendUvarint(seg, uint64(len(val)))
+	seg = append(seg, val...)
+	//failtrans:cowok the record fit in the last segment's spare capacity, which only a segment this log made has: inherited and cut segments are capacity-clamped
+	l.segs[n-1] = seg
+}
+
+// rec decodes the record at position at (< end): its event position, its
+// label and value — capacity-clamped views of the log, so an append to one
+// cannot reach the next record — and the position just past it.
+func (l *ndLog) rec(at int) (pos int, label, val []byte, next int) {
+	s, off := splitPos(at)
+	seg := l.segs[s]
+	if off == len(seg) {
+		s, off = s+1, 0
+		seg = l.segs[s]
+	}
+	u, k := binary.Uvarint(seg[off:])
+	pos, off = int(u), off+k
+	u, k = binary.Uvarint(seg[off:])
+	off += k
+	label, off = seg[off:off+int(u):off+int(u)], off+int(u)
+	u, k = binary.Uvarint(seg[off:])
+	off += k
+	val, off = seg[off:off+int(u):off+int(u)], off+int(u)
+	return pos, label, val, logPos(s, off)
+}
+
+// truncate drops every record at or after position at (< end), clamping the
+// capacity of the segment it cuts so the next append starts a new segment:
+// the bytes past the cut may be a fork template's records, which its other
+// forks still read.
+func (l *ndLog) truncate(at int) {
+	s, off := splitPos(at)
+	if off == 0 {
+		l.segs = l.segs[:s]
+		return
+	}
+	l.segs = l.segs[:s+1]
+	//failtrans:cowok writes only the log's own spine; the capacity clamp keeps later appends from reaching the bytes past the cut
+	l.segs[s] = l.segs[s][:off:off]
+}
+
+// uvarintLen is the length of v's uvarint encoding.
+func uvarintLen(v int) int { return (bits.Len64(uint64(v)|1) + 6) / 7 }
 
 // DC is one Discount Checking instance governing every process of a world.
 type DC struct {
@@ -99,12 +206,10 @@ type DC struct {
 	// shared).
 	msgDepsShared bool
 
-	// ndLog's outer array is remade per fork (fork clones the headers),
-	// but each inner per-process log aliases the frozen template's
-	// records behind a capacity clamp; there is no privatizer — every
-	// store must justify why it cannot write the template's backing.
-	//failtrans:cowshared none
-	ndLog     [][]logRec
+	// logs holds each process's ND log. watermark (the log's end at the
+	// last commit), cursor (the next record to replay) and flushed are
+	// positions in it (logPos).
+	logs      []ndLog
 	watermark []int
 	replaying []bool
 	cursor    []int
@@ -114,9 +219,9 @@ type DC struct {
 	// replayOpen marks processes with an open "replay" tracer window, so
 	// the End pairs with its Begin exactly once.
 	replayOpen []bool
-	// flushed counts how many log records have reached stable storage
-	// (== len(ndLog) except under asynchronous logging, where the tail
-	// is volatile and is lost in a crash).
+	// flushed is the end of the log prefix that has reached stable storage
+	// (the log's end except under asynchronous logging, where the tail is
+	// volatile and is lost in a crash).
 	flushed []int
 
 	// pendingCommit defers commit-after-event to the end of the step.
@@ -186,7 +291,7 @@ func New(w *sim.World, pol protocol.Policy, medium stablestore.Medium) *DC {
 		deps:          make([]map[int]int, n),
 		epoch:         make([]int, n),
 		msgDeps:       make(map[int64]map[int]int),
-		ndLog:         make([][]logRec, n),
+		logs:          make([]ndLog, n),
 		watermark:     make([]int, n),
 		replaying:     make([]bool, n),
 		cursor:        make([]int, n),
@@ -351,7 +456,7 @@ func (d *DC) finishCommit(p *sim.Proc, st vista.Stats, label string) {
 	if d.replaying[p.Index] {
 		d.watermark[p.Index] = d.cursor[p.Index]
 	} else {
-		d.watermark[p.Index] = len(d.ndLog[p.Index])
+		d.watermark[p.Index] = d.logs[p.Index].end()
 	}
 	d.stepsBase[p.Index] = p.Steps
 	if d.CommitHook != nil {
@@ -425,19 +530,22 @@ func (d *DC) dependentSet(p *sim.Proc) []*sim.Proc {
 // separate redelivery buffer.
 func (d *DC) flushLog(p *sim.Proc) {
 	i := p.Index
-	pending := d.ndLog[i][d.flushed[i]:]
-	if len(pending) == 0 {
+	l := &d.logs[i]
+	end := l.end()
+	if d.flushed[i] >= end {
 		return
 	}
 	bytes := 0
-	for _, rec := range pending {
-		bytes += len(rec.val)
+	for at := d.flushed[i]; at < end; {
+		var val []byte
+		_, _, val, at = l.rec(at)
+		bytes += len(val)
 	}
 	start := p.Ctx().NowVirtual()
 	cost := d.Medium.LogCost(bytes)
 	d.World.AddTime(p, cost)
 	d.Stats.LogTime += cost
-	d.flushed[i] = len(d.ndLog[i])
+	d.flushed[i] = end
 	d.World.DropRetained(p)
 	d.noteLogForce(p, start, cost, bytes)
 }
@@ -448,6 +556,7 @@ func (d *DC) noteLogForce(p *sim.Proc, start time.Duration, cost time.Duration, 
 	if m := d.World.Metrics; m != nil {
 		pm := &m.Procs[p.Index]
 		pm.LogForces++
+		//failtrans:alloc the registry allocates every process's histogram block once, on its first observation
 		m.Hists(p.Index).LogForceLatency.ObserveDuration(cost)
 	}
 	if t := d.World.Tracer; t != nil {
@@ -559,9 +668,10 @@ func (d *DC) AfterEvent(p *sim.Proc, ev event.Event) {
 	}
 	// Replay missed its due record: the re-execution ran past the
 	// position where the original consumed a logged event.
-	if i := p.Index; d.replaying[i] && d.cursor[i] < len(d.ndLog[i]) &&
-		p.Steps-d.stepsBase[i] > d.ndLog[i][d.cursor[i]].pos {
-		d.divergeLog(p)
+	if i := p.Index; d.replaying[i] && d.cursor[i] < d.logs[i].end() {
+		if pos, _, _, _ := d.logs[i].rec(d.cursor[i]); p.Steps-d.stepsBase[i] > pos {
+			d.divergeLog(p)
+		}
 	}
 	// Commits triggered by an event that already executed are deferred
 	// to the end of the step so the checkpoint image includes the state
@@ -598,42 +708,45 @@ func (d *DC) SupplyND(p *sim.Proc, label string) ([]byte, bool) {
 	if !d.replaying[i] {
 		return nil, false
 	}
-	if d.cursor[i] >= len(d.ndLog[i]) {
+	end := d.logs[i].end()
+	if d.cursor[i] >= end {
 		d.replaying[i] = false
 		d.endReplayWindow(p)
 		return nil, false
 	}
-	rec := d.ndLog[i][d.cursor[i]]
+	pos, recLabel, val, next := d.logs[i].rec(d.cursor[i])
 	rel := p.Steps - d.stepsBase[i]
-	if rel < rec.pos {
+	if rel < pos {
 		return nil, false // not due yet: execute live
 	}
-	if rel > rec.pos || rec.label != label {
+	if rel > pos || string(recLabel) != label {
 		d.divergeLog(p)
 		return nil, false
 	}
-	d.cursor[i]++
-	if d.cursor[i] >= len(d.ndLog[i]) {
+	d.cursor[i] = next
+	if next >= end {
 		d.replaying[i] = false
 		d.endReplayWindow(p)
 	}
-	return rec.val, true
+	return val, true
 }
 
 // divergeLog truncates the unreplayed log tail after a divergence,
-// re-queueing logged-but-unreplayed receives into the inbox. The truncation
-// clamps capacity: a COW fork shares the log's backing array with its
-// frozen template, and an uncapped truncate-then-append would overwrite
-// record headers other forks still read.
+// re-queueing logged-but-unreplayed receives into the inbox. A flushed
+// position past the cut moves back to it: the records logged from here on
+// are the volatile tail.
 func (d *DC) divergeLog(p *sim.Proc) {
 	i := p.Index
-	for _, rec := range d.ndLog[i][d.cursor[i]:] {
-		if rec.label == "recv" {
-			d.World.RequeueLogged(p, rec.val)
+	l := &d.logs[i]
+	for at, end := d.cursor[i], l.end(); at < end; {
+		var label, val []byte
+		_, label, val, at = l.rec(at)
+		if string(label) == "recv" {
+			d.World.RequeueLogged(p, val)
 		}
 	}
-	//failtrans:cowok writes only the fork-private outer array; the capacity clamp keeps later appends from reaching the template's shared records
-	d.ndLog[i] = d.ndLog[i][:d.cursor[i]:d.cursor[i]]
+	l.truncate(d.cursor[i])
+	d.flushed[i] = min(d.flushed[i], d.cursor[i])
 	d.replaying[i] = false
 	d.endReplayWindow(p)
 }
@@ -659,12 +772,11 @@ func (d *DC) mutableMsgDeps() map[int64]map[int]int {
 // receives back into the inbox).
 func (d *DC) OnBlocked(p *sim.Proc) bool {
 	i := p.Index
-	if !d.replaying[i] || d.cursor[i] >= len(d.ndLog[i]) {
+	if !d.replaying[i] || d.cursor[i] >= d.logs[i].end() {
 		return false
 	}
-	rec := d.ndLog[i][d.cursor[i]]
-	rel := p.Steps - d.stepsBase[i]
-	if rel >= rec.pos && rec.label == "recv" {
+	pos, label, _, _ := d.logs[i].rec(d.cursor[i])
+	if p.Steps-d.stepsBase[i] >= pos && string(label) == "recv" {
 		return true
 	}
 	// Blocked before the due position, or the due record is not a
@@ -674,19 +786,16 @@ func (d *DC) OnBlocked(p *sim.Proc) bool {
 }
 
 // RecordND implements sim.Recovery: log the ND value if the policy asks,
-// charging the synchronous log-force cost. The log keeps a copy of val,
-// which belongs to the caller's scratch.
+// charging the synchronous log-force cost. The log writes val's bytes into
+// its record stream; val itself is the caller's scratch.
+//
+//failtrans:hotpath
 func (d *DC) RecordND(p *sim.Proc, label string, val []byte) bool {
 	if !d.Policy.LogsLabel(label) {
 		return false
 	}
 	i := p.Index
-	//failtrans:cowok the inner log was capacity-clamped at fork (and by every truncation), so append reallocates rather than writing template backing; the outer array is fork-private
-	d.ndLog[i] = append(d.ndLog[i], logRec{
-		label: label,
-		val:   append([]byte(nil), val...),
-		pos:   p.Steps - d.stepsBase[i],
-	})
+	d.logs[i].append(p.Steps-d.stepsBase[i], label, val)
 	d.Stats.LogRecords++
 	d.Stats.LogBytes += int64(len(val))
 	if d.Policy.LogAsync {
@@ -698,7 +807,7 @@ func (d *DC) RecordND(p *sim.Proc, label string, val []byte) bool {
 	cost := d.Medium.LogCost(len(val))
 	d.World.AddTime(p, cost)
 	d.Stats.LogTime += cost
-	d.flushed[i] = len(d.ndLog[i])
+	d.flushed[i] = d.logs[i].end()
 	d.noteLogForce(p, start, cost, len(val))
 	return true
 }
@@ -739,11 +848,9 @@ func (d *DC) Rollback(p *sim.Proc) error {
 	}
 	// A crash loses the volatile tail of an asynchronous log; the
 	// re-execution runs those events live (their messages are still in
-	// the retention buffer). Capacity is clamped for the same reason as
-	// divergeLog: a COW fork's log may share backing with its template.
-	if d.flushed[i] < len(d.ndLog[i]) {
-		//failtrans:cowok writes only the fork-private outer array; the capacity clamp keeps later appends from reaching the template's shared records
-		d.ndLog[i] = d.ndLog[i][:d.flushed[i]:d.flushed[i]]
+	// the retention buffer).
+	if d.flushed[i] < d.logs[i].end() {
+		d.logs[i].truncate(d.flushed[i])
 	}
 	if d.Policy.LogsLabel("recv") && !d.Policy.LogAsync {
 		// Consumed messages live in the log past the watermark; replay
@@ -753,7 +860,7 @@ func (d *DC) Rollback(p *sim.Proc) error {
 		d.World.RequeueRetained(p)
 	}
 	d.cursor[i] = d.watermark[i]
-	d.replaying[i] = d.cursor[i] < len(d.ndLog[i])
+	d.replaying[i] = d.cursor[i] < d.logs[i].end()
 	d.stepsBase[i] = p.Steps // restore point == last commit position
 	d.ndSince[i] = false
 	d.pendingCommit[i] = "" // a commit deferred by the crashed step is void

@@ -10,15 +10,15 @@ import (
 // Vista segments mid-transaction, ND logs and replay cursors, dependency
 // maps, commit epochs — against the forked world w, so the fork recovers and
 // commits exactly as the original would from this point on. Segments fork as
-// overlay views of the sealed pages, the ND logs and message-dependency map
-// are shared behind immutable references (log slices are capacity-clamped so
-// a fork's appends reallocate instead of scribbling on the shared backing;
-// msgDeps is copied top-level on first insert), and the per-process image
-// buffers start empty and grow lazily. The CommitHook/RecoveryHook/
-// CommitVeto/ExpandResourcesOnCrash callbacks do NOT carry over: they are
-// per-run harness wiring (the original's closures would observe the wrong
-// run); callers re-install their own on the returned *DC (the concrete type
-// is the return value's dynamic type).
+// overlay views of the sealed pages, the ND logs' segments and the
+// message-dependency map are shared behind immutable references (a fork
+// copies each log's spine with the segments capacity-clamped, so its appends
+// start a segment of its own; msgDeps is copied top-level on first insert),
+// and the per-process image buffers start empty and grow lazily. The
+// CommitHook/RecoveryHook/CommitVeto/ExpandResourcesOnCrash callbacks do NOT
+// carry over: they are per-run harness wiring (the original's closures would
+// observe the wrong run); callers re-install their own on the returned *DC
+// (the concrete type is the return value's dynamic type).
 func (d *DC) ForkRecovery(w *sim.World) sim.Recovery {
 	d.Freeze()
 	n := len(d.segs)
@@ -37,7 +37,7 @@ func (d *DC) ForkRecovery(w *sim.World) sim.Recovery {
 		ndSince:       bools[0:n:n],
 		deps:          make([]map[int]int, n),
 		epoch:         ints[0:n:n],
-		ndLog:         make([][]logRec, n),
+		logs:          make([]ndLog, n),
 		watermark:     ints[n : 2*n : 2*n],
 		replaying:     bools[n : 2*n : 2*n],
 		cursor:        ints[2*n : 3*n : 3*n],
@@ -84,11 +84,26 @@ func (d *DC) ForkRecovery(w *sim.World) sim.Recovery {
 			nd.segs[i] = seg.Fork()
 		}
 	}
-	// Records are appended, truncated and read, never mutated in place; with
-	// the capacity clamp a fork's append can only reallocate, so sharing the
-	// sealed DC's backing is safe.
-	for i, log := range d.ndLog {
-		nd.ndLog[i] = log[:len(log):len(log)]
+	// Written log bytes never change, so the fork shares every segment and
+	// copies only the spines, all into one backing array. Each segment is
+	// capacity-clamped, so the fork's first record starts a new segment, and
+	// each spine keeps one free slot for it.
+	spines := 0
+	for _, l := range d.logs {
+		if len(l.segs) > 0 {
+			spines += len(l.segs) + 1
+		}
+	}
+	spine := make([][]byte, spines)
+	for i, l := range d.logs {
+		if k := len(l.segs); k > 0 {
+			for j, seg := range l.segs {
+				spine[j] = seg[:len(seg):len(seg)]
+			}
+			slot := k + 1
+			nd.logs[i].segs = spine[:k:slot]
+			spine = spine[slot:]
+		}
 	}
 	return nd
 }
