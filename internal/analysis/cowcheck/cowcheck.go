@@ -81,7 +81,9 @@ type checker struct {
 	info *types.Info
 	// mutators are this package's methods that write through their
 	// receiver's backing (an index or pointer store rooted at the
-	// receiver), so e.bits.set(p) counts as a store to bits.
+	// receiver, a field store through a pointer receiver included), so
+	// e.bits.set(p) counts as a store to bits and db.Index.Put(k, v) as
+	// one to Index.
 	mutators map[*types.Func]bool
 }
 
@@ -241,7 +243,7 @@ func (c *checker) collectMutators(f *ast.File) {
 
 // throughObject reports whether expr is a store target that writes through
 // obj's backing: at least one index or pointer dereference above a path
-// rooted at obj.
+// rooted at obj. Selecting a field through a pointer dereferences it.
 func throughObject(info *types.Info, expr ast.Expr, obj types.Object) bool {
 	deref := false
 	for {
@@ -251,6 +253,11 @@ func throughObject(info *types.Info, expr ast.Expr, obj types.Object) bool {
 		case *ast.StarExpr:
 			expr, deref = x.X, true
 		case *ast.SelectorExpr:
+			if tv, ok := info.Types[x.X]; ok {
+				if _, ptr := tv.Type.Underlying().(*types.Pointer); ptr {
+					deref = true
+				}
+			}
 			expr = x.X
 		case *ast.Ident:
 			return deref && info.Uses[x] == obj

@@ -25,8 +25,41 @@ type Editor struct {
 	//failtrans:cowshared privatizeLines — validity bits ride with the line backing
 	valid bits
 
+	// index mirrors postgres's shared B-tree: a pointer field whose
+	// methods store fields of their pointer receiver.
+	//failtrans:cowshared ownIndex — forks share the template's tree until first mutation
+	index *tree
+
+	// stats has a value-receiver method, which writes only its copy.
+	//failtrans:cowshared privatizeLines — fixture: never privatized
+	stats counter
+
 	shared bool
 }
+
+type tree struct {
+	size   int
+	sealed bool
+}
+
+// put stores a field through its pointer receiver: a mutator.
+func (t *tree) put() { t.size++ }
+
+// len only reads.
+func (t *tree) len() int { return t.size }
+
+func (e *Editor) ownIndex() {
+	if e.index.sealed {
+		c := *e.index
+		c.sealed = false
+		e.index = &c
+	}
+}
+
+type counter struct{ n int }
+
+// bump increments a copy of the counter: not a store through the field.
+func (c counter) bump() { c.n++ }
 
 type bits []uint64
 
@@ -173,4 +206,22 @@ func valueCopy(e *Editor, row int) *Editor {
 	ne := *e
 	ne.Lines[row] = nil // want `store through COW-shared field Editor\.Lines`
 	return &ne
+}
+
+// putBad mutates the shared tree without owning it.
+func (e *Editor) putBad() {
+	e.index.put() // want `mutating call put on COW-shared field Editor\.index`
+}
+
+// putGood owns the tree first; reading it needs nothing.
+func (e *Editor) putGood() int {
+	n := e.index.len()
+	e.ownIndex()
+	e.index.put()
+	return n
+}
+
+// valueMethod calls a value-receiver method, which cannot write the field.
+func (e *Editor) valueMethod() {
+	e.stats.bump()
 }

@@ -154,10 +154,11 @@ func Step() error { return os.WriteFile("out", nil, 0o644) }
 // repo relies on: deleting one would silently shrink cowcheck's coverage.
 func TestCowAnnotationsPresent(t *testing.T) {
 	files := map[string]int{ // file -> minimum number of cowshared annotations
-		"../../vista/vista.go":   1, // mem
-		"../../kernel/kernel.go": 2, // node.fs, Kernel.nodes
-		"../../dc/dc.go":         2, // DC.msgDeps, ndLog.segs
-		"../../apps/nvi/nvi.go":  3, // Lines, LineSums, undo
+		"../../vista/vista.go":      1, // mem
+		"../../kernel/kernel.go":    2, // node.fs, Kernel.nodes
+		"../../dc/dc.go":            2, // DC.msgDeps, ndLog.segs
+		"../../apps/nvi/nvi.go":     3, // Lines, LineSums, undo
+		"../../apps/postgres/db.go": 1, // DB.Index
 	}
 	for file, min := range files {
 		data, err := os.ReadFile(file)
@@ -188,6 +189,8 @@ func TestHotpathRootsAnnotated(t *testing.T) {
 		"../../apps/treadmarks/barneshut.go": 3,
 		"../../apps/treadmarks/program.go":   2,
 		"../../apps/magic/magic.go":          2, // Rect.Subtract, (*Layer).cut
+		// The screen and file scratch: (*Editor).screenLine, writeFileStep.
+		"../../apps/nvi/nvi.go": 2,
 	}
 	for file, min := range roots {
 		data, err := os.ReadFile(file)

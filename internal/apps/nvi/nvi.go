@@ -19,6 +19,7 @@
 package nvi
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strconv"
 	"strings"
@@ -125,6 +126,11 @@ type Editor struct {
 	// fault and the restore path are guarded explicitly). Runtime
 	// bookkeeping, never marshaled.
 	linesShared bool
+
+	// scratch is where the screen line and every file write are built: the
+	// output string copies it and the kernel copies what it keeps during
+	// the call. Never marshaled, and a fork starts without one.
+	scratch []byte
 }
 
 // New returns an editor whose session will edit `filename` with the given
@@ -171,6 +177,7 @@ func (e *Editor) Fork() (sim.Program, error) {
 	ne.linesShared = true
 	ne.ExBuf = append([]byte(nil), e.ExBuf...)
 	ne.undoBuf = nil
+	ne.scratch = nil
 	ne.frozen = false
 	return &ne, nil
 }
@@ -334,11 +341,14 @@ func (e *Editor) Step(ctx *sim.Ctx) sim.Status {
 	}
 }
 
-// screenLine builds the screen update: status line plus the cursor line. It
+// screenLine builds the screen update, status line plus the cursor line, in
+// the scratch buffer; it is valid until the scratch buffer's next use. It
 // trusts the cursor: a corrupted row panics here.
+//
+//failtrans:hotpath
 func (e *Editor) screenLine() []byte {
 	line := e.Lines[e.Row]
-	b := make([]byte, 0, len(line)+32)
+	b := e.scratch[:0]
 	b = append(b, '[')
 	b = strconv.AppendInt(b, int64(e.Row), 10)
 	b = append(b, ',')
@@ -350,7 +360,15 @@ func (e *Editor) screenLine() []byte {
 		b = append(b, " +"...)
 	}
 	b = append(b, "] "...)
-	return append(b, line...)
+	b = append(b, line...)
+	e.scratch = b
+	return b
+}
+
+// scratchFD starts the scratch buffer with fd in kernel.I64's encoding: a
+// syscall's fd argument is scratch[:8], and its data is appended behind it.
+func (e *Editor) scratchFD(fd int64) {
+	e.scratch = binary.LittleEndian.AppendUint64(e.scratch[:0], uint64(fd))
 }
 
 // render emits the screen update. A corrupted row crashes in screenLine,
@@ -615,11 +633,16 @@ func (e *Editor) substitute(ctx *sim.Ctx, cmd string) {
 }
 
 // writeFileStep emits one syscall per step: open, then one write per line,
-// then truncate+close combined with a final timestamp read.
+// then truncate+close combined with a final timestamp read. Every argument
+// is built in the scratch buffer, so a step allocates nothing.
+//
+//failtrans:hotpath
 func (e *Editor) writeFileStep(ctx *sim.Ctx) sim.Status {
 	switch {
 	case e.WriteStep == 0:
-		ret, err := ctx.Syscall("open", []byte(e.Filename), []byte{1})
+		e.scratch = append(e.scratch[:0], 1) // create
+		e.scratch = append(e.scratch, e.Filename...)
+		ret, err := ctx.Syscall("open", e.scratch[1:], e.scratch[:1])
 		if err != nil {
 			ctx.Crash("nvi: " + err.Error())
 			return sim.Crashed
@@ -627,17 +650,17 @@ func (e *Editor) writeFileStep(ctx *sim.Ctx) sim.Status {
 		e.WriteFD = kernel.Int(ret[0])
 		e.WriteStep = 1
 	case e.WriteStep <= len(e.Lines):
-		line := e.Lines[e.WriteStep-1]
-		buf := make([]byte, 0, len(line)+1)
-		buf = append(buf, line...)
-		buf = append(buf, '\n')
-		if _, err := ctx.Syscall("write", kernel.I64(e.WriteFD), buf); err != nil {
+		e.scratchFD(e.WriteFD)
+		e.scratch = append(e.scratch, e.Lines[e.WriteStep-1]...)
+		e.scratch = append(e.scratch, '\n')
+		if _, err := ctx.Syscall("write", e.scratch[:8], e.scratch[8:]); err != nil {
 			ctx.Crash("nvi: " + err.Error())
 			return sim.Crashed
 		}
 		e.WriteStep++
 	default:
-		if _, err := ctx.Syscall("close", kernel.I64(e.WriteFD)); err != nil {
+		e.scratchFD(e.WriteFD)
+		if _, err := ctx.Syscall("close", e.scratch); err != nil {
 			ctx.Crash("nvi: " + err.Error())
 			return sim.Crashed
 		}
@@ -663,8 +686,9 @@ func (e *Editor) appendRecoveryRecord(ctx *sim.Ctx) {
 		}
 		e.RecFD = kernel.Int(ret[0])
 	}
-	rec := []byte{e.Key, byte(e.Row), byte(e.Col)}
-	if _, err := ctx.Syscall("write", kernel.I64(e.RecFD), rec); err != nil {
+	e.scratchFD(e.RecFD)
+	e.scratch = append(e.scratch, e.Key, byte(e.Row), byte(e.Col))
+	if _, err := ctx.Syscall("write", e.scratch[:8], e.scratch[8:]); err != nil {
 		ctx.Crash("nvi: " + err.Error())
 	}
 }

@@ -551,3 +551,67 @@ func TestSigwinchForcesRedraw(t *testing.T) {
 		t.Errorf("renders = %d, want 4: %v", got, w.Outputs[0])
 	}
 }
+
+// TestWarmedRenderAllocatesOnlyItsOutput: once the scratch buffer has
+// grown, a render allocates only the output string the world keeps, and a
+// file write step allocates nothing.
+func TestWarmedRenderAllocatesOnlyItsOutput(t *testing.T) {
+	w, e := runSession(t, "ihello\x1b", []string{"some", "lines of text"})
+	w.RecordTrace = false
+	ctx := w.Procs[0].Ctx()
+	if n := testing.AllocsPerRun(100, func() { e.render(ctx) }); n != 1 {
+		t.Errorf("a warmed render allocates %.0f times, want 1 (its output string)", n)
+	}
+	e.WriteStep = 0
+	e.writeFileStep(ctx) // open
+	if n := testing.AllocsPerRun(100, func() {
+		e.WriteStep = 2
+		if e.writeFileStep(ctx) != sim.Ready || e.WriteStep != 3 {
+			t.Fatal("the write step did not write a line")
+		}
+	}); n != 0 {
+		t.Errorf("a warmed file write step allocates %.0f times, want 0", n)
+	}
+}
+
+// TestForksRenderIntoTheirOwnScratch: two forks of one template render and
+// write concurrently; neither shares the template's scratch buffer (go test
+// -race reports it if they do), and both print what an unforked run prints.
+func TestForksRenderIntoTheirOwnScratch(t *testing.T) {
+	const keys = "ihello\x1b:w\nlllxx:w\n"
+	contents := []string{"some", "lines", "of text"}
+	want, _ := runSession(t, keys, contents)
+	e := New("doc.txt", contents)
+	e.ThinkTime = 0
+	w := sim.NewWorld(1, e)
+	k := kernel.New()
+	k.Clock = func() time.Duration { return w.Clock }
+	w.OS = k
+	w.Procs[0].Ctx().Inputs = Script(keys)
+	stepToKeystroke(t, w, 3)
+	if e.scratch == nil {
+		t.Fatal("the template never rendered")
+	}
+	forks := make([]*sim.World, 2)
+	for i := range forks {
+		fw, err := w.Fork()
+		if err != nil {
+			t.Fatal(err)
+		}
+		forks[i] = fw
+	}
+	errs := make(chan error, len(forks))
+	for _, fw := range forks {
+		go func() { errs <- fw.Run() }()
+	}
+	for range forks {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, fw := range forks {
+		if got := strings.Join(fw.Outputs[0], "\n"); got != strings.Join(want.Outputs[0], "\n") {
+			t.Errorf("fork %d printed\n%s\nwant\n%s", i, got, strings.Join(want.Outputs[0], "\n"))
+		}
+	}
+}

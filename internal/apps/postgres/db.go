@@ -4,8 +4,9 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"failtrans/internal/apps/apputil"
 	"failtrans/internal/kernel"
@@ -25,7 +26,14 @@ const (
 const checkEveryOps = 40
 
 // DB is the postgres application: index + buffer pool + query driver.
+//
+// A fork shares its frozen template's cached pages and index (DB.Freeze,
+// DB.Fork): it copies a page out on its first write to it (Pool.own) and
+// clones the index on its first mutation (ownIndex).
 type DB struct {
+	// Index may be the sealed index of the template this database was
+	// forked from; every mutation of it runs ownIndex first.
+	//failtrans:cowshared ownIndex
 	Index *BTree
 	Pool  *Pool
 	// CurPage is the current insertion target.
@@ -44,9 +52,16 @@ type DB struct {
 
 	faultSalt uint64
 
-	// encLen is the length of the last encoded state: Fork's size hint for
-	// its round-trip buffer. Not part of the state.
-	encLen int
+	// Scratch, never marshaled and never handed to a fork: tuple is the
+	// tuple insert and update build, hits the index entries scan visits.
+	tuple []byte
+	hits  []hit
+}
+
+// hit is one index entry a scan visits.
+type hit struct {
+	key int64
+	rid RID
 }
 
 // New returns a database storing its heap in `file`.
@@ -146,29 +161,30 @@ func (db *DB) runCheck(ctx *sim.Ctx) {
 
 func (db *DB) apply(ctx *sim.Ctx) {
 	db.Phase = phaseRead
-	fields := strings.Fields(db.Cmd)
-	if len(fields) == 0 {
+	op, rest := nextField(db.Cmd)
+	if op == "" {
 		return
 	}
+	arg1, rest := nextField(rest)
+	arg2, _ := nextField(rest)
 	kind := ctx.Fault("pg.op")
-	key, _ := strconv.ParseInt(field(fields, 1), 10, 64)
+	key := parseInt(arg1)
 	if kind == sim.StackBitFlip {
 		key ^= 1 << (db.salt() % 16) // the parsed key flips in flight
 	}
-	switch fields[0] {
+	switch op {
 	case "insert":
-		db.insert(ctx, key, []byte(field(fields, 2)), kind)
+		db.insert(ctx, key, arg2, kind)
 	case "select":
 		db.query(ctx, key)
 	case "update":
-		db.update(ctx, key, []byte(field(fields, 2)))
+		db.update(ctx, key, arg2)
 	case "delete":
 		db.del(ctx, key)
 	case "scan":
-		hi, _ := strconv.ParseInt(field(fields, 2), 10, 64)
-		db.scan(ctx, key, hi)
+		db.scan(ctx, key, parseInt(arg2))
 	case "count":
-		hi, _ := strconv.ParseInt(field(fields, 2), 10, 64)
+		hi := parseInt(arg2)
 		n := 0
 		db.Index.Scan(key, hi, func(int64, RID) bool { n++; return true })
 		db.LastMsg = fmt.Sprintf("count [%d,%d]: %d", key, hi, n)
@@ -190,14 +206,52 @@ func (db *DB) apply(ctx *sim.Ctx) {
 	case "quit":
 		db.Phase = phaseDone
 	default:
-		db.LastMsg = "?cmd " + fields[0]
+		db.LastMsg = "?cmd " + op
 		db.Phase = phaseRender
 	}
 }
 
+// nextField returns the first field of s and what follows it, splitting
+// around runs of white space exactly as strings.Fields does; f is empty when
+// s holds no field.
+func nextField(s string) (f, rest string) {
+	i := skipField(s, 0, true)
+	j := skipField(s, i, false)
+	return s[i:j], s[j:]
+}
+
+// skipField returns the offset of the first rune at or after i that is not
+// white space (space true) or that is (space false), as unicode.IsSpace
+// classifies it; invalid UTF-8 is not space.
+func skipField(s string, i int, space bool) int {
+	for i < len(s) {
+		r, n := rune(s[i]), 1
+		if r >= utf8.RuneSelf {
+			r, n = utf8.DecodeRuneInString(s[i:])
+		}
+		if unicode.IsSpace(r) != space {
+			break
+		}
+		i += n
+	}
+	return i
+}
+
+// parseInt parses a decimal query argument as strconv.ParseInt does,
+// ignoring its error (an out-of-range value saturates); a missing argument
+// is 0.
+func parseInt(s string) int64 {
+	if s == "" {
+		return 0
+	}
+	v, _ := strconv.ParseInt(s, 10, 64)
+	return v
+}
+
 // insert adds a tuple to the heap and the index.
-func (db *DB) insert(ctx *sim.Ctx, key int64, value []byte, kind sim.FaultKind) {
-	tuple := EncodeTuple(key, value)
+func (db *DB) insert(ctx *sim.Ctx, key int64, value string, kind sim.FaultKind) {
+	tuple := appendTuple(db.tuple[:0], key, value)
+	db.tuple = tuple
 	switch kind {
 	case sim.OffByOne:
 		// The slot bookkeeping will point one byte into the tuple.
@@ -217,34 +271,37 @@ func (db *DB) insert(ctx *sim.Ctx, key int64, value []byte, kind sim.FaultKind) 
 		if err != nil {
 			return
 		}
+		db.ownIndex()
 		db.Index.Put(key, RID{Page: p.ID(), Slot: uint16(p.NSlots())})
 		return
 	case sim.DeleteBranch:
 		// The free-space validation branch is gone: the upper
 		// boundary drifts, so the next tuples overwrite earlier ones.
 		if db.HavePage {
-			if p, err := db.Pool.Get(ctx, db.CurPage); err == nil {
+			if p, err := db.Pool.getOwned(ctx, db.CurPage); err == nil {
 				p.setUpper(p.upper() + 64)
 				p.Dirty = true
 				p.UpdateCRC()
 			}
 		}
 	}
-	p, err := db.targetPage(ctx, len(tuple))
-	if err != nil {
+	if _, err := db.targetPage(ctx, len(tuple)); err != nil {
 		ctx.Crash(err.Error())
 		return
 	}
+	p := db.Pool.own(db.CurPage)
 	slot, err := p.Insert(tuple)
 	if err != nil {
 		ctx.Crash(err.Error())
 		return
 	}
+	db.ownIndex()
 	db.Index.Put(key, RID{Page: p.ID(), Slot: uint16(slot)})
 }
 
-// targetPage returns the current insertion page, allocating a fresh one
-// when the tuple does not fit.
+// targetPage returns the current insertion page, page CurPage, allocating a
+// fresh one when the tuple does not fit. It only reads the page: a caller
+// that writes it owns it first.
 func (db *DB) targetPage(ctx *sim.Ctx, need int) (*Page, error) {
 	if db.HavePage {
 		p, err := db.Pool.Get(ctx, db.CurPage)
@@ -299,19 +356,19 @@ func (db *DB) query(ctx *sim.Ctx, key int64) {
 	db.Phase = phaseRender
 }
 
-func (db *DB) update(ctx *sim.Ctx, key int64, value []byte) {
+func (db *DB) update(ctx *sim.Ctx, key int64, value string) {
 	rid, ok := db.Index.Get(key)
 	if !ok {
 		db.LastMsg = fmt.Sprintf("update %d: not found", key)
 		db.Phase = phaseRender
 		return
 	}
-	p, err := db.Pool.Get(ctx, rid.Page)
+	p, err := db.Pool.getOwned(ctx, rid.Page)
 	if err != nil {
 		return
 	}
-	tuple := EncodeTuple(key, value)
-	ok, err = p.Overwrite(int(rid.Slot), tuple)
+	db.tuple = appendTuple(db.tuple[:0], key, value)
+	ok, err = p.Overwrite(int(rid.Slot), db.tuple)
 	if err != nil {
 		ctx.Crash(err.Error())
 		return
@@ -331,7 +388,7 @@ func (db *DB) del(ctx *sim.Ctx, key int64) {
 	if !ok {
 		return
 	}
-	p, err := db.Pool.Get(ctx, rid.Page)
+	p, err := db.Pool.getOwned(ctx, rid.Page)
 	if err != nil {
 		return
 	}
@@ -339,24 +396,21 @@ func (db *DB) del(ctx *sim.Ctx, key int64) {
 		ctx.Crash(err.Error())
 		return
 	}
+	db.ownIndex()
 	db.Index.Delete(key)
 }
 
 // scan outputs the number of tuples and a value checksum over [lo,hi],
 // verifying every heap tuple against its index key.
 func (db *DB) scan(ctx *sim.Ctx, lo, hi int64) {
-	type hit struct {
-		key int64
-		rid RID
-	}
-	var hits []hit
+	db.hits = db.hits[:0]
 	db.Index.Scan(lo, hi, func(k int64, rid RID) bool {
-		hits = append(hits, hit{k, rid})
+		db.hits = append(db.hits, hit{k, rid})
 		return true
 	})
 	count := 0
 	var sum uint32
-	for _, h := range hits {
+	for _, h := range db.hits {
 		p, err := db.Pool.Get(ctx, h.rid.Page)
 		if err != nil {
 			return
@@ -393,7 +447,7 @@ func (db *DB) flipCachedPageBit() {
 		return
 	}
 	id := db.Pool.lru[int(s)%len(db.Pool.lru)]
-	p := db.Pool.pages[id]
+	p := db.Pool.own(id)
 	// Flip within the tuple data area to avoid trivially breaking the
 	// header.
 	bit := headerLen*8 + s%(uint64(PageSize-headerLen)*8)
@@ -406,6 +460,7 @@ func (db *DB) offByOneLastRID() {
 	if db.Index.Len() == 0 {
 		return
 	}
+	db.ownIndex()
 	// Walk to the rightmost leaf and bump its last RID's slot.
 	n := db.Index.root
 	for !n.Leaf {
@@ -421,16 +476,12 @@ func (db *DB) salt() uint64 {
 	return db.faultSalt
 }
 
-func field(fields []string, i int) string {
-	if i < len(fields) {
-		return fields[i]
-	}
-	return ""
-}
+// MarshalState implements sim.Program.
+func (db *DB) MarshalState() ([]byte, error) { return db.AppendState(nil) }
 
-// appendState encodes the full database state behind dst. It only reads the
-// receiver.
-func (db *DB) appendState(dst []byte) []byte {
+// AppendState implements sim.StateAppender: the commit path encodes the
+// database straight into the checkpoint image. It only reads the receiver.
+func (db *DB) AppendState(dst []byte) ([]byte, error) {
 	e := &apputil.Enc{B: dst}
 	db.Index.Marshal(e)
 	db.Pool.Marshal(e)
@@ -444,37 +495,40 @@ func (db *DB) appendState(dst []byte) []byte {
 	e.I64(int64(db.OpCost))
 	e.Int(db.PoolCap)
 	e.I64(int64(db.faultSalt))
-	return e.B
+	return e.B, nil
 }
 
-// MarshalState implements sim.Program.
-func (db *DB) MarshalState() ([]byte, error) { return db.AppendState(nil) }
-
-// AppendState implements sim.StateAppender: the commit path encodes the
-// database straight into the checkpoint image.
-func (db *DB) AppendState(dst []byte) ([]byte, error) {
-	out := db.appendState(dst)
-	db.encLen = len(out) - len(dst)
-	return out, nil
+// Freeze implements sim.Freezer: it seals the cached pages and the index as
+// an immutable fork template. Idempotent, and a second call writes nothing,
+// so a sealed database may be forked from many goroutines at once.
+func (db *DB) Freeze() {
+	//failtrans:cowok seal writes only an unsealed index, which is this database's own
+	db.Index.seal()
+	db.Pool.seal()
 }
 
-// Fork implements sim.Forker via a marshal round trip into a fresh
-// instance: Unmarshal rebuilds the BTree and buffer pool from scratch, and
-// appendState only reads the receiver, so a quiescent template may be forked
-// from many goroutines at once. The round-trip buffer is sized once from
-// the template's last image (plus an eighth and 256 bytes to grow into);
-// Unmarshal copies everything out of it.
+// Fork implements sim.Forker: it seals the database with Freeze and returns
+// a copy-on-write fork that copies only the DB struct, the pool's page map
+// and its LRU list. The fork shares the template's pages and index until
+// its first write to each (Pool.own, ownIndex); scratch is not handed on.
 func (db *DB) Fork() (sim.Program, error) {
-	n := db.encLen
-	img := db.appendState(make([]byte, 0, n+n/8+256))
-	nd := &DB{encLen: len(img)}
-	if err := nd.UnmarshalState(img); err != nil {
-		return nil, err
-	}
-	return nd, nil
+	db.Freeze()
+	nd := *db
+	nd.Pool = db.Pool.fork()
+	nd.tuple, nd.hits = nil, nil
+	return &nd, nil
 }
 
-// UnmarshalState implements sim.Program.
+// ownIndex gives the database a private index before it mutates it: a fork
+// shares its template's sealed index until then and clones it here.
+func (db *DB) ownIndex() {
+	if db.Index.sealed {
+		db.Index = db.Index.clone()
+	}
+}
+
+// UnmarshalState implements sim.Program. The index and pool it decodes are
+// fresh and unsealed, so a restored fork shares nothing with its template.
 func (db *DB) UnmarshalState(data []byte) error {
 	d := apputil.Dec{B: data}
 	idx, err := UnmarshalBTree(&d)
@@ -517,7 +571,7 @@ func (db *DB) vacuum(ctx *sim.Ctx) (int, error) {
 	})
 	reclaimed := 0
 	for pid := uint32(0); pid < db.Pool.NumPages; pid++ {
-		p, err := db.Pool.Get(ctx, pid)
+		p, err := db.Pool.getOwned(ctx, pid)
 		if err != nil {
 			return reclaimed, err
 		}
@@ -532,6 +586,7 @@ func (db *DB) vacuum(ctx *sim.Ctx) (int, error) {
 			if !ok {
 				return reclaimed, fmt.Errorf("postgres: vacuum lost tuple for key %d (page %d slot %d)", ent.key, pid, ent.slot)
 			}
+			db.ownIndex()
 			db.Index.Put(ent.key, RID{Page: pid, Slot: newSlot})
 		}
 		ctx.Compute(100 * time.Microsecond)

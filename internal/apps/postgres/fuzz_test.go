@@ -1,6 +1,10 @@
 package postgres
 
-import "testing"
+import (
+	"slices"
+	"strings"
+	"testing"
+)
 
 // FuzzDecodeTuple: arbitrary bytes must decode or error, never panic, and
 // a successful decode must re-encode consistently.
@@ -36,5 +40,26 @@ func FuzzPageRead(f *testing.F) {
 		_ = pg.NSlots()
 		_ = pg.LiveTuples()
 		_, _ = pg.Compact()
+	})
+}
+
+// FuzzNextField: apply's field splitter yields exactly strings.Fields'
+// fields, for any command text (Unicode space and invalid UTF-8 included).
+func FuzzNextField(f *testing.F) {
+	for _, s := range []string{
+		"", " ", "insert 1 alpha", "  select\t42  ", "update 7 x\ny",
+		"scan\v-3\f9\r", "a\u0085b c", " lead　trail ",
+		"bad\xffutf8 \xc2", "\xc2\x85", "x​y", "count 1 5 extra fields",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		var got []string
+		for f, rest := nextField(s); f != ""; f, rest = nextField(rest) {
+			got = append(got, f)
+		}
+		if want := strings.Fields(s); !slices.Equal(got, want) {
+			t.Fatalf("nextField splits %q into %q, strings.Fields into %q", s, got, want)
+		}
 	})
 }

@@ -42,6 +42,19 @@ const (
 type Page struct {
 	Data  [PageSize]byte
 	Dirty bool
+
+	// sealed marks a page cached by a frozen fork template (DB.Freeze):
+	// the template and its forks share it, so it is immutable forever and
+	// its mutators panic. A fork writes its own copy (Pool.own).
+	sealed bool
+}
+
+// mustMutable panics if the page is sealed into a fork template: writing it
+// would corrupt the template and every fork taken from it.
+func (p *Page) mustMutable() {
+	if p.sealed {
+		panic("postgres: mutation of a page sealed into a fork template")
+	}
 }
 
 // NewPage formats an empty page with the given id.
@@ -76,7 +89,10 @@ func (p *Page) setNSlots(n int) { binary.LittleEndian.PutUint16(p.Data[offNSlots
 func (p *Page) lower() int     { return int(binary.LittleEndian.Uint16(p.Data[offLower:])) }
 func (p *Page) setLower(v int) { binary.LittleEndian.PutUint16(p.Data[offLower:], uint16(v)) }
 func (p *Page) upper() int     { return int(binary.LittleEndian.Uint16(p.Data[offUpper:])) }
-func (p *Page) setUpper(v int) { binary.LittleEndian.PutUint16(p.Data[offUpper:], uint16(v)) }
+func (p *Page) setUpper(v int) {
+	p.mustMutable()
+	binary.LittleEndian.PutUint16(p.Data[offUpper:], uint16(v))
+}
 
 // FreeSpace returns the bytes available for one more tuple (including its
 // slot entry).
@@ -106,6 +122,7 @@ func (p *Page) setSlot(i, off, ln int) {
 
 // Insert places a tuple on the page and returns its slot number.
 func (p *Page) Insert(tuple []byte) (int, error) {
+	p.mustMutable()
 	if len(tuple) > p.FreeSpace() {
 		return 0, fmt.Errorf("postgres: page %d full (%d free, %d needed)", p.ID(), p.FreeSpace(), len(tuple))
 	}
@@ -121,7 +138,8 @@ func (p *Page) Insert(tuple []byte) (int, error) {
 	return slot, nil
 }
 
-// Read returns the tuple in slot i (nil if deleted).
+// Read returns the tuple in slot i (nil if deleted) as a capacity-clamped
+// view of the page: it is valid only until the page's next write.
 func (p *Page) Read(i int) ([]byte, error) {
 	if i < 0 || i >= p.NSlots() {
 		return nil, fmt.Errorf("postgres: page %d slot %d out of range (%d slots)", p.ID(), i, p.NSlots())
@@ -133,14 +151,13 @@ func (p *Page) Read(i int) ([]byte, error) {
 	if off < headerLen || off+ln > PageSize {
 		return nil, fmt.Errorf("postgres: page %d slot %d points outside page (%d+%d)", p.ID(), i, off, ln)
 	}
-	out := make([]byte, ln)
-	copy(out, p.Data[off:off+ln])
-	return out, nil
+	return p.Data[off : off+ln : off+ln], nil
 }
 
 // Delete marks slot i dead (space is not reclaimed; VACUUM is out of
 // scope).
 func (p *Page) Delete(i int) error {
+	p.mustMutable()
 	if i < 0 || i >= p.NSlots() {
 		return fmt.Errorf("postgres: delete slot %d out of range", i)
 	}
@@ -154,6 +171,7 @@ func (p *Page) Delete(i int) error {
 // Overwrite replaces the tuple in slot i in place when the new tuple fits
 // the old length; otherwise it reports false and the caller re-inserts.
 func (p *Page) Overwrite(i int, tuple []byte) (bool, error) {
+	p.mustMutable()
 	if i < 0 || i >= p.NSlots() {
 		return false, fmt.Errorf("postgres: overwrite slot %d out of range", i)
 	}
@@ -170,6 +188,7 @@ func (p *Page) Overwrite(i int, tuple []byte) (bool, error) {
 
 // UpdateCRC recomputes the page checksum.
 func (p *Page) UpdateCRC() {
+	p.mustMutable()
 	binary.LittleEndian.PutUint32(p.Data[offCRC:], p.computeCRC())
 }
 
@@ -186,14 +205,19 @@ func (p *Page) VerifyCRC() bool {
 
 // EncodeTuple serializes a key/value pair.
 func EncodeTuple(key int64, value []byte) []byte {
-	out := make([]byte, 10+len(value))
-	binary.LittleEndian.PutUint64(out[0:8], uint64(key))
-	binary.LittleEndian.PutUint16(out[8:10], uint16(len(value)))
-	copy(out[10:], value)
-	return out
+	return appendTuple(make([]byte, 0, 10+len(value)), key, value)
 }
 
-// DecodeTuple parses a serialized tuple.
+// appendTuple serializes a key/value pair behind dst.
+func appendTuple[V string | []byte](dst []byte, key int64, value V) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(key))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(value)))
+	return append(dst, value...)
+}
+
+// DecodeTuple parses a serialized tuple. The value is a capacity-clamped
+// view of t: when t is a Page.Read view, it is valid only until the page's
+// next write.
 func DecodeTuple(t []byte) (key int64, value []byte, err error) {
 	if len(t) < 10 {
 		return 0, nil, fmt.Errorf("postgres: tuple too short (%d bytes)", len(t))
@@ -203,7 +227,7 @@ func DecodeTuple(t []byte) (key int64, value []byte, err error) {
 	if 10+n > len(t) {
 		return 0, nil, fmt.Errorf("postgres: tuple length %d overruns %d bytes", n, len(t))
 	}
-	return key, append([]byte(nil), t[10:10+n]...), nil
+	return key, t[10 : 10+n : 10+n], nil
 }
 
 // Compact rewrites the page without its dead slots and tuples, reclaiming
@@ -211,6 +235,7 @@ func DecodeTuple(t []byte) (key int64, value []byte, err error) {
 // (old slot -> new slot) so the caller can fix index entries. An error
 // means the page was corrupt (its slots claim more bytes than fit).
 func (p *Page) Compact() (map[uint16]uint16, error) {
+	p.mustMutable()
 	type live struct {
 		oldSlot int
 		data    []byte

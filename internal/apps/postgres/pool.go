@@ -2,6 +2,8 @@ package postgres
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"failtrans/internal/apps/apputil"
 	"failtrans/internal/kernel"
@@ -10,7 +12,9 @@ import (
 
 // Pool is the LRU buffer pool: it caches heap pages and moves them to and
 // from the table file with kernel syscalls (deterministic, so they may
-// batch within a step).
+// batch within a step). A fork's pool shares its template's sealed pages:
+// fork copies only the page map and the LRU list, and own copies a sealed
+// page out before the fork's first write to it.
 type Pool struct {
 	Cap      int
 	FD       int64
@@ -37,6 +41,45 @@ func (bp *Pool) touch(id uint32) {
 		}
 	}
 	bp.lru = append(bp.lru, id)
+}
+
+// own returns cached page id, copying it out first when it is sealed into a
+// fork template: every write to a cached page goes through here.
+func (bp *Pool) own(id uint32) *Page {
+	p := bp.pages[id]
+	if !p.sealed {
+		return p
+	}
+	np := &Page{Data: p.Data, Dirty: p.Dirty}
+	bp.pages[id] = np
+	return np
+}
+
+// getOwned is Get for a caller about to write the page: it owns it first.
+func (bp *Pool) getOwned(ctx *sim.Ctx, id uint32) (*Page, error) {
+	if _, err := bp.Get(ctx, id); err != nil {
+		return nil, err
+	}
+	return bp.own(id), nil
+}
+
+// seal marks every cached page immutable (DB.Freeze). Pages already sealed
+// are only read, so sealing a fork's pool writes none of its template's.
+func (bp *Pool) seal() {
+	for _, p := range bp.pages {
+		if !p.sealed {
+			p.sealed = true
+		}
+	}
+}
+
+// fork returns a pool that shares bp's pages, which seal has made
+// immutable: only the page map and the LRU list are copied.
+func (bp *Pool) fork() *Pool {
+	np := *bp
+	np.pages = maps.Clone(bp.pages)
+	np.lru = slices.Clone(bp.lru)
+	return &np
 }
 
 // Alloc formats a fresh page at the end of the file and caches it.
@@ -82,7 +125,8 @@ func (bp *Pool) Get(ctx *sim.Ctx, id uint32) (*Page, error) {
 	return p, nil
 }
 
-// install caches p, evicting (with write-back) if full.
+// install caches p, evicting (with write-back) if full. An evicted page
+// leaves the pool, so its dirty bit is left as it is.
 func (bp *Pool) install(ctx *sim.Ctx, p *Page) error {
 	for len(bp.pages) >= bp.Cap {
 		victim := bp.lru[0]
@@ -105,21 +149,19 @@ func (bp *Pool) writeBack(ctx *sim.Ctx, p *Page) error {
 	if _, err := ctx.Syscall("lseek", kernel.I64(bp.FD), kernel.I64(int64(p.ID())*PageSize)); err != nil {
 		return err
 	}
-	if _, err := ctx.Syscall("write", kernel.I64(bp.FD), p.Data[:]); err != nil {
-		return err
-	}
-	p.Dirty = false
-	return nil
+	_, err := ctx.Syscall("write", kernel.I64(bp.FD), p.Data[:])
+	return err
 }
 
-// FlushAll writes back every dirty cached page.
+// FlushAll writes back every dirty cached page and clears its dirty bit.
 func (bp *Pool) FlushAll(ctx *sim.Ctx) error {
-	for _, id := range append([]uint32(nil), bp.lru...) {
+	for _, id := range bp.lru {
 		p := bp.pages[id]
 		if p != nil && p.Dirty {
 			if err := bp.writeBack(ctx, p); err != nil {
 				return err
 			}
+			bp.own(id).Dirty = false
 		}
 	}
 	return nil
@@ -161,16 +203,14 @@ func UnmarshalPool(d *apputil.Dec) (*Pool, error) {
 	}
 	for i := 0; i < n; i++ {
 		id := uint32(d.I64())
-		dirty := d.Bool()
-		img := d.Bytes()
+		p := &Page{Dirty: d.Bool()}
+		img := d.BytesInto(p.Data[:0])
 		if d.Err != nil {
 			return nil, d.Err
 		}
 		if len(img) != PageSize {
 			return nil, fmt.Errorf("postgres: cached page %d has %d bytes", id, len(img))
 		}
-		p := &Page{Dirty: dirty}
-		copy(p.Data[:], img)
 		bp.pages[id] = p
 		bp.lru = append(bp.lru, id)
 	}

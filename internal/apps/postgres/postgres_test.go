@@ -614,50 +614,3 @@ func TestDBCount(t *testing.T) {
 		t.Errorf("outputs = %v", out)
 	}
 }
-
-// TestForkSizesRoundTripFromLastImage: Fork's marshal round trip runs in a
-// buffer sized once from the length the template last encoded, the fork
-// inherits that length (a fork of a fork that never committed is sized too),
-// and a fork marshals the template's image without disturbing it.
-func TestForkSizesRoundTripFromLastImage(t *testing.T) {
-	_, db := runDB(t, "insert 1 alpha", "insert 2 beta", "insert 3 gamma", "quit")
-	img, err := db.MarshalState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db.encLen != len(img) {
-		t.Fatalf("encLen = %d after encoding %d bytes", db.encLen, len(img))
-	}
-	p, err := db.Fork()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := p.(*DB)
-	if f.encLen != len(img) {
-		t.Errorf("fork's encLen = %d, want the template's %d", f.encLen, len(img))
-	}
-	buf := make([]byte, 0, 2*len(img))
-	if n := testing.AllocsPerRun(10, func() {
-		got, err := f.AppendState(buf)
-		if err != nil || string(got) != string(img) {
-			t.Fatalf("fork marshals a different image (err %v)", err)
-		}
-	}); n != 0 {
-		t.Errorf("a fork's AppendState into a sized buffer allocates %.1f times, want 0", n)
-	}
-	forkAllocs := func(d *DB) float64 {
-		return testing.AllocsPerRun(10, func() {
-			if _, err := d.Fork(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	unsized := *db
-	unsized.encLen = 0
-	if hinted, grown := forkAllocs(db), forkAllocs(&unsized); hinted >= grown {
-		t.Errorf("Fork allocates %.0f times with the size hint, %.0f without: the round-trip buffer is not sized once", hinted, grown)
-	}
-	if got, _ := db.MarshalState(); string(got) != string(img) {
-		t.Error("forking changed the template's image")
-	}
-}

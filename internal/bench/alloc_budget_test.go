@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"failtrans/internal/dc"
+	"failtrans/internal/faults"
 	"failtrans/internal/protocol"
 	"failtrans/internal/stablestore"
 )
@@ -53,6 +54,50 @@ func TestFig8AllocBudget(t *testing.T) {
 		t.Logf("%s/%s: %.1f B per step over %d steps", tc.app, tc.policy.Name, perStep, w.StepCount())
 		if perStep > tc.ceiling {
 			t.Errorf("%s/%s allocates %.1f B per world step, ceiling %.0f", tc.app, tc.policy.Name, perStep, tc.ceiling)
+		}
+	}
+}
+
+// TestTablesAllocBudget bounds the bytes Table 1 allocates per injection run
+// at test scale, for each app under a committing and a logging protocol, as
+// ftbench runs the study (snapshot forks, serial campaign). This is the
+// tables_commit and tables_log benchmarks' alloc_kb_per_op as a go test.
+// Each ceiling is about 1.25× what copy-on-write postgres forks, the query
+// scratch buffers, nvi's screen and file scratch and the reused syscall
+// argument vector leave, measured under the race detector (up to 1.1× more);
+// with a marshal round-trip postgres fork and per-call argument and line
+// buffers, every row exceeds its ceiling (nvi 181/195 KB, postgres
+// 244/191 KB per run).
+func TestTablesAllocBudget(t *testing.T) {
+	for _, tc := range []struct {
+		app     string
+		policy  protocol.Policy
+		ceiling float64 // bytes per injection run
+	}{
+		{"nvi", protocol.CPVS, 142_000},
+		{"nvi", protocol.CBNDVSLog, 145_000},
+		{"postgres", protocol.CPVS, 220_000},
+		{"postgres", protocol.CBNDVSLog, 153_000},
+	} {
+		s := faults.NewAppStudy(tc.app)
+		s.Policy = tc.policy
+		StudyOptions{Crashes: 3}.apply(s, "table1")
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		rs, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		runs := 0
+		for _, r := range rs {
+			runs += r.Runs
+		}
+		perRun := float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+		t.Logf("%s/%s: %.0f B per run over %d runs", tc.app, tc.policy.Name, perRun, runs)
+		if perRun > tc.ceiling {
+			t.Errorf("%s/%s allocates %.0f B per injection run, ceiling %.0f", tc.app, tc.policy.Name, perRun, tc.ceiling)
 		}
 	}
 }

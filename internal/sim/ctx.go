@@ -378,7 +378,12 @@ func (c *Ctx) Syscall(name string, args ...[]byte) ([][]byte, error) {
 		//failtrans:alloc cold error path: a world without an OS fails the call before any event
 		return nil, fmt.Errorf("sim: no OS attached (syscall %s)", name)
 	}
-	ret, nd, err := os.Call(c.p.Index, name, args)
+	// The OS sees the arguments in the world's argv, valid only during the
+	// call, so the caller's variadic array does not escape.
+	//failtrans:alloc argv grows to the widest syscall once per world (and per fork)
+	w.argv = append(w.argv[:0], args...)
+	ret, nd, err := os.Call(c.p.Index, name, w.argv)
+	clear(w.argv)
 	if err != nil {
 		return nil, err
 	}

@@ -205,6 +205,41 @@ func TestNDEventsAllocateNothing(t *testing.T) {
 	}
 }
 
+// argvOS is an OS that keeps the argument vector it is handed, as a buggy
+// OS might, and returns a fixed deterministic result.
+type argvOS struct {
+	fakeOS
+	kept [][]byte
+}
+
+func (o *argvOS) Call(pid int, name string, args [][]byte) ([][]byte, event.NDClass, error) {
+	o.kept = args
+	return o.ret, o.nd, nil
+}
+
+// TestSyscallArgsDoNotEscape pins Ctx.Syscall at zero allocations: the
+// arguments reach OS.Call in the world's reused argv, so the caller's
+// variadic array stays on its stack, and the vector is cleared once the call
+// returns, so an OS that kept it holds no argument.
+func TestSyscallArgsDoNotEscape(t *testing.T) {
+	w := NewWorld(1, &counter{})
+	w.RecordTrace = false
+	os := &argvOS{fakeOS: fakeOS{ret: [][]byte{{8}}, nd: event.Deterministic}}
+	w.OS = os
+	ctx := w.Procs[0].Ctx()
+	fd, data := []byte{1, 0, 0, 0, 0, 0, 0, 0}, []byte("payload")
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := ctx.Syscall("write", fd, data); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("a two-argument syscall allocates %.0f times, want 0", n)
+	}
+	if len(os.kept) != 2 || os.kept[0] != nil || os.kept[1] != nil {
+		t.Errorf("the OS's argument vector after the call = %q, want two cleared slots", os.kept)
+	}
+}
+
 func TestDelayParkedProcess(t *testing.T) {
 	w := NewWorld(1, &sleeper{})
 	if err := w.Init(); err != nil {

@@ -166,7 +166,9 @@ type OS interface {
 	// result, the call's non-determinism class (e.g. gettimeofday is
 	// transient, open is fixed, a plain read of a regular file is
 	// deterministic), and an error for invalid calls. The result may live
-	// in storage the OS reuses: it is valid until pid's next Call.
+	// in storage the OS reuses: it is valid until pid's next Call. args
+	// is valid only during the call: the caller reuses the vector, so an
+	// OS that keeps an argument copies its bytes.
 	Call(pid int, name string, args [][]byte) ([][]byte, event.NDClass, error)
 	// SaveProcState captures the kernel state Discount Checking must
 	// preserve for process pid (open file table entries, offsets, ...).

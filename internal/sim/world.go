@@ -259,6 +259,9 @@ type World struct {
 	// what it keeps, so one buffer serves the whole world; a fork starts
 	// without one.
 	ndBuf []byte
+	// argv is the argument vector Ctx.Syscall hands OS.Call, cleared after
+	// each call; a fork starts without one.
+	argv [][]byte
 
 	msgSeq    int64
 	stepCount int
