@@ -21,8 +21,8 @@
 // result), so the unit executes on first demand and every later demand —
 // a repeat in serial order or a speculative one on another worker, which
 // then waits on the Once — is served the stored result. That is how Table 1
-// executes each distinct (fault kind, fire point) once however many run
-// indexes draw it (internal/faults). What a job hands to accept must be the
+// executes each distinct run key once however many run indexes draw it
+// (internal/faults). What a job hands to accept must be the
 // caller's to keep: a shared cell returns copies of anything accept may
 // mutate or recycle. Under this contract the accepted sequence is identical
 // to the serial one at any worker count.

@@ -2,12 +2,12 @@ package faults
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"failtrans/internal/apps/nvi"
 	"failtrans/internal/apps/postgres"
-	"failtrans/internal/campaign"
 	"failtrans/internal/dc"
 	"failtrans/internal/kernel"
 	"failtrans/internal/obs"
@@ -74,8 +74,11 @@ type RunResult struct {
 	// Recovered reports the end-to-end check: with the fault suppressed
 	// on re-execution, did recovery complete the run?
 	Recovered bool
+	// Propagated reports (Table 2) a kernel fault that corrupted
+	// application-visible state before the kernel panicked.
+	Propagated bool
 	// Timeline.Commits is read-only once the run is classified: every run
-	// index that draws the same injection cell shares it.
+	// index whose key draws the same injection cell shares it.
 	Timeline recovery.FaultTimeline
 	// Rec is the run's forensic ledger record, filled by the worker only
 	// when the study carries a Ledger; the campaign acceptor appends it in
@@ -206,26 +209,13 @@ func (s *AppStudy) buildWorld(seed int64) (*sim.World, error) {
 	}
 }
 
-// cleanOutputs runs the session fault-free and returns its visible output.
-func (s *AppStudy) cleanOutputs(seed int64) ([]string, error) {
-	w, err := s.buildWorld(seed)
-	if err != nil {
-		return nil, err
-	}
-	w.RecordTrace = false
-	if err := w.Run(); err != nil {
-		return nil, err
-	}
-	return w.Outputs[0], nil
-}
-
 // fireBase is the first eligible fire point, in fault-site visits: the
 // paper skips the first few visits so faults land in steady-state
 // execution, not in startup.
 const fireBase = 5
 
 // fireSpan is the width of the fire-point draw window. It scales with the
-// session but never collapses below one, so fireAtFor is total for every
+// session but never collapses below one, so key is total for every
 // SessionLen >= 1 (SessionLen/2 alone is zero for a one-step session, and
 // Intn(0) panics).
 func (s *AppStudy) fireSpan() int {
@@ -237,20 +227,19 @@ func (s *AppStudy) fireSpan() int {
 }
 
 // fireHorizon is the deepest fault-site visit any injector can still fire
-// at — the maximum fireAtFor draw. The snapshot template stops capturing
+// at — the maximum key draw. The snapshot template stops capturing
 // past it; deriving both from fireSpan keeps the draw window and the
 // template horizon from drifting apart.
 func (s *AppStudy) fireHorizon() int { return fireBase + s.fireSpan() - 1 }
 
-// fireAtFor derives the injection run's fire point (in fault-site visits)
-// from its injection seed, uniform over [fireBase, fireHorizon].
-func (s *AppStudy) fireAtFor(injSeed int64) int {
-	r := newSplitmix(injSeed ^ 0x5deece66d)
-	return fireBase + r.Intn(s.fireSpan())
+// key derives Table 1 run index run's key for kind. The run's injection
+// seed draws its fire point, uniform over [fireBase, fireHorizon], and
+// nothing else, so the key keeps the fire point and drops the seed.
+func (s *AppStudy) key(kind sim.FaultKind, run int) RunKey {
+	r := newSplitmix((s.Seed*100000 + int64(run)) ^ 0x5deece66d)
+	return RunKey{Study: table1, App: s.App, Protocol: s.Policy.Name, Kind: kind, Seed: s.Seed,
+		FireAt: int64(fireBase + r.Intn(s.fireSpan()))}
 }
-
-// injSeedFor derives run index run's injection seed from the study seed.
-func (s *AppStudy) injSeedFor(run int) int64 { return s.Seed*100000 + int64(run) }
 
 // noteReplay accounts one activated run's re-executed clean prefix: the
 // steps from the run's resume point (0 from scratch, the snapshot's step
@@ -295,17 +284,13 @@ func (s *AppStudy) finishRun(w *sim.World, inj *oneShot, commits []int, clean []
 	}
 	if !p.Dead() {
 		// Completed despite the fault: silent wrong output?
-		res.WrongOutput = !equalOutputs(w.Outputs[0], clean)
+		res.WrongOutput = !slices.Equal(w.Outputs[0], clean)
 		return res
 	}
 	res.Crashed = true
 	res.Violation = res.Timeline.CommitAfterActivation()
 	return res
 }
-
-// records reports whether the study fills per-run forensic records (for
-// the ledger file, the in-memory record hook, or both).
-func (s *AppStudy) records() bool { return s.Ledger != nil || s.RecordHook != nil }
 
 // armVeto installs the study's commit-veto policy on one run's DC. The
 // closure tracks the run's position in the mined machine's commit-count
@@ -340,24 +325,9 @@ func (s *AppStudy) armVeto(d *dc.DC, inj *oneShot, commits *[]int) {
 // scratch or from a fork of a snapshot. The physical counts that DO differ
 // by mode (steps actually re-executed, fork latencies) stay in
 // obs.SnapshotMetrics.
-func (s *AppStudy) ledgerRecord(kind sim.FaultKind, w *sim.World, d *dc.DC, inj *oneShot, commits []int, res RunResult) *ledger.Record {
-	r := ledger.Get()
-	if s.Veto != nil {
-		r.VetoActive = true
-		r.VetoN = d.Stats.CommitsVetoed
-		r.VetoSaveWorkN = d.Stats.VetoedSaveWork
-	}
-	r.Study = "table1"
-	r.App = s.App
-	r.Protocol = s.Policy.Name
-	r.Medium = stablestore.Rio.Name
-	r.Kind = kind.String()
-	r.Seed = s.Seed
-	r.FireAt = int64(inj.fireAt)
+func (s *AppStudy) ledgerRecord(k RunKey, w *sim.World, d *dc.DC, inj *oneShot, commits []int, res RunResult) *ledger.Record {
+	r := s.record(k, w, d)
 	p := w.Procs[0]
-	r.Steps = p.Steps
-	r.WorldSteps = w.StepCount()
-	r.VClockUS = int64(w.Clock / time.Microsecond)
 	if inj.fired {
 		r.Activation = inj.firedAt
 		r.PrefixSteps = inj.firedStep
@@ -394,22 +364,6 @@ func (s *AppStudy) ledgerRecord(kind sim.FaultKind, w *sim.World, d *dc.DC, inj 
 		r.Outcome = ledger.Completed
 	}
 	return r
-}
-
-// acceptLedger appends a run's record (if the worker filled one) from the
-// campaign acceptor and recycles it.
-func (s *AppStudy) acceptLedger(run int, rec *ledger.Record) {
-	if rec == nil {
-		return
-	}
-	rec.Run = run
-	if s.Ledger != nil {
-		s.Ledger.Append(rec)
-	}
-	if s.RecordHook != nil {
-		s.RecordHook(rec)
-	}
-	ledger.Put(rec)
 }
 
 // recordCommits installs the CommitHook every study DC carries: it appends
@@ -461,18 +415,17 @@ func (s *AppStudy) open(snap *prefixSnapshot, inj sim.FaultInjector, arm func(*d
 	return w, d, nil
 }
 
-// runOne executes a single injection run: start from the deepest snapshot
-// before a fire point derived from injSeed (the workload session itself is
-// fixed by the study seed), with a one-shot injector seeded with the
+// runOne executes the Table 1 run k names: start from the deepest snapshot
+// before its fire point, with a one-shot injector seeded with the
 // snapshot's visit count and the snapshot's commit history prepended; run
-// under the study protocol, record the timeline, then (for crashes) re-run
-// end-to-end with recovery enabled and the fault suppressed. The result is
-// byte-identical for every snapshot that qualifies, the zero one included.
-func (s *AppStudy) runOne(kind sim.FaultKind, injSeed int64, clean []string, cache *prefixCache) (RunResult, error) {
+// under the study protocol, record the timeline, classify it against the
+// clean run's output, then (for crashes) re-run end-to-end with recovery
+// enabled and the fault suppressed. The result is byte-identical for every
+// snapshot that qualifies, the zero one included.
+func (s *AppStudy) runOne(k RunKey, clean []string, cache *prefixCache) (RunResult, error) {
 	var res RunResult
-	fireAt := s.fireAtFor(injSeed)
-	snap := cache.before(int64(fireAt))
-	inj := &oneShot{kind: kind, fireAt: fireAt, visits: int(snap.at)}
+	snap := cache.before(k.FireAt)
+	inj := &oneShot{kind: k.Kind, fireAt: int(k.FireAt), visits: int(snap.at)}
 	commits := append([]int(nil), snap.commits...)
 	w, d, err := s.open(snap, inj, func(d *dc.DC) {
 		s.armInjection(d, &commits)
@@ -491,10 +444,10 @@ func (s *AppStudy) runOne(kind sim.FaultKind, injSeed int64, clean []string, cac
 	s.noteCOW(w, d)
 	res = s.finishRun(w, inj, commits, clean)
 	if res.Crashed {
-		res.Recovered = s.endToEnd(kind, fireAt, snap)
+		res.Recovered = s.endToEnd(k, snap)
 	}
 	if s.records() {
-		res.Rec = s.ledgerRecord(kind, w, d, inj, commits, res)
+		res.Rec = s.ledgerRecord(k, w, d, inj, commits, res)
 	}
 	return res, nil
 }
@@ -506,9 +459,8 @@ func (s *AppStudy) runOne(kind sim.FaultKind, injSeed int64, clean []string, cac
 // without looping on crashes. It starts from the same snapshot the measured
 // run did: the clean prefix is identical with recovery enabled or disabled
 // (the flag only matters after a crash, and the prefix has none).
-func (s *AppStudy) endToEnd(kind sim.FaultKind, fireAt int, snap *prefixSnapshot) bool {
-	inj := &oneShot{kind: kind, fireAt: fireAt, visits: int(snap.at)}
-	crashes := 0
+func (s *AppStudy) endToEnd(k RunKey, snap *prefixSnapshot) bool {
+	inj := &oneShot{kind: k.Kind, fireAt: int(k.FireAt), visits: int(snap.at)}
 	w, d, err := s.open(snap, inj, func(d *dc.DC) {
 		d.DisableRecovery = false
 		d.CheckBeforeCommit = s.CheckBeforeCommit
@@ -520,14 +472,7 @@ func (s *AppStudy) endToEnd(kind sim.FaultKind, fireAt int, snap *prefixSnapshot
 			recordCommits(d, &commits)
 			s.armVeto(d, inj, &commits)
 		}
-		d.RecoveryHook = func(p *sim.Proc, reason string) {
-			crashes++
-			if crashes > 3 {
-				// Crash-looping: the committed state re-triggers the
-				// failure every time. Give up, as an operator would.
-				d.DisableRecovery = true
-			}
-		}
+		giveUpOnCrashLoop(d)
 	})
 	if err != nil {
 		return false
@@ -540,28 +485,13 @@ func (s *AppStudy) endToEnd(kind sim.FaultKind, fireAt int, snap *prefixSnapshot
 	return w.AllDone()
 }
 
-func equalOutputs(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// injectionCell is one (fault kind, fire point) of Table 1: the unit the
-// study executes. A run is a pure function of its kind and fire point —
-// session, world seed, protocol, snapshot cache and veto policy are fixed
-// for the whole Run, and the injection seed only picks the fire point
-// (TestRunOneDependsOnlyOnFirePoint) — while a kind's run indexes draw
-// fire points with replacement from fireSpan() of them, so most indexes
-// repeat a cell an earlier index already drew. The cell executes on first
-// demand, under once, and serves every demand from what it stored; a worker
-// that draws a cell another is still executing waits on once instead of
-// forking a second world for it.
+// injectionCell is one RunKey of Table 1: the unit the study executes. A
+// run is a pure function of its key (TestRunDependsOnlyOnKey), and a kind's
+// run indexes draw keys that differ only in FireAt, with replacement from
+// fireSpan() of them, so most indexes repeat a key an earlier index already
+// drew. The cell executes on first demand, under once, and serves every
+// demand from what it stored; a worker that draws a cell another is still
+// executing waits on once instead of forking a second world for it.
 type injectionCell struct {
 	once sync.Once
 	// res is the cell's outcome. res.Rec is the master record: it never
@@ -598,65 +528,44 @@ func (c *injectionCell) demand(run func() (RunResult, error), m *obs.CampaignMet
 	return res, c.err
 }
 
-// campaignConfig builds one fault type's executor configuration.
-func (s *AppStudy) campaignConfig() campaign.Config {
-	return campaign.Config{Workers: s.Parallel, Metrics: s.CampaignObs}
-}
-
-// Run executes the study for every fault type. Injection runs within a
-// fault type fan out over s.Parallel workers; because each run is a function
-// of (kind, fire point) alone and results are accepted in serial run order
-// with the same early exit, the aggregate is byte-identical to the serial
-// loop's. Each fault type gets a once-table with one injectionCell per fire
-// point, born and dropped with the type's campaign, so what executes is the
-// distinct cells its run indexes draw, not the indexes. One template run's
-// prefix-snapshot cache serves every cell of every fault type (the clean
-// prefix is fault-type-independent); the cache is immutable once built, so
-// parallel workers fork it freely.
+// Run executes the study for every fault type through runStudy. Each fault
+// type gets a once-table with one injectionCell per fire point, born and
+// dropped with the type's campaign, so what executes is the distinct keys
+// its run indexes draw, not the indexes. One template run's prefix-snapshot
+// cache serves every cell of every fault type (the clean prefix is
+// fault-type-independent); the cache is immutable once built, so parallel
+// workers fork it freely.
 func (s *AppStudy) Run() ([]TypeResult, error) {
-	if s.SessionLen < 1 {
-		return nil, fmt.Errorf("faults: SessionLen %d, need >= 1", s.SessionLen)
+	out := make([]TypeResult, len(AppFaultTypes))
+	for i, kind := range AppFaultTypes {
+		out[i].Kind = kind
 	}
-	var out []TypeResult
-	clean, err := s.cleanOutputs(s.Seed)
-	if err != nil {
-		return nil, err
-	}
-	cache, err := s.prefixes(s.buildPrefixCache)
-	if err != nil {
-		return nil, err
-	}
-	for _, kind := range AppFaultTypes {
-		kind := kind
-		tr := TypeResult{Kind: kind}
-		cells := make([]injectionCell, s.fireSpan())
-		err := campaign.Run(s.campaignConfig(), s.MaxRunsPerType,
-			func(run int) (RunResult, error) {
-				// The workload session is fixed by the study seed; only
-				// the injection point varies.
-				injSeed := s.injSeedFor(run)
-				return cells[s.fireAtFor(injSeed)-fireBase].demand(func() (RunResult, error) {
-					return s.runOne(kind, injSeed, clean, cache)
+	err := s.runStudy(
+		func(*sim.World) (*prefixCache, error) { return s.buildPrefixCache() },
+		func(kind sim.FaultKind, clean *sim.World, cache *prefixCache) func(int) (RunResult, error) {
+			cells := make([]injectionCell, s.fireSpan())
+			return func(run int) (RunResult, error) {
+				k := s.key(kind, run)
+				return cells[k.FireAt-fireBase].demand(func() (RunResult, error) {
+					return s.runOne(k, clean.Outputs[0], cache)
 				}, s.CampaignObs)
-			},
-			func(run int, res RunResult) bool {
-				s.acceptLedger(run, res.Rec)
-				tr.Runs++
-				if res.WrongOutput {
-					tr.WrongOutput++
+			}
+		},
+		func(i int, res RunResult) {
+			tr := &out[i]
+			tr.Runs++
+			if res.WrongOutput {
+				tr.WrongOutput++
+			}
+			if res.Crashed {
+				tr.Crashes++
+				if res.Violation {
+					tr.Violations++
 				}
-				if res.Crashed {
-					tr.Crashes++
-					if res.Violation {
-						tr.Violations++
-					}
-				}
-				return tr.Crashes < s.CrashTarget
-			})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, tr)
+			}
+		})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

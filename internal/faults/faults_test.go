@@ -104,18 +104,11 @@ func TestAppStudyPostgres(t *testing.T) {
 // from crashes if and only if they did not commit after fault activation."
 func TestEndToEndMatchesTimeline(t *testing.T) {
 	s := smallStudy("nvi")
-	clean, err := s.cleanOutputs(s.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache, err := s.buildPrefixCache()
-	if err != nil {
-		t.Fatal(err)
-	}
+	clean, cache := table1Inputs(t, s)
 	checked := 0
 	for _, kind := range []sim.FaultKind{sim.HeapBitFlip, sim.InitFault, sim.DeleteBranch} {
-		for run := int64(0); run < 20 && checked < 12; run++ {
-			res, err := s.runOne(kind, s.Seed*100000+run, clean, cache)
+		for run := 0; run < 20 && checked < 12; run++ {
+			res, err := s.runOne(s.key(kind, run), clean, cache)
 			if err != nil {
 				t.Fatal(err)
 			}

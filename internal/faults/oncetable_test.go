@@ -12,79 +12,6 @@ import (
 	"failtrans/internal/sim"
 )
 
-// ledgerLine renders rec as the ledger would, with the run index blanked:
-// the one column two draws of the same injection cell may differ in.
-func ledgerLine(t *testing.T, rec *ledger.Record) string {
-	t.Helper()
-	if rec == nil {
-		t.Fatal("run filled no ledger record")
-	}
-	cp := *rec
-	cp.Run = 0
-	var buf bytes.Buffer
-	lw := ledger.NewWriter(&buf)
-	lw.Append(&cp)
-	if err := lw.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.String()
-}
-
-// TestRunOneDependsOnlyOnFirePoint is the once-table's premise: an
-// injection seed picks a fire point and nothing else, so two seeds that
-// draw the same fire point are the same run. A fault model that starts
-// consuming the seed for anything more must fail here, before it can make
-// Run serve one seed's result to another.
-func TestRunOneDependsOnlyOnFirePoint(t *testing.T) {
-	for _, app := range []string{"nvi", "postgres"} {
-		s := smallStudy(app)
-		s.RecordHook = func(*ledger.Record) {} // fill records without a ledger file
-		clean, err := s.cleanOutputs(s.Seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cache, err := s.buildPrefixCache()
-		if err != nil {
-			t.Fatal(err)
-		}
-		firstSeed := map[int]int64{} // fire point -> the first seed drawing it
-		var pairs [][2]int64
-		for run := 0; run < 40; run++ {
-			seed := s.injSeedFor(run)
-			at := s.fireAtFor(seed)
-			if first, ok := firstSeed[at]; ok {
-				pairs = append(pairs, [2]int64{first, seed})
-			} else {
-				firstSeed[at] = seed
-			}
-		}
-		if len(pairs) < 3 {
-			t.Fatalf("%s: only %d seed pairs share a fire point in 40 draws", app, len(pairs))
-		}
-		for _, kind := range AppFaultTypes {
-			for _, p := range pairs {
-				a, err := s.runOne(kind, p[0], clean, cache)
-				if err != nil {
-					t.Fatal(err)
-				}
-				b, err := s.runOne(kind, p[1], clean, cache)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if la, lb := ledgerLine(t, a.Rec), ledgerLine(t, b.Rec); la != lb {
-					t.Errorf("%s %v: seeds %d and %d share fire point %d but their ledger lines differ:\n%s%s",
-						app, kind, p[0], p[1], s.fireAtFor(p[0]), la, lb)
-				}
-				a.Rec, b.Rec = nil, nil
-				if !reflect.DeepEqual(a, b) {
-					t.Errorf("%s %v: seeds %d and %d share fire point %d but their results differ:\n%+v\n%+v",
-						app, kind, p[0], p[1], s.fireAtFor(p[0]), a, b)
-				}
-			}
-		}
-	}
-}
-
 // studyTrail is everything a Table 1 study leaves behind.
 type studyTrail struct {
 	results []TypeResult
@@ -116,24 +43,17 @@ func attachTrail(s *AppStudy) (*studyTrail, *bytes.Buffer) {
 // everyRunExecuted is the oracle Run's once-table is held to: the serial
 // loop that executes runOne for every run index, repeats included, with
 // Run's accept logic.
-func everyRunExecuted(t *testing.T, s *AppStudy) (*studyTrail, map[string]bool) {
+func everyRunExecuted(t *testing.T, s *AppStudy) (*studyTrail, map[RunKey]bool) {
 	t.Helper()
 	tr, buf := attachTrail(s)
-	clean, err := s.cleanOutputs(s.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache, err := s.buildPrefixCache()
-	if err != nil {
-		t.Fatal(err)
-	}
-	distinct := map[string]bool{} // the (kind, fire point) cells the accepted runs drew
+	clean, cache := table1Inputs(t, s)
+	distinct := map[RunKey]bool{} // the keys the accepted runs drew
 	for _, kind := range AppFaultTypes {
 		res := TypeResult{Kind: kind}
 		for run := 0; run < s.MaxRunsPerType && res.Crashes < s.CrashTarget; run++ {
-			seed := s.injSeedFor(run)
-			distinct[fmt.Sprint(kind, "@", s.fireAtFor(seed))] = true
-			r, err := s.runOne(kind, seed, clean, cache)
+			k := s.key(kind, run)
+			distinct[k] = true
+			r, err := s.runOne(k, clean, cache)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,16 +1,12 @@
 package faults
 
 import (
-	"fmt"
-	"sync"
 	"time"
 
-	"failtrans/internal/campaign"
 	"failtrans/internal/dc"
 	"failtrans/internal/kernel"
 	"failtrans/internal/obs/ledger"
 	"failtrans/internal/sim"
-	"failtrans/internal/stablestore"
 )
 
 // osFaultWindow maps each kernel fault type to the latency between fault
@@ -57,12 +53,7 @@ func (t OSTypeResult) FailurePct() float64 {
 
 // OSStudy is the Table 2 experiment: inject faults into the running kernel
 // and measure how often the application fails to recover.
-type OSStudy struct {
-	*AppStudy
-	cleanOnce sync.Once
-	cleanDur  time.Duration
-	cleanErr  error
-}
+type OSStudy struct{ *AppStudy }
 
 // NewOSStudy returns the paper's configuration for the given app.
 func NewOSStudy(app string) *OSStudy {
@@ -95,121 +86,100 @@ func (m *memoryScribble) At(p *sim.Proc, site string) sim.FaultKind {
 // tracker mirrors that approximation: before injection the run sits at
 // CommitStateKey(n) for n commits so far, after injection at
 // ActStateKey(n, kind, 0). Counts come from d.Stats, which both the
-// from-scratch and the forked path carry (fillOSRecord uses the same
-// source), keeping the veto mode-invariant.
-func (o *OSStudy) armOSVeto(d *dc.DC, kind sim.FaultKind, injected *bool) {
+// from-scratch and the forked path carry (ledgerRecord uses the same
+// source), keeping the veto mode-invariant. *injSteps is negative until
+// the injection.
+func (o *OSStudy) armOSVeto(d *dc.DC, kind sim.FaultKind, injSteps *int) {
 	if o.Veto == nil {
 		return
 	}
 	d.CommitVeto = func(p *sim.Proc, label string) bool {
 		n := d.Stats.TotalCheckpoints()
-		if !*injected {
+		if *injSteps < 0 {
 			return o.Veto.CommitUnsafe(ledger.CommitStateKey(n))
 		}
 		return o.Veto.CommitUnsafe(ledger.ActStateKey(n, kind.String(), 0))
 	}
 }
 
-// fillOSRecord renders one finished OS-study run into its forensic record.
-// The kernel study measures recovery outcomes, not event positions, so the
-// record carries the commit count (forked DC stats include the template's
-// prefix, keeping it mode-invariant) but no commit positions, and no
-// activation/crash step marks.
-func (o *OSStudy) fillOSRecord(rec *ledger.Record, kind sim.FaultKind, w *sim.World, d *dc.DC,
-	injectAt time.Duration, injSteps int, injected, crashed, recovered, propagated bool) {
-	if rec == nil {
-		return
-	}
-	rec.Study = "table2"
-	rec.App = o.App
-	rec.Protocol = o.Policy.Name
-	rec.Medium = stablestore.Rio.Name
-	rec.Kind = kind.String()
-	rec.Seed = o.Seed
-	rec.FireAt = int64(injectAt / time.Microsecond)
-	p := w.Procs[0]
-	rec.Steps = p.Steps
-	rec.WorldSteps = w.StepCount()
-	rec.VClockUS = int64(w.Clock / time.Microsecond)
-	rec.CommitN = d.Stats.TotalCheckpoints()
-	rec.SaveWork = propagated
-	if o.Veto != nil {
-		rec.VetoActive = true
-		rec.VetoN = d.Stats.CommitsVetoed
-		rec.VetoSaveWorkN = d.Stats.VetoedSaveWork
-	}
-	switch {
-	case !injected:
-		rec.Outcome = ledger.Inert
-	case !crashed:
-		rec.Outcome = ledger.Completed
-	default:
-		rec.Outcome = ledger.Crashed
-		rec.LoseWork = !recovered
-		rec.Recovered = recovered
-	}
-	if injected {
-		rec.PrefixSteps = injSteps
-	}
+// key derives Table 2 run index run's key for kind. The run's injection
+// seed is its Variant, and draws its injection time uniformly over
+// [5 %, 95 %) of cleanDur, the clean run's duration.
+func (o *OSStudy) key(kind sim.FaultKind, run int, cleanDur time.Duration) RunKey {
+	v := o.Seed*77777 + int64(run)
+	r := newSplitmix(v)
+	at := time.Duration(float64(cleanDur) * (0.05 + 0.9*r.Float64()))
+	return RunKey{Study: table2, App: o.App, Protocol: o.Policy.Name, Kind: kind, Seed: o.Seed,
+		FireAt: int64(at), Variant: v}
 }
 
-// runOne injects one kernel fault at a virtual time drawn from injSeed and
-// reports whether the application crashed and whether it recovered
-// end-to-end, filling rec (if non-nil) with the run's forensic record. The
-// run starts from the deepest snapshot before the injection time; every
-// outcome and record field is invariant under that choice — the world
-// resumes at the template's absolute step count and clock, and a forked
-// DC's stats carry the template's checkpoint count forward.
-func (o *OSStudy) runOne(kind sim.FaultKind, injSeed int64, cache *prefixCache, rec *ledger.Record) (crashed, recovered, propagated bool, err error) {
-	// Estimate run length, then inject at a random fraction of it.
-	cleanDur, err := o.cleanDuration()
-	if err != nil {
-		return false, false, false, err
+// ledgerRecord renders one finished Table 2 run as a forensic record. The
+// kernel study measures recovery outcomes, not event positions, so the
+// record carries the commit count (forked DC stats include the template's
+// prefix, keeping it mode-invariant) but no commit positions, and no
+// activation/crash step marks. injSteps is the world step count at
+// injection, -1 for a run that ended before its injection time.
+func (o *OSStudy) ledgerRecord(k RunKey, w *sim.World, d *dc.DC, injSteps int, res RunResult) *ledger.Record {
+	r := o.record(k, w, d)
+	r.CommitN = d.Stats.TotalCheckpoints()
+	r.SaveWork = res.Propagated
+	r.PrefixSteps = injSteps
+	switch {
+	case injSteps < 0:
+		r.Outcome = ledger.Inert
+	case !res.Crashed:
+		r.Outcome = ledger.Completed
+	default:
+		r.Outcome = ledger.Crashed
+		r.LoseWork = !res.Recovered
+		r.Recovered = res.Recovered
 	}
-	r := newSplitmix(injSeed)
-	injectAt := time.Duration(float64(cleanDur) * (0.05 + 0.9*r.Float64()))
-	snap := cache.before(int64(injectAt))
+	return r
+}
+
+// runOne injects the kernel fault k names at its virtual time and reports
+// whether the application crashed, whether it recovered end-to-end and
+// whether the fault propagated into its state. The run starts from the
+// deepest snapshot before the injection time; every outcome and record
+// field is invariant under that choice — the world resumes at the
+// template's absolute step count and clock, and a forked DC's stats carry
+// the template's checkpoint count forward.
+func (o *OSStudy) runOne(k RunKey, cache *prefixCache) (RunResult, error) {
+	var res RunResult
+	snap := cache.before(k.FireAt)
 	scribble := &memoryScribble{}
-	crashes := 0
-	injected := false
+	var crashes *int
+	injSteps := -1 // the world step count at injection
 	w, d, err := o.open(snap, scribble, func(d *dc.DC) {
-		d.RecoveryHook = func(p *sim.Proc, reason string) {
-			crashes++
-			if crashes > 3 {
-				d.DisableRecovery = true // crash-looping on committed corruption
-			}
-		}
-		o.armOSVeto(d, kind, &injected)
+		crashes = giveUpOnCrashLoop(d)
+		o.armOSVeto(d, k.Kind, &injSteps)
 	})
 	if err != nil {
-		return false, false, false, err
+		return res, err
 	}
 	// Each buggy kernel execution serving a syscall has a small chance of
 	// writing through a wild pointer into user pages; the application's
 	// exposure is therefore proportional to its syscall rate within the
 	// fault window — the paper's explanation for nvi propagating 4x more
 	// often than postgres.
-	k := w.OS.(*kernel.Kernel)
-	propRng := newSplitmix(injSeed ^ 0x2545f491)
-	k.OnCorrupt = func(pid int) {
+	kern := w.OS.(*kernel.Kernel)
+	propRng := newSplitmix(k.Variant ^ 0x2545f491)
+	kern.OnCorrupt = func(pid int) {
 		if propRng.Float64() < scribbleProbability {
 			scribble.armed = true
 		}
 	}
-	window := osFaultWindow[kind]
-	injSteps := -1
 	for {
 		more, err := w.Step()
 		if err != nil {
-			return false, false, false, err
+			return res, err
 		}
 		if !more {
 			break
 		}
-		if !injected && w.Clock >= injectAt {
-			injected = true
+		if injSteps < 0 && w.Clock >= time.Duration(k.FireAt) {
 			injSteps = w.StepCount()
-			k.InjectFault(0, window)
+			kern.InjectFault(0, osFaultWindow[k.Kind])
 			// The clean prefix this run re-executed, in world steps up to
 			// the injection boundary.
 			if o.CampaignObs != nil {
@@ -218,88 +188,48 @@ func (o *OSStudy) runOne(kind sim.FaultKind, injSeed int64, cache *prefixCache, 
 		}
 	}
 	o.noteCOW(w, d)
-	propagated = k.FaultCorrupted(0)
-	if injected && crashes > 0 {
-		crashed = true
-		recovered = w.AllDone()
-		propagated = propagated || scribble.fired
+	res.Propagated = kern.FaultCorrupted(0)
+	if injSteps >= 0 && *crashes > 0 {
+		res.Crashed = true
+		res.Recovered = w.AllDone()
+		res.Propagated = res.Propagated || scribble.fired
 	}
-	o.fillOSRecord(rec, kind, w, d, injectAt, injSteps, injected, crashed, recovered, propagated)
-	return crashed, recovered, propagated, nil
+	if o.records() {
+		res.Rec = o.ledgerRecord(k, w, d, injSteps, res)
+	}
+	return res, nil
 }
 
-// cleanDuration measures the fault-free run's virtual duration, once. A
-// build or run failure is propagated instead of silently substituting a
-// placeholder duration (which would skew every injection point and thus
-// FailurePct). sync.Once makes the cache safe for the campaign's parallel
-// workers, each of which reads it on every run.
-func (o *OSStudy) cleanDuration() (time.Duration, error) {
-	o.cleanOnce.Do(func() {
-		w, err := o.buildWorld(o.Seed)
-		if err != nil {
-			o.cleanErr = fmt.Errorf("faults: clean-duration build: %w", err)
-			return
-		}
-		w.RecordTrace = false
-		if err := w.Run(); err != nil {
-			o.cleanErr = fmt.Errorf("faults: clean-duration run: %w", err)
-			return
-		}
-		o.cleanDur = w.Clock
-	})
-	return o.cleanDur, o.cleanErr
-}
-
-// Run executes the OS study for every fault type, fanning injection runs
-// out over o.Parallel workers with the same ordered-acceptance guarantee
-// as AppStudy.Run. One template run's clock-keyed prefix-snapshot cache
-// serves every injection run of every fault type (the clean prefix is
-// fault-type-independent).
+// Run executes the OS study for every fault type through runStudy. One
+// template run's clock-keyed prefix-snapshot cache serves every injection
+// run of every fault type (the clean prefix is fault-type-independent).
 func (o *OSStudy) Run() ([]OSTypeResult, error) {
-	// Measure the clean duration before spawning workers so the first
-	// parallel batch doesn't serialize behind the sync.Once anyway.
-	if _, err := o.cleanDuration(); err != nil {
-		return nil, err
+	out := make([]OSTypeResult, len(AppFaultTypes))
+	for i, kind := range AppFaultTypes {
+		out[i].Kind = kind
 	}
-	cache, err := o.prefixes(o.buildOSPrefixCache)
+	err := o.runStudy(
+		func(clean *sim.World) (*prefixCache, error) { return o.buildOSPrefixCache(clean.Clock) },
+		func(kind sim.FaultKind, clean *sim.World, cache *prefixCache) func(int) (RunResult, error) {
+			return func(run int) (RunResult, error) {
+				return o.runOne(o.key(kind, run, clean.Clock), cache)
+			}
+		},
+		func(i int, res RunResult) {
+			tr := &out[i]
+			tr.Runs++
+			if res.Propagated {
+				tr.Propagations++
+			}
+			if res.Crashed {
+				tr.Crashes++
+				if !res.Recovered {
+					tr.FailedRecoveries++
+				}
+			}
+		})
 	if err != nil {
 		return nil, err
-	}
-	var out []OSTypeResult
-	for _, kind := range AppFaultTypes {
-		kind := kind
-		tr := OSTypeResult{Kind: kind}
-		type osRun struct {
-			crashed, recovered, propagated bool
-			rec                            *ledger.Record
-		}
-		err := campaign.Run(o.campaignConfig(), o.MaxRunsPerType,
-			func(run int) (osRun, error) {
-				var rec *ledger.Record
-				if o.records() {
-					rec = ledger.Get()
-				}
-				crashed, recovered, propagated, err := o.runOne(kind, o.Seed*77777+int64(run), cache, rec)
-				return osRun{crashed, recovered, propagated, rec}, err
-			},
-			func(run int, r osRun) bool {
-				o.acceptLedger(run, r.rec)
-				tr.Runs++
-				if r.propagated {
-					tr.Propagations++
-				}
-				if r.crashed {
-					tr.Crashes++
-					if !r.recovered {
-						tr.FailedRecoveries++
-					}
-				}
-				return tr.Crashes < o.CrashTarget
-			})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, tr)
 	}
 	return out, nil
 }

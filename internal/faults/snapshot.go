@@ -2,6 +2,7 @@ package faults
 
 import (
 	"fmt"
+	"time"
 
 	"failtrans/internal/dc"
 	"failtrans/internal/sim"
@@ -99,15 +100,6 @@ func (c *prefixCache) before(at int64) *prefixSnapshot {
 	return best
 }
 
-// prefixes resolves the cache a study's runs start from: the template's
-// snapshot sequence, or with Snapshots off the single zero snapshot.
-func (s *AppStudy) prefixes(build func() (*prefixCache, error)) (*prefixCache, error) {
-	if !s.Snapshots {
-		return &prefixCache{snaps: make([]prefixSnapshot, 1)}, nil
-	}
-	return build()
-}
-
 // forkSnap serves one injection run a fork of the snapshot's world, with fork
 // latency and steps saved accounted.
 func (s *AppStudy) forkSnap(snap *prefixSnapshot) (*sim.World, error) {
@@ -188,7 +180,7 @@ func (s *AppStudy) buildCache(inj sim.FaultInjector, arm func(*dc.DC), commits *
 
 // buildPrefixCache runs the Table 1 template: the clean session under the
 // study's exact injection-run configuration, snapshotted every
-// snapshotEveryVisits fault-site visits. fireAtFor draws from [fireBase,
+// snapshotEveryVisits fault-site visits. key draws from [fireBase,
 // fireHorizon]; past that visit count no injector can still fire.
 func (s *AppStudy) buildPrefixCache() (*prefixCache, error) {
 	vc := &visitCounter{}
@@ -202,12 +194,8 @@ func (s *AppStudy) buildPrefixCache() (*prefixCache, error) {
 // snapshotted every 1/osSnapshotSlices of the clean duration. An unarmed
 // scribble injector and no injector at all are indistinguishable before
 // injection, so the template attaches none. Injection times are drawn from
-// [0.05, 0.95) of the clean duration.
-func (o *OSStudy) buildOSPrefixCache() (*prefixCache, error) {
-	cleanDur, err := o.cleanDuration()
-	if err != nil {
-		return nil, err
-	}
+// [0.05, 0.95) of cleanDur, the clean run's duration.
+func (o *OSStudy) buildOSPrefixCache(cleanDur time.Duration) (*prefixCache, error) {
 	interval := cleanDur / osSnapshotSlices
 	if interval <= 0 {
 		interval = 1

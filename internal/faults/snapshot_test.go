@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"slices"
 	"testing"
 
 	"failtrans/internal/dc"
@@ -54,27 +55,20 @@ func TestAppStudySnapshotMatchesScratch(t *testing.T) {
 // scratch) and a fork-served run.
 func TestAppStudySnapshotTimelines(t *testing.T) {
 	s := smallStudy("nvi")
-	clean, err := s.cleanOutputs(s.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache, err := s.buildPrefixCache()
-	if err != nil {
-		t.Fatal(err)
-	}
+	clean, cache := table1Inputs(t, s)
 	scratch := &prefixCache{snaps: make([]prefixSnapshot, 1)}
 	if len(cache.snaps) < 3 {
 		t.Fatalf("template captured only %d snapshots", len(cache.snaps))
 	}
 	compared := 0
 	for _, kind := range []sim.FaultKind{sim.HeapBitFlip, sim.DeleteBranch, sim.OffByOne} {
-		for run := int64(0); run < 10; run++ {
-			injSeed := s.Seed*100000 + run
-			want, err := s.runOne(kind, injSeed, clean, scratch)
+		for run := 0; run < 10; run++ {
+			k := s.key(kind, run)
+			want, err := s.runOne(k, clean, scratch)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := s.runOne(kind, injSeed, clean, cache)
+			got, err := s.runOne(k, clean, cache)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,27 +91,19 @@ func TestAppStudySnapshotTimelines(t *testing.T) {
 // template still forks a clean continuation afterwards.
 func TestSnapshotForkIsolation(t *testing.T) {
 	s := smallStudy("nvi")
-	clean, err := s.cleanOutputs(s.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache, err := s.buildPrefixCache()
-	if err != nil {
-		t.Fatal(err)
-	}
+	clean, cache := table1Inputs(t, s)
 	snap := &cache.snaps[len(cache.snaps)/2]
 
 	// Two different faults from one snapshot, interleaved with a repeat of
 	// the first: run 1 and run 3 must agree exactly despite run 2.
-	seed := s.Seed*100000 + 2
-	r1, err := s.runOne(sim.HeapBitFlip, seed, clean, cache)
+	r1, err := s.runOne(s.key(sim.HeapBitFlip, 2), clean, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.runOne(sim.DeleteBranch, seed, clean, cache); err != nil {
+	if _, err := s.runOne(s.key(sim.DeleteBranch, 2), clean, cache); err != nil {
 		t.Fatal(err)
 	}
-	r3, err := s.runOne(sim.HeapBitFlip, seed, clean, cache)
+	r3, err := s.runOne(s.key(sim.HeapBitFlip, 2), clean, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +119,7 @@ func TestSnapshotForkIsolation(t *testing.T) {
 	if err := w.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !equalOutputs(w.Outputs[0], clean) {
+	if !slices.Equal(w.Outputs[0], clean) {
 		t.Errorf("clean continuation from template snapshot diverged from clean run")
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"failtrans/internal/sim"
 )
 
 // TestFirePointRange pins the S2 fix: the fire-point draw is total for
@@ -20,10 +22,10 @@ func TestFirePointRange(t *testing.T) {
 		if want := fireBase + span - 1; s.fireHorizon() != want {
 			t.Fatalf("SessionLen %d: fireHorizon %d, want %d", n, s.fireHorizon(), want)
 		}
-		seen := map[int]bool{}
-		for seed := int64(0); seed < 500; seed++ {
-			at := s.fireAtFor(seed) // panicked for SessionLen < 2 before the fix
-			if at < fireBase || at > s.fireHorizon() {
+		seen := map[int64]bool{}
+		for run := 0; run < 500; run++ {
+			at := s.key(sim.HeapBitFlip, run).FireAt // panicked for SessionLen < 2 before the fix
+			if at < fireBase || at > int64(s.fireHorizon()) {
 				t.Fatalf("SessionLen %d: fire point %d outside [%d, %d]", n, at, fireBase, s.fireHorizon())
 			}
 			seen[at] = true
@@ -34,11 +36,18 @@ func TestFirePointRange(t *testing.T) {
 	}
 }
 
+// TestSessionLenValidated: both studies reject a session shorter than one
+// step before running anything.
 func TestSessionLenValidated(t *testing.T) {
 	s := smallStudy("nvi")
 	s.SessionLen = 0
 	if _, err := s.Run(); err == nil || !strings.Contains(err.Error(), "SessionLen") {
-		t.Fatalf("SessionLen 0 not rejected (err %v)", err)
+		t.Fatalf("Table 1: SessionLen 0 not rejected (err %v)", err)
+	}
+	o := NewOSStudy("nvi")
+	o.SessionLen = 0
+	if rs, err := o.Run(); err == nil || !strings.Contains(err.Error(), "SessionLen") {
+		t.Fatalf("Table 2: SessionLen 0 not rejected (%d rows, err %v)", len(rs), err)
 	}
 }
 
