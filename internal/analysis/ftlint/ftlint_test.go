@@ -179,6 +179,7 @@ func TestHotpathRootsAnnotated(t *testing.T) {
 	roots := map[string]int{ // file -> minimum number of hotpath annotations
 		"../../vista/vista.go": 4, // (*Segment).Write, SetContents, CommitImage, Commit
 		"../../sim/proc.go":    1, // (*Proc).AppendCheckpointImage
+		"../../sim/fork.go":    1, // (*Proc).bumpRecvHW
 		"../../dc/dc.go":       2, // (*DC).diffOne, RecordND
 		// The ND scratch: (*Ctx).Now, Rand, TakeSignal, Recv, Syscall,
 		// AppendMsgRecord, AppendParts; (*World).ndWord beside the arenas.

@@ -79,15 +79,18 @@ func BenchmarkFleetStep(b *testing.B) {
 
 // fleetKiBPerProcCeiling bounds what a finished 10⁴-process fleet keeps
 // alive per process with the metrics registry on. Measured on linux/amd64:
-// 1.03 KiB, against 3.32 KiB while every process retained the messages it
-// consumed, left the last one reachable from its inbox's backing array and
-// carried four histograms inline in its metrics block.
-const fleetKiBPerProcCeiling = 2.0
+// 0.78 KiB with receive marks in a sorted slice and segment counter blocks
+// allocated by the first segment; 1.03 KiB with a receive-mark map per
+// process and a segment block for every process up front; 3.32 KiB while
+// every process retained the messages it consumed, left the last one
+// reachable from its inbox's backing array and carried four histograms
+// inline in its metrics block.
+const fleetKiBPerProcCeiling = 1.0
 
 // fleetLogKiBPerProcCeiling bounds the same under CBNDVS-LOG, where each
 // process also keeps its checkpoint segment and its ND log of every receive.
-// Measured on linux/amd64: 8.51 KiB with log segments that double from 64 B
-// to 4 KiB; 8.67 KiB with a record-header array and a heap copy per value;
+// Measured on linux/amd64: 8.31 KiB with receive marks in a sorted slice;
+// 8.51 KiB with log segments that double from 64 B to 4 KiB; 8.67 KiB with a record-header array and a heap copy per value;
 // 12.14 KiB with fixed 4 KiB segments.
 const fleetLogKiBPerProcCeiling = 10.0
 

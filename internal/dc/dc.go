@@ -331,8 +331,8 @@ func (d *DC) seg(i int) *vista.Segment {
 	if d.segs[i] == nil {
 		//failtrans:alloc lazy one-time segment construction; every later commit of the process reuses it
 		d.segs[i] = vista.NewSegment(0, d.PageSize)
-		if m := d.World.Metrics; m != nil && i < len(m.Vista) {
-			d.segs[i].Metrics = &m.Vista[i]
+		if m := d.World.Metrics; m != nil && i < len(m.Procs) {
+			d.segs[i].Metrics = m.VistaBlock(i)
 		}
 	}
 	return d.segs[i]

@@ -9,8 +9,10 @@ import (
 )
 
 // countersOnly is a registry as a run without a recovery layer leaves it:
-// every counter, gauge and map entry set, no histogram ever observed.
-func countersOnly() *Metrics {
+// every counter, gauge and map entry set, no histogram ever observed. With
+// segments it also fills every process's segment block, as a recovery layer
+// that builds segments without observing a histogram would.
+func countersOnly(segments bool) *Metrics {
 	m := NewMetrics(3)
 	for i := range m.Procs {
 		p := &m.Procs[i]
@@ -31,8 +33,10 @@ func countersOnly() *Metrics {
 		p.Crashes = 9 * v
 		p.Syscalls = 11 * v
 		p.InboxPeak = 12 * v
-		m.Vista[i] = VistaMetrics{Commits: v, Rollbacks: 2 * v, PagesDirtied: 3 * v, UndoBytes: 4 * v,
-			HashHits: 5 * v, PagesPrivatized: 6 * v, BytesCOW: 7 * v}
+		if segments {
+			*m.VistaBlock(i) = VistaMetrics{Commits: v, Rollbacks: 2 * v, PagesDirtied: 3 * v, UndoBytes: 4 * v,
+				HashHits: 5 * v, PagesPrivatized: 6 * v, BytesCOW: 7 * v}
+		}
 	}
 	m.Steps = 1000
 	m.TwoPhaseRounds = 17
@@ -50,21 +54,35 @@ func countersOnly() *Metrics {
 // TestSnapshotWithoutHistsGolden: a registry nothing was observed into
 // renders the same snapshot it did when every process carried its
 // histograms inline (the golden file predates the out-of-line block), and
-// reading it allocates no histogram block.
+// reading it allocates no histogram block. A registry no segment touched
+// renders the zero segment lines it did when every process's segment block
+// was allocated up front (snapshot_no_segments.golden predates the lazy
+// blocks), and reading it allocates none.
 func TestSnapshotWithoutHistsGolden(t *testing.T) {
-	m := countersOnly()
-	want, err := os.ReadFile("testdata/snapshot_counters.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Snapshot(); !bytes.Equal(got, want) {
-		t.Errorf("snapshot differs from testdata/snapshot_counters.golden:\n%s", got)
-	}
-	if s := m.Summarize(); s.CommitP50Ns != 0 || s.CommitMaxNs != 0 || s.Commits != 30 {
-		t.Errorf("summary of a histogram-free registry: %+v", s)
-	}
-	if m.hists != nil {
-		t.Errorf("reading the registry allocated %d histogram blocks", len(m.hists))
+	for _, c := range []struct {
+		segments bool
+		golden   string
+	}{
+		{true, "testdata/snapshot_counters.golden"},
+		{false, "testdata/snapshot_no_segments.golden"},
+	} {
+		m := countersOnly(c.segments)
+		want, err := os.ReadFile(c.golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Snapshot(); !bytes.Equal(got, want) {
+			t.Errorf("snapshot differs from %s:\n%s", c.golden, got)
+		}
+		if s := m.Summarize(); s.CommitP50Ns != 0 || s.CommitMaxNs != 0 || s.Commits != 30 {
+			t.Errorf("summary of a histogram-free registry: %+v", s)
+		}
+		if m.hists != nil {
+			t.Errorf("reading the registry allocated %d histogram blocks", len(m.hists))
+		}
+		if !c.segments && m.Vista != nil {
+			t.Errorf("reading a registry no segment touched allocated %d segment blocks", len(m.Vista))
+		}
 	}
 }
 
@@ -79,7 +97,7 @@ func record(m *Metrics, procs int, seed int64, hists bool) {
 		p.Commits += v
 		p.Rollbacks += 2 * v
 		p.InboxPeak = max(p.InboxPeak, 3*v)
-		m.Vista[i].PagesDirtied += v
+		m.VistaBlock(i).PagesDirtied += v
 		if hists {
 			h := m.Hists(i)
 			h.CommitLatency.Observe(1000 * v)

@@ -93,7 +93,7 @@ func TestMetricsMerge(t *testing.T) {
 	b.Procs[0].InboxPeak = 5
 	b.Hists(0).CommitLatency.ObserveDuration(2 * time.Millisecond)
 	b.Procs[1].Rollbacks = 9
-	b.Vista[1].PagesDirtied = 11
+	b.VistaBlock(1).PagesDirtied = 11
 	a.SyscallByName["read"] = 2
 	b.SyscallByName["read"] = 3
 	b.SyscallByName["write"] = 1
@@ -114,7 +114,7 @@ func TestMetricsMerge(t *testing.T) {
 	if a.Hists(0).CommitLatency.Count != 2 {
 		t.Fatalf("CommitLatency.Count = %d, want 2", a.Hists(0).CommitLatency.Count)
 	}
-	if a.Procs[1].Rollbacks != 9 || a.Vista[1].PagesDirtied != 11 {
+	if a.Procs[1].Rollbacks != 9 || a.VistaBlock(1).PagesDirtied != 11 {
 		t.Fatal("grown slots did not receive o's values")
 	}
 	if a.SyscallByName["read"] != 5 || a.SyscallByName["write"] != 1 {

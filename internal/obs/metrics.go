@@ -173,7 +173,8 @@ type ProcHists struct {
 
 // VistaMetrics is one segment's fixed-slot counter block, updated from the
 // vista page-diff/undo-log hot path (plain increments only). The registry
-// keeps one block per process and each segment touches only its own.
+// keeps one block per process, allocated for every process at once on the
+// first VistaBlock call, and each segment touches only its own.
 type VistaMetrics struct {
 	Commits      int64
 	Rollbacks    int64
@@ -190,12 +191,15 @@ type VistaMetrics struct {
 }
 
 // Metrics is the per-run registry. All counter slots are preallocated by
-// NewMetrics so instrumented hot paths never allocate; the two exceptions are
+// NewMetrics so instrumented hot paths never allocate; the exceptions are
 // the syscall-by-name map, touched only on the (cold) kernel dispatch path,
-// and the histogram blocks, allocated once per registry by their first
-// observer.
+// and the histogram and segment blocks, each allocated once per registry by
+// its first observer.
 type Metrics struct {
 	Procs []ProcMetrics
+	// Vista holds one segment block per process once a segment asked for
+	// one (VistaBlock), and is nil before: a process without a segment
+	// reads as zero counters.
 	Vista []VistaMetrics
 	// hists holds one ProcHists per process once anything has been
 	// observed, and is nil before: readers treat a nil block as empty
@@ -227,7 +231,6 @@ type Metrics struct {
 func NewMetrics(n int) *Metrics {
 	return &Metrics{
 		Procs:         make([]ProcMetrics, n),
-		Vista:         make([]VistaMetrics, n),
 		SyscallByName: make(map[string]int64),
 	}
 }
@@ -244,6 +247,19 @@ func (m *Metrics) Hists(pid int) *ProcHists {
 	return &m.hists[pid]
 }
 
+// VistaBlock returns process pid's segment block, allocating the blocks of
+// every process on the registry's first call — the first segment a recovery
+// layer builds — and again only if Merge grew Procs.
+func (m *Metrics) VistaBlock(pid int) *VistaMetrics {
+	if len(m.Vista) < len(m.Procs) {
+		//failtrans:alloc once per registry, by the first segment built; every later call returns a slot
+		grown := make([]VistaMetrics, len(m.Procs))
+		copy(grown, m.Vista)
+		m.Vista = grown
+	}
+	return &m.Vista[pid]
+}
+
 // hist returns process i's histogram block for reading without allocating:
 // a registry nothing was observed into reads as empty histograms.
 func (m *Metrics) hist(i int) *ProcHists {
@@ -253,9 +269,12 @@ func (m *Metrics) hist(i int) *ProcHists {
 	return &emptyHists
 }
 
-// emptyHists is the block hist returns when none has been allocated; it is
-// only ever read.
-var emptyHists ProcHists
+// emptyHists and emptyVista are the blocks readers see where none has been
+// allocated; they are only ever read.
+var (
+	emptyHists ProcHists
+	emptyVista VistaMetrics
+)
 
 // merge folds one process block into another (counter sums, gauge max).
 func (p *ProcMetrics) merge(o *ProcMetrics) {
@@ -316,11 +335,8 @@ func (m *Metrics) Merge(o *Metrics) {
 	for i := range o.hists {
 		m.Hists(i).merge(&o.hists[i])
 	}
-	for len(m.Vista) < len(o.Vista) {
-		m.Vista = append(m.Vista, VistaMetrics{})
-	}
 	for i := range o.Vista {
-		m.Vista[i].merge(&o.Vista[i])
+		m.VistaBlock(i).merge(&o.Vista[i])
 	}
 	m.Steps += o.Steps
 	m.TwoPhaseRounds += o.TwoPhaseRounds
@@ -391,8 +407,11 @@ func (m *Metrics) WriteSnapshot(w io.Writer) error {
 		fmt.Fprintf(w, "  syscalls %d\n", p.Syscalls)
 		fmt.Fprintf(w, "  inbox_peak %d\n", p.InboxPeak)
 	}
-	for i := range m.Vista {
-		v := &m.Vista[i]
+	for i := range m.Procs {
+		v := &emptyVista
+		if i < len(m.Vista) {
+			v = &m.Vista[i]
+		}
 		fmt.Fprintf(w, "vista %d commits=%d rollbacks=%d pages_dirtied=%d undo_bytes=%d hash_hits=%d pages_privatized=%d bytes_cow=%d\n",
 			i, v.Commits, v.Rollbacks, v.PagesDirtied, v.UndoBytes, v.HashHits, v.PagesPrivatized, v.BytesCOW)
 	}

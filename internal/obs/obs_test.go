@@ -50,7 +50,7 @@ func TestMetricsSnapshotDeterministic(t *testing.T) {
 		m.Procs[0].Events[1] = 3
 		m.Hists(0).CommitLatency.Observe(1500)
 		m.Procs[1].Rollbacks = 2
-		m.Vista[1].PagesDirtied = 9
+		m.VistaBlock(1).PagesDirtied = 9
 		m.Syscall(0, "open")
 		m.Syscall(0, "read")
 		m.Syscall(1, "read")
@@ -79,7 +79,7 @@ func TestMetricsSummarize(t *testing.T) {
 	m.Hists(1).CommitLatency.Observe(8000)
 	m.Procs[1].Syscalls = 5
 	m.TwoPhaseRounds = 4
-	m.Vista[0].PagesDirtied = 7
+	m.VistaBlock(0).PagesDirtied = 7
 	s := m.Summarize()
 	if s.Commits != 3 || s.Syscalls != 5 || s.TwoPhaseRounds != 4 || s.VistaPagesDirty != 7 {
 		t.Errorf("summary wrong: %+v", s)

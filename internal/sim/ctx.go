@@ -340,7 +340,7 @@ func (c *Ctx) Recv() (Msg, bool) {
 func (p *Proc) dropDuplicates(now time.Duration) {
 	kept := p.inbox[:0]
 	for _, m := range p.inbox {
-		if m.DeliverAt <= now && m.SendIdx <= p.RecvHW[m.From] {
+		if m.DeliverAt <= now && m.SendIdx <= p.recvHW(m.From) {
 			continue
 		}
 		kept = append(kept, m)

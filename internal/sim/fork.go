@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 )
 
@@ -181,13 +182,10 @@ func (p *Proc) forkInto(np *Proc, nw *World) error {
 		inboxMinOK:  p.inboxMinOK,
 		schedIdx:    -1, // the fork builds its own readiness index
 	}
-	// Single-process worlds never populate RecvHW; bumpRecvHW rebuilds the
-	// map on the fork's first receive.
+	// A copy, never a shared backing array: bumpRecvHW updates a mark in
+	// place, which would leak the fork's receives into its template.
 	if len(p.RecvHW) > 0 {
-		np.RecvHW = make(map[int]int64, len(p.RecvHW))
-		for k, v := range p.RecvHW {
-			np.RecvHW[k] = v
-		}
+		np.RecvHW = append([]RecvMark(nil), p.RecvHW...)
 	}
 	// np.rng stays nil: rand.Rand state cannot be copied, and seeding a
 	// fresh generator per fork would dominate fork cost for the campaign
@@ -198,17 +196,42 @@ func (p *Proc) forkInto(np *Proc, nw *World) error {
 	return nil
 }
 
-// bumpRecvHW advances the per-sender receive high-water mark, building the
-// map on first use (forks and single-process worlds start without one).
+// recvMark finds sender from's receive mark by binary search: its index and
+// whether it is there, or the index that keeps RecvHW sorted if not.
+func (p *Proc) recvMark(from int) (int, bool) {
+	lo, hi := 0, len(p.RecvHW)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if p.RecvHW[mid].From < from {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(p.RecvHW) && p.RecvHW[lo].From == from
+}
+
+// recvHW returns the highest SendIdx consumed from sender from, 0 if none.
+func (p *Proc) recvHW(from int) int64 {
+	if i, ok := p.recvMark(from); ok {
+		return p.RecvHW[i].Idx
+	}
+	return 0
+}
+
+// bumpRecvHW advances the per-sender receive high-water mark, in place when
+// the sender has one and by a sorted insert the first time it is heard from.
+//
+//failtrans:hotpath
 func (p *Proc) bumpRecvHW(from int, idx int64) {
-	if idx <= p.RecvHW[from] {
-		return
+	i, ok := p.recvMark(from)
+	switch {
+	case ok:
+		p.RecvHW[i].Idx = max(p.RecvHW[i].Idx, idx)
+	case idx > 0:
+		//failtrans:alloc the slice grows once per new sender, to at most one mark per peer
+		p.RecvHW = slices.Insert(p.RecvHW, i, RecvMark{From: from, Idx: idx})
 	}
-	if p.RecvHW == nil {
-		//failtrans:alloc the map materializes once per process (and per fork), on its first receive
-		p.RecvHW = make(map[int]int64)
-	}
-	p.RecvHW[from] = idx
 }
 
 // rand returns the process's transient-ND generator, materializing it on

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 )
@@ -179,4 +181,94 @@ func TestForkOutputsCopyOnWrite(t *testing.T) {
 			t.Errorf("%s: GlobalOutputs = %v, want %v", name, got, want)
 		}
 	}
+}
+
+// forkableNoop is a recovery layer that does nothing and forks: enough for
+// Recv to filter duplicates in a fork.
+type forkableNoop struct{ noopRecovery }
+
+func (forkableNoop) ForkRecovery(*World) Recovery { return forkableNoop{} }
+
+// TestForkRecvMarksIsolated: a fork's receive marks are its own. Its
+// receives (a mark bumped in place, a new sender's mark inserted) and its
+// RestoreCheckpointImage calls leave the template's marks and checkpoint
+// image bytes as they were, and under a recovery layer the fork still drops
+// a rolled-back sender's re-sent duplicate.
+func TestForkRecvMarksIsolated(t *testing.T) {
+	w := NewWorld(9, &rngCounter{}, &rngCounter{}, &rngCounter{}, &rngCounter{})
+	w.RecordTrace = false
+	w.Recovery = forkableNoop{}
+	if err := w.Init(); err != nil {
+		t.Fatal(err)
+	}
+	send := func(w *World, from int, payload string) {
+		t.Helper()
+		if err := w.Procs[from].Ctx().Send(1, []byte(payload)); err != nil {
+			t.Fatal(err)
+		}
+		w.Clock += time.Second // delivered
+	}
+	deliver := func(w *World, from int, payload string) {
+		t.Helper()
+		send(w, from, payload)
+		if m, ok := w.Procs[1].Ctx().Recv(); !ok || string(m.Payload) != payload {
+			t.Fatalf("recv = %q, %v; want %q", m.Payload, ok, payload)
+		}
+	}
+	deliver(w, 0, "a")
+	deliver(w, 2, "b")
+	tmpl := w.Procs[1]
+	wantMarks := slices.Clone(tmpl.RecvHW)
+	wantImg, err := tmpl.CheckpointImage(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unchanged := func(after string) {
+		t.Helper()
+		if !slices.Equal(tmpl.RecvHW, wantMarks) {
+			t.Errorf("after %s the template's marks are %v, were %v", after, tmpl.RecvHW, wantMarks)
+		}
+		if img, err := tmpl.CheckpointImage(false); err != nil || !bytes.Equal(img, wantImg) {
+			t.Errorf("after %s the template's checkpoint image changed (err %v)", after, err)
+		}
+	}
+
+	f, err := w.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	deliver(f, 0, "c") // bumps sender 0's mark in place
+	deliver(f, 3, "d") // inserts a mark for sender 3
+	deliver(f, 2, "e")
+	unchanged("a fork's receives")
+	want := []RecvMark{{From: 0, Idx: 2}, {From: 2, Idx: 2}, {From: 3, Idx: 1}}
+	if got := f.Procs[1].RecvHW; !slices.Equal(got, want) {
+		t.Fatalf("fork's marks = %v, want %v", got, want)
+	}
+
+	img, err := f.Procs[1].CheckpointImage(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := w.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, restore := range [][]byte{img, wantImg, img} {
+		if err := g.Procs[1].RestoreCheckpointImage(restore); err != nil {
+			t.Fatal(err)
+		}
+	}
+	unchanged("a fork's restores")
+	if got := g.Procs[1].RecvHW; !slices.Equal(got, want) {
+		t.Fatalf("restored fork's marks = %v, want %v", got, want)
+	}
+
+	f.Procs[0].SendSeq-- // the sender rolls back past "c" and re-sends it
+	send(f, 0, "c")
+	if m, ok := f.Procs[1].Ctx().Recv(); ok {
+		t.Fatalf("the fork delivered the duplicate %q (send index %d)", m.Payload, m.SendIdx)
+	}
+	deliver(f, 0, "f")
+	unchanged("a fork's duplicate filter")
 }

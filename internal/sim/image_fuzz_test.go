@@ -3,6 +3,7 @@ package sim_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -26,7 +27,7 @@ func imageProc(t testing.TB, prog sim.Program) *sim.Proc {
 		t.Fatal(err)
 	}
 	p := w.Procs[0]
-	p.InputCursor, p.SendSeq, p.RecvHW = 3, 5, map[int]int64{1: 2, 4: 9}
+	p.InputCursor, p.SendSeq, p.RecvHW = 3, 5, []sim.RecvMark{{From: 1, Idx: 2}, {From: 4, Idx: 9}}
 	return p
 }
 
@@ -80,9 +81,11 @@ func validImages(t testing.TB) map[string]image {
 	return out
 }
 
-// overflowImages are the two length words that used to wrap the bounds
-// arithmetic: a highwater count of 2^60 (times 16 wraps to 0) and a state
-// length of MaxInt64 (plus the offset wraps negative).
+// overflowImages are the hostile header words: the two length words that
+// used to wrap the bounds arithmetic — a highwater count of 2^60 (times 16
+// wraps to 0) and a state length of MaxInt64 (plus the offset wraps
+// negative) — and two well-formed images whose high-water senders repeat
+// (4, 4) or descend (4, 1), which a map once merged, last one winning.
 func overflowImages() [][]byte {
 	word := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
 	header := append([]byte{0}, append(word(3), word(5)...)...) // mode, cursor, send sequence
@@ -90,11 +93,19 @@ func overflowImages() [][]byte {
 	hugeHW = append(hugeHW, make([]byte, 64)...)
 	hugeApp := append(append([]byte(nil), header...), word(0)...)
 	hugeApp = append(append(hugeApp, word(1<<63-1)...), make([]byte, 64)...)
-	return [][]byte{hugeHW, hugeApp}
+	marks := func(senders ...uint64) []byte {
+		img := append(append([]byte(nil), header...), word(uint64(len(senders)))...)
+		for i, s := range senders {
+			img = append(append(img, word(s)...), word(uint64(i+2))...)
+		}
+		return append(append(img, word(0)...), word(0)...) // empty state, empty kernel blob
+	}
+	return [][]byte{hugeHW, hugeApp, marks(4, 4), marks(4, 1)}
 }
 
 // TestRestoreCheckpointImageHostile: the overflow images, and a valid image
-// cut at every byte, are refused with an error before anything is restored.
+// cut at every byte, are refused with an error before anything is restored;
+// high-water senders out of order are refused as such.
 func TestRestoreCheckpointImageHostile(t *testing.T) {
 	for name, v := range validImages(t) {
 		p := imageProc(t, v.zero())
@@ -103,9 +114,15 @@ func TestRestoreCheckpointImageHostile(t *testing.T) {
 		for n := 0; n < len(v.img); n++ {
 			hostile = append(hostile, v.img[:n])
 		}
-		for i, img := range append(hostile, overflowImages()...) {
-			if err := p.RestoreCheckpointImage(img); err == nil {
-				t.Fatalf("%s: hostile image %d of %d (%d bytes) restored without an error", name, i, len(hostile)+2, len(img))
+		overflow := overflowImages()
+		for i, img := range append(hostile, overflow...) {
+			err := p.RestoreCheckpointImage(img)
+			if err == nil {
+				t.Fatalf("%s: hostile image %d of %d (%d bytes) restored without an error", name, i, len(hostile)+len(overflow), len(img))
+			}
+			// The last two overflow images are the misordered ones.
+			if i >= len(hostile)+len(overflow)-2 && !errors.Is(err, sim.ErrImageSenderOrder) {
+				t.Errorf("%s: misordered senders refused with %v, want ErrImageSenderOrder", name, err)
 			}
 			if got := sessionState(p); got != want {
 				t.Fatalf("%s: refused image %d left the session at %s, was %s", name, i, got, want)

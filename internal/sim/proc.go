@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // safeStep runs one Program step, converting a runtime panic — an index out
@@ -62,16 +61,10 @@ func (p *Proc) AppendCheckpointImage(buf []byte, essential bool) ([]byte, error)
 	buf = append(buf, mode)
 	buf = appendI64(buf, int64(p.InputCursor))
 	buf = appendI64(buf, p.SendSeq)
-	senders := p.ckptSenders[:0]
-	for s := range p.RecvHW {
-		senders = append(senders, s)
-	}
-	sort.Ints(senders)
-	p.ckptSenders = senders
-	buf = appendI64(buf, int64(len(senders)))
-	for _, s := range senders {
-		buf = appendI64(buf, int64(s))
-		buf = appendI64(buf, p.RecvHW[s])
+	buf = appendI64(buf, int64(len(p.RecvHW)))
+	for _, hw := range p.RecvHW {
+		buf = appendI64(buf, int64(hw.From))
+		buf = appendI64(buf, hw.Idx)
 	}
 	lenAt := len(buf)
 	buf = appendI64(buf, 0)
@@ -111,6 +104,12 @@ var (
 	errImageOverrun   = errors.New("sim: checkpoint image section overruns")
 )
 
+// ErrImageSenderOrder refuses a checkpoint image whose receive high-water
+// senders repeat or descend. AppendCheckpointImage writes them strictly
+// increasing, so such an image was not written by it, and restoring it
+// would leave a process whose own image differs from the one it came from.
+var ErrImageSenderOrder = errors.New("sim: checkpoint image high-water senders not strictly increasing")
+
 // getI64 decodes the next little-endian word of a checkpoint image,
 // advancing *pos.
 func getI64(img []byte, pos *int) (int64, error) {
@@ -125,9 +124,8 @@ func getI64(img []byte, pos *int) (int64, error) {
 // RestoreCheckpointImage is the inverse of CheckpointImage: it reloads
 // application state (full or essential, per the image's mode byte), the
 // session counters, and kernel state. Like its Append counterpart it is
-// allocation-free in the steady state — the receive-highwater map is
-// cleared and refilled in place rather than rebuilt, and image parsing
-// reads words directly out of img.
+// allocation-free in the steady state — the receive high-water marks are
+// refilled in place, and image parsing reads words directly out of img.
 //
 //failtrans:hotpath
 func (p *Proc) RestoreCheckpointImage(img []byte) error {
@@ -156,7 +154,14 @@ func (p *Proc) RestoreCheckpointImage(img []byte) error {
 		return errImageTruncated
 	}
 	hwPos := pos
-	pos += int(nhw) * 16
+	for i, prev := int64(0), int64(0); i < nhw; i++ {
+		s := int64(binary.LittleEndian.Uint64(img[pos:]))
+		if i > 0 && s <= prev {
+			return ErrImageSenderOrder
+		}
+		prev = s
+		pos += 16
+	}
 	appLen, err := getI64(img, &pos)
 	if err != nil {
 		return err
@@ -192,17 +197,12 @@ func (p *Proc) RestoreCheckpointImage(img []byte) error {
 	// the in-place update leaves no torn state behind.
 	p.InputCursor = int(cursor)
 	p.SendSeq = sendSeq
-	if p.RecvHW == nil {
-		//failtrans:alloc first restore of a fork that started with no highwater map; every later rollback reuses it
-		p.RecvHW = make(map[int]int64, nhw)
-	} else {
-		clear(p.RecvHW)
-	}
+	p.RecvHW = p.RecvHW[:0]
 	for i := int64(0); i < nhw; i++ {
 		s := int64(binary.LittleEndian.Uint64(img[hwPos:]))
 		v := int64(binary.LittleEndian.Uint64(img[hwPos+8:]))
 		hwPos += 16
-		p.RecvHW[int(s)] = v
+		p.RecvHW = append(p.RecvHW, RecvMark{From: int(s), Idx: v})
 	}
 	if p.World.OS != nil {
 		p.World.OS.RestoreProcState(p.Index, kern)

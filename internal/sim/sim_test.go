@@ -427,7 +427,7 @@ func TestRetainedRedelivery(t *testing.T) {
 	// by consumption position; a process that asks twice at the same
 	// position without progress (as this test does, since it is not
 	// really re-executing) falls back to live delivery.
-	p.RecvHW = map[int]int64{}
+	p.RecvHW = nil
 	w.RequeueRetained(p)
 	if len(p.replayQueue) != 1 {
 		t.Fatalf("replay queue after requeue = %d", len(p.replayQueue))

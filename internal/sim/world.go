@@ -76,8 +76,10 @@ type Proc struct {
 	// receivers' duplicate filters drop them.
 	SendSeq int64
 	// RecvHW records, per sender, the highest SendIdx consumed; messages
-	// at or below it are duplicates from a re-executed send.
-	RecvHW map[int]int64
+	// at or below it are duplicates from a re-executed send. The marks are
+	// strictly increasing by sender, so the slice is its own checkpoint
+	// order; a process has one mark per peer it ever heard from.
+	RecvHW []RecvMark
 
 	stops []int
 	// signals is the pending signal queue (delivered by virtual time).
@@ -106,9 +108,13 @@ type Proc struct {
 	// must never be copied — worlds allocate fixed-size slabs and fork
 	// fills slots in place.
 	ctxStore Ctx
+}
 
-	// ckptSenders is reusable scratch for AppendCheckpointImage.
-	ckptSenders []int
+// RecvMark is one sender's receive high-water mark: the highest SendIdx the
+// process consumed from process From.
+type RecvMark struct {
+	From int
+	Idx  int64
 }
 
 // initCtx wires the inline context to its owning process. Must run before
@@ -340,8 +346,8 @@ func (w *World) GlobalOutputs() []string {
 // deterministically. Processes live in one fixed-size slab (their contexts
 // inlined), so a 10⁵-proc world is a handful of allocations, not 3n; the
 // slab never grows, keeping interior pointers stable. The per-sender
-// receive high-water map materializes on first receive (bumpRecvHW), so
-// parked processes carry none.
+// receive high-water marks grow on receive (bumpRecvHW), so parked
+// processes carry none.
 func NewWorld(seed int64, progs ...Program) *World {
 	w := &World{
 		Latency:     100 * time.Microsecond,
