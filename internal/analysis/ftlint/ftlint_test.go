@@ -189,7 +189,7 @@ func TestHotpathRootsAnnotated(t *testing.T) {
 		// step; (*TM).encodeHead, stepBodies.
 		"../../apps/treadmarks/barneshut.go": 3,
 		"../../apps/treadmarks/program.go":   2,
-		"../../apps/magic/magic.go":          2, // Rect.Subtract, (*Layer).cut
+		"../../apps/magic/magic.go":          3, // Rect.Subtract, (*Layer).cut, (*Layout).spacingViolations
 		// The screen and file scratch: (*Editor).screenLine, writeFileStep.
 		"../../apps/nvi/nvi.go": 2,
 	}

@@ -71,21 +71,7 @@ func (l *Layout) Flatten(layerName string) []Rect {
 // FlatDRC runs the min-spacing check over the flattened view of a layer,
 // catching violations between instances that per-cell checks cannot see.
 func (l *Layout) FlatDRC(layerName string) int {
-	rects := l.Flatten(layerName)
-	violations := 0
-	for i := 0; i < len(rects); i++ {
-		for j := i + 1; j < len(rects); j++ {
-			a, b := rects[i], rects[j]
-			if a.Intersects(b) {
-				violations++
-				continue
-			}
-			if s := a.Spacing(b); s > 0 && s < l.MinSpacing {
-				violations++
-			}
-		}
-	}
-	return violations
+	return l.spacingViolations(l.Flatten(layerName))
 }
 
 // FlatArea sums tile areas in the flattened view (overlaps counted twice,
@@ -156,18 +142,7 @@ func (l *Layout) marshalCells(e *apputil.Enc) {
 	e.Int(len(l.Cells))
 	for _, c := range l.Cells {
 		e.Str(c.Name)
-		e.Int(len(c.Layers))
-		for _, layer := range c.Layers {
-			e.Str(layer.Name)
-			e.Int(layer.Area)
-			e.Int(len(layer.Rects))
-			for _, r := range layer.Rects {
-				e.Int(r.X1)
-				e.Int(r.Y1)
-				e.Int(r.X2)
-				e.Int(r.Y2)
-			}
-		}
+		marshalLayers(e, c.Layers)
 	}
 	e.Int(len(l.Instances))
 	for _, in := range l.Instances {
@@ -178,43 +153,16 @@ func (l *Layout) marshalCells(e *apputil.Enc) {
 	e.Str(l.Editing)
 }
 
-// unmarshalCells reverses marshalCells.
-func (l *Layout) unmarshalCells(d *apputil.Dec) error {
-	n := d.Int()
-	if n < 0 || n > 1<<16 {
-		return fmt.Errorf("magic: implausible cell count %d", n)
+// unmarshalCells reverses marshalCells; a malformed image leaves its error
+// in d.
+func (l *Layout) unmarshalCells(d *apputil.Dec) {
+	l.Cells = make([]Cell, d.Count(cellBytes))
+	for i := range l.Cells {
+		l.Cells[i] = Cell{Name: d.Str(), Layers: unmarshalLayers(d)}
 	}
-	l.Cells = make([]Cell, 0, n)
-	for i := 0; i < n; i++ {
-		var c Cell
-		c.Name = d.Str()
-		ln := d.Int()
-		if ln < 0 || ln > 1<<16 {
-			return fmt.Errorf("magic: implausible cell layer count %d", ln)
-		}
-		for j := 0; j < ln; j++ {
-			var layer Layer
-			layer.Name = d.Str()
-			layer.Area = d.Int()
-			rn := d.Int()
-			if rn < 0 || rn > 1<<24 {
-				return fmt.Errorf("magic: implausible cell rect count %d", rn)
-			}
-			for k := 0; k < rn; k++ {
-				layer.Rects = append(layer.Rects, Rect{d.Int(), d.Int(), d.Int(), d.Int()})
-			}
-			c.Layers = append(c.Layers, layer)
-		}
-		l.Cells = append(l.Cells, c)
-	}
-	n = d.Int()
-	if n < 0 || n > 1<<20 {
-		return fmt.Errorf("magic: implausible instance count %d", n)
-	}
-	l.Instances = make([]Instance, 0, n)
-	for i := 0; i < n; i++ {
-		l.Instances = append(l.Instances, Instance{Cell: d.Str(), DX: d.Int(), DY: d.Int()})
+	l.Instances = make([]Instance, d.Count(instanceBytes))
+	for i := range l.Instances {
+		l.Instances[i] = Instance{Cell: d.Str(), DX: d.Int(), DY: d.Int()}
 	}
 	l.Editing = d.Str()
-	return d.Err
 }

@@ -17,7 +17,9 @@
 package magic
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -167,6 +169,9 @@ type Layout struct {
 
 	faultSalt   uint64
 	skipOverlap bool
+
+	// drcBuf is spacingViolations' sort buffer (scratch, not state).
+	drcBuf []drcEntry
 }
 
 // New returns a layout with the given layer names.
@@ -226,20 +231,72 @@ func (l *Layout) Erase(ctx *sim.Ctx, layer *Layer, r Rect) {
 }
 
 // DRC counts min-spacing violations on a layer.
-func (l *Layout) DRC(layer *Layer) int {
+func (l *Layout) DRC(layer *Layer) int { return l.spacingViolations(layer.Rects) }
+
+// drcEntry is one tile in the design-rule sweep: the left edge of its
+// normalized x-interval and its index in the checked slice.
+type drcEntry struct {
+	lo, idx int
+}
+
+// spacingViolations counts the pairs of rects that overlap, or lie closer
+// than MinSpacing without touching: the pairs an all-pairs loop over
+// rects[i].Spacing(rects[j]), i < j, counts. It sweeps instead of comparing
+// every pair. The tiles are sorted by lo = min(X1, X2), and each tile a is
+// paired only with the tiles after it, up to the first whose lo is at least
+// max(MinSpacing, 1) past hi(a) = max(a.X1, a.X2).
+//
+// The stop is safe for any tile orientation, inverted ones included. Let b
+// be a later tile with gap = lo(b) − hi(a) ≥ 1. Then b.X1 > a.X2 and
+// b.X2 > a.X1, so the two do not intersect, and Spacing's dx is
+// b.X1 − a.X2 ≥ gap whichever tile is the receiver. Spacing is at least dx,
+// so a gap of at least MinSpacing leaves the pair uncounted, and every tile
+// after b has a gap at least as large.
+//
+// Spacing is asymmetric on inverted tiles (X1 > X2, which HeapBitFlip and
+// DestReg can leave behind): Rect{10, 0, 0, 1}.Spacing(Rect{5, 0, 3, 1}) is
+// 5, the reverse call 7. So each pair is checked with the tile of lower
+// original index as receiver, as the all-pairs loop does, whatever the
+// sorted order.
+//
+// The promised domain is coordinates that fit in an int32, where neither
+// the gap nor Spacing can overflow. The entry buffer is the Layout's own,
+// grown by doubling to the largest slice checked; it is never marshalled.
+//
+//failtrans:hotpath
+func (l *Layout) spacingViolations(rects []Rect) int {
+	if cap(l.drcBuf) < len(rects) {
+		//failtrans:alloc doubles, so a session's growing layers cost O(log tiles) allocations; a check that fits reuses it
+		l.drcBuf = make([]drcEntry, 0, max(len(rects), 2*cap(l.drcBuf)))
+	}
+	buf := l.drcBuf[:0]
+	for i, r := range rects {
+		buf = append(buf, drcEntry{min(r.X1, r.X2), i})
+	}
+	slices.SortFunc(buf, func(a, b drcEntry) int { return cmp.Compare(a.lo, b.lo) })
+	reach := max(l.MinSpacing, 1)
 	violations := 0
-	for i := 0; i < len(layer.Rects); i++ {
-		for j := i + 1; j < len(layer.Rects); j++ {
-			a, b := layer.Rects[i], layer.Rects[j]
-			if a.Intersects(b) {
+	for k, e := range buf {
+		a := rects[e.idx]
+		hi := max(a.X1, a.X2)
+		for _, f := range buf[k+1:] {
+			if f.lo-hi >= reach {
+				break
+			}
+			r, o := a, rects[f.idx]
+			if f.idx < e.idx {
+				r, o = o, r
+			}
+			if r.Intersects(o) {
 				violations++ // overlap is always a violation
 				continue
 			}
-			if s := a.Spacing(b); s > 0 && s < l.MinSpacing {
+			if s := r.Spacing(o); s > 0 && s < l.MinSpacing {
 				violations++
 			}
 		}
 	}
+	l.drcBuf = buf
 	return violations
 }
 
@@ -486,18 +543,7 @@ func (l *Layout) MarshalState() ([]byte, error) { return l.AppendState(nil) }
 // layout straight into the checkpoint image.
 func (l *Layout) AppendState(dst []byte) ([]byte, error) {
 	e := apputil.Enc{B: dst}
-	e.Int(len(l.Layers))
-	for _, layer := range l.Layers {
-		e.Str(layer.Name)
-		e.Int(layer.Area)
-		e.Int(len(layer.Rects))
-		for _, r := range layer.Rects {
-			e.Int(r.X1)
-			e.Int(r.Y1)
-			e.Int(r.X2)
-			e.Int(r.Y2)
-		}
-	}
+	marshalLayers(&e, l.Layers)
 	e.Int(l.Phase)
 	e.Str(l.Cmd)
 	e.Int(l.Commands)
@@ -514,26 +560,7 @@ func (l *Layout) AppendState(dst []byte) ([]byte, error) {
 // UnmarshalState implements sim.Program.
 func (l *Layout) UnmarshalState(data []byte) error {
 	d := apputil.Dec{B: data}
-	n := d.Int()
-	if n < 0 || n > 1<<16 {
-		return fmt.Errorf("magic: implausible layer count %d", n)
-	}
-	layers := make([]Layer, 0, n)
-	for i := 0; i < n; i++ {
-		var layer Layer
-		layer.Name = d.Str()
-		layer.Area = d.Int()
-		rn := d.Int()
-		if rn < 0 || rn > 1<<24 {
-			return fmt.Errorf("magic: implausible rect count %d", rn)
-		}
-		layer.Rects = make([]Rect, 0, rn)
-		for j := 0; j < rn; j++ {
-			layer.Rects = append(layer.Rects, Rect{d.Int(), d.Int(), d.Int(), d.Int()})
-		}
-		layers = append(layers, layer)
-	}
-	l.Layers = layers
+	l.Layers = unmarshalLayers(&d)
 	l.Phase = d.Int()
 	l.Cmd = d.Str()
 	l.Commands = d.Int()
@@ -543,8 +570,49 @@ func (l *Layout) UnmarshalState(data []byte) error {
 	l.CmdCost = time.Duration(d.I64())
 	l.faultSalt = uint64(d.I64())
 	l.skipOverlap = d.Bool()
-	if err := l.unmarshalCells(&d); err != nil {
-		return err
-	}
+	l.unmarshalCells(&d)
 	return d.Err
+}
+
+// The fewest bytes each element of a counted sequence in an image takes:
+// the decoder checks a count against the rest of the input (Dec.Count)
+// before it sizes a slice by it, so a hostile image cannot make a restore
+// allocate more than a small multiple of its own length.
+const (
+	layerBytes    = 3 * 8 // name length, area, rect count
+	rectBytes     = 4 * 8
+	cellBytes     = 2 * 8 // name length, layer count
+	instanceBytes = 3 * 8 // cell name length, DX, DY
+)
+
+// marshalLayers encodes a count-prefixed layer list: each layer's name,
+// area and tiles.
+func marshalLayers(e *apputil.Enc, layers []Layer) {
+	e.Int(len(layers))
+	for _, layer := range layers {
+		e.Str(layer.Name)
+		e.Int(layer.Area)
+		e.Int(len(layer.Rects))
+		for _, r := range layer.Rects {
+			e.Int(r.X1)
+			e.Int(r.Y1)
+			e.Int(r.X2)
+			e.Int(r.Y2)
+		}
+	}
+}
+
+// unmarshalLayers reverses marshalLayers.
+func unmarshalLayers(d *apputil.Dec) []Layer {
+	layers := make([]Layer, d.Count(layerBytes))
+	for i := range layers {
+		layer := &layers[i]
+		layer.Name = d.Str()
+		layer.Area = d.Int()
+		layer.Rects = make([]Rect, d.Count(rectBytes))
+		for j := range layer.Rects {
+			layer.Rects[j] = Rect{d.Int(), d.Int(), d.Int(), d.Int()}
+		}
+	}
+	return layers
 }

@@ -1,12 +1,17 @@
 package magic
 
 import (
+	"errors"
+	"math"
 	"math/rand"
+	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"failtrans/internal/apps/apputil"
 	"failtrans/internal/dc"
 	"failtrans/internal/protocol"
 	"failtrans/internal/sim"
@@ -152,9 +157,111 @@ func TestSpacing(t *testing.T) {
 	}
 }
 
+// drcAllPairs is the design-rule check the sweep replaced, kept as its
+// oracle: every pair i < j, with rects[i] as Spacing's receiver.
+func drcAllPairs(rects []Rect, minSpacing int) int {
+	violations := 0
+	for i := 0; i < len(rects); i++ {
+		for j := i + 1; j < len(rects); j++ {
+			a, b := rects[i], rects[j]
+			if a.Intersects(b) {
+				violations++
+				continue
+			}
+			if s := a.Spacing(b); s > 0 && s < minSpacing {
+				violations++
+			}
+		}
+	}
+	return violations
+}
+
+// randomTiles returns n tiles in a small field, so they overlap and crowd
+// each other; some are inverted (X1 > X2 or Y1 > Y2) or degenerate, as the
+// geometry faults leave them.
+func randomTiles(rng *rand.Rand, n int) []Rect {
+	out := make([]Rect, n)
+	for i := range out {
+		x, y := rng.Intn(60)-10, rng.Intn(60)-10
+		r := Rect{x, y, x + rng.Intn(12), y + rng.Intn(12)}
+		switch rng.Intn(6) {
+		case 0:
+			r.X1, r.X2 = r.X2, r.X1
+		case 1:
+			r.Y1, r.Y2 = r.Y2, r.Y1
+		case 2:
+			r.X2 = r.X1
+		}
+		out[i] = r
+	}
+	return out
+}
+
+// TestDRCMatchesAllPairs: the sweep counts what the all-pairs loop counts,
+// on a layer's tiles (DRC) and on the flattened hierarchy (FlatDRC), for
+// every MinSpacing from -2 to 12.
+func TestDRCMatchesAllPairs(t *testing.T) {
+	// Spacing is asymmetric on an inverted tile: 5 one way, 7 the other.
+	// The lower index is the receiver, so this pair is a violation at
+	// MinSpacing 6 and not at 5.
+	asym := []Rect{{10, 0, 0, 1}, {5, 0, 3, 1}}
+	if a, b := asym[0].Spacing(asym[1]), asym[1].Spacing(asym[0]); a != 5 || b != 7 {
+		t.Fatalf("Spacing = %d and %d the other way, want 5 and 7", a, b)
+	}
+	for _, order := range [][]Rect{asym, {asym[1], asym[0]}} {
+		for ms := -2; ms <= 12; ms++ {
+			l := New("m1")
+			l.MinSpacing = ms
+			if got, want := l.spacingViolations(order), drcAllPairs(order, ms); got != want {
+				t.Errorf("asymmetric pair %v at MinSpacing %d: %d violations, want %d", order, ms, got, want)
+			}
+		}
+	}
+
+	rng := rand.New(rand.NewSource(28))
+	for trial := 0; trial < 400; trial++ {
+		l := New("m1")
+		l.MinSpacing = trial%15 - 2
+		layer := l.layer("m1")
+		layer.Rects = randomTiles(rng, rng.Intn(40))
+		if got, want := l.DRC(layer), drcAllPairs(layer.Rects, l.MinSpacing); got != want {
+			t.Fatalf("trial %d, MinSpacing %d: DRC = %d, all pairs = %d on %v", trial, l.MinSpacing, got, want, layer.Rects)
+		}
+
+		// A hierarchy: two cells placed a few times each, plus the
+		// top-level tiles.
+		for c := 0; c < 2; c++ {
+			cell := Cell{Name: strconv.Itoa(c), Layers: []Layer{{Name: "m1", Rects: randomTiles(rng, rng.Intn(6))}}}
+			l.Cells = append(l.Cells, cell)
+			for k := rng.Intn(4); k > 0; k-- {
+				l.Instances = append(l.Instances, Instance{Cell: cell.Name, DX: rng.Intn(80) - 20, DY: rng.Intn(30)})
+			}
+		}
+		flat := l.Flatten("m1")
+		if got, want := l.FlatDRC("m1"), drcAllPairs(flat, l.MinSpacing); got != want {
+			t.Fatalf("trial %d, MinSpacing %d: FlatDRC = %d, all pairs = %d on %v", trial, l.MinSpacing, got, want, flat)
+		}
+	}
+}
+
+// TestDRCAllocatesNothing: once the sort buffer has grown to a layer's size,
+// a design-rule check allocates nothing.
+func TestDRCAllocatesNothing(t *testing.T) {
+	l := New("m1")
+	layer := l.layer("m1")
+	layer.Rects = randomTiles(rand.New(rand.NewSource(1)), 200)
+	want := l.DRC(layer)
+	if n := testing.AllocsPerRun(100, func() { l.DRC(layer) }); n != 0 {
+		t.Errorf("a check of a grown layer allocates %.0f times, want 0", n)
+	}
+	if got := l.DRC(layer); got != want {
+		t.Errorf("DRC = %d on the reused buffer, %d at first", got, want)
+	}
+}
+
 // run executes a command script with no think time and returns the layout
 // and world.
-func run(t *testing.T, commands ...string) (*sim.World, *Layout) {
+func run(t testing.TB, commands ...string) (*sim.World, *Layout) {
 	t.Helper()
 	l := New("m1", "m2", "poly")
 	l.ThinkTime = 0
@@ -509,5 +616,55 @@ func TestCellsSurviveRecovery(t *testing.T) {
 		if strip(w.Outputs[0]) != strip(want) {
 			t.Errorf("stop@%d: outputs %v, want %v", stopAt, w.Outputs[0], want)
 		}
+	}
+}
+
+// TestUnmarshalHostileCounts: an image whose count declares more elements
+// than the rest of it can hold is refused before anything is sized by the
+// count.
+func TestUnmarshalHostileCounts(t *testing.T) {
+	// The top level of an image with no cells, instances or edit in
+	// progress; the hierarchy section is the last three words.
+	top, err := New().MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	top = top[:len(top)-3*8]
+	const huge = 1 << 24
+	for _, tc := range []struct {
+		name  string
+		build func(e *apputil.Enc)
+	}{
+		{"layers", func(e *apputil.Enc) { e.Int(huge) }},
+		{"rects", func(e *apputil.Enc) { e.Int(1); e.Str("m1"); e.Int(0); e.Int(huge) }},
+		{"max-int rects", func(e *apputil.Enc) { e.Int(1); e.Str("m1"); e.Int(0); e.Int(math.MaxInt64) }},
+		{"cells", func(e *apputil.Enc) { e.B = append(e.B, top...); e.Int(huge) }},
+		{"cell layers", func(e *apputil.Enc) { e.B = append(e.B, top...); e.Int(1); e.Str("c"); e.Int(huge) }},
+		{"cell rects", func(e *apputil.Enc) {
+			e.B = append(e.B, top...)
+			e.Int(1)
+			e.Str("c")
+			e.Int(1)
+			e.Str("m1")
+			e.Int(0)
+			e.Int(huge)
+		}},
+		{"instances", func(e *apputil.Enc) { e.B = append(e.B, top...); e.Int(0); e.Int(huge) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var e apputil.Enc
+			tc.build(&e)
+			var l Layout
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := l.UnmarshalState(e.B)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, apputil.ErrOverrun) {
+				t.Errorf("a %d-byte image: err = %v, want ErrOverrun", len(e.B), err)
+			}
+			if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+				t.Errorf("refusing a %d-byte image allocated %d bytes, want under 1 MiB", len(e.B), n)
+			}
+		})
 	}
 }

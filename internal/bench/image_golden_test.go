@@ -28,6 +28,7 @@ func TestCheckpointImageGolden(t *testing.T) {
 		{"nvi", func() (*sim.World, error) { return BuildWorld("nvi", 1, 11) }, protocol.CPVS, [][2]int{{0, 300}, {0, 700}}, 406, 0x2ad968a49f8cd391},
 		{"postgres", func() (*sim.World, error) { return postgresWorld(400), nil }, protocol.CPVS, [][2]int{{0, 250}}, 122, 0x220daf0296558663},
 		{"treadmarks-2pc", func() (*sim.World, error) { return BuildWorld("treadmarks", 1, 7) }, protocol.CPV2PC, [][2]int{{1, 60}}, 8, 0x05e0eb70faa593e6},
+		{"magic", func() (*sim.World, error) { return BuildWorld("magic", 20, 1) }, protocol.CPVS, [][2]int{{0, 2000}}, 515, 0x476d0c9b30c293b3},
 		{"treadmarks-cand", func() (*sim.World, error) { return BuildWorld("treadmarks", 1, 7) }, protocol.CAND, [][2]int{{1, 60}, {2, 200}}, 358, 0xed73a8ecacf573f3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
