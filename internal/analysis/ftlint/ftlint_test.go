@@ -190,6 +190,7 @@ func TestHotpathRootsAnnotated(t *testing.T) {
 		"../../apps/treadmarks/barneshut.go": 3,
 		"../../apps/treadmarks/program.go":   2,
 		"../../apps/magic/magic.go":          3, // Rect.Subtract, (*Layer).cut, (*Layout).spacingViolations
+		"../../apps/postgres/page.go":        3, // (*Page).Insert, Delete, Overwrite
 		// The screen and file scratch: (*Editor).screenLine, writeFileStep.
 		"../../apps/nvi/nvi.go": 2,
 	}

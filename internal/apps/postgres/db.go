@@ -220,15 +220,23 @@ func nextField(s string) (f, rest string) {
 	return s[i:j], s[j:]
 }
 
+// asciiSpace marks the six ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
 // skipField returns the offset of the first rune at or after i that is not
 // white space (space true) or that is (space false), as unicode.IsSpace
-// classifies it; invalid UTF-8 is not space.
+// classifies it; invalid UTF-8 is not space. ASCII bytes are classified
+// without decoding.
 func skipField(s string, i int, space bool) int {
 	for i < len(s) {
-		r, n := rune(s[i]), 1
-		if r >= utf8.RuneSelf {
-			r, n = utf8.DecodeRuneInString(s[i:])
+		if c := s[i]; c < utf8.RuneSelf {
+			if asciiSpace[c] != space {
+				break
+			}
+			i++
+			continue
 		}
+		r, n := utf8.DecodeRuneInString(s[i:])
 		if unicode.IsSpace(r) != space {
 			break
 		}
@@ -450,8 +458,7 @@ func (db *DB) flipCachedPageBit() {
 	p := db.Pool.own(id)
 	// Flip within the tuple data area to avoid trivially breaking the
 	// header.
-	bit := headerLen*8 + s%(uint64(PageSize-headerLen)*8)
-	apputil.FlipBit(p.Data[:], bit)
+	p.flipBit(headerLen*8 + s%(uint64(PageSize-headerLen)*8))
 }
 
 // offByOneLastRID nudges the most recently inserted index entry's slot by

@@ -47,6 +47,13 @@ type Page struct {
 	// the template and its forks share it, so it is immutable forever and
 	// its mutators panic. A fork writes its own copy (Pool.own).
 	sealed bool
+
+	// crcOK trusts the stored checksum to match the contents, so a mutator
+	// may patch it by the bytes it wrote (crcPatch). It is set by a full
+	// recompute and a verified read, cleared by a write that bypasses the
+	// mutators (flipBit, Compact), and never marshalled: a decoded page is
+	// recomputed by its first mutator.
+	crcOK bool
 }
 
 // mustMutable panics if the page is sealed into a fork template: writing it
@@ -121,20 +128,31 @@ func (p *Page) setSlot(i, off, ln int) {
 }
 
 // Insert places a tuple on the page and returns its slot number.
+//
+//failtrans:hotpath
 func (p *Page) Insert(tuple []byte) (int, error) {
 	p.mustMutable()
 	if len(tuple) > p.FreeSpace() {
+		//failtrans:alloc cold: callers check FreeSpace first, so a full page is corruption and crashes the step
 		return 0, fmt.Errorf("postgres: page %d full (%d free, %d needed)", p.ID(), p.FreeSpace(), len(tuple))
 	}
 	slot := p.NSlots()
 	off := p.upper() - len(tuple)
+	c := p.patchCRC()
+	c.before(p, off, off+len(tuple))
 	copy(p.Data[off:], tuple)
+	c.after(p)
+	base := headerLen + slot*slotLen
+	c.before(p, base, base+slotLen)
 	p.setSlot(slot, off, len(tuple))
+	c.after(p)
+	c.before(p, offNSlots, offCRC)
 	p.setNSlots(slot + 1)
 	p.setLower(headerLen + (slot+1)*slotLen)
 	p.setUpper(off)
+	c.after(p)
 	p.Dirty = true
-	p.UpdateCRC()
+	c.store(p)
 	return slot, nil
 }
 
@@ -156,47 +174,74 @@ func (p *Page) Read(i int) ([]byte, error) {
 
 // Delete marks slot i dead (space is not reclaimed; VACUUM is out of
 // scope).
+//
+//failtrans:hotpath
 func (p *Page) Delete(i int) error {
 	p.mustMutable()
 	if i < 0 || i >= p.NSlots() {
+		//failtrans:alloc a bad slot number is a corrupt index: the caller crashes
 		return fmt.Errorf("postgres: delete slot %d out of range", i)
 	}
 	off, _ := p.slot(i)
+	c := p.patchCRC()
+	base := headerLen + i*slotLen
+	c.before(p, base, base+slotLen)
 	p.setSlot(i, off, 0)
+	c.after(p)
 	p.Dirty = true
-	p.UpdateCRC()
+	c.store(p)
 	return nil
 }
 
 // Overwrite replaces the tuple in slot i in place when the new tuple fits
 // the old length; otherwise it reports false and the caller re-inserts.
+//
+//failtrans:hotpath
 func (p *Page) Overwrite(i int, tuple []byte) (bool, error) {
 	p.mustMutable()
 	if i < 0 || i >= p.NSlots() {
+		//failtrans:alloc a bad slot number is a corrupt index: the caller crashes
 		return false, fmt.Errorf("postgres: overwrite slot %d out of range", i)
 	}
 	off, ln := p.slot(i)
 	if len(tuple) > ln {
 		return false, nil
 	}
+	c := p.patchCRC()
+	c.before(p, off, off+len(tuple))
 	copy(p.Data[off:off+len(tuple)], tuple)
+	c.after(p)
+	base := headerLen + i*slotLen
+	c.before(p, base, base+slotLen)
 	p.setSlot(i, off, len(tuple))
+	c.after(p)
 	p.Dirty = true
-	p.UpdateCRC()
+	c.store(p)
 	return true, nil
 }
 
-// UpdateCRC recomputes the page checksum.
+// UpdateCRC recomputes the page checksum and trusts it.
 func (p *Page) UpdateCRC() {
 	p.mustMutable()
 	binary.LittleEndian.PutUint32(p.Data[offCRC:], p.computeCRC())
+	p.crcOK = true
 }
 
 func (p *Page) computeCRC() uint32 {
 	return apputil.Checksum(p.Data[:offCRC], p.Data[offCRC+4:])
 }
 
-// VerifyCRC reports whether the stored checksum matches the contents.
+// flipBit flips one bit of the page behind its mutators' back: the stored
+// checksum no longer matches until a recompute blesses the flip or a
+// verification catches it, so the page is no longer trusted.
+func (p *Page) flipBit(bit uint64) {
+	p.mustMutable()
+	apputil.FlipBit(p.Data[:], bit)
+	p.crcOK = false
+}
+
+// VerifyCRC reports whether the stored checksum matches the contents. It
+// always recomputes: it is the check that catches what crcOK cannot see.
 func (p *Page) VerifyCRC() bool {
 	return binary.LittleEndian.Uint32(p.Data[offCRC:]) == p.computeCRC()
 }
@@ -252,7 +297,8 @@ func (p *Page) Compact() (map[uint16]uint16, error) {
 		copy(data, p.Data[off:off+ln])
 		tuples = append(tuples, live{oldSlot: i, data: data})
 	}
-	// Re-initialize the page body.
+	// Re-initialize the page body behind the checksum's back.
+	p.crcOK = false
 	id := p.ID()
 	for i := headerLen; i < PageSize; i++ {
 		p.Data[i] = 0

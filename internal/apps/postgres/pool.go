@@ -50,7 +50,7 @@ func (bp *Pool) own(id uint32) *Page {
 	if !p.sealed {
 		return p
 	}
-	np := &Page{Data: p.Data, Dirty: p.Dirty}
+	np := &Page{Data: p.Data, Dirty: p.Dirty, crcOK: p.crcOK}
 	bp.pages[id] = np
 	return np
 }
@@ -119,6 +119,7 @@ func (bp *Pool) Get(ctx *sim.Ctx, id uint32) (*Page, error) {
 		ctx.Crash(fmt.Sprintf("postgres: page %d failed checksum on read", id))
 		return nil, fmt.Errorf("postgres: page %d corrupt", id)
 	}
+	p.crcOK = true
 	if err := bp.install(ctx, p); err != nil {
 		return nil, err
 	}
@@ -167,10 +168,11 @@ func (bp *Pool) FlushAll(ctx *sim.Ctx) error {
 	return nil
 }
 
-// CheckCached verifies the checksums of every cached page.
+// CheckCached verifies the checksums of every cached page, least recently
+// used first, so the error names the same page on every run.
 func (bp *Pool) CheckCached() error {
-	for id, p := range bp.pages {
-		if !p.VerifyCRC() {
+	for _, id := range bp.lru {
+		if !bp.pages[id].VerifyCRC() {
 			return fmt.Errorf("postgres: cached page %d checksum mismatch", id)
 		}
 	}
