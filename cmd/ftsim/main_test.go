@@ -108,50 +108,57 @@ func TestAppsTableMatchesBuildWorld(t *testing.T) {
 
 // TestTraceExport: -tracefile writes Chrome trace-event JSON with a named
 // track per process, duration spans and happens-before flow arrows, and the
-// same seed reproduces it byte for byte.
+// same seed reproduces it byte for byte — under CPV-2PC, which commits every
+// process, and CBNDV-2PC, which commits a dependent set built from a map.
 func TestTraceExport(t *testing.T) {
-	dir := t.TempDir()
-	run := func(name string) []byte {
-		path := filepath.Join(dir, name)
-		code, _, stderr := ftsim(t, "-app", "treadmarks", "-protocol", "CPV-2PC", "-seed", "7", "-stop", "1:60", "-tracefile", path)
-		if code != 0 {
-			t.Fatalf("exit %d: %s", code, stderr)
-		}
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	first := run("trace.json")
-	var tr struct {
-		TraceEvents []struct {
-			Ph   string `json:"ph"`
-			Name string `json:"name"`
-			BP   string `json:"bp"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(first, &tr); err != nil {
-		t.Fatalf("trace is not JSON: %v", err)
-	}
-	var threads, spans, flowStarts, flowEnds int
-	for _, e := range tr.TraceEvents {
-		switch {
-		case e.Ph == "M" && e.Name == "thread_name":
-			threads++
-		case e.Ph == "X":
-			spans++
-		case e.Ph == "s":
-			flowStarts++
-		case e.Ph == "f" && e.BP == "e":
-			flowEnds++
-		}
-	}
-	if threads < 4 || spans == 0 || flowStarts == 0 || flowEnds == 0 {
-		t.Errorf("trace has %d thread_name tracks (want >= 4), %d X spans, %d flow starts, %d enclosing flow ends (want > 0 each)",
-			threads, spans, flowStarts, flowEnds)
-	}
-	if !bytes.Equal(first, run("trace2.json")) {
-		t.Error("the same seed wrote a different trace")
+	for _, pol := range []string{"CPV-2PC", "CBNDV-2PC"} {
+		t.Run(pol, func(t *testing.T) {
+			dir := t.TempDir()
+			run := func(name string) []byte {
+				path := filepath.Join(dir, name)
+				code, _, stderr := ftsim(t, "-app", "treadmarks", "-protocol", pol, "-seed", "7", "-stop", "1:60", "-tracefile", path)
+				if code != 0 {
+					t.Fatalf("exit %d: %s", code, stderr)
+				}
+				b, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return b
+			}
+			first := run("trace.json")
+			var tr struct {
+				TraceEvents []struct {
+					Ph   string `json:"ph"`
+					Name string `json:"name"`
+					BP   string `json:"bp"`
+				} `json:"traceEvents"`
+			}
+			if err := json.Unmarshal(first, &tr); err != nil {
+				t.Fatalf("trace is not JSON: %v", err)
+			}
+			var threads, spans, flowStarts, flowEnds int
+			for _, e := range tr.TraceEvents {
+				switch {
+				case e.Ph == "M" && e.Name == "thread_name":
+					threads++
+				case e.Ph == "X":
+					spans++
+				case e.Ph == "s":
+					flowStarts++
+				case e.Ph == "f" && e.BP == "e":
+					flowEnds++
+				}
+			}
+			if threads < 4 || spans == 0 || flowStarts == 0 || flowEnds == 0 {
+				t.Errorf("trace has %d thread_name tracks (want >= 4), %d X spans, %d flow starts, %d enclosing flow ends (want > 0 each)",
+					threads, spans, flowStarts, flowEnds)
+			}
+			for _, name := range []string{"trace2.json", "trace3.json"} {
+				if !bytes.Equal(first, run(name)) {
+					t.Fatal("the same seed wrote a different trace")
+				}
+			}
+		})
 	}
 }

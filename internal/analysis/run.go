@@ -26,7 +26,7 @@ type driver struct {
 	diags []Diagnostic
 }
 
-func (d *driver) report(diag Diagnostic)                 { d.diags = append(d.diags, diag) }
+func (d *driver) report(diag Diagnostic)                  { d.diags = append(d.diags, diag) }
 func (d *driver) suppressed(pos token.Pos, t string) bool { return d.index.suppressed(pos, t) }
 
 // Run loads the packages cfg selects and applies every analyzer: each

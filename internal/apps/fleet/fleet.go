@@ -117,9 +117,9 @@ func Fleet(cfg Config) []sim.Program {
 
 // Message kinds on the wire.
 const (
-	msgEcho = iota + 1 // client request: kind, client pid, round, padding
-	msgReply           // server reply: same bytes echoed back
-	msgBye             // client is finished
+	msgEcho  = iota + 1 // client request: kind, client pid, round, padding
+	msgReply            // server reply: same bytes echoed back
+	msgBye              // client is finished
 )
 
 // clientsOf returns how many clients shard s serves.
@@ -235,10 +235,10 @@ func (s *Server) Fork() (sim.Program, error) {
 
 // Client phases.
 const (
-	clSend = iota // send the round's request
-	clAwait       // consume the reply (then think)
-	clReport      // visible output for reporter clients
-	clBye         // tell the shard we are finished
+	clSend   = iota // send the round's request
+	clAwait         // consume the reply (then think)
+	clReport        // visible output for reporter clients
+	clBye           // tell the shard we are finished
 	clDone
 )
 

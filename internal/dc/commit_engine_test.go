@@ -106,11 +106,11 @@ func TestSendWithoutDependenciesAllocFree(t *testing.T) {
 	if len(d.msgDeps) != 0 {
 		t.Fatalf("dependency-free send stored a snapshot: %v", d.msgDeps)
 	}
-	d.ndSince[p.Index] = true
+	d.procs[p.Index].ndSince = true
 	send.Msg = 2
 	d.AfterEvent(p, send)
-	if snap := d.msgDeps[2]; len(snap) != 1 || snap[p.Index] != d.epoch[p.Index] {
-		t.Errorf("send after uncommitted ND carries %v, want {%d: %d}", snap, p.Index, d.epoch[p.Index])
+	if snap := d.msgDeps[2]; len(snap) != 1 || snap[p.Index] != d.procs[p.Index].epoch {
+		t.Errorf("send after uncommitted ND carries %v, want {%d: %d}", snap, p.Index, d.procs[p.Index].epoch)
 	}
 }
 
@@ -136,7 +136,7 @@ func TestForkImageBufferSizedOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		fd, p := fw.Recovery.(*DC), fw.Procs[0]
-		if fd.imgBuf[0] != nil {
+		if fd.procs[0].img != nil {
 			t.Fatalf("%s: fork already holds an image buffer", first)
 		}
 		if first == "commit" {
@@ -147,7 +147,7 @@ func TestForkImageBufferSizedOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		size, grown := fd.seg(0).Size(), cap(fd.imgBuf[0])
+		size, grown := fd.seg(0).Size(), cap(fd.procs[0].img)
 		if size == 0 || grown <= size {
 			t.Fatalf("%s: image buffer cap %d for a %d-byte segment, want headroom", first, grown, size)
 		}
@@ -161,8 +161,8 @@ func TestForkImageBufferSizedOnce(t *testing.T) {
 		}); n != 0 {
 			t.Errorf("%s: warmed fork commit+rollback allocates %.1f times per run, want 0", first, n)
 		}
-		if cap(fd.imgBuf[0]) != grown {
-			t.Errorf("%s: image buffer reallocated (%d -> %d)", first, grown, cap(fd.imgBuf[0]))
+		if cap(fd.procs[0].img) != grown {
+			t.Errorf("%s: image buffer reallocated (%d -> %d)", first, grown, cap(fd.procs[0].img))
 		}
 	}
 }
@@ -208,4 +208,22 @@ func TestObsDeterministicAcrossRuns(t *testing.T) {
 // tracksIn counts thread_name metadata records in a trace JSON blob.
 func tracksIn(data []byte) int {
 	return bytes.Count(data, []byte(`"thread_name"`))
+}
+
+// TestForkRecoveryFixedAllocs pins what forking a frozen one-process DC
+// allocates: the DC, its per-process records, Stats.Checkpoints, and the
+// segment's copy-on-write view. A per-process field kept outside proc
+// would add an allocation per fork.
+func TestForkRecoveryFixedAllocs(t *testing.T) {
+	w := sim.NewWorld(1, &idleProg{})
+	w.RecordTrace = false
+	d := New(w, protocol.CPVS, stablestore.Rio)
+	if err := d.Attach(); err != nil {
+		t.Fatal(err)
+	}
+	d.Freeze()
+	const want = 6
+	if n := testing.AllocsPerRun(100, func() { d.ForkRecovery(w) }); n != want {
+		t.Errorf("ForkRecovery of a frozen one-process DC allocates %.0f times, want %d", n, want)
+	}
 }

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"time"
 
 	"failtrans/internal/event"
@@ -183,6 +184,42 @@ func (l *ndLog) truncate(at int) {
 // uvarintLen is the length of v's uvarint encoding.
 func uvarintLen(v int) int { return (bits.Len64(uint64(v)|1) + 6) / 7 }
 
+// proc is Discount Checking's state for one process. A fork copies it by
+// value and then replaces the four fields that reference memory — seg, log,
+// deps and img (ForkRecovery).
+type proc struct {
+	// seg holds the process's committed checkpoint; nil until first used.
+	seg *vista.Segment
+	// log is the process's ND log. watermark (the log's end at the last
+	// commit), cursor (the next record to replay) and flushed (the end of
+	// the prefix that has reached stable storage — the log's end except
+	// under asynchronous logging, where the tail is volatile and is lost
+	// in a crash) are positions in it (logPos).
+	log       ndLog
+	watermark int
+	cursor    int
+	flushed   int
+	// deps[q] = q's commit epoch when the process acquired a dependence on
+	// q's then-uncommitted non-determinism; stale entries (q committed
+	// since) are pruned at coordination time. Nil until the first one.
+	deps  map[int]int
+	epoch int
+	// stepsBase anchors relative event positions: the process's Steps
+	// counter just after its last commit (or restore point).
+	stepsBase int
+	// img is the process's reusable checkpoint-image buffer, so a
+	// steady-state commit serializes into preallocated memory.
+	img []byte
+	// pendingCommit defers commit-after-event to the end of the step.
+	pendingCommit string
+	// ndSince marks non-determinism since the last commit.
+	ndSince   bool
+	replaying bool
+	// replayOpen marks an open "replay" tracer window, so the End pairs
+	// with its Begin exactly once.
+	replayOpen bool
+}
+
 // DC is one Discount Checking instance governing every process of a world.
 type DC struct {
 	World  *sim.World
@@ -192,13 +229,8 @@ type DC struct {
 	// PageSize configures the Vista segments' trap granularity.
 	PageSize int
 
-	segs    []*vista.Segment
-	ndSince []bool
-	// deps[p][q] = q's commit epoch when p acquired a dependence on q's
-	// then-uncommitted non-determinism; stale entries (q committed
-	// since) are pruned at coordination time.
-	deps  []map[int]int
-	epoch []int
+	// procs holds each process's state, by process index.
+	procs []proc
 	//failtrans:cowshared mutableMsgDeps
 	msgDeps map[int64]map[int]int
 	// msgDepsShared marks msgDeps as borrowed from a frozen template; the
@@ -206,32 +238,7 @@ type DC struct {
 	// shared).
 	msgDepsShared bool
 
-	// logs holds each process's ND log. watermark (the log's end at the
-	// last commit), cursor (the next record to replay) and flushed are
-	// positions in it (logPos).
-	logs      []ndLog
-	watermark []int
-	replaying []bool
-	cursor    []int
-	// stepsBase anchors relative event positions: the process's Steps
-	// counter just after its last commit (or restore point).
-	stepsBase []int
-	// replayOpen marks processes with an open "replay" tracer window, so
-	// the End pairs with its Begin exactly once.
-	replayOpen []bool
-	// flushed is the end of the log prefix that has reached stable storage
-	// (the log's end except under asynchronous logging, where the tail is
-	// volatile and is lost in a crash).
-	flushed []int
-
-	// pendingCommit defers commit-after-event to the end of the step.
-	pendingCommit []string
-
 	registers []byte
-
-	// imgBuf holds one reusable checkpoint-image buffer per process, so
-	// a steady-state commit serializes into preallocated memory.
-	imgBuf [][]byte
 
 	// CommitHook, if set, is called after every commit (fault studies
 	// record commit positions through it).
@@ -282,29 +289,14 @@ type DC struct {
 func New(w *sim.World, pol protocol.Policy, medium stablestore.Medium) *DC {
 	n := len(w.Procs)
 	d := &DC{
-		World:         w,
-		Policy:        pol,
-		Medium:        medium,
-		PageSize:      vista.DefaultPageSize,
-		segs:          make([]*vista.Segment, n),
-		ndSince:       make([]bool, n),
-		deps:          make([]map[int]int, n),
-		epoch:         make([]int, n),
-		msgDeps:       make(map[int64]map[int]int),
-		logs:          make([]ndLog, n),
-		watermark:     make([]int, n),
-		replaying:     make([]bool, n),
-		cursor:        make([]int, n),
-		stepsBase:     make([]int, n),
-		replayOpen:    make([]bool, n),
-		flushed:       make([]int, n),
-		pendingCommit: make([]string, n),
-		registers:     make([]byte, registerFileSize),
-		imgBuf:        make([][]byte, n),
-	}
-	d.Stats.Checkpoints = make([]int, n)
-	for i := range d.deps {
-		d.deps[i] = make(map[int]int)
+		World:     w,
+		Policy:    pol,
+		Medium:    medium,
+		PageSize:  vista.DefaultPageSize,
+		procs:     make([]proc, n),
+		msgDeps:   make(map[int64]map[int]int),
+		registers: make([]byte, registerFileSize),
+		Stats:     Stats{Checkpoints: make([]int, n)},
 	}
 	w.Recovery = d
 	return d
@@ -328,14 +320,15 @@ func (d *DC) Attach() error {
 }
 
 func (d *DC) seg(i int) *vista.Segment {
-	if d.segs[i] == nil {
+	ps := &d.procs[i]
+	if ps.seg == nil {
 		//failtrans:alloc lazy one-time segment construction; every later commit of the process reuses it
-		d.segs[i] = vista.NewSegment(0, d.PageSize)
+		ps.seg = vista.NewSegment(0, d.PageSize)
 		if m := d.World.Metrics; m != nil && i < len(m.Procs) {
-			d.segs[i].Metrics = m.VistaBlock(i)
+			ps.seg.Metrics = m.VistaBlock(i)
 		}
 	}
-	return d.segs[i]
+	return ps.seg
 }
 
 // errCheckFailed marks a commit refused by a pre-commit consistency check;
@@ -407,7 +400,7 @@ func (d *DC) diffOne(p *sim.Proc) (vista.Stats, error) {
 		//failtrans:alloc cold error path: a failed serialization aborts the commit, so the formatting never runs in a committing cycle
 		return vista.Stats{}, fmt.Errorf("dc: commit %s: %w", p.Prog.Name(), err)
 	}
-	d.imgBuf[p.Index] = buf
+	d.procs[p.Index].img = buf
 	return d.seg(p.Index).CommitImage(buf, d.registers), nil
 }
 
@@ -419,13 +412,14 @@ func (d *DC) diffOne(p *sim.Proc) (vista.Stats, error) {
 // an eighth and 256 bytes for the state to grow into, rather than grown by
 // doubling.
 func (d *DC) image(i int) []byte {
-	if d.imgBuf[i] == nil {
+	ps := &d.procs[i]
+	if ps.img == nil {
 		if n := d.seg(i).Size(); n > 0 {
 			//failtrans:alloc one-time per process (per fork): every later commit and rollback reuses the buffer
-			d.imgBuf[i] = make([]byte, 0, n+n/8+256)
+			ps.img = make([]byte, 0, n+n/8+256)
 		}
 	}
-	return d.imgBuf[i][:0]
+	return ps.img[:0]
 }
 
 // finishCommit applies a commit's bookkeeping: virtual-time charge, stats,
@@ -451,14 +445,15 @@ func (d *DC) finishCommit(p *sim.Proc, st vista.Stats, label string) {
 	}
 	d.World.RecordCommit(p, label)
 	d.World.CommitPoint(p)
-	d.ndSince[p.Index] = false
-	d.epoch[p.Index]++
-	if d.replaying[p.Index] {
-		d.watermark[p.Index] = d.cursor[p.Index]
+	ps := &d.procs[p.Index]
+	ps.ndSince = false
+	ps.epoch++
+	if ps.replaying {
+		ps.watermark = ps.cursor
 	} else {
-		d.watermark[p.Index] = d.logs[p.Index].end()
+		ps.watermark = ps.log.end()
 	}
-	d.stepsBase[p.Index] = p.Steps
+	ps.stepsBase = p.Steps
 	if d.CommitHook != nil {
 		d.CommitHook(p, label)
 	}
@@ -506,22 +501,26 @@ func (d *DC) commitCoordinated(trigger *sim.Proc, members []*sim.Proc, label str
 }
 
 // dependentSet returns the processes whose uncommitted non-determinism p
-// causally depends on (including p itself when it has uncommitted ND),
-// pruning satisfied dependencies.
+// causally depends on (including p itself, first, when it has uncommitted
+// ND), pruning satisfied dependencies. The others follow in process-index
+// order, so members commit — and trace — in the same order on every run.
 func (d *DC) dependentSet(p *sim.Proc) []*sim.Proc {
+	ps := &d.procs[p.Index]
 	var out []*sim.Proc
-	if d.ndSince[p.Index] {
+	if ps.ndSince {
 		out = append(out, p)
 	}
-	for q, ep := range d.deps[p.Index] {
-		if d.epoch[q] > ep {
-			delete(d.deps[p.Index], q) // q committed since: satisfied
+	self := len(out)
+	for q, ep := range ps.deps {
+		if d.procs[q].epoch > ep {
+			delete(ps.deps, q) // q committed since: satisfied
 			continue
 		}
 		if q != p.Index {
 			out = append(out, d.World.Procs[q])
 		}
 	}
+	slices.SortFunc(out[self:], func(a, b *sim.Proc) int { return a.Index - b.Index })
 	return out
 }
 
@@ -529,14 +528,14 @@ func (d *DC) dependentSet(p *sim.Proc) []*sim.Proc {
 // sequential write, after which the retained messages it covers need no
 // separate redelivery buffer.
 func (d *DC) flushLog(p *sim.Proc) {
-	i := p.Index
-	l := &d.logs[i]
+	ps := &d.procs[p.Index]
+	l := &ps.log
 	end := l.end()
-	if d.flushed[i] >= end {
+	if ps.flushed >= end {
 		return
 	}
 	bytes := 0
-	for at := d.flushed[i]; at < end; {
+	for at := ps.flushed; at < end; {
 		var val []byte
 		_, _, val, at = l.rec(at)
 		bytes += len(val)
@@ -545,7 +544,7 @@ func (d *DC) flushLog(p *sim.Proc) {
 	cost := d.Medium.LogCost(bytes)
 	d.World.AddTime(p, cost)
 	d.Stats.LogTime += cost
-	d.flushed[i] = end
+	ps.flushed = end
 	d.World.DropRetained(p)
 	d.noteLogForce(p, start, cost, bytes)
 }
@@ -590,21 +589,21 @@ func (d *DC) BeforeEvent(p *sim.Proc, kind event.Kind, nd event.NDClass, label s
 			}
 			d.commitCoordinated(p, set, "2pc-visible")
 		default:
-			if pol.CommitBeforeVisible && (!pol.OnlyIfNDSinceCommit || d.ndSince[p.Index]) {
+			if pol.CommitBeforeVisible && (!pol.OnlyIfNDSinceCommit || d.procs[p.Index].ndSince) {
 				d.mustCommit(p, "before-visible")
 			}
 		}
 	case event.Send:
 		if !pol.Coordinated() && pol.CommitBeforeSend &&
-			(!pol.OnlyIfNDSinceCommit || d.ndSince[p.Index]) {
+			(!pol.OnlyIfNDSinceCommit || d.procs[p.Index].ndSince) {
 			d.mustCommit(p, "before-send")
 		}
 	}
 }
 
 func (d *DC) anyND() bool {
-	for _, nd := range d.ndSince {
-		if nd {
+	for i := range d.procs {
+		if d.procs[i].ndSince {
 			return true
 		}
 	}
@@ -622,7 +621,8 @@ func (d *DC) mustCommit(p *sim.Proc, label string) {
 // AfterEvent implements sim.Recovery: dependency tracking and the
 // commit-after family.
 func (d *DC) AfterEvent(p *sim.Proc, ev event.Event) {
-	if d.replaying[p.Index] {
+	ps := &d.procs[p.Index]
+	if ps.replaying {
 		if m := d.World.Metrics; m != nil {
 			m.Procs[p.Index].ReplayedEvents++
 		}
@@ -632,21 +632,20 @@ func (d *DC) AfterEvent(p *sim.Proc, ev event.Event) {
 		// Piggyback p's uncommitted-ND dependency snapshot on the
 		// message (out of band; a real system stamps the packet). The
 		// snapshot is built by its first dependency: most sends carry none.
-		deps := d.deps[p.Index]
 		var snap map[int]int
-		for q, ep := range deps {
-			if d.epoch[q] == ep {
+		for q, ep := range ps.deps {
+			if d.procs[q].epoch == ep {
 				if snap == nil {
-					snap = make(map[int]int, len(deps)+1)
+					snap = make(map[int]int, len(ps.deps)+1)
 				}
 				snap[q] = ep
 			}
 		}
-		if d.ndSince[p.Index] {
+		if ps.ndSince {
 			if snap == nil {
 				snap = make(map[int]int, 1)
 			}
-			snap[p.Index] = d.epoch[p.Index]
+			snap[p.Index] = ps.epoch
 		}
 		if snap != nil {
 			d.mutableMsgDeps()[ev.Msg] = snap
@@ -654,22 +653,22 @@ func (d *DC) AfterEvent(p *sim.Proc, ev event.Event) {
 	case event.Receive:
 		if snap, ok := d.msgDeps[ev.Msg]; ok {
 			for q, ep := range snap {
-				if d.epoch[q] == ep && q != p.Index {
-					if d.deps[p.Index] == nil {
-						d.deps[p.Index] = make(map[int]int)
+				if d.procs[q].epoch == ep && q != p.Index {
+					if ps.deps == nil {
+						ps.deps = make(map[int]int)
 					}
-					d.deps[p.Index][q] = ep
+					ps.deps[q] = ep
 				}
 			}
 		}
 	}
 	if ev.EffectivelyND() {
-		d.ndSince[p.Index] = true
+		ps.ndSince = true
 	}
 	// Replay missed its due record: the re-execution ran past the
 	// position where the original consumed a logged event.
-	if i := p.Index; d.replaying[i] && d.cursor[i] < d.logs[i].end() {
-		if pos, _, _, _ := d.logs[i].rec(d.cursor[i]); p.Steps-d.stepsBase[i] > pos {
+	if ps.replaying && ps.cursor < ps.log.end() {
+		if pos, _, _, _ := ps.log.rec(ps.cursor); p.Steps-ps.stepsBase > pos {
 			d.divergeLog(p)
 		}
 	}
@@ -679,18 +678,19 @@ func (d *DC) AfterEvent(p *sim.Proc, ev event.Event) {
 	// is in the committed address space; here it reaches state only when
 	// the step's code runs).
 	if d.Policy.CommitEveryEvent {
-		d.pendingCommit[p.Index] = "every-event"
+		ps.pendingCommit = "every-event"
 		return
 	}
 	if d.Policy.CommitAfterND && ev.EffectivelyND() {
-		d.pendingCommit[p.Index] = "after-nd"
+		ps.pendingCommit = "after-nd"
 	}
 }
 
 // EndStep implements sim.Recovery: execute a deferred commit-after.
 func (d *DC) EndStep(p *sim.Proc) {
-	if label := d.pendingCommit[p.Index]; label != "" {
-		d.pendingCommit[p.Index] = ""
+	if ps := &d.procs[p.Index]; ps.pendingCommit != "" {
+		label := ps.pendingCommit
+		ps.pendingCommit = ""
 		d.mustCommit(p, label)
 	}
 }
@@ -704,18 +704,18 @@ func (d *DC) EndStep(p *sim.Proc) {
 // with any unconsumed logged receives re-queued as live messages so they
 // are not lost.
 func (d *DC) SupplyND(p *sim.Proc, label string) ([]byte, bool) {
-	i := p.Index
-	if !d.replaying[i] {
+	ps := &d.procs[p.Index]
+	if !ps.replaying {
 		return nil, false
 	}
-	end := d.logs[i].end()
-	if d.cursor[i] >= end {
-		d.replaying[i] = false
+	end := ps.log.end()
+	if ps.cursor >= end {
+		ps.replaying = false
 		d.endReplayWindow(p)
 		return nil, false
 	}
-	pos, recLabel, val, next := d.logs[i].rec(d.cursor[i])
-	rel := p.Steps - d.stepsBase[i]
+	pos, recLabel, val, next := ps.log.rec(ps.cursor)
+	rel := p.Steps - ps.stepsBase
 	if rel < pos {
 		return nil, false // not due yet: execute live
 	}
@@ -723,9 +723,9 @@ func (d *DC) SupplyND(p *sim.Proc, label string) ([]byte, bool) {
 		d.divergeLog(p)
 		return nil, false
 	}
-	d.cursor[i] = next
+	ps.cursor = next
 	if next >= end {
-		d.replaying[i] = false
+		ps.replaying = false
 		d.endReplayWindow(p)
 	}
 	return val, true
@@ -736,18 +736,18 @@ func (d *DC) SupplyND(p *sim.Proc, label string) ([]byte, bool) {
 // position past the cut moves back to it: the records logged from here on
 // are the volatile tail.
 func (d *DC) divergeLog(p *sim.Proc) {
-	i := p.Index
-	l := &d.logs[i]
-	for at, end := d.cursor[i], l.end(); at < end; {
+	ps := &d.procs[p.Index]
+	l := &ps.log
+	for at, end := ps.cursor, l.end(); at < end; {
 		var label, val []byte
 		_, label, val, at = l.rec(at)
 		if string(label) == "recv" {
 			d.World.RequeueLogged(p, val)
 		}
 	}
-	l.truncate(d.cursor[i])
-	d.flushed[i] = min(d.flushed[i], d.cursor[i])
-	d.replaying[i] = false
+	l.truncate(ps.cursor)
+	ps.flushed = min(ps.flushed, ps.cursor)
+	ps.replaying = false
 	d.endReplayWindow(p)
 }
 
@@ -771,12 +771,12 @@ func (d *DC) mutableMsgDeps() map[int64]map[int]int {
 // can deliver) or the re-execution diverged (resolve by flushing logged
 // receives back into the inbox).
 func (d *DC) OnBlocked(p *sim.Proc) bool {
-	i := p.Index
-	if !d.replaying[i] || d.cursor[i] >= d.logs[i].end() {
+	ps := &d.procs[p.Index]
+	if !ps.replaying || ps.cursor >= ps.log.end() {
 		return false
 	}
-	pos, label, _, _ := d.logs[i].rec(d.cursor[i])
-	if p.Steps-d.stepsBase[i] >= pos && string(label) == "recv" {
+	pos, label, _, _ := ps.log.rec(ps.cursor)
+	if p.Steps-ps.stepsBase >= pos && string(label) == "recv" {
 		return true
 	}
 	// Blocked before the due position, or the due record is not a
@@ -794,8 +794,8 @@ func (d *DC) RecordND(p *sim.Proc, label string, val []byte) bool {
 	if !d.Policy.LogsLabel(label) {
 		return false
 	}
-	i := p.Index
-	d.logs[i].append(p.Steps-d.stepsBase[i], label, val)
+	ps := &d.procs[p.Index]
+	ps.log.append(p.Steps-ps.stepsBase, label, val)
 	d.Stats.LogRecords++
 	d.Stats.LogBytes += int64(len(val))
 	if d.Policy.LogAsync {
@@ -807,7 +807,7 @@ func (d *DC) RecordND(p *sim.Proc, label string, val []byte) bool {
 	cost := d.Medium.LogCost(len(val))
 	d.World.AddTime(p, cost)
 	d.Stats.LogTime += cost
-	d.flushed[i] = d.logs[i].end()
+	ps.flushed = ps.log.end()
 	d.noteLogForce(p, start, cost, len(val))
 	return true
 }
@@ -839,8 +839,9 @@ func (d *DC) Checkpoint(p *sim.Proc) error { return d.commitOne(p, "explicit") }
 // image, rebuild session and kernel state, restore or log-replay messages.
 func (d *DC) Rollback(p *sim.Proc) error {
 	i := p.Index
+	ps := &d.procs[i]
 	// Depth must be read before the restore rewinds p.Steps.
-	depth := int64(p.Steps - d.stepsBase[i])
+	depth := int64(p.Steps - ps.stepsBase)
 	start := p.Ctx().NowVirtual()
 	d.endReplayWindow(p) // a crash mid-replay abandons the open window
 	if err := d.rollbackRestore(p); err != nil {
@@ -849,8 +850,8 @@ func (d *DC) Rollback(p *sim.Proc) error {
 	// A crash loses the volatile tail of an asynchronous log; the
 	// re-execution runs those events live (their messages are still in
 	// the retention buffer).
-	if d.flushed[i] < d.logs[i].end() {
-		d.logs[i].truncate(d.flushed[i])
+	if ps.flushed < ps.log.end() {
+		ps.log.truncate(ps.flushed)
 	}
 	if d.Policy.LogsLabel("recv") && !d.Policy.LogAsync {
 		// Consumed messages live in the log past the watermark; replay
@@ -859,12 +860,12 @@ func (d *DC) Rollback(p *sim.Proc) error {
 	} else {
 		d.World.RequeueRetained(p)
 	}
-	d.cursor[i] = d.watermark[i]
-	d.replaying[i] = d.cursor[i] < d.logs[i].end()
-	d.stepsBase[i] = p.Steps // restore point == last commit position
-	d.ndSince[i] = false
-	d.pendingCommit[i] = "" // a commit deferred by the crashed step is void
-	cost := d.Medium.CommitCost(len(d.imgBuf[i]))
+	ps.cursor = ps.watermark
+	ps.replaying = ps.cursor < ps.log.end()
+	ps.stepsBase = p.Steps // restore point == last commit position
+	ps.ndSince = false
+	ps.pendingCommit = "" // a commit deferred by the crashed step is void
+	cost := d.Medium.CommitCost(len(ps.img))
 	d.World.AddTime(p, cost)
 	d.Stats.Recoveries++
 	if m := d.World.Metrics; m != nil {
@@ -875,11 +876,11 @@ func (d *DC) Rollback(p *sim.Proc) error {
 	}
 	if t := d.World.Tracer; t != nil {
 		t.SpanArgs(i, "dc", "rollback", start, cost, "", "", "depth", depth)
-		if d.replaying[i] {
+		if ps.replaying {
 			// The constrained re-execution window opens where the restore
 			// ends and closes when the log runs dry or replay diverges.
 			t.Begin(i, "dc", "replay", start+cost)
-			d.replayOpen[i] = true
+			ps.replayOpen = true
 		}
 	}
 	return nil
@@ -899,15 +900,15 @@ func (d *DC) rollbackRestore(p *sim.Proc) error {
 	seg := d.seg(i)
 	seg.RollbackPages()
 	img := seg.AppendContents(d.image(i))
-	d.imgBuf[i] = img
+	d.procs[i].img = img
 	return p.RestoreCheckpointImage(img)
 }
 
 // endReplayWindow closes the process's open "replay" tracer window, if any.
 // Every site that clears replaying goes through it so Begin/End pair 1:1.
 func (d *DC) endReplayWindow(p *sim.Proc) {
-	if d.replayOpen[p.Index] {
-		d.replayOpen[p.Index] = false
+	if ps := &d.procs[p.Index]; ps.replayOpen {
+		ps.replayOpen = false
 		d.World.Tracer.End(p.Index, p.Ctx().NowVirtual())
 	}
 }

@@ -3,6 +3,7 @@ package dc
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -489,6 +490,42 @@ func TestDependentTwoPhaseScope(t *testing.T) {
 	}
 	if d.Stats.Checkpoints[0] == 0 {
 		t.Error("requester never committed")
+	}
+}
+
+// TestDependentSetIndexOrder: a coordinated commit's members are the trigger
+// first, when it has uncommitted non-determinism, then the processes it
+// depends on in process-index order, whatever order the dependency map
+// yields them in; a dependency on a process that committed since is pruned.
+func TestDependentSetIndexOrder(t *testing.T) {
+	progs := make([]sim.Program, 7)
+	for i := range progs {
+		progs[i] = &idleProg{}
+	}
+	w := sim.NewWorld(1, progs...)
+	d := New(w, protocol.CBNDV2PC, stablestore.Rio)
+	if err := d.Attach(); err != nil {
+		t.Fatal(err)
+	}
+	p := w.Procs[2]
+	ps := &d.procs[p.Index]
+	want := []int{2, 0, 1, 3, 4, 5}
+	for range 50 {
+		ps.ndSince = true
+		ps.deps = map[int]int{6: d.procs[6].epoch - 1}
+		for _, q := range []int{5, 0, 4, 1, 3} {
+			ps.deps[q] = d.procs[q].epoch
+		}
+		var got []int
+		for _, q := range d.dependentSet(p) {
+			got = append(got, q.Index)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("dependent set = %v, want %v", got, want)
+		}
+		if _, ok := ps.deps[6]; ok {
+			t.Fatal("a dependency on a process that committed since was not pruned")
+		}
 	}
 }
 

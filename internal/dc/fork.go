@@ -1,56 +1,38 @@
 package dc
 
 import (
+	"maps"
+
 	"failtrans/internal/sim"
-	"failtrans/internal/vista"
 )
 
 // ForkRecovery implements sim.ForkableRecovery: it seals the DC with Freeze
 // and returns a copy-on-write fork of the whole Discount Checking state —
 // Vista segments mid-transaction, ND logs and replay cursors, dependency
 // maps, commit epochs — against the forked world w, so the fork recovers and
-// commits exactly as the original would from this point on. Segments fork as
-// overlay views of the sealed pages, the ND logs' segments and the
-// message-dependency map are shared behind immutable references (a fork
-// copies each log's spine with the segments capacity-clamped, so its appends
-// start a segment of its own; msgDeps is copied top-level on first insert),
-// and the per-process image buffers start empty and grow lazily. The
+// commits exactly as the original would from this point on. The per-process
+// records are copied by value, and then the four fields that reference
+// memory are replaced: segments fork as overlay views of the sealed pages,
+// dependency maps are cloned, the ND logs' segments are shared behind
+// immutable references (a fork copies each log's spine with the segments
+// capacity-clamped, so its appends start a segment of its own), and the
+// image buffers start empty and grow lazily. The message-dependency map is
+// shared too and copied top-level on the fork's first insert. The
 // CommitHook/RecoveryHook/CommitVeto/ExpandResourcesOnCrash callbacks do NOT
 // carry over: they are per-run harness wiring (the original's closures would
 // observe the wrong run); callers re-install their own on the returned *DC
 // (the concrete type is the return value's dynamic type).
 func (d *DC) ForkRecovery(w *sim.World) sim.Recovery {
 	d.Freeze()
-	n := len(d.segs)
-	// The fixed-length per-process bookkeeping shares two backing arrays —
-	// forks are taken millions of times per campaign, and each separate
-	// small slice is one more allocation on that path. Capacity clamps keep
-	// an (impossible today) append from crossing into a neighbor field.
-	ints := make([]int, 6*n)
-	bools := make([]bool, 3*n)
 	nd := &DC{
-		World:         w,
-		Policy:        d.Policy,
-		Medium:        d.Medium,
-		PageSize:      d.PageSize,
-		segs:          make([]*vista.Segment, n),
-		ndSince:       bools[0:n:n],
-		deps:          make([]map[int]int, n),
-		epoch:         ints[0:n:n],
-		logs:          make([]ndLog, n),
-		watermark:     ints[n : 2*n : 2*n],
-		replaying:     bools[n : 2*n : 2*n],
-		cursor:        ints[2*n : 3*n : 3*n],
-		stepsBase:     ints[3*n : 4*n : 4*n],
-		replayOpen:    bools[2*n : 3*n : 3*n], // stays false: no tracer on a fork
-		flushed:       ints[4*n : 5*n : 5*n],
-		pendingCommit: append([]string(nil), d.pendingCommit...),
+		World:    w,
+		Policy:   d.Policy,
+		Medium:   d.Medium,
+		PageSize: d.PageSize,
+		procs:    append([]proc(nil), d.procs...),
 		// registers is written once at New and only ever read afterwards
 		// (Segment.Commit copies it out), so every fork shares it.
 		registers: d.registers,
-		// imgBuf slots stay nil: they grow on the fork's first commit or
-		// rollback, and most campaign forks crash before either.
-		imgBuf: make([][]byte, n),
 		// Message-dependency snapshots are write-once; the top-level map is
 		// copied on the fork's first insert (mutableMsgDeps).
 		msgDeps:           d.msgDeps,
@@ -61,49 +43,41 @@ func (d *DC) ForkRecovery(w *sim.World) sim.Recovery {
 		ChecksFailed:      d.ChecksFailed,
 		Stats:             d.Stats,
 	}
-	copy(nd.ndSince, d.ndSince)
-	copy(nd.replaying, d.replaying)
-	copy(nd.epoch, d.epoch)
-	copy(nd.watermark, d.watermark)
-	copy(nd.cursor, d.cursor)
-	copy(nd.stepsBase, d.stepsBase)
-	copy(nd.flushed, d.flushed)
-	nd.Stats.Checkpoints = ints[5*n : 6*n : 6*n]
-	copy(nd.Stats.Checkpoints, d.Stats.Checkpoints)
-	for i, dep := range d.deps {
-		if len(dep) == 0 {
-			continue // the receive path allocates on first insert
-		}
-		nd.deps[i] = make(map[int]int, len(dep))
-		for q, ep := range dep {
-			nd.deps[i][q] = ep
-		}
-	}
-	for i, seg := range d.segs {
-		if seg != nil {
-			nd.segs[i] = seg.Fork()
-		}
-	}
+	nd.Stats.Checkpoints = append([]int(nil), d.Stats.Checkpoints...)
 	// Written log bytes never change, so the fork shares every segment and
 	// copies only the spines, all into one backing array. Each segment is
 	// capacity-clamped, so the fork's first record starts a new segment, and
 	// each spine keeps one free slot for it.
 	spines := 0
-	for _, l := range d.logs {
-		if len(l.segs) > 0 {
-			spines += len(l.segs) + 1
+	for i := range d.procs {
+		if k := len(d.procs[i].log.segs); k > 0 {
+			spines += k + 1
 		}
 	}
 	spine := make([][]byte, spines)
-	for i, l := range d.logs {
-		if k := len(l.segs); k > 0 {
-			for j, seg := range l.segs {
+	for i := range nd.procs {
+		ps := &nd.procs[i]
+		if ps.seg != nil {
+			ps.seg = ps.seg.Fork()
+		}
+		if len(ps.deps) > 0 {
+			ps.deps = maps.Clone(ps.deps)
+		} else {
+			ps.deps = nil // the receive path allocates on first insert
+		}
+		if k := len(ps.log.segs); k > 0 {
+			for j, seg := range ps.log.segs {
 				spine[j] = seg[:len(seg):len(seg)]
 			}
 			slot := k + 1
-			nd.logs[i].segs = spine[:k:slot]
+			ps.log.segs = spine[:k:slot]
 			spine = spine[slot:]
 		}
+		// img starts empty: it grows on the fork's first commit or
+		// rollback, and most campaign forks crash before either. There is
+		// no tracer on a fork, so no replay window is open.
+		ps.img = nil
+		ps.replayOpen = false
 	}
 	return nd
 }
@@ -113,8 +87,8 @@ func (d *DC) ForkRecovery(w *sim.World) sim.Recovery {
 // dependency maps are only ever written from a World.Step, which a sealed
 // world refuses. There is no thaw — a frozen DC exists only to be forked.
 func (d *DC) Freeze() {
-	for _, seg := range d.segs {
-		if seg != nil {
+	for i := range d.procs {
+		if seg := d.procs[i].seg; seg != nil {
 			seg.Freeze()
 		}
 	}
@@ -124,8 +98,8 @@ func (d *DC) Freeze() {
 // forking: pages privatized out of their frozen templates and bytes copied
 // doing so.
 func (d *DC) CowStats() (pages int, bytes int64) {
-	for _, seg := range d.segs {
-		if seg != nil {
+	for i := range d.procs {
+		if seg := d.procs[i].seg; seg != nil {
 			pages += seg.CowPages
 			bytes += seg.CowBytes
 		}

@@ -1,0 +1,99 @@
+package dc
+
+import (
+	"maps"
+	"reflect"
+	"slices"
+	"testing"
+
+	"failtrans/internal/apps/treadmarks"
+	"failtrans/internal/protocol"
+	"failtrans/internal/sim"
+	"failtrans/internal/stablestore"
+)
+
+// treadmarksWorld builds the Figure 8 treadmarks world (four processes) with
+// DC attached under pol.
+func treadmarksWorld(t *testing.T, pol protocol.Policy) (*sim.World, *DC) {
+	t.Helper()
+	progs, err := treadmarks.Fleet(4, 72, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := sim.NewWorld(7, progs...)
+	d := New(w, pol, stablestore.Rio)
+	if err := d.Attach(); err != nil {
+		t.Fatal(err)
+	}
+	return w, d
+}
+
+// cloneProcs deep-copies per-process records: dependency maps, log
+// segments and image buffers by content, segments by identity (a frozen
+// template's segment must be the same one after any fork has run).
+func cloneProcs(ps []proc) []proc {
+	out := slices.Clone(ps)
+	for i := range out {
+		c := &out[i]
+		c.deps = maps.Clone(c.deps)
+		c.log.segs = slices.Clone(c.log.segs)
+		for j, seg := range c.log.segs {
+			c.log.segs[j] = slices.Clone(seg)
+		}
+		c.img = slices.Clone(c.img)
+	}
+	return out
+}
+
+// TestForkLeavesTemplateUntouched: a fork of a frozen DC runs to completion —
+// receiving, pruning dependencies, logging, crashing and replaying — without
+// writing any of its template's per-process state. Treadmarks programs are
+// not forkable, so the fork drives a twin world stepped to the same point:
+// the simulation is deterministic, so the twin's processes are in exactly
+// the state the template's DC recorded.
+func TestForkLeavesTemplateUntouched(t *testing.T) {
+	for _, pol := range []protocol.Policy{protocol.CBNDV2PC, protocol.CBNDVSLog} {
+		t.Run(pol.Name, func(t *testing.T) {
+			tmpl, td := treadmarksWorld(t, pol)
+			// Fork once some process holds a dependency (CBNDV-2PC) or a
+			// logged record (CBNDVS-LOG, whose logged receives carry none).
+			held := func() bool {
+				return slices.ContainsFunc(td.procs, func(ps proc) bool { return len(ps.deps) > 0 || ps.log.end() > 0 })
+			}
+			for !held() {
+				if more, err := tmpl.Step(); err != nil || !more {
+					t.Fatalf("template stopped at step %d holding no dependency or record: more=%v err=%v", tmpl.StepCount(), more, err)
+				}
+			}
+			twin, _ := treadmarksWorld(t, pol)
+			for twin.StepCount() < tmpl.StepCount() {
+				if _, err := twin.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tmpl.Freeze()
+			before := cloneProcs(td.procs)
+			fd := td.ForkRecovery(twin).(*DC)
+			twin.Recovery = fd
+			twin.ScheduleStop(1, twin.Procs[1].Steps+40)
+			if err := twin.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if !twin.AllDone() || fd.Stats.Recoveries == 0 {
+				t.Fatalf("fork did not finish through a recovery: done=%v recoveries=%d", twin.AllDone(), fd.Stats.Recoveries)
+			}
+			if slices.EqualFunc(before, fd.procs, func(a, b proc) bool {
+				return maps.Equal(a.deps, b.deps) && a.log.end() == b.log.end()
+			}) {
+				t.Fatal("the fork's run left every dependency map and log as the template had it; the check is vacuous")
+			}
+			if after := cloneProcs(td.procs); !reflect.DeepEqual(before, after) {
+				for i := range before {
+					if !reflect.DeepEqual(before[i], after[i]) {
+						t.Errorf("template process %d changed under its fork:\nbefore %+v\nafter  %+v", i, before[i], after[i])
+					}
+				}
+			}
+		})
+	}
+}

@@ -42,7 +42,7 @@ func logInputs(t *testing.T, d *DC, tag byte, from, to int) {
 // logged decodes process 0's whole log into its values.
 func logged(d *DC) []string {
 	var out []string
-	l := &d.logs[0]
+	l := &d.procs[0].log
 	for at, end := 0, l.end(); at < end; {
 		var val []byte
 		_, _, val, at = l.rec(at)
@@ -83,7 +83,7 @@ func divergeAt(t *testing.T, f *DC, n int) {
 			t.Fatalf("replay stopped at record %d, want %d", k, n)
 		}
 	}
-	if _, ok := f.SupplyND(p, "rand"); ok || f.replaying[0] {
+	if _, ok := f.SupplyND(p, "rand"); ok || f.procs[0].replaying {
 		t.Fatal("a rand request against a logged input did not diverge")
 	}
 }
@@ -264,7 +264,7 @@ func TestDivergedAsyncTailIsVolatile(t *testing.T) {
 	if err := d.Rollback(p); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := d.SupplyND(p, "input"); ok || d.replaying[0] {
+	if _, ok := d.SupplyND(p, "input"); ok || d.procs[0].replaying {
 		t.Fatal("an input request against a logged rand did not diverge")
 	}
 	tail := inputValue('v', 0)

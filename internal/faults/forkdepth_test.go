@@ -69,9 +69,9 @@ func TestForkCostBySnapshotDepth(t *testing.T) {
 		t.Logf("%s: a fork of snapshot %d allocates %.0f times", app, len(c.snaps)-1, got)
 		for i := range c.snaps {
 			snap := &c.snaps[i]
-			segs := reflect.ValueOf(snap.world.Recovery).Elem().FieldByName("segs")
-			for j := 0; j < segs.Len(); j++ {
-				if holdsBase(t, segs.Index(j)) {
+			procs := reflect.ValueOf(snap.world.Recovery).Elem().FieldByName("procs")
+			for j := 0; j < procs.Len(); j++ {
+				if holdsBase(t, procs.Index(j).FieldByName("seg")) {
 					t.Errorf("%s: snapshot %d segment %d reads through a base", app, i, j)
 				}
 			}

@@ -55,8 +55,8 @@ type node struct {
 	// ownFile privatizes a base file before mutation, so every insert
 	// goes through one of the two.
 	//failtrans:cowshared setFile,ownFile
-	fs  map[string][]byte
-	fds map[int]*fdEntry
+	fs     map[string][]byte
+	fds    map[int]*fdEntry
 	nextFD int
 	// fdLimit is the node's open-file limit; ExpandResources raises it,
 	// turning the paper's fixed non-determinism of open into transient

@@ -82,8 +82,8 @@ type Segment struct {
 	// a frozen template, and touchPage privatizes a fork's page into
 	// overlay before the write lands.
 	//failtrans:cowshared mustMutable,touchPage
-	mem []byte
-	undo []undoRec
+	mem      []byte
+	undo     []undoRec
 	dirty    pageBitset
 	nDirty   int
 	savedReg []byte
