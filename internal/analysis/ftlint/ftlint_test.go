@@ -185,6 +185,10 @@ func TestHotpathRootsAnnotated(t *testing.T) {
 		// AppendMsgRecord, AppendParts; (*World).ndWord beside the arenas.
 		"../../sim/ctx.go":   7,
 		"../../sim/world.go": 3, // (*World).allocMsg, allocBytes, ndWord
+		// The readiness index: schedLess; (*World).schedTouch, schedReindex,
+		// schedPick, schedInsert, schedPlace, schedDueInsert, schedDelete,
+		// schedDrain, schedMerge.
+		"../../sim/sched.go": 10,
 		// The octree arena and the send buffer: (*Octree).node, Build,
 		// step; (*TM).encodeHead, stepBodies.
 		"../../apps/treadmarks/barneshut.go": 3,

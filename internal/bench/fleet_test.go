@@ -24,8 +24,9 @@ func (s *sleeper) Step(ctx *sim.Ctx) sim.Status {
 }
 
 // BenchmarkSchedUpdate measures one scheduling decision on a 10⁴-process world
-// where every process is a sleeper: each Step is a heap peek plus exactly
-// one reindex of the stepped process (steady state: zero allocations).
+// where every process is a sleeper: each Step is a readiness-index peek plus
+// exactly one reindex of the stepped process (steady state: zero
+// allocations).
 func BenchmarkSchedUpdate(b *testing.B) {
 	const n = 10_000
 	progs := make([]sim.Program, n)

@@ -154,17 +154,7 @@ func scenarios() []scenario {
 	}
 }
 
-// chaosProtocols is TestChaos's protocol list: the seven measured
-// protocols and the five catalog ones whose recovery runs only code the
-// seven share. The three LogAll protocols (HYPERVISOR, OPTIMISTIC,
-// MANETHO) are left out: xpilot's round 2 recovers all three to one and
-// the same wrong outcome.
-func chaosProtocols() []protocol.Policy {
-	return append(protocol.Measured(),
-		protocol.CommitAll, protocol.SBL, protocol.FBL, protocol.Targon32, protocol.CoordinatedCheckpointing)
-}
-
-// TestChaos is the gauntlet: for each app × protocol of chaosProtocols, run
+// TestChaos is the gauntlet: for each app × protocol of protocol.Space(), run
 // several randomized stop schedules and verify the outcome against the
 // clean run.
 func TestChaos(t *testing.T) {
@@ -187,7 +177,7 @@ func TestChaos(t *testing.T) {
 			}
 			want := sc.outcome(clean)
 
-			for _, pol := range chaosProtocols() {
+			for _, pol := range protocol.Space() {
 				pol := pol
 				t.Run(pol.Name, func(t *testing.T) {
 					for round := 0; round < rounds; round++ {

@@ -58,6 +58,11 @@ type Stats struct {
 	VetoConsults   int
 	CommitsVetoed  int
 	VetoedSaveWork int
+	// Divergences counts constrained re-executions that left their ND
+	// log: the unreplayed tail was discarded and the rest ran live. Under
+	// a policy that logs every ND event a replay has no reason to, so any
+	// divergence there is a replay bug.
+	Divergences int
 }
 
 // TotalCheckpoints sums commits across processes.
@@ -699,10 +704,14 @@ func (d *DC) EndStep(p *sim.Proc) {
 // log. Each record is due at the event position (relative to the last
 // commit) where the original run consumed it; earlier requests execute
 // live, which reproduces the original interleaving of consumption with
-// computation. A mismatch at the due position means the re-execution
-// diverged at an unlogged transient event; the stale tail is discarded,
-// with any unconsumed logged receives re-queued as live messages so they
-// are not lost.
+// computation. A poll (a receive or signal) the policy logs is the
+// exception: the log holds every poll that found something, so one it does
+// not supply here found nothing in the original run, and SupplyND answers
+// empty rather than letting the poll read state that changed while the
+// process was down. Any other mismatch at the due position means the
+// re-execution diverged at an unlogged transient event; the stale tail is
+// discarded, with any unconsumed logged receives re-queued as live messages
+// so they are not lost.
 func (d *DC) SupplyND(p *sim.Proc, label string) ([]byte, bool) {
 	ps := &d.procs[p.Index]
 	if !ps.replaying {
@@ -716,19 +725,22 @@ func (d *DC) SupplyND(p *sim.Proc, label string) ([]byte, bool) {
 	}
 	pos, recLabel, val, next := ps.log.rec(ps.cursor)
 	rel := p.Steps - ps.stepsBase
+	if rel == pos && string(recLabel) == label {
+		ps.cursor = next
+		if next >= end {
+			ps.replaying = false
+			d.endReplayWindow(p)
+		}
+		return val, true
+	}
+	if rel <= pos && (label == "recv" || label == "signal") && d.Policy.LogsLabel(label) {
+		return nil, true // the original poll found nothing
+	}
 	if rel < pos {
 		return nil, false // not due yet: execute live
 	}
-	if rel > pos || string(recLabel) != label {
-		d.divergeLog(p)
-		return nil, false
-	}
-	ps.cursor = next
-	if next >= end {
-		ps.replaying = false
-		d.endReplayWindow(p)
-	}
-	return val, true
+	d.divergeLog(p)
+	return nil, false
 }
 
 // divergeLog truncates the unreplayed log tail after a divergence,
@@ -736,6 +748,7 @@ func (d *DC) SupplyND(p *sim.Proc, label string) ([]byte, bool) {
 // position past the cut moves back to it: the records logged from here on
 // are the volatile tail.
 func (d *DC) divergeLog(p *sim.Proc) {
+	d.Stats.Divergences++
 	ps := &d.procs[p.Index]
 	l := &ps.log
 	for at, end := ps.cursor, l.end(); at < end; {

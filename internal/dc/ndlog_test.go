@@ -298,3 +298,69 @@ func TestDivergedAsyncTailIsVolatile(t *testing.T) {
 		t.Errorf("after the flush a crash replays %q, want the flushed tail", got)
 	}
 }
+
+// TestSupplyNDAnswersEmptyPolls: under a policy that logs a poll's label,
+// the log holds every poll that found something, so a poll it does not
+// supply found nothing in the original run. SupplyND answers such a poll
+// empty, (nil, true), both before the next record is due and at its
+// position, and does not diverge; a request of another kind at the due
+// position still diverges, and so does a poll whose label the policy does
+// not log.
+func TestSupplyNDAnswersEmptyPolls(t *testing.T) {
+	// Positions count events since the restore point, which a rollback
+	// takes at the process's current step count.
+	replayAt := func(pol protocol.Policy) (*DC, *sim.Proc, int) {
+		t.Helper()
+		w := sim.NewWorld(1, &idleProg{})
+		w.RecordTrace = false
+		d := New(w, pol, stablestore.Rio)
+		if err := d.Attach(); err != nil {
+			t.Fatal(err)
+		}
+		p := w.Procs[0]
+		p.Steps += 2 // the rand is the third event after the initial commit
+		if !d.RecordND(p, "rand", inputValue('r', 0)) && pol.LogAll {
+			t.Fatal("a log-everything policy did not log a rand")
+		}
+		d.RecordND(p, "input", inputValue('i', 0))
+		if err := d.Rollback(p); err != nil {
+			t.Fatal(err)
+		}
+		return d, p, p.Steps
+	}
+
+	d, p, base := replayAt(protocol.Hypervisor)
+	for _, steps := range []int{0, 2} { // before the rand is due, then at it
+		p.Steps = base + steps
+		for _, label := range []string{"recv", "signal"} {
+			if v, ok := d.SupplyND(p, label); !ok || v != nil {
+				t.Errorf("HYPERVISOR %s poll at event %d: (%q, %v), want (nil, true)", label, steps, v, ok)
+			}
+		}
+	}
+	if v, ok := d.SupplyND(p, "rand"); !ok || string(v) != string(inputValue('r', 0)) {
+		t.Errorf("the due rand after the empty polls: (%q, %v)", v, ok)
+	}
+	if d.Stats.Divergences != 0 {
+		t.Errorf("empty polls diverged the replay %d times", d.Stats.Divergences)
+	}
+	if _, ok := d.SupplyND(p, "gettimeofday"); ok || d.procs[0].replaying || d.Stats.Divergences != 1 {
+		t.Errorf("a clock read against a due input: ok=%v replaying=%v divergences=%d, want a divergence",
+			ok, d.procs[0].replaying, d.Stats.Divergences)
+	}
+
+	// CBNDVS-LOG logs inputs and receives, not signals.
+	d, p, base = replayAt(protocol.CBNDVSLog)
+	if v, ok := d.SupplyND(p, "recv"); !ok || v != nil {
+		t.Errorf("CBNDVS-LOG receive poll before the due input: (%q, %v), want (nil, true)", v, ok)
+	}
+	if _, ok := d.SupplyND(p, "signal"); ok || d.Stats.Divergences != 0 {
+		t.Errorf("CBNDVS-LOG signal poll before the due input: ok=%v divergences=%d, want a live poll",
+			ok, d.Stats.Divergences)
+	}
+	p.Steps = base + 2
+	if _, ok := d.SupplyND(p, "signal"); ok || d.Stats.Divergences != 1 {
+		t.Errorf("CBNDVS-LOG signal poll at the due input: ok=%v divergences=%d, want a divergence",
+			ok, d.Stats.Divergences)
+	}
+}

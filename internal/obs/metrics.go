@@ -211,9 +211,10 @@ type Metrics struct {
 	Steps          int64
 	TwoPhaseRounds int64
 
-	// SchedUpdates counts readiness-index reindex operations (push, move,
-	// remove) and SchedRebuilds counts full heap rebuilds (first decision
-	// after construction, Init, or Fork). Zero under the scan scheduler.
+	// SchedUpdates counts readiness-index reindex operations (insert,
+	// move, delete) and SchedRebuilds counts full index rebuilds (first
+	// decision after construction, Init, or Fork). Zero under the scan
+	// scheduler.
 	SchedUpdates  int64
 	SchedRebuilds int64
 

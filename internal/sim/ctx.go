@@ -127,7 +127,8 @@ func (c *Ctx) after(kind event.Kind, nd event.NDClass, logged bool, msg int64, p
 
 // replayND gives the recovery layer the chance to supply the logged value
 // of the next ND event with this label during constrained re-execution;
-// ok=false means the event executes live.
+// ok=false means the event executes live, and for a poll a nil val with
+// ok=true means the original poll found nothing (see Recovery.SupplyND).
 func (c *Ctx) replayND(label string) ([]byte, bool) {
 	if r := c.p.World.Recovery; r != nil {
 		return r.SupplyND(c.p, label)
@@ -209,8 +210,11 @@ func (c *Ctx) Input() ([]byte, bool) {
 //failtrans:hotpath
 func (c *Ctx) TakeSignal() (string, bool) {
 	// Constrained re-execution replays logged signals at their recorded
-	// positions.
+	// positions, and a logged empty poll as empty.
 	if v, ok := c.replayND("signal"); ok {
+		if v == nil {
+			return "", false
+		}
 		c.before(event.Internal, event.TransientND, "signal")
 		c.after(event.Internal, event.TransientND, true, 0, 0, "signal")
 		//failtrans:alloc constrained re-execution only: the replayed signal is rebuilt from its log record
@@ -262,11 +266,14 @@ func (c *Ctx) Send(to int, payload []byte) error {
 //failtrans:hotpath
 func (c *Ctx) Recv() (Msg, bool) {
 	w := c.p.World
-	// Constrained re-execution: replay a logged receive without
-	// touching the inbox. The high-water mark still advances so that a
-	// rolled-back sender's re-sent duplicate of this message is
-	// filtered.
+	// Constrained re-execution: replay a logged receive, or a logged
+	// empty poll, without touching the inbox. The high-water mark still
+	// advances so that a rolled-back sender's re-sent duplicate of this
+	// message is filtered.
 	if v, ok := c.replayND("recv"); ok {
+		if v == nil {
+			return Msg{}, false // the original poll found nothing here
+		}
 		//failtrans:alloc constrained re-execution only: the replayed message is rebuilt from its log record
 		m := DecodeMsgRecord(v)
 		c.p.bumpRecvHW(m.From, m.SendIdx)

@@ -110,6 +110,7 @@ func (w *World) Fork() (*World, error) {
 		MaxSteps:    w.MaxSteps,
 		EventCount:  w.EventCount,
 		ScanSched:   w.ScanSched,
+		schedShift:  w.schedShift,
 		doneCount:   w.doneCount,
 		deadCount:   w.deadCount,
 		msgSeq:      w.msgSeq,
@@ -118,10 +119,10 @@ func (w *World) Fork() (*World, error) {
 		inited:      w.inited,
 	}
 	// The readiness index is not forked: nw.schedBuilt stays false and the
-	// fork's first scheduling decision rebuilds its own heap (O(live), and
-	// campaign forks typically step only a short suffix). Message arenas
-	// likewise start fresh; the template's messages are immutable and
-	// shared by pointer.
+	// fork's first scheduling decision rebuilds its own queue (O(live), and
+	// campaign forks typically step only a short suffix) at the inherited
+	// bucket width. Message arenas likewise start fresh; the template's
+	// messages are immutable and shared by pointer.
 	// Outputs slices are append-only; a capacity-clamped reslice shares the
 	// committed prefix copy-on-write: a fork's next append reallocates.
 	for i, o := range w.Outputs {
@@ -180,7 +181,6 @@ func (p *Proc) forkInto(np *Proc, nw *World) error {
 		dead:        p.dead,
 		inboxMin:    p.inboxMin,
 		inboxMinOK:  p.inboxMinOK,
-		schedIdx:    -1, // the fork builds its own readiness index
 	}
 	// A copy, never a shared backing array: bumpRecvHW updates a mark in
 	// place, which would leak the fork's receives into its template.

@@ -144,7 +144,11 @@ type Recovery interface {
 	OnBlocked(p *Proc) bool
 	// SupplyND gives the recovery layer a chance to replay a logged
 	// value for the next ND event with this label during constrained
-	// re-execution. ok=false means execute the event live.
+	// re-execution. It answers one of three ways: a non-nil val with
+	// ok=true supplies the logged value; ok=false executes the event
+	// live; and, for a poll (label "recv" or "signal"), a nil val with
+	// ok=true reports that the original run's poll found nothing here, so
+	// Recv and TakeSignal return empty without reading live state.
 	SupplyND(p *Proc, label string) (val []byte, ok bool)
 	// RecordND offers the live value of an ND event for logging; the
 	// return value reports whether it was logged (rendering the event

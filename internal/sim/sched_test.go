@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -71,7 +74,7 @@ func TestSchedTieLowestPid(t *testing.T) {
 }
 
 // TestSchedMixedWorkloadIdentical: messages, sleeps and terminations churn
-// the index through every transition (push, remove, move-up, move-down).
+// the index through every transition (insert, delete, re-key, drain).
 func TestSchedMixedWorkloadIdentical(t *testing.T) {
 	scan, indexed := twoWorlds(t, 9, func() []Program {
 		return []Program{
@@ -124,7 +127,7 @@ func TestSchedDelayClampsWakeIntoPresent(t *testing.T) {
 }
 
 // TestSchedMaxTimeBoundary: hitting MaxTime returns false without
-// consuming the pick; the indexed peek must leave the heap intact so the
+// consuming the pick; the indexed peek must leave the index intact so the
 // refusal is repeatable and the scan-identical step/clock state survives.
 func TestSchedMaxTimeBoundary(t *testing.T) {
 	run := func(scanSched bool) *World {
@@ -278,7 +281,7 @@ func TestSchedRequeueRearmsBlockedProc(t *testing.T) {
 
 // TestSchedRequeueLoggedRearmsBlockedProc: RequeueLogged re-injects a
 // logged message through inboxAdd, whose invalidation hook must wake the
-// index for a process that was out of the heap entirely.
+// index for a process that was out of the index entirely.
 func TestSchedRequeueLoggedRearmsBlockedProc(t *testing.T) {
 	w := NewWorld(22, &pinger{Rounds: 1}, &ponger{Max: 3})
 	for {
@@ -375,8 +378,165 @@ func TestSchedLenTracksActive(t *testing.T) {
 			break
 		}
 	}
-	// Drained: one final pick observed an empty heap.
+	// Drained: one final pick observed an empty index.
 	if got := w.SchedLen(); got != 0 {
 		t.Fatalf("SchedLen after drain = %d, want 0", got)
 	}
+}
+
+// fnapper is a forkable napper.
+type fnapper struct{ napper }
+
+func (n *fnapper) Fork() (Program, error) { return &fnapper{}, nil }
+
+// TestSchedForkFirstStepAllocs pins what a campaign-style fork of a
+// one-process world allocates up to and including its first step: the
+// world, its Outputs and Procs, the proc slab, the program, the readiness
+// index's one buffer and the stale list.
+func TestSchedForkFirstStepAllocs(t *testing.T) {
+	w := NewWorld(8, &fnapper{})
+	w.RecordTrace = false
+	if err := w.Init(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if more, err := w.Step(); err != nil || !more {
+			t.Fatalf("template step %d: more=%v err=%v", i, more, err)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		f, err := w.Fork()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if more, err := f.Step(); err != nil || !more {
+			t.Fatalf("fork step: more=%v err=%v", more, err)
+		}
+	})
+	if allocs != 7 {
+		t.Errorf("fork + first step: %v allocs, want 7", allocs)
+	}
+}
+
+// decision is one scheduling decision: the stepped process and the clock.
+type decision struct {
+	pid   int
+	clock time.Duration
+}
+
+// scripted runs a byte script, two bytes a step: an op and its argument.
+// Its sleeps are zero, sub-µs or jumps of up to 2^39 ns, which widen the
+// readiness index's buckets several times over and wrap its ring; its sends
+// reach peers whose own compute has put their wake-ups past the message's
+// delivery time. Every step appends its decision to a log the world's
+// programs share.
+type scripted struct {
+	script []byte
+	peers  int
+	pc     int
+	log    *[]decision
+}
+
+func (s *scripted) Name() string                  { return "scripted" }
+func (s *scripted) Init(ctx *Ctx) error           { return nil }
+func (s *scripted) MarshalState() ([]byte, error) { return nil, nil }
+func (s *scripted) UnmarshalState([]byte) error   { return nil }
+
+func (s *scripted) Step(ctx *Ctx) Status {
+	*s.log = append(*s.log, decision{ctx.Proc().Index, ctx.NowVirtual()})
+	if s.pc+1 >= len(s.script) {
+		return Done
+	}
+	op, arg := s.script[s.pc], int(s.script[s.pc+1])
+	switch op % 6 {
+	case 0: // runnable again at once
+	case 1: // sub-µs nap
+		ctx.Sleep(time.Duration(arg) * 3)
+	case 2: // a jump of 2^10..2^39 ns
+		ctx.Sleep(time.Duration(1) << (10 + arg%30))
+	case 3: // send after 0–310 µs of compute, so deliveries arrive out of order
+		ctx.Compute(time.Duration(arg>>3) * 10 * time.Microsecond)
+		if err := ctx.Send(arg%s.peers, []byte{op}); err != nil {
+			ctx.Crash(err.Error())
+			return Crashed
+		}
+	case 4: // block until a message is delivered
+		if _, ok := ctx.Recv(); !ok {
+			return WaitMsg
+		}
+	case 5: // compute past the peers' sends
+		ctx.Compute(time.Duration(arg) * 997 * time.Nanosecond)
+	}
+	s.pc += 2
+	if op%6 == 1 || op%6 == 2 {
+		return Sleeping
+	}
+	return Ready
+}
+
+// FuzzSchedMatchesScan runs up to eight scripted programs, cut from the
+// input, under the readiness index and under the scan, and requires the
+// same (pid, Clock) decision sequence from both.
+func FuzzSchedMatchesScan(f *testing.F) {
+	f.Add([]byte{3, 0, 1, 2, 9, 2, 5, 4, 0, 0, 0, 0, 2, 29, 1, 200})
+	f.Add([]byte{7, 2, 20, 2, 21, 2, 22, 3, 1, 4, 0, 5, 255, 0, 0, 1, 7, 2, 29, 3, 0, 4, 4})
+	f.Add([]byte{1, 0, 0, 0, 0, 1, 1, 0, 0, 1, 2})
+	f.Add([]byte{4, 3, 1, 3, 2, 3, 3, 4, 0, 4, 0, 5, 200, 2, 5, 4, 0, 1, 250, 2, 15, 0, 0, 2, 25, 3, 0, 4, 0})
+	// Eight programs napping in lockstep: every bucket holds ties.
+	f.Add(append([]byte{7}, bytes.Repeat([]byte{1, 7}, 8*40)...))
+	// Longer random scripts: ring wrap-arounds, and without the jumps,
+	// which widen the buckets past the message latency, waiting receivers
+	// re-keyed inside their buckets.
+	r := rand.New(rand.NewSource(1))
+	for _, n := range []int{200, 600, 1200} {
+		seed := make([]byte, n)
+		r.Read(seed)
+		f.Add(seed)
+		short := slices.Clone(seed)
+		for i := 1; i < len(short); i += 2 {
+			short[i] = []byte{0, 1, 3, 3, 4, 4, 5}[short[i]%7]
+		}
+		f.Add(short)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 || len(data) > 4096 {
+			return
+		}
+		k := 1 + int(data[0])%8
+		script := data[1:]
+		run := func(scan bool) ([]decision, *World) {
+			var log []decision
+			progs := make([]Program, k)
+			for i := range progs {
+				// Program i takes every k-th two-byte step of the script.
+				var own []byte
+				for j := 2 * i; j+1 < len(script); j += 2 * k {
+					own = append(own, script[j], script[j+1])
+				}
+				progs[i] = &scripted{script: own, peers: k, log: &log}
+			}
+			w := NewWorld(int64(k), progs...)
+			w.ScanSched = scan
+			w.RecordTrace = false
+			w.MaxSteps = 1 << 16
+			if err := w.Run(); err != nil {
+				t.Fatal(err)
+			}
+			return log, w
+		}
+		scanLog, scanW := run(true)
+		idxLog, idxW := run(false)
+		if len(scanLog) != len(idxLog) {
+			t.Fatalf("scan took %d decisions, index %d", len(scanLog), len(idxLog))
+		}
+		for i := range scanLog {
+			if scanLog[i] != idxLog[i] {
+				t.Fatalf("decision %d: scan %+v, index %+v", i, scanLog[i], idxLog[i])
+			}
+		}
+		if scanW.Clock != idxW.Clock || scanW.AllDone() != idxW.AllDone() {
+			t.Fatalf("scan ended at %v done=%v, index at %v done=%v",
+				scanW.Clock, scanW.AllDone(), idxW.Clock, idxW.AllDone())
+		}
+	})
 }

@@ -94,13 +94,15 @@ type Proc struct {
 	inboxMin   time.Duration
 	inboxMinOK bool
 
-	// schedAt/schedIdx are the process's slot in the world's readiness
-	// index (see sched.go): schedAt is the heap key (the readyAt the heap
-	// last saw), schedIdx the heap position (-1 = not runnable / not in
-	// the heap), and schedDirty marks a pending reindex on the world's
-	// stale list.
+	// schedAt/schedNext/schedPrev are the process's entry in the world's
+	// readiness index (see sched.go): schedAt is the key (the readyAt the
+	// index last saw), schedNext/schedPrev the pids of its neighbours in a
+	// bucket or the due run (schedNone at a list end; schedPrev is
+	// schedOut while the process is not in the index), and schedDirty
+	// marks a pending reindex on the world's stale list.
 	schedAt    time.Duration
-	schedIdx   int
+	schedNext  int32
+	schedPrev  int32
 	schedDirty bool
 
 	// ctxStore inlines the runtime context in the process's own arena
@@ -237,12 +239,22 @@ type World struct {
 	// Must be set before the first Step; Fork inherits it.
 	ScanSched bool
 
-	// sched is the readiness index: a binary min-heap of runnable
-	// processes keyed by (readyAt, pid); schedStale lists processes whose
-	// readiness inputs changed since the last scheduling decision, and
-	// schedBuilt marks the index constructed (it rebuilds lazily on the
-	// first indexed decision after NewWorld, Init or Fork). See sched.go.
-	sched      []*Proc
+	// The readiness index, a calendar queue of the runnable processes
+	// keyed by (readyAt, pid); see sched.go. sched is its one buffer: the
+	// ring's bucket heads (pids), then its occupancy bitmap. Buckets are
+	// 1<<schedShift ns wide (Fork inherits the width); schedCur is the due
+	// slot and schedDue/schedTail the ends of the due run; schedLen counts
+	// the entries. schedStale lists processes whose readiness inputs
+	// changed since the last scheduling decision, and schedBuilt marks the
+	// index constructed (it rebuilds lazily on the first indexed decision
+	// after NewWorld, Init or Fork).
+	sched      []int32
+	schedMask  int64
+	schedShift uint
+	schedCur   int64
+	schedDue   int32
+	schedTail  int32
+	schedLen   int
 	schedStale []*Proc
 	schedBuilt bool
 
@@ -365,7 +377,6 @@ func NewWorld(seed int64, progs ...Program) *World {
 		p.Prog = prog
 		p.World = w
 		p.rngSeed = seed ^ (int64(i)+1)*0x5851f42d4c957f2d
-		p.schedIdx = -1
 		p.initCtx()
 		w.Procs[i] = p
 	}
