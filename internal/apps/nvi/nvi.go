@@ -113,8 +113,10 @@ type Editor struct {
 	faultSalt uint64
 	skipClamp bool
 	// pendingFlip defers a heap bit flip to after the checksum
-	// maintenance in the same apply step, so the corruption is latent
-	// (set and consumed within one step; no checkpoint can interleave).
+	// maintenance in the same apply step, so the corruption is latent.
+	// It is never marshaled: set and consumed within one step, except that
+	// an ex command's early return from apply leaves it pending until the
+	// next keystroke's apply (SameState compares it).
 	pendingFlip bool
 
 	// frozen marks a sealed fork template (sim.Freezer): forks alias its
@@ -180,6 +182,15 @@ func (e *Editor) Fork() (sim.Program, error) {
 	ne.scratch = nil
 	ne.frozen = false
 	return &ne, nil
+}
+
+// SameState implements sim.StateComparer for the one piece of editor state
+// the checkpoint image omits: a heap flip the keystroke fault site scheduled,
+// which an ex command's early return from apply leaves pending past its step.
+// World.SameState compares everything else through the image bytes.
+func (e *Editor) SameState(template any) bool {
+	t, ok := template.(*Editor)
+	return ok && e.pendingFlip == t.pendingFlip
 }
 
 // privatizeLines unshares the working buffer from a frozen template before

@@ -150,6 +150,26 @@ func (l *ndLog) append(pos int, label string, val []byte) {
 	l.segs[n-1] = seg
 }
 
+// size is the log's length in bytes, over all its segments.
+func (l *ndLog) size() int {
+	n := 0
+	for _, seg := range l.segs {
+		n += len(seg)
+	}
+	return n
+}
+
+// offset converts a position in the log (logPos) to a byte offset into its
+// record stream: the same record has the same offset however the stream is
+// cut into segments.
+func (l *ndLog) offset(at int) int {
+	s, off := splitPos(at)
+	for i := 0; i < s && i < len(l.segs); i++ {
+		off += len(l.segs[i])
+	}
+	return off
+}
+
 // rec decodes the record at position at (< end): its event position, its
 // label and value — capacity-clamped views of the log, so an append to one
 // cannot reach the next record — and the position just past it.

@@ -1,6 +1,7 @@
 package dc
 
 import (
+	"bytes"
 	"maps"
 
 	"failtrans/internal/sim"
@@ -105,4 +106,81 @@ func (d *DC) CowStats() (pages int, bytes int64) {
 		}
 	}
 	return pages, bytes
+}
+
+// SameState implements sim.StateComparer: it reports whether d holds exactly
+// the template DC's state — configuration, message dependencies and, per
+// process, the commit epoch, stepsBase, pending commit, ND and replay flags,
+// dependencies, the ND log and the committed segment. The log compares as
+// record bytes, its positions as byte offsets into them: a fork clamps the
+// segments it inherits, so equal logs may be cut into segments differently.
+// It only reads both DCs, and answers false whenever it cannot prove
+// equality. The hooks, Stats, ChecksFailed and the image buffers are harness
+// wiring, statistics and scratch; they never steer a run.
+func (d *DC) SameState(template any) bool {
+	t, ok := template.(*DC)
+	if !ok || !d.sameScalars(t) || !maps.EqualFunc(d.msgDeps, t.msgDeps, maps.Equal[map[int]int]) {
+		return false
+	}
+	for i := range d.procs {
+		if !d.procs[i].sameLog(&t.procs[i]) {
+			return false
+		}
+	}
+	for i := range d.procs {
+		a, b := d.procs[i].seg, t.procs[i].seg
+		if (a == nil) != (b == nil) || a != nil && !a.SameContents(b) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameScalars compares the configuration and every process's scalars.
+func (d *DC) sameScalars(t *DC) bool {
+	if d.Policy != t.Policy || d.Medium != t.Medium || d.PageSize != t.PageSize ||
+		d.DisableRecovery != t.DisableRecovery || d.CheckBeforeCommit != t.CheckBeforeCommit ||
+		d.EssentialOnly != t.EssentialOnly || len(d.procs) != len(t.procs) ||
+		!bytes.Equal(d.registers, t.registers) {
+		return false
+	}
+	for i := range d.procs {
+		if !d.procs[i].sameScalars(&t.procs[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameScalars compares the per-process bookkeeping that is not the log or
+// the segment. replayOpen pairs tracer windows and does not steer a run.
+func (ps *proc) sameScalars(t *proc) bool {
+	return ps.epoch == t.epoch && ps.stepsBase == t.stepsBase && ps.pendingCommit == t.pendingCommit &&
+		ps.ndSince == t.ndSince && ps.replaying == t.replaying && maps.Equal(ps.deps, t.deps) &&
+		ps.log.size() == t.log.size() &&
+		ps.log.offset(ps.watermark) == t.log.offset(t.watermark) &&
+		ps.log.offset(ps.cursor) == t.log.offset(t.cursor) &&
+		ps.log.offset(ps.flushed) == t.log.offset(t.flushed)
+}
+
+// sameLog compares two logs' record bytes, whatever segments hold them.
+func (ps *proc) sameLog(t *proc) bool {
+	a, b := ps.log.segs, t.log.segs
+	var x, y []byte
+	for {
+		for len(x) == 0 && len(a) > 0 {
+			x, a = a[0], a[1:]
+		}
+		for len(y) == 0 && len(b) > 0 {
+			y, b = b[0], b[1:]
+		}
+		if len(x) == 0 || len(y) == 0 {
+			return len(x) == len(y)
+		}
+		n := min(len(x), len(y))
+		if &x[0] != &y[0] && !bytes.Equal(x[:n], y[:n]) {
+			return false
+		}
+		x, y = x[n:], y[n:]
+	}
 }

@@ -85,6 +85,18 @@ type RunResult struct {
 	// run order and returns it to the pool. Excluded from JSON so studies
 	// with and without a ledger attached stay byte-comparable.
 	Rec *ledger.Record `json:"-"`
+	// conv is set on a Table 1 run that converged on a snapshot, and shared
+	// by every run index its cell serves.
+	conv *convergence
+}
+
+// convergence is one converged cell's account: the template steps it
+// inherited instead of executing, and whether the acceptor has counted
+// it. Only the acceptor's goroutine reads or writes counted, so the cell's
+// first accepted demand counts it, at every worker count alike.
+type convergence struct {
+	skipped int
+	counted bool
 }
 
 // TypeResult aggregates one fault type's runs.
@@ -270,21 +282,21 @@ func (s *AppStudy) noteCOW(w *sim.World, d *dc.DC) {
 }
 
 // finishRun classifies a completed injection run (everything but the
-// end-to-end recovery check, which needs a second run).
-func (s *AppStudy) finishRun(w *sim.World, inj *oneShot, commits []int, clean []string) RunResult {
+// end-to-end recovery check, which needs a second run) from where its
+// session ended.
+func (s *AppStudy) finishRun(end sessionEnd, inj *oneShot, clean []string) RunResult {
 	var res RunResult
-	p := w.Procs[0]
 	if !inj.fired {
 		return res // fault never activated: discard
 	}
 	res.Timeline = recovery.FaultTimeline{
-		Commits:    commits,
+		Commits:    end.commits,
 		Activation: inj.firedAt,
-		Crash:      p.Steps,
+		Crash:      end.steps,
 	}
-	if !p.Dead() {
+	if !end.dead {
 		// Completed despite the fault: silent wrong output?
-		res.WrongOutput = !slices.Equal(w.Outputs[0], clean)
+		res.WrongOutput = !slices.Equal(end.outputs, clean)
 		return res
 	}
 	res.Crashed = true
@@ -325,9 +337,9 @@ func (s *AppStudy) armVeto(d *dc.DC, inj *oneShot, commits *[]int) {
 // scratch or from a fork of a snapshot. The physical counts that DO differ
 // by mode (steps actually re-executed, fork latencies) stay in
 // obs.SnapshotMetrics.
-func (s *AppStudy) ledgerRecord(k RunKey, w *sim.World, d *dc.DC, inj *oneShot, commits []int, res RunResult) *ledger.Record {
-	r := s.record(k, w, d)
-	p := w.Procs[0]
+func (s *AppStudy) ledgerRecord(k RunKey, end sessionEnd, d *dc.DC, inj *oneShot, res RunResult) *ledger.Record {
+	r := s.record(k, end, d)
+	commits := end.commits
 	if inj.fired {
 		r.Activation = inj.firedAt
 		r.PrefixSteps = inj.firedStep
@@ -339,18 +351,18 @@ func (s *AppStudy) ledgerRecord(k RunKey, w *sim.World, d *dc.DC, inj *oneShot, 
 		r.Outcome = ledger.Inert
 	case res.Crashed:
 		r.Outcome = ledger.Crashed
-		r.Crash = p.Steps
+		r.Crash = end.steps
 		r.LoseWork = res.Violation
 		r.Recovered = res.Recovered
 		last := 0
 		for _, c := range commits {
-			if c <= p.Steps {
+			if c <= end.steps {
 				last = c
 			}
 		}
-		r.RollbackDepth = p.Steps - last
+		r.RollbackDepth = end.steps - last
 		for i, c := range commits {
-			if c >= inj.firedAt && c <= p.Steps {
+			if c >= inj.firedAt && c <= end.steps {
 				if r.ViolFirst < 0 {
 					r.ViolFirst = i
 				}
@@ -418,13 +430,16 @@ func (s *AppStudy) open(snap *prefixSnapshot, inj sim.FaultInjector, arm func(*d
 // runOne executes the Table 1 run k names: start from the deepest snapshot
 // before its fire point, with a one-shot injector seeded with the
 // snapshot's visit count and the snapshot's commit history prepended; run
-// under the study protocol, record the timeline, classify it against the
-// clean run's output, then (for crashes) re-run end-to-end with recovery
-// enabled and the fault suppressed. The result is byte-identical for every
-// snapshot that qualifies, the zero one included.
+// under the study protocol until the session ends or the run converges on
+// a later snapshot (converge), whose suffix it then inherits; record the
+// timeline, classify it against the clean run's output, then (for crashes)
+// re-run end-to-end with recovery enabled and the fault suppressed. The
+// result is byte-identical for every snapshot that qualifies, the zero one
+// included, and whether or not the run converges.
 func (s *AppStudy) runOne(k RunKey, clean []string, cache *prefixCache) (RunResult, error) {
 	var res RunResult
-	snap := cache.before(k.FireAt)
+	from := cache.before(k.FireAt)
+	snap := &cache.snaps[from]
 	inj := &oneShot{kind: k.Kind, fireAt: int(k.FireAt), visits: int(snap.at)}
 	commits := append([]int(nil), snap.commits...)
 	w, d, err := s.open(snap, inj, func(d *dc.DC) {
@@ -437,17 +452,25 @@ func (s *AppStudy) runOne(k RunKey, clean []string, cache *prefixCache) (RunResu
 	if err != nil {
 		return res, err
 	}
-	if err := w.Run(); err != nil {
+	met, err := cache.converge(w, inj, from)
+	if err != nil {
 		return res, err
 	}
 	s.noteReplay(inj, snap.steps)
 	s.noteCOW(w, d)
-	res = s.finishRun(w, inj, commits, clean)
+	end := endOf(w, commits)
+	var conv *convergence
+	if met != nil {
+		end = cache.end.inherit(w, commits, met)
+		conv = &convergence{skipped: end.worldSteps - met.steps}
+	}
+	res = s.finishRun(end, inj, clean)
+	res.conv = conv
 	if res.Crashed {
 		res.Recovered = s.endToEnd(k, snap)
 	}
 	if s.records() {
-		res.Rec = s.ledgerRecord(k, w, d, inj, commits, res)
+		res.Rec = s.ledgerRecord(k, end, d, inj, res)
 	}
 	return res, nil
 }

@@ -120,7 +120,7 @@ func (o *OSStudy) key(kind sim.FaultKind, run int, cleanDur time.Duration) RunKe
 // activation/crash step marks. injSteps is the world step count at
 // injection, -1 for a run that ended before its injection time.
 func (o *OSStudy) ledgerRecord(k RunKey, w *sim.World, d *dc.DC, injSteps int, res RunResult) *ledger.Record {
-	r := o.record(k, w, d)
+	r := o.record(k, endOf(w, nil), d)
 	r.CommitN = d.Stats.TotalCheckpoints()
 	r.SaveWork = res.Propagated
 	r.PrefixSteps = injSteps
@@ -146,7 +146,7 @@ func (o *OSStudy) ledgerRecord(k RunKey, w *sim.World, d *dc.DC, injSteps int, r
 // the template's checkpoint count forward.
 func (o *OSStudy) runOne(k RunKey, cache *prefixCache) (RunResult, error) {
 	var res RunResult
-	snap := cache.before(k.FireAt)
+	snap := &cache.snaps[cache.before(k.FireAt)]
 	scribble := &memoryScribble{}
 	var crashes *int
 	injSteps := -1 // the world step count at injection

@@ -30,14 +30,35 @@ import (
 // Timeline must report — is stored in the snapshot and prepended. The oracle
 // is the from-scratch study, which never calls Fork (see open).
 //
-// The cache is immutable once built; parallel campaign workers fork it
-// concurrently without locking (Fork of a sealed world only reads it).
+// The suffix half (Table 1 only): the template does not stop at its
+// horizon but runs on to the end of its session, taking no more snapshots,
+// and records where the session ended and each snapshot's encoded program
+// state. An injection run whose one-shot has fired compares itself with each
+// later snapshot when its world step count reaches that snapshot's
+// (converge, World.SameState: every layer's behaviour-relevant state,
+// exactly, never a digest). A match proves the rest of the run is the rest
+// of the template's: a world's steps are a function of its state, and from
+// there on neither injector injects (a fired one-shot, like the visit
+// counter, returns NoFault with no other side effect). So the run stops and
+// inherits that rest: its commit positions continue with the template's
+// after the snapshot, its final step positions, clock and liveness are the
+// template's, and its output is its own so far followed by the template's
+// from the same output count on. Nothing else a run reports reads the
+// skipped steps. Table 2 does not converge: its outcome reads run-local
+// state the template lacks (crash count, scribble injector, the kernel's
+// corruption flag). Neither does a study with a veto armed: a vetoed run's
+// commits read its own activation history.
+//
+// The cache is immutable once built; parallel campaign workers fork it and
+// compare against it concurrently without locking (Fork of a sealed world
+// and SameState against one only read it).
 //
 // From-scratch replay is the degenerate cache: one zero-valued snapshot
-// with no template world, which AppStudy.open answers by building the world
-// instead of forking one. The run bodies are therefore written once, against
-// a snapshot, and the Snapshots-off reference differs from production only
-// in where the world comes from.
+// with no template world and no session end, which AppStudy.open answers by
+// building the world instead of forking one, and which no run converges
+// on. The run bodies are therefore written once, against a snapshot, and the
+// Snapshots-off reference differs from production only in where the world
+// comes from and in running every session to its end.
 
 // snapshotEveryVisits spaces AppStudy snapshots in fault-site visits (the
 // unit fire points are expressed in).
@@ -72,16 +93,53 @@ type prefixSnapshot struct {
 	// never stepped again. Nil in the zero snapshot, whose runs build their
 	// world from scratch.
 	world *sim.World
+	// state is world's programs' encoded state (World.ProgramStates), which
+	// a converging run compares its own against: encoded once from the
+	// sealed world, and only for a template whose session end is known.
+	state [][]byte
 }
 
 // prefixCache is one study's snapshot sequence, in capture order (so at is
-// nondecreasing).
+// nondecreasing, and steps increasing).
 type prefixCache struct {
 	snaps []prefixSnapshot
+	// end is where the template's session ended, past its last snapshot:
+	// what a run that converges on a snapshot inherits. Nil when runs do
+	// not converge (Table 2, the zero snapshot, a study with a veto armed).
+	end *sessionEnd
 }
 
-// before returns the deepest snapshot strictly before the given injection
-// point. Strictly: a one-shot injector seeded with the snapshot's visit count
+// sessionEnd is how a run's session ended: its one process's event
+// position and liveness, the world's step count and clock, the commit
+// positions its timeline reports and the output it produced.
+type sessionEnd struct {
+	steps      int
+	worldSteps int
+	clock      time.Duration
+	dead       bool
+	commits    []int
+	outputs    []string
+}
+
+// endOf reads a finished world's session end.
+func endOf(w *sim.World, commits []int) sessionEnd {
+	p := w.Procs[0]
+	return sessionEnd{steps: p.Steps, worldSteps: w.StepCount(), clock: w.Clock, dead: p.Dead(),
+		commits: commits, outputs: w.Outputs[0]}
+}
+
+// inherit is the session end of run w, which has just converged on snapshot
+// snap of the template whose end e is: w's own history up to this point, the
+// template's from snap on.
+func (e *sessionEnd) inherit(w *sim.World, commits []int, snap *prefixSnapshot) sessionEnd {
+	out := w.Outputs[0]
+	return sessionEnd{steps: e.steps, worldSteps: e.worldSteps, clock: e.clock, dead: e.dead,
+		commits: append(commits, e.commits[len(snap.commits):]...),
+		outputs: append(out[:len(out):len(out)], e.outputs[len(out):]...)}
+}
+
+// before returns the index of the deepest snapshot strictly before the
+// given injection point. Strictly: a one-shot injector seeded with the snapshot's visit count
 // must still have the firing visit ahead of it, and the OS study's injection
 // check runs at every post-step boundary after the fork — every pre-snapshot
 // boundary had Clock <= snap.at < injectAt, so the fork injects at the same
@@ -90,14 +148,49 @@ type prefixCache struct {
 // point, so there is always a hit.
 //
 //failtrans:hotpath
-func (c *prefixCache) before(at int64) *prefixSnapshot {
-	best := &c.snaps[0]
+func (c *prefixCache) before(at int64) int {
+	best := 0
 	for i := range c.snaps {
 		if c.snaps[i].at < at {
-			best = &c.snaps[i]
+			best = i
 		}
 	}
 	return best
+}
+
+// converge steps run w, which started at snapshot from with one-shot inj
+// armed, to the end of its session — or, once inj has fired, until w's
+// state equals that of a later snapshot the template sealed at w's step
+// count, which it returns. From that snapshot on the run is the template:
+// a world's steps are a function of its state, and the fired one-shot, like
+// the template's visit counter, never injects again. Without a known
+// template end it only runs to the end.
+func (c *prefixCache) converge(w *sim.World, inj *oneShot, from int) (*prefixSnapshot, error) {
+	next := len(c.snaps)
+	if c.end != nil {
+		next = from + 1
+	}
+	if err := w.Init(); err != nil {
+		return nil, err
+	}
+	for {
+		if inj.fired {
+			n := w.StepCount()
+			for next < len(c.snaps) && c.snaps[next].steps < n {
+				next++
+			}
+			if next < len(c.snaps) && c.snaps[next].steps == n {
+				if snap := &c.snaps[next]; w.SameState(snap.world, snap.state) {
+					return snap, nil
+				}
+				next++
+			}
+		}
+		more, err := w.Step()
+		if err != nil || !more {
+			return nil, err
+		}
+	}
 }
 
 // forkSnap serves one injection run a fork of the snapshot's world, with fork
@@ -142,12 +235,13 @@ func armFork(w *sim.World, inj sim.FaultInjector, arm func(*dc.DC)) (*dc.DC, err
 // template carries on on a fork of it, armed as open arms a run's, so a
 // snapshot costs what any fork costs, not a copy of the state. Those forks
 // serve no run and save no steps, so SnapshotMetrics does not count them.
-// commits is the slice arm's CommitHook fills.
+// commits is the slice arm's CommitHook fills. It returns the live template
+// world too, stopped at the horizon or at the end of its session.
 func (s *AppStudy) buildCache(inj sim.FaultInjector, arm func(*dc.DC), commits *[]int,
-	pos func(*sim.World) int64, every, horizon int64) (*prefixCache, error) {
+	pos func(*sim.World) int64, every, horizon int64) (*prefixCache, *sim.World, error) {
 	w, _, err := s.open(&prefixSnapshot{}, inj, arm)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	cache := &prefixCache{}
 	for {
@@ -158,21 +252,21 @@ func (s *AppStudy) buildCache(inj sim.FaultInjector, arm func(*dc.DC), commits *
 		}
 		// Fork seals w, the snapshot just stored.
 		if w, err = w.Fork(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if _, err = armFork(w, inj, arm); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		for pos(w) < snap.at+every {
 			if pos(w) >= horizon {
-				return cache, nil
+				return cache, w, nil
 			}
 			more, err := w.Step()
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			if !more {
-				return cache, nil
+				return cache, w, nil
 			}
 		}
 	}
@@ -181,12 +275,30 @@ func (s *AppStudy) buildCache(inj sim.FaultInjector, arm func(*dc.DC), commits *
 // buildPrefixCache runs the Table 1 template: the clean session under the
 // study's exact injection-run configuration, snapshotted every
 // snapshotEveryVisits fault-site visits. key draws from [fireBase,
-// fireHorizon]; past that visit count no injector can still fire.
+// fireHorizon]; past that visit count no injector can still fire. Unless a
+// veto is armed, the template then runs on to the end of its session,
+// taking no more snapshots, and records that end and every snapshot's
+// program state, so injection runs can converge on it. A vetoed run's
+// commits read its own activation history, which the template lacks.
 func (s *AppStudy) buildPrefixCache() (*prefixCache, error) {
 	vc := &visitCounter{}
 	var commits []int
-	return s.buildCache(vc, func(d *dc.DC) { s.armInjection(d, &commits) }, &commits,
+	cache, w, err := s.buildCache(vc, func(d *dc.DC) { s.armInjection(d, &commits) }, &commits,
 		func(*sim.World) int64 { return int64(vc.visits) }, snapshotEveryVisits, int64(s.fireHorizon()))
+	if err != nil || s.Veto != nil {
+		return cache, err
+	}
+	if err := w.Run(); err != nil {
+		return nil, err
+	}
+	for i := range cache.snaps {
+		if cache.snaps[i].state, err = cache.snaps[i].world.ProgramStates(); err != nil {
+			return nil, err
+		}
+	}
+	end := endOf(w, commits)
+	cache.end = &end
+	return cache, nil
 }
 
 // buildOSPrefixCache runs the Table 2 template: the clean session under a
@@ -200,6 +312,7 @@ func (o *OSStudy) buildOSPrefixCache(cleanDur time.Duration) (*prefixCache, erro
 	if interval <= 0 {
 		interval = 1
 	}
-	return o.buildCache(nil, func(*dc.DC) {}, new([]int),
+	cache, _, err := o.buildCache(nil, func(*dc.DC) {}, new([]int),
 		func(w *sim.World) int64 { return int64(w.Clock) }, int64(interval), int64(0.95*float64(cleanDur)))
+	return cache, err
 }

@@ -1,51 +1,115 @@
 package faults
 
 import (
+	"bytes"
 	"slices"
 	"testing"
 
 	"failtrans/internal/dc"
 	"failtrans/internal/obs"
+	"failtrans/internal/obs/ledger"
+	"failtrans/internal/protocol"
 	"failtrans/internal/sim"
+	"failtrans/internal/statemachine"
 )
 
+// studyBytes runs one Table 1 study with a ledger and campaign metrics
+// attached and returns its JSON, its ledger bytes and its snapshot metrics.
+func studyBytes(t *testing.T, s *AppStudy) (string, []byte, *obs.SnapshotMetrics) {
+	t.Helper()
+	var buf bytes.Buffer
+	s.Ledger = ledger.NewWriter(&buf)
+	s.CampaignObs = obs.NewCampaignMetrics(max(s.Parallel, 1))
+	rs, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Ledger.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return asJSON(t, rs), buf.Bytes(), &s.CampaignObs.Snapshot
+}
+
+// matchesScratch holds one study configuration to the Snapshots-off oracle,
+// which builds every run from scratch and so never forks or converges: with
+// snapshots on, at Parallel 1 and 4, study JSON and ledger bytes must be
+// identical to the oracle's, and both worker counts must converge the same
+// cells on a snapshot, some of them.
+func matchesScratch(t *testing.T, mk func() *AppStudy) {
+	t.Helper()
+	oracle := mk()
+	oracle.Snapshots = false
+	wantJSON, wantLedger, sn := studyBytes(t, oracle)
+	if sn.Forks != 0 || sn.Converged != 0 {
+		t.Fatalf("the Snapshots-off oracle forked %d worlds and converged %d cells", sn.Forks, sn.Converged)
+	}
+	var converged [2]int64
+	for i, workers := range []int{1, 4} {
+		s := mk()
+		s.Parallel = workers
+		gotJSON, gotLedger, sn := studyBytes(t, s)
+		if gotJSON != wantJSON {
+			t.Errorf("parallel %d: snapshot study diverged from scratch:\n got %s\nwant %s", workers, gotJSON, wantJSON)
+		}
+		if !bytes.Equal(gotLedger, wantLedger) {
+			t.Errorf("parallel %d: snapshot ledger diverged from scratch (%d vs %d bytes)", workers, len(gotLedger), len(wantLedger))
+		}
+		if sn.Snapshots == 0 || sn.Forks == 0 {
+			t.Errorf("parallel %d: snapshot path not exercised: snapshots=%d forks=%d", workers, sn.Snapshots, sn.Forks)
+		}
+		converged[i] = sn.Converged
+	}
+	if converged[0] == 0 || converged[0] != converged[1] {
+		t.Errorf("converged cells at parallel 1 and 4: %v, want equal and > 0", converged)
+	}
+}
+
 // TestAppStudySnapshotMatchesScratch is the snapshot engine's acceptance
-// bar: the Table 1 aggregate must be byte-identical with snapshots off,
-// snapshots on, and snapshots on under a parallel campaign.
+// bar: Table 1 must be byte-identical with snapshots off, and with snapshots
+// on under a serial and a parallel campaign, prefix forks and suffix
+// convergence included. The small legs run under the race detector, where
+// Parallel 4's runs compare themselves against the frozen templates
+// concurrently. The full leg is the paper's scale — both applications, 50
+// crashes per fault type, under CPVS and CBNDVS-LOG, as ftbench runs them —
+// and skips under -race, where it would dominate the suite; CI runs it in a
+// step of its own.
 func TestAppStudySnapshotMatchesScratch(t *testing.T) {
 	for _, app := range []string{"nvi", "postgres"} {
-		scratch := smallStudy(app)
-		scratch.Snapshots = false
-		got, err := scratch.Run()
-		if err != nil {
-			t.Fatal(err)
+		t.Run("small/"+app, func(t *testing.T) {
+			matchesScratch(t, func() *AppStudy { return smallStudy(app) })
+		})
+	}
+	t.Run("full", func(t *testing.T) {
+		if raceDetector {
+			t.Skip("full scale under the race detector")
 		}
-		want := asJSON(t, got)
+		if testing.Short() {
+			t.Skip("full scale")
+		}
+		for _, pol := range []protocol.Policy{protocol.CPVS, protocol.CBNDVSLog} {
+			for _, app := range []string{"nvi", "postgres"} {
+				t.Run(pol.Name+"/"+app, func(t *testing.T) {
+					matchesScratch(t, func() *AppStudy {
+						s := NewAppStudy(app)
+						s.Policy = pol
+						s.MaxRunsPerType = 12 * s.CrashTarget
+						return s
+					})
+				})
+			}
+		}
+	})
+}
 
-		snap := smallStudy(app)
-		snap.CampaignObs = obs.NewCampaignMetrics(1)
-		rs, err := snap.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if j := asJSON(t, rs); j != want {
-			t.Errorf("%s: snapshot run diverged from scratch:\n got %s\nwant %s", app, j, want)
-		}
-		if sn := &snap.CampaignObs.Snapshot; sn.Snapshots == 0 || sn.Forks == 0 {
-			t.Errorf("%s: snapshot path not exercised: snapshots=%d forks=%d",
-				app, sn.Snapshots, sn.Forks)
-		}
-
-		par := smallStudy(app)
-		par.Parallel = 4
-		par.CampaignObs = obs.NewCampaignMetrics(4)
-		rs, err = par.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if j := asJSON(t, rs); j != want {
-			t.Errorf("%s: parallel snapshot run diverged from scratch:\n got %s\nwant %s", app, j, want)
-		}
+// TestVetoedStudyDoesNotConverge: a run under an armed veto steers its
+// commits by its own activation history, which the template lacks, so a
+// vetoed study keeps no template end and none of its runs converge — even
+// under a policy that vetoes nothing.
+func TestVetoedStudyDoesNotConverge(t *testing.T) {
+	s := smallStudy("nvi")
+	s.Veto = &statemachine.VetoPolicy{}
+	if _, _, sn := studyBytes(t, s); sn.Converged != 0 {
+		t.Errorf("vetoed study converged %d cells", sn.Converged)
 	}
 }
 

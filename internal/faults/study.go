@@ -53,14 +53,14 @@ func (k RunKey) stamp(r *ledger.Record) {
 	}
 }
 
-// record starts a finished run's forensic record: the key's header, the
-// run's final positions and, under a veto, the deferrals d counted.
-func (s *AppStudy) record(k RunKey, w *sim.World, d *dc.DC) *ledger.Record {
+// record starts a finished run's forensic record: the key's header, where
+// the run's session ended and, under a veto, the deferrals d counted.
+func (s *AppStudy) record(k RunKey, end sessionEnd, d *dc.DC) *ledger.Record {
 	r := ledger.Get()
 	k.stamp(r)
-	r.Steps = w.Procs[0].Steps
-	r.WorldSteps = w.StepCount()
-	r.VClockUS = int64(w.Clock / time.Microsecond)
+	r.Steps = end.steps
+	r.WorldSteps = end.worldSteps
+	r.VClockUS = int64(end.clock / time.Microsecond)
 	if s.Veto != nil {
 		r.VetoActive = true
 		r.VetoN = d.Stats.CommitsVetoed
@@ -87,6 +87,15 @@ func (s *AppStudy) acceptLedger(run int, rec *ledger.Record) {
 		s.RecordHook(rec)
 	}
 	ledger.Put(rec)
+}
+
+// acceptConvergence counts an accepted run's converged cell, once.
+func (s *AppStudy) acceptConvergence(c *convergence) {
+	if c == nil || c.counted || s.CampaignObs == nil {
+		return
+	}
+	c.counted = true
+	s.CampaignObs.Snapshot.AddConverged(c.skipped)
 }
 
 // maxRecoveries is how many crashes a recovering run rolls back from. Past
@@ -156,6 +165,7 @@ func (s *AppStudy) runStudy(
 		err := campaign.Run(cfg, s.MaxRunsPerType, jobs(kind, clean, cache),
 			func(run int, res RunResult) bool {
 				s.acceptLedger(run, res.Rec)
+				s.acceptConvergence(res.conv)
 				tally(i, res)
 				if res.Crashed {
 					crashes++

@@ -92,6 +92,13 @@ type SnapshotMetrics struct {
 	PagesPrivatized int64
 	BytesCOW        int64
 	ForkSize        Histogram
+	// Converged counts Table 1 cells whose measured run stopped at a later
+	// snapshot whose state its own matched exactly, and StepsSkipped the
+	// template steps past that snapshot they inherited instead of
+	// executing. A cell counts when the first run it serves is accepted, so
+	// unlike Forks both are the same at every worker count.
+	Converged    int64
+	StepsSkipped int64
 	// StoreHits is always 0: the snapshot store it counted is gone, and the
 	// field stays only because benchmark/ reads it as faults.store_hits.
 	StoreHits int64
@@ -135,6 +142,15 @@ func (s *SnapshotMetrics) AddReplay(steps int) {
 	s.mu.Unlock()
 }
 
+// AddConverged records one run that converged on a snapshot and inherited
+// the template's remaining `steps`.
+func (s *SnapshotMetrics) AddConverged(steps int) {
+	s.mu.Lock()
+	s.Converged++
+	s.StepsSkipped += int64(steps)
+	s.mu.Unlock()
+}
+
 // ReplaySnapshot returns the current replay totals (the campaign workers
 // update them concurrently).
 func (s *SnapshotMetrics) ReplaySnapshot() (stepsReplayed, injectionRuns int64) {
@@ -154,8 +170,11 @@ func NewCampaignMetrics(workers int) *CampaignMetrics {
 
 // WriteSummary writes a human-readable summary block.
 func (c *CampaignMetrics) WriteSummary(w io.Writer) error {
-	_, err := fmt.Fprintf(w, "campaign phases=%d dispatched=%d accepted=%d discarded=%d serial=%d cells=%d reused=%d\n",
-		c.Phases, c.Dispatched, c.Accepted, c.Discarded, c.SerialRuns, c.Cells.Load(), c.Reused.Load())
+	s := &c.Snapshot
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, err := fmt.Fprintf(w, "campaign phases=%d dispatched=%d accepted=%d discarded=%d serial=%d cells=%d reused=%d converged=%d steps-skipped=%d\n",
+		c.Phases, c.Dispatched, c.Accepted, c.Discarded, c.SerialRuns, c.Cells.Load(), c.Reused.Load(), s.Converged, s.StepsSkipped)
 	if err != nil {
 		return err
 	}
@@ -164,9 +183,6 @@ func (c *CampaignMetrics) WriteSummary(w io.Writer) error {
 			return err
 		}
 	}
-	s := &c.Snapshot
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.Snapshots > 0 || s.Forks > 0 {
 		if _, err := fmt.Fprintf(w, "  snapshots=%d forks=%d steps-saved=%d fork-latency-mean=%dns\n",
 			s.Snapshots, s.Forks, s.StepsSaved, s.ForkLatency.Mean()); err != nil {

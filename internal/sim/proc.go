@@ -69,16 +69,12 @@ func (p *Proc) AppendCheckpointImage(buf []byte, essential bool) ([]byte, error)
 	lenAt := len(buf)
 	buf = appendI64(buf, 0)
 	var err error
-	if sa, ok := p.Prog.(StateAppender); ok && mode == 0 {
-		buf, err = sa.AppendState(buf)
-	} else {
+	if mode == 1 {
 		var app []byte
-		if mode == 1 {
-			app, err = ps.MarshalEssential()
-		} else {
-			app, err = p.Prog.MarshalState()
-		}
+		app, err = ps.MarshalEssential()
 		buf = append(buf, app...)
+	} else {
+		buf, err = appendProgramState(buf, p.Prog)
 	}
 	if err != nil {
 		//failtrans:alloc cold error path: a failed marshal aborts the commit, so the formatting never runs in a committing cycle
@@ -92,6 +88,16 @@ func (p *Proc) AppendCheckpointImage(buf []byte, essential bool) ([]byte, error)
 	buf = appendI64(buf, int64(len(kern)))
 	buf = append(buf, kern...)
 	return buf, nil
+}
+
+// appendProgramState appends prog's full state encoding to dst: straight
+// from a StateAppender, else through MarshalState.
+func appendProgramState(dst []byte, prog Program) ([]byte, error) {
+	if sa, ok := prog.(StateAppender); ok {
+		return sa.AppendState(dst)
+	}
+	b, err := prog.MarshalState()
+	return append(dst, b...), err
 }
 
 // Checkpoint images are validated with static errors: restore sits on the

@@ -280,6 +280,9 @@ type World struct {
 	// argv is the argument vector Ctx.Syscall hands OS.Call, cleared after
 	// each call; a fork starts without one.
 	argv [][]byte
+	// stateBuf is the scratch SameState encodes this world's programs in;
+	// a fork starts without one.
+	stateBuf []byte
 
 	msgSeq    int64
 	stepCount int

@@ -660,3 +660,26 @@ func (s *Segment) Rollback() []byte {
 	copy(reg, s.savedReg)
 	return reg
 }
+
+// SameContents reports whether s holds exactly t's committed state: the same
+// page size, extent, saved register file and bytes, with no transaction open
+// on either side. It only reads both segments, so a frozen template may be
+// compared against from many goroutines at once, and it answers false
+// whenever it cannot prove equality (an open transaction included). Pages
+// the two share by reference are equal without a byte compare.
+func (s *Segment) SameContents(t *Segment) bool {
+	if s.pageSize != t.pageSize || s.size != t.size || len(s.undo) != 0 || len(t.undo) != 0 ||
+		!bytes.Equal(s.savedReg, t.savedReg) {
+		return false
+	}
+	for p, np := 0, s.pages(); p < np; p++ {
+		a, b := s.resident(p), t.resident(p)
+		if len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0]) {
+			continue
+		}
+		if !pageEqual(a, b) {
+			return false
+		}
+	}
+	return true
+}
