@@ -114,12 +114,14 @@ func TestTraceExport(t *testing.T) {
 	for _, pol := range []string{"CPV-2PC", "CBNDV-2PC"} {
 		t.Run(pol, func(t *testing.T) {
 			dir := t.TempDir()
+			var stdout string
 			run := func(name string) []byte {
 				path := filepath.Join(dir, name)
-				code, _, stderr := ftsim(t, "-app", "treadmarks", "-protocol", pol, "-seed", "7", "-stop", "1:60", "-tracefile", path)
+				code, out, stderr := ftsim(t, "-app", "treadmarks", "-protocol", pol, "-seed", "7", "-stop", "1:60", "-tracefile", path)
 				if code != 0 {
 					t.Fatalf("exit %d: %s", code, stderr)
 				}
+				stdout = out
 				b, err := os.ReadFile(path)
 				if err != nil {
 					t.Fatal(err)
@@ -127,6 +129,20 @@ func TestTraceExport(t *testing.T) {
 				return b
 			}
 			first := run("trace.json")
+			// The run's virtual-time results: process 1 stops at its 60th
+			// event, rolls back to its initial checkpoint and re-executes
+			// through the redelivery of the messages it had consumed; one
+			// coordinated commit before the visible event commits all four.
+			for _, want := range []string{
+				"virtual time:   29.16256ms\n",
+				"events:         758\n  visible=1 send=364 receive=363 commit=8 ",
+				"checkpoints:    [1 1 1 1] (total 4)\n",
+				"recoveries:     1  2pc rounds: 1\n",
+			} {
+				if !strings.Contains(stdout, want) {
+					t.Errorf("output lacks %q:\n%s", want, stdout)
+				}
+			}
 			var tr struct {
 				TraceEvents []struct {
 					Ph   string `json:"ph"`

@@ -11,9 +11,9 @@
 // granularity diffing (the analogue of copy-on-write: untouched pages cost
 // nothing), charge the commit's virtual-time cost from the configured
 // stable-storage medium, and release the process's retained messages.
-// Recovery restores the last committed image, re-queues or log-replays
-// messages, and replays logged non-deterministic results until the log is
-// exhausted, after which execution continues live.
+// Recovery restores the last committed image, takes the retained messages
+// over, and replays logged results and retained messages at their event
+// positions until both run out, after which execution continues live.
 package dc
 
 import (
@@ -59,9 +59,9 @@ type Stats struct {
 	CommitsVetoed  int
 	VetoedSaveWork int
 	// Divergences counts constrained re-executions that left their ND
-	// log: the unreplayed tail was discarded and the rest ran live. Under
-	// a policy that logs every ND event a replay has no reason to, so any
-	// divergence there is a replay bug.
+	// log or retained messages: the unreplayed rest was discarded or
+	// requeued and the run went on live. Under a policy that logs every ND
+	// event a replay has no reason to, so any divergence there is a bug.
 	Divergences int
 }
 
@@ -210,8 +210,8 @@ func (l *ndLog) truncate(at int) {
 func uvarintLen(v int) int { return (bits.Len64(uint64(v)|1) + 6) / 7 }
 
 // proc is Discount Checking's state for one process. A fork copies it by
-// value and then replaces the four fields that reference memory — seg, log,
-// deps and img (ForkRecovery).
+// value and then replaces the five fields that reference memory — seg, log,
+// retained, deps and img (ForkRecovery).
 type proc struct {
 	// seg holds the process's committed checkpoint; nil until first used.
 	seg *vista.Segment
@@ -224,6 +224,11 @@ type proc struct {
 	watermark int
 	cursor    int
 	flushed   int
+	// retained holds the receives rollbacks took over from the world
+	// (sim.World.TakeRetained) and replay has not handed back yet, At
+	// rebased on the last commit like a log record's position. They replay
+	// after the log, and a commit keeps them as it keeps unreplayed records.
+	retained []sim.Retained
 	// deps[q] = q's commit epoch when the process acquired a dependence on
 	// q's then-uncommitted non-determinism; stale entries (q committed
 	// since) are pruned at coordination time. Nil until the first one.
@@ -550,8 +555,7 @@ func (d *DC) dependentSet(p *sim.Proc) []*sim.Proc {
 }
 
 // flushLog forces the volatile log tail to stable storage as one
-// sequential write, after which the retained messages it covers need no
-// separate redelivery buffer.
+// sequential write.
 func (d *DC) flushLog(p *sim.Proc) {
 	ps := &d.procs[p.Index]
 	l := &ps.log
@@ -569,14 +573,20 @@ func (d *DC) flushLog(p *sim.Proc) {
 	cost := d.Medium.LogCost(bytes)
 	d.World.AddTime(p, cost)
 	d.Stats.LogTime += cost
-	ps.flushed = end
-	d.World.DropRetained(p)
 	d.noteLogForce(p, start, cost, bytes)
 }
 
-// noteLogForce accounts one synchronous log force (a flush of buffered
-// records or a single-record sync write) in the metrics and the trace.
+// noteLogForce records one synchronous log force (a flush of buffered
+// records or a single-record sync write), after which p's whole log is
+// stable — and so, under a policy that logs receives, is every message p
+// consumed: the world's retention buffer is released. It accounts the force
+// in the metrics and the trace.
 func (d *DC) noteLogForce(p *sim.Proc, start time.Duration, cost time.Duration, bytes int) {
+	ps := &d.procs[p.Index]
+	ps.flushed = ps.log.end()
+	if d.Policy.LogsLabel("recv") {
+		d.World.CommitPoint(p)
+	}
 	if m := d.World.Metrics; m != nil {
 		pm := &m.Procs[p.Index]
 		pm.LogForces++
@@ -694,7 +704,7 @@ func (d *DC) AfterEvent(p *sim.Proc, ev event.Event) {
 	// position where the original consumed a logged event.
 	if ps.replaying && ps.cursor < ps.log.end() {
 		if pos, _, _, _ := ps.log.rec(ps.cursor); p.Steps-ps.stepsBase > pos {
-			d.divergeLog(p)
+			d.diverge(p)
 		}
 	}
 	// Commits triggered by an event that already executed are deferred
@@ -721,67 +731,88 @@ func (d *DC) EndStep(p *sim.Proc) {
 }
 
 // SupplyND implements sim.Recovery: constrained re-execution from the ND
-// log. Each record is due at the event position (relative to the last
-// commit) where the original run consumed it; earlier requests execute
-// live, which reproduces the original interleaving of consumption with
-// computation. A poll (a receive or signal) the policy logs is the
-// exception: the log holds every poll that found something, so one it does
-// not supply here found nothing in the original run, and SupplyND answers
-// empty rather than letting the poll read state that changed while the
-// process was down. Any other mismatch at the due position means the
-// re-execution diverged at an unlogged transient event; the stale tail is
-// discarded, with any unconsumed logged receives re-queued as live messages
-// so they are not lost.
+// log, then from the taken-over receives. Each entry is due at the event
+// position (relative to the last commit) where the original run consumed
+// it; earlier requests execute live, which reproduces the original
+// interleaving of consumption with computation. A due record is supplied; a
+// due receive is handed back (sim.World.Redeliver) and the receive runs
+// live. A poll the source covers is the exception: the log holds every poll
+// of a kind the policy logs that found something, and the taken-over list
+// every receive, so a poll neither supplies here found nothing in the
+// original run, and SupplyND answers empty rather than letting it read state
+// that changed while the process was down. Any other mismatch at or past
+// the due position means the re-execution diverged at an unlogged transient
+// event.
 func (d *DC) SupplyND(p *sim.Proc, label string) ([]byte, bool) {
 	ps := &d.procs[p.Index]
-	if !ps.replaying {
-		return nil, false
-	}
-	end := ps.log.end()
-	if ps.cursor >= end {
+	rel := p.Steps - ps.stepsBase
+	if ps.replaying {
+		if end := ps.log.end(); ps.cursor < end {
+			pos, recLabel, val, next := ps.log.rec(ps.cursor)
+			if rel == pos && string(recLabel) == label {
+				ps.cursor = next
+				if next >= end {
+					ps.replaying = false
+					d.endReplayWindow(p)
+				}
+				return val, true
+			}
+			if rel <= pos && (label == "recv" || label == "signal") && d.Policy.LogsLabel(label) {
+				return nil, true // the original poll found nothing
+			}
+			if rel < pos {
+				return nil, false // not due yet: execute live
+			}
+			d.diverge(p)
+			return nil, false
+		}
 		ps.replaying = false
 		d.endReplayWindow(p)
+	}
+	if label != "recv" || len(ps.retained) == 0 {
 		return nil, false
 	}
-	pos, recLabel, val, next := ps.log.rec(ps.cursor)
-	rel := p.Steps - ps.stepsBase
-	if rel == pos && string(recLabel) == label {
-		ps.cursor = next
-		if next >= end {
-			ps.replaying = false
-			d.endReplayWindow(p)
-		}
-		return val, true
-	}
-	if rel <= pos && (label == "recv" || label == "signal") && d.Policy.LogsLabel(label) {
+	r := ps.retained[0]
+	switch {
+	case rel == r.At:
+		ps.retained[0] = sim.Retained{} // the slot leaves the slice: drop its pointer
+		ps.retained = ps.retained[1:]
+		d.World.Redeliver(p, r.Msg)
+		return nil, false
+	case rel < r.At:
 		return nil, true // the original poll found nothing
 	}
-	if rel < pos {
-		return nil, false // not due yet: execute live
-	}
-	d.divergeLog(p)
+	d.diverge(p)
 	return nil, false
 }
 
-// divergeLog truncates the unreplayed log tail after a divergence,
-// re-queueing logged-but-unreplayed receives into the inbox. A flushed
-// position past the cut moves back to it: the records logged from here on
-// are the volatile tail.
-func (d *DC) divergeLog(p *sim.Proc) {
+// diverge abandons constrained re-execution: the log's unreplayed tail is
+// truncated, and its receives, then the taken-over ones, go to the inbox as
+// live messages (sim.World.Requeue), so none is lost. A flushed position
+// past the cut moves back to it: records logged from here on are volatile.
+func (d *DC) diverge(p *sim.Proc) {
 	d.Stats.Divergences++
 	ps := &d.procs[p.Index]
-	l := &ps.log
-	for at, end := ps.cursor, l.end(); at < end; {
-		var label, val []byte
-		_, label, val, at = l.rec(at)
-		if string(label) == "recv" {
-			d.World.RequeueLogged(p, val)
+	var ms []sim.Msg
+	if ps.replaying {
+		l := &ps.log
+		for at, end := ps.cursor, l.end(); at < end; {
+			var label, val []byte
+			_, label, val, at = l.rec(at)
+			if string(label) == "recv" {
+				ms = append(ms, sim.DecodeMsgRecord(val))
+			}
 		}
+		l.truncate(ps.cursor)
+		ps.flushed = min(ps.flushed, ps.cursor)
+		ps.replaying = false
+		d.endReplayWindow(p)
 	}
-	l.truncate(ps.cursor)
-	ps.flushed = min(ps.flushed, ps.cursor)
-	ps.replaying = false
-	d.endReplayWindow(p)
+	for _, r := range ps.retained {
+		ms = append(ms, *r.Msg)
+	}
+	ps.retained = nil
+	d.World.Requeue(p, ms)
 }
 
 // mutableMsgDeps returns msgDeps, copying the top-level map first when it
@@ -799,22 +830,29 @@ func (d *DC) mutableMsgDeps() map[int64]map[int]int {
 	return d.msgDeps
 }
 
-// OnBlocked implements sim.Recovery: when a replaying process blocks on
-// messages, either its next logged record is due now (wake it so SupplyND
-// can deliver) or the re-execution diverged (resolve by flushing logged
-// receives back into the inbox).
+// OnBlocked implements sim.Recovery: when a re-executing process blocks on
+// messages, either its next logged or taken-over receive is due now (wake it
+// so SupplyND can deliver) or the re-execution diverged.
 func (d *DC) OnBlocked(p *sim.Proc) bool {
 	ps := &d.procs[p.Index]
-	if !ps.replaying || ps.cursor >= ps.log.end() {
+	var pos int
+	switch {
+	case ps.replaying && ps.cursor < ps.log.end():
+		var label []byte
+		pos, label, _, _ = ps.log.rec(ps.cursor)
+		if string(label) != "recv" {
+			d.diverge(p) // the due record is not a receive while the process wants one
+			return false
+		}
+	case len(ps.retained) > 0:
+		pos = ps.retained[0].At
+	default:
 		return false
 	}
-	pos, label, _, _ := ps.log.rec(ps.cursor)
-	if p.Steps-ps.stepsBase >= pos && string(label) == "recv" {
+	if p.Steps-ps.stepsBase >= pos {
 		return true
 	}
-	// Blocked before the due position, or the due record is not a
-	// receive while the process wants one: divergence.
-	d.divergeLog(p)
+	d.diverge(p) // blocked before the due position
 	return false
 }
 
@@ -840,7 +878,6 @@ func (d *DC) RecordND(p *sim.Proc, label string, val []byte) bool {
 	cost := d.Medium.LogCost(len(val))
 	d.World.AddTime(p, cost)
 	d.Stats.LogTime += cost
-	ps.flushed = ps.log.end()
 	d.noteLogForce(p, start, cost, len(val))
 	return true
 }
@@ -869,7 +906,7 @@ func (d *DC) OnCrash(p *sim.Proc, reason string) bool {
 func (d *DC) Checkpoint(p *sim.Proc) error { return d.commitOne(p, "explicit") }
 
 // Rollback restores p to its last committed state: reload the segment
-// image, rebuild session and kernel state, restore or log-replay messages.
+// image, rebuild session and kernel state, take retained messages over.
 func (d *DC) Rollback(p *sim.Proc) error {
 	i := p.Index
 	ps := &d.procs[i]
@@ -886,12 +923,13 @@ func (d *DC) Rollback(p *sim.Proc) error {
 	if ps.flushed < ps.log.end() {
 		ps.log.truncate(ps.flushed)
 	}
-	if d.Policy.LogsLabel("recv") && !d.Policy.LogAsync {
-		// Consumed messages live in the log past the watermark; replay
-		// supplies them, so retention is dropped.
-		d.World.CommitPoint(p)
-	} else {
-		d.World.RequeueRetained(p)
+	// The retained messages go ahead of any an earlier rollback took over
+	// and replay has not handed back yet.
+	if taken := d.World.TakeRetained(p); len(taken) > 0 {
+		for i := range taken {
+			taken[i].At -= ps.stepsBase
+		}
+		ps.retained = append(taken, ps.retained...)
 	}
 	ps.cursor = ps.watermark
 	ps.replaying = ps.cursor < ps.log.end()

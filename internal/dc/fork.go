@@ -9,12 +9,14 @@ import (
 
 // ForkRecovery implements sim.ForkableRecovery: it seals the DC with Freeze
 // and returns a copy-on-write fork of the whole Discount Checking state —
-// Vista segments mid-transaction, ND logs and replay cursors, dependency
-// maps, commit epochs — against the forked world w, so the fork recovers and
-// commits exactly as the original would from this point on. The per-process
-// records are copied by value, and then the four fields that reference
-// memory are replaced: segments fork as overlay views of the sealed pages,
-// dependency maps are cloned, the ND logs' segments are shared behind
+// Vista segments mid-transaction, ND logs and replay cursors, taken-over
+// receives, dependency maps, commit epochs — against the forked world w, so
+// the fork recovers and commits exactly as the original would from this
+// point on. The per-process records are copied by value, and then the five
+// fields that reference memory are replaced: segments fork as overlay views
+// of the sealed pages, the taken-over receives and dependency maps are
+// cloned (a receive's message is immutable and shared by pointer, as in the
+// world's queues), the ND logs' segments are shared behind
 // immutable references (a fork copies each log's spine with the segments
 // capacity-clamped, so its appends start a segment of its own), and the
 // image buffers start empty and grow lazily. The message-dependency map is
@@ -61,6 +63,8 @@ func (d *DC) ForkRecovery(w *sim.World) sim.Recovery {
 		if ps.seg != nil {
 			ps.seg = ps.seg.Fork()
 		}
+		// Replay vacates the slots it hands back, so the fork's list is its own.
+		ps.retained = append([]sim.Retained(nil), ps.retained...)
 		if len(ps.deps) > 0 {
 			ps.deps = maps.Clone(ps.deps)
 		} else {
@@ -111,7 +115,8 @@ func (d *DC) CowStats() (pages int, bytes int64) {
 // SameState implements sim.StateComparer: it reports whether d holds exactly
 // the template DC's state — configuration, message dependencies and, per
 // process, the commit epoch, stepsBase, pending commit, ND and replay flags,
-// dependencies, the ND log and the committed segment. The log compares as
+// dependencies, the taken-over receives, the ND log and the committed
+// segment. The log compares as
 // record bytes, its positions as byte offsets into them: a fork clamps the
 // segments it inherits, so equal logs may be cut into segments differently.
 // It only reads both DCs, and answers false whenever it cannot prove
@@ -157,7 +162,7 @@ func (d *DC) sameScalars(t *DC) bool {
 func (ps *proc) sameScalars(t *proc) bool {
 	return ps.epoch == t.epoch && ps.stepsBase == t.stepsBase && ps.pendingCommit == t.pendingCommit &&
 		ps.ndSince == t.ndSince && ps.replaying == t.replaying && maps.Equal(ps.deps, t.deps) &&
-		ps.log.size() == t.log.size() &&
+		sim.SameRetained(ps.retained, t.retained) && ps.log.size() == t.log.size() &&
 		ps.log.offset(ps.watermark) == t.log.offset(t.watermark) &&
 		ps.log.offset(ps.cursor) == t.log.offset(t.cursor) &&
 		ps.log.offset(ps.flushed) == t.log.offset(t.flushed)

@@ -29,8 +29,9 @@ func treadmarksWorld(t *testing.T, pol protocol.Policy) (*sim.World, *DC) {
 }
 
 // cloneProcs deep-copies per-process records: dependency maps, log
-// segments and image buffers by content, segments by identity (a frozen
-// template's segment must be the same one after any fork has run).
+// segments, taken-over receives and image buffers by content, segments by
+// identity (a frozen template's segment must be the same one after any fork
+// has run).
 func cloneProcs(ps []proc) []proc {
 	out := slices.Clone(ps)
 	for i := range out {
@@ -40,6 +41,7 @@ func cloneProcs(ps []proc) []proc {
 		for j, seg := range c.log.segs {
 			c.log.segs[j] = slices.Clone(seg)
 		}
+		c.retained = slices.Clone(c.retained)
 		c.img = slices.Clone(c.img)
 	}
 	return out
@@ -50,15 +52,32 @@ func cloneProcs(ps []proc) []proc {
 // writing any of its template's per-process state. Treadmarks programs are
 // not forkable, so the fork drives a twin world stepped to the same point:
 // the simulation is deterministic, so the twin's processes are in exactly
-// the state the template's DC recorded.
+// the state the template's DC recorded. The redelivery case forks while a
+// rolled-back process still has taken-over receives to be handed back: the
+// fork hands them back (vacating its own list's slots) and the template's
+// list keeps every one.
 func TestForkLeavesTemplateUntouched(t *testing.T) {
-	for _, pol := range []protocol.Policy{protocol.CBNDV2PC, protocol.CBNDVSLog} {
-		t.Run(pol.Name, func(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		pol  protocol.Policy
+		stop int // a stop of process 1 before the fork, at this event; 0 for none
+	}{
+		{"CBNDV-2PC", protocol.CBNDV2PC, 0},
+		{"CBNDVS-LOG", protocol.CBNDVSLog, 0},
+		{"CBNDV-2PC redelivery", protocol.CBNDV2PC, 60},
+	} {
+		pol := c.pol
+		t.Run(c.name, func(t *testing.T) {
 			tmpl, td := treadmarksWorld(t, pol)
 			// Fork once some process holds a dependency (CBNDV-2PC) or a
-			// logged record (CBNDVS-LOG, whose logged receives carry none).
+			// logged record (CBNDVS-LOG, whose logged receives carry none),
+			// or, after a stop, a receive still to be handed back.
 			held := func() bool {
 				return slices.ContainsFunc(td.procs, func(ps proc) bool { return len(ps.deps) > 0 || ps.log.end() > 0 })
+			}
+			if c.stop > 0 {
+				tmpl.ScheduleStop(1, c.stop)
+				held = func() bool { return len(td.procs[1].retained) > 0 }
 			}
 			for !held() {
 				if more, err := tmpl.Step(); err != nil || !more {
@@ -66,6 +85,9 @@ func TestForkLeavesTemplateUntouched(t *testing.T) {
 				}
 			}
 			twin, _ := treadmarksWorld(t, pol)
+			if c.stop > 0 {
+				twin.ScheduleStop(1, c.stop)
+			}
 			for twin.StepCount() < tmpl.StepCount() {
 				if _, err := twin.Step(); err != nil {
 					t.Fatal(err)
@@ -82,10 +104,14 @@ func TestForkLeavesTemplateUntouched(t *testing.T) {
 			if !twin.AllDone() || fd.Stats.Recoveries == 0 {
 				t.Fatalf("fork did not finish through a recovery: done=%v recoveries=%d", twin.AllDone(), fd.Stats.Recoveries)
 			}
+			if c.stop > 0 && (len(fd.procs[1].retained) != 0 || fd.Stats.Divergences != td.Stats.Divergences) {
+				t.Fatalf("the fork did not hand back the pending receives: %d left, %d divergences (template %d)",
+					len(fd.procs[1].retained), fd.Stats.Divergences, td.Stats.Divergences)
+			}
 			if slices.EqualFunc(before, fd.procs, func(a, b proc) bool {
-				return maps.Equal(a.deps, b.deps) && a.log.end() == b.log.end()
+				return maps.Equal(a.deps, b.deps) && a.log.end() == b.log.end() && len(a.retained) == len(b.retained)
 			}) {
-				t.Fatal("the fork's run left every dependency map and log as the template had it; the check is vacuous")
+				t.Fatal("the fork's run left every dependency map, log and receive list as the template had it; the check is vacuous")
 			}
 			if after := cloneProcs(td.procs); !reflect.DeepEqual(before, after) {
 				for i := range before {

@@ -364,3 +364,78 @@ func TestSupplyNDAnswersEmptyPolls(t *testing.T) {
 			ok, d.Stats.Divergences)
 	}
 }
+
+// TestRetainedReceiveGate: a rollback takes the messages consumed since the
+// last commit over from the world's retention buffer, and constrained
+// re-execution gates each at the position it was consumed at, as it gates a
+// log record. Before that position a receive finds nothing and any other
+// event runs live; a process that blocks there has diverged, and the message
+// becomes deliverable now. A process that blocks at the position is woken to
+// take it, and the receive there consumes it as a live one: it is retained
+// again, so a second rollback before the next commit redelivers it once
+// more, and its slot in DC's list pins nothing.
+func TestRetainedReceiveGate(t *testing.T) {
+	// The responder's second query: consumed one event after the commit
+	// before its first reply was sent, and not yet answered.
+	rolledBack := func(t *testing.T) (*DC, *sim.Proc, *sim.Msg) {
+		t.Helper()
+		w := sim.NewWorld(3, &requester{Rounds: 3}, &responder{Max: 3})
+		w.RecordTrace = false
+		d := New(w, protocol.CPVS, stablestore.Rio)
+		if err := d.Attach(); err != nil {
+			t.Fatal(err)
+		}
+		p := w.Procs[1]
+		for r := p.Prog.(*responder); r.Seen < 2 || r.Pending < 0; {
+			if more, err := w.Step(); err != nil || !more {
+				t.Fatalf("world stopped before the second query: more=%v err=%v", more, err)
+			}
+		}
+		if err := d.Rollback(p); err != nil {
+			t.Fatal(err)
+		}
+		ps := &d.procs[1]
+		if len(ps.retained) != 1 || ps.retained[0].At != 1 {
+			t.Fatalf("rollback took over %+v, want the second query at position 1", ps.retained)
+		}
+		return d, p, ps.retained[0].Msg
+	}
+
+	t.Run("before", func(t *testing.T) {
+		d, p, m := rolledBack(t)
+		if v, ok := d.SupplyND(p, "recv"); !ok || v != nil {
+			t.Errorf("receive before the due position: (%q, %v), want (nil, true)", v, ok)
+		}
+		if _, ok := d.SupplyND(p, "gettimeofday"); ok || d.Stats.Divergences != 0 {
+			t.Errorf("clock read before the due position: ok=%v divergences=%d, want a live read", ok, d.Stats.Divergences)
+		}
+		if d.OnBlocked(p) || d.Stats.Divergences != 1 || len(d.procs[1].retained) != 0 {
+			t.Fatalf("blocked before the due position: divergences=%d, %d receives left, want a divergence",
+				d.Stats.Divergences, len(d.procs[1].retained))
+		}
+		if got, ok := p.Ctx().Recv(); !ok || got.ID != m.ID {
+			t.Errorf("receive after the divergence = %+v %v, want message %d live", got, ok, m.ID)
+		}
+	})
+
+	t.Run("due", func(t *testing.T) {
+		d, p, m := rolledBack(t)
+		p.Steps = d.procs[1].stepsBase + 1
+		if !d.OnBlocked(p) {
+			t.Fatal("blocked at the due position, the process was not woken to take its receive")
+		}
+		slot := d.procs[1].retained[:1]
+		if got, ok := p.Ctx().Recv(); !ok || got.ID != m.ID || string(got.Payload) != string(m.Payload) {
+			t.Fatalf("receive at the due position = %+v %v, want message %d", got, ok, m.ID)
+		}
+		if slot[0].Msg != nil || len(d.procs[1].retained) != 0 || d.Stats.Divergences != 0 {
+			t.Errorf("after the handback: slot holds %v, %d receives left, %d divergences", slot[0].Msg, len(d.procs[1].retained), d.Stats.Divergences)
+		}
+		if err := d.Rollback(p); err != nil {
+			t.Fatal(err)
+		}
+		if ps := &d.procs[1]; len(ps.retained) != 1 || ps.retained[0].Msg != m || ps.retained[0].At != 1 {
+			t.Errorf("a second rollback took over %+v, want message %d at position 1 again", ps.retained, m.ID)
+		}
+	})
+}

@@ -95,6 +95,9 @@ func TestDCSameState(t *testing.T) {
 		{"dependency", func(f *DC) { f.procs[0].deps = map[int]int{0: 1} }, false},
 		{"message dependency", func(f *DC) { f.mutableMsgDeps()[7] = map[int]int{0: 1} }, false},
 		{"watermark", func(f *DC) { f.procs[0].watermark = 0 }, false},
+		{"taken-over receive", func(f *DC) {
+			f.procs[0].retained = []sim.Retained{{Msg: &sim.Msg{ID: 1, Payload: []byte("m")}, At: 3}}
+		}, false},
 		{"log byte", func(f *DC) {
 			ownLog(&f.procs[0].log)
 			f.procs[0].log.segs[1][0] ^= 1
@@ -143,7 +146,7 @@ func TestDCSameStateCoversEveryField(t *testing.T) {
 	})
 	fieldguard.Check(t, reflect.TypeOf(proc{}), map[string]string{
 		"seg": c, "log": c, "watermark": c, "cursor": c, "flushed": c, "deps": c, "epoch": c,
-		"stepsBase": c, "pendingCommit": c, "ndSince": c, "replaying": c,
+		"stepsBase": c, "pendingCommit": c, "ndSince": c, "replaying": c, "retained": c,
 		"img":        "scratch: the image buffer is refilled before every use",
 		"replayOpen": "tracer bookkeeping: pairs a replay window's Begin with its End",
 	})

@@ -281,54 +281,30 @@ func (c *Ctx) Recv() (Msg, bool) {
 		c.after(event.Receive, event.TransientND, true, m.ID, m.From, "recv")
 		return m, true
 	}
-	// Position-gated redelivery of retained messages after a rollback:
-	// each message is handed back at the event position it was
-	// originally consumed at, so the re-execution interleaves receives
-	// with computation exactly as before the failure.
-	if len(c.p.replayQueue) > 0 {
-		head := c.p.replayQueue[0]
-		rel := c.p.Steps - c.p.retainBase
-		switch {
-		case rel == head.pos:
-			c.p.replayQueue[0] = retainedMsg{} // the slot leaves the slice: drop its pointer
-			c.p.replayQueue = c.p.replayQueue[1:]
-			m := *head.m
-			c.before(event.Receive, event.TransientND, "recv")
-			c.p.retain(&m, rel)
-			c.p.bumpRecvHW(m.From, m.SendIdx)
-			w.ndBuf = AppendMsgRecord(w.ndBuf[:0], m)
-			logged := c.recordND("recv", w.ndBuf)
-			c.after(event.Receive, event.TransientND, logged, m.ID, m.From, "recv")
-			return m, true
-		case rel < head.pos:
-			// Not due yet: let the program re-execute up to the
-			// consumption position. (If it instead blocks, the
-			// scheduler detects the divergence and flushes.)
+	// Live: the retained message the recovery layer handed back for this
+	// position (Redeliver), else the earliest delivered one in the inbox.
+	m := c.p.redelivered
+	c.p.redelivered = nil
+	if m == nil {
+		now := c.NowVirtual()
+		if w.Recovery != nil {
+			c.p.dropDuplicates(now)
+		}
+		idx := -1
+		for i, q := range c.p.inbox {
+			if q.DeliverAt <= now && (idx < 0 || q.DeliverAt < c.p.inbox[idx].DeliverAt) {
+				idx = i
+			}
+		}
+		if idx < 0 {
 			return Msg{}, false
-		default: // rel > head.pos: ran past the due position
-			//failtrans:alloc rollback divergence only: the abandoned redeliveries move to the inbox
-			w.flushReplayQueue(c.p)
 		}
+		m = c.p.inbox[idx]
+		c.p.inbox = slices.Delete(c.p.inbox, idx, idx+1)
+		c.p.inboxChanged()
 	}
-	now := c.NowVirtual()
-	if w.Recovery != nil {
-		c.p.dropDuplicates(now)
-	}
-	idx := -1
-	for i, m := range c.p.inbox {
-		if m.DeliverAt <= now && (idx < 0 || m.DeliverAt < c.p.inbox[idx].DeliverAt) {
-			idx = i
-		}
-	}
-	if idx < 0 {
-		return Msg{}, false
-	}
-	m := c.p.inbox[idx]
-	rel := c.p.Steps - c.p.retainBase
 	c.before(event.Receive, event.TransientND, "recv")
-	c.p.inbox = slices.Delete(c.p.inbox, idx, idx+1)
-	c.p.inboxChanged()
-	c.p.retain(m, rel)
+	c.p.retain(m)
 	c.p.bumpRecvHW(m.From, m.SendIdx)
 	logged := false
 	if w.Recovery != nil {

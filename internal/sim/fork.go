@@ -153,7 +153,7 @@ func (w *World) Fork() (*World, error) {
 
 // forkInto copies the process into slab slot np of world nw; Fork has checked
 // that its program is a Forker. Messages are immutable once enqueued (every
-// mutation path copies first), so inbox/retained/replay entries share *Msg
+// mutation path copies first), so inbox and retained entries share *Msg
 // pointers with the template.
 func (p *Proc) forkInto(np *Proc, nw *World) error {
 	prog, err := p.Prog.(Forker).Fork()
@@ -167,9 +167,7 @@ func (p *Proc) forkInto(np *Proc, nw *World) error {
 		status:      p.status,
 		wake:        p.wake,
 		inbox:       append([]*Msg(nil), p.inbox...),
-		retained:    append([]retainedMsg(nil), p.retained...),
-		retainBase:  p.retainBase,
-		replayQueue: append([]retainedMsg(nil), p.replayQueue...),
+		retained:    append([]Retained(nil), p.retained...),
 		rngSeed:     p.rngSeed,
 		rngDraws:    p.rngDraws,
 		Steps:       p.Steps,

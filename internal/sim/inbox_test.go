@@ -68,32 +68,42 @@ func TestInboxMinCacheMatchesScan(t *testing.T) {
 	}
 }
 
-// TestFlushReplayQueueEmpty: flushing an empty replay queue must be a
-// no-op — in particular the debug diagnostic must not index the queue head.
-func TestFlushReplayQueueEmpty(t *testing.T) {
+// TestRequeueEmpty: requeueing nothing is a no-op — in particular the debug
+// diagnostic runs only for a real requeue.
+func TestRequeueEmpty(t *testing.T) {
 	w := NewWorld(1, &counter{N: 1})
 	w.DebugLog = &obs.DebugLog{Enabled: true, W: io.Discard}
 	p := w.Procs[0]
-	w.flushReplayQueue(p) // must not panic
-	if len(p.inbox) != 0 || len(p.replayQueue) != 0 {
-		t.Fatalf("flush of empty queue mutated state: inbox=%d replay=%d", len(p.inbox), len(p.replayQueue))
+	w.Requeue(p, nil)
+	if len(p.inbox) != 0 || p.inbox != nil {
+		t.Fatalf("requeue of nothing mutated the inbox: %v", p.inbox)
 	}
 }
 
-// TestFlushReplayQueueRequeues: a non-empty flush moves replayed messages
-// ahead of the live inbox, re-timed to now, and refreshes the cached
-// delivery minimum.
-func TestFlushReplayQueueRequeues(t *testing.T) {
+// TestRequeueAheadOfInbox: a divergence makes the receives a re-execution
+// will not be handed deliverable now — copies addressed to the process,
+// re-timed to the clock, ahead of the live inbox in the given order — and
+// refreshes the cached delivery minimum. The caller's messages are not
+// touched.
+func TestRequeueAheadOfInbox(t *testing.T) {
 	w := NewWorld(1, &counter{N: 1})
 	p := w.Procs[0]
 	p.inboxAdd(&Msg{ID: 1, DeliverAt: time.Second})
-	p.replayQueue = append(p.replayQueue, retainedMsg{m: &Msg{ID: 2, DeliverAt: time.Hour}, pos: 1})
 	w.Clock = 5 * time.Millisecond
-	w.flushReplayQueue(p)
-	if len(p.inbox) != 2 || p.inbox[0].ID != 2 || p.inbox[0].DeliverAt != w.Clock {
-		t.Fatalf("flush did not requeue ahead of live inbox: %+v", p.inbox)
+	ms := []Msg{{ID: 2, From: 1, DeliverAt: time.Hour}, {ID: 3, From: 1}}
+	w.Requeue(p, ms)
+	if len(p.inbox) != 3 || p.inbox[0].ID != 2 || p.inbox[1].ID != 3 || p.inbox[2].ID != 1 {
+		t.Fatalf("requeue did not go ahead of the live inbox in order: %+v", p.inbox)
+	}
+	for _, m := range p.inbox[:2] {
+		if m.DeliverAt != w.Clock || m.To != p.Index {
+			t.Errorf("requeued message %d: DeliverAt %v To %d, want %v and %d", m.ID, m.DeliverAt, m.To, w.Clock, p.Index)
+		}
+	}
+	if ms[0].DeliverAt != time.Hour {
+		t.Error("requeue re-timed the caller's message")
 	}
 	if at, ok := p.earliestInbox(); !ok || at != w.Clock {
-		t.Fatalf("cached minimum stale after flush: (%v,%v), want (%v,true)", at, ok, w.Clock)
+		t.Fatalf("cached minimum stale after requeue: (%v,%v), want (%v,true)", at, ok, w.Clock)
 	}
 }

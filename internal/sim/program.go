@@ -137,10 +137,10 @@ type Recovery interface {
 	// crash); deferred commits execute here.
 	EndStep(p *Proc)
 	// OnBlocked runs when a step returns WaitMsg. During constrained
-	// re-execution the recovery layer reports true when the process's
-	// next logged event is due now (the scheduler then retries the step
-	// so the log can supply it), or resolves a divergence and returns
-	// false.
+	// re-execution the recovery layer reports true when a receive is due
+	// now — a logged one or a retained message to hand back — (the
+	// scheduler then retries the step so SupplyND can deliver it), or
+	// resolves a divergence (Requeue) and returns false.
 	OnBlocked(p *Proc) bool
 	// SupplyND gives the recovery layer a chance to replay a logged
 	// value for the next ND event with this label during constrained
@@ -148,7 +148,10 @@ type Recovery interface {
 	// ok=true supplies the logged value; ok=false executes the event
 	// live; and, for a poll (label "recv" or "signal"), a nil val with
 	// ok=true reports that the original run's poll found nothing here, so
-	// Recv and TakeSignal return empty without reading live state.
+	// Recv and TakeSignal return empty without reading live state. A
+	// receive that runs live consumes the retained message the layer
+	// handed back for this position with Redeliver, if it did, instead of
+	// reading the inbox.
 	SupplyND(p *Proc, label string) (val []byte, ok bool)
 	// RecordND offers the live value of an ND event for logging; the
 	// return value reports whether it was logged (rendering the event

@@ -7,29 +7,53 @@ import (
 )
 
 // rollbackStub is the smallest recovery layer that redelivers: it holds each
-// process's image from before the run and, on a crash, restores it and
-// requeues the messages consumed since — dc's rollback without commits.
+// process's image from before the run and, on a crash, restores it, takes
+// the messages consumed since over and hands each back to the receive that
+// reaches its position again — dc's rollback without commits or a log.
 type rollbackStub struct {
 	noopRecovery
 	w    *World
 	imgs [][]byte
-	// replay is the replay queue's whole backing array as the rollback
-	// armed it, kept to check that consuming the queue empties it.
-	replay []retainedMsg
+	// base is each process's Steps at its restore point; redo the messages
+	// taken over and not yet handed back, their At relative to base.
+	base []int
+	redo [][]Retained
 }
 
 func (r *rollbackStub) OnCrash(p *Proc, reason string) bool {
 	if err := p.RestoreCheckpointImage(r.imgs[p.Index]); err != nil {
 		return false
 	}
-	r.w.RequeueRetained(p)
-	r.replay = p.replayQueue[:cap(p.replayQueue)]
+	taken := r.w.TakeRetained(p)
+	for i := range taken {
+		taken[i].At -= r.base[p.Index]
+	}
+	r.redo[p.Index] = append(taken, r.redo[p.Index]...)
+	r.base[p.Index] = p.Steps
 	return true
 }
 
+func (r *rollbackStub) SupplyND(p *Proc, label string) ([]byte, bool) {
+	q := r.redo[p.Index]
+	if label != "recv" || len(q) == 0 {
+		return nil, false
+	}
+	switch rel := p.Steps - r.base[p.Index]; {
+	case rel == q[0].At:
+		r.w.Redeliver(p, q[0].Msg)
+		q[0] = Retained{}
+		r.redo[p.Index] = q[1:]
+		return nil, false
+	case rel < q[0].At:
+		return nil, true
+	}
+	return nil, false
+}
+
 // checkVacatedNil fails unless every slot past the length of each process's
-// inbox, retained list and replay queue is nil: a consumed message must not
-// stay reachable from a queue it left.
+// inbox and retained list is nil, and no handed-back message is left
+// unconsumed: a consumed message must not stay reachable from a queue it
+// left.
 func checkVacatedNil(t *testing.T, w *World) {
 	t.Helper()
 	for _, p := range w.Procs {
@@ -38,15 +62,13 @@ func checkVacatedNil(t *testing.T, w *World) {
 				t.Errorf("p%d inbox slot len+%d still holds message %d", p.Index, i, m.ID)
 			}
 		}
-		for _, q := range []struct {
-			name string
-			q    []retainedMsg
-		}{{"retained", p.retained}, {"replay", p.replayQueue}} {
-			for i, r := range q.q[len(q.q):cap(q.q)] {
-				if r.m != nil {
-					t.Errorf("p%d %s slot len+%d still holds message %d", p.Index, q.name, i, r.m.ID)
-				}
+		for i, r := range p.retained[len(p.retained):cap(p.retained)] {
+			if r.Msg != nil {
+				t.Errorf("p%d retained slot len+%d still holds message %d", p.Index, i, r.Msg.ID)
 			}
+		}
+		if p.redelivered != nil {
+			t.Errorf("p%d still holds handed-back message %d", p.Index, p.redelivered.ID)
 		}
 	}
 }
@@ -109,7 +131,7 @@ func TestRetentionOnlyUnderRecovery(t *testing.T) {
 
 	t.Run("stub", func(t *testing.T) {
 		w := NewWorld(11, &pinger{Rounds: 3}, &ponger{Max: 3})
-		stub := &rollbackStub{w: w}
+		stub := &rollbackStub{w: w, base: make([]int, 2), redo: make([][]Retained, 2)}
 		w.Recovery = stub
 		if err := w.Init(); err != nil {
 			t.Fatal(err)
@@ -120,6 +142,7 @@ func TestRetentionOnlyUnderRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 			stub.imgs = append(stub.imgs, img)
+			stub.base[p.Index] = p.Steps
 		}
 		// Crash the pinger after two rounds (send, recv, output each): the
 		// ponger has echoed its last pong but one, and filters the re-sent
@@ -136,16 +159,18 @@ func TestRetentionOnlyUnderRecovery(t *testing.T) {
 		if got := fmt.Sprint(w.Outputs[0]); got != want {
 			t.Errorf("pinger output %s, want %s", got, want)
 		}
+		// A handed-back message is consumed like a live one: retained again,
+		// at the position of its new receive.
 		if len(p.retained) != 3 {
-			t.Errorf("pinger retains %d messages, want 3 (two redelivered, one live)", len(p.retained))
+			t.Fatalf("pinger retains %d messages, want 3 (two redelivered, one live)", len(p.retained))
 		}
-		if len(stub.replay) < 2 {
-			t.Fatalf("rollback armed %d redeliveries, want 2", len(stub.replay))
-		}
-		for i, r := range stub.replay {
-			if r.m != nil {
-				t.Errorf("consumed replay slot %d still holds message %d", i, r.m.ID)
+		for i, r := range p.retained[:2] {
+			if r.At-stub.base[0] != 3*i+1 {
+				t.Errorf("redelivered message %d retained at relative position %d, want %d", i, r.At-stub.base[0], 3*i+1)
 			}
+		}
+		if len(stub.redo[0]) != 0 {
+			t.Errorf("%d taken-over messages never handed back", len(stub.redo[0]))
 		}
 		checkVacatedNil(t, w)
 	})

@@ -106,11 +106,10 @@ func sameLayer(c, t any) bool {
 func (p *Proc) sameSession(t *Proc) bool {
 	return p.Index == t.Index && p.status == t.status && p.wake == t.wake && p.dead == t.dead &&
 		p.Steps == t.Steps && p.Crashes == t.Crashes && p.InputCursor == t.InputCursor &&
-		p.SendSeq == t.SendSeq && p.retainBase == t.retainBase && p.rngSeed == t.rngSeed &&
+		p.SendSeq == t.SendSeq && p.rngSeed == t.rngSeed &&
 		p.rngDraws == t.rngDraws && p.ctx.crashed == t.ctx.crashed &&
 		slices.Equal(p.RecvHW, t.RecvHW) && slices.Equal(p.stops, t.stops) && slices.Equal(p.signals, t.signals) &&
-		sameMsgs(p.inbox, t.inbox) && sameRetained(p.retained, t.retained) &&
-		sameRetained(p.replayQueue, t.replayQueue) && sameInputs(p.ctx.Inputs, t.ctx.Inputs)
+		sameMsgs(p.inbox, t.inbox) && SameRetained(p.retained, t.retained) && sameInputs(p.ctx.Inputs, t.ctx.Inputs)
 }
 
 // sameMsg compares two messages by value.
@@ -131,16 +130,10 @@ func sameMsgs(a, b []*Msg) bool {
 	return true
 }
 
-func sameRetained(a, b []retainedMsg) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].pos != b[i].pos || !sameMsg(a[i].m, b[i].m) {
-			return false
-		}
-	}
-	return true
+// SameRetained compares two lists of retained messages by value: a recovery
+// layer that holds them for redelivery compares its own through it.
+func SameRetained(a, b []Retained) bool {
+	return slices.EqualFunc(a, b, func(x, y Retained) bool { return x.At == y.At && sameMsg(x.Msg, y.Msg) })
 }
 
 // sameInputs compares scripted inputs; a fork shares its template's.

@@ -135,18 +135,19 @@ func TestSameStateCoversEveryField(t *testing.T) {
 		"frozen":       "copy-on-write bookkeeping: a sealed template and its fork differ only here",
 	})
 	fieldguard.Check(t, reflect.TypeOf(Proc{}), map[string]string{
-		"Index": c, "Prog": c, "status": c, "wake": c, "inbox": c, "retained": c, "retainBase": c,
-		"replayQueue": c, "rngSeed": c, "rngDraws": c, "Steps": c, "Crashes": c, "InputCursor": c,
-		"SendSeq": c, "RecvHW": c, "stops": c, "signals": c, "dead": c, "ctxStore": c,
-		"World":      wiring,
-		"ctx":        wiring,
-		"rng":        "cache: rebuilt from rngSeed and rngDraws, which are compared",
-		"inboxMin":   "cache of the inbox minimum, which is compared",
-		"inboxMinOK": "cache of the inbox minimum, which is compared",
-		"schedAt":    index,
-		"schedNext":  index,
-		"schedPrev":  index,
-		"schedDirty": index,
+		"Index": c, "Prog": c, "status": c, "wake": c, "inbox": c, "retained": c, "rngSeed": c,
+		"rngDraws": c, "Steps": c, "Crashes": c, "InputCursor": c, "SendSeq": c, "RecvHW": c,
+		"stops": c, "signals": c, "dead": c, "ctxStore": c,
+		"redelivered": "receive-scoped: handed back and consumed within one Recv, nil between steps",
+		"World":       wiring,
+		"ctx":         wiring,
+		"rng":         "cache: rebuilt from rngSeed and rngDraws, which are compared",
+		"inboxMin":    "cache of the inbox minimum, which is compared",
+		"inboxMinOK":  "cache of the inbox minimum, which is compared",
+		"schedAt":     index,
+		"schedNext":   index,
+		"schedPrev":   index,
+		"schedDirty":  index,
 	})
 	fieldguard.Check(t, reflect.TypeOf(Ctx{}), map[string]string{
 		"Inputs": c, "crashed": c,

@@ -46,15 +46,15 @@ import (
 // (TestExecutionModeMatrix and FuzzSchedMatchesScan diff the two).
 //
 // Invalidation is lazy: every mutation that can change a process's readyAt
-// — a message append (send, RequeueLogged), an inbox removal or rebuild
-// (Recv, flushReplayQueue), a wake push-back (Delay), arming redelivery
-// (RequeueRetained), and the stepped process's own status/wake transition —
-// marks the process dirty on a to-reindex list, and the next scheduling
-// decision re-keys each dirty process exactly once before peeking the
-// minimum. Mutations that cannot change readyAt (DeliverSignal, which is
-// polled; ScheduleStop, checked only once the process runs; CommitPoint and
-// DropRetained, which touch only the retained list) are not hooked, exactly
-// matching the scan's semantics. The queue rebuilds from scratch lazily
+// — a message append (send), an inbox removal or rebuild (Recv, Requeue), a
+// wake push-back (Delay), and the stepped process's own status/wake
+// transition — marks the process dirty on a to-reindex list, and the next
+// scheduling decision re-keys each dirty process exactly once before
+// peeking the minimum. Mutations that cannot change readyAt (DeliverSignal,
+// which is polled; ScheduleStop, checked only once the process runs;
+// CommitPoint, TakeRetained and Redeliver, which touch only the retained
+// list and the receive in progress) are not hooked, exactly matching the
+// scan's semantics. The queue rebuilds from scratch lazily
 // after construction, Init and Fork (schedBuilt=false), so forking carries
 // no index cost.
 

@@ -229,12 +229,13 @@ func TestSchedForkRearms(t *testing.T) {
 	}
 }
 
-// TestSchedRequeueRearmsBlockedProc: RequeueRetained makes a message-blocked
-// process with an empty inbox runnable again (its replay queue now feeds
-// Recv); the index must pick it up without any inbox traffic.
+// TestSchedRequeueRearmsBlockedProc: a diverged re-execution requeues the
+// retained receives it will not be handed back; that makes a message-blocked
+// process with an empty inbox runnable again, and the index must pick it up
+// through the inbox's invalidation hook.
 func TestSchedRequeueRearmsBlockedProc(t *testing.T) {
 	// Ponger consumes two pings, then its partner finishes; a rollback
-	// re-arms redelivery of the consumed messages.
+	// takes the consumed messages over and requeues them.
 	w := NewWorld(21, &pinger{Rounds: 2}, &ponger{Max: 4})
 	w.Recovery = noopRecovery{}
 	for {
@@ -253,22 +254,27 @@ func TestSchedRequeueRearmsBlockedProc(t *testing.T) {
 	if _, ok := w.readyAt(ponger); ok {
 		t.Fatal("blocked ponger with drained inbox should not be runnable")
 	}
-	if len(ponger.retained) == 0 {
+	taken := w.TakeRetained(ponger)
+	if len(taken) == 0 {
 		t.Fatal("ponger retained no messages; test premise broken")
 	}
-	w.RequeueRetained(ponger)
+	// Rollback contract: the recovery layer restores the checkpointed
+	// RecvHW (here: pre-consumption) before requeueing, or Recv dedups the
+	// requeued messages as re-executed duplicates.
+	ponger.RecvHW = nil
+	ms := make([]Msg, len(taken))
+	for i, r := range taken {
+		ms[i] = *r.Msg
+	}
+	w.Requeue(ponger, ms)
 	at, ok := w.readyAt(ponger)
 	if !ok {
-		t.Fatal("RequeueRetained did not make the ponger runnable")
+		t.Fatal("Requeue did not make the ponger runnable")
 	}
-	// Step until the ponger consumes a redelivered message. (A step that
-	// finds the replay head not yet position-due records no event; the
-	// divergence fallback then flushes the queue to the inbox.)
 	before := ponger.Steps
 	for i := 0; i < 4 && ponger.Steps == before; i++ {
-		more, err := w.Step()
-		if err != nil || !more {
-			t.Fatalf("step after requeue: more=%v err=%v", more, err)
+		if more, err := w.Step(); err != nil || !more {
+			t.Fatalf("step after Requeue: more=%v err=%v", more, err)
 		}
 	}
 	if ponger.Steps == before {
@@ -279,9 +285,9 @@ func TestSchedRequeueRearmsBlockedProc(t *testing.T) {
 	}
 }
 
-// TestSchedRequeueLoggedRearmsBlockedProc: RequeueLogged re-injects a
-// logged message through inboxAdd, whose invalidation hook must wake the
-// index for a process that was out of the index entirely.
+// TestSchedRequeueLoggedRearmsBlockedProc: Requeue of a message rebuilt from
+// a receive-log record goes through the inbox's invalidation hook, which
+// must wake the index for a process that was out of the index entirely.
 func TestSchedRequeueLoggedRearmsBlockedProc(t *testing.T) {
 	w := NewWorld(22, &pinger{Rounds: 1}, &ponger{Max: 3})
 	for {
@@ -300,14 +306,14 @@ func TestSchedRequeueLoggedRearmsBlockedProc(t *testing.T) {
 	// SendIdx must clear the receive high-water mark or Recv dedups the
 	// reinjected record as a re-executed duplicate.
 	record := AppendMsgRecord(nil, Msg{From: 0, To: 1, SendIdx: 99, Payload: []byte("replayed ping")})
-	w.RequeueLogged(ponger, record)
+	w.Requeue(ponger, []Msg{DecodeMsgRecord(record)})
 	if _, ok := w.readyAt(ponger); !ok {
-		t.Fatal("RequeueLogged did not make the ponger runnable")
+		t.Fatal("Requeue did not make the ponger runnable")
 	}
 	before := ponger.Steps
 	for i := 0; i < 4 && ponger.Steps == before; i++ {
 		if more, err := w.Step(); err != nil || !more {
-			t.Fatalf("step after RequeueLogged: more=%v err=%v", more, err)
+			t.Fatalf("step after Requeue: more=%v err=%v", more, err)
 		}
 	}
 	if ponger.Steps == before {

@@ -410,41 +410,54 @@ func TestNDReplayOverridesLive(t *testing.T) {
 	}
 }
 
+// TestRetainedRedelivery: a consumed message is retained with the position
+// of its receive; a rollback takes the buffer over, and a message handed back
+// with Redeliver is consumed by the next Recv as a live receive — without
+// touching the inbox, offered for logging and retained again at its new
+// position — until CommitPoint releases the buffer.
 func TestRetainedRedelivery(t *testing.T) {
 	w := NewWorld(11, &pinger{Rounds: 1}, &ponger{Max: 1})
-	w.Recovery = noopRecovery{}
+	h := &hookRecorder{}
+	w.Recovery = h
 	if err := w.Run(); err != nil {
 		t.Fatal(err)
 	}
 	p := w.Procs[0]
 	// The pong the pinger consumed is retained (no commits happened).
-	if len(p.retained) != 1 {
-		t.Fatalf("retained = %d, want 1", len(p.retained))
+	if len(p.retained) != 1 || p.retained[0].At != 1 {
+		t.Fatalf("retained = %+v, want one message at position 1", p.retained)
+	}
+	taken := w.TakeRetained(p)
+	if len(taken) != 1 || len(p.retained) != 0 {
+		t.Fatalf("TakeRetained handed %d messages over and left %d", len(taken), len(p.retained))
 	}
 	// Rollback contract: the recovery layer restores the checkpointed
-	// RecvHW (here: pre-consumption) before requeueing, so the duplicate
-	// filter lets the redelivered message through. Redelivery is gated
-	// by consumption position; a process that asks twice at the same
-	// position without progress (as this test does, since it is not
-	// really re-executing) falls back to live delivery.
+	// RecvHW (here: pre-consumption) before handing messages back.
 	p.RecvHW = nil
-	w.RequeueRetained(p)
-	if len(p.replayQueue) != 1 {
-		t.Fatalf("replay queue after requeue = %d", len(p.replayQueue))
+	p.inboxAdd(&Msg{ID: 99, From: 1, SendIdx: 5, Payload: []byte("live")})
+	offers := len(h.logged)
+	w.Redeliver(p, taken[0].Msg)
+	m, ok := p.ctx.Recv()
+	if !ok || m.ID != taken[0].Msg.ID || string(m.Payload) != "ping 0" {
+		t.Fatalf("recv after Redeliver = %+v %v, want the handed-back pong", m, ok)
 	}
-	if _, ok := p.ctx.Recv(); ok {
-		t.Fatal("first Recv should be gated (position not due)")
+	if len(p.inbox) != 1 || p.redelivered != nil {
+		t.Errorf("the handed-back receive touched the inbox (%d) or left the hand-off set", len(p.inbox))
 	}
-	// The scheduler flushes the queue when a process blocks before the
-	// due position; emulate that divergence resolution here.
-	w.flushReplayQueue(p)
-	if m, ok := p.ctx.Recv(); !ok || string(m.Payload) != "ping 0" {
-		t.Fatalf("fallback recv = %v %v", m, ok)
+	if len(h.logged) != offers+1 {
+		t.Error("the handed-back receive was not offered for logging")
+	}
+	if len(p.retained) != 1 || p.retained[0].Msg != taken[0].Msg || p.retained[0].At != p.Steps-1 {
+		t.Errorf("retained after redelivery = %+v, want the same message at position %d", p.retained, p.Steps-1)
+	}
+	if m, ok := p.ctx.Recv(); !ok || m.ID != 99 {
+		t.Fatalf("next recv = %+v %v, want the live message", m, ok)
 	}
 	w.CommitPoint(p)
 	if len(p.retained) != 0 {
 		t.Error("commit point must clear retained messages")
 	}
+	checkVacatedNil(t, w)
 }
 
 func TestCheckpointImageRoundTrip(t *testing.T) {

@@ -36,21 +36,16 @@ type Proc struct {
 	wake time.Duration
 
 	inbox []*Msg
-	// retained holds messages consumed since the process's last commit,
-	// for redelivery if the process rolls back (the paper's "recovery
-	// buffer"); without a recovery layer nothing rolls back and it stays
-	// empty. Each entry remembers the event position (relative to the
-	// last commit) at which it was consumed, so redelivery reproduces
-	// the original interleaving of receives with computation. Every
-	// removal from retained, replayQueue and inbox clears the slots it
-	// vacates, so a consumed message (and the arena blocks behind it) is
-	// not kept alive by a queue it has left.
-	retained []retainedMsg
-	// retainBase anchors those relative positions.
-	retainBase int
-	// replayQueue holds retained messages being redelivered after a
-	// rollback, gated by position.
-	replayQueue []retainedMsg
+	// retained is the paper's "recovery buffer": the messages consumed
+	// since the recovery layer last released it (CommitPoint), for it to
+	// take over at a rollback (TakeRetained); without a recovery layer it
+	// stays empty. Every removal from retained and inbox clears the slots
+	// it vacates, so a consumed message (and the arena blocks behind it)
+	// is not kept alive by a queue it has left.
+	retained []Retained
+	// redelivered is a retained message handed back to the receive in
+	// progress (Redeliver), which consumes it: nil between steps.
+	redelivered *Msg
 
 	// rng is materialized lazily by rand(): seeding a rand.Rand fills a
 	// 607-word generator, which would dominate fork cost for the many
@@ -482,74 +477,61 @@ func (w *World) send(from, to int, payload []byte) (int64, error) {
 	return m.ID, nil
 }
 
-// retainedMsg is one consumed message plus the relative event position of
-// its consumption.
-type retainedMsg struct {
-	m   *Msg
-	pos int
+// Retained is a consumed message kept for redelivery after a rollback, and
+// the event position of its receive (the consumer's Steps then).
+type Retained struct {
+	Msg *Msg
+	At  int
 }
 
 // retain remembers a consumed message for redelivery after a rollback. Only
-// a recovery layer rolls a process back (it is RequeueRetained's one
-// caller), so a world without one keeps nothing.
-func (p *Proc) retain(m *Msg, pos int) {
+// a recovery layer rolls a process back, so a world without one keeps
+// nothing.
+func (p *Proc) retain(m *Msg) {
 	if p.World.Recovery != nil {
-		p.retained = append(p.retained, retainedMsg{m: m, pos: pos})
+		p.retained = append(p.retained, Retained{Msg: m, At: p.Steps})
 	}
 }
 
-// truncate empties a queue, dropping the pointers its slots hold so the
-// backing array it keeps for reuse pins no message (or the arena blocks the
-// message lives in).
-func truncate(q []retainedMsg) []retainedMsg {
-	clear(q)
-	return q[:0]
-}
-
-// CommitPoint tells the network that p's consumed messages need no longer
-// be retained for redelivery: p's state, including their effects, is now
-// stable. It also re-anchors the position counter for future retention.
+// CommitPoint releases p's retention buffer once a commit or a log force
+// made its messages' effects stable. The backing array is kept for reuse
+// with its slots cleared, so it pins no message (or its arena blocks).
 func (w *World) CommitPoint(p *Proc) {
-	p.retained = truncate(p.retained)
-	p.retainBase = p.Steps
+	clear(p.retained)
+	p.retained = p.retained[:0]
 }
 
-// DropRetained clears the retained messages without re-anchoring the
-// position counter — used when a persistent log now covers redelivery of
-// everything consumed so far (an asynchronous log flush).
-func (w *World) DropRetained(p *Proc) {
-	p.retained = truncate(p.retained)
+// TakeRetained hands a recovery layer rolling p back the retention buffer,
+// oldest message first; the caller owns it, and p's buffer starts empty.
+func (w *World) TakeRetained(p *Proc) []Retained {
+	r := p.retained
+	p.retained = nil
+	return r
 }
 
-// RequeueRetained arms redelivery of every message p consumed since its
-// last commit: each will be handed back to Recv at the same relative event
-// position it was originally consumed at, reproducing the pre-failure
-// interleaving. The recovery layer calls this when rolling p back.
-func (w *World) RequeueRetained(p *Proc) {
-	p.replayQueue = append(truncate(p.replayQueue), p.retained...)
-	p.retained = truncate(p.retained)
-	p.retainBase = p.Steps
-	// A non-empty replay queue makes a blocked process runnable at wake.
-	w.schedTouch(p)
-}
+// Redeliver hands m, a message p consumed before a rollback, to the receive
+// p is executing, which the recovery layer's SupplyND then answers live:
+// Recv consumes m instead of reading the inbox and, like any live receive,
+// retains it again and offers it for logging.
+func (w *World) Redeliver(p *Proc, m *Msg) { p.redelivered = m }
 
-// flushReplayQueue abandons position-gated redelivery (the re-execution
-// diverged) and moves the remaining messages to the inbox for live
-// consumption.
-func (w *World) flushReplayQueue(p *Proc) {
-	if len(p.replayQueue) == 0 {
+// Requeue makes the messages a diverged re-execution will not be handed
+// back deliverable now: arena copies re-timed to the clock go to the front
+// of p's inbox, in the given (originally consumed) order.
+func (w *World) Requeue(p *Proc, ms []Msg) {
+	if len(ms) == 0 {
 		return
 	}
-	w.DebugLog.Printf("sim: flush replay queue p%d steps=%d base=%d queue=%d headpos=%d\n",
-		p.Index, p.Steps, p.retainBase, len(p.replayQueue), p.replayQueue[0].pos)
-	pre := make([]*Msg, 0, len(p.replayQueue)+len(p.inbox))
-	for _, r := range p.replayQueue {
-		c := *r.m
+	w.DebugLog.Printf("sim: requeue p%d steps=%d msgs=%d\n", p.Index, p.Steps, len(ms))
+	pre := make([]*Msg, 0, len(ms)+len(p.inbox))
+	for _, m := range ms {
+		c := w.allocMsg()
+		*c = m
+		c.To = p.Index
 		c.DeliverAt = w.Clock
-		pre = append(pre, &c)
+		pre = append(pre, c)
 	}
 	p.inbox = append(pre, p.inbox...)
-	p.replayQueue = truncate(p.replayQueue)
 	p.inboxChanged()
 }
 
@@ -560,16 +542,6 @@ func (w *World) flushReplayQueue(p *Proc) {
 func (w *World) DeliverSignal(pid int, sig string, at time.Duration) {
 	p := w.Procs[pid]
 	p.signals = append(p.signals, pendingSignal{sig: sig, at: at})
-}
-
-// RequeueLogged reconstructs a logged-but-unreplayed message (an encoded
-// receive-log record) back into p's inbox after a re-execution divergence,
-// so it is not lost.
-func (w *World) RequeueLogged(p *Proc, record []byte) {
-	m := DecodeMsgRecord(record)
-	m.To = p.Index
-	m.DeliverAt = w.Clock
-	p.inboxAdd(&m)
 }
 
 // readyAt returns the earliest time p can run, or ok=false if it never can.
@@ -583,11 +555,6 @@ func (w *World) readyAt(p *Proc) (time.Duration, bool) {
 	case Sleeping:
 		return p.wake, true
 	case WaitMsg:
-		// A pending position-gated redelivery counts as an available
-		// message.
-		if len(p.replayQueue) > 0 {
-			return p.wake, true
-		}
 		best, ok := p.earliestInbox()
 		if !ok {
 			return 0, false
@@ -668,17 +635,10 @@ func (w *World) Step() (bool, error) {
 	if st != Crashed && w.Recovery != nil {
 		w.Recovery.EndStep(p)
 	}
-	// A process that blocks on messages while its gated redelivery head
-	// is not yet due has diverged from its pre-failure execution (the
-	// original could only have advanced past this point by consuming):
-	// fall back to live delivery.
-	if st == WaitMsg && len(p.replayQueue) > 0 {
-		if p.Steps-p.retainBase < p.replayQueue[0].pos {
-			w.flushReplayQueue(p)
-		}
-	}
-	// Give a log-replaying recovery layer the same chance: it may have a
-	// due record to supply (retry the step) or a divergence to resolve.
+	// A process that blocks during constrained re-execution may have a
+	// receive due to be handed back (retry the step) or, blocking before
+	// one, has diverged from its pre-failure run: the recovery layer
+	// decides.
 	if st == WaitMsg && w.Recovery != nil && w.Recovery.OnBlocked(p) {
 		st = Ready
 		p.wake = w.Clock + p.ctx.elapsed
