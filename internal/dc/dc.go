@@ -283,10 +283,13 @@ type DC struct {
 	// Stats.VetoedSaveWork, never hidden) for Lose-work safety. Every
 	// member of a coordinated commit funnels through the check in turn.
 	CommitVeto func(p *sim.Proc, label string) bool
-	// RecoveryHook, if set, is called after every successful rollback.
+	// RecoveryHook, if set, is called after every successful rollback. A
+	// rollback never rewinds p.Steps, so the hook sees the crashed process
+	// at its crash position.
 	RecoveryHook func(p *sim.Proc, reason string)
-	// DisableRecovery leaves crashed processes dead (the fault studies
-	// decide recovery outcomes analytically and per-run).
+	// DisableRecovery leaves crashed processes dead. The fault studies set
+	// it only to end a crash loop: past a few rollbacks the next crash is
+	// final.
 	DisableRecovery bool
 	// CheckBeforeCommit runs the program's CheckConsistency (when it
 	// implements sim.Checker) before every commit, crashing instead of
@@ -910,7 +913,8 @@ func (d *DC) Checkpoint(p *sim.Proc) error { return d.commitOne(p, "explicit") }
 func (d *DC) Rollback(p *sim.Proc) error {
 	i := p.Index
 	ps := &d.procs[i]
-	// Depth must be read before the restore rewinds p.Steps.
+	// Depth must be read before stepsBase moves to the crash position
+	// below (the restore leaves p.Steps where the crash left it).
 	depth := int64(p.Steps - ps.stepsBase)
 	start := p.Ctx().NowVirtual()
 	d.endReplayWindow(p) // a crash mid-replay abandons the open window

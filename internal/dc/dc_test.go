@@ -106,7 +106,7 @@ func TestStopFailureRecoveryConsistent(t *testing.T) {
 // some stop failure produces inconsistent output — demonstrating the
 // Save-work theorem's "only if" direction.
 func TestNoProtocolNoConsistency(t *testing.T) {
-	broken := protocol.Policy{Name: "NONE", Runnable: true}
+	broken := protocol.Policy{Name: "NONE"}
 	sawInconsistent := false
 	for seed := int64(0); seed < 30 && !sawInconsistent; seed++ {
 		w := sim.NewWorld(seed, &flip{})
@@ -304,7 +304,7 @@ func TestSaveWorkHoldsOnFailureFreeTraces(t *testing.T) {
 // TestNoneProtocolViolatesSaveWork: the broken policy's trace fails the
 // checker, confirming the checker has teeth on real traces.
 func TestNoneProtocolViolatesSaveWork(t *testing.T) {
-	w, _ := runWorker(t, protocol.Policy{Name: "NONE", Runnable: true})
+	w, _ := runWorker(t, protocol.Policy{Name: "NONE"})
 	if vs := recovery.CheckSaveWork(w.Trace); len(vs) == 0 {
 		t.Error("commit-free policy should violate Save-work on an ND workload")
 	}
@@ -618,22 +618,44 @@ func TestDisableRecovery(t *testing.T) {
 	}
 }
 
-// TestHooks: commit and recovery hooks fire.
+// TestHooks: commit and recovery hooks fire, and the recovery hook sees the
+// rolled-back process still at its crash position: a stop executes nothing,
+// so that is where the crashing step began.
 func TestHooks(t *testing.T) {
 	w := sim.NewWorld(41, &flip{})
 	d := New(w, protocol.CPVS, stablestore.Rio)
 	var commits, recoveries int
+	hookSteps := -1
 	d.CommitHook = func(p *sim.Proc, label string) { commits++ }
-	d.RecoveryHook = func(p *sim.Proc, reason string) { recoveries++ }
+	d.RecoveryHook = func(p *sim.Proc, reason string) {
+		recoveries++
+		hookSteps = p.Steps
+	}
 	if err := d.Attach(); err != nil {
 		t.Fatal(err)
 	}
 	w.ScheduleStop(0, 2)
-	if err := w.Run(); err != nil {
+	if err := w.Init(); err != nil {
 		t.Fatal(err)
+	}
+	crashAt := -1
+	for {
+		if recoveries == 0 {
+			crashAt = w.Procs[0].Steps
+		}
+		more, err := w.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !more {
+			break
+		}
 	}
 	if commits == 0 || recoveries != 1 {
 		t.Errorf("hooks: commits=%d recoveries=%d", commits, recoveries)
+	}
+	if hookSteps != crashAt || crashAt < 2 {
+		t.Errorf("recovery hook saw Steps %d, want the crash position %d (>= the stop's 2)", hookSteps, crashAt)
 	}
 }
 

@@ -72,7 +72,8 @@ type RunResult struct {
 	// from the fault-free run (no crash, silent corruption).
 	WrongOutput bool
 	// Recovered reports the end-to-end check: with the fault suppressed
-	// on re-execution, did recovery complete the run?
+	// on re-execution, did recovery complete the run? A crashed Table 1 run
+	// answers it by running on past its crash.
 	Recovered bool
 	// Propagated reports (Table 2) a kernel fault that corrupted
 	// application-visible state before the kernel panicked.
@@ -282,8 +283,8 @@ func (s *AppStudy) noteCOW(w *sim.World, d *dc.DC) {
 }
 
 // finishRun classifies a completed injection run (everything but the
-// end-to-end recovery check, which needs a second run) from where its
-// session ended.
+// end-to-end recovery check) from where its session ended: for a run that
+// crashed, at its first crash.
 func (s *AppStudy) finishRun(end sessionEnd, inj *oneShot, clean []string) RunResult {
 	var res RunResult
 	if !inj.fired {
@@ -337,8 +338,8 @@ func (s *AppStudy) armVeto(d *dc.DC, inj *oneShot, commits *[]int) {
 // scratch or from a fork of a snapshot. The physical counts that DO differ
 // by mode (steps actually re-executed, fork latencies) stay in
 // obs.SnapshotMetrics.
-func (s *AppStudy) ledgerRecord(k RunKey, end sessionEnd, d *dc.DC, inj *oneShot, res RunResult) *ledger.Record {
-	r := s.record(k, end, d)
+func (s *AppStudy) ledgerRecord(k RunKey, end sessionEnd, inj *oneShot, res RunResult) *ledger.Record {
+	r := s.record(k, end)
 	commits := end.commits
 	if inj.fired {
 		r.Activation = inj.firedAt
@@ -378,22 +379,15 @@ func (s *AppStudy) ledgerRecord(k RunKey, end sessionEnd, d *dc.DC, inj *oneShot
 	return r
 }
 
-// recordCommits installs the CommitHook every study DC carries: it appends
-// each commit's process step position to *commits.
-func recordCommits(d *dc.DC, commits *[]int) {
+// armInjection configures d as an injection run's DC is until its fault
+// activates — and so as the template's must be: the study's commit check,
+// and a CommitHook appending each commit's process step position to
+// *commits. Recovery stays on: a run goes on past its crash.
+func (s *AppStudy) armInjection(d *dc.DC, commits *[]int) {
+	d.CheckBeforeCommit = s.CheckBeforeCommit
 	d.CommitHook = func(p *sim.Proc, label string) {
 		*commits = append(*commits, p.Steps)
 	}
-}
-
-// armInjection configures d as an injection run's DC is until its fault
-// activates — and so as the template's must be: recovery off (the measured
-// run only classifies the crash), the study's commit check, commit positions
-// recorded.
-func (s *AppStudy) armInjection(d *dc.DC, commits *[]int) {
-	d.DisableRecovery = true
-	d.CheckBeforeCommit = s.CheckBeforeCommit
-	recordCommits(d, commits)
 }
 
 // open yields the world one run starts from and its recovery layer: a fork
@@ -432,22 +426,33 @@ func (s *AppStudy) open(snap *prefixSnapshot, inj sim.FaultInjector, arm func(*d
 // snapshot's visit count and the snapshot's commit history prepended; run
 // under the study protocol until the session ends or the run converges on
 // a later snapshot (converge), whose suffix it then inherits; record the
-// timeline, classify it against the clean run's output, then (for crashes)
-// re-run end-to-end with recovery enabled and the fault suppressed. The
-// result is byte-identical for every snapshot that qualifies, the zero one
-// included, and whether or not the run converges.
+// timeline, classify it against the clean run's output. A crash ends the
+// measured session — its end is captured as the crash rolls back — but not
+// the run: it re-executes with the one-shot injector quiet ("suppressing the
+// fault activation during recovery"), and recovery succeeds if the run then
+// completes without looping on crashes. The result is byte-identical for
+// every snapshot that qualifies, the zero one included, and whether or not
+// the run converges.
 func (s *AppStudy) runOne(k RunKey, clean []string, cache *prefixCache) (RunResult, error) {
 	var res RunResult
 	from := cache.before(k.FireAt)
 	snap := &cache.snaps[from]
 	inj := &oneShot{kind: k.Kind, fireAt: int(k.FireAt), visits: int(snap.at)}
 	commits := append([]int(nil), snap.commits...)
+	var crash *sessionEnd
 	w, d, err := s.open(snap, inj, func(d *dc.DC) {
 		s.armInjection(d, &commits)
 		// Templates run veto-free (pre-activation states are never doomed,
 		// so a veto would have deferred nothing anyway); each run arms the
-		// study's policy over its full commit history.
+		// study's policy over its full commit history. A one-shot injector
+		// stays fired across rollback, so post-recovery commits keep
+		// consulting the activated chain.
 		s.armVeto(d, inj, &commits)
+		giveUpOnCrashLoop(d, func(p *sim.Proc) {
+			end := endOf(p.World, d, commits)
+			end.dead = true
+			crash = &end
+		})
 	})
 	if err != nil {
 		return res, err
@@ -458,54 +463,24 @@ func (s *AppStudy) runOne(k RunKey, clean []string, cache *prefixCache) (RunResu
 	}
 	s.noteReplay(inj, snap.steps)
 	s.noteCOW(w, d)
-	end := endOf(w, commits)
+	end := endOf(w, d, commits)
 	var conv *convergence
-	if met != nil {
+	switch {
+	case crash != nil:
+		end = *crash
+	case met != nil:
 		end = cache.end.inherit(w, commits, met)
 		conv = &convergence{skipped: end.worldSteps - met.steps}
 	}
 	res = s.finishRun(end, inj, clean)
 	res.conv = conv
 	if res.Crashed {
-		res.Recovered = s.endToEnd(k, snap)
+		res.Recovered = w.AllDone()
 	}
 	if s.records() {
-		res.Rec = s.ledgerRecord(k, end, d, inj, res)
+		res.Rec = s.ledgerRecord(k, end, inj, res)
 	}
 	return res, nil
-}
-
-// endToEnd re-runs the same scenario with recovery enabled; the injector
-// fires once (activating identically), the crash rolls the process back,
-// and the one-shot injector stays quiet during re-execution ("suppressing
-// the fault activation during recovery"). Success means the run completes
-// without looping on crashes. It starts from the same snapshot the measured
-// run did: the clean prefix is identical with recovery enabled or disabled
-// (the flag only matters after a crash, and the prefix has none).
-func (s *AppStudy) endToEnd(k RunKey, snap *prefixSnapshot) bool {
-	inj := &oneShot{kind: k.Kind, fireAt: int(k.FireAt), visits: int(snap.at)}
-	w, d, err := s.open(snap, inj, func(d *dc.DC) {
-		d.DisableRecovery = false
-		d.CheckBeforeCommit = s.CheckBeforeCommit
-		// The end-to-end check runs under the same veto the measured run
-		// did; a one-shot injector stays fired across rollback, so
-		// post-recovery commits keep consulting the activated chain.
-		if s.Veto != nil {
-			commits := append([]int(nil), snap.commits...)
-			recordCommits(d, &commits)
-			s.armVeto(d, inj, &commits)
-		}
-		giveUpOnCrashLoop(d)
-	})
-	if err != nil {
-		return false
-	}
-	if err := w.Run(); err != nil {
-		return false
-	}
-	s.noteReplay(inj, snap.steps)
-	s.noteCOW(w, d)
-	return w.AllDone()
 }
 
 // injectionCell is one RunKey of Table 1: the unit the study executes. A

@@ -120,7 +120,7 @@ func (o *OSStudy) key(kind sim.FaultKind, run int, cleanDur time.Duration) RunKe
 // activation/crash step marks. injSteps is the world step count at
 // injection, -1 for a run that ended before its injection time.
 func (o *OSStudy) ledgerRecord(k RunKey, w *sim.World, d *dc.DC, injSteps int, res RunResult) *ledger.Record {
-	r := o.record(k, endOf(w, nil), d)
+	r := o.record(k, endOf(w, d, nil))
 	r.CommitN = d.Stats.TotalCheckpoints()
 	r.SaveWork = res.Propagated
 	r.PrefixSteps = injSteps
@@ -151,7 +151,7 @@ func (o *OSStudy) runOne(k RunKey, cache *prefixCache) (RunResult, error) {
 	var crashes *int
 	injSteps := -1 // the world step count at injection
 	w, d, err := o.open(snap, scribble, func(d *dc.DC) {
-		crashes = giveUpOnCrashLoop(d)
+		crashes = giveUpOnCrashLoop(d, nil)
 		o.armOSVeto(d, k.Kind, &injSteps)
 	})
 	if err != nil {

@@ -36,15 +36,16 @@ import (
 // state. An injection run whose one-shot has fired compares itself with each
 // later snapshot when its world step count reaches that snapshot's
 // (converge, World.SameState: every layer's behaviour-relevant state,
-// exactly, never a digest). A match proves the rest of the run is the rest
-// of the template's: a world's steps are a function of its state, and from
-// there on neither injector injects (a fired one-shot, like the visit
-// counter, returns NoFault with no other side effect). So the run stops and
-// inherits that rest: its commit positions continue with the template's
-// after the snapshot, its final step positions, clock and liveness are the
-// template's, and its output is its own so far followed by the template's
-// from the same output count on. Nothing else a run reports reads the
-// skipped steps. Table 2 does not converge: its outcome reads run-local
+// exactly, never a digest), until it crashes: a crashed run has rolled back
+// and runs on to its end for its recovery check. A match proves the rest of
+// the run is the rest of the template's: a world's steps are a function of
+// its state, and from there on neither injector injects (a fired one-shot,
+// like the visit counter, returns NoFault with no other side effect). So the
+// run stops and inherits that rest: its commit positions continue with the
+// template's after the snapshot, its final step positions, clock and
+// liveness are the template's, and its output is its own so far followed by
+// the template's from the same output count on. Nothing else a run reports
+// reads the skipped steps. Table 2 does not converge: its outcome reads run-local
 // state the template lacks (crash count, scribble injector, the kernel's
 // corruption flag). Neither does a study with a veto armed: a vetoed run's
 // commits read its own activation history.
@@ -111,21 +112,28 @@ type prefixCache struct {
 
 // sessionEnd is how a run's session ended: its one process's event
 // position and liveness, the world's step count and clock, the commit
-// positions its timeline reports and the output it produced.
+// positions its timeline reports, the output it produced and the commits a
+// veto deferred (d.Stats.CommitsVetoed and VetoedSaveWork).
 type sessionEnd struct {
-	steps      int
-	worldSteps int
-	clock      time.Duration
-	dead       bool
-	commits    []int
-	outputs    []string
+	steps          int
+	worldSteps     int
+	clock          time.Duration
+	dead           bool
+	commits        []int
+	outputs        []string
+	vetoed         int
+	vetoedSaveWork int
 }
 
-// endOf reads a finished world's session end.
-func endOf(w *sim.World, commits []int) sessionEnd {
+// endOf reads world w's session end so far, d being its recovery layer.
+// commits and outputs are capacity-clamped, so a run that goes on appending
+// to its own never writes into them.
+func endOf(w *sim.World, d *dc.DC, commits []int) sessionEnd {
 	p := w.Procs[0]
+	out := w.Outputs[0]
 	return sessionEnd{steps: p.Steps, worldSteps: w.StepCount(), clock: w.Clock, dead: p.Dead(),
-		commits: commits, outputs: w.Outputs[0]}
+		commits: commits[:len(commits):len(commits)], outputs: out[:len(out):len(out)],
+		vetoed: d.Stats.CommitsVetoed, vetoedSaveWork: d.Stats.VetoedSaveWork}
 }
 
 // inherit is the session end of run w, which has just converged on snapshot
@@ -159,12 +167,12 @@ func (c *prefixCache) before(at int64) int {
 }
 
 // converge steps run w, which started at snapshot from with one-shot inj
-// armed, to the end of its session — or, once inj has fired, until w's
-// state equals that of a later snapshot the template sealed at w's step
-// count, which it returns. From that snapshot on the run is the template:
-// a world's steps are a function of its state, and the fired one-shot, like
-// the template's visit counter, never injects again. Without a known
-// template end it only runs to the end.
+// armed, to the end of its session — or, once inj has fired and until its
+// process crashes, until w's state equals that of a later snapshot the
+// template sealed at w's step count, which it returns. From that snapshot on
+// the run is the template: a world's steps are a function of its state, and
+// the fired one-shot, like the template's visit counter, never injects
+// again. Without a known template end it only runs to the end.
 func (c *prefixCache) converge(w *sim.World, inj *oneShot, from int) (*prefixSnapshot, error) {
 	next := len(c.snaps)
 	if c.end != nil {
@@ -174,7 +182,8 @@ func (c *prefixCache) converge(w *sim.World, inj *oneShot, from int) (*prefixSna
 		return nil, err
 	}
 	for {
-		if inj.fired {
+		// A crashed run has rolled back: it is no longer the template.
+		if inj.fired && w.Procs[0].Crashes == 0 {
 			n := w.StepCount()
 			for next < len(c.snaps) && c.snaps[next].steps < n {
 				next++
@@ -296,7 +305,7 @@ func (s *AppStudy) buildPrefixCache() (*prefixCache, error) {
 			return nil, err
 		}
 	}
-	end := endOf(w, commits)
+	end := endOf(w, w.Recovery.(*dc.DC), commits)
 	cache.end = &end
 	return cache, nil
 }

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"bytes"
+	"hash/fnv"
 	"slices"
 	"testing"
 
@@ -14,8 +15,8 @@ import (
 )
 
 // studyBytes runs one Table 1 study with a ledger and campaign metrics
-// attached and returns its JSON, its ledger bytes and its snapshot metrics.
-func studyBytes(t *testing.T, s *AppStudy) (string, []byte, *obs.SnapshotMetrics) {
+// attached and returns its JSON, its ledger bytes and its campaign metrics.
+func studyBytes(t *testing.T, s *AppStudy) (string, []byte, *obs.CampaignMetrics) {
 	t.Helper()
 	var buf bytes.Buffer
 	s.Ledger = ledger.NewWriter(&buf)
@@ -27,27 +28,36 @@ func studyBytes(t *testing.T, s *AppStudy) (string, []byte, *obs.SnapshotMetrics
 	if err := s.Ledger.Err(); err != nil {
 		t.Fatal(err)
 	}
-	return asJSON(t, rs), buf.Bytes(), &s.CampaignObs.Snapshot
+	return asJSON(t, rs), buf.Bytes(), s.CampaignObs
 }
 
 // matchesScratch holds one study configuration to the Snapshots-off oracle,
-// which builds every run from scratch and so never forks or converges: with
-// snapshots on, at Parallel 1 and 4, study JSON and ledger bytes must be
-// identical to the oracle's, and both worker counts must converge the same
-// cells on a snapshot, some of them.
-func matchesScratch(t *testing.T, mk func() *AppStudy) {
+// which builds every run from scratch and so never forks or converges: the
+// oracle's study JSON and ledger bytes must hash (FNV-64a, JSON then ledger)
+// to digest; with snapshots on, at Parallel 1 and 4, they must be identical
+// to the oracle's; both worker counts must converge the same cells on a
+// snapshot, some of them; and the serial campaign forks one world per
+// executed cell.
+func matchesScratch(t *testing.T, mk func() *AppStudy, digest uint64) {
 	t.Helper()
 	oracle := mk()
 	oracle.Snapshots = false
-	wantJSON, wantLedger, sn := studyBytes(t, oracle)
-	if sn.Forks != 0 || sn.Converged != 0 {
+	wantJSON, wantLedger, m := studyBytes(t, oracle)
+	if sn := &m.Snapshot; sn.Forks != 0 || sn.Converged != 0 {
 		t.Fatalf("the Snapshots-off oracle forked %d worlds and converged %d cells", sn.Forks, sn.Converged)
+	}
+	h := fnv.New64a()
+	h.Write([]byte(wantJSON))
+	h.Write(wantLedger)
+	if got := h.Sum64(); got != digest {
+		t.Errorf("oracle study digest %016x, want %016x", got, digest)
 	}
 	var converged [2]int64
 	for i, workers := range []int{1, 4} {
 		s := mk()
 		s.Parallel = workers
-		gotJSON, gotLedger, sn := studyBytes(t, s)
+		gotJSON, gotLedger, m := studyBytes(t, s)
+		sn := &m.Snapshot
 		if gotJSON != wantJSON {
 			t.Errorf("parallel %d: snapshot study diverged from scratch:\n got %s\nwant %s", workers, gotJSON, wantJSON)
 		}
@@ -56,6 +66,9 @@ func matchesScratch(t *testing.T, mk func() *AppStudy) {
 		}
 		if sn.Snapshots == 0 || sn.Forks == 0 {
 			t.Errorf("parallel %d: snapshot path not exercised: snapshots=%d forks=%d", workers, sn.Snapshots, sn.Forks)
+		}
+		if cells := m.Cells.Load(); workers == 1 && sn.Forks != cells {
+			t.Errorf("serial campaign forked %d worlds for %d executed cells, want one each", sn.Forks, cells)
 		}
 		converged[i] = sn.Converged
 	}
@@ -67,16 +80,23 @@ func matchesScratch(t *testing.T, mk func() *AppStudy) {
 // TestAppStudySnapshotMatchesScratch is the snapshot engine's acceptance
 // bar: Table 1 must be byte-identical with snapshots off, and with snapshots
 // on under a serial and a parallel campaign, prefix forks and suffix
-// convergence included. The small legs run under the race detector, where
-// Parallel 4's runs compare themselves against the frozen templates
-// concurrently. The full leg is the paper's scale — both applications, 50
-// crashes per fault type, under CPVS and CBNDVS-LOG, as ftbench runs them —
-// and skips under -race, where it would dominate the suite; CI runs it in a
-// step of its own.
+// convergence included. Each case also pins the oracle's bytes by digest, so
+// a change that moves the run bodies of both paths alike still shows. The
+// small legs run under the race detector, where Parallel 4's runs compare
+// themselves against the frozen templates concurrently. The full leg is the
+// paper's scale — both applications, 50 crashes per fault type, under CPVS
+// and CBNDVS-LOG, as ftbench runs them — and skips under -race, where it
+// would dominate the suite; CI runs it in a step of its own.
 func TestAppStudySnapshotMatchesScratch(t *testing.T) {
-	for _, app := range []string{"nvi", "postgres"} {
-		t.Run("small/"+app, func(t *testing.T) {
-			matchesScratch(t, func() *AppStudy { return smallStudy(app) })
+	for _, c := range []struct {
+		app    string
+		digest uint64
+	}{
+		{"nvi", 0x06e6b14ca0576a1c},
+		{"postgres", 0xe7549af7519bc41a},
+	} {
+		t.Run("small/"+c.app, func(t *testing.T) {
+			matchesScratch(t, func() *AppStudy { return smallStudy(c.app) }, c.digest)
 		})
 	}
 	t.Run("full", func(t *testing.T) {
@@ -86,17 +106,24 @@ func TestAppStudySnapshotMatchesScratch(t *testing.T) {
 		if testing.Short() {
 			t.Skip("full scale")
 		}
-		for _, pol := range []protocol.Policy{protocol.CPVS, protocol.CBNDVSLog} {
-			for _, app := range []string{"nvi", "postgres"} {
-				t.Run(pol.Name+"/"+app, func(t *testing.T) {
-					matchesScratch(t, func() *AppStudy {
-						s := NewAppStudy(app)
-						s.Policy = pol
-						s.MaxRunsPerType = 12 * s.CrashTarget
-						return s
-					})
-				})
-			}
+		for _, c := range []struct {
+			pol    protocol.Policy
+			app    string
+			digest uint64
+		}{
+			{protocol.CPVS, "nvi", 0xe89e3f8435edd3c6},
+			{protocol.CPVS, "postgres", 0x942545975ddb0886},
+			{protocol.CBNDVSLog, "nvi", 0x256de61cbefcf692},
+			{protocol.CBNDVSLog, "postgres", 0x41d10cce08c64e87},
+		} {
+			t.Run(c.pol.Name+"/"+c.app, func(t *testing.T) {
+				matchesScratch(t, func() *AppStudy {
+					s := NewAppStudy(c.app)
+					s.Policy = c.pol
+					s.MaxRunsPerType = 12 * s.CrashTarget
+					return s
+				}, c.digest)
+			})
 		}
 	})
 }
@@ -108,8 +135,8 @@ func TestAppStudySnapshotMatchesScratch(t *testing.T) {
 func TestVetoedStudyDoesNotConverge(t *testing.T) {
 	s := smallStudy("nvi")
 	s.Veto = &statemachine.VetoPolicy{}
-	if _, _, sn := studyBytes(t, s); sn.Converged != 0 {
-		t.Errorf("vetoed study converged %d cells", sn.Converged)
+	if _, _, m := studyBytes(t, s); m.Snapshot.Converged != 0 {
+		t.Errorf("vetoed study converged %d cells", m.Snapshot.Converged)
 	}
 }
 

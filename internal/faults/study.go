@@ -53,9 +53,10 @@ func (k RunKey) stamp(r *ledger.Record) {
 	}
 }
 
-// record starts a finished run's forensic record: the key's header, where
-// the run's session ended and, under a veto, the deferrals d counted.
-func (s *AppStudy) record(k RunKey, end sessionEnd, d *dc.DC) *ledger.Record {
+// record starts a finished run's forensic record: the key's header and
+// where the run's session ended, with, under a veto, the deferrals counted
+// by then.
+func (s *AppStudy) record(k RunKey, end sessionEnd) *ledger.Record {
 	r := ledger.Get()
 	k.stamp(r)
 	r.Steps = end.steps
@@ -63,8 +64,8 @@ func (s *AppStudy) record(k RunKey, end sessionEnd, d *dc.DC) *ledger.Record {
 	r.VClockUS = int64(end.clock / time.Microsecond)
 	if s.Veto != nil {
 		r.VetoActive = true
-		r.VetoN = d.Stats.CommitsVetoed
-		r.VetoSaveWorkN = d.Stats.VetoedSaveWork
+		r.VetoN = end.vetoed
+		r.VetoSaveWorkN = end.vetoedSaveWork
 	}
 	return r
 }
@@ -104,11 +105,16 @@ func (s *AppStudy) acceptConvergence(c *convergence) {
 const maxRecoveries = 3
 
 // giveUpOnCrashLoop arms d to switch recovery off after maxRecoveries
-// crashes, so the next crash is final. It returns the crash count it keeps.
-func giveUpOnCrashLoop(d *dc.DC) *int {
+// crashes, so the next crash is final, and to call first, if non-nil, once
+// the first crash has rolled back (p.Steps is still the crash position). It
+// returns the crash count it keeps.
+func giveUpOnCrashLoop(d *dc.DC, first func(p *sim.Proc)) *int {
 	crashes := new(int)
 	d.RecoveryHook = func(p *sim.Proc, reason string) {
 		*crashes++
+		if *crashes == 1 && first != nil {
+			first(p)
+		}
 		if *crashes > maxRecoveries {
 			d.DisableRecovery = true
 		}

@@ -64,9 +64,9 @@ type SnapshotMetrics struct {
 	mu sync.Mutex
 	// Snapshots counts snapshots captured from template runs.
 	Snapshots int64
-	// Forks counts worlds forked from a snapshot: per executed cell in
-	// Table 1 (one for the measured run, one more for a crash's end-to-end
-	// check), per run in Table 2.
+	// Forks counts worlds forked from a snapshot: one per executed cell in
+	// Table 1 (its run goes on past a crash into its own recovery check),
+	// one per run in Table 2.
 	Forks int64
 	// StepsSaved totals the clean-prefix steps the forks did not have to
 	// re-execute (the snapshot's step count, per fork).
@@ -77,8 +77,8 @@ type SnapshotMetrics struct {
 	ForkLatency Histogram
 	// StepsReplayed totals the clean-prefix steps injection runs actually
 	// re-executed before fault activation; InjectionRuns counts the runs
-	// executed (activated faults only; a run served from a once-cell
-	// executes nothing and is not counted). Both study modes update them — a
+	// executed (activated faults only, one per executed Table 1 cell; a run
+	// served from a once-cell executes nothing and is not counted). Both study modes update them — a
 	// from-scratch run replays its whole prefix, a fork only the tail past
 	// its snapshot — so the pair quantifies what memoization saves.
 	StepsReplayed int64

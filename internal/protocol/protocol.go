@@ -4,12 +4,11 @@
 //
 // One axis of the space is effort made to identify or convert (by logging)
 // application non-determinism; the other is effort made to commit only for
-// true visible events. The seven policies the paper measures — CAND, CPVS,
-// CBNDVS, CAND-LOG, CBNDVS-LOG, CPV-2PC and CBNDV-2PC — are runnable under
-// Discount Checking (internal/dc); the remaining catalog entries (SBL, FBL,
-// Manetho, Targon/32, Hypervisor, Optimistic Logging, Coordinated
-// Checkpointing) are placed in the space for the Figure 3 reproduction, and
-// the logging-complete ones are runnable too.
+// true visible events. The seven policies the paper measures are CAND, CPVS,
+// CBNDVS, CAND-LOG, CBNDVS-LOG, CPV-2PC and CBNDV-2PC; the remaining catalog
+// entries (SBL, FBL, Manetho, Targon/32, Hypervisor, Optimistic Logging,
+// Coordinated Checkpointing) are placed in the space for the Figure 3
+// reproduction. Discount Checking (internal/dc) runs every entry.
 package protocol
 
 import "fmt"
@@ -73,9 +72,6 @@ type Policy struct {
 	// Y = effort to commit only visible events.
 	SpaceX, SpaceY float64
 
-	// Runnable reports whether internal/dc can execute this policy.
-	Runnable bool
-
 	// Note describes the protocol's historical origin.
 	Note string
 }
@@ -109,49 +105,49 @@ var (
 	// needs no knowledge of visible events.
 	CAND = Policy{
 		Name: "CAND", CommitAfterND: true,
-		SpaceX: 3, SpaceY: 0, Runnable: true,
+		SpaceX: 3, SpaceY: 0,
 		Note: "commit after non-deterministic",
 	}
 	// CPVS commits just before every visible or send event; it needs no
 	// knowledge of non-determinism.
 	CPVS = Policy{
 		Name: "CPVS", CommitBeforeVisible: true, CommitBeforeSend: true,
-		SpaceX: 3, SpaceY: 5, Runnable: true,
+		SpaceX: 3, SpaceY: 5,
 		Note: "commit prior to visible or send",
 	}
 	// CBNDVS commits before a visible or send event only if the process
 	// executed a non-deterministic event since its last commit.
 	CBNDVS = Policy{
 		Name: "CBNDVS", CommitBeforeVisible: true, CommitBeforeSend: true, OnlyIfNDSinceCommit: true,
-		SpaceX: 5, SpaceY: 5, Runnable: true,
+		SpaceX: 5, SpaceY: 5,
 		Note: "commit between non-deterministic and visible or send",
 	}
 	// CANDLog is CAND with user input and receives rendered
 	// deterministic by logging.
 	CANDLog = Policy{
 		Name: "CAND-LOG", CommitAfterND: true, LogInput: true, LogReceives: true,
-		SpaceX: 7, SpaceY: 0, Runnable: true,
+		SpaceX: 7, SpaceY: 0,
 		Note: "CAND + input/receive logging",
 	}
 	// CBNDVSLog is CBNDVS with input/receive logging.
 	CBNDVSLog = Policy{
 		Name: "CBNDVS-LOG", CommitBeforeVisible: true, CommitBeforeSend: true, OnlyIfNDSinceCommit: true,
 		LogInput: true, LogReceives: true,
-		SpaceX: 7, SpaceY: 5, Runnable: true,
+		SpaceX: 7, SpaceY: 5,
 		Note: "CBNDVS + input/receive logging",
 	}
 	// CPV2PC uses two-phase commit: every process commits whenever any
 	// process executes a visible event; sends need no commit.
 	CPV2PC = Policy{
 		Name: "CPV-2PC", CommitBeforeVisible: true, TwoPhase: AllProcesses,
-		SpaceX: 3, SpaceY: 8, Runnable: true,
+		SpaceX: 3, SpaceY: 8,
 		Note: "commit prior to visible, two-phase",
 	}
 	// CBNDV2PC coordinates a commit of only the causally dependent
 	// processes, and only when relevant non-determinism is uncommitted.
 	CBNDV2PC = Policy{
 		Name: "CBNDV-2PC", CommitBeforeVisible: true, OnlyIfNDSinceCommit: true, TwoPhase: DependentProcesses,
-		SpaceX: 5, SpaceY: 8, Runnable: true,
+		SpaceX: 5, SpaceY: 8,
 		Note: "commit between non-deterministic and visible, two-phase",
 	}
 )
@@ -162,56 +158,56 @@ var (
 	// knowledge of event types at all.
 	CommitAll = Policy{
 		Name: "COMMIT-ALL", CommitEveryEvent: true,
-		SpaceX: 0, SpaceY: 0, Runnable: true,
+		SpaceX: 0, SpaceY: 0,
 		Note: "commit every event (origin of the space)",
 	}
 	// SBL is sender-based message logging: receives are logged, other
 	// non-determinism forces commits.
 	SBL = Policy{
 		Name: "SBL", CommitAfterND: true, LogReceives: true,
-		SpaceX: 5, SpaceY: 0, Runnable: true,
+		SpaceX: 5, SpaceY: 0,
 		Note: "sender-based logging (Johnson & Zwaenepoel)",
 	}
 	// FBL is family-based logging; operationally like SBL here, with log
 	// records kept by downstream processes.
 	FBL = Policy{
 		Name: "FBL", CommitAfterND: true, LogReceives: true,
-		SpaceX: 5, SpaceY: 2, Runnable: true,
+		SpaceX: 5, SpaceY: 2,
 		Note: "family-based logging (Alvisi et al.)",
 	}
 	// Targon32 converts all non-determinism except signals into logged
 	// messages; signals force commits.
 	Targon32 = Policy{
 		Name: "TARGON/32", CommitAfterND: true, LogInput: true, LogReceives: true,
-		SpaceX: 8, SpaceY: 0, Runnable: true,
+		SpaceX: 8, SpaceY: 0,
 		Note: "Targon/32 (Borg et al.)",
 	}
 	// Hypervisor logs every source of non-determinism under a virtual
 	// machine and never commits.
 	Hypervisor = Policy{
 		Name: "HYPERVISOR", LogAll: true,
-		SpaceX: 10, SpaceY: 0, Runnable: true,
+		SpaceX: 10, SpaceY: 0,
 		Note: "hypervisor-based fault tolerance (Bressoud & Schneider)",
 	}
 	// OptimisticLogging writes log records asynchronously and waits for
 	// them before visible events.
 	OptimisticLogging = Policy{
 		Name: "OPTIMISTIC", LogAll: true, LogAsync: true,
-		SpaceX: 8, SpaceY: 7, Runnable: true,
+		SpaceX: 8, SpaceY: 7,
 		Note: "optimistic logging (Strom & Yemini)",
 	}
 	// Manetho maintains antecedence graphs of all non-determinism,
 	// flushed to stable storage before visible events.
 	Manetho = Policy{
 		Name: "MANETHO", LogAll: true, LogAsync: true,
-		SpaceX: 9, SpaceY: 9, Runnable: true,
+		SpaceX: 9, SpaceY: 9,
 		Note: "Manetho antecedence graphs (Elnozahy & Zwaenepoel)",
 	}
 	// CoordinatedCheckpointing forces all recently communicating
 	// processes to commit when one executes a visible event.
 	CoordinatedCheckpointing = Policy{
 		Name: "COORDINATED", CommitBeforeVisible: true, TwoPhase: AllProcesses,
-		SpaceX: 1, SpaceY: 8, Runnable: true,
+		SpaceX: 1, SpaceY: 8,
 		Note: "coordinated checkpointing (Koo & Toueg)",
 	}
 )
