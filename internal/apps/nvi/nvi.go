@@ -188,7 +188,7 @@ func (e *Editor) Fork() (sim.Program, error) {
 // the checkpoint image omits: a heap flip the keystroke fault site scheduled,
 // which an ex command's early return from apply leaves pending past its step.
 // World.SameState compares everything else through the image bytes.
-func (e *Editor) SameState(template any) bool {
+func (e *Editor) SameState(template any, _ *sim.Offsets) bool {
 	t, ok := template.(*Editor)
 	return ok && e.pendingFlip == t.pendingFlip
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -18,6 +19,10 @@ import (
 // lists, the geometric segment growth and the ND and send scratch buffers
 // leave, measured under the race detector (which allocates up to 1.2× more)
 // where that is higher; without them treadmarks and magic exceed theirs.
+// TotalAlloc is process-wide, so each case is the minimum over three fresh
+// worlds: stray runtime allocations (under -race some hundred bytes, enough
+// to lift magic's 155-step run past its ceiling) only ever add, so the
+// minimum still bounds what the world allocates.
 func TestFig8AllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		app     string
@@ -33,25 +38,29 @@ func TestFig8AllocBudget(t *testing.T) {
 		{"treadmarks", protocol.CPVS, 650},
 		{"treadmarks", protocol.CBNDVSLog, 780},
 	} {
-		w, err := BuildWorld(tc.app, 1, 11)
-		if err != nil {
-			t.Fatal(err)
+		perStep, steps := math.Inf(1), 0
+		for range 3 {
+			w, err := BuildWorld(tc.app, 1, 11)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.RecordTrace = false
+			w.EnableObs(false)
+			d := dc.New(w, tc.policy, stablestore.Rio)
+			if err := d.Attach(); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			if err := w.Run(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			steps = w.StepCount()
+			perStep = min(perStep, float64(after.TotalAlloc-before.TotalAlloc)/float64(steps))
 		}
-		w.RecordTrace = false
-		w.EnableObs(false)
-		d := dc.New(w, tc.policy, stablestore.Rio)
-		if err := d.Attach(); err != nil {
-			t.Fatal(err)
-		}
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		if err := w.Run(); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&after)
-		perStep := float64(after.TotalAlloc-before.TotalAlloc) / float64(w.StepCount())
-		t.Logf("%s/%s: %.1f B per step over %d steps", tc.app, tc.policy.Name, perStep, w.StepCount())
+		t.Logf("%s/%s: %.1f B per step over %d steps", tc.app, tc.policy.Name, perStep, steps)
 		if perStep > tc.ceiling {
 			t.Errorf("%s/%s allocates %.1f B per world step, ceiling %.0f", tc.app, tc.policy.Name, perStep, tc.ceiling)
 		}

@@ -183,7 +183,7 @@ func TestSerialPathMetrics(t *testing.T) {
 	if err := m.WriteSummary(&sum); err != nil {
 		t.Fatal(err)
 	}
-	if m.Workers[0].Runs != 5 || !strings.Contains(sum.String(), "serial=5 cells=0 reused=0 converged=0 steps-skipped=0\n  worker 0 runs=5\n") {
+	if m.Workers[0].Runs != 5 || !strings.Contains(sum.String(), "serial=5 cells=0 reused=0 converged=0 rejoined=0 steps-skipped=0\n  worker 0 runs=5\n") {
 		t.Errorf("worker 0 credited %d of 5 serial runs; summary:\n%s", m.Workers[0].Runs, sum.String())
 	}
 }

@@ -387,7 +387,7 @@ func (d *DC) vetoed(p *sim.Proc, label string) bool {
 		m.Procs[p.Index].CommitsVetoed++
 	}
 	if t := d.World.Tracer; t != nil {
-		t.Instant(p.Index, "dc", "commit-vetoed", p.Ctx().NowVirtual())
+		t.Instant(p.Index, "dc", "commit-vetoed", p.Clock())
 	}
 	return true
 }
@@ -458,7 +458,7 @@ func (d *DC) image(i int) []byte {
 // finishCommit applies a commit's bookkeeping: virtual-time charge, stats,
 // trace, retention release and replay anchors.
 func (d *DC) finishCommit(p *sim.Proc, st vista.Stats, label string) {
-	start := p.Ctx().NowVirtual()
+	start := p.Clock()
 	cost := d.Medium.CommitCost(st.Bytes)
 	d.World.AddTime(p, cost)
 	d.Stats.Checkpoints[p.Index]++
@@ -502,7 +502,7 @@ func (d *DC) commitCoordinated(trigger *sim.Proc, members []*sim.Proc, label str
 	if m := d.World.Metrics; m != nil {
 		m.TwoPhaseRounds++
 	}
-	start := trigger.Ctx().NowVirtual()
+	start := trigger.Clock()
 	rounds := 2 * d.World.Latency
 	d.World.AddTime(trigger, rounds) // prepare + commit rounds
 	tr := d.World.Tracer
@@ -517,7 +517,7 @@ func (d *DC) commitCoordinated(trigger *sim.Proc, members []*sim.Proc, label str
 			fid = tr.NewFlowID()
 			tr.FlowStart(trigger.Index, "dc", "2pc", fid, start)
 		}
-		qs := q.Ctx().NowVirtual()
+		qs := q.Clock()
 		err := d.commitOne(q, label)
 		if err != nil && !errors.Is(err, errCheckFailed) {
 			// A process whose state cannot be serialized cannot
@@ -572,7 +572,7 @@ func (d *DC) flushLog(p *sim.Proc) {
 		_, _, val, at = l.rec(at)
 		bytes += len(val)
 	}
-	start := p.Ctx().NowVirtual()
+	start := p.Clock()
 	cost := d.Medium.LogCost(bytes)
 	d.World.AddTime(p, cost)
 	d.Stats.LogTime += cost
@@ -755,8 +755,7 @@ func (d *DC) SupplyND(p *sim.Proc, label string) ([]byte, bool) {
 			if rel == pos && string(recLabel) == label {
 				ps.cursor = next
 				if next >= end {
-					ps.replaying = false
-					d.endReplayWindow(p)
+					d.endReplay(p)
 				}
 				return val, true
 			}
@@ -769,8 +768,7 @@ func (d *DC) SupplyND(p *sim.Proc, label string) ([]byte, bool) {
 			d.diverge(p)
 			return nil, false
 		}
-		ps.replaying = false
-		d.endReplayWindow(p)
+		d.endReplay(p)
 	}
 	if label != "recv" || len(ps.retained) == 0 {
 		return nil, false
@@ -808,8 +806,7 @@ func (d *DC) diverge(p *sim.Proc) {
 		}
 		l.truncate(ps.cursor)
 		ps.flushed = min(ps.flushed, ps.cursor)
-		ps.replaying = false
-		d.endReplayWindow(p)
+		d.endReplay(p)
 	}
 	for _, r := range ps.retained {
 		ms = append(ms, *r.Msg)
@@ -877,7 +874,7 @@ func (d *DC) RecordND(p *sim.Proc, label string, val []byte) bool {
 		// the next flush point.
 		return true
 	}
-	start := p.Ctx().NowVirtual()
+	start := p.Clock()
 	cost := d.Medium.LogCost(len(val))
 	d.World.AddTime(p, cost)
 	d.Stats.LogTime += cost
@@ -916,7 +913,7 @@ func (d *DC) Rollback(p *sim.Proc) error {
 	// Depth must be read before stepsBase moves to the crash position
 	// below (the restore leaves p.Steps where the crash left it).
 	depth := int64(p.Steps - ps.stepsBase)
-	start := p.Ctx().NowVirtual()
+	start := p.Clock()
 	d.endReplayWindow(p) // a crash mid-replay abandons the open window
 	if err := d.rollbackRestore(p); err != nil {
 		return fmt.Errorf("dc: rollback %s: %w", p.Prog.Name(), err)
@@ -935,8 +932,11 @@ func (d *DC) Rollback(p *sim.Proc) error {
 		}
 		ps.retained = append(taken, ps.retained...)
 	}
-	ps.cursor = ps.watermark
-	ps.replaying = ps.cursor < ps.log.end()
+	// The cursor is zero unless replaying (endReplay).
+	ps.cursor, ps.replaying = 0, ps.watermark < ps.log.end()
+	if ps.replaying {
+		ps.cursor = ps.watermark
+	}
 	ps.stepsBase = p.Steps // restore point == last commit position
 	ps.ndSince = false
 	ps.pendingCommit = "" // a commit deferred by the crashed step is void
@@ -979,11 +979,22 @@ func (d *DC) rollbackRestore(p *sim.Proc) error {
 	return p.RestoreCheckpointImage(img)
 }
 
+// endReplay ends the process's constrained re-execution. The cursor is read
+// only while replaying and Rollback sets it afresh, so it goes back to zero,
+// the value of a process that never replayed, and SameState can compare it
+// field by field.
+func (d *DC) endReplay(p *sim.Proc) {
+	ps := &d.procs[p.Index]
+	ps.replaying = false
+	ps.cursor = 0
+	d.endReplayWindow(p)
+}
+
 // endReplayWindow closes the process's open "replay" tracer window, if any.
 // Every site that clears replaying goes through it so Begin/End pair 1:1.
 func (d *DC) endReplayWindow(p *sim.Proc) {
 	if ps := &d.procs[p.Index]; ps.replayOpen {
 		ps.replayOpen = false
-		d.World.Tracer.End(p.Index, p.Ctx().NowVirtual())
+		d.World.Tracer.End(p.Index, p.Clock())
 	}
 }

@@ -112,19 +112,23 @@ func (d *DC) CowStats() (pages int, bytes int64) {
 	return pages, bytes
 }
 
-// SameState implements sim.StateComparer: it reports whether d holds exactly
-// the template DC's state — configuration, message dependencies and, per
+// SameState implements sim.StateComparer: it reports whether d holds the
+// template DC's state — configuration, message dependencies and, per
 // process, the commit epoch, stepsBase, pending commit, ND and replay flags,
 // dependencies, the taken-over receives, the ND log and the committed
-// segment. The log compares as
+// segment — up to the world's offsets. stepsBase is a Steps position and
+// compares shifted by off.Proc. A commit epoch only advances and is read
+// only against the dependency maps, so while none holds an entry the epochs
+// match as offsets (off.Layer); otherwise exactly. The log compares as
 // record bytes, its positions as byte offsets into them: a fork clamps the
 // segments it inherits, so equal logs may be cut into segments differently.
+// Log and retained positions are relative to stepsBase and compare exactly.
 // It only reads both DCs, and answers false whenever it cannot prove
 // equality. The hooks, Stats, ChecksFailed and the image buffers are harness
 // wiring, statistics and scratch; they never steer a run.
-func (d *DC) SameState(template any) bool {
+func (d *DC) SameState(template any, off *sim.Offsets) bool {
 	t, ok := template.(*DC)
-	if !ok || !d.sameScalars(t) || !maps.EqualFunc(d.msgDeps, t.msgDeps, maps.Equal[map[int]int]) {
+	if !ok || !d.sameScalars(t, off) || !maps.EqualFunc(d.msgDeps, t.msgDeps, maps.Equal[map[int]int]) {
 		return false
 	}
 	for i := range d.procs {
@@ -142,27 +146,39 @@ func (d *DC) SameState(template any) bool {
 }
 
 // sameScalars compares the configuration and every process's scalars.
-func (d *DC) sameScalars(t *DC) bool {
+func (d *DC) sameScalars(t *DC, off *sim.Offsets) bool {
 	if d.Policy != t.Policy || d.Medium != t.Medium || d.PageSize != t.PageSize ||
 		d.DisableRecovery != t.DisableRecovery || d.CheckBeforeCommit != t.CheckBeforeCommit ||
 		d.EssentialOnly != t.EssentialOnly || len(d.procs) != len(t.procs) ||
 		!bytes.Equal(d.registers, t.registers) {
 		return false
 	}
+	free := len(d.msgDeps) == 0
 	for i := range d.procs {
-		if !d.procs[i].sameScalars(&t.procs[i]) {
+		free = free && len(d.procs[i].deps) == 0
+	}
+	for i := range d.procs {
+		ps, tp := &d.procs[i], &t.procs[i]
+		if ps.epoch != tp.epoch {
+			if !free {
+				return false
+			}
+			off.Layer = true
+		}
+		if !ps.sameScalars(tp, off) {
 			return false
 		}
 	}
 	return true
 }
 
-// sameScalars compares the per-process bookkeeping that is not the log or
-// the segment. replayOpen pairs tracer windows and does not steer a run.
-func (ps *proc) sameScalars(t *proc) bool {
-	return ps.epoch == t.epoch && ps.stepsBase == t.stepsBase && ps.pendingCommit == t.pendingCommit &&
+// sameScalars compares the per-process bookkeeping that is not the epoch,
+// the log or the segment. replayOpen pairs tracer windows and does not steer
+// a run.
+func (ps *proc) sameScalars(t *proc, off *sim.Offsets) bool {
+	return ps.stepsBase-off.Proc == t.stepsBase && ps.pendingCommit == t.pendingCommit &&
 		ps.ndSince == t.ndSince && ps.replaying == t.replaying && maps.Equal(ps.deps, t.deps) &&
-		sim.SameRetained(ps.retained, t.retained) && ps.log.size() == t.log.size() &&
+		sim.SameRetained(ps.retained, t.retained, off) && ps.log.size() == t.log.size() &&
 		ps.log.offset(ps.watermark) == t.log.offset(t.watermark) &&
 		ps.log.offset(ps.cursor) == t.log.offset(t.cursor) &&
 		ps.log.offset(ps.flushed) == t.log.offset(t.flushed)

@@ -66,17 +66,24 @@ func ownLog(l *ndLog) {
 
 // TestDCSameState: an untouched fork of a sealed DC is in its template's
 // state — also with its ND log cut into different segments — and changing
-// any one compared field makes SameState answer false.
+// any one exactly compared field makes SameState answer false. stepsBase
+// matches shifted by the world's Steps offset, and the commit epoch, while
+// no dependency refers to it, as a layer offset.
 func TestDCSameState(t *testing.T) {
 	tmpl, fork := sealedEditor(t)
+	const (
+		exact = iota
+		shifted
+		differs
+	)
 	cases := []struct {
 		name   string
-		mutate func(f *DC)
-		same   bool
+		mutate func(f *DC, off *sim.Offsets)
+		want   int
 	}{
-		{"untouched", func(*DC) {}, true},
-		{"statistics only", func(f *DC) { f.Stats.Recoveries++; f.ChecksFailed++; f.CommitHook = nil }, true},
-		{"log re-cut", func(f *DC) {
+		{"untouched", func(*DC, *sim.Offsets) {}, exact},
+		{"statistics only", func(f *DC, _ *sim.Offsets) { f.Stats.Recoveries++; f.ChecksFailed++; f.CommitHook = nil }, exact},
+		{"log re-cut", func(f *DC, _ *sim.Offsets) {
 			ps := &f.procs[0]
 			w, c, fl := ps.log.offset(ps.watermark), ps.log.offset(ps.cursor), ps.log.offset(ps.flushed)
 			ownLog(&ps.log)
@@ -87,44 +94,59 @@ func TestDCSameState(t *testing.T) {
 				return logPos(0, off)
 			}
 			ps.watermark, ps.cursor, ps.flushed = at(w), at(c), at(fl)
-		}, true},
-		{"epoch", func(f *DC) { f.procs[0].epoch++ }, false},
-		{"stepsBase", func(f *DC) { f.procs[0].stepsBase++ }, false},
-		{"pending commit", func(f *DC) { f.procs[0].pendingCommit = "after-nd" }, false},
-		{"nd flag", func(f *DC) { f.procs[0].ndSince = !f.procs[0].ndSince }, false},
-		{"dependency", func(f *DC) { f.procs[0].deps = map[int]int{0: 1} }, false},
-		{"message dependency", func(f *DC) { f.mutableMsgDeps()[7] = map[int]int{0: 1} }, false},
-		{"watermark", func(f *DC) { f.procs[0].watermark = 0 }, false},
-		{"taken-over receive", func(f *DC) {
+		}, exact},
+		{"epoch", func(f *DC, _ *sim.Offsets) { f.procs[0].epoch++ }, shifted},
+		{"stepsBase with the Steps offset", func(f *DC, off *sim.Offsets) { f.procs[0].stepsBase += 5; off.Proc = 5 }, exact},
+		{"stepsBase", func(f *DC, _ *sim.Offsets) { f.procs[0].stepsBase++ }, differs},
+		{"epoch with a dependency", func(f *DC, _ *sim.Offsets) {
+			f.procs[0].epoch++
+			f.mutableMsgDeps()[7] = map[int]int{0: 1}
+		}, differs},
+		{"replay cursor", func(f *DC, _ *sim.Offsets) { f.procs[0].cursor = f.procs[0].watermark }, differs},
+		{"pending commit", func(f *DC, _ *sim.Offsets) { f.procs[0].pendingCommit = "after-nd" }, differs},
+		{"nd flag", func(f *DC, _ *sim.Offsets) { f.procs[0].ndSince = !f.procs[0].ndSince }, differs},
+		{"dependency", func(f *DC, _ *sim.Offsets) { f.procs[0].deps = map[int]int{0: 1} }, differs},
+		{"message dependency", func(f *DC, _ *sim.Offsets) { f.mutableMsgDeps()[7] = map[int]int{0: 1} }, differs},
+		{"watermark", func(f *DC, _ *sim.Offsets) { f.procs[0].watermark = 0 }, differs},
+		{"taken-over receive", func(f *DC, _ *sim.Offsets) {
 			f.procs[0].retained = []sim.Retained{{Msg: &sim.Msg{ID: 1, Payload: []byte("m")}, At: 3}}
-		}, false},
-		{"log byte", func(f *DC) {
+		}, differs},
+		{"log byte", func(f *DC, _ *sim.Offsets) {
 			ownLog(&f.procs[0].log)
 			f.procs[0].log.segs[1][0] ^= 1
-		}, false},
-		{"segment byte", func(f *DC) {
+		}, differs},
+		{"segment byte", func(f *DC, _ *sim.Offsets) {
 			seg := f.procs[0].seg
 			img := seg.Contents()
 			img[len(img)/2] ^= 1
 			seg.CommitImage(img, f.registers)
-		}, false},
-		{"recovery flag", func(f *DC) { f.DisableRecovery = !f.DisableRecovery }, false},
+		}, differs},
+		{"recovery flag", func(f *DC, _ *sim.Offsets) { f.DisableRecovery = !f.DisableRecovery }, differs},
 	}
 	for _, c := range cases {
 		f := fork()
-		c.mutate(f)
-		if got := f.SameState(tmpl); got != c.same {
-			t.Errorf("%s: SameState = %v, want %v", c.name, got, c.same)
+		var off sim.Offsets
+		c.mutate(f, &off)
+		world := off
+		got := differs
+		if f.SameState(tmpl, &off) {
+			got = exact
+			if off != world {
+				got = shifted
+			}
+		}
+		if got != c.want {
+			t.Errorf("%s: SameState classed the fork %d, want %d (0 exact, 1 shifted, 2 differs)", c.name, got, c.want)
 		}
 	}
-	if fork().SameState(kernel.New()) {
+	if fork().SameState(kernel.New(), &sim.Offsets{}) {
 		t.Error("a DC matched a kernel")
 	}
 }
 
 // TestDCSameStateCoversEveryField is the guard over DC.SameState: every
-// field of DC and proc is compared or is listed here as behaviour-neutral,
-// with the reason.
+// field of DC and proc is compared exactly, compared as a position offset, or
+// listed here as behaviour-neutral, with the reason.
 func TestDCSameStateCoversEveryField(t *testing.T) {
 	const (
 		hook  = "per-run harness wiring: a fork never inherits it"
@@ -145,8 +167,10 @@ func TestDCSameStateCoversEveryField(t *testing.T) {
 		"Stats":                  stats,
 	})
 	fieldguard.Check(t, reflect.TypeOf(proc{}), map[string]string{
-		"seg": c, "log": c, "watermark": c, "cursor": c, "flushed": c, "deps": c, "epoch": c,
-		"stepsBase": c, "pendingCommit": c, "ndSince": c, "replaying": c, "retained": c,
+		"seg": c, "log": c, "watermark": c, "cursor": c, "flushed": c, "deps": c,
+		"pendingCommit": c, "ndSince": c, "replaying": c, "retained": c,
+		"stepsBase":  "offset: a Steps position, compared shifted by the world's Steps offset",
+		"epoch":      "offset: advances at each commit and is read only against the dependency maps; exact while one holds an entry",
 		"img":        "scratch: the image buffer is refilled before every use",
 		"replayOpen": "tracer bookkeeping: pairs a replay window's Begin with its End",
 	})

@@ -86,18 +86,20 @@ type RunResult struct {
 	// run order and returns it to the pool. Excluded from JSON so studies
 	// with and without a ledger attached stay byte-comparable.
 	Rec *ledger.Record `json:"-"`
-	// conv is set on a Table 1 run that converged on a snapshot, and shared
-	// by every run index its cell serves.
+	// conv is set on a run that converged on or rejoined a snapshot, and in
+	// Table 1 shared by every run index its cell serves.
 	conv *convergence
 }
 
-// convergence is one converged cell's account: the template steps it
-// inherited instead of executing, and whether the acceptor has counted
-// it. Only the acceptor's goroutine reads or writes counted, so the cell's
-// first accepted demand counts it, at every worker count alike.
+// convergence is one converged or rejoined run's account: the template
+// steps it inherited instead of executing, whether it matched with nonzero
+// offsets (rejoined), and whether the acceptor has counted it. Only the
+// acceptor's goroutine reads or writes counted, so a Table 1 cell's first
+// accepted demand counts it, at every worker count alike.
 type convergence struct {
-	skipped int
-	counted bool
+	skipped  int
+	rejoined bool
+	counted  bool
 }
 
 // TypeResult aggregates one fault type's runs.
@@ -240,9 +242,7 @@ func (s *AppStudy) fireSpan() int {
 }
 
 // fireHorizon is the deepest fault-site visit any injector can still fire
-// at — the maximum key draw. The snapshot template stops capturing
-// past it; deriving both from fireSpan keeps the draw window and the
-// template horizon from drifting apart.
+// at — the maximum key draw.
 func (s *AppStudy) fireHorizon() int { return fireBase + s.fireSpan() - 1 }
 
 // key derives Table 1 run index run's key for kind. The run's injection
@@ -425,14 +425,14 @@ func (s *AppStudy) open(snap *prefixSnapshot, inj sim.FaultInjector, arm func(*d
 // before its fire point, with a one-shot injector seeded with the
 // snapshot's visit count and the snapshot's commit history prepended; run
 // under the study protocol until the session ends or the run converges on
-// a later snapshot (converge), whose suffix it then inherits; record the
-// timeline, classify it against the clean run's output. A crash ends the
+// or rejoins a snapshot (converge), whose suffix it then inherits; record
+// the timeline, classify it against the clean run's output. A crash ends the
 // measured session — its end is captured as the crash rolls back — but not
 // the run: it re-executes with the one-shot injector quiet ("suppressing the
 // fault activation during recovery"), and recovery succeeds if the run then
-// completes without looping on crashes. The result is byte-identical for
-// every snapshot that qualifies, the zero one included, and whether or not
-// the run converges.
+// completes without looping on crashes — or rejoins the template, whose end
+// then answers. The result is byte-identical for every snapshot that
+// qualifies, the zero one included, and whether or not the run converges.
 func (s *AppStudy) runOne(k RunKey, clean []string, cache *prefixCache) (RunResult, error) {
 	var res RunResult
 	from := cache.before(k.FireAt)
@@ -457,25 +457,28 @@ func (s *AppStudy) runOne(k RunKey, clean []string, cache *prefixCache) (RunResu
 	if err != nil {
 		return res, err
 	}
-	met, err := cache.converge(w, inj, from)
+	met, off, err := cache.converge(w, from, func() bool { return inj.fired }, nil)
 	if err != nil {
 		return res, err
 	}
 	s.noteReplay(inj, snap.steps)
 	s.noteCOW(w, d)
 	end := endOf(w, d, commits)
-	var conv *convergence
 	switch {
-	case crash != nil:
+	case crash != nil: // a rejoined run among them
 		end = *crash
 	case met != nil:
 		end = cache.end.inherit(w, commits, met)
-		conv = &convergence{skipped: end.worldSteps - met.steps}
 	}
 	res = s.finishRun(end, inj, clean)
-	res.conv = conv
+	if met != nil {
+		res.conv = &convergence{skipped: cache.end.worldSteps - met.steps, rejoined: !off.Zero()}
+	}
 	if res.Crashed {
 		res.Recovered = w.AllDone()
+		if met != nil {
+			res.Recovered = cache.end.done
+		}
 	}
 	if s.records() {
 		res.Rec = s.ledgerRecord(k, end, inj, res)

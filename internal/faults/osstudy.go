@@ -113,15 +113,16 @@ func (o *OSStudy) key(kind sim.FaultKind, run int, cleanDur time.Duration) RunKe
 		FireAt: int64(at), Variant: v}
 }
 
-// ledgerRecord renders one finished Table 2 run as a forensic record. The
-// kernel study measures recovery outcomes, not event positions, so the
-// record carries the commit count (forked DC stats include the template's
-// prefix, keeping it mode-invariant) but no commit positions, and no
-// activation/crash step marks. injSteps is the world step count at
-// injection, -1 for a run that ended before its injection time.
-func (o *OSStudy) ledgerRecord(k RunKey, w *sim.World, d *dc.DC, injSteps int, res RunResult) *ledger.Record {
-	r := o.record(k, endOf(w, d, nil))
-	r.CommitN = d.Stats.TotalCheckpoints()
+// ledgerRecord renders one finished Table 2 run, whose session ended at end
+// after commitN commits, as a forensic record. The kernel study measures
+// recovery outcomes, not event positions, so the record carries the commit
+// count (forked DC stats include the template's prefix, keeping it
+// mode-invariant) but no commit positions, and no activation/crash step
+// marks. injSteps is the world step count at injection, -1 for a run that
+// ended before its injection time.
+func (o *OSStudy) ledgerRecord(k RunKey, end sessionEnd, commitN, injSteps int, res RunResult) *ledger.Record {
+	r := o.record(k, end)
+	r.CommitN = commitN
 	r.SaveWork = res.Propagated
 	r.PrefixSteps = injSteps
 	switch {
@@ -143,10 +144,15 @@ func (o *OSStudy) ledgerRecord(k RunKey, w *sim.World, d *dc.DC, injSteps int, r
 // deepest snapshot before the injection time; every outcome and record
 // field is invariant under that choice — the world resumes at the
 // template's absolute step count and clock, and a forked DC's stats carry
-// the template's checkpoint count forward.
+// the template's checkpoint count forward. Once the run has crashed and
+// rebooted its kernel and no scribble is pending, it may rejoin the template
+// (converge); it then ends where the template's session ends, shifted by
+// the offsets it matched at, after its own commits and the template's from
+// the snapshot on.
 func (o *OSStudy) runOne(k RunKey, cache *prefixCache) (RunResult, error) {
 	var res RunResult
-	snap := &cache.snaps[cache.before(k.FireAt)]
+	from := cache.before(k.FireAt)
+	snap := &cache.snaps[from]
 	scribble := &memoryScribble{}
 	var crashes *int
 	injSteps := -1 // the world step count at injection
@@ -169,14 +175,10 @@ func (o *OSStudy) runOne(k RunKey, cache *prefixCache) (RunResult, error) {
 			scribble.armed = true
 		}
 	}
-	for {
-		more, err := w.Step()
-		if err != nil {
-			return res, err
-		}
-		if !more {
-			break
-		}
+	quiet := func() bool {
+		return injSteps >= 0 && !kern.Faulted(0) && (!scribble.armed || scribble.fired)
+	}
+	inject := func() {
 		if injSteps < 0 && w.Clock >= time.Duration(k.FireAt) {
 			injSteps = w.StepCount()
 			kern.InjectFault(0, osFaultWindow[k.Kind])
@@ -187,15 +189,25 @@ func (o *OSStudy) runOne(k RunKey, cache *prefixCache) (RunResult, error) {
 			}
 		}
 	}
+	met, off, err := cache.converge(w, from, quiet, inject)
+	if err != nil {
+		return res, err
+	}
 	o.noteCOW(w, d)
+	end, commitN := endOf(w, d, nil), d.Stats.TotalCheckpoints()
+	if e := cache.end; met != nil {
+		end.steps, end.worldSteps, end.clock, end.done = e.steps+off.Proc, e.worldSteps+off.Steps, e.clock+off.Clock, e.done
+		commitN += e.checkpoints - met.checkpoints
+		res.conv = &convergence{skipped: e.worldSteps - met.steps, rejoined: true}
+	}
 	res.Propagated = kern.FaultCorrupted(0)
 	if injSteps >= 0 && *crashes > 0 {
 		res.Crashed = true
-		res.Recovered = w.AllDone()
+		res.Recovered = end.done
 		res.Propagated = res.Propagated || scribble.fired
 	}
 	if o.records() {
-		res.Rec = o.ledgerRecord(k, w, d, injSteps, res)
+		res.Rec = o.ledgerRecord(k, end, commitN, injSteps, res)
 	}
 	return res, nil
 }

@@ -90,13 +90,14 @@ func (s *AppStudy) acceptLedger(run int, rec *ledger.Record) {
 	ledger.Put(rec)
 }
 
-// acceptConvergence counts an accepted run's converged cell, once.
+// acceptConvergence counts an accepted run's converged or rejoined run (in
+// Table 1, its cell), once.
 func (s *AppStudy) acceptConvergence(c *convergence) {
 	if c == nil || c.counted || s.CampaignObs == nil {
 		return
 	}
 	c.counted = true
-	s.CampaignObs.Snapshot.AddConverged(c.skipped)
+	s.CampaignObs.Snapshot.AddConverged(c.skipped, c.rejoined)
 }
 
 // maxRecoveries is how many crashes a recovering run rolls back from. Past

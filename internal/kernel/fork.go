@@ -56,25 +56,29 @@ func cloneNode(tn *node) *node {
 }
 
 // SameState implements sim.StateComparer: it reports whether k's nodes hold
-// exactly the template kernel's state — per node the file table, the
-// open-file limit, the fault window, the corruption counter, the syscall
-// count and every file's contents. It only reads both kernels: nodes are
-// looked up overlay-first without node(), which would clone one, and files
-// through the read-only file(). Files the two share by reference compare
-// equal without a byte compare. With equal node and file counts, finding
-// every template node and file in k proves the sets equal, so SameState
-// walks the template's maps (a frozen kernel has one of each) and k's own
-// overlays, never the maps k shares with its own template.
-func (k *Kernel) SameState(template any) bool {
+// the template kernel's state — per node the file table, the open-file
+// limit, the fault window, the corruption counter, the syscall count and
+// every file's contents — up to the world's offsets. The syscall and
+// corruption counters only advance, and only an open fault window reads the
+// latter, so while neither node has a fault they match as offsets
+// (off.Layer); a fault window's start is a clock position and compares
+// shifted by off.Clock. It only reads both kernels: nodes are looked up
+// overlay-first without node(), which would clone one, and files through
+// the read-only file(). Files the two share by reference compare equal
+// without a byte compare. With equal node and file counts, finding every
+// template node and file in k proves the sets equal, so SameState walks the
+// template's maps (a frozen kernel has one of each) and k's own overlays,
+// never the maps k shares with its own template.
+func (k *Kernel) SameState(template any, off *sim.Offsets) bool {
 	t, ok := template.(*Kernel)
-	return ok && k.nodeCount() == t.nodeCount() && k.sameNodes(t)
+	return ok && k.nodeCount() == t.nodeCount() && k.sameNodes(t, off)
 }
 
 // sameNodes reports whether every node of t has an equal node of the same
 // pid in k.
-func (k *Kernel) sameNodes(t *Kernel) bool {
+func (k *Kernel) sameNodes(t *Kernel, off *sim.Offsets) bool {
 	for pid, tn := range t.nodes {
-		if n := k.peek(pid); n == nil || !n.sameState(tn) {
+		if n := k.peek(pid); n == nil || !n.sameState(tn, off) {
 			return false
 		}
 	}
@@ -83,7 +87,7 @@ func (k *Kernel) sameNodes(t *Kernel) bool {
 			if _, own := t.nodes[pid]; own {
 				continue
 			}
-			if n := k.peek(pid); n == nil || !n.sameState(tn) {
+			if n := k.peek(pid); n == nil || !n.sameState(tn, off) {
 				return false
 			}
 		}
@@ -121,13 +125,19 @@ func (k *Kernel) nodeCount() int {
 
 // sameScalars compares two nodes' counters, limits, fault window and file
 // table.
-func (n *node) sameScalars(t *node) bool {
+func (n *node) sameScalars(t *node, off *sim.Offsets) bool {
 	if n == t {
 		return true
 	}
-	if n.nextFD != t.nextFD || n.fdLimit != t.fdLimit || n.edits != t.edits || n.Syscall != t.Syscall ||
-		len(n.fds) != len(t.fds) || !sameFault(n.fault, t.fault) {
+	if n.nextFD != t.nextFD || n.fdLimit != t.fdLimit || len(n.fds) != len(t.fds) ||
+		!sameFault(n.fault, t.fault, off.Clock) {
 		return false
+	}
+	if n.edits != t.edits || n.Syscall != t.Syscall {
+		if n.fault != nil || t.fault != nil {
+			return false
+		}
+		off.Layer = true
 	}
 	for fd, e := range n.fds {
 		te, ok := t.fds[fd]
@@ -140,11 +150,11 @@ func (n *node) sameScalars(t *node) bool {
 
 // sameState compares two nodes' behaviour-relevant state; see
 // Kernel.SameState.
-func (n *node) sameState(t *node) bool {
+func (n *node) sameState(t *node, off *sim.Offsets) bool {
 	if n == t {
 		return true
 	}
-	if !n.sameScalars(t) || n.fileCount() != t.fileCount() {
+	if !n.sameScalars(t, off) || n.fileCount() != t.fileCount() {
 		return false
 	}
 	for p, td := range t.fs {
@@ -168,12 +178,13 @@ func (n *node) sameFile(path string, data []byte) bool {
 	return ok && len(d) == len(data) && (len(d) == 0 || &d[0] == &data[0] || bytes.Equal(d, data))
 }
 
-// sameFault compares two fault windows; traced is tracer bookkeeping.
-func sameFault(a, b *kernelFault) bool {
+// sameFault compares two fault windows, a's start shifted back by dt;
+// traced is tracer bookkeeping.
+func sameFault(a, b *kernelFault, dt time.Duration) bool {
 	if a == nil || b == nil {
 		return a == b
 	}
-	return a.start == b.start && a.window == b.window && a.corrupted == b.corrupted && a.panicked == b.panicked
+	return a.start-dt == b.start && a.window == b.window && a.corrupted == b.corrupted && a.panicked == b.panicked
 }
 
 // fileCount is how many live files the node has: its own, and its

@@ -326,6 +326,14 @@ func (k *Kernel) FaultCorrupted(pid int) bool {
 	return n.fault != nil && n.fault.corrupted
 }
 
+// Faulted reports whether pid's node carries an injected fault: its window
+// open, or closed by a panic the node has not rebooted from. It only reads
+// the kernel (a fork's untouched node stays its template's).
+func (k *Kernel) Faulted(pid int) bool {
+	n := k.peek(pid)
+	return n != nil && n.fault != nil
+}
+
 // ExpandResources raises pid's resource limits (here: doubles the open-file
 // limit) — the paper's §2.6 suggestion for converting fixed
 // non-deterministic events into transient ones after a failure: the open

@@ -6,12 +6,14 @@ import (
 	"time"
 
 	"failtrans/internal/fieldguard"
+	"failtrans/internal/sim"
 )
 
 // TestKernelSameState: an untouched fork of a sealed kernel is in its
 // template's state — also after it cloned a node or took a private copy of
-// a file's unchanged bytes — and changing any one compared piece of node state makes
-// SameState answer false.
+// a file's unchanged bytes — a fork that served more syscalls matches it as
+// a layer offset while no fault window is open, and changing any one
+// exactly compared piece of node state makes SameState answer false.
 func TestKernelSameState(t *testing.T) {
 	r := newRig()
 	r.run([]op{
@@ -21,22 +23,27 @@ func TestKernelSameState(t *testing.T) {
 		sys(1, "write", I64(3), []byte("node one")),
 	})
 	tmpl := r.fork().k.base // the sealed template
+	const (
+		exact = iota
+		shifted
+		differs
+	)
 	cases := []struct {
 		name   string
 		script []op
-		same   bool
+		want   int
 	}{
-		{"untouched", nil, true},
-		{"node cloned", []op{{0, "!touch", nil}}, true},
-		{"same bytes rewritten", []op{{0, "!rewrite", [][]byte{{0}}}}, true},
-		{"file byte", []op{{0, "!rewrite", [][]byte{{1}}}}, false},
-		{"fd offset", []op{sys(0, "lseek", I64(3), I64(2))}, false},
-		{"syscall count", []op{sys(1, "getpid")}, false},
-		{"open-file limit", []op{{1, "!expand", nil}}, false},
-		{"fault window", []op{{0, "!inject", [][]byte{I64(int64(time.Millisecond))}}}, false},
-		{"new file", []op{sys(1, "open", []byte("c.txt"), []byte{1})}, false},
-		{"unlinked file", []op{sys(1, "unlink", []byte("b.txt"))}, false},
-		{"new node", []op{{2, "!touch", nil}}, false},
+		{"untouched", nil, exact},
+		{"node cloned", []op{{0, "!touch", nil}}, exact},
+		{"same bytes rewritten", []op{{0, "!rewrite", [][]byte{{0}}}}, exact},
+		{"syscall count", []op{sys(1, "getpid")}, shifted},
+		{"file byte", []op{{0, "!rewrite", [][]byte{{1}}}}, differs},
+		{"fd offset", []op{sys(0, "lseek", I64(3), I64(2))}, differs},
+		{"open-file limit", []op{{1, "!expand", nil}}, differs},
+		{"fault window", []op{{0, "!inject", [][]byte{I64(int64(time.Millisecond))}}}, differs},
+		{"new file", []op{sys(1, "open", []byte("c.txt"), []byte{1})}, differs},
+		{"unlinked file", []op{sys(1, "unlink", []byte("b.txt"))}, differs},
+		{"new node", []op{{2, "!touch", nil}}, differs},
 	}
 	for _, c := range cases {
 		f := r.fork()
@@ -52,18 +59,26 @@ func TestKernelSameState(t *testing.T) {
 				f.run([]op{o})
 			}
 		}
-		if got := f.k.SameState(tmpl); got != c.same {
-			t.Errorf("%s: SameState = %v, want %v", c.name, got, c.same)
+		var off sim.Offsets
+		got := differs
+		if f.k.SameState(tmpl, &off) {
+			got = exact
+			if off.Layer {
+				got = shifted
+			}
+		}
+		if got != c.want {
+			t.Errorf("%s: SameState classed the fork %d, want %d (0 exact, 1 shifted, 2 differs)", c.name, got, c.want)
 		}
 	}
-	if r.fork().k.SameState(struct{}{}) {
+	if r.fork().k.SameState(struct{}{}, &sim.Offsets{}) {
 		t.Error("a kernel matched a non-kernel")
 	}
 }
 
 // TestKernelSameStateCoversEveryField is the guard over Kernel.SameState:
-// every field of Kernel and node is compared or is listed here as
-// behaviour-neutral, with the reason.
+// every field of Kernel and node is compared exactly, compared as a position
+// offset, or listed here as behaviour-neutral, with the reason.
 func TestKernelSameStateCoversEveryField(t *testing.T) {
 	const (
 		sink    = "observability sink or callback: per-run harness wiring"
@@ -82,8 +97,11 @@ func TestKernelSameStateCoversEveryField(t *testing.T) {
 		"CowFiles":  "copy-on-write statistics",
 		"CowBytes":  "copy-on-write statistics",
 	})
+	const offset = "offset: a counter that only advances and that only an open fault window reads; exact while one is open"
 	fieldguard.Check(t, reflect.TypeOf(node{}), map[string]string{
-		"fs": c, "fds": c, "nextFD": c, "fdLimit": c, "fault": c, "edits": c, "Syscall": c,
+		"fs": c, "fds": c, "nextFD": c, "fdLimit": c, "fault": c,
+		"edits":   offset,
+		"Syscall": offset,
 		"base":    cow,
 		"deleted": cow,
 		"saveFDs": scratch,
@@ -92,7 +110,8 @@ func TestKernelSameStateCoversEveryField(t *testing.T) {
 		"retWord": scratch,
 	})
 	fieldguard.Check(t, reflect.TypeOf(kernelFault{}), map[string]string{
-		"start": c, "window": c, "corrupted": c, "panicked": c,
+		"window": c, "corrupted": c, "panicked": c,
+		"start":  "a clock position: compared shifted by the clock offset",
 		"traced": "tracer bookkeeping: pairs a fault window's Begin with its End",
 	})
 }

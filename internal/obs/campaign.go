@@ -93,11 +93,15 @@ type SnapshotMetrics struct {
 	BytesCOW        int64
 	ForkSize        Histogram
 	// Converged counts Table 1 cells whose measured run stopped at a later
-	// snapshot whose state its own matched exactly, and StepsSkipped the
-	// template steps past that snapshot they inherited instead of
-	// executing. A cell counts when the first run it serves is accepted, so
-	// unlike Forks both are the same at every worker count.
+	// snapshot whose state its own matched exactly; Rejoined counts runs (in
+	// Table 1, cells) that crashed, recovered and stopped at a snapshot whose
+	// state their own matched up to position offsets; StepsSkipped totals
+	// the template steps past those snapshots both inherited instead of
+	// executing. A run counts when it is accepted (a Table 1 cell when the
+	// first run it serves is), so unlike Forks all three are the same at
+	// every worker count.
 	Converged    int64
+	Rejoined     int64
 	StepsSkipped int64
 	// StoreHits is always 0: the snapshot store it counted is gone, and the
 	// field stays only because benchmark/ reads it as faults.store_hits.
@@ -142,11 +146,15 @@ func (s *SnapshotMetrics) AddReplay(steps int) {
 	s.mu.Unlock()
 }
 
-// AddConverged records one run that converged on a snapshot and inherited
-// the template's remaining `steps`.
-func (s *SnapshotMetrics) AddConverged(steps int) {
+// AddConverged records one run that converged on a snapshot, or rejoined
+// one up to offsets, and inherited the template's remaining `steps`.
+func (s *SnapshotMetrics) AddConverged(steps int, rejoined bool) {
 	s.mu.Lock()
-	s.Converged++
+	if rejoined {
+		s.Rejoined++
+	} else {
+		s.Converged++
+	}
 	s.StepsSkipped += int64(steps)
 	s.mu.Unlock()
 }
@@ -173,8 +181,8 @@ func (c *CampaignMetrics) WriteSummary(w io.Writer) error {
 	s := &c.Snapshot
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, err := fmt.Fprintf(w, "campaign phases=%d dispatched=%d accepted=%d discarded=%d serial=%d cells=%d reused=%d converged=%d steps-skipped=%d\n",
-		c.Phases, c.Dispatched, c.Accepted, c.Discarded, c.SerialRuns, c.Cells.Load(), c.Reused.Load(), s.Converged, s.StepsSkipped)
+	_, err := fmt.Fprintf(w, "campaign phases=%d dispatched=%d accepted=%d discarded=%d serial=%d cells=%d reused=%d converged=%d rejoined=%d steps-skipped=%d\n",
+		c.Phases, c.Dispatched, c.Accepted, c.Discarded, c.SerialRuns, c.Cells.Load(), c.Reused.Load(), s.Converged, s.Rejoined, s.StepsSkipped)
 	if err != nil {
 		return err
 	}

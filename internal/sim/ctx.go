@@ -90,9 +90,19 @@ func (c *Ctx) Proc() *Proc { return c.p }
 // World returns the owning world.
 func (c *Ctx) World() *World { return c.p.World }
 
-// NowVirtual returns the current virtual time without recording any event
-// (scheduling/bookkeeping use only — not visible to Program semantics).
-func (c *Ctx) NowVirtual() time.Duration { return c.p.World.Clock + c.elapsed }
+// NowVirtual returns the current virtual time without recording any event.
+// It counts as a clock read (World.ClockReads): a program that reads it
+// depends on absolute time.
+func (c *Ctx) NowVirtual() time.Duration {
+	c.p.World.clockReads++
+	return c.p.Clock()
+}
+
+// Clock returns the process's current virtual time: the world clock plus
+// what its step has charged so far. It is the runtime's and the layers' own
+// read, for scheduling, delivery and tracing; a program reads the clock
+// through Ctx.Now or Ctx.NowVirtual, which count the read.
+func (p *Proc) Clock() time.Duration { return p.World.Clock + p.ctx.elapsed }
 
 // Compute charges d of CPU time to the current step.
 func (c *Ctx) Compute(d time.Duration) { c.elapsed += d }
@@ -151,10 +161,11 @@ func (c *Ctx) recordND(label string, val []byte) bool {
 //
 //failtrans:hotpath
 func (c *Ctx) Now() time.Duration {
+	c.p.World.clockReads++
 	c.before(event.Internal, event.TransientND, "gettimeofday")
 	v, logged := c.replayND("gettimeofday")
 	if !logged {
-		v = c.p.World.ndWord(uint64(c.NowVirtual()))
+		v = c.p.World.ndWord(uint64(c.p.Clock()))
 		logged = c.recordND("gettimeofday", v)
 	}
 	now := time.Duration(binary.LittleEndian.Uint64(v))
@@ -220,7 +231,7 @@ func (c *Ctx) TakeSignal() (string, bool) {
 		//failtrans:alloc constrained re-execution only: the replayed signal is rebuilt from its log record
 		return string(v), true
 	}
-	now := c.NowVirtual()
+	now := c.p.Clock()
 	idx := -1
 	for i, ps := range c.p.signals {
 		if ps.at <= now && (idx < 0 || ps.at < c.p.signals[idx].at) {
@@ -286,7 +297,7 @@ func (c *Ctx) Recv() (Msg, bool) {
 	m := c.p.redelivered
 	c.p.redelivered = nil
 	if m == nil {
-		now := c.NowVirtual()
+		now := c.p.Clock()
 		if w.Recovery != nil {
 			c.p.dropDuplicates(now)
 		}
@@ -365,6 +376,9 @@ func (c *Ctx) Syscall(name string, args ...[]byte) ([][]byte, error) {
 	// call, so the caller's variadic array does not escape.
 	//failtrans:alloc argv grows to the widest syscall once per world (and per fork)
 	w.argv = append(w.argv[:0], args...)
+	if name == "gettimeofday" {
+		w.clockReads++ // the OS answers it with the clock
+	}
 	ret, nd, err := os.Call(c.p.Index, name, w.argv)
 	clear(w.argv)
 	if err != nil {

@@ -115,6 +115,7 @@ func (w *World) Fork() (*World, error) {
 		deadCount:   w.deadCount,
 		msgSeq:      w.msgSeq,
 		stepCount:   w.stepCount,
+		clockReads:  w.clockReads,
 		seed:        w.seed,
 		inited:      w.inited,
 	}

@@ -275,14 +275,13 @@ type World struct {
 	// argv is the argument vector Ctx.Syscall hands OS.Call, cleared after
 	// each call; a fork starts without one.
 	argv [][]byte
-	// stateBuf is the scratch SameState encodes this world's programs in;
-	// a fork starts without one.
-	stateBuf []byte
 
 	msgSeq    int64
 	stepCount int
-	seed      int64
-	inited    bool
+	// clockReads counts the program-facing clock reads (ClockReads).
+	clockReads int64
+	seed       int64
+	inited     bool
 	// frozen marks a world sealed by Freeze as an immutable fork template:
 	// stepping it is a bug, and its components fork copy-on-write.
 	frozen bool
@@ -406,7 +405,7 @@ func (w *World) record(p *Proc, kind event.Kind, nd event.NDClass, logged bool, 
 		}
 	}
 	if t := w.Tracer; t != nil {
-		ts := w.Clock + p.ctx.elapsed
+		ts := p.Clock()
 		switch kind {
 		// Sends and receives become small slices carrying the ends of the
 		// happens-before flow arrow for their message; visible events are
