@@ -177,8 +177,9 @@ func main() {
 		}
 	}
 
+	cfg := config{app: *app, protocol: *polName, medium: *mediumName, kind: "none", scale: *scale, seed: *seed}
 	if *seeds > 1 {
-		if err := runCampaign(*app, *polName, *mediumName, *scale, *seed, *seeds, *parallel, lw); err != nil {
+		if err := runCampaign(cfg, *seeds, *parallel, lw); err != nil {
 			fail(err)
 		}
 		if ledgerClose != nil {
@@ -187,42 +188,32 @@ func main() {
 		return
 	}
 
-	w, err := bench.BuildWorld(*app, *scale, *seed)
-	if err != nil {
-		fail(err)
+	var rec *ledger.Record
+	if lw != nil {
+		rec = ledger.Get()
 	}
-	if *metricsFlag || *tracefile != "" {
-		w.EnableObs(*tracefile != "")
+	if len(stops) > 0 {
+		cfg.kind = "stop"
 	}
-	if *debug {
-		w.DebugLog = &obs.DebugLog{Enabled: true, W: os.Stderr}
-	}
-	medium := stablestore.Rio
-	if *mediumName == "disk" {
-		medium = stablestore.Disk
-	}
-	var d *dc.DC
-	if *polName != "NONE" {
-		pol, err := protocol.ByName(*polName)
-		if err != nil {
-			fail(err)
+	w, d, vs, err := runOne(cfg, rec, func(w *sim.World, d *dc.DC) {
+		if *metricsFlag || *tracefile != "" {
+			w.EnableObs(*tracefile != "")
 		}
-		d = dc.New(w, pol, medium)
+		if *debug {
+			w.DebugLog = &obs.DebugLog{Enabled: true, W: os.Stderr}
+		}
 		if *vetoPath != "" {
 			armVeto(d, *vetoPath, "ftsim/"+*app+"/"+*polName)
 		}
-		if err := d.Attach(); err != nil {
-			fail(err)
+		for _, s := range stops {
+			w.ScheduleStop(s.proc, s.step)
 		}
-	}
-	for _, s := range stops {
-		w.ScheduleStop(s.proc, s.step)
-	}
-	if err := w.Run(); err != nil {
+	})
+	if err != nil {
 		fail(err)
 	}
 
-	fmt.Printf("app=%s protocol=%s medium=%s\n", *app, *polName, medium.Name)
+	fmt.Printf("app=%s protocol=%s medium=%s\n", *app, *polName, *mediumName)
 	fmt.Printf("virtual time:   %v\n", w.Clock)
 	fmt.Printf("events:         %d\n", w.EventCount)
 	kinds := map[event.Kind]int{}
@@ -269,7 +260,6 @@ func main() {
 		mix.OtherND = 0
 	}
 	fmt.Printf("recommended:    %s\n", protocol.RecommendString(mix))
-	vs := recovery.CheckSaveWork(w.Trace)
 	if len(vs) == 0 {
 		fmt.Println("save-work:      upheld over the recorded trace")
 	} else {
@@ -313,12 +303,6 @@ func main() {
 		w.Metrics.WriteSnapshot(os.Stdout)
 	}
 	if lw != nil {
-		kind := "none"
-		if len(stops) > 0 {
-			kind = "stop"
-		}
-		rec := ledger.Get()
-		ftsimRecord(rec, *app, *polName, medium.Name, *seed, w, d, kind, len(vs) > 0)
 		lw.Append(rec)
 		ledger.Put(rec)
 		ledgerClose()
@@ -354,37 +338,75 @@ func armVeto(d *dc.DC, path, key string) {
 	}
 }
 
-// ftsimRecord renders one finished ftsim run into a forensic record.
-func ftsimRecord(rec *ledger.Record, app, polName, mediumName string, seed int64,
-	w *sim.World, d *dc.DC, kind string, saveWorkViolated bool) {
-	rec.Study = "ftsim"
-	rec.App = app
-	rec.Protocol = polName
-	rec.Medium = mediumName
-	rec.Kind = kind
-	rec.Seed = seed
-	rec.Outcome = ledger.Completed
-	if !w.AllDone() {
-		rec.Outcome = ledger.Crashed
-	}
-	rec.SaveWork = saveWorkViolated
-	if d != nil {
-		rec.CommitN = d.Stats.TotalCheckpoints()
-	}
-	rec.Steps = w.Procs[0].Steps
-	rec.WorldSteps = w.StepCount()
-	rec.VClockUS = int64(w.Clock / time.Microsecond)
+// config names one ftsim run; kind is its ledger record's fault kind.
+type config struct {
+	app, protocol, medium, kind string
+	scale                       int
+	seed                        int64
 }
 
-// runCampaign executes the configured workload at n consecutive seeds,
-// fanned out over workers, printing one line per seed. Lines are emitted
-// from the campaign's ordered accept callback, so the output is identical
-// for any worker count.
-func runCampaign(app, polName, mediumName string, scale int, baseSeed int64, n, workers int, lw *ledger.Writer) error {
-	medium := stablestore.Rio
-	if mediumName == "disk" {
-		medium = stablestore.Disk
+// runOne is the body of every ftsim run, single or campaign: it builds the
+// configured world, attaches Discount Checking under the configured protocol
+// and medium (none under NONE), calls arm (if non-nil) with the world and
+// its DC before the initial checkpoints, runs the world to the end, checks
+// Save-work over its trace and fills rec, if non-nil, with the run's
+// forensic record.
+func runOne(cfg config, rec *ledger.Record, arm func(*sim.World, *dc.DC)) (*sim.World, *dc.DC, []recovery.SaveWorkViolation, error) {
+	w, err := bench.BuildWorld(cfg.app, cfg.scale, cfg.seed)
+	if err != nil {
+		return nil, nil, nil, err
 	}
+	var d *dc.DC
+	if cfg.protocol != "NONE" {
+		pol, err := protocol.ByName(cfg.protocol)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		medium := stablestore.Rio
+		if cfg.medium == "disk" {
+			medium = stablestore.Disk
+		}
+		d = dc.New(w, pol, medium)
+	}
+	if arm != nil {
+		arm(w, d)
+	}
+	if d != nil {
+		if err := d.Attach(); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	if err := w.Run(); err != nil {
+		return nil, nil, nil, err
+	}
+	vs := recovery.CheckSaveWork(w.Trace)
+	if rec != nil {
+		rec.Study = "ftsim"
+		rec.App = cfg.app
+		rec.Protocol = cfg.protocol
+		rec.Medium = cfg.medium
+		rec.Kind = cfg.kind
+		rec.Seed = cfg.seed
+		rec.Outcome = ledger.Completed
+		if !w.AllDone() {
+			rec.Outcome = ledger.Crashed
+		}
+		rec.SaveWork = len(vs) > 0
+		if d != nil {
+			rec.CommitN = d.Stats.TotalCheckpoints()
+		}
+		rec.Steps = w.Procs[0].Steps
+		rec.WorldSteps = w.StepCount()
+		rec.VClockUS = int64(w.Clock / time.Microsecond)
+	}
+	return w, d, vs, nil
+}
+
+// runCampaign executes the configured workload at n consecutive seeds from
+// cfg.seed, fanned out over workers, printing one line per seed. Lines are
+// emitted from the campaign's ordered accept callback, so the output is
+// identical for any worker count.
+func runCampaign(cfg config, n, workers int, lw *ledger.Writer) error {
 	campObs := obs.NewCampaignMetrics(workers)
 	type seedRun struct {
 		line string
@@ -392,24 +414,14 @@ func runCampaign(app, polName, mediumName string, scale int, baseSeed int64, n, 
 	}
 	err := campaign.Run(campaign.Config{Workers: workers, Metrics: campObs}, n,
 		func(i int) (seedRun, error) {
-			seed := baseSeed + int64(i)
-			w, err := bench.BuildWorld(app, scale, seed)
+			c := cfg
+			c.seed += int64(i)
+			var r seedRun
+			if lw != nil {
+				r.rec = ledger.Get()
+			}
+			w, d, vs, err := runOne(c, r.rec, nil)
 			if err != nil {
-				return seedRun{}, err
-			}
-			w.RecordTrace = true
-			var d *dc.DC
-			if polName != "NONE" {
-				pol, err := protocol.ByName(polName)
-				if err != nil {
-					return seedRun{}, err
-				}
-				d = dc.New(w, pol, medium)
-				if err := d.Attach(); err != nil {
-					return seedRun{}, err
-				}
-			}
-			if err := w.Run(); err != nil {
 				return seedRun{}, err
 			}
 			ckpts, recoveries := 0, 0
@@ -417,17 +429,12 @@ func runCampaign(app, polName, mediumName string, scale int, baseSeed int64, n, 
 				ckpts = d.Stats.TotalCheckpoints()
 				recoveries = d.Stats.Recoveries
 			}
-			violated := len(recovery.CheckSaveWork(w.Trace)) > 0
 			saveWork := "upheld"
-			if violated {
+			if len(vs) > 0 {
 				saveWork = "violated"
 			}
-			r := seedRun{line: fmt.Sprintf("seed=%-6d vtime=%-14v events=%-8d ckpts=%-6d recoveries=%-3d save-work=%s",
-				seed, w.Clock, w.EventCount, ckpts, recoveries, saveWork)}
-			if lw != nil {
-				r.rec = ledger.Get()
-				ftsimRecord(r.rec, app, polName, medium.Name, seed, w, d, "none", violated)
-			}
+			r.line = fmt.Sprintf("seed=%-6d vtime=%-14v events=%-8d ckpts=%-6d recoveries=%-3d save-work=%s",
+				c.seed, w.Clock, w.EventCount, ckpts, recoveries, saveWork)
 			return r, nil
 		},
 		func(i int, r seedRun) bool {

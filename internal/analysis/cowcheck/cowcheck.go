@@ -4,7 +4,7 @@
 //	//failtrans:cowshared privatizeLines,snapshotUndo — why it aliases
 //
 // may alias a frozen fork template's backing arrays (vista segment pages,
-// kernel node/file maps, dc per-node logs, nvi line buffers). Writing
+// kernel file contents, dc's ND log segments, nvi's undo section). Writing
 // through such a field — an index assignment, a copy into it, an append
 // reassigned over it, or a mutating method call on it — is only legal on
 // paths dominated by one of the named privatization calls, which replace

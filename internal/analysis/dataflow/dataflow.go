@@ -2,7 +2,7 @@
 // and answers the guard-dominance query the COW aliasing checker needs:
 // "does every execution path from the function entry to this node evaluate
 // one of these guard expressions first?". cowcheck instantiates the guard
-// predicate with privatization calls (privatizeLines, touchPage, ownFile,
+// predicate with privatization calls (touchPage, ownFile, snapshotUndo,
 // ...) and the target with a store into a template-shared field, turning
 // the PR 6 "scribbled on a frozen fork template" bug class into a static
 // finding.

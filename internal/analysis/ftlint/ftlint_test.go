@@ -151,23 +151,54 @@ func Step() error { return os.WriteFile("out", nil, 0o644) }
 }
 
 // TestCowAnnotationsPresent pins the //failtrans:cowshared annotations the
-// repo relies on: deleting one would silently shrink cowcheck's coverage.
+// repo relies on, by exact count per file over the module's non-test Go:
+// deleting one would silently shrink cowcheck's coverage, and a new shared
+// field has to join this inventory on purpose.
 func TestCowAnnotationsPresent(t *testing.T) {
-	files := map[string]int{ // file -> minimum number of cowshared annotations
-		"../../vista/vista.go":      1, // mem
-		"../../kernel/kernel.go":    2, // node.fs, Kernel.nodes
-		"../../dc/dc.go":            2, // DC.msgDeps, ndLog.segs
-		"../../apps/nvi/nvi.go":     3, // Lines, LineSums, undo
-		"../../apps/postgres/db.go": 1, // DB.Index
+	want := map[string]int{ // file under the module root -> cowshared annotations
+		"internal/vista/vista.go":   1, // Segment.mem
+		"internal/kernel/kernel.go": 1, // node.fs
+		"internal/dc/dc.go":         1, // ndLog.segs
+		"internal/apps/nvi/nvi.go":  1, // Editor.undo
 	}
-	for file, min := range files {
-		data, err := os.ReadFile(file)
+	got := map[string]int{}
+	root := filepath.Join("..", "..", "..")
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
-			t.Errorf("read %s: %v", file, err)
-			continue
+			return err
 		}
-		if got := strings.Count(string(data), "//failtrans:cowshared"); got < min {
-			t.Errorf("%s: %d //failtrans:cowshared annotations, want at least %d", file, got, min)
+		if d.IsDir() && (d.Name() == "testdata" || d.Name() == "benchmark" || strings.HasPrefix(d.Name(), ".") && path != root) {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, line := range strings.Split(string(data), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "//failtrans:cowshared") {
+				rel, err := filepath.Rel(root, path)
+				if err != nil {
+					return err
+				}
+				got[filepath.ToSlash(rel)]++
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for file, n := range want {
+		if got[file] != n {
+			t.Errorf("%s: %d //failtrans:cowshared annotations, want %d", file, got[file], n)
+		}
+	}
+	for file, n := range got {
+		if _, ok := want[file]; !ok {
+			t.Errorf("%s: %d //failtrans:cowshared annotations outside the inventory", file, n)
 		}
 	}
 }

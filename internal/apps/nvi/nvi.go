@@ -46,10 +46,6 @@ const DefaultCheckEvery = 50
 
 // Editor is the nvi application state.
 type Editor struct {
-	// A fork of a frozen template aliases the template's line buffers
-	// (headers and bytes) until privatizeLines or snapshotUndo unshares
-	// them; mutating commands must privatize before touching a line.
-	//failtrans:cowshared privatizeLines,snapshotUndo
 	Lines [][]byte
 	Row   int
 	Col   int
@@ -83,7 +79,6 @@ type Editor struct {
 	// LineSums holds a maintained checksum per buffer line, updated only
 	// by legitimate edits of that line; heap corruption diverges from
 	// its line's sum until a consistency check notices.
-	//failtrans:cowshared privatizeLines,snapshotUndo
 	LineSums []uint32
 
 	Phase     int
@@ -120,14 +115,9 @@ type Editor struct {
 	pendingFlip bool
 
 	// frozen marks a sealed fork template (sim.Freezer): forks alias its
-	// buffers, so it must never be stepped again and Step panics if it is.
+	// undo section, so it must never be stepped again and Step panics if it
+	// is.
 	frozen bool
-	// linesShared marks Lines+LineSums as aliasing a frozen template's
-	// buffers; every in-place mutation privatizes first (the
-	// buffer-modifying commands all pass through snapshotUndo, the heap-flip
-	// fault and the restore path are guarded explicitly). Runtime
-	// bookkeeping, never marshaled.
-	linesShared bool
 
 	// scratch is where the screen line and every file write are built: the
 	// output string copies it and the kernel copies what it keeps during
@@ -154,15 +144,13 @@ func New(filename string, contents []string) *Editor {
 }
 
 func (e *Editor) setLineSum(i int) {
-	//failtrans:cowok every caller privatizes first (or runs in New on a fresh editor) — checksum maintenance always follows the edit that already unshared the buffer
 	e.LineSums[i] = apputil.Checksum(e.Lines[i])
 }
 
 // Freeze implements sim.Freezer: it seals the editor as an immutable fork
-// template. A frozen editor must never be stepped again; its buffers are
-// handed to forks read-only and privatized by each fork on first mutation.
-// Idempotent, and a second call writes nothing, so a sealed editor may be
-// forked from many goroutines at once.
+// template. A frozen editor must never be stepped again; its undo section is
+// handed to forks read-only. Idempotent, and a second call writes nothing,
+// so a sealed editor may be forked from many goroutines at once.
 func (e *Editor) Freeze() {
 	if !e.frozen {
 		e.frozen = true
@@ -170,13 +158,14 @@ func (e *Editor) Freeze() {
 }
 
 // Fork implements sim.Forker: it seals the editor with Freeze and returns a
-// copy-on-write fork that shares the line buffers (O(header) instead of
-// O(document)) until its first mutation, and the undo section for as long as
-// the fork does not replace it. A sealed receiver is only read.
+// fork that owns a copy of the line buffer and its checksums (forkLines) and
+// shares the undo section for as long as the fork does not replace it. A
+// sealed receiver is only read.
 func (e *Editor) Fork() (sim.Program, error) {
 	e.Freeze()
 	ne := *e
-	ne.linesShared = true
+	ne.Lines = forkLines(e.Lines)
+	ne.LineSums = append([]uint32(nil), e.LineSums...)
 	ne.ExBuf = append([]byte(nil), e.ExBuf...)
 	ne.undoBuf = nil
 	ne.scratch = nil
@@ -191,18 +180,6 @@ func (e *Editor) Fork() (sim.Program, error) {
 func (e *Editor) SameState(template any, _ *sim.Offsets) bool {
 	t, ok := template.(*Editor)
 	return ok && e.pendingFlip == t.pendingFlip
-}
-
-// privatizeLines unshares the working buffer from a frozen template before
-// an in-place mutation that bypasses snapshotUndo (the heap-flip fault).
-// Lines and LineSums share one flag, so both privatize together.
-func (e *Editor) privatizeLines() {
-	if !e.linesShared {
-		return
-	}
-	e.Lines = forkLines(e.Lines)
-	e.LineSums = append([]uint32(nil), e.LineSums...)
-	e.linesShared = false
 }
 
 // forkLines deep-copies a line buffer (line bytes are edited in place).
@@ -410,9 +387,6 @@ func (e *Editor) apply(ctx *sim.Ctx) {
 				e.Col--
 			}
 		case '\n':
-			// A template frozen mid-insert-mode resumes here without
-			// passing the i/a/o snapshotUndo, so unshare explicitly.
-			e.privatizeLines()
 			rest := append([]byte(nil), e.Lines[e.Row][e.Col:]...)
 			e.Lines[e.Row] = e.Lines[e.Row][:e.Col]
 			e.Lines = append(e.Lines[:e.Row+1], append([][]byte{rest}, e.Lines[e.Row+1:]...)...)
@@ -526,10 +500,6 @@ func (e *Editor) insertChar(ctx *sim.Ctx, key byte) {
 	case sim.StackBitFlip:
 		col ^= 1 << (e.salt() % 20) // a bit of the index flips in flight
 	}
-	// Templates frozen mid-insert-mode reach here without a fresh
-	// snapshotUndo; the splice below writes Lines, LineSums and (within
-	// the line's capacity) the line bytes themselves, so unshare first.
-	e.privatizeLines()
 	line := e.Lines[e.Row]
 	line = append(line[:col], append([]byte{key}, line[col:]...)...)
 	e.Lines[e.Row] = line
@@ -540,10 +510,6 @@ func (e *Editor) insertChar(ctx *sim.Ctx, key byte) {
 
 // deleteChar implements 'x'.
 func (e *Editor) deleteChar(ctx *sim.Ctx) {
-	// The dispatcher snapshots undo before 'x', but privatize defensively:
-	// the splice below shifts line bytes in place, which must never land
-	// in a frozen template's arena. No-op when the buffer is already ours.
-	e.privatizeLines()
 	line := e.Lines[e.Row]
 	if len(line) == 0 {
 		return
@@ -563,9 +529,6 @@ func (e *Editor) deleteChar(ctx *sim.Ctx) {
 
 // deleteLine implements 'dd'.
 func (e *Editor) deleteLine(ctx *sim.Ctx) {
-	// Same defensive unshare as deleteChar: the header splice shifts
-	// entries of Lines/LineSums in place.
-	e.privatizeLines()
 	kind := ctx.Fault("nvi.deleteline")
 	e.Lines = append(e.Lines[:e.Row], e.Lines[e.Row+1:]...)
 	e.LineSums = append(e.LineSums[:e.Row], e.LineSums[e.Row+1:]...)
@@ -706,11 +669,9 @@ func (e *Editor) appendRecoveryRecord(ctx *sim.Ctx) {
 
 // snapshotUndo saves the buffer for vi's single-level undo, encoding it over
 // the editor's previous snapshot (no allocation once undoBuf has reached the
-// document's size), and unshares the working buffer the command is about to
-// edit.
+// document's size).
 func (e *Editor) snapshotUndo() {
 	e.encodeUndo()
-	e.privatizeLines()
 	e.UndoRow, e.UndoCol = e.Row, e.Col
 	e.UndoValid = true
 }
@@ -767,7 +728,7 @@ func (e *Editor) swapUndo() {
 	}
 	lines, sums := e.undoBuffer() // copies out of undo before encodeUndo overwrites it
 	e.encodeUndo()
-	e.Lines, e.LineSums, e.linesShared = lines, sums, false
+	e.Lines, e.LineSums = lines, sums
 	e.Row, e.UndoRow = e.UndoRow, e.Row
 	e.Col, e.UndoCol = e.UndoCol, e.Col
 	e.LineCount = len(e.Lines)
@@ -849,7 +810,6 @@ func (e *Editor) flipHeapBitNow() {
 	if len(e.Lines) == 0 {
 		return
 	}
-	e.privatizeLines() // the flip writes line bytes in place
 	s := e.salt()
 	line := e.Lines[int(s)%len(e.Lines)]
 	apputil.FlipBit(line, s>>8)
@@ -952,12 +912,6 @@ func decSums(d *apputil.Dec, old []uint32, n int) []uint32 {
 // the previous one, so the rollback path (restore every crash) costs no
 // garbage once the editor has reached its working size.
 func (e *Editor) UnmarshalState(data []byte) error {
-	// Decoding reuses the existing buffers as write targets; buffers still
-	// shared with a frozen template must be dropped, not written through.
-	if e.linesShared {
-		e.Lines, e.LineSums = nil, nil
-		e.linesShared = false
-	}
 	d := apputil.Dec{B: data}
 	e.Lines = decLines(&d, e.Lines, d.Count(8))
 	e.Row = d.Int()
@@ -1075,7 +1029,6 @@ func (e *Editor) UnmarshalEssential(data []byte) error {
 	}
 	e.UndoValid = false
 	e.undo = nil
-	e.linesShared = false // Lines/LineSums were rebuilt wholesale above
 	e.skipClamp = false
 	e.pendingFlip = false
 	return nil

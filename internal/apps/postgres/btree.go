@@ -32,29 +32,10 @@ type node struct {
 type BTree struct {
 	root *node
 	size int
-
-	// sealed marks the index of a frozen fork template (DB.Freeze): the
-	// template and its forks share it, so Put and Delete panic, and a fork
-	// mutates a clone (DB.ownIndex).
-	sealed bool
 }
 
-// mustMutable panics if the tree is sealed into a fork template.
-func (t *BTree) mustMutable() {
-	if t.sealed {
-		panic("postgres: mutation of an index sealed into a fork template")
-	}
-}
-
-// seal makes the tree immutable; sealing a sealed tree writes nothing.
-func (t *BTree) seal() {
-	if !t.sealed {
-		t.sealed = true
-	}
-}
-
-// clone returns an unsealed structural copy of the tree that shares no
-// backing array with it.
+// clone returns a structural copy of the tree that shares no backing array
+// with it.
 func (t *BTree) clone() *BTree {
 	return &BTree{root: t.root.clone(), size: t.size}
 }
@@ -97,7 +78,6 @@ func childIndex(keys []int64, key int64) int {
 
 // Put inserts or replaces key's RID. It reports whether the key was new.
 func (t *BTree) Put(key int64, rid RID) bool {
-	t.mustMutable()
 	added, split, right, sep := t.root.put(key, rid)
 	if split {
 		t.root = &node{Keys: []int64{sep}, Children: []*node{t.root, right}}
@@ -163,7 +143,6 @@ func (n *node) put(key int64, rid RID) (added, split bool, right *node, sep int6
 
 // Delete removes key; it reports whether the key existed.
 func (t *BTree) Delete(key int64) bool {
-	t.mustMutable()
 	n := t.root
 	for !n.Leaf {
 		n = n.Children[childIndex(n.Keys, key)]

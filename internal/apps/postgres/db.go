@@ -27,13 +27,10 @@ const checkEveryOps = 40
 
 // DB is the postgres application: index + buffer pool + query driver.
 //
-// A fork shares its frozen template's cached pages and index (DB.Freeze,
-// DB.Fork): it copies a page out on its first write to it (Pool.own) and
-// clones the index on its first mutation (ownIndex).
+// A fork shares its frozen template's cached pages (DB.Freeze, DB.Fork) and
+// copies a page out on its first write to it (Pool.own); it clones the index
+// when it forks.
 type DB struct {
-	// Index may be the sealed index of the template this database was
-	// forked from; every mutation of it runs ownIndex first.
-	//failtrans:cowshared ownIndex
 	Index *BTree
 	Pool  *Pool
 	// CurPage is the current insertion target.
@@ -279,7 +276,6 @@ func (db *DB) insert(ctx *sim.Ctx, key int64, value string, kind sim.FaultKind) 
 		if err != nil {
 			return
 		}
-		db.ownIndex()
 		db.Index.Put(key, RID{Page: p.ID(), Slot: uint16(p.NSlots())})
 		return
 	case sim.DeleteBranch:
@@ -303,7 +299,6 @@ func (db *DB) insert(ctx *sim.Ctx, key int64, value string, kind sim.FaultKind) 
 		ctx.Crash(err.Error())
 		return
 	}
-	db.ownIndex()
 	db.Index.Put(key, RID{Page: p.ID(), Slot: uint16(slot)})
 }
 
@@ -404,7 +399,6 @@ func (db *DB) del(ctx *sim.Ctx, key int64) {
 		ctx.Crash(err.Error())
 		return
 	}
-	db.ownIndex()
 	db.Index.Delete(key)
 }
 
@@ -467,7 +461,6 @@ func (db *DB) offByOneLastRID() {
 	if db.Index.Len() == 0 {
 		return
 	}
-	db.ownIndex()
 	// Walk to the rightmost leaf and bump its last RID's slot.
 	n := db.Index.root
 	for !n.Leaf {
@@ -505,37 +498,29 @@ func (db *DB) AppendState(dst []byte) ([]byte, error) {
 	return e.B, nil
 }
 
-// Freeze implements sim.Freezer: it seals the cached pages and the index as
-// an immutable fork template. Idempotent, and a second call writes nothing,
-// so a sealed database may be forked from many goroutines at once.
+// Freeze implements sim.Freezer: it seals the cached pages as an immutable
+// fork template. Idempotent, and a second call writes nothing, so a sealed
+// database may be forked from many goroutines at once.
 func (db *DB) Freeze() {
-	//failtrans:cowok seal writes only an unsealed index, which is this database's own
-	db.Index.seal()
 	db.Pool.seal()
 }
 
 // Fork implements sim.Forker: it seals the database with Freeze and returns
-// a copy-on-write fork that copies only the DB struct, the pool's page map
-// and its LRU list. The fork shares the template's pages and index until
-// its first write to each (Pool.own, ownIndex); scratch is not handed on.
+// a fork that copies the DB struct, the index, the pool's page map and its
+// LRU list. The fork shares the template's pages until its first write to
+// each (Pool.own); scratch is not handed on.
 func (db *DB) Fork() (sim.Program, error) {
 	db.Freeze()
 	nd := *db
+	nd.Index = db.Index.clone()
 	nd.Pool = db.Pool.fork()
 	nd.tuple, nd.hits = nil, nil
 	return &nd, nil
 }
 
-// ownIndex gives the database a private index before it mutates it: a fork
-// shares its template's sealed index until then and clones it here.
-func (db *DB) ownIndex() {
-	if db.Index.sealed {
-		db.Index = db.Index.clone()
-	}
-}
-
 // UnmarshalState implements sim.Program. The index and pool it decodes are
-// fresh and unsealed, so a restored fork shares nothing with its template.
+// fresh and the pool unsealed, so a restored fork shares nothing with its
+// template.
 func (db *DB) UnmarshalState(data []byte) error {
 	d := apputil.Dec{B: data}
 	idx, err := UnmarshalBTree(&d)
@@ -593,7 +578,6 @@ func (db *DB) vacuum(ctx *sim.Ctx) (int, error) {
 			if !ok {
 				return reclaimed, fmt.Errorf("postgres: vacuum lost tuple for key %d (page %d slot %d)", ent.key, pid, ent.slot)
 			}
-			db.ownIndex()
 			db.Index.Put(ent.key, RID{Page: pid, Slot: newSlot})
 		}
 		ctx.Compute(100 * time.Microsecond)

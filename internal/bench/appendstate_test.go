@@ -153,8 +153,8 @@ func TestAppendCheckpointImageZeroAllocs(t *testing.T) {
 // TestForkFirstCommitAllocatesOneBuffer: the first commit of a fork allocates
 // dc's image buffer for the process and nothing else — no program-side
 // encode buffer, and (nothing having changed since the template's commit) no
-// page. The kernel's own first-touch copy of the process's node is taken
-// before the count starts.
+// page. The kernel's first SaveProcState, which sizes the node's save
+// scratch, runs before the count starts.
 func TestForkFirstCommitAllocatesOneBuffer(t *testing.T) {
 	for _, app := range []string{"nvi", "postgres"} {
 		w := imageWorlds(t)[app]

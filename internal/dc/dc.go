@@ -261,12 +261,10 @@ type DC struct {
 
 	// procs holds each process's state, by process index.
 	procs []proc
-	//failtrans:cowshared mutableMsgDeps
+	// msgDeps holds each sent message's dependency snapshot, by message
+	// id. It stays nil until the first send that carries a dependency; a
+	// snapshot is written once and only read afterwards.
 	msgDeps map[int64]map[int]int
-	// msgDepsShared marks msgDeps as borrowed from a frozen template; the
-	// first write copies it (the inner snapshots are write-once and stay
-	// shared).
-	msgDepsShared bool
 
 	registers []byte
 
@@ -327,7 +325,6 @@ func New(w *sim.World, pol protocol.Policy, medium stablestore.Medium) *DC {
 		Medium:    medium,
 		PageSize:  vista.DefaultPageSize,
 		procs:     make([]proc, n),
-		msgDeps:   make(map[int64]map[int]int),
 		registers: make([]byte, registerFileSize),
 		Stats:     Stats{Checkpoints: make([]int, n)},
 	}
@@ -686,7 +683,10 @@ func (d *DC) AfterEvent(p *sim.Proc, ev event.Event) {
 			snap[p.Index] = ps.epoch
 		}
 		if snap != nil {
-			d.mutableMsgDeps()[ev.Msg] = snap
+			if d.msgDeps == nil {
+				d.msgDeps = make(map[int64]map[int]int)
+			}
+			d.msgDeps[ev.Msg] = snap
 		}
 	case event.Receive:
 		if snap, ok := d.msgDeps[ev.Msg]; ok {
@@ -813,21 +813,6 @@ func (d *DC) diverge(p *sim.Proc) {
 	}
 	ps.retained = nil
 	d.World.Requeue(p, ms)
-}
-
-// mutableMsgDeps returns msgDeps, copying the top-level map first when it
-// is still shared with a frozen template. The per-message snapshots are
-// written once at send time and only read afterwards, so they stay shared.
-func (d *DC) mutableMsgDeps() map[int64]map[int]int {
-	if d.msgDepsShared {
-		c := make(map[int64]map[int]int, len(d.msgDeps)+1)
-		for msg, snap := range d.msgDeps {
-			c[msg] = snap
-		}
-		d.msgDeps = c
-		d.msgDepsShared = false
-	}
-	return d.msgDeps
 }
 
 // OnBlocked implements sim.Recovery: when a re-executing process blocks on

@@ -20,7 +20,7 @@ import (
 // immutable references (a fork copies each log's spine with the segments
 // capacity-clamped, so its appends start a segment of its own), and the
 // image buffers start empty and grow lazily. The message-dependency map is
-// shared too and copied top-level on the fork's first insert. The
+// cloned, its write-once snapshots shared. The
 // CommitHook/RecoveryHook/CommitVeto/ExpandResourcesOnCrash callbacks do NOT
 // carry over: they are per-run harness wiring (the original's closures would
 // observe the wrong run); callers re-install their own on the returned *DC
@@ -36,10 +36,9 @@ func (d *DC) ForkRecovery(w *sim.World) sim.Recovery {
 		// registers is written once at New and only ever read afterwards
 		// (Segment.Commit copies it out), so every fork shares it.
 		registers: d.registers,
-		// Message-dependency snapshots are write-once; the top-level map is
-		// copied on the fork's first insert (mutableMsgDeps).
-		msgDeps:           d.msgDeps,
-		msgDepsShared:     true,
+		// Message-dependency snapshots are write-once, so only the
+		// top-level map is copied.
+		msgDeps:           maps.Clone(d.msgDeps),
 		DisableRecovery:   d.DisableRecovery,
 		CheckBeforeCommit: d.CheckBeforeCommit,
 		EssentialOnly:     d.EssentialOnly,

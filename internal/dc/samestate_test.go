@@ -100,13 +100,13 @@ func TestDCSameState(t *testing.T) {
 		{"stepsBase", func(f *DC, _ *sim.Offsets) { f.procs[0].stepsBase++ }, differs},
 		{"epoch with a dependency", func(f *DC, _ *sim.Offsets) {
 			f.procs[0].epoch++
-			f.mutableMsgDeps()[7] = map[int]int{0: 1}
+			f.msgDeps = map[int64]map[int]int{7: {0: 1}}
 		}, differs},
 		{"replay cursor", func(f *DC, _ *sim.Offsets) { f.procs[0].cursor = f.procs[0].watermark }, differs},
 		{"pending commit", func(f *DC, _ *sim.Offsets) { f.procs[0].pendingCommit = "after-nd" }, differs},
 		{"nd flag", func(f *DC, _ *sim.Offsets) { f.procs[0].ndSince = !f.procs[0].ndSince }, differs},
 		{"dependency", func(f *DC, _ *sim.Offsets) { f.procs[0].deps = map[int]int{0: 1} }, differs},
-		{"message dependency", func(f *DC, _ *sim.Offsets) { f.mutableMsgDeps()[7] = map[int]int{0: 1} }, differs},
+		{"message dependency", func(f *DC, _ *sim.Offsets) { f.msgDeps = map[int64]map[int]int{7: {0: 1}} }, differs},
 		{"watermark", func(f *DC, _ *sim.Offsets) { f.procs[0].watermark = 0 }, differs},
 		{"taken-over receive", func(f *DC, _ *sim.Offsets) {
 			f.procs[0].retained = []sim.Retained{{Msg: &sim.Msg{ID: 1, Payload: []byte("m")}, At: 3}}
@@ -157,7 +157,6 @@ func TestDCSameStateCoversEveryField(t *testing.T) {
 		"Policy": c, "Medium": c, "PageSize": c, "procs": c, "msgDeps": c, "registers": c,
 		"DisableRecovery": c, "CheckBeforeCommit": c, "EssentialOnly": c,
 		"World":                  "wiring to the owning world",
-		"msgDepsShared":          "copy-on-write bookkeeping for msgDeps, which is compared",
 		"CommitHook":             hook,
 		"CommitVeto":             hook,
 		"RecoveryHook":           hook,

@@ -8,17 +8,20 @@ import (
 )
 
 // ForkOS implements sim.ForkableOS: it seals the kernel with Freeze and
-// returns a copy-on-write fork wired to the forked world's clock. The fork
-// is O(1) — it carries only a base reference to the receiver; each node is
-// cloned out of the base on the fork's first touch (node()), so forks that
-// crash before their next syscall pay one struct, and within a cloned node
-// the file contents stay shared until first mutation privatizes them. The
-// Metrics/Tracer sinks and the OnCorrupt/OnPanic callbacks do not carry over:
-// they are per-run harness wiring, and the original's callbacks would observe
-// the wrong world.
+// returns a fork wired to the forked world's clock. The fork clones every
+// node up front (cloneNode), one node clone per node: its file tables,
+// limits and counters are its own from the start, and only the file
+// contents stay shared until a first mutation privatizes them (ownFile).
+// The Metrics/Tracer sinks and the OnCorrupt/OnPanic callbacks do not carry
+// over: they are per-run harness wiring, and the original's callbacks would
+// observe the wrong world.
 func (k *Kernel) ForkOS(clock func() time.Duration) sim.OS {
 	k.Freeze()
-	return &Kernel{Clock: clock, base: k}
+	nodes := make(map[int]*node, len(k.nodes))
+	for pid, n := range k.nodes {
+		nodes[pid] = cloneNode(n)
+	}
+	return &Kernel{Clock: clock, nodes: nodes}
 }
 
 // cloneNode copies a frozen template node for a COW fork: file tables and
@@ -62,65 +65,23 @@ func cloneNode(tn *node) *node {
 // corruption counters only advance, and only an open fault window reads the
 // latter, so while neither node has a fault they match as offsets
 // (off.Layer); a fault window's start is a clock position and compares
-// shifted by off.Clock. It only reads both kernels: nodes are looked up
-// overlay-first without node(), which would clone one, and files through
-// the read-only file(). Files the two share by reference compare equal
+// shifted by off.Clock. It only reads both kernels: files are read through
+// the read-only file(), and files the two share by reference compare equal
 // without a byte compare. With equal node and file counts, finding every
 // template node and file in k proves the sets equal, so SameState walks the
 // template's maps (a frozen kernel has one of each) and k's own overlays,
-// never the maps k shares with its own template.
+// never the file maps k's nodes share with their template's.
 func (k *Kernel) SameState(template any, off *sim.Offsets) bool {
 	t, ok := template.(*Kernel)
-	return ok && k.nodeCount() == t.nodeCount() && k.sameNodes(t, off)
-}
-
-// sameNodes reports whether every node of t has an equal node of the same
-// pid in k.
-func (k *Kernel) sameNodes(t *Kernel, off *sim.Offsets) bool {
+	if !ok || len(k.nodes) != len(t.nodes) {
+		return false
+	}
 	for pid, tn := range t.nodes {
-		if n := k.peek(pid); n == nil || !n.sameState(tn, off) {
+		if n := k.nodes[pid]; n == nil || !n.sameState(tn, off) {
 			return false
 		}
 	}
-	if t.base != nil {
-		for pid, tn := range t.base.nodes {
-			if _, own := t.nodes[pid]; own {
-				continue
-			}
-			if n := k.peek(pid); n == nil || !n.sameState(tn, off) {
-				return false
-			}
-		}
-	}
 	return true
-}
-
-// peek returns pid's node without materializing it: the kernel's own, else
-// its template's, else nil.
-func (k *Kernel) peek(pid int) *node {
-	if n, ok := k.nodes[pid]; ok {
-		return n
-	}
-	if k.base != nil {
-		return k.base.nodes[pid]
-	}
-	return nil
-}
-
-// nodeCount is how many nodes the kernel has, its own and its template's.
-// It walks only the kernel's own map, which a fork fills one touched node at
-// a time.
-func (k *Kernel) nodeCount() int {
-	c := len(k.nodes)
-	if k.base != nil {
-		c += len(k.base.nodes)
-		for pid := range k.nodes {
-			if _, shared := k.base.nodes[pid]; shared {
-				c--
-			}
-		}
-	}
-	return c
 }
 
 // sameScalars compares two nodes' counters, limits, fault window and file

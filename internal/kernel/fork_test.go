@@ -85,8 +85,8 @@ func repeat(n int, o op) []op {
 // suffix. F must answer every call as A does and end holding what A holds; T
 // must not change, and a sibling fork taken afterwards must see none of F's
 // writes. Then a third generation — F sealed in turn, its fork G, one more
-// script on A and G — must match again, with F flattened: no kernel or node
-// reads through more than one base, however long the ancestry.
+// script on A and G — must match again, with F flattened: no node reads
+// through more than one base, however long the ancestry.
 func TestForkMatchesNeverForkedTwin(t *testing.T) {
 	// Every case starts from these files and descriptors: pid 0 holds a
 	// (fd 3), b (fd 4) and the closed c; pid 1 holds x (fd 3).
@@ -155,12 +155,12 @@ func TestForkMatchesNeverForkedTwin(t *testing.T) {
 			}
 
 			g := f.fork()
-			if f.k.base != nil || g.k.base != f.k {
-				t.Error("sealing a fork left it reading through its own template")
-			}
 			for pid, n := range f.k.nodes {
 				if n.base != nil || n.deleted != nil {
 					t.Errorf("sealed fork's node %d still reads through a base", pid)
+				}
+				if g.k.nodes[pid].base != n {
+					t.Errorf("the third generation's node %d does not read through its template's", pid)
 				}
 			}
 			if got, want := g.run(third), a.run(third); !reflect.DeepEqual(got, want) {

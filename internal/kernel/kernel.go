@@ -213,35 +213,25 @@ type Kernel struct {
 	CowFiles int
 	CowBytes int64
 
-	// nodes's *node values are cloned out of the frozen base by node()
-	// before any mutation; a COW fork starts with a nil map and node() also
-	// materializes it, so inserts outside node() would hand a fork a
-	// template-owned node.
-	//failtrans:cowshared node
+	// nodes holds a node per pid the kernel has served; node() adds them.
 	nodes map[int]*node
-	// base, when non-nil, is the frozen template kernel this one was COW-
-	// forked from: nodes absent from the local map are cloned out of it on
-	// first touch. The base is frozen, so it never changes and has no base
-	// of its own.
-	base *Kernel
 }
 
-// Freeze seals the kernel as an immutable copy-on-write template: forks
-// share its node filesystems behind base references, and it must never serve
-// another syscall. A kernel that is itself a COW fork is flattened first —
-// every template node is cloned in and folded into one file map that shares
-// the file bytes — so forks of it resolve a lookup in one step and cost the
-// same however many generations of template preceded it. Freeze is
-// idempotent and writes nothing the second time, so any number of forks may
-// then be taken concurrently.
+// Freeze seals the kernel as an immutable fork template: forks clone its
+// nodes, one node clone per node, share its file contents behind their
+// nodes' base references, and it must never serve another syscall. A kernel
+// that is itself a fork has each node flattened first — its base's files
+// folded into one file map that shares the file bytes — so forks of it
+// resolve a file lookup in one step and cost the same however many
+// generations of template preceded it. Freeze is idempotent and writes
+// nothing the second time, so any number of forks may then be taken
+// concurrently.
 func (k *Kernel) Freeze() {
-	if k.base == nil {
-		return
+	for _, n := range k.nodes {
+		if n.base != nil {
+			n.flatten()
+		}
 	}
-	for pid := range k.base.nodes {
-		k.node(pid).flatten()
-	}
-	k.base = nil
 }
 
 // New returns a kernel with no nodes; nodes are created on first use.
@@ -256,19 +246,15 @@ func (k *Kernel) SetObs(m *obs.Metrics, t *obs.Tracer) {
 	k.Tracer = t
 }
 
+// node returns pid's node, creating it on first use. It is the only path
+// that creates a node: the readers look pid up in k.nodes and answer for a
+// pid the kernel has never served without one, so reading a kernel never
+// changes what SameState compares, and never writes a sealed template.
 func (k *Kernel) node(pid int) *node {
 	if n, ok := k.nodes[pid]; ok {
 		return n
 	}
-	if k.nodes == nil {
-		k.nodes = make(map[int]*node) // COW forks start with no local map
-	}
-	var n *node
-	if k.base != nil && k.base.nodes[pid] != nil {
-		n = cloneNode(k.base.nodes[pid])
-	} else {
-		n = &node{fs: make(map[string][]byte), fds: make(map[int]*fdEntry), nextFD: 3, fdLimit: MaxOpenFiles}
-	}
+	n := &node{fs: make(map[string][]byte), fds: make(map[int]*fdEntry), nextFD: 3, fdLimit: MaxOpenFiles}
 	k.nodes[pid] = n
 	return n
 }
@@ -280,7 +266,11 @@ func (k *Kernel) WriteFile(pid int, path string, data []byte) {
 
 // ReadFile reads a file from pid's node directly (assertions in tests).
 func (k *Kernel) ReadFile(pid int, path string) ([]byte, bool) {
-	d, ok := k.node(pid).file(path)
+	n := k.nodes[pid]
+	if n == nil {
+		return nil, false
+	}
+	d, ok := n.file(path)
 	if !ok {
 		return nil, false
 	}
@@ -289,9 +279,10 @@ func (k *Kernel) ReadFile(pid int, path string) ([]byte, bool) {
 
 // Files lists pid's node's files, sorted.
 func (k *Kernel) Files(pid int) []string {
-	n := k.node(pid)
-	set := make(map[string]bool, len(n.fs))
-	n.addNames(set)
+	set := make(map[string]bool)
+	if n := k.nodes[pid]; n != nil {
+		n.addNames(set)
+	}
 	out := make([]string, 0, len(set))
 	for p := range set {
 		out = append(out, p)
@@ -301,7 +292,12 @@ func (k *Kernel) Files(pid int) []string {
 }
 
 // Syscalls returns the number of syscalls pid's node has served.
-func (k *Kernel) Syscalls(pid int) int64 { return k.node(pid).Syscall }
+func (k *Kernel) Syscalls(pid int) int64 {
+	if n := k.nodes[pid]; n != nil {
+		return n.Syscall
+	}
+	return 0
+}
 
 // InjectFault opens a corruption window on pid's node starting now; after
 // `window` of virtual time the kernel panics. window == 0 is an immediate
@@ -322,15 +318,15 @@ func (k *Kernel) InjectFault(pid int, window time.Duration) {
 // syscall result before panicking (i.e. manifested as a propagation
 // failure rather than a stop failure).
 func (k *Kernel) FaultCorrupted(pid int) bool {
-	n := k.node(pid)
-	return n.fault != nil && n.fault.corrupted
+	n := k.nodes[pid]
+	return n != nil && n.fault != nil && n.fault.corrupted
 }
 
 // Faulted reports whether pid's node carries an injected fault: its window
 // open, or closed by a panic the node has not rebooted from. It only reads
-// the kernel (a fork's untouched node stays its template's).
+// the kernel.
 func (k *Kernel) Faulted(pid int) bool {
-	n := k.peek(pid)
+	n := k.nodes[pid]
 	return n != nil && n.fault != nil
 }
 

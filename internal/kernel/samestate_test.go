@@ -10,19 +10,24 @@ import (
 )
 
 // TestKernelSameState: an untouched fork of a sealed kernel is in its
-// template's state — also after it cloned a node or took a private copy of
-// a file's unchanged bytes — a fork that served more syscalls matches it as
-// a layer offset while no fault window is open, and changing any one
-// exactly compared piece of node state makes SameState answer false.
+// template's state — also after it took a private copy of a file's unchanged
+// bytes, or read a pid neither has served — a fork that served more syscalls
+// matches it as a layer offset while no fault window is open, and changing
+// any one exactly compared piece of node state makes SameState answer false.
 func TestKernelSameState(t *testing.T) {
-	r := newRig()
-	r.run([]op{
-		sys(0, "open", []byte("a.txt"), []byte{1}),
-		sys(0, "write", I64(3), []byte("hello world")),
-		sys(1, "open", []byte("b.txt"), []byte{1}),
-		sys(1, "write", I64(3), []byte("node one")),
-	})
-	tmpl := r.fork().k.base // the sealed template
+	sealed := func() rig {
+		r := newRig()
+		r.run([]op{
+			sys(0, "open", []byte("a.txt"), []byte{1}),
+			sys(0, "write", I64(3), []byte("hello world")),
+			sys(1, "open", []byte("b.txt"), []byte{1}),
+			sys(1, "write", I64(3), []byte("node one")),
+		})
+		r.k.Freeze()
+		return r
+	}
+	r := sealed()
+	tmpl := r.k
 	const (
 		exact = iota
 		shifted
@@ -34,7 +39,6 @@ func TestKernelSameState(t *testing.T) {
 		want   int
 	}{
 		{"untouched", nil, exact},
-		{"node cloned", []op{{0, "!touch", nil}}, exact},
 		{"same bytes rewritten", []op{{0, "!rewrite", [][]byte{{0}}}}, exact},
 		{"syscall count", []op{sys(1, "getpid")}, shifted},
 		{"file byte", []op{{0, "!rewrite", [][]byte{{1}}}}, differs},
@@ -74,6 +78,27 @@ func TestKernelSameState(t *testing.T) {
 	if r.fork().k.SameState(struct{}{}, &sim.Offsets{}) {
 		t.Error("a kernel matched a non-kernel")
 	}
+	// Only node() creates a node: reading pid 2, which neither kernel has
+	// served, leaves the fork in its template's state and the template as it
+	// was sealed.
+	for name, read := range map[string]func(k *Kernel){
+		"FaultCorrupted": func(k *Kernel) { k.FaultCorrupted(2) },
+		"Syscalls":       func(k *Kernel) { k.Syscalls(2) },
+		"ReadFile":       func(k *Kernel) { k.ReadFile(2, "a.txt") },
+		"Files":          func(k *Kernel) { k.Files(2) },
+		"Faulted":        func(k *Kernel) { k.Faulted(2) },
+	} {
+		r := sealed()
+		f := r.fork()
+		read(f.k)
+		var off sim.Offsets
+		if !f.k.SameState(r.k, &off) || !off.Zero() {
+			t.Errorf("%s of an unserved pid moved the fork off its template", name)
+		}
+		if read(r.k); len(r.k.nodes) != 2 {
+			t.Errorf("%s of an unserved pid gave the sealed template %d nodes, want 2", name, len(r.k.nodes))
+		}
+	}
 }
 
 // TestKernelSameStateCoversEveryField is the guard over Kernel.SameState:
@@ -88,7 +113,6 @@ func TestKernelSameStateCoversEveryField(t *testing.T) {
 	c := fieldguard.Covered
 	fieldguard.Check(t, reflect.TypeOf(Kernel{}), map[string]string{
 		"nodes":     c,
-		"base":      cow,
 		"Clock":     "wiring to the owning world's clock",
 		"OnCorrupt": sink,
 		"OnPanic":   sink,
