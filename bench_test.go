@@ -250,17 +250,19 @@ func (h *heapFlipAt) At(p *sim.Proc, site string) sim.FaultKind {
 // ---- Microbenchmarks of the hot substrate paths ----
 
 // BenchmarkVistaCommit measures a Vista commit of a 64 KB image with one
-// dirty page through CommitImage, with the observability metrics slot
-// attached (the instrumented path must stay at 0 allocs/op).
+// dirty page through SetContents and Commit, with the observability metrics
+// slot attached (the instrumented path must stay at 0 allocs/op).
 func BenchmarkVistaCommit(b *testing.B) {
 	seg := vista.NewSegment(0, 4096)
 	seg.Metrics = &obs.VistaMetrics{}
 	img := make([]byte, 64*1024)
-	seg.CommitImage(img, nil)
+	seg.SetContents(img)
+	seg.Commit(nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		img[(i*4096+17)%len(img)] ^= 1
-		seg.CommitImage(img, nil)
+		seg.SetContents(img)
+		seg.Commit(nil)
 	}
 }
 

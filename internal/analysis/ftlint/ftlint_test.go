@@ -208,7 +208,7 @@ func TestCowAnnotationsPresent(t *testing.T) {
 // nothing, so their presence is asserted here.
 func TestHotpathRootsAnnotated(t *testing.T) {
 	roots := map[string]int{ // file -> minimum number of hotpath annotations
-		"../../vista/vista.go": 4, // (*Segment).Write, SetContents, CommitImage, Commit
+		"../../vista/vista.go": 3, // (*Segment).SetContents, Commit, Rollback
 		"../../sim/proc.go":    1, // (*Proc).AppendCheckpointImage
 		"../../sim/fork.go":    1, // (*Proc).bumpRecvHW
 		"../../dc/dc.go":       2, // (*DC).diffOne, RecordND

@@ -417,11 +417,11 @@ func (d *DC) commitOne(p *sim.Proc, label string) error {
 }
 
 // diffOne serializes p's checkpoint image into its reusable per-process
-// buffer and commits it into the Vista segment in one compare-and-copy pass.
-// No event — hence no simulated crash — can land inside the call, so the
-// segment keeps no undo record for it. It touches only p's own state
-// (program, session counters, segment, buffer); all global bookkeeping lives
-// in finishCommit.
+// buffer and commits it into the Vista segment: SetContents, one
+// compare-and-copy pass, then Commit. No event — hence no simulated crash —
+// can land inside the call, so the segment keeps no undo record for it. It
+// touches only p's own state (program, session counters, segment, buffer);
+// all global bookkeeping lives in finishCommit.
 //
 //failtrans:hotpath
 func (d *DC) diffOne(p *sim.Proc) (vista.Stats, error) {
@@ -431,7 +431,9 @@ func (d *DC) diffOne(p *sim.Proc) (vista.Stats, error) {
 		return vista.Stats{}, fmt.Errorf("dc: commit %s: %w", p.Prog.Name(), err)
 	}
 	d.procs[p.Index].img = buf
-	return d.seg(p.Index).CommitImage(buf, d.registers), nil
+	seg := d.seg(p.Index)
+	seg.SetContents(buf)
+	return seg.Commit(d.registers), nil
 }
 
 // image returns process i's checkpoint-image buffer, emptied: the one buffer
@@ -946,20 +948,20 @@ func (d *DC) Rollback(p *sim.Proc) error {
 	return nil
 }
 
-// rollbackRestore is the undo/redo core of a rollback: apply the segment's
-// undo log, materialize the committed image into the reusable per-process
-// buffer, and rebuild process state from it. It is the recovery-side
-// counterpart of diffOne and, like it, must not allocate in the steady
-// state — rollback buffers are pooled in the segment, the image buffer is
-// reused across rollbacks and commits, and the register file is read in
-// place rather than copied out.
+// rollbackRestore is the restore half of a rollback: read the segment's
+// committed image into the reusable per-process buffer and rebuild process
+// state from it. The segment keeps no undo log to apply, because a commit is
+// one call inside an event and a crash lands between events: the segment only
+// ever holds a committed image, and a crash inside a commit would recover the
+// same state as one just before it. It is the recovery-side counterpart of
+// diffOne and, like it, must not allocate in the steady state — the image
+// buffer is reused across rollbacks and commits, and the register file is
+// read in place rather than copied out.
 //
 //failtrans:hotpath
 func (d *DC) rollbackRestore(p *sim.Proc) error {
 	i := p.Index
-	seg := d.seg(i)
-	seg.RollbackPages()
-	img := seg.AppendContents(d.image(i))
+	img := d.seg(i).Rollback(d.image(i))
 	d.procs[i].img = img
 	return p.RestoreCheckpointImage(img)
 }

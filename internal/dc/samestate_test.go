@@ -119,7 +119,8 @@ func TestDCSameState(t *testing.T) {
 			seg := f.procs[0].seg
 			img := seg.Contents()
 			img[len(img)/2] ^= 1
-			seg.CommitImage(img, f.registers)
+			seg.SetContents(img)
+			seg.Commit(f.registers)
 		}, differs},
 		{"recovery flag", func(f *DC, _ *sim.Offsets) { f.DisableRecovery = !f.DisableRecovery }, differs},
 	}

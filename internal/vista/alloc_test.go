@@ -2,36 +2,19 @@ package vista
 
 import (
 	"bytes"
-	"math/rand"
 	"testing"
 
 	"failtrans/internal/obs"
 )
 
 // TestCommitCycleZeroAllocs pins the tentpole property of the incremental
-// commit engine: once warmed up, a write→commit cycle and a
-// SetContents→commit cycle allocate nothing — the dirty bitset is cleared
-// in place and undo-record page buffers are recycled through the pool.
+// commit engine: once warmed up, a SetContents→commit cycle allocates
+// nothing — dirty pages are copied in place and no before-image is kept.
 func TestCommitCycleZeroAllocs(t *testing.T) {
 	seg := NewSegment(0, 4096)
 	img := make([]byte, 64*1024)
 	seg.SetContents(img)
 	seg.Commit(nil)
-
-	one := []byte{0}
-	i := 0
-	writeCycle := func() {
-		one[0] = byte(i)
-		if err := seg.Write((i*4096+17)%len(img), one); err != nil {
-			t.Fatal(err)
-		}
-		seg.Commit(nil)
-		i++
-	}
-	writeCycle() // prime the buffer pool
-	if n := testing.AllocsPerRun(200, writeCycle); n != 0 {
-		t.Errorf("write→commit cycle allocates %.1f times per run, want 0", n)
-	}
 
 	j := 0
 	setCycle := func() {
@@ -65,12 +48,60 @@ func TestCommitCycleZeroAllocsWithMetrics(t *testing.T) {
 		seg.Commit(nil)
 		i++
 	}
-	cycle() // prime the buffer pool
+	cycle()
 	if n := testing.AllocsPerRun(200, cycle); n != 0 {
 		t.Errorf("instrumented SetContents→commit cycle allocates %.1f times per run, want 0", n)
 	}
 	if m.Commits == 0 || m.PagesDirtied == 0 {
 		t.Errorf("metrics did not accumulate: %+v", *m)
+	}
+}
+
+// TestCommitImageAllocs follows one checkpoint image through a segment's
+// whole life: a warmed flat SetContents→commit cycle allocates nothing and
+// still counts its clean pages, and once that same segment is frozen as a
+// template, a fork's first commit pays at most one buffer per page it
+// privatizes plus the overlay index.
+func TestCommitImageAllocs(t *testing.T) {
+	img := make([]byte, 64*1024)
+	seg := NewSegment(0, 4096)
+	m := &obs.VistaMetrics{}
+	seg.Metrics = m
+	seg.SetContents(img)
+	seg.Commit(nil)
+	i := 0
+	if n := testing.AllocsPerRun(200, func() {
+		img[(i*4096+17)%len(img)] ^= 1
+		seg.SetContents(img)
+		seg.Commit(nil)
+		i++
+	}); n != 0 {
+		t.Errorf("warmed flat SetContents→commit allocates %.1f times per run, want 0", n)
+	}
+	if m.PagesDirtied == 0 || m.HashHits == 0 {
+		t.Errorf("metrics did not accumulate: %+v", *m)
+	}
+
+	seg.Freeze()
+	const runs, dirty = 50, 3
+	forks := make([]*Segment, runs+1) // AllocsPerRun makes one warm-up call
+	for k := range forks {
+		forks[k] = seg.Fork()
+	}
+	changed := append([]byte(nil), img...)
+	for p := 0; p < dirty; p++ {
+		changed[p*2*4096+5] ^= 0xFF
+	}
+	k := 0
+	n := testing.AllocsPerRun(runs, func() {
+		forks[k].SetContents(changed)
+		if st := forks[k].Commit(nil); st.Pages != dirty {
+			t.Fatalf("first fork commit dirtied %d pages, want %d", st.Pages, dirty)
+		}
+		k++
+	})
+	if n > dirty+1 {
+		t.Errorf("first commit on a COW fork of a used segment allocates %.1f times, want at most %d (privatized pages + 1)", n, dirty+1)
 	}
 }
 
@@ -87,7 +118,8 @@ func TestFlatGrowthIsGeometric(t *testing.T) {
 	for i := 0; i < commits; i++ {
 		img = append(img, byte(i)|1)
 		before := cap(seg.mem)
-		st := seg.CommitImage(img, nil)
+		seg.SetContents(img)
+		st := seg.Commit(nil)
 		if cap(seg.mem) != before {
 			reallocs++
 		}
@@ -113,34 +145,31 @@ func TestFlatGrowthIsGeometric(t *testing.T) {
 // refSegment is the naive reference model for SetContents semantics: the
 // segment holds the last image, zero-padded to the largest extent ever set.
 type refSegment struct {
-	mem       []byte
-	committed []byte
+	mem []byte
 }
 
-func (r *refSegment) set(data []byte) {
+// set lays data into the model and returns how many pages of ps bytes it
+// changed, comparing byte by byte.
+func (r *refSegment) set(data []byte, ps int) (dirty int) {
 	if len(data) > len(r.mem) {
 		r.mem = append(r.mem, make([]byte, len(data)-len(r.mem))...)
 	}
-	copy(r.mem, data)
-	for i := len(data); i < len(r.mem); i++ {
-		r.mem[i] = 0
+	for start := 0; start < len(r.mem); start += ps {
+		differs := false
+		for i := start; i < min(start+ps, len(r.mem)); i++ {
+			var b byte
+			if i < len(data) {
+				b = data[i]
+			}
+			if r.mem[i] != b {
+				r.mem[i], differs = b, true
+			}
+		}
+		if differs {
+			dirty++
+		}
 	}
-}
-
-func (r *refSegment) write(off int, data []byte) {
-	if need := off + len(data); need > len(r.mem) {
-		r.mem = append(r.mem, make([]byte, need-len(r.mem))...)
-	}
-	copy(r.mem[off:], data)
-}
-
-func (r *refSegment) commit() { r.committed = append(r.committed[:0], r.mem...) }
-
-func (r *refSegment) rollback() {
-	for i := range r.mem {
-		r.mem[i] = 0
-	}
-	copy(r.mem, r.committed)
+	return dirty
 }
 
 func pat(n int, seed byte) []byte {
@@ -154,100 +183,51 @@ func pat(n int, seed byte) []byte {
 // TestSetContentsBoundaryCases drives the page-diff path across the
 // boundary shapes the page comparison must get right: growth with a partial
 // final page, shrinking, an all-zero tail, emptying, and re-growth within
-// retained capacity.
+// retained capacity. Every commit reports the pages the model saw change.
 func TestSetContentsBoundaryCases(t *testing.T) {
 	const ps = 64
 	seg := NewSegment(0, ps)
 	ref := &refSegment{}
-	set := func(data []byte) {
+	commit := func(data []byte) int {
 		t.Helper()
 		seg.SetContents(data)
-		ref.set(data)
+		want := ref.set(data, ps)
 		if got := seg.Contents(); !bytes.Equal(got, ref.mem) {
 			t.Fatalf("after SetContents(len=%d): segment %v != reference %v", len(data), got, ref.mem)
 		}
+		st := seg.Commit(nil)
+		if st.Pages != want {
+			t.Fatalf("SetContents(len=%d) dirtied %d pages, reference %d", len(data), st.Pages, want)
+		}
+		return st.Pages
 	}
 
 	// Grow across a page boundary ending in a partial final page.
-	set(pat(ps*3+17, 1))
-	seg.Commit(nil)
+	commit(pat(ps*3+17, 1))
 
 	// An identical image must dirty nothing (the clean-skip fast path).
-	set(pat(ps*3+17, 1))
-	if st := seg.Commit(nil); st.Pages != 0 {
-		t.Errorf("identical image dirtied %d pages, want 0", st.Pages)
+	if n := commit(pat(ps*3+17, 1)); n != 0 {
+		t.Errorf("identical image dirtied %d pages, want 0", n)
 	}
 
 	// A single-byte change must dirty exactly one page.
 	d := pat(ps*3+17, 1)
 	d[ps+5] ^= 0xFF
-	set(d)
-	if st := seg.Commit(nil); st.Pages != 1 {
-		t.Errorf("one-byte change dirtied %d pages, want 1", st.Pages)
+	if n := commit(d); n != 1 {
+		t.Errorf("one-byte change dirtied %d pages, want 1", n)
 	}
 
 	// Shrink to a partial first page: the old tail pages must read as zero.
-	set(pat(ps/2, 2))
-	seg.Commit(nil)
+	commit(pat(ps/2, 2))
 
 	// All-zero tail: only the first page holds data.
 	z := pat(ps*4, 3)
 	for i := ps; i < len(z); i++ {
 		z[i] = 0
 	}
-	set(z)
-	seg.Commit(nil)
+	commit(z)
 
 	// Shrink to empty, then regrow within the retained capacity.
-	set(nil)
-	set(pat(ps*2+1, 4))
-}
-
-// TestSetContentsRandomizedAgainstReference interleaves SetContents, Write,
-// Commit and Rollback with random extents and checks the segment against
-// the naive model after every operation — including that rollback restores
-// exactly the committed image.
-func TestSetContentsRandomizedAgainstReference(t *testing.T) {
-	const ps = 32
-	rng := rand.New(rand.NewSource(7))
-	seg := NewSegment(0, ps)
-	ref := &refSegment{}
-	seg.Commit(nil)
-	ref.commit()
-
-	randImage := func() []byte {
-		n := rng.Intn(6*ps + 1)
-		out := make([]byte, n)
-		for i := range out {
-			if rng.Intn(3) > 0 { // bias toward zeros to exercise zero tails
-				out[i] = byte(rng.Intn(256))
-			}
-		}
-		return out
-	}
-
-	for iter := 0; iter < 2000; iter++ {
-		switch rng.Intn(6) {
-		case 0, 1, 2:
-			img := randImage()
-			seg.SetContents(img)
-			ref.set(img)
-		case 3:
-			off := rng.Intn(5 * ps)
-			data := pat(rng.Intn(ps)+1, byte(iter))
-			if err := seg.Write(off, data); err != nil {
-				t.Fatal(err)
-			}
-			ref.write(off, data)
-		case 4:
-			seg.Commit(nil)
-			ref.commit()
-		default:
-			seg.Rollback()
-			ref.rollback()
-		}
-		if got := seg.Contents(); !bytes.Equal(got, ref.mem) {
-			t.Fatalf("iter %d: segment diverged from reference (len %d vs %d)", iter, len(got), len(ref.mem))
-		}
-	}
+	commit(nil)
+	commit(pat(ps*2+1, 4))
 }

@@ -8,36 +8,27 @@ import (
 	"testing"
 )
 
-// randomOps drives one segment through n random mutations (Write,
-// SetContents, Commit, Rollback) from rng, mirroring the randomized
-// reference test's operation mix.
+// randomOp applies one random operation from rng to seg: mostly a commit
+// of a random image (SetContents then Commit), otherwise a read-back.
 func randomOp(rng *rand.Rand, seg *Segment, ps int, iter int) {
-	switch rng.Intn(6) {
-	case 0, 1, 2:
-		n := rng.Intn(6*ps + 1)
-		img := make([]byte, n)
-		for i := range img {
-			if rng.Intn(3) > 0 {
-				img[i] = byte(rng.Intn(256))
-			}
-		}
-		seg.SetContents(img)
-	case 3:
-		off := rng.Intn(5 * ps)
-		data := pat(rng.Intn(ps)+1, byte(iter))
-		if err := seg.Write(off, data); err != nil {
-			panic(err)
-		}
-	case 4:
-		seg.Commit([]byte{byte(iter)})
-	default:
-		seg.Rollback()
+	if rng.Intn(5) == 4 {
+		seg.Rollback(nil)
+		return
 	}
+	n := rng.Intn(6*ps + 1)
+	img := make([]byte, n)
+	for i := range img {
+		if rng.Intn(3) > 0 {
+			img[i] = byte(rng.Intn(256))
+		}
+	}
+	seg.SetContents(img)
+	seg.Commit([]byte{byte(iter)})
 }
 
 // randomPrefix returns a fresh segment driven through n random operations
 // from seed. Two calls with the same arguments build twins: equal in every
-// respect, the open transaction included, and sharing nothing.
+// respect and sharing nothing.
 func randomPrefix(seed int64, n, ps int) *Segment {
 	rng := rand.New(rand.NewSource(seed))
 	seg := NewSegment(0, ps)
@@ -51,8 +42,8 @@ func randomPrefix(seed int64, n, ps int) *Segment {
 // twin segments are built up with the same random operations; one is never
 // forked (the oracle), the other is sealed by Fork. The same randomized
 // operation stream is applied to the oracle and the fork; after every step
-// their contents must be byte-identical — rollbacks into the transaction the
-// prefix left open included — and the sealed template must never change.
+// their contents must be byte-identical, and the sealed template must never
+// change.
 func TestCOWForkMatchesNeverForkedTwin(t *testing.T) {
 	const ps = 32
 	for seed := int64(1); seed <= 8; seed++ {
@@ -124,58 +115,13 @@ func TestCOWForksConcurrentNeverAlias(t *testing.T) {
 	}
 }
 
-// TestCOWRollbackPrivatizesUndo proves a crashed COW fork recovers through
-// its own undo log without disturbing the template: mid-transaction state
-// (dirty pages, undo records) carries across the fork, and rolling the fork
-// back restores the template's committed image — the crash-injection
-// contract the fault campaigns rely on.
-func TestCOWRollbackPrivatizesUndo(t *testing.T) {
-	const ps = 32
-	tmpl := NewSegment(0, ps)
-	committed := pat(ps*3+7, 9)
-	tmpl.SetContents(committed)
-	tmpl.Commit([]byte("regs"))
-	// Leave an open transaction in the template: the fork inherits its
-	// undo records (borrowed), exactly like a snapshot captured mid-step.
-	if err := tmpl.Write(5, []byte{0xAA, 0xBB}); err != nil {
-		t.Fatal(err)
-	}
-	tmpl.Freeze()
-	tmplBefore := tmpl.Contents()
-
-	f := tmpl.Fork()
-	// The fork keeps writing, then "crashes" and recovers via rollback.
-	if err := f.Write(ps*2+3, []byte{1, 2, 3, 4}); err != nil {
-		t.Fatal(err)
-	}
-	f.SetContents(pat(ps*4, 13))
-	reg := f.Rollback()
-	if string(reg) != "regs" {
-		t.Fatalf("rollback returned registers %q, want %q", reg, "regs")
-	}
-	want := make([]byte, ps*4) // rollback does not shrink; tail reads zero
-	copy(want, committed)
-	if got := f.Contents(); !bytes.Equal(got, want) {
-		t.Fatalf("rolled-back fork != committed template image\ngot  %v\nwant %v", got, want)
-	}
-	if !bytes.Equal(tmpl.Contents(), tmplBefore) {
-		t.Fatal("rollback of fork mutated the frozen template")
-	}
-	// A second fork must see the template's pristine mid-transaction state.
-	f2 := tmpl.Fork()
-	if got := f2.Contents(); !bytes.Equal(got, tmplBefore) {
-		t.Fatal("second fork does not see the template's state")
-	}
-}
-
 // TestFrozenSegmentMutationPanics pins the Freeze contract: every mutator
 // on a sealed template panics instead of corrupting the forks sharing it.
 func TestFrozenSegmentMutationPanics(t *testing.T) {
 	mutations := map[string]func(*Segment){
-		"Write":       func(s *Segment) { _ = s.Write(0, []byte{1}) },
 		"SetContents": func(s *Segment) { s.SetContents([]byte{1}) },
 		"Commit":      func(s *Segment) { s.Commit(nil) },
-		"Rollback":    func(s *Segment) { s.Rollback() },
+		"Rollback":    func(s *Segment) { s.Rollback(nil) },
 	}
 	for name, mut := range mutations {
 		s := NewSegment(64, 32)
@@ -192,15 +138,37 @@ func TestFrozenSegmentMutationPanics(t *testing.T) {
 }
 
 // TestCOWForkCommitCycleZeroAllocs extends the zero-allocation pin to COW
-// forks: once a fork has privatized its working set, a SetContents→commit
-// cycle allocates nothing — overlay lookups are slice reads, undo buffers
-// come from the pool, and borrowed before-images are plain slices.
+// forks: a fork's first commit pays one buffer per page it privatizes plus
+// the overlay index, and once a fork has privatized its working set, a
+// SetContents→commit cycle allocates nothing — overlay lookups are slice
+// reads.
 func TestCOWForkCommitCycleZeroAllocs(t *testing.T) {
 	tmpl := NewSegment(0, 4096)
 	img := make([]byte, 64*1024)
 	tmpl.SetContents(img)
 	tmpl.Commit(nil)
 	tmpl.Freeze()
+
+	const runs, dirty = 50, 3
+	forks := make([]*Segment, runs+1) // AllocsPerRun makes one warm-up call
+	for k := range forks {
+		forks[k] = tmpl.Fork()
+	}
+	changed := append([]byte(nil), img...)
+	for p := 0; p < dirty; p++ {
+		changed[p*2*4096+5] ^= 0xFF
+	}
+	k := 0
+	n := testing.AllocsPerRun(runs, func() {
+		forks[k].SetContents(changed)
+		if st := forks[k].Commit(nil); st.Pages != dirty {
+			t.Fatalf("first fork commit dirtied %d pages, want %d", st.Pages, dirty)
+		}
+		k++
+	})
+	if n > dirty+1 {
+		t.Errorf("first commit on a COW fork allocates %.1f times, want at most %d (privatized pages + 1)", n, dirty+1)
+	}
 
 	f := tmpl.Fork()
 	i := 0
@@ -210,7 +178,7 @@ func TestCOWForkCommitCycleZeroAllocs(t *testing.T) {
 		f.Commit(nil)
 		i++
 	}
-	// Warm: privatize every page the cycle touches and fill the pool.
+	// Warm: privatize every page the cycle touches.
 	for w := 0; w < len(img)/4096+2; w++ {
 		cycle()
 	}
@@ -233,10 +201,10 @@ func TestForkOfCOWForkMaterializes(t *testing.T) {
 	tmpl.Commit(nil)
 
 	f := tmpl.Fork()
-	if err := f.Write(ps+1, []byte{0xEE}); err != nil {
-		t.Fatal(err)
-	}
-	want := f.Contents()
+	want := pat(ps*3, 3)
+	want[ps+1] = 0xEE
+	f.SetContents(want)
+	f.Commit(nil)
 	g := f.Fork()
 	if f.base != nil || g.base != f {
 		t.Fatal("fork of a COW fork still chains to the first template")
@@ -245,31 +213,9 @@ func TestForkOfCOWForkMaterializes(t *testing.T) {
 		t.Fatal("materializing changed the COW fork's contents")
 	}
 	g.SetContents(pat(ps*2, 5))
+	g.Commit(nil)
 	if !bytes.Equal(f.Contents(), want) {
 		t.Fatal("second-generation fork wrote through to the sealed COW fork")
-	}
-}
-
-// TestRollbackZeroesGrownPageTail pins the rollback semantics the COW
-// engine relies on (and that the flat path needs too): memory a page gains
-// by growing *after* it was touched is committed-as-zero, so rollback must
-// restore zeros there even though the before-image predates the growth.
-func TestRollbackZeroesGrownPageTail(t *testing.T) {
-	const ps = 32
-	s := NewSegment(0, ps)
-	s.SetContents(pat(ps+2, 1)) // page 1 has extent 2
-	s.Commit(nil)
-	if err := s.Write(ps+1, []byte{7}); err != nil { // touch page 1 at extent 2
-		t.Fatal(err)
-	}
-	if err := s.Write(ps*2-4, []byte{1, 2, 3, 4}); err != nil { // grow page 1 to full extent
-		t.Fatal(err)
-	}
-	s.Rollback()
-	want := make([]byte, ps*2)
-	copy(want, pat(ps+2, 1))
-	if got := s.Contents(); !bytes.Equal(got, want) {
-		t.Fatalf("rollback left grown-page bytes behind\ngot  %v\nwant %v", got, want)
 	}
 }
 
@@ -279,8 +225,9 @@ func ExampleSegment_Freeze() {
 	tmpl.Commit(nil)
 	tmpl.Freeze()
 	f := tmpl.Fork()
-	f.Write(0, []byte("fork"))
+	f.SetContents([]byte("fork-mid-state"))
+	f.Commit(nil)
 	fmt.Printf("fork=%q template=%q privatized=%d\n",
-		f.Contents()[:14], tmpl.Contents(), f.CowPages)
-	// Output: fork="forklate state" template="template state" privatized=1
+		f.Contents(), tmpl.Contents(), f.CowPages)
+	// Output: fork="fork-mid-state" template="template state" privatized=1
 }

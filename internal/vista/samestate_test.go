@@ -8,17 +8,20 @@ import (
 )
 
 // TestSameContents: a fork of a sealed segment holds its template's
-// contents until a commit changes a byte, the extent or the register file,
-// or a transaction is open; privatized pages that hold the same bytes still
-// compare equal.
+// contents until a commit changes a byte, the extent or the register file;
+// privatized pages that hold the same bytes still compare equal.
 func TestSameContents(t *testing.T) {
 	img := make([]byte, 3*DefaultPageSize+100)
 	for i := range img {
 		img[i] = byte(i * 7)
 	}
 	reg := []byte{1, 2, 3}
+	commit := func(s *Segment, img, reg []byte) {
+		s.SetContents(img)
+		s.Commit(reg)
+	}
 	tmpl := NewSegment(0, 0)
-	tmpl.CommitImage(img, reg)
+	commit(tmpl, img, reg)
 	tmpl.Freeze()
 	changed := func(i int) []byte {
 		c := append([]byte(nil), img...)
@@ -31,20 +34,15 @@ func TestSameContents(t *testing.T) {
 		same   bool
 	}{
 		{"untouched", func(*Segment) {}, true},
-		{"recommitted unchanged", func(f *Segment) { f.CommitImage(img, reg) }, true},
+		{"recommitted unchanged", func(f *Segment) { commit(f, img, reg) }, true},
 		{"page privatized and restored", func(f *Segment) {
-			f.CommitImage(changed(10), reg)
-			f.CommitImage(img, reg)
+			commit(f, changed(10), reg)
+			commit(f, img, reg)
 		}, true},
-		{"one byte", func(f *Segment) { f.CommitImage(changed(2*DefaultPageSize+5), reg) }, false},
-		{"last byte", func(f *Segment) { f.CommitImage(changed(len(img)-1), reg) }, false},
-		{"extent", func(f *Segment) { f.CommitImage(append(append([]byte(nil), img...), 0), reg) }, false},
-		{"registers", func(f *Segment) { f.CommitImage(img, []byte{1, 2, 4}) }, false},
-		{"open transaction", func(f *Segment) {
-			if err := f.Write(0, img[:1]); err != nil {
-				t.Fatal(err)
-			}
-		}, false},
+		{"one byte", func(f *Segment) { commit(f, changed(2*DefaultPageSize+5), reg) }, false},
+		{"last byte", func(f *Segment) { commit(f, changed(len(img)-1), reg) }, false},
+		{"extent", func(f *Segment) { commit(f, append(append([]byte(nil), img...), 0), reg) }, false},
+		{"registers", func(f *Segment) { commit(f, img, []byte{1, 2, 4}) }, false},
 	}
 	for _, c := range cases {
 		f := tmpl.Fork()
@@ -65,13 +63,11 @@ func TestSameContentsCoversEveryField(t *testing.T) {
 	)
 	c := fieldguard.Covered
 	fieldguard.Check(t, reflect.TypeOf(Segment{}), map[string]string{
-		"pageSize": c, "size": c, "mem": c, "undo": c, "savedReg": c,
-		"dirty":       "mirrors undo, which must be empty on both sides",
-		"nDirty":      "mirrors undo, which must be empty on both sides",
+		"pageSize": c, "size": c, "mem": c, "savedReg": c,
+		"pending":     "zero outside a SetContents→Commit pair, which nothing compares inside",
 		"frozen":      "copy-on-write bookkeeping: a sealed template and its fork differ only here",
 		"base":        cow,
 		"overlay":     cow,
-		"bufPool":     "scratch: recycled undo buffers",
 		"CommitCount": stats,
 		"LoggedBytes": stats,
 		"CowPages":    stats,

@@ -2,99 +2,49 @@ package vista
 
 import (
 	"bytes"
-	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"failtrans/internal/obs"
 )
 
-func TestWriteReadRoundTrip(t *testing.T) {
-	s := NewSegment(1024, 256)
-	if err := s.Write(100, []byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Read(100, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "hello" {
-		t.Errorf("Read = %q", got)
-	}
-}
-
-func TestWriteGrows(t *testing.T) {
-	s := NewSegment(0, 256)
-	if err := s.Write(1000, []byte{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	if s.Size() < 1003 {
-		t.Errorf("Size = %d, want >= 1003", s.Size())
-	}
-}
-
-func TestWriteNegativeOffset(t *testing.T) {
-	s := NewSegment(10, 0)
-	if err := s.Write(-1, []byte{1}); err == nil {
-		t.Error("negative offset must error")
-	}
-}
-
-func TestReadOutOfRange(t *testing.T) {
-	s := NewSegment(10, 0)
-	if _, err := s.Read(5, 10); err == nil {
-		t.Error("read past end must error")
-	}
-	if _, err := s.Read(-1, 2); err == nil {
-		t.Error("negative read offset must error")
-	}
-}
-
+// TestRollbackRestoresCommittedState: Rollback appends exactly the image the
+// last Commit made durable to the caller's buffer and counts one rollback;
+// the register file stays as Commit saved it.
 func TestRollbackRestoresCommittedState(t *testing.T) {
-	s := NewSegment(512, 256)
-	s.Write(0, []byte("committed"))
+	s := NewSegment(0, 256)
+	m := &obs.VistaMetrics{}
+	s.Metrics = m
+	img := pat(600, 1)
+	s.SetContents(img)
 	s.Commit([]byte("regs1"))
-	s.Write(0, []byte("scribbled"))
-	s.Write(300, []byte("more"))
-	reg := s.Rollback()
-	got, _ := s.Read(0, 9)
-	if string(got) != "committed" {
-		t.Errorf("after rollback = %q", got)
+	got := s.Rollback([]byte("head:"))
+	if string(got[:5]) != "head:" || !bytes.Equal(got[5:], img) {
+		t.Errorf("Rollback appended %d bytes that differ from the committed image", len(got)-5)
 	}
-	if string(reg) != "regs1" {
-		t.Errorf("registers = %q", reg)
+	if m.Rollbacks != 1 {
+		t.Errorf("Metrics.Rollbacks = %d, want 1", m.Rollbacks)
 	}
-	more, _ := s.Read(300, 4)
-	if !bytes.Equal(more, make([]byte, 4)) {
-		t.Errorf("uncommitted write survived rollback: %v", more)
+	if string(s.savedReg) != "regs1" {
+		t.Errorf("registers = %q", s.savedReg)
 	}
 }
 
+// TestDirtyPageAccounting: a commit reports the pages its own image dirtied,
+// each once however many of its bytes changed, plus the register bytes.
 func TestDirtyPageAccounting(t *testing.T) {
-	s := NewSegment(4*256, 256)
-	s.Write(0, []byte{1})
-	s.Write(10, []byte{2}) // same page
-	if s.DirtyPages() != 1 {
-		t.Errorf("DirtyPages = %d, want 1", s.DirtyPages())
-	}
-	s.Write(255, []byte{3, 4}) // straddles pages 0 and 1
-	if s.DirtyPages() != 2 {
-		t.Errorf("DirtyPages = %d, want 2", s.DirtyPages())
-	}
-	st := s.Commit(nil)
-	if st.Pages != 2 || st.Bytes != 2*256 {
+	s := NewSegment(0, 256)
+	img := make([]byte, 4*256)
+	s.SetContents(img)
+	s.Commit(nil)
+	img[0], img[10] = 1, 2    // same page
+	img[255], img[256] = 3, 4 // straddles pages 0 and 1
+	s.SetContents(img)
+	if st := s.Commit([]byte{9}); st != (Stats{Pages: 2, Bytes: 2*256 + 1}) {
 		t.Errorf("Commit stats = %+v", st)
 	}
-	if s.DirtyPages() != 0 {
-		t.Error("commit must clear dirty set")
-	}
-}
-
-func TestUndoLoggedOncePerPage(t *testing.T) {
-	s := NewSegment(256, 256)
-	s.Write(0, []byte{1})
-	before := s.LoggedBytes
-	s.Write(5, []byte{2})
-	if s.LoggedBytes != before {
-		t.Error("second write to a dirty page must not log again")
+	if st := s.Commit(nil); st.Pages != 0 {
+		t.Errorf("a commit with no new image reported %d pages", st.Pages)
 	}
 }
 
@@ -111,11 +61,11 @@ func TestSetContentsDiffsPages(t *testing.T) {
 	img2 := append([]byte(nil), img...)
 	img2[600] ^= 0xff
 	s.SetContents(img2)
-	if s.DirtyPages() != 1 {
-		t.Errorf("DirtyPages after one-byte change = %d, want 1", s.DirtyPages())
-	}
 	if !bytes.Equal(s.Contents(), img2) {
 		t.Error("contents mismatch after SetContents")
+	}
+	if st := s.Commit(nil); st.Pages != 1 {
+		t.Errorf("pages dirtied by a one-byte change = %d, want 1", st.Pages)
 	}
 }
 
@@ -124,6 +74,7 @@ func TestSetContentsShrinkZeroesTail(t *testing.T) {
 	s.SetContents(bytes.Repeat([]byte{0xaa}, 1000))
 	s.Commit(nil)
 	s.SetContents([]byte{1, 2, 3})
+	s.Commit(nil)
 	got := s.Contents()
 	if got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Error("head not written")
@@ -141,8 +92,8 @@ func TestSetContentsIdenticalTouchesNothing(t *testing.T) {
 	s.SetContents(img)
 	s.Commit(nil)
 	s.SetContents(img)
-	if s.DirtyPages() != 0 {
-		t.Errorf("identical SetContents dirtied %d pages", s.DirtyPages())
+	if st := s.Commit(nil); st.Pages != 0 {
+		t.Errorf("identical SetContents dirtied %d pages", st.Pages)
 	}
 }
 
@@ -165,46 +116,12 @@ func TestDefaultPageSize(t *testing.T) {
 	}
 }
 
-// TestSegmentMatchesModel drives the segment with random writes, commits
-// and rollbacks, comparing against a naive two-copy model.
+// TestSegmentMatchesModel runs FuzzSegment's check on 60-operation sequences
+// from fresh random seeds, beyond the fixed seed corpus.
 func TestSegmentMatchesModel(t *testing.T) {
 	check := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		const size = 2048
-		s := NewSegment(size, 128)
-		committed := make([]byte, size)
-		working := make([]byte, size)
-		var regsCommitted, regsWorking []byte
-		for i := 0; i < 60; i++ {
-			switch r.Intn(4) {
-			case 0, 1:
-				off := r.Intn(size - 16)
-				n := 1 + r.Intn(16)
-				data := make([]byte, n)
-				r.Read(data)
-				if err := s.Write(off, data); err != nil {
-					t.Fatal(err)
-				}
-				copy(working[off:], data)
-			case 2:
-				regsWorking = []byte{byte(i)}
-				s.Commit(regsWorking)
-				copy(committed, working)
-				regsCommitted = append([]byte(nil), regsWorking...)
-			default:
-				reg := s.Rollback()
-				copy(working, committed)
-				if !bytes.Equal(reg, regsCommitted) {
-					t.Logf("seed %d: registers diverged", seed)
-					return false
-				}
-			}
-			if !bytes.Equal(s.Contents(), working) {
-				t.Logf("seed %d: memory diverged at step %d", seed, i)
-				return false
-			}
-		}
-		return true
+		checkSegmentOps(t, seedOps(seed, 60))
+		return !t.Failed()
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
