@@ -228,6 +228,8 @@ func TestHotpathRootsAnnotated(t *testing.T) {
 		"../../apps/postgres/page.go":        3, // (*Page).Insert, Delete, Overwrite
 		// The screen and file scratch: (*Editor).screenLine, writeFileStep.
 		"../../apps/nvi/nvi.go": 2,
+		// The echo path: (*Server).Step, (*Client).Step.
+		"../../apps/fleet/fleet.go": 2,
 	}
 	for file, min := range roots {
 		data, err := os.ReadFile(file)

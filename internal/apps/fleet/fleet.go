@@ -22,6 +22,7 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"failtrans/internal/apps/apputil"
@@ -131,10 +132,23 @@ func clientsOf(cfg Config, shard int) int {
 	return n
 }
 
-// reply is one pending echo the server owes.
+// reply is one pending echo the server owes. Payload is the request as
+// received (an arena payload, immutable and shared with any retained copy of
+// the message) or, after UnmarshalState or Fork, the server's own copy; the
+// reply is those bytes with the kind byte made msgReply (appendReply).
 type reply struct {
 	To      int
 	Payload []byte
+}
+
+// appendReply appends the reply to request req to dst: msgReply, then the
+// rest of req.
+func appendReply(dst, req []byte) []byte {
+	if len(req) == 0 {
+		return dst
+	}
+	dst = append(dst, msgReply)
+	return append(dst, req[1:]...)
 }
 
 // Server is one echo shard: it answers msgEcho with msgReply (one receive
@@ -146,6 +160,11 @@ type Server struct {
 
 	Byes    int
 	Pending []reply
+
+	// out is the scratch a reply is written into for its send, which
+	// copies it. It is not state: a fork or an unmarshalled server starts
+	// without it.
+	out []byte
 }
 
 // NewServer returns shard `shard` of the fleet.
@@ -160,15 +179,20 @@ func (s *Server) Name() string { return "fleet-server" }
 func (s *Server) Init(ctx *sim.Ctx) error { return nil }
 
 // Step implements sim.Program: flush one owed reply, else consume one
-// message.
+// message. Neither allocates once the queue and the reply scratch have
+// grown to the shard's widest burst.
+//
+//failtrans:hotpath
 func (s *Server) Step(ctx *sim.Ctx) sim.Status {
 	if len(s.Pending) > 0 {
 		r := s.Pending[0]
-		if err := ctx.Send(r.To, r.Payload); err != nil {
+		s.out = appendReply(s.out[:0], r.Payload)
+		if err := ctx.Send(r.To, s.out); err != nil {
+			//failtrans:alloc cold error path: a send to an unknown process crashes the server
 			ctx.Crash("fleet-server: " + err.Error())
 			return sim.Crashed
 		}
-		s.Pending = s.Pending[1:]
+		s.Pending = slices.Delete(s.Pending, 0, 1)
 		return sim.Ready
 	}
 	if s.Byes >= clientsOf(s.Cfg, s.Shard) {
@@ -180,9 +204,7 @@ func (s *Server) Step(ctx *sim.Ctx) sim.Status {
 	}
 	switch {
 	case len(m.Payload) > 0 && m.Payload[0] == msgEcho:
-		echo := append([]byte(nil), m.Payload...)
-		echo[0] = msgReply
-		s.Pending = append(s.Pending, reply{To: m.From, Payload: echo})
+		s.Pending = append(s.Pending, reply{To: m.From, Payload: m.Payload})
 	case len(m.Payload) > 0 && m.Payload[0] == msgBye:
 		s.Byes++
 	}
@@ -200,7 +222,8 @@ func (s *Server) AppendState(dst []byte) ([]byte, error) {
 	e.Int(len(s.Pending))
 	for _, r := range s.Pending {
 		e.Int(r.To)
-		e.Bytes(r.Payload)
+		e.Int(len(r.Payload))
+		e.B = appendReply(e.B, r.Payload)
 	}
 	return e.B, nil
 }
@@ -251,6 +274,8 @@ type Client struct {
 	Phase int
 	Round int
 
+	// req is the scratch a request or the bye is built in for its send,
+	// which copies it; not state.
 	req []byte
 }
 
@@ -282,6 +307,7 @@ func (c *Client) Init(ctx *sim.Ctx) error {
 // request fills the reusable round-request buffer.
 func (c *Client) request() []byte {
 	if cap(c.req) < c.Cfg.Payload {
+		//failtrans:alloc once per client: the buffer is reused every round
 		c.req = make([]byte, c.Cfg.Payload)
 	}
 	c.req = c.req[:c.Cfg.Payload]
@@ -296,11 +322,14 @@ func (c *Client) request() []byte {
 	return c.req
 }
 
-// Step implements sim.Program.
+// Step implements sim.Program. Only a reporter's visible line allocates.
+//
+//failtrans:hotpath
 func (c *Client) Step(ctx *sim.Ctx) sim.Status {
 	switch c.Phase {
 	case clSend:
 		if err := ctx.Send(c.shard(), c.request()); err != nil {
+			//failtrans:alloc cold error path: a send to an unknown process crashes the client
 			ctx.Crash("fleet-client: " + err.Error())
 			return sim.Crashed
 		}
@@ -322,10 +351,13 @@ func (c *Client) Step(ctx *sim.Ctx) sim.Status {
 		}
 		return c.nextRound(ctx)
 	case clReport:
+		//failtrans:alloc visible output is kept in World.Outputs; only the Reporters clients emit it, once a round
 		ctx.Output(fmt.Sprintf("c%d r%d ok", c.ID, c.Round))
 		return c.nextRound(ctx)
 	case clBye:
-		if err := ctx.Send(c.shard(), []byte{msgBye}); err != nil {
+		c.req = append(c.req[:0], msgBye)
+		if err := ctx.Send(c.shard(), c.req); err != nil {
+			//failtrans:alloc cold error path: a send to an unknown process crashes the client
 			ctx.Crash("fleet-client: " + err.Error())
 			return sim.Crashed
 		}

@@ -1,10 +1,12 @@
 package fleet
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
 
+	"failtrans/internal/apps/apputil"
 	"failtrans/internal/dc"
 	"failtrans/internal/protocol"
 	"failtrans/internal/sim"
@@ -128,5 +130,63 @@ func TestFleetStateRoundTrip(t *testing.T) {
 	}
 	if c2.Phase != clAwait || c2.Round != 7 {
 		t.Fatalf("client state did not round-trip: %+v", c2)
+	}
+}
+
+// TestServerRepliesFromRequest: the server queues a request's own bytes and
+// writes the reply only into its send scratch and its image. So the image
+// holds the reply (msgReply, then the rest of the request), a restored or a
+// forked server encodes the same bytes, and the request in the world's
+// message arena is never written to.
+func TestServerRepliesFromRequest(t *testing.T) {
+	w := sim.NewWorld(3, Fleet(Config{Servers: 1, Clients: 2})...)
+	w.RecordTrace = false
+	if err := w.Init(); err != nil {
+		t.Fatal(err)
+	}
+	s := w.Procs[0].Prog.(*Server)
+	for len(s.Pending) == 0 {
+		if more, err := w.Step(); err != nil || !more {
+			t.Fatalf("server queued %d replies before the world stopped (err %v)", len(s.Pending), err)
+		}
+	}
+	r := s.Pending[0]
+	if r.Payload[0] != msgEcho {
+		t.Fatalf("queued request has kind %d, want msgEcho", r.Payload[0])
+	}
+	want := apputil.Enc{}
+	want.Int(s.Shard)
+	want.Int(s.Byes)
+	want.Int(1)
+	want.Int(r.To)
+	want.Bytes(append([]byte{msgReply}, r.Payload[1:]...))
+	img, err := s.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(img, want.B) {
+		t.Fatalf("server image\n%x\nwant\n%x", img, want.B)
+	}
+	restored := NewServer(s.Cfg, s.Shard)
+	if err := restored.UnmarshalState(img); err != nil {
+		t.Fatal(err)
+	}
+	forked, err := s.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, p := range map[string]sim.Program{"restored": restored, "forked": forked} {
+		if b, err := p.MarshalState(); err != nil || !bytes.Equal(b, img) {
+			t.Errorf("%s server encodes %x (err %v), want %x", name, b, err, img)
+		}
+	}
+	if err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !w.AllDone() {
+		t.Fatal("fleet did not finish")
+	}
+	if r.Payload[0] != msgEcho {
+		t.Errorf("the request in the arena was overwritten: kind %d", r.Payload[0])
 	}
 }

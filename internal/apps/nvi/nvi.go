@@ -21,6 +21,7 @@ package nvi
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -500,9 +501,7 @@ func (e *Editor) insertChar(ctx *sim.Ctx, key byte) {
 	case sim.StackBitFlip:
 		col ^= 1 << (e.salt() % 20) // a bit of the index flips in flight
 	}
-	line := e.Lines[e.Row]
-	line = append(line[:col], append([]byte{key}, line[col:]...)...)
-	e.Lines[e.Row] = line
+	e.Lines[e.Row] = slices.Insert(e.Lines[e.Row], col, key)
 	e.setLineSum(e.Row)
 	e.Col = col + 1
 	e.Dirty = true

@@ -5,9 +5,11 @@ import (
 	"runtime"
 	"testing"
 
+	"failtrans/internal/apps/fleet"
 	"failtrans/internal/dc"
 	"failtrans/internal/faults"
 	"failtrans/internal/protocol"
+	"failtrans/internal/sim"
 	"failtrans/internal/stablestore"
 )
 
@@ -108,5 +110,44 @@ func TestTablesAllocBudget(t *testing.T) {
 		if perRun > tc.ceiling {
 			t.Errorf("%s/%s allocates %.0f B per injection run, ceiling %.0f", tc.app, tc.policy.Name, perRun, tc.ceiling)
 		}
+	}
+}
+
+// TestFleetAllocBudget bounds the allocations per scheduling decision of a
+// 10⁴-process echo fleet run for 8 rounds, metrics on and trace off: the
+// fleet_sched benchmark's allocs_per_op at a tenth of its scale, as a go
+// test. The ceiling is about 1.25× what the message arenas, the inbox, queue
+// and receive-mark growth and the reporters' output lines leave; with an
+// echo copy per request and a reply queue that popped by reslicing (so the
+// next append reallocated), a run made 0.37 allocations per decision. As in
+// TestFig8AllocBudget, the count is the minimum over three fresh worlds.
+func TestFleetAllocBudget(t *testing.T) {
+	const ceiling = 0.08 // allocations per scheduling decision
+	perStep, steps := math.Inf(1), 0
+	for range 3 {
+		cfg := fleet.Sized(10_000)
+		cfg.Rounds = 8
+		w := sim.NewWorld(1, fleet.Fleet(cfg)...)
+		w.RecordTrace = false
+		w.EnableObs(false)
+		if err := w.Init(); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if err := w.Run(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if !w.AllDone() {
+			t.Fatalf("fleet did not finish (%d/%d done)", w.DoneCount(), len(w.Procs))
+		}
+		steps = w.StepCount()
+		perStep = min(perStep, float64(after.Mallocs-before.Mallocs)/float64(steps))
+	}
+	t.Logf("%.4f allocations per scheduling decision over %d decisions", perStep, steps)
+	if perStep > ceiling {
+		t.Errorf("fleet allocates %.4f times per scheduling decision, ceiling %.2f", perStep, ceiling)
 	}
 }

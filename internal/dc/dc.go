@@ -263,8 +263,11 @@ type DC struct {
 	procs []proc
 	// msgDeps holds each sent message's dependency snapshot, by message
 	// id. It stays nil until the first send that carries a dependency; a
-	// snapshot is written once and only read afterwards.
-	msgDeps map[int64]map[int]int
+	// snapshot is written once and only read afterwards, until
+	// sweepMsgDeps drops it. msgDepsSweep is the size at which the next
+	// sweep runs.
+	msgDeps      map[int64]map[int]int
+	msgDepsSweep int
 
 	registers []byte
 
@@ -556,6 +559,30 @@ func (d *DC) dependentSet(p *sim.Proc) []*sim.Proc {
 	return out
 }
 
+// msgDepsSweepMin is the smallest map size that triggers a sweep.
+const msgDepsSweepMin = 64
+
+// sweepMsgDeps drops every message-dependency snapshot that no receive can
+// apply again: each of its entries names an epoch its process has committed
+// past, and epochs only grow. It runs once the map has doubled since the
+// last sweep, so it costs amortized O(1) per snapshot written. Forks share
+// the snapshots, so it deletes whole entries and never edits one.
+func (d *DC) sweepMsgDeps() {
+	for id, snap := range d.msgDeps {
+		live := false
+		for q, ep := range snap {
+			if d.procs[q].epoch == ep {
+				live = true
+				break
+			}
+		}
+		if !live {
+			delete(d.msgDeps, id)
+		}
+	}
+	d.msgDepsSweep = max(2*len(d.msgDeps), msgDepsSweepMin)
+}
+
 // flushLog forces the volatile log tail to stable storage as one
 // sequential write.
 func (d *DC) flushLog(p *sim.Proc) {
@@ -689,6 +716,9 @@ func (d *DC) AfterEvent(p *sim.Proc, ev event.Event) {
 				d.msgDeps = make(map[int64]map[int]int)
 			}
 			d.msgDeps[ev.Msg] = snap
+			if len(d.msgDeps) >= d.msgDepsSweep {
+				d.sweepMsgDeps()
+			}
 		}
 	case event.Receive:
 		if snap, ok := d.msgDeps[ev.Msg]; ok {

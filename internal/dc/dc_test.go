@@ -4,9 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"failtrans/internal/apps/xpilot"
 	"failtrans/internal/event"
 	"failtrans/internal/kernel"
 	"failtrans/internal/protocol"
@@ -1029,5 +1031,50 @@ func TestExpandResourcesOnCrash(t *testing.T) {
 	}
 	if got := w2.Outputs[0][len(w2.Outputs[0])-1]; got != fmt.Sprintf("opened %d", kernel.MaxOpenFiles+10) {
 		t.Errorf("final output = %q", got)
+	}
+}
+
+// TestMsgDepsBounded: the message-dependency snapshots that no receive can
+// apply any more are swept, so the map tracks the live ones instead of
+// every dependency-carrying send. At the scale the fig8_sweep benchmark
+// runs xpilot (40, as bench.BuildWorld builds it), CPV-2PC and CBNDV-2PC
+// each wrote 10 800 snapshots when none was ever dropped, and none of them
+// named a current epoch by the end of the run.
+func TestMsgDepsBounded(t *testing.T) {
+	const scale = 40
+	for _, pol := range []protocol.Policy{protocol.CPV2PC, protocol.CBNDV2PC} {
+		w := sim.NewWorld(11, xpilot.Fleet(75*scale)...)
+		k := kernel.New()
+		k.Clock = func() time.Duration { return w.Clock }
+		w.OS = k
+		for i := 1; i <= 3; i++ {
+			w.Procs[i].Ctx().Inputs = xpilot.KeyScript(strings.Repeat("wad w d ", 5*scale))
+		}
+		w.RecordTrace = false
+		d := New(w, pol, stablestore.Rio)
+		if err := d.Attach(); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Init(); err != nil {
+			t.Fatal(err)
+		}
+		peak, sends := 0, int64(0)
+		for {
+			more, err := w.Step()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !more {
+				break
+			}
+			peak = max(peak, len(d.msgDeps))
+		}
+		for _, p := range w.Procs {
+			sends += p.SendSeq
+		}
+		t.Logf("%s: %d sends, msgDeps peak %d, %d at the end", pol.Name, sends, peak, len(d.msgDeps))
+		if peak > 2*msgDepsSweepMin {
+			t.Errorf("%s: msgDeps peaked at %d snapshots, want at most %d", pol.Name, peak, 2*msgDepsSweepMin)
+		}
 	}
 }

@@ -39,6 +39,7 @@ func (d *DC) ForkRecovery(w *sim.World) sim.Recovery {
 		// Message-dependency snapshots are write-once, so only the
 		// top-level map is copied.
 		msgDeps:           maps.Clone(d.msgDeps),
+		msgDepsSweep:      d.msgDepsSweep,
 		DisableRecovery:   d.DisableRecovery,
 		CheckBeforeCommit: d.CheckBeforeCommit,
 		EssentialOnly:     d.EssentialOnly,

@@ -163,6 +163,7 @@ func TestDCSameStateCoversEveryField(t *testing.T) {
 		"RecoveryHook":           hook,
 		"ExpandResourcesOnCrash": hook,
 		"SerialCommit":           "vestigial: nothing reads it",
+		"msgDepsSweep":           "sweep schedule: a sweep drops only snapshots no receive can apply",
 		"ChecksFailed":           stats,
 		"Stats":                  stats,
 	})

@@ -74,13 +74,17 @@ type FaultInjector interface {
 type Ctx struct {
 	p *Proc
 
+	// The step's charged time, requested sleep and crash flag: Step resets
+	// the first two before and reads all three after every step, so they
+	// sit ahead of the fields a step rarely reaches (see Proc's layout).
+	elapsed  time.Duration
+	sleepFor time.Duration
+	crashed  bool
+
 	// Inputs scripts the process's fixed-ND user input; Input consumes
 	// it at the process's InputCursor.
 	Inputs [][]byte
 
-	elapsed     time.Duration
-	sleepFor    time.Duration
-	crashed     bool
 	crashReason string
 }
 

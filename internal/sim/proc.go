@@ -20,7 +20,7 @@ func (p *Proc) safeStep() (st Status) {
 			st = Crashed
 		}
 	}()
-	return p.Prog.Step(p.ctx)
+	return p.Prog.Step(&p.ctx)
 }
 
 // CheckpointImage assembles the image Discount Checking must persist for

@@ -100,13 +100,18 @@ func (w *World) ClockReads() int64 { return w.clockReads }
 // positions. Output contents, the trace, the fault injector, observability
 // sinks, scratch buffers and the readiness index are history, harness wiring
 // or derived bookkeeping: they never steer a step. SameState writes only
-// pooled encoding scratch and only reads t, so any number of runs may
-// compare against one template concurrently. A program that reaches Ctx.Proc() or
-// Ctx.World() for a position breaks the offset argument (see above).
+// w's own offset scratch and pooled encoding scratch, and only reads t, so
+// any number of runs may compare against one template concurrently; it
+// allocates nothing once the pool holds a buffer. A program that reaches
+// Ctx.Proc() or Ctx.World() for a position breaks the offset argument (see
+// above).
 func (w *World) SameState(t *World, progs [][]byte) (Offsets, bool) {
-	off := Offsets{Clock: w.Clock - t.Clock, Steps: w.stepCount - t.stepCount, Events: w.EventCount - t.EventCount}
+	// The layers fill the offsets through a pointer; a local would move to
+	// the heap on every call, since the pointer crosses StateComparer.
+	off := &w.sameOff
+	*off = Offsets{Clock: w.Clock - t.Clock, Steps: w.stepCount - t.stepCount, Events: w.EventCount - t.EventCount}
 	if len(w.Procs) != len(t.Procs) || len(progs) != len(w.Procs) || len(w.Outputs) != len(t.Outputs) {
-		return off, false
+		return *off, false
 	}
 	if len(w.Procs) > 0 {
 		p, tp := w.Procs[0], t.Procs[0]
@@ -118,15 +123,15 @@ func (w *World) SameState(t *World, progs [][]byte) (Offsets, bool) {
 		w.MaxTime != t.MaxTime || w.MaxSteps != t.MaxSteps || w.ScanSched != t.ScanSched ||
 		w.RecordTrace != t.RecordTrace ||
 		!off.Zero() && (w.MaxTime != 0 || w.MaxSteps != 0) {
-		return off, false
+		return *off, false
 	}
 	for i, p := range w.Procs {
-		if len(w.Outputs[i]) != len(t.Outputs[i])+off.Outputs || !p.sameSession(t.Procs[i], &off) {
-			return off, false
+		if len(w.Outputs[i]) != len(t.Outputs[i])+off.Outputs || !p.sameSession(t.Procs[i], off) {
+			return *off, false
 		}
 	}
-	if !sameLayer(w.Recovery, t.Recovery, &off) || !sameLayer(w.OS, t.OS, &off) {
-		return off, false
+	if !sameLayer(w.Recovery, t.Recovery, off) || !sameLayer(w.OS, t.OS, off) {
+		return *off, false
 	}
 	buf, _ := stateBufs.Get().(*[]byte)
 	if buf == nil {
@@ -136,13 +141,13 @@ func (w *World) SameState(t *World, progs [][]byte) (Offsets, bool) {
 	for i, p := range w.Procs {
 		var err error
 		if *buf, err = appendProgramState((*buf)[:0], p.Prog); err != nil || !bytes.Equal(*buf, progs[i]) {
-			return off, false
+			return *off, false
 		}
-		if sc, ok := p.Prog.(StateComparer); ok && !sc.SameState(t.Procs[i].Prog, &off) {
-			return off, false
+		if sc, ok := p.Prog.(StateComparer); ok && !sc.SameState(t.Procs[i].Prog, off) {
+			return *off, false
 		}
 	}
-	return off, true
+	return *off, true
 }
 
 // stateBufs holds the scratch SameState encodes a world's programs in: a

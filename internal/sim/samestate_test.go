@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"encoding/binary"
 	"reflect"
 	"slices"
 	"testing"
@@ -95,6 +96,43 @@ func TestWorldSameState(t *testing.T) {
 		if got != c.want {
 			t.Errorf("%s: SameState classed the fork %d, want %d (0 exact, 1 shifted, 2 differs)", c.name, got, c.want)
 		}
+	}
+}
+
+// appendCounter is rngCounter encoding its state through StateAppender, as
+// every production program does, so comparing it needs no allocation.
+type appendCounter struct{ rngCounter }
+
+func (a *appendCounter) AppendState(dst []byte) ([]byte, error) {
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(a.N))
+	return binary.LittleEndian.AppendUint64(dst, uint64(a.Done)), nil
+}
+
+func (a *appendCounter) Fork() (Program, error) { return &appendCounter{a.rngCounter}, nil }
+
+// TestWorldSameStateAllocFree: a campaign compares each run with its
+// template many times, so a warmed comparison allocates nothing, though the
+// offsets it fills cross the StateComparer interface.
+func TestWorldSameStateAllocFree(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops pooled buffers at random under the race detector")
+	}
+	w := NewWorld(3, &appendCounter{rngCounter{counter{N: 20}}}, &appendCounter{rngCounter{counter{N: 20}}})
+	runToStep(t, w, 10)
+	f, err := w.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs, err := w.ProgramStates()
+	if err != nil {
+		t.Fatal(err)
+	}
+	shift(f, time.Second, 2)
+	if off, ok := f.SameState(w, progs); !ok || off.Zero() {
+		t.Fatalf("a shifted fork matched its template: ok=%v offsets=%+v", ok, off)
+	}
+	if n := testing.AllocsPerRun(100, func() { f.SameState(w, progs) }); n != 0 {
+		t.Errorf("%v allocs per SameState, want 0", n)
 	}
 }
 
@@ -242,18 +280,18 @@ func TestSameStateCoversEveryField(t *testing.T) {
 		"payloadBlock": "message arena: storage for payloads, which compare by value",
 		"ndBuf":        scratch,
 		"argv":         scratch,
+		"sameOff":      scratch,
 		"frozen":       "copy-on-write bookkeeping: a sealed template and its fork differ only here",
 	})
 	fieldguard.Check(t, reflect.TypeOf(Proc{}), map[string]string{
 		"Index": c, "Prog": c, "status": c, "inbox": c, "retained": c, "rngSeed": c,
 		"rngDraws": c, "InputCursor": c, "SendSeq": c, "RecvHW": c,
-		"stops": c, "signals": c, "dead": c, "ctxStore": c,
+		"stops": c, "signals": c, "dead": c, "ctx": c,
 		"Steps":       offset,
 		"Crashes":     offset,
 		"wake":        "a clock position: compared shifted by the clock offset",
 		"redelivered": "receive-scoped: handed back and consumed within one Recv, nil between steps",
 		"World":       wiring,
-		"ctx":         wiring,
 		"rng":         "cache: rebuilt from rngSeed and rngDraws, which are compared",
 		"inboxMin":    "cache of the inbox minimum, which is compared",
 		"inboxMinOK":  "cache of the inbox minimum, which is compared",

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -360,6 +361,35 @@ func TestSchedStepAllocFree(t *testing.T) {
 			t.Errorf("scanSched=%v: %v allocs per Step, want 0", scanSched, allocs)
 		}
 	}
+}
+
+// TestProcHotFieldsFirst pins Proc's hot-first layout: everything a
+// scheduling decision, a send and a receive read or write, the inline Ctx's
+// per-step scalars included, lies in the process's first 192 bytes, so a
+// field added later cannot silently push the hot set onto a fourth cache
+// line. The hot set is named here, and each field it lists must exist.
+func TestProcHotFieldsFirst(t *testing.T) {
+	const hotBytes = 192
+	hot := func(typ reflect.Type, base uintptr, names ...string) {
+		t.Helper()
+		for _, name := range names {
+			f, ok := typ.FieldByName(name)
+			if !ok {
+				t.Errorf("%s has no field %s", typ.Name(), name)
+				continue
+			}
+			if end := base + f.Offset + f.Type.Size(); end > hotBytes {
+				t.Errorf("%s.%s ends at byte %d of Proc, past the first %d", typ.Name(), name, end, hotBytes)
+			}
+		}
+	}
+	proc := reflect.TypeOf(Proc{})
+	hot(proc, 0, "Index", "Prog", "World", "status", "wake",
+		"schedAt", "schedNext", "schedPrev", "schedDirty",
+		"dead", "inboxMinOK", "inboxMin", "inbox", "stops", "Steps", "RecvHW", "SendSeq")
+	ctx, _ := proc.FieldByName("ctx")
+	hot(reflect.TypeOf(Ctx{}), ctx.Offset, "p", "elapsed", "sleepFor", "crashed")
+	t.Logf("Proc is %d bytes; its Ctx starts at byte %d", proc.Size(), ctx.Offset)
 }
 
 // TestSchedLenTracksActive: SchedLen is the "active" in O(active) — it

@@ -25,17 +25,67 @@ type Msg struct {
 }
 
 // Proc is one simulated process.
+//
+// The fields are laid out hot-first: a scheduling decision, a send and a
+// receive read and write only what lies in the first 192 bytes (three cache
+// lines' worth; TestProcHotFieldsFirst pins it), ending with the inline
+// Ctx's per-step scalars. A fleet-scale world touches each drained process
+// cold, so every further line a decision reaches is one more miss. The
+// recovery buffer, the random stream, the crash and input counters and the
+// signal queue, which a failure-free fleet never reads, come last.
 type Proc struct {
 	Index int
 	Prog  Program
 	World *World
 
-	ctx    *Ctx
-	status Status
 	// wake is the earliest virtual time the process may run again.
 	wake time.Duration
 
-	inbox []*Msg
+	// schedAt/schedNext/schedPrev are the process's entry in the world's
+	// readiness index (see sched.go): schedAt is the key (the readyAt the
+	// index last saw), schedNext/schedPrev the pids of its neighbours in a
+	// bucket or the due run (schedNone at a list end; schedPrev is
+	// schedOut while the process is not in the index), and schedDirty,
+	// packed with the other one-byte fields, marks a pending reindex on
+	// the world's stale list.
+	schedAt   time.Duration
+	schedNext int32
+	schedPrev int32
+
+	status     Status
+	schedDirty bool
+	dead       bool
+
+	// inboxMin caches the minimum DeliverAt over the inbox so the
+	// scheduler's WaitMsg wake-up lookup is O(1) instead of rescanning
+	// the inbox at every scheduling decision. inboxMinOK marks the cache
+	// valid; any inbox mutation either maintains the minimum (appends)
+	// or invalidates it (removals), and the next lookup recomputes.
+	inboxMinOK bool
+	inboxMin   time.Duration
+	inbox      []*Msg
+
+	// stops are the pending stop failures, ascending (ScheduleStop).
+	stops []int
+	// Steps counts event positions on this process; fault timelines and
+	// protocol bookkeeping are expressed in this counter.
+	Steps int
+	// RecvHW records, per sender, the highest SendIdx consumed; messages
+	// at or below it are duplicates from a re-executed send. The marks are
+	// strictly increasing by sender, so the slice is its own checkpoint
+	// order; a process has one mark per peer it ever heard from.
+	RecvHW []RecvMark
+	// SendSeq is the per-sender message sequence counter; rolled back
+	// with the process so re-executed sends reuse their indexes and the
+	// receivers' duplicate filters drop them.
+	SendSeq int64
+
+	// ctx is the runtime context handed to the program, inline in the
+	// process's own slab slot, so Proc is self-referential (ctx.p == the
+	// process): Proc values must never be copied — worlds allocate
+	// fixed-size slabs and fork fills slots in place.
+	ctx Ctx
+
 	// retained is the paper's "recovery buffer": the messages consumed
 	// since the recovery layer last released it (CommitPoint), for it to
 	// take over at a rollback (TakeRetained); without a recovery layer it
@@ -58,53 +108,13 @@ type Proc struct {
 	rngSeed  int64
 	rngDraws int64
 
-	// Steps counts event positions on this process; fault timelines and
-	// protocol bookkeeping are expressed in this counter.
-	Steps int
 	// Crashes counts how many times the process crashed.
 	Crashes int
 	// InputCursor indexes the scripted fixed-ND input; it is part of the
 	// state Discount Checking must checkpoint (kernel/session state).
 	InputCursor int
-	// SendSeq is the per-sender message sequence counter; rolled back
-	// with the process so re-executed sends reuse their indexes and the
-	// receivers' duplicate filters drop them.
-	SendSeq int64
-	// RecvHW records, per sender, the highest SendIdx consumed; messages
-	// at or below it are duplicates from a re-executed send. The marks are
-	// strictly increasing by sender, so the slice is its own checkpoint
-	// order; a process has one mark per peer it ever heard from.
-	RecvHW []RecvMark
-
-	stops []int
 	// signals is the pending signal queue (delivered by virtual time).
 	signals []pendingSignal
-	dead    bool
-
-	// inboxMin caches the minimum DeliverAt over the inbox so the
-	// scheduler's WaitMsg wake-up lookup is O(1) instead of rescanning
-	// the inbox at every scheduling decision. inboxMinOK marks the cache
-	// valid; any inbox mutation either maintains the minimum (appends)
-	// or invalidates it (removals), and the next lookup recomputes.
-	inboxMin   time.Duration
-	inboxMinOK bool
-
-	// schedAt/schedNext/schedPrev are the process's entry in the world's
-	// readiness index (see sched.go): schedAt is the key (the readyAt the
-	// index last saw), schedNext/schedPrev the pids of its neighbours in a
-	// bucket or the due run (schedNone at a list end; schedPrev is
-	// schedOut while the process is not in the index), and schedDirty
-	// marks a pending reindex on the world's stale list.
-	schedAt    time.Duration
-	schedNext  int32
-	schedPrev  int32
-	schedDirty bool
-
-	// ctxStore inlines the runtime context in the process's own arena
-	// slot (ctx == &ctxStore), making Proc self-referential: Proc values
-	// must never be copied — worlds allocate fixed-size slabs and fork
-	// fills slots in place.
-	ctxStore Ctx
 }
 
 // RecvMark is one sender's receive high-water mark: the highest SendIdx the
@@ -117,8 +127,7 @@ type RecvMark struct {
 // initCtx wires the inline context to its owning process. Must run before
 // the Proc is shared, and never again after ctx escapes.
 func (p *Proc) initCtx() {
-	p.ctxStore = Ctx{p: p}
-	p.ctx = &p.ctxStore
+	p.ctx = Ctx{p: p}
 }
 
 // inboxAdd appends a message, maintaining the cached delivery minimum and
@@ -176,7 +185,7 @@ type pendingSignal struct {
 func (p *Proc) Status() Status { return p.status }
 
 // Ctx returns the process's runtime context.
-func (p *Proc) Ctx() *Ctx { return p.ctx }
+func (p *Proc) Ctx() *Ctx { return &p.ctx }
 
 // Dead reports whether the process crashed and was not recovered.
 func (p *Proc) Dead() bool { return p.dead }
@@ -275,6 +284,8 @@ type World struct {
 	// argv is the argument vector Ctx.Syscall hands OS.Call, cleared after
 	// each call; a fork starts without one.
 	argv [][]byte
+	// sameOff is the scratch SameState fills the offsets in.
+	sameOff Offsets
 
 	msgSeq    int64
 	stepCount int
@@ -456,6 +467,7 @@ func (w *World) Delay(p *Proc, d time.Duration) {
 // send enqueues a message for delivery.
 func (w *World) send(from, to int, payload []byte) (int64, error) {
 	if to < 0 || to >= len(w.Procs) {
+		//failtrans:alloc cold error path: a send to an unknown process fails before any event
 		return 0, fmt.Errorf("sim: send to unknown process %d", to)
 	}
 	w.msgSeq++
@@ -692,7 +704,7 @@ func (w *World) Init() error {
 	w.inited = true
 	w.wireOSObs()
 	for _, p := range w.Procs {
-		if err := p.Prog.Init(p.ctx); err != nil {
+		if err := p.Prog.Init(&p.ctx); err != nil {
 			return fmt.Errorf("sim: init process %d (%s): %w", p.Index, p.Prog.Name(), err)
 		}
 		p.wake = w.Clock + p.ctx.elapsed
