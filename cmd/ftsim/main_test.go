@@ -178,3 +178,35 @@ func TestTraceExport(t *testing.T) {
 		})
 	}
 }
+
+// TestMetricsSnapshotGolden pins ftsim's whole -metrics stdout for two runs,
+// so the registry's snapshot is checked end to end through the simulator,
+// Discount Checking and the kernel, not only by internal/obs's synthetic
+// fixtures: CI's coordinated-commit run (2PC, a stop failure on process 1),
+// and xpilot under a logging protocol, whose server logs 45 receives,
+// reaches an inbox depth of 4 and whose client 1 crashes once. Regenerate a
+// golden with `go run ./cmd/ftsim <args> -metrics > cmd/ftsim/testdata/<file>`
+// only for a change meant to move the study's numbers.
+func TestMetricsSnapshotGolden(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"metrics_treadmarks_cpv2pc.golden", []string{"-app", "treadmarks", "-protocol", "CPV-2PC", "-seed", "7", "-stop", "1:60"}},
+		{"metrics_xpilot_cbndvslog.golden", []string{"-app", "xpilot", "-protocol", "CBNDVS-LOG", "-seed", "7", "-stop", "1:40"}},
+	} {
+		t.Run(tc.golden, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			code, stdout, stderr := ftsim(t, append(tc.args, "-metrics")...)
+			if code != 0 {
+				t.Fatalf("exit %d: %s", code, stderr)
+			}
+			if stdout != string(want) {
+				t.Errorf("-metrics output differs from testdata/%s:\n%s", tc.golden, stdout)
+			}
+		})
+	}
+}

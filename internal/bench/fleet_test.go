@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -120,22 +121,30 @@ func TestFleetFootprint(t *testing.T) {
 
 // TestFleetStepAllocFree pins BenchmarkFleetStep's 0 allocs/op on every
 // `go test`: once a 10⁴-process fleet is past its warm-up (arenas, inbox
-// and stale-list growth), a scheduling decision allocates nothing.
+// and stale-list growth), a scheduling decision allocates nothing, with the
+// metrics registry detached and attached alike.
 func TestFleetStepAllocFree(t *testing.T) {
-	w := sim.NewWorld(23, fleet.Fleet(fleet.Sized(10_000))...)
-	w.RecordTrace = false
-	if err := w.Init(); err != nil {
-		t.Fatal(err)
-	}
-	step := func() {
-		if more, err := w.Step(); err != nil || !more {
-			t.Fatalf("step %d: more=%v err=%v", w.StepCount(), more, err)
-		}
-	}
-	for i := 0; i < 50_000; i++ {
-		step()
-	}
-	if n := testing.AllocsPerRun(2000, step); n != 0 {
-		t.Errorf("%v allocs per fleet Step, want 0", n)
+	for _, registry := range []bool{false, true} {
+		t.Run(fmt.Sprintf("registry=%v", registry), func(t *testing.T) {
+			w := sim.NewWorld(23, fleet.Fleet(fleet.Sized(10_000))...)
+			w.RecordTrace = false
+			if registry {
+				w.EnableObs(false)
+			}
+			if err := w.Init(); err != nil {
+				t.Fatal(err)
+			}
+			step := func() {
+				if more, err := w.Step(); err != nil || !more {
+					t.Fatalf("step %d: more=%v err=%v", w.StepCount(), more, err)
+				}
+			}
+			for i := 0; i < 50_000; i++ {
+				step()
+			}
+			if n := testing.AllocsPerRun(2000, step); n != 0 {
+				t.Errorf("%v allocs per fleet Step, want 0", n)
+			}
+		})
 	}
 }

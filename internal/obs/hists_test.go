@@ -4,24 +4,25 @@ import (
 	"bytes"
 	"os"
 	"testing"
-
-	"failtrans/internal/event"
 )
 
 // countersOnly is a registry as a run without a recovery layer leaves it:
-// every counter, gauge and map entry set, no histogram ever observed. With
-// segments it also fills every process's segment block, as a recovery layer
-// that builds segments without observing a histogram would.
+// every counter, gauge and map entry set, each process's event block
+// attached, no histogram ever observed. With segments it also fills every
+// process's segment block, as a recovery layer that builds segments without
+// observing a histogram would.
 func countersOnly(segments bool) *Metrics {
 	m := NewMetrics(3)
 	for i := range m.Procs {
-		p := &m.Procs[i]
+		p, e := &m.Procs[i], &EventCounts{}
+		m.Events[i] = e
 		v := int64(i + 1)
-		for k := range p.Events {
-			p.Events[k] = 10*v + int64(k)
+		for k := range e.Events {
+			e.Events[k] = 10*v + int64(k)
 		}
-		p.EffectivelyND = 3 * v
-		p.Logged = 4 * v
+		e.EffectivelyND = 3 * v
+		e.Logged = 4 * v
+		e.InboxPeak = 12 * v
 		p.Commits = 5 * v
 		p.CommitBytes = 4096 * v
 		p.CommitPages = 2 * v
@@ -32,7 +33,6 @@ func countersOnly(segments bool) *Metrics {
 		p.ReplayedEvents = 8 * v
 		p.Crashes = 9 * v
 		p.Syscalls = 11 * v
-		p.InboxPeak = 12 * v
 		if segments {
 			*m.VistaBlock(i) = VistaMetrics{Commits: v, Rollbacks: 2 * v, PagesDirtied: 3 * v, UndoBytes: 4 * v,
 				HashHits: 5 * v, PagesPrivatized: 6 * v, BytesCOW: 7 * v}
@@ -83,62 +83,5 @@ func TestSnapshotWithoutHistsGolden(t *testing.T) {
 		if !c.segments && m.Vista != nil {
 			t.Errorf("reading a registry no segment touched allocated %d segment blocks", len(m.Vista))
 		}
-	}
-}
-
-// record applies one run's observations to the first procs processes of m
-// (counters add, the inbox gauge takes the max); with hists false it leaves
-// the histogram blocks alone, as a run without a recovery layer does.
-func record(m *Metrics, procs int, seed int64, hists bool) {
-	for i := 0; i < procs; i++ {
-		p := &m.Procs[i]
-		v := seed + int64(i)
-		p.Events[event.Send] += v
-		p.Commits += v
-		p.Rollbacks += 2 * v
-		p.InboxPeak = max(p.InboxPeak, 3*v)
-		m.VistaBlock(i).PagesDirtied += v
-		if hists {
-			h := m.Hists(i)
-			h.CommitLatency.Observe(1000 * v)
-			h.CommitSize.Observe(64 * v)
-			h.LogForceLatency.Observe(10 * v)
-			h.RollbackDepth.Observe(v)
-		}
-	}
-	m.Steps += seed
-	m.Syscall(0, "read")
-}
-
-// TestMetricsMergeHistsEitherSide: merging a registry with histogram blocks
-// and one without, in either direction and with the one without being the
-// larger, equals observing both runs into one registry.
-func TestMetricsMergeHistsEitherSide(t *testing.T) {
-	ref := NewMetrics(3)
-	record(ref, 2, 1, true)
-	record(ref, 3, 5, false)
-	want, wantSum := ref.Snapshot(), ref.Summarize()
-
-	with := func() *Metrics { m := NewMetrics(2); record(m, 2, 1, true); return m }
-	without := func() *Metrics { m := NewMetrics(3); record(m, 3, 5, false); return m }
-	for name, pair := range map[string][2]*Metrics{
-		"with<-without": {with(), without()},
-		"without<-with": {without(), with()},
-	} {
-		dst := pair[0]
-		dst.Merge(pair[1])
-		if got := dst.Snapshot(); !bytes.Equal(got, want) {
-			t.Errorf("%s: merged snapshot differs from one registry observing both:\n%s\n---\n%s", name, got, want)
-		}
-		if got := dst.Summarize(); got != wantSum {
-			t.Errorf("%s: merged summary %+v, want %+v", name, got, wantSum)
-		}
-	}
-	// A registry that never observed a histogram keeps none after merging
-	// with another such registry.
-	a, b := without(), without()
-	a.Merge(b)
-	if a.hists != nil {
-		t.Error("merging two histogram-free registries allocated histogram blocks")
 	}
 }

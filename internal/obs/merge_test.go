@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // TestHistogramMergeBucketAlignment is the mergeability contract: observing
 // a value set split across two histograms and merging must equal observing
@@ -77,48 +74,4 @@ func TestHistogramMergeQuantiles(t *testing.T) {
 			t.Fatalf("Quantile(%v) = %d after merge, want %d", q, got, want)
 		}
 	}
-}
-
-// TestMetricsMerge exercises the registry-level merge: counter sums, gauge
-// max, histogram folds, slot growth, and the syscall map union.
-func TestMetricsMerge(t *testing.T) {
-	a := NewMetrics(1)
-	b := NewMetrics(2)
-	a.Steps = 10
-	b.Steps = 32
-	a.Procs[0].Commits = 3
-	a.Procs[0].InboxPeak = 7
-	a.Hists(0).CommitLatency.ObserveDuration(time.Millisecond)
-	b.Procs[0].Commits = 4
-	b.Procs[0].InboxPeak = 5
-	b.Hists(0).CommitLatency.ObserveDuration(2 * time.Millisecond)
-	b.Procs[1].Rollbacks = 9
-	b.VistaBlock(1).PagesDirtied = 11
-	a.SyscallByName["read"] = 2
-	b.SyscallByName["read"] = 3
-	b.SyscallByName["write"] = 1
-
-	a.Merge(b)
-	if a.Steps != 42 {
-		t.Fatalf("Steps = %d, want 42", a.Steps)
-	}
-	if len(a.Procs) != 2 || len(a.Vista) != 2 {
-		t.Fatalf("slots = %d/%d, want 2/2 (growth by merge)", len(a.Procs), len(a.Vista))
-	}
-	if a.Procs[0].Commits != 7 {
-		t.Fatalf("Procs[0].Commits = %d, want 7", a.Procs[0].Commits)
-	}
-	if a.Procs[0].InboxPeak != 7 {
-		t.Fatalf("InboxPeak = %d, want max 7", a.Procs[0].InboxPeak)
-	}
-	if a.Hists(0).CommitLatency.Count != 2 {
-		t.Fatalf("CommitLatency.Count = %d, want 2", a.Hists(0).CommitLatency.Count)
-	}
-	if a.Procs[1].Rollbacks != 9 || a.VistaBlock(1).PagesDirtied != 11 {
-		t.Fatal("grown slots did not receive o's values")
-	}
-	if a.SyscallByName["read"] != 5 || a.SyscallByName["write"] != 1 {
-		t.Fatalf("SyscallByName = %v, want read:5 write:1", a.SyscallByName)
-	}
-	a.Merge(nil) // must not panic
 }

@@ -12,6 +12,21 @@
 // contrast, buffers events in a growing slice (tracing is a diagnostic
 // mode, not a hot-path one) and serializes them deterministically, so the
 // same seed produces a byte-identical trace file.
+//
+// A process's counters live where the path that updates them runs:
+//   - EventCounts (events by kind, effectively-ND and logged events, the
+//     inbox-depth gauge), updated on every event and every delivery, lives
+//     inline in the process (sim.Proc); the registry only points at it
+//     (Metrics.Events), so the event path touches no registry memory;
+//   - ProcMetrics (commits, log forces, rollbacks, replayed events,
+//     crashes, syscalls) lives in the registry's Procs array, updated by the
+//     recovery layer, the kernel and the crash path;
+//   - ProcHists, the recovery layer's distributions, and VistaMetrics, each
+//     segment's page counters, live in registry blocks allocated by their
+//     first observer.
+//
+// Registries are per run and are never merged: campaign-level aggregates
+// fold histograms (Histogram.Merge).
 package obs
 
 import (
@@ -113,11 +128,12 @@ func (h *Histogram) Quantile(q float64) int64 {
 	return h.Max
 }
 
-// ProcMetrics is one process's fixed-slot counter block. Every field is
-// updated by plain increments on paths that must not allocate. The
-// distributions a recovery layer observes live apart, in ProcHists, so a
-// process that never commits, logs or rolls back carries counters only.
-type ProcMetrics struct {
+// EventCounts is one process's event-path counter block: what the simulator
+// counts on every event it records and every message it enqueues. The block
+// lives inline in the process it counts (sim.Proc), beside the state those
+// paths already touch, and the registry points at it (Metrics.Events): the
+// per-event increments stay inside the process's own slab slot.
+type EventCounts struct {
 	// Events counts recorded events by kind (internal, visible, send,
 	// receive, commit, crash).
 	Events [event.KindCount]int64
@@ -125,7 +141,16 @@ type ProcMetrics struct {
 	// Logged counts ND events whose result went to the persistent log.
 	EffectivelyND int64
 	Logged        int64
+	// InboxPeak is a gauge: the deepest the process's inbox ever got.
+	InboxPeak int64
+}
 
+// ProcMetrics is one process's fixed-slot counter block for the recovery
+// layer and the kernel, whose paths run far less often than an event. Every
+// field is updated by plain increments on paths that must not allocate. The
+// distributions a recovery layer observes live apart, in ProcHists, so a
+// process that never commits, logs or rolls back carries counters only.
+type ProcMetrics struct {
 	// Commits / CommitBytes / CommitPages account the Discount Checking
 	// commit path. CommitsVetoed counts commits a CommitVeto policy
 	// deferred.
@@ -150,9 +175,6 @@ type ProcMetrics struct {
 
 	// Syscalls counts kernel calls served for this process.
 	Syscalls int64
-
-	// InboxPeak is a gauge: the deepest the process's inbox ever got.
-	InboxPeak int64
 }
 
 // ProcHists is one process's histogram block: the virtual-time
@@ -197,6 +219,10 @@ type VistaMetrics struct {
 // its first observer.
 type Metrics struct {
 	Procs []ProcMetrics
+	// Events points at each process's event-path block, which lives in the
+	// process itself (sim.World.EnableObs zeroes the blocks and fills the
+	// pointers); a nil pointer reads as zero counts.
+	Events []*EventCounts
 	// Vista holds one segment block per process once a segment asked for
 	// one (VistaBlock), and is nil before: a process without a segment
 	// reads as zero counters.
@@ -232,33 +258,39 @@ type Metrics struct {
 func NewMetrics(n int) *Metrics {
 	return &Metrics{
 		Procs:         make([]ProcMetrics, n),
+		Events:        make([]*EventCounts, n),
 		SyscallByName: make(map[string]int64),
 	}
 }
 
 // Hists returns process pid's histogram block, allocating the blocks of
 // every process on the registry's first call — the first commit, log force
-// or rollback a recovery layer observes — and again only if Merge grew Procs.
+// or rollback a recovery layer observes.
 func (m *Metrics) Hists(pid int) *ProcHists {
-	if len(m.hists) < len(m.Procs) {
-		grown := make([]ProcHists, len(m.Procs))
-		copy(grown, m.hists)
-		m.hists = grown
+	if m.hists == nil {
+		m.hists = make([]ProcHists, len(m.Procs))
 	}
 	return &m.hists[pid]
 }
 
 // VistaBlock returns process pid's segment block, allocating the blocks of
 // every process on the registry's first call — the first segment a recovery
-// layer builds — and again only if Merge grew Procs.
+// layer builds.
 func (m *Metrics) VistaBlock(pid int) *VistaMetrics {
-	if len(m.Vista) < len(m.Procs) {
+	if m.Vista == nil {
 		//failtrans:alloc once per registry, by the first segment built; every later call returns a slot
-		grown := make([]VistaMetrics, len(m.Procs))
-		copy(grown, m.Vista)
-		m.Vista = grown
+		m.Vista = make([]VistaMetrics, len(m.Procs))
 	}
 	return &m.Vista[pid]
+}
+
+// events returns process i's event block for reading: a process whose block
+// was never attached reads as zero counts.
+func (m *Metrics) events(i int) *EventCounts {
+	if i < len(m.Events) && m.Events[i] != nil {
+		return m.Events[i]
+	}
+	return &emptyEvents
 }
 
 // hist returns process i's histogram block for reading without allocating:
@@ -270,89 +302,13 @@ func (m *Metrics) hist(i int) *ProcHists {
 	return &emptyHists
 }
 
-// emptyHists and emptyVista are the blocks readers see where none has been
-// allocated; they are only ever read.
+// emptyEvents, emptyHists and emptyVista are the blocks readers see where
+// none has been attached or allocated; they are only ever read.
 var (
-	emptyHists ProcHists
-	emptyVista VistaMetrics
+	emptyEvents EventCounts
+	emptyHists  ProcHists
+	emptyVista  VistaMetrics
 )
-
-// merge folds one process block into another (counter sums, gauge max).
-func (p *ProcMetrics) merge(o *ProcMetrics) {
-	for i := range o.Events {
-		p.Events[i] += o.Events[i]
-	}
-	p.EffectivelyND += o.EffectivelyND
-	p.Logged += o.Logged
-	p.Commits += o.Commits
-	p.CommitBytes += o.CommitBytes
-	p.CommitPages += o.CommitPages
-	p.CommitsVetoed += o.CommitsVetoed
-	p.LogForces += o.LogForces
-	p.Rollbacks += o.Rollbacks
-	p.RolledBackEvents += o.RolledBackEvents
-	p.ReplayedEvents += o.ReplayedEvents
-	p.Crashes += o.Crashes
-	p.Syscalls += o.Syscalls
-	if o.InboxPeak > p.InboxPeak {
-		p.InboxPeak = o.InboxPeak
-	}
-}
-
-// merge folds one histogram block into another.
-func (h *ProcHists) merge(o *ProcHists) {
-	h.CommitLatency.Merge(&o.CommitLatency)
-	h.CommitSize.Merge(&o.CommitSize)
-	h.LogForceLatency.Merge(&o.LogForceLatency)
-	h.RollbackDepth.Merge(&o.RollbackDepth)
-}
-
-// merge folds one segment block into another.
-func (v *VistaMetrics) merge(o *VistaMetrics) {
-	v.Commits += o.Commits
-	v.Rollbacks += o.Rollbacks
-	v.PagesDirtied += o.PagesDirtied
-	v.UndoBytes += o.UndoBytes
-	v.HashHits += o.HashHits
-	v.PagesPrivatized += o.PagesPrivatized
-	v.BytesCOW += o.BytesCOW
-}
-
-// Merge folds registry o into m: counters sum, gauges take the max,
-// histograms merge bucket-for-bucket, and per-process slots pair up by
-// index (m grows if o has more processes). Merging per-run registries is
-// how a campaign aggregates observability across runs that each carried
-// their own registry. Merge(nil) is a no-op.
-func (m *Metrics) Merge(o *Metrics) {
-	if o == nil {
-		return
-	}
-	for len(m.Procs) < len(o.Procs) {
-		m.Procs = append(m.Procs, ProcMetrics{})
-	}
-	for i := range o.Procs {
-		m.Procs[i].merge(&o.Procs[i])
-	}
-	for i := range o.hists {
-		m.Hists(i).merge(&o.hists[i])
-	}
-	for i := range o.Vista {
-		m.VistaBlock(i).merge(&o.Vista[i])
-	}
-	m.Steps += o.Steps
-	m.TwoPhaseRounds += o.TwoPhaseRounds
-	m.SchedUpdates += o.SchedUpdates
-	m.SchedRebuilds += o.SchedRebuilds
-	m.FaultWindows += o.FaultWindows
-	m.FaultCorruptions += o.FaultCorruptions
-	m.KernelPanics += o.KernelPanics
-	if m.SyscallByName == nil {
-		m.SyscallByName = make(map[string]int64)
-	}
-	for name, c := range o.SyscallByName {
-		m.SyscallByName[name] += c
-	}
-}
 
 // Syscall counts one kernel call for process pid under the given name.
 func (m *Metrics) Syscall(pid int, name string) {
@@ -389,13 +345,13 @@ func (m *Metrics) WriteSnapshot(w io.Writer) error {
 		fmt.Fprintf(w, "syscall %s %d\n", name, m.SyscallByName[name])
 	}
 	for i := range m.Procs {
-		p, h := &m.Procs[i], m.hist(i)
+		p, e, h := &m.Procs[i], m.events(i), m.hist(i)
 		fmt.Fprintf(w, "proc %d\n", i)
 		fmt.Fprintf(w, "  events internal=%d visible=%d send=%d receive=%d commit=%d crash=%d\n",
-			p.Events[event.Internal], p.Events[event.Visible], p.Events[event.Send],
-			p.Events[event.Receive], p.Events[event.Commit], p.Events[event.Crash])
-		fmt.Fprintf(w, "  effectively_nd %d\n", p.EffectivelyND)
-		fmt.Fprintf(w, "  logged %d\n", p.Logged)
+			e.Events[event.Internal], e.Events[event.Visible], e.Events[event.Send],
+			e.Events[event.Receive], e.Events[event.Commit], e.Events[event.Crash])
+		fmt.Fprintf(w, "  effectively_nd %d\n", e.EffectivelyND)
+		fmt.Fprintf(w, "  logged %d\n", e.Logged)
 		fmt.Fprintf(w, "  commits %d bytes=%d pages=%d vetoed=%d\n", p.Commits, p.CommitBytes, p.CommitPages, p.CommitsVetoed)
 		writeHist(w, "  ", "commit_latency_ns", &h.CommitLatency)
 		writeHist(w, "  ", "commit_size_bytes", &h.CommitSize)
@@ -406,7 +362,7 @@ func (m *Metrics) WriteSnapshot(w io.Writer) error {
 		writeHist(w, "  ", "rollback_depth_events", &h.RollbackDepth)
 		fmt.Fprintf(w, "  crashes %d\n", p.Crashes)
 		fmt.Fprintf(w, "  syscalls %d\n", p.Syscalls)
-		fmt.Fprintf(w, "  inbox_peak %d\n", p.InboxPeak)
+		fmt.Fprintf(w, "  inbox_peak %d\n", e.InboxPeak)
 	}
 	for i := range m.Procs {
 		v := &emptyVista
@@ -454,11 +410,11 @@ func (m *Metrics) Summarize() RunSummary {
 	s.TwoPhaseRounds = m.TwoPhaseRounds
 	var lat Histogram
 	for i := range m.Procs {
-		p := &m.Procs[i]
-		for _, c := range p.Events {
+		p, e := &m.Procs[i], m.events(i)
+		for _, c := range e.Events {
 			s.Events += c
 		}
-		s.EffectivelyND += p.EffectivelyND
+		s.EffectivelyND += e.EffectivelyND
 		s.Syscalls += p.Syscalls
 		s.Commits += p.Commits
 		s.CommitBytes += p.CommitBytes

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"failtrans/internal/event"
 )
 
 func TestHistogramBasics(t *testing.T) {
@@ -47,7 +49,8 @@ func TestHistogramObserveDoesNotAllocate(t *testing.T) {
 func TestMetricsSnapshotDeterministic(t *testing.T) {
 	build := func() *Metrics {
 		m := NewMetrics(2)
-		m.Procs[0].Events[1] = 3
+		m.Events[0] = &EventCounts{}
+		m.Events[0].Events[1] = 3
 		m.Hists(0).CommitLatency.Observe(1500)
 		m.Procs[1].Rollbacks = 2
 		m.VistaBlock(1).PagesDirtied = 9
@@ -80,8 +83,12 @@ func TestMetricsSummarize(t *testing.T) {
 	m.Procs[1].Syscalls = 5
 	m.TwoPhaseRounds = 4
 	m.VistaBlock(0).PagesDirtied = 7
+	// Process 0's event block is attached, process 1's is not and reads as
+	// zero counts.
+	m.Events[0] = &EventCounts{Events: [event.KindCount]int64{event.Send: 4, event.Receive: 2}, EffectivelyND: 3}
 	s := m.Summarize()
-	if s.Commits != 3 || s.Syscalls != 5 || s.TwoPhaseRounds != 4 || s.VistaPagesDirty != 7 {
+	if s.Commits != 3 || s.Syscalls != 5 || s.TwoPhaseRounds != 4 || s.VistaPagesDirty != 7 ||
+		s.Events != 6 || s.EffectivelyND != 3 {
 		t.Errorf("summary wrong: %+v", s)
 	}
 	if s.CommitMaxNs != 8000 {

@@ -16,10 +16,16 @@ type ObsSink interface {
 
 // EnableObs attaches a fresh metrics registry to the world — and, when
 // trace is true, a tracer with one named track per process — and returns
-// both (the tracer is nil when trace is false). Call it after NewWorld and
-// before Run; attaching an OS later is fine, Init re-wires it.
+// both (the tracer is nil when trace is false). Each process's event block
+// is zeroed and the registry pointed at it, so the registry counts events
+// from here on. Call it after NewWorld and before Run; attaching an OS later
+// is fine, Init re-wires it.
 func (w *World) EnableObs(trace bool) (*obs.Metrics, *obs.Tracer) {
 	w.Metrics = obs.NewMetrics(len(w.Procs))
+	for i, p := range w.Procs {
+		p.events = obs.EventCounts{}
+		w.Metrics.Events[i] = &p.events
+	}
 	if trace {
 		w.Tracer = obs.NewTracer()
 		for _, p := range w.Procs {

@@ -291,6 +291,7 @@ func TestSameStateCoversEveryField(t *testing.T) {
 		"Crashes":     offset,
 		"wake":        "a clock position: compared shifted by the clock offset",
 		"redelivered": "receive-scoped: handed back and consumed within one Recv, nil between steps",
+		"events":      "observability: event counters a step only increments and never reads; EnableObs zeroes them and a fork starts them at zero",
 		"World":       wiring,
 		"rng":         "cache: rebuilt from rngSeed and rngDraws, which are compared",
 		"inboxMin":    "cache of the inbox minimum, which is compared",

@@ -86,6 +86,14 @@ type Proc struct {
 	// fixed-size slabs and fork fills slots in place.
 	ctx Ctx
 
+	// events is the process's event-path counter block: record and inboxAdd
+	// count into it whether or not a registry is attached, and EnableObs
+	// zeroes it and points the registry at it. It sits behind the Ctx, next
+	// to the lines a decision already touches, rather than in a registry
+	// array the event would otherwise reach only for its counters; a fork's
+	// block starts at zero, as forks carry no registry.
+	events obs.EventCounts
+
 	// retained is the paper's "recovery buffer": the messages consumed
 	// since the recovery layer last released it (CommitPoint), for it to
 	// take over at a rollback (TakeRetained); without a recovery layer it
@@ -140,11 +148,8 @@ func (p *Proc) inboxAdd(m *Msg) {
 	} else if p.inboxMinOK && m.DeliverAt < p.inboxMin {
 		p.inboxMin = m.DeliverAt
 	}
-	if mr := p.World.Metrics; mr != nil {
-		pm := &mr.Procs[p.Index]
-		if depth := int64(len(p.inbox)); depth > pm.InboxPeak {
-			pm.InboxPeak = depth
-		}
+	if depth := int64(len(p.inbox)); depth > p.events.InboxPeak {
+		p.events.InboxPeak = depth
 	}
 	p.World.schedTouch(p)
 }
@@ -406,14 +411,12 @@ func (w *World) record(p *Proc, kind event.Kind, nd event.NDClass, logged bool, 
 	}
 	w.EventCount++
 	p.Steps++
-	if m := w.Metrics; m != nil {
-		pm := &m.Procs[p.Index]
-		pm.Events[kind]++
-		if ev.EffectivelyND() {
-			pm.EffectivelyND++
-		} else if ev.Logged {
-			pm.Logged++
-		}
+	ec := &p.events
+	ec.Events[kind]++
+	if ev.EffectivelyND() {
+		ec.EffectivelyND++
+	} else if ev.Logged {
+		ec.Logged++
 	}
 	if t := w.Tracer; t != nil {
 		ts := p.Clock()
