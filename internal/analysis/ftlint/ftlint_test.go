@@ -211,7 +211,7 @@ func TestHotpathRootsAnnotated(t *testing.T) {
 		"../../vista/vista.go": 3, // (*Segment).SetContents, Commit, Rollback
 		"../../sim/proc.go":    1, // (*Proc).AppendCheckpointImage
 		"../../sim/fork.go":    1, // (*Proc).bumpRecvHW
-		"../../dc/dc.go":       2, // (*DC).diffOne, RecordND
+		"../../dc/dc.go":       3, // (*DC).diffOne, AfterEvent, RecordND
 		// The ND scratch: (*Ctx).Now, Rand, TakeSignal, Recv, Syscall,
 		// AppendMsgRecord, AppendParts; (*World).ndWord beside the arenas.
 		"../../sim/ctx.go":   7,
@@ -220,16 +220,18 @@ func TestHotpathRootsAnnotated(t *testing.T) {
 		// schedPick, schedInsert, schedPlace, schedDueInsert, schedDelete,
 		// schedDrain, schedMerge.
 		"../../sim/sched.go": 10,
-		// The octree arena and the send buffer: (*Octree).node, Build,
-		// step; (*TM).encodeHead, stepBodies.
+		// The octree arena and the message path: (*Octree).node, Build,
+		// step; (*TM).Step, encodeHead, stepBodies.
 		"../../apps/treadmarks/barneshut.go": 3,
-		"../../apps/treadmarks/program.go":   2,
+		"../../apps/treadmarks/program.go":   3,
 		"../../apps/magic/magic.go":          3, // Rect.Subtract, (*Layer).cut, (*Layout).spacingViolations
 		"../../apps/postgres/page.go":        3, // (*Page).Insert, Delete, Overwrite
 		// The screen and file scratch: (*Editor).screenLine, writeFileStep.
 		"../../apps/nvi/nvi.go": 2,
 		// The echo path: (*Server).Step, (*Client).Step.
 		"../../apps/fleet/fleet.go": 2,
+		// The frame path: (*Server).Step, (*Client).Step.
+		"../../apps/xpilot/xpilot.go": 2,
 	}
 	for file, min := range roots {
 		data, err := os.ReadFile(file)

@@ -153,6 +153,21 @@ func (d *Dec) Bytes() []byte {
 	return out
 }
 
+// BytesView reads a length-prefixed byte slice as a view of the input, not
+// a copy: capacity-clamped, so an append to it cannot reach the bytes that
+// follow. It is for input that never changes while the view is held, such
+// as a delivered message's payload; a negative or overlong length sets Err
+// and returns nil.
+func (d *Dec) BytesView() []byte {
+	n := d.Int()
+	if !d.need(n) {
+		return nil
+	}
+	v := d.B[d.pos : d.pos+n : d.pos+n]
+	d.pos += n
+	return v
+}
+
 // BytesInto reads a length-prefixed byte slice into dst's backing array,
 // reallocating only when dst is too small — the reuse form of Bytes for
 // restore paths that decode into long-lived buffers every rollback.

@@ -152,6 +152,30 @@ func TestCodecProperty(t *testing.T) {
 	}
 }
 
+// TestBytesViewAliasesClamped: BytesView returns the encoded bytes in place,
+// capacity-clamped, so appending to the view copies instead of overwriting
+// the word behind it; a negative length fails like Bytes.
+func TestBytesViewAliasesClamped(t *testing.T) {
+	var e Enc
+	e.Bytes([]byte("page"))
+	e.Int(9)
+	d := Dec{B: e.B}
+	v := d.BytesView()
+	if string(v) != "page" || cap(v) != len(v) || &v[0] != &e.B[8] {
+		t.Fatalf("view %q (cap %d) is not the clamped encoded bytes", v, cap(v))
+	}
+	_ = append(v, 'x')
+	if d.Int() != 9 || d.Err != nil {
+		t.Errorf("the word after the view was disturbed: Err %v", d.Err)
+	}
+	var neg Enc
+	neg.Int(-1)
+	d = Dec{B: neg.B}
+	if v := d.BytesView(); v != nil || !errors.Is(d.Err, ErrNegLength) {
+		t.Errorf("negative length: view %v, Err %v, want nil and ErrNegLength", v, d.Err)
+	}
+}
+
 // TestDecLengthNearMaxInt: a length word near MaxInt64 behind an already
 // decoded word must fail the bounds check, not wrap it and reach make.
 func TestDecLengthNearMaxInt(t *testing.T) {
@@ -162,6 +186,7 @@ func TestDecLengthNearMaxInt(t *testing.T) {
 	for name, read := range map[string]func(d *Dec){
 		"Bytes":     func(d *Dec) { d.Bytes() },
 		"BytesInto": func(d *Dec) { d.BytesInto(nil) },
+		"BytesView": func(d *Dec) { d.BytesView() },
 		"StrReuse":  func(d *Dec) { d.StrReuse("") },
 		"Skip":      func(d *Dec) { d.Skip(d.Int()) },
 		"Count":     func(d *Dec) { d.Count(1) },

@@ -39,6 +39,7 @@ func FuzzDecNoPanic(f *testing.F) {
 		_ = d.Byte()
 		_ = d.I64()
 		_ = d.BytesInto(nil)
+		_ = d.BytesView()
 		_ = d.StrReuse("")
 		d.Skip(d.Int())
 		_ = d.Count(8)

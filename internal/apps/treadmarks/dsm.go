@@ -63,6 +63,11 @@ func (m dsmMsg) appendTo(e *apputil.Enc) {
 
 func (m dsmMsg) encodedLen() int { return 5*8 + len(m.Data) }
 
+// decodeMsg decodes one wire message. Data is a capacity-clamped view of b,
+// not a copy: a delivered payload never changes, so a message can hold its
+// page until it is stored (storePage copies it) or forwarded (Ctx.Send
+// copies it). A hostile length fails with apputil.ErrNegLength or
+// apputil.ErrOverrun and views nothing.
 func decodeMsg(b []byte) (dsmMsg, error) {
 	d := apputil.Dec{B: b}
 	m := dsmMsg{
@@ -70,7 +75,7 @@ func decodeMsg(b []byte) (dsmMsg, error) {
 		Page:      d.Int(),
 		Requester: d.Int(),
 		Barrier:   d.Int(),
-		Data:      d.Bytes(),
+		Data:      d.BytesView(),
 	}
 	return m, d.Err
 }
@@ -79,6 +84,10 @@ func decodeMsg(b []byte) (dsmMsg, error) {
 type outMsg struct {
 	To  int
 	Msg dsmMsg
+	// own marks Msg.Data as a page buffer this process surrendered, which
+	// goes to the spare pool once the message is sent (popOutbox), rather
+	// than a view of a received payload.
+	own bool
 }
 
 // dsm is one process's view of the shared memory.
@@ -122,6 +131,9 @@ type dsm struct {
 
 	// keys is marshal's scratch for the sorted key lists (not state).
 	keys []int
+	// spare is scratch, not state: surrendered page buffers whose messages
+	// have been sent, which storePage reuses before allocating.
+	spare [][]byte
 }
 
 // newDSM initializes page ownership round-robin: page p starts owned by its
@@ -152,6 +164,41 @@ func (d *dsm) Have(page int) bool {
 	return ok
 }
 
+// storePage takes ownership of a page: the one copy a transferred page's
+// bytes get, into a spare buffer when there is one.
+func (d *dsm) storePage(page int, data []byte) {
+	var buf []byte
+	if n := len(d.spare); n > 0 && cap(d.spare[n-1]) >= len(data) {
+		buf = d.spare[n-1][:len(data)]
+		d.spare[n-1] = nil
+		d.spare = d.spare[:n-1]
+	} else {
+		//failtrans:alloc amortized page-pool growth: a process allocates a buffer only while it holds more pages than it has ever surrendered
+		buf = make([]byte, len(data))
+	}
+	copy(buf, data)
+	d.Pages[page] = buf
+}
+
+// popOutbox drops the sent head of the outbox in place, so the next append
+// reuses the backing array instead of reallocating behind a resliced front,
+// and gives a surrendered page's buffer to the spare pool.
+func (d *dsm) popOutbox() {
+	if h := &d.Outbox[0]; h.own {
+		d.spare = append(d.spare, h.Msg.Data)
+	}
+	n := copy(d.Outbox, d.Outbox[1:])
+	d.Outbox[n] = outMsg{} // pins no page
+	d.Outbox = d.Outbox[:n]
+}
+
+// popFront removes and returns q's first element in place.
+func popFront(q []int) (int, []int) {
+	head := q[0]
+	n := copy(q, q[1:])
+	return head, q[:n]
+}
+
 // Fault initiates a page fetch; the caller then waits for AwaitPage to
 // clear.
 func (d *dsm) Fault(page int) {
@@ -163,11 +210,14 @@ func (d *dsm) Fault(page int) {
 	})
 }
 
-// Handle processes one incoming DSM message, queueing any replies.
+// Handle processes one incoming DSM message, queueing any replies. m.Data
+// may be a view of the received payload (decodeMsg): it is copied where a
+// page is stored and nowhere else.
 func (d *dsm) Handle(m dsmMsg) error {
 	switch m.Type {
 	case msgReq:
 		if d.manager(m.Page) != d.Me {
+			//failtrans:alloc cold error path: a protocol violation crashes the process
 			return fmt.Errorf("treadmarks: REQ for page %d at non-manager %d", m.Page, d.Me)
 		}
 		d.Queue[m.Page] = append(d.Queue[m.Page], m.Requester)
@@ -175,6 +225,7 @@ func (d *dsm) Handle(m dsmMsg) error {
 	case msgFetch:
 		data, ok := d.Pages[m.Page]
 		if !ok {
+			//failtrans:alloc cold error path: a protocol violation crashes the process
 			return fmt.Errorf("treadmarks: FETCH of page %d from non-owner %d", m.Page, d.Me)
 		}
 		delete(d.Pages, m.Page) // surrender ownership
@@ -182,23 +233,26 @@ func (d *dsm) Handle(m dsmMsg) error {
 		d.Outbox = append(d.Outbox, outMsg{
 			To:  d.manager(m.Page),
 			Msg: dsmMsg{Type: msgData, Page: m.Page, Requester: m.Requester, Data: data},
+			own: true,
 		})
 	case msgData:
 		if d.manager(m.Page) != d.Me {
+			//failtrans:alloc cold error path: a protocol violation crashes the process
 			return fmt.Errorf("treadmarks: DATA for page %d at non-manager %d", m.Page, d.Me)
 		}
-		d.grant(m.Page, m.Requester, m.Data)
+		d.grant(m.Page, m.Requester, m.Data, false)
 	case msgGrant:
 		if len(m.Data) == 0 && d.Have(m.Page) {
 			// Stale-fault confirmation: local copy is authoritative.
 		} else {
-			d.Pages[m.Page] = append([]byte(nil), m.Data...)
+			d.storePage(m.Page, m.Data)
 		}
 		if d.AwaitPage == m.Page {
 			d.AwaitPage = -1
 		}
 	case msgBEnter:
 		if d.Me != 0 {
+			//failtrans:alloc cold error path: a protocol violation crashes the process
 			return fmt.Errorf("treadmarks: BENTER at non-coordinator %d", d.Me)
 		}
 		d.BarrierCount++
@@ -210,6 +264,7 @@ func (d *dsm) Handle(m dsmMsg) error {
 		}
 	case msgLockAcq:
 		if d.Me != 0 {
+			//failtrans:alloc cold error path: a protocol violation crashes the process
 			return fmt.Errorf("treadmarks: LOCK_ACQ at non-manager %d", d.Me)
 		}
 		owner, held := d.LockOwner[m.Page]
@@ -220,17 +275,20 @@ func (d *dsm) Handle(m dsmMsg) error {
 		}
 	case msgLockRel:
 		if d.Me != 0 {
+			//failtrans:alloc cold error path: a protocol violation crashes the process
 			return fmt.Errorf("treadmarks: LOCK_REL at non-manager %d", d.Me)
 		}
 		d.LockOwner[m.Page] = -1
 		if q := d.LockQueue[m.Page]; len(q) > 0 {
-			d.LockQueue[m.Page] = q[1:]
-			d.lockGrant(m.Page, q[0])
+			var next int
+			next, d.LockQueue[m.Page] = popFront(q)
+			d.lockGrant(m.Page, next)
 		}
 	case msgLockGrant:
 		d.HeldLocks[m.Page] = true
 		d.LockWaiting = false
 	default:
+		//failtrans:alloc cold error path: a protocol violation crashes the process
 		return fmt.Errorf("treadmarks: unknown message type %d", m.Type)
 	}
 	return nil
@@ -241,8 +299,8 @@ func (d *dsm) pump(page int) {
 	if d.Busy[page] || len(d.Queue[page]) == 0 {
 		return
 	}
-	req := d.Queue[page][0]
-	d.Queue[page] = d.Queue[page][1:]
+	var req int
+	req, d.Queue[page] = popFront(d.Queue[page])
 	owner := d.Owner[page]
 	if req == owner {
 		// Stale fault: the requester already owns the page. Confirm
@@ -267,11 +325,12 @@ func (d *dsm) pump(page int) {
 		if !ok {
 			// Manager believed itself owner but lacks the page:
 			// protocol corruption.
+			//failtrans:alloc cold error path: protocol corruption panics
 			panic(fmt.Sprintf("treadmarks: manager %d lost page %d", d.Me, page))
 		}
 		delete(d.Pages, page)
 		d.Transfers++
-		d.grant(page, req, data)
+		d.grant(page, req, data, true)
 		return
 	}
 	d.Outbox = append(d.Outbox, outMsg{
@@ -281,12 +340,15 @@ func (d *dsm) pump(page int) {
 }
 
 // grant hands page + ownership to the requester and unblocks the queue.
-func (d *dsm) grant(page, req int, data []byte) {
+// own marks data as the manager's own surrendered buffer rather than a view
+// of a DATA payload.
+func (d *dsm) grant(page, req int, data []byte, own bool) {
 	d.Owner[page] = req
 	d.Busy[page] = false
 	if req == d.Me {
-		// Manager requested its own page back.
-		d.Pages[page] = append([]byte(nil), data...)
+		// Manager requested its own page back (from another owner's
+		// DATA: pump never grants the manager its own page).
+		d.storePage(page, data)
 		if d.AwaitPage == page {
 			d.AwaitPage = -1
 		}
@@ -294,6 +356,7 @@ func (d *dsm) grant(page, req int, data []byte) {
 		d.Outbox = append(d.Outbox, outMsg{
 			To:  req,
 			Msg: dsmMsg{Type: msgGrant, Page: page, Data: data},
+			own: own,
 		})
 	}
 	d.pump(page)
@@ -527,6 +590,8 @@ func unmarshalDSM(dec *apputil.Dec) (*dsm, error) {
 	}
 	for i := 0; i < n; i++ {
 		to := dec.Int()
+		// A copy, not a view: the checkpoint image is a buffer the
+		// recovery layer reuses.
 		m, err := decodeMsg(dec.Bytes())
 		if err != nil {
 			return nil, err

@@ -43,7 +43,7 @@ func (c *counterWorker) Step(ctx *sim.Ctx) sim.Status {
 			ctx.Crash(err.Error())
 			return sim.Crashed
 		}
-		c.DSM.Outbox = c.DSM.Outbox[1:] // pop after the send (commit contract)
+		c.DSM.popOutbox() // pop after the send (commit contract)
 		return sim.Ready
 	}
 	if c.DSM.AwaitPage >= 0 || c.DSM.BarrierWaiting || c.DSM.LockWaiting || c.Phase == 5 {

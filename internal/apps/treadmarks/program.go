@@ -2,6 +2,7 @@ package treadmarks
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"failtrans/internal/apps/apputil"
@@ -42,11 +43,13 @@ type TM struct {
 	ReportEvery int
 	ForceCost   time.Duration // virtual cost per body force evaluation
 
-	// tree and sendBuf are scratch, not state: the octree arena every
-	// compute phase rebuilds its tree in, and the buffer the outbox head is
-	// encoded into for Ctx.Send, which copies it.
+	// tree, sendBuf and line are scratch, not state: the octree arena every
+	// compute phase rebuilds its tree in, the buffer the outbox head is
+	// encoded into for Ctx.Send, which copies it, and the buffer a report
+	// line is built in before it becomes the retained output string.
 	tree    Octree
 	sendBuf []byte
+	line    []byte
 }
 
 // New builds process `me` of an nprocs-wide run over n bodies for iters
@@ -124,7 +127,12 @@ func (t *TM) readPage(p int) {
 // application is blocked on a fault or barrier: serving them eagerly would
 // let a FETCH steal a just-granted page before the application ever reads
 // it, live-locking the ownership rotation (real DSMs pin a faulted-in page
-// until the faulting access completes, for the same reason).
+// until the faulting access completes, for the same reason). A received
+// message is decoded as a view of its payload and a sent one is encoded into
+// scratch, so the protocol path allocates only to store a page while the
+// spare pool is short of one.
+//
+//failtrans:hotpath
 func (t *TM) Step(ctx *sim.Ctx) sim.Status {
 	// 1. Drain the protocol outbox, one send per step. The pop happens
 	// AFTER the send: a commit taken in the pre-send hook must capture
@@ -132,10 +140,11 @@ func (t *TM) Step(ctx *sim.Ctx) sim.Status {
 	// the send and diverge (the runtime's one-event-per-step contract).
 	if len(t.DSM.Outbox) > 0 {
 		if err := ctx.Send(t.DSM.Outbox[0].To, t.encodeHead()); err != nil {
+			//failtrans:alloc cold error path: a send to an unknown process crashes the process
 			ctx.Crash(err.Error())
 			return sim.Crashed
 		}
-		t.DSM.Outbox = t.DSM.Outbox[1:]
+		t.DSM.popOutbox()
 		return sim.Ready
 	}
 	// 2. Blocked (or finished): serve incoming protocol traffic.
@@ -143,10 +152,12 @@ func (t *TM) Step(ctx *sim.Ctx) sim.Status {
 		if m, ok := ctx.Recv(); ok {
 			dm, err := decodeMsg(m.Payload)
 			if err != nil {
+				//failtrans:alloc cold error path: a malformed message crashes the process
 				ctx.Crash(err.Error())
 				return sim.Crashed
 			}
 			if err := t.DSM.Handle(dm); err != nil {
+				//failtrans:alloc cold error path: a protocol violation crashes the process
 				ctx.Crash(err.Error())
 				return sim.Crashed
 			}
@@ -219,13 +230,28 @@ func (t *TM) progress(ctx *sim.Ctx) sim.Status {
 		}
 		return sim.Ready
 	case phReport:
-		b0 := t.Updated[0]
-		ctx.Output(fmt.Sprintf("iter %d body0=(%.4f,%.4f,%.4f)", t.Iter, b0.X, b0.Y, b0.Z))
+		t.line = appendReport(t.line[:0], t.Iter, t.Updated[0])
+		//failtrans:alloc visible output is kept in World.Outputs: one string per report
+		ctx.Output(string(t.line))
 		t.Phase = phStamp
 		return sim.Ready
 	default:
 		return sim.Done
 	}
+}
+
+// appendReport appends process 0's progress line,
+// "iter <n> body0=(<x>,<y>,<z>)" with four decimals, to dst.
+func appendReport(dst []byte, iter int, b0 Body) []byte {
+	dst = append(dst, "iter "...)
+	dst = strconv.AppendInt(dst, int64(iter), 10)
+	dst = append(dst, " body0=("...)
+	dst = strconv.AppendFloat(dst, b0.X, 'f', 4, 64)
+	dst = append(dst, ',')
+	dst = strconv.AppendFloat(dst, b0.Y, 'f', 4, 64)
+	dst = append(dst, ',')
+	dst = strconv.AppendFloat(dst, b0.Z, 'f', 4, 64)
+	return append(dst, ')')
 }
 
 // encodeHead encodes the outbox's head message into the send buffer and

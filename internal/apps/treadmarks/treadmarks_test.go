@@ -1,6 +1,7 @@
 package treadmarks
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -285,5 +286,22 @@ func TestTwoPhaseWinsForTreadMarks(t *testing.T) {
 	tpcCkpts, _ := run(protocol.CBNDV2PC)
 	if tpcCkpts*5 > cpvsCkpts {
 		t.Errorf("CBNDV-2PC ckpts %d should be well below CPVS %d", tpcCkpts, cpvsCkpts)
+	}
+}
+
+// TestReportLineMatchesFormat: the scratch-built progress line is
+// byte-for-byte what fmt's %.4f gives, signs, zeros and non-finite values
+// included.
+func TestReportLineMatchesFormat(t *testing.T) {
+	for _, b := range []Body{
+		{X: 1.23456789, Y: -0.00004, Z: 123456.5},
+		{X: math.Copysign(0, -1), Y: 0, Z: -2.5e-5},
+		{X: math.Inf(1), Y: math.Inf(-1), Z: math.NaN()},
+	} {
+		got := string(appendReport(nil, 15, b))
+		want := fmt.Sprintf("iter %d body0=(%.4f,%.4f,%.4f)", 15, b.X, b.Y, b.Z)
+		if got != want {
+			t.Errorf("report line %q, want %q", got, want)
+		}
 	}
 }

@@ -15,6 +15,7 @@ package xpilot
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"failtrans/internal/apps/apputil"
@@ -80,7 +81,15 @@ type Server struct {
 	EffectSeed  uint64
 
 	PhysicsCost time.Duration
+
+	// frame is scratch, not state: the buffer each frame is encoded into
+	// for Ctx.Send, which copies it into the world's message arena.
+	frame []byte
 }
+
+// gameOver is the one-byte end-of-game message. Ctx.Send copies it, so
+// every server sends the same bytes.
+var gameOver = []byte{0xff}
 
 // Server phases.
 const (
@@ -116,7 +125,11 @@ func (s *Server) Name() string { return "xpilot-server" }
 // Init implements sim.Program.
 func (s *Server) Init(ctx *sim.Ctx) error { return nil }
 
-// Step implements sim.Program: one commit-relevant event per step.
+// Step implements sim.Program: one commit-relevant event per step. The
+// frame is encoded into the server's scratch, so a step allocates nothing
+// once the scratch and the shot list have grown to the game's widest frame.
+//
+//failtrans:hotpath
 func (s *Server) Step(ctx *sim.Ctx) sim.Status {
 	switch s.Phase {
 	case srvPoll:
@@ -125,7 +138,8 @@ func (s *Server) Step(ctx *sim.Ctx) sim.Status {
 			// (the index advances after the send so a commit in the
 			// pre-send hook captures a resumable state).
 			if s.SendIdx < len(s.Ships) {
-				if err := ctx.Send(s.SendIdx+1, []byte{0xff}); err != nil {
+				if err := ctx.Send(s.SendIdx+1, gameOver); err != nil {
+					//failtrans:alloc cold error path: a send to an unknown process crashes the server
 					ctx.Crash(err.Error())
 					return sim.Crashed
 				}
@@ -139,6 +153,7 @@ func (s *Server) Step(ctx *sim.Ctx) sim.Status {
 		// select loop.
 		ret, err := ctx.Syscall("select")
 		if err != nil {
+			//failtrans:alloc cold error path: a failed select crashes the server
 			ctx.Crash(err.Error())
 			return sim.Crashed
 		}
@@ -150,6 +165,7 @@ func (s *Server) Step(ctx *sim.Ctx) sim.Status {
 		// recvfrom; each poll is another transient-ND syscall.
 		if s.NeedSelect {
 			if _, err := ctx.Syscall("select"); err != nil {
+				//failtrans:alloc cold error path: a failed select crashes the server
 				ctx.Crash(err.Error())
 				return sim.Crashed
 			}
@@ -200,6 +216,7 @@ func (s *Server) Step(ctx *sim.Ctx) sim.Status {
 			return sim.Ready
 		}
 		if err := ctx.Send(s.SendIdx+1, s.encodeFrame()); err != nil {
+			//failtrans:alloc cold error path: a send to an unknown process crashes the server
 			ctx.Crash(err.Error())
 			return sim.Crashed
 		}
@@ -251,25 +268,28 @@ func (s *Server) applyInput(from int, payload []byte) {
 // dir converts a 256-unit heading to a (x,y) direction scaled by 16 using
 // a coarse integer sine table.
 func dir(heading int) (int, int) {
-	// Quarter-wave table of sin values scaled by 16.
-	quarter := [17]int{0, 2, 3, 5, 6, 8, 9, 10, 11, 12, 13, 14, 15, 15, 16, 16, 16}
-	sin := func(h int) int {
-		h %= 256
-		if h < 0 {
-			h += 256
-		}
-		switch {
-		case h < 64:
-			return quarter[h/4]
-		case h < 128:
-			return quarter[(128-h)/4]
-		case h < 192:
-			return -quarter[(h-128)/4]
-		default:
-			return -quarter[(256-h)/4]
-		}
+	return sin16(heading + 64), sin16(heading) // cos, sin
+}
+
+// quarterSin is the quarter-wave table of sin values scaled by 16.
+var quarterSin = [17]int{0, 2, 3, 5, 6, 8, 9, 10, 11, 12, 13, 14, 15, 15, 16, 16, 16}
+
+// sin16 is the sine of a 256-unit heading, scaled by 16.
+func sin16(h int) int {
+	h %= 256
+	if h < 0 {
+		h += 256
 	}
-	return sin(heading + 64), sin(heading) // cos, sin
+	switch {
+	case h < 64:
+		return quarterSin[h/4]
+	case h < 128:
+		return quarterSin[(128-h)/4]
+	case h < 192:
+		return -quarterSin[(h-128)/4]
+	default:
+		return -quarterSin[(256-h)/4]
+	}
 }
 
 // physics advances the world one tick.
@@ -354,9 +374,10 @@ func (s *Server) hitsWall(x, y int) bool {
 	return false
 }
 
-// encodeFrame serializes tick + ships + shot count.
+// encodeFrame serializes tick + ships + shot count into the frame scratch
+// and returns it; it is valid until the next call.
 func (s *Server) encodeFrame() []byte {
-	var e apputil.Enc
+	e := apputil.Enc{B: s.frame[:0]}
 	e.Int(s.Tick)
 	e.Int(len(s.Ships))
 	for _, sh := range s.Ships {
@@ -366,7 +387,8 @@ func (s *Server) encodeFrame() []byte {
 		e.Int(sh.Score)
 	}
 	e.Int(len(s.Shots))
-	return e.B
+	s.frame = e.B
+	return s.frame
 }
 
 // MarshalState implements sim.Program.
@@ -474,6 +496,12 @@ type Client struct {
 	GameOver   bool
 	InputEvery int // consume input when frame count %InputEvery == offset
 	RenderCost time.Duration
+
+	// key and line are scratch, not state: the one-byte command Ctx.Send
+	// copies, and the buffer a frame's output line is built in before it
+	// becomes the retained output string.
+	key  [1]byte
+	line []byte
 }
 
 // Client phases.
@@ -496,7 +524,11 @@ func (c *Client) Name() string { return fmt.Sprintf("xpilot-client%d", c.Me) }
 // Init implements sim.Program.
 func (c *Client) Init(ctx *sim.Ctx) error { return nil }
 
-// Step implements sim.Program.
+// Step implements sim.Program. The rendered line is built in the client's
+// scratch, so the one allocation a frame costs is the output string the
+// world keeps.
+//
+//failtrans:hotpath
 func (c *Client) Step(ctx *sim.Ctx) sim.Status {
 	switch c.Phase {
 	case cliInput:
@@ -509,7 +541,9 @@ func (c *Client) Step(ctx *sim.Ctx) sim.Status {
 		c.Phase = cliSend
 		return sim.Ready
 	case cliSend:
-		if err := ctx.Send(c.Server, []byte{c.PendingKey}); err != nil {
+		c.key[0] = c.PendingKey
+		if err := ctx.Send(c.Server, c.key[:]); err != nil {
+			//failtrans:alloc cold error path: a send to an unknown process crashes the client
 			ctx.Crash(err.Error())
 			return sim.Crashed
 		}
@@ -530,18 +564,9 @@ func (c *Client) Step(ctx *sim.Ctx) sim.Status {
 		return sim.Ready
 	case cliRender:
 		ctx.Compute(c.RenderCost)
-		d := apputil.Dec{B: c.LastFrame}
-		tick := d.Int()
-		nships := d.Int()
-		var mine string
-		for i := 0; i < nships && d.Err == nil; i++ {
-			x, y := d.Int(), d.Int()
-			h, score := d.Int(), d.Int()
-			if i == c.Me-1 {
-				mine = fmt.Sprintf("me@(%d,%d) h=%d score=%d", x, y, h, score)
-			}
-		}
-		ctx.Output(fmt.Sprintf("frame %d %s", tick, mine))
+		c.line = appendFrameLine(c.line[:0], c.LastFrame, c.Me)
+		//failtrans:alloc visible output is kept in World.Outputs: one string per rendered frame
+		ctx.Output(string(c.line))
 		c.Frames++
 		if c.Frames%c.InputEvery == c.Me%c.InputEvery {
 			c.Phase = cliInput
@@ -552,6 +577,32 @@ func (c *Client) Step(ctx *sim.Ctx) sim.Status {
 	default:
 		return sim.Done
 	}
+}
+
+// appendFrameLine appends client me's rendering of an encoded frame to dst:
+// "frame <tick> me@(<x>,<y>) h=<heading> score=<score>", the me@ part only
+// when the frame carries ship me.
+func appendFrameLine(dst, frame []byte, me int) []byte {
+	d := apputil.Dec{B: frame}
+	dst = append(dst, "frame "...)
+	dst = strconv.AppendInt(dst, int64(d.Int()), 10)
+	dst = append(dst, ' ')
+	nships := d.Int()
+	for i := 0; i < nships && d.Err == nil; i++ {
+		x, y := d.Int(), d.Int()
+		h, score := d.Int(), d.Int()
+		if i == me-1 {
+			dst = append(dst, "me@("...)
+			dst = strconv.AppendInt(dst, int64(x), 10)
+			dst = append(dst, ',')
+			dst = strconv.AppendInt(dst, int64(y), 10)
+			dst = append(dst, ") h="...)
+			dst = strconv.AppendInt(dst, int64(h), 10)
+			dst = append(dst, " score="...)
+			dst = strconv.AppendInt(dst, int64(score), 10)
+		}
+	}
+	return dst
 }
 
 // MarshalState implements sim.Program.

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"failtrans/internal/apps/apputil"
 	"failtrans/internal/dc"
 	"failtrans/internal/kernel"
 	"failtrans/internal/protocol"
@@ -224,5 +225,48 @@ func TestGameSurvivesStopFailures(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestFrameLineMatchesFormat: the client's scratch-built frame line is
+// byte-for-byte what formatting it with fmt gives, for the client's own
+// ship, a frame without it, negative coordinates and a truncated frame.
+func TestFrameLineMatchesFormat(t *testing.T) {
+	s := NewServer(3, 10)
+	s.Tick = 42
+	s.Ships[1].X, s.Ships[1].Y, s.Ships[1].Score = -7, 799, 12
+	full := append([]byte(nil), s.encodeFrame()...)
+	// The formatting the client rendered with before it built the line in
+	// scratch.
+	format := func(frame []byte, me int) string {
+		d := apputil.Dec{B: frame}
+		tick := d.Int()
+		nships := d.Int()
+		var mine string
+		for i := 0; i < nships && d.Err == nil; i++ {
+			x, y := d.Int(), d.Int()
+			h, score := d.Int(), d.Int()
+			if i == me-1 {
+				mine = fmt.Sprintf("me@(%d,%d) h=%d score=%d", x, y, h, score)
+			}
+		}
+		return fmt.Sprintf("frame %d %s", tick, mine)
+	}
+	for _, frame := range [][]byte{full, full[:len(full)-20], full[:4], nil} {
+		for me := 1; me <= 4; me++ {
+			if got, want := string(appendFrameLine(nil, frame, me)), format(frame, me); got != want {
+				t.Errorf("%d-byte frame, client %d: %q, want %q", len(frame), me, got, want)
+			}
+		}
+	}
+}
+
+// TestFrameEncodeReusesScratch: once the scratch has grown to a frame's
+// size, encoding the next frame allocates nothing.
+func TestFrameEncodeReusesScratch(t *testing.T) {
+	s := NewServer(3, 10)
+	s.encodeFrame()
+	if n := testing.AllocsPerRun(100, func() { s.Tick++; s.encodeFrame() }); n != 0 {
+		t.Errorf("encodeFrame allocates %.0f times per frame, want 0", n)
 	}
 }

@@ -13,34 +13,46 @@ import (
 	"failtrans/internal/stablestore"
 )
 
-// TestFig8AllocBudget bounds the bytes each Figure 8 app allocates per world
-// step at test scale, under a committing and a logging protocol, as the
-// sweep runs them (metrics on, trace off). Allocation volume is independent
-// of the host, so this is the fig8_sweep benchmark's alloc_kb_per_op as a
-// go test. Each ceiling is about 1.25× what the recycled octree and tile
-// lists, the geometric segment growth and the ND and send scratch buffers
-// leave, measured under the race detector (which allocates up to 1.2× more)
-// where that is higher; without them treadmarks and magic exceed theirs.
-// TotalAlloc is process-wide, so each case is the minimum over three fresh
-// worlds: stray runtime allocations (under -race some hundred bytes, enough
-// to lift magic's 155-step run past its ceiling) only ever add, so the
-// minimum still bounds what the world allocates.
+// TestFig8AllocBudget bounds the bytes and the allocations each Figure 8
+// app makes per world step at test scale, under a committing and a logging
+// protocol and, for the two messaging apps, under both two-phase-commit
+// protocols, as the sweep runs them (metrics on, trace off). Allocation
+// volume is independent of the host, so this is the fig8_sweep benchmark's
+// alloc_kb_per_op and allocs_per_op as a go test. Each ceiling is about
+// 1.25× what the recycled octree and tile lists, the geometric segment
+// growth, the ND and send scratch buffers and the message path's reused
+// scratch leave, measured under the race detector (which allocates up to
+// 1.2× more) where that is higher; without them treadmarks and magic exceed
+// their byte ceilings. With a fresh frame encoder and two fmt.Sprintf calls
+// per xpilot frame, two page copies per transferred DSM page and a
+// reslicing outbox pop, and a map per dependency-carrying send, the xpilot
+// rows made 0.84–1.17 allocations (64–87 B) per step and the treadmarks rows
+// 0.63–1.19 (516–612 B), every one past its ceiling. The
+// runtime counters are process-wide, so each case is the minimum over three
+// fresh worlds: stray runtime allocations (under -race some hundred bytes,
+// enough to lift magic's 155-step run past its ceiling) only ever add, so
+// the minimum still bounds what the world allocates.
 func TestFig8AllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		app     string
 		policy  protocol.Policy
-		ceiling float64 // bytes per world step
+		bytes   float64 // bytes per world step
+		mallocs float64 // allocations per world step
 	}{
-		{"nvi", protocol.CPVS, 150},
-		{"nvi", protocol.CBNDVSLog, 205},
-		{"magic", protocol.CPVS, 165},
-		{"magic", protocol.CBNDVSLog, 240},
-		{"xpilot", protocol.CPVS, 100},
-		{"xpilot", protocol.CBNDVSLog, 147},
-		{"treadmarks", protocol.CPVS, 650},
-		{"treadmarks", protocol.CBNDVSLog, 780},
+		{"nvi", protocol.CPVS, 150, 0.40},
+		{"nvi", protocol.CBNDVSLog, 205, 0.40},
+		{"magic", protocol.CPVS, 165, 2.35},
+		{"magic", protocol.CBNDVSLog, 240, 2.45},
+		{"xpilot", protocol.CPVS, 49, 0.15},
+		{"xpilot", protocol.CBNDVSLog, 68, 0.17},
+		{"xpilot", protocol.CPV2PC, 57, 0.16},
+		{"xpilot", protocol.CBNDV2PC, 57, 0.16},
+		{"treadmarks", protocol.CPVS, 400, 0.16},
+		{"treadmarks", protocol.CBNDVSLog, 530, 0.22},
+		{"treadmarks", protocol.CPV2PC, 430, 0.21},
+		{"treadmarks", protocol.CBNDV2PC, 430, 0.21},
 	} {
-		perStep, steps := math.Inf(1), 0
+		perStep, mallocsPerStep, steps := math.Inf(1), math.Inf(1), 0
 		for range 3 {
 			w, err := BuildWorld(tc.app, 1, 11)
 			if err != nil {
@@ -61,10 +73,14 @@ func TestFig8AllocBudget(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			steps = w.StepCount()
 			perStep = min(perStep, float64(after.TotalAlloc-before.TotalAlloc)/float64(steps))
+			mallocsPerStep = min(mallocsPerStep, float64(after.Mallocs-before.Mallocs)/float64(steps))
 		}
-		t.Logf("%s/%s: %.1f B per step over %d steps", tc.app, tc.policy.Name, perStep, steps)
-		if perStep > tc.ceiling {
-			t.Errorf("%s/%s allocates %.1f B per world step, ceiling %.0f", tc.app, tc.policy.Name, perStep, tc.ceiling)
+		t.Logf("%s/%s: %.1f B and %.3f allocations per step over %d steps", tc.app, tc.policy.Name, perStep, mallocsPerStep, steps)
+		if perStep > tc.bytes {
+			t.Errorf("%s/%s allocates %.1f B per world step, ceiling %.0f", tc.app, tc.policy.Name, perStep, tc.bytes)
+		}
+		if mallocsPerStep > tc.mallocs {
+			t.Errorf("%s/%s allocates %.3f times per world step, ceiling %.2f", tc.app, tc.policy.Name, mallocsPerStep, tc.mallocs)
 		}
 	}
 }

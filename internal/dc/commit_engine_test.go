@@ -2,6 +2,7 @@ package dc
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"failtrans/internal/event"
@@ -109,8 +110,9 @@ func TestSendWithoutDependenciesAllocFree(t *testing.T) {
 	d.procs[p.Index].ndSince = true
 	send.Msg = 2
 	d.AfterEvent(p, send)
-	if snap := d.msgDeps[2]; len(snap) != 1 || snap[p.Index] != d.procs[p.Index].epoch {
-		t.Errorf("send after uncommitted ND carries %v, want {%d: %d}", snap, p.Index, d.procs[p.Index].epoch)
+	want := depSnap{{proc: p.Index, epoch: d.procs[p.Index].epoch}}
+	if snap := d.msgDeps[2]; !slices.Equal(snap, want) || cap(snap) != len(snap) {
+		t.Errorf("send after uncommitted ND carries %v (cap %d), want %v capacity-clamped", snap, cap(snap), want)
 	}
 }
 

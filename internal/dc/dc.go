@@ -231,7 +231,8 @@ type proc struct {
 	retained []sim.Retained
 	// deps[q] = q's commit epoch when the process acquired a dependence on
 	// q's then-uncommitted non-determinism; stale entries (q committed
-	// since) are pruned at coordination time. Nil until the first one.
+	// since) are pruned at coordination time. Nil until the first one. It
+	// never names the process itself: its own uncommitted ND is ndSince.
 	deps  map[int]int
 	epoch int
 	// stepsBase anchors relative event positions: the process's Steps
@@ -250,6 +251,39 @@ type proc struct {
 	replayOpen bool
 }
 
+// dep is one entry of a message-dependency snapshot: the sender depended on
+// process proc's non-determinism while proc was at commit epoch epoch.
+type dep struct{ proc, epoch int }
+
+// depSnap is a message's dependency snapshot, sorted by process, so equal
+// dependencies make equal snapshots whatever order they were gathered in.
+type depSnap []dep
+
+// depSlabSize is how many snapshot entries one slab block holds.
+const depSlabSize = 512
+
+// depScratch is the DC's reused memory for dependency tracking.
+type depScratch struct {
+	// slab is the block new snapshots are carved from. A snapshot is a
+	// capacity-clamped span of it that never moves: a full block is left
+	// to the spans in it and a fresh one begins. A fork starts without a
+	// block, so its snapshots never land in spare capacity its template's
+	// other forks share.
+	slab []dep
+	// members is dependentSet's result.
+	members []*sim.Proc
+}
+
+// ensureScratch returns the DC's dependency-tracking scratch, creating it
+// on first use.
+func (d *DC) ensureScratch() *depScratch {
+	if d.scratch == nil {
+		//failtrans:alloc once per DC (and per fork that tracks a dependency)
+		d.scratch = new(depScratch)
+	}
+	return d.scratch
+}
+
 // DC is one Discount Checking instance governing every process of a world.
 type DC struct {
 	World  *sim.World
@@ -266,7 +300,7 @@ type DC struct {
 	// snapshot is written once and only read afterwards, until
 	// sweepMsgDeps drops it. msgDepsSweep is the size at which the next
 	// sweep runs.
-	msgDeps      map[int64]map[int]int
+	msgDeps      map[int64]depSnap
 	msgDepsSweep int
 
 	registers []byte
@@ -316,6 +350,10 @@ type DC struct {
 	ChecksFailed int
 
 	Stats Stats
+
+	// scratch is nil until the DC first snapshots a dependency or builds a
+	// dependent set, which most forks never do; a fork starts without it.
+	scratch *depScratch
 }
 
 // New builds a DC for w with the given policy and commit medium and
@@ -539,9 +577,11 @@ func (d *DC) commitCoordinated(trigger *sim.Proc, members []*sim.Proc, label str
 // causally depends on (including p itself, first, when it has uncommitted
 // ND), pruning satisfied dependencies. The others follow in process-index
 // order, so members commit — and trace — in the same order on every run.
+// The set is built in the DC's scratch and is valid until the next call.
 func (d *DC) dependentSet(p *sim.Proc) []*sim.Proc {
 	ps := &d.procs[p.Index]
-	var out []*sim.Proc
+	sc := d.ensureScratch()
+	out := sc.members[:0]
 	if ps.ndSince {
 		out = append(out, p)
 	}
@@ -556,6 +596,7 @@ func (d *DC) dependentSet(p *sim.Proc) []*sim.Proc {
 		}
 	}
 	slices.SortFunc(out[self:], func(a, b *sim.Proc) int { return a.Index - b.Index })
+	sc.members = out
 	return out
 }
 
@@ -570,8 +611,8 @@ const msgDepsSweepMin = 64
 func (d *DC) sweepMsgDeps() {
 	for id, snap := range d.msgDeps {
 		live := false
-		for q, ep := range snap {
-			if d.procs[q].epoch == ep {
+		for _, e := range snap {
+			if d.procs[e.proc].epoch == e.epoch {
 				live = true
 				break
 			}
@@ -682,8 +723,52 @@ func (d *DC) mustCommit(p *sim.Proc, label string) {
 	panic(err)
 }
 
+// snapshot carves p's uncommitted-ND dependency snapshot out of the slab:
+// every dependency whose process has not committed since, and p itself when
+// it has uncommitted ND, sorted by process. It is nil when there are none,
+// as for most sends.
+func (d *DC) snapshot(p *sim.Proc) depSnap {
+	ps := &d.procs[p.Index]
+	n := 0
+	if ps.ndSince {
+		n++
+	}
+	for q, ep := range ps.deps {
+		if d.procs[q].epoch == ep {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	sc := d.ensureScratch()
+	if cap(sc.slab)-len(sc.slab) < n {
+		//failtrans:alloc amortized slab growth: one block per depSlabSize snapshot entries
+		sc.slab = make([]dep, 0, max(depSlabSize, n))
+	}
+	start := len(sc.slab)
+	slab := sc.slab
+	if ps.ndSince {
+		slab = append(slab, dep{p.Index, ps.epoch})
+	}
+	for q, ep := range ps.deps {
+		if d.procs[q].epoch == ep {
+			slab = append(slab, dep{q, ep})
+		}
+	}
+	sc.slab = slab
+	snap := depSnap(slab[start:len(slab):len(slab)])
+	slices.SortFunc(snap, func(a, b dep) int { return a.proc - b.proc })
+	return snap
+}
+
 // AfterEvent implements sim.Recovery: dependency tracking and the
-// commit-after family.
+// commit-after family. A send's dependency snapshot is carved from the slab
+// and a receive reads one in place, so the failure-free path allocates only
+// for slab blocks, the growth of msgDeps (bounded by its sweep) and a
+// process's first dependency.
+//
+//failtrans:hotpath
 func (d *DC) AfterEvent(p *sim.Proc, ev event.Event) {
 	ps := &d.procs[p.Index]
 	if ps.replaying {
@@ -694,26 +779,11 @@ func (d *DC) AfterEvent(p *sim.Proc, ev event.Event) {
 	switch ev.Kind {
 	case event.Send:
 		// Piggyback p's uncommitted-ND dependency snapshot on the
-		// message (out of band; a real system stamps the packet). The
-		// snapshot is built by its first dependency: most sends carry none.
-		var snap map[int]int
-		for q, ep := range ps.deps {
-			if d.procs[q].epoch == ep {
-				if snap == nil {
-					snap = make(map[int]int, len(ps.deps)+1)
-				}
-				snap[q] = ep
-			}
-		}
-		if ps.ndSince {
-			if snap == nil {
-				snap = make(map[int]int, 1)
-			}
-			snap[p.Index] = ps.epoch
-		}
-		if snap != nil {
+		// message (out of band; a real system stamps the packet).
+		if snap := d.snapshot(p); snap != nil {
 			if d.msgDeps == nil {
-				d.msgDeps = make(map[int64]map[int]int)
+				//failtrans:alloc once per DC (and per fork): the first send that carries a dependency
+				d.msgDeps = make(map[int64]depSnap)
 			}
 			d.msgDeps[ev.Msg] = snap
 			if len(d.msgDeps) >= d.msgDepsSweep {
@@ -721,14 +791,13 @@ func (d *DC) AfterEvent(p *sim.Proc, ev event.Event) {
 			}
 		}
 	case event.Receive:
-		if snap, ok := d.msgDeps[ev.Msg]; ok {
-			for q, ep := range snap {
-				if d.procs[q].epoch == ep && q != p.Index {
-					if ps.deps == nil {
-						ps.deps = make(map[int]int)
-					}
-					ps.deps[q] = ep
+		for _, e := range d.msgDeps[ev.Msg] {
+			if d.procs[e.proc].epoch == e.epoch && e.proc != p.Index {
+				if ps.deps == nil {
+					//failtrans:alloc once per process (and per fork): its first dependency
+					ps.deps = make(map[int]int)
 				}
+				ps.deps[e.proc] = e.epoch
 			}
 		}
 	}
@@ -739,6 +808,7 @@ func (d *DC) AfterEvent(p *sim.Proc, ev event.Event) {
 	// position where the original consumed a logged event.
 	if ps.replaying && ps.cursor < ps.log.end() {
 		if pos, _, _, _ := ps.log.rec(ps.cursor); p.Steps-ps.stepsBase > pos {
+			//failtrans:alloc recovery only: a diverged re-execution requeues its unreplayed receives
 			d.diverge(p)
 		}
 	}

@@ -3,6 +3,7 @@ package dc
 import (
 	"bytes"
 	"maps"
+	"slices"
 
 	"failtrans/internal/sim"
 )
@@ -20,7 +21,9 @@ import (
 // immutable references (a fork copies each log's spine with the segments
 // capacity-clamped, so its appends start a segment of its own), and the
 // image buffers start empty and grow lazily. The message-dependency map is
-// cloned, its write-once snapshots shared. The
+// cloned, its write-once snapshots shared as the ND log's segments are: each
+// is a capacity-clamped span of a slab block, and the fork carves its own
+// snapshots from a block of its own. The
 // CommitHook/RecoveryHook/CommitVeto/ExpandResourcesOnCrash callbacks do NOT
 // carry over: they are per-run harness wiring (the original's closures would
 // observe the wrong run); callers re-install their own on the returned *DC
@@ -37,7 +40,7 @@ func (d *DC) ForkRecovery(w *sim.World) sim.Recovery {
 		// (Segment.Commit copies it out), so every fork shares it.
 		registers: d.registers,
 		// Message-dependency snapshots are write-once, so only the
-		// top-level map is copied.
+		// top-level map is copied; the fork starts without scratch.
 		msgDeps:           maps.Clone(d.msgDeps),
 		msgDepsSweep:      d.msgDepsSweep,
 		DisableRecovery:   d.DisableRecovery,
@@ -128,7 +131,7 @@ func (d *DC) CowStats() (pages int, bytes int64) {
 // wiring, statistics and scratch; they never steer a run.
 func (d *DC) SameState(template any, off *sim.Offsets) bool {
 	t, ok := template.(*DC)
-	if !ok || !d.sameScalars(t, off) || !maps.EqualFunc(d.msgDeps, t.msgDeps, maps.Equal[map[int]int]) {
+	if !ok || !d.sameScalars(t, off) || !maps.EqualFunc(d.msgDeps, t.msgDeps, slices.Equal[depSnap]) {
 		return false
 	}
 	for i := range d.procs {

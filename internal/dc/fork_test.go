@@ -123,3 +123,65 @@ func TestForkLeavesTemplateUntouched(t *testing.T) {
 		})
 	}
 }
+
+// TestForkSnapshotsStable: two forks of one sealed 2PC DC each carve new
+// dependency snapshots while they run, and neither writes a snapshot the
+// other or their template holds. The template's slab block has spare
+// capacity when it is sealed; were a fork to carve from it, the second
+// fork's sends — made different from the first's by a crash and rollback
+// of process 1 — would overwrite the first's snapshots.
+func TestForkSnapshotsStable(t *testing.T) {
+	pol := protocol.CBNDV2PC
+	tmpl, td := treadmarksWorld(t, pol)
+	for len(td.msgDeps) == 0 || cap(td.scratch.slab) == len(td.scratch.slab) {
+		if more, err := tmpl.Step(); err != nil || !more {
+			t.Fatalf("template stopped at step %d without a snapshot: more=%v err=%v", tmpl.StepCount(), more, err)
+		}
+	}
+	twin := func() *sim.World {
+		w, _ := treadmarksWorld(t, pol)
+		for w.StepCount() < tmpl.StepCount() {
+			if _, err := w.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return w
+	}
+	deepCopy := func(m map[int64]depSnap) map[int64]depSnap {
+		out := make(map[int64]depSnap, len(m))
+		for id, snap := range m {
+			out[id] = slices.Clone(snap)
+		}
+		return out
+	}
+	sameSnaps := func(a, b map[int64]depSnap) bool { return maps.EqualFunc(a, b, slices.Equal[depSnap]) }
+	w1, w2 := twin(), twin()
+	tmpl.Freeze()
+	tmplSnaps := deepCopy(td.msgDeps)
+	f1 := td.ForkRecovery(w1).(*DC)
+	w1.Recovery = f1
+	f2 := td.ForkRecovery(w2).(*DC)
+	w2.Recovery = f2
+	for range 400 {
+		if more, err := w1.Step(); err != nil || !more {
+			t.Fatalf("first fork stopped early: more=%v err=%v", more, err)
+		}
+	}
+	if sameSnaps(f1.msgDeps, tmplSnaps) {
+		t.Fatal("the first fork wrote no snapshot of its own; the check is vacuous")
+	}
+	f1Snaps := deepCopy(f1.msgDeps)
+	w2.ScheduleStop(1, w2.Procs[1].Steps+5)
+	if err := w2.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if f2.Stats.Recoveries == 0 {
+		t.Fatal("the second fork did not roll back; its sends repeat the first's")
+	}
+	if !sameSnaps(f1.msgDeps, f1Snaps) {
+		t.Error("the second fork's sends changed the first fork's snapshots")
+	}
+	if !sameSnaps(td.msgDeps, tmplSnaps) {
+		t.Error("a fork's sends changed its template's snapshots")
+	}
+}

@@ -2,11 +2,13 @@ package dc
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"failtrans/internal/apps/nvi"
+	"failtrans/internal/event"
 	"failtrans/internal/fieldguard"
 	"failtrans/internal/kernel"
 	"failtrans/internal/protocol"
@@ -100,13 +102,16 @@ func TestDCSameState(t *testing.T) {
 		{"stepsBase", func(f *DC, _ *sim.Offsets) { f.procs[0].stepsBase++ }, differs},
 		{"epoch with a dependency", func(f *DC, _ *sim.Offsets) {
 			f.procs[0].epoch++
-			f.msgDeps = map[int64]map[int]int{7: {0: 1}}
+			f.msgDeps = map[int64]depSnap{7: {{proc: 0, epoch: 1}}}
 		}, differs},
 		{"replay cursor", func(f *DC, _ *sim.Offsets) { f.procs[0].cursor = f.procs[0].watermark }, differs},
 		{"pending commit", func(f *DC, _ *sim.Offsets) { f.procs[0].pendingCommit = "after-nd" }, differs},
 		{"nd flag", func(f *DC, _ *sim.Offsets) { f.procs[0].ndSince = !f.procs[0].ndSince }, differs},
 		{"dependency", func(f *DC, _ *sim.Offsets) { f.procs[0].deps = map[int]int{0: 1} }, differs},
-		{"message dependency", func(f *DC, _ *sim.Offsets) { f.msgDeps = map[int64]map[int]int{7: {0: 1}} }, differs},
+		{"message dependency", func(f *DC, _ *sim.Offsets) { f.msgDeps = map[int64]depSnap{7: {{proc: 0, epoch: 1}}} }, differs},
+		{"dependency scratch", func(f *DC, _ *sim.Offsets) {
+			f.scratch = &depScratch{slab: make([]dep, 3, 8), members: []*sim.Proc{f.World.Procs[0]}}
+		}, exact},
 		{"watermark", func(f *DC, _ *sim.Offsets) { f.procs[0].watermark = 0 }, differs},
 		{"taken-over receive", func(f *DC, _ *sim.Offsets) {
 			f.procs[0].retained = []sim.Retained{{Msg: &sim.Msg{ID: 1, Payload: []byte("m")}, At: 3}}
@@ -164,6 +169,7 @@ func TestDCSameStateCoversEveryField(t *testing.T) {
 		"ExpandResourcesOnCrash": hook,
 		"SerialCommit":           "vestigial: nothing reads it",
 		"msgDepsSweep":           "sweep schedule: a sweep drops only snapshots no receive can apply",
+		"scratch":                "scratch: the slab snapshots are carved from (what one holds is compared through msgDeps) and dependentSet's result",
 		"ChecksFailed":           stats,
 		"Stats":                  stats,
 	})
@@ -175,4 +181,53 @@ func TestDCSameStateCoversEveryField(t *testing.T) {
 		"img":        "scratch: the image buffer is refilled before every use",
 		"replayOpen": "tracer bookkeeping: pairs a replay window's Begin with its End",
 	})
+}
+
+// TestSnapshotsIgnoreGatherOrder: a send's dependency snapshot is gathered
+// from the sender's dependency map, whose iteration order varies from run to
+// run, and is sorted by process, so the same dependencies make the same
+// snapshot and the DCs holding them compare equal in SameState.
+func TestSnapshotsIgnoreGatherOrder(t *testing.T) {
+	const procs = 5
+	build := func(order []int) *DC {
+		progs := make([]sim.Program, procs)
+		for i := range progs {
+			progs[i] = &idleProg{}
+		}
+		w := sim.NewWorld(1, progs...)
+		w.RecordTrace = false
+		d := New(w, protocol.CPV2PC, stablestore.Rio)
+		if err := d.Attach(); err != nil {
+			t.Fatal(err)
+		}
+		ps := &d.procs[2]
+		ps.ndSince = true
+		ps.deps = make(map[int]int)
+		for _, q := range order {
+			ps.deps[q] = d.procs[q].epoch
+		}
+		d.AfterEvent(w.Procs[2], event.Event{Kind: event.Send, Msg: 9, Peer: 0})
+		return d
+	}
+	ref := build([]int{0, 1, 3, 4})
+	want := make(depSnap, procs)
+	for q := range want {
+		want[q] = dep{proc: q, epoch: ref.procs[q].epoch}
+	}
+	if got := ref.msgDeps[9]; !slices.Equal(got, want) {
+		t.Fatalf("snapshot %v, want %v", got, want)
+	}
+	for trial := range 32 {
+		order := []int{4, 3, 1, 0}
+		if trial%2 == 1 {
+			order = []int{1, 4, 0, 3}
+		}
+		d := build(order)
+		if got := d.msgDeps[9]; !slices.Equal(got, want) {
+			t.Fatalf("trial %d: snapshot %v, want %v", trial, got, want)
+		}
+		if !d.SameState(ref, &sim.Offsets{}) {
+			t.Fatalf("trial %d: equal dependencies gathered in another order do not compare equal", trial)
+		}
+	}
 }
