@@ -213,8 +213,9 @@ func TestHotpathRootsAnnotated(t *testing.T) {
 		"../../sim/fork.go":    1, // (*Proc).bumpRecvHW
 		"../../dc/dc.go":       3, // (*DC).diffOne, AfterEvent, RecordND
 		// The ND scratch: (*Ctx).Now, Rand, TakeSignal, Recv, Syscall,
-		// AppendMsgRecord, AppendParts; (*World).ndWord beside the arenas.
-		"../../sim/ctx.go":   7,
+		// AppendMsgRecord, AppendParts, OutputBytes; (*World).ndWord beside
+		// the arenas.
+		"../../sim/ctx.go":   8,
 		"../../sim/world.go": 3, // (*World).allocMsg, allocBytes, ndWord
 		// The readiness index: schedLess; (*World).schedTouch, schedReindex,
 		// schedPick, schedInsert, schedPlace, schedDueInsert, schedDelete,
@@ -224,10 +225,14 @@ func TestHotpathRootsAnnotated(t *testing.T) {
 		// step; (*TM).Step, encodeHead, stepBodies.
 		"../../apps/treadmarks/barneshut.go": 3,
 		"../../apps/treadmarks/program.go":   3,
-		"../../apps/magic/magic.go":          3, // Rect.Subtract, (*Layer).cut, (*Layout).spacingViolations
-		"../../apps/postgres/page.go":        3, // (*Page).Insert, Delete, Overwrite
-		// The screen and file scratch: (*Editor).screenLine, writeFileStep.
-		"../../apps/nvi/nvi.go": 2,
+		// Rect.Subtract, (*Layer).cut, (*Layout).spacingViolations, and the
+		// command path (*Layout).Step.
+		"../../apps/magic/magic.go":   4,
+		"../../apps/postgres/page.go": 3, // (*Page).Insert, Delete, Overwrite
+		"../../apps/postgres/db.go":   1, // the query cycle: (*DB).Step
+		// The screen and file scratch: (*Editor).screenLine, writeFileStep,
+		// and the render that emits the screen line, (*Editor).render.
+		"../../apps/nvi/nvi.go": 3,
 		// The echo path: (*Server).Step, (*Client).Step.
 		"../../apps/fleet/fleet.go": 2,
 		// The frame path: (*Server).Step, (*Client).Step.

@@ -8,6 +8,8 @@ import (
 	"errors"
 	"hash/crc32"
 	"math"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Enc is an append-only binary encoder for checkpoint images.
@@ -222,6 +224,80 @@ func (d *Dec) Bool() bool {
 	v := d.B[d.pos] != 0
 	d.pos++
 	return v
+}
+
+// NextField returns the first field of s and what follows it, splitting
+// around runs of white space exactly as strings.Fields does; f is empty when
+// s holds no field. Both are views of s: a command is parsed where it lies.
+func NextField(s []byte) (f, rest []byte) {
+	i := skipField(s, 0, true)
+	j := skipField(s, i, false)
+	return s[i:j:j], s[j:]
+}
+
+// asciiSpace marks the six ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// skipField returns the offset of the first rune at or after i that is not
+// white space (space true) or that is (space false), as unicode.IsSpace
+// classifies it; invalid UTF-8 is not space. ASCII bytes are classified
+// without decoding.
+func skipField(s []byte, i int, space bool) int {
+	for i < len(s) {
+		if c := s[i]; c < utf8.RuneSelf {
+			if asciiSpace[c] != space {
+				break
+			}
+			i++
+			continue
+		}
+		r, n := utf8.DecodeRune(s[i:])
+		if unicode.IsSpace(r) != space {
+			break
+		}
+		i += n
+	}
+	return i
+}
+
+// ParseInt parses a decimal command argument to the value
+// strconv.ParseInt(string(s), 10, 64) returns, ignoring its error: a
+// malformed argument (a missing one included) is 0, and an out-of-range one
+// saturates. Like strconv, it reads the digits as a uint64 and stops at the
+// first malformed or overflowing one, whichever comes first. It reads s in
+// place.
+func ParseInt(s []byte) int64 {
+	neg := false
+	if len(s) > 0 && (s[0] == '+' || s[0] == '-') {
+		neg = s[0] == '-'
+		s = s[1:]
+	}
+	if len(s) == 0 {
+		return 0
+	}
+	var n uint64
+	for _, c := range s {
+		if c < '0' || c > '9' {
+			return 0
+		}
+		d := uint64(c - '0')
+		if n > (math.MaxUint64-d)/10 {
+			n = math.MaxUint64 // out of range: no later byte is looked at
+			break
+		}
+		n = n*10 + d
+	}
+	const limit = 1 << 63 // the magnitude of math.MinInt64
+	switch {
+	case neg && n >= limit:
+		return math.MinInt64
+	case neg:
+		return -int64(n)
+	case n >= limit:
+		return math.MaxInt64
+	default:
+		return int64(n)
+	}
 }
 
 // FlipBit flips bit `bit` (mod the slice's size) in buf; no-op on empty

@@ -1,11 +1,6 @@
 package magic
 
-import (
-	"fmt"
-	"strconv"
-
-	"failtrans/internal/apps/apputil"
-)
+import "failtrans/internal/apps/apputil"
 
 // Cell is a reusable layout definition — magic's hierarchy primitive. A
 // cell has its own layer tile sets; instances place it at an offset in the
@@ -93,44 +88,48 @@ func (l *Layout) FlatArea(layerName string) int {
 //	flatarea <layer>        area over the flattened hierarchy (renders)
 //
 // It reports whether the command was one of these.
-func (l *Layout) applyCellCommand(fields []string) bool {
-	switch fields[0] {
+func (l *Layout) applyCellCommand(fields [][]byte) bool {
+	switch string(fields[0]) {
 	case "defcell":
 		if len(fields) != 2 {
-			l.LastMsg = "?defcell <name>"
+			l.LastMsg = append(l.LastMsg[:0], "?defcell <name>"...)
 			l.Phase = phaseRender
 			return true
 		}
-		if l.cell(fields[1]) == nil {
-			l.Cells = append(l.Cells, Cell{Name: fields[1]})
+		name := string(fields[1])
+		if l.cell(name) == nil {
+			l.Cells = append(l.Cells, Cell{Name: name})
 		}
-		l.Editing = fields[1]
+		l.Editing = name
 		return true
 	case "endcell":
 		l.Editing = ""
 		return true
 	case "place":
 		if len(fields) != 4 {
-			l.LastMsg = "?place <cell> <dx> <dy>"
+			l.LastMsg = append(l.LastMsg[:0], "?place <cell> <dx> <dy>"...)
 			l.Phase = phaseRender
 			return true
 		}
-		if l.cell(fields[1]) == nil {
-			l.LastMsg = "?cell " + fields[1]
+		name := string(fields[1])
+		if l.cell(name) == nil {
+			l.LastMsg = append(l.LastMsg[:0], "?cell "...)
+			l.LastMsg = append(l.LastMsg, name...)
 			l.Phase = phaseRender
 			return true
 		}
-		dx, _ := strconv.Atoi(fields[2])
-		dy, _ := strconv.Atoi(fields[3])
-		l.Instances = append(l.Instances, Instance{Cell: fields[1], DX: dx, DY: dy})
+		dx := int(apputil.ParseInt(fields[2]))
+		dy := int(apputil.ParseInt(fields[3]))
+		l.Instances = append(l.Instances, Instance{Cell: name, DX: dx, DY: dy})
 		return true
 	case "flatdrc":
-		v := l.FlatDRC(field(fields, 1))
-		l.LastMsg = fmt.Sprintf("flatdrc %s: %d violations", field(fields, 1), v)
+		name := string(field(fields, 1))
+		l.LastMsg = appendNamed(l.LastMsg[:0], "flatdrc ", name, l.FlatDRC(name), " violations")
 		l.Phase = phaseStamp
 		return true
 	case "flatarea":
-		l.LastMsg = fmt.Sprintf("flatarea %s: %d", field(fields, 1), l.FlatArea(field(fields, 1)))
+		name := string(field(fields, 1))
+		l.LastMsg = appendNamed(l.LastMsg[:0], "flatarea ", name, l.FlatArea(name), "")
 		l.Phase = phaseRender
 		return true
 	}

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
-	"strings"
 	"time"
 
 	"failtrans/internal/apps/apputil"
@@ -156,11 +155,16 @@ type Layout struct {
 	Instances []Instance
 	Editing   string
 
-	Phase    int
-	Cmd      string
+	Phase int
+	// Cmd is the command being applied, read where it lies: a view of the
+	// input Ctx.Input returned (the immutable script, or a replay log's
+	// record, whose written bytes never move) or, after a restore, of
+	// cmdBuf. Nothing writes through it.
+	Cmd      []byte
 	Commands int
-	// LastMsg is what the next render shows.
-	LastMsg string
+	// LastMsg is what the next render shows. The Layout owns its bytes and
+	// rebuilds each reply in place (magic does not fork).
+	LastMsg []byte
 	// MinSpacing is the design rule for drc.
 	MinSpacing int
 
@@ -170,8 +174,13 @@ type Layout struct {
 	faultSalt   uint64
 	skipOverlap bool
 
-	// drcBuf is spacingViolations' sort buffer (scratch, not state).
+	// Scratch, not state: drcBuf is spacingViolations' sort buffer, fields
+	// the command's fields (views of Cmd), opBuf the copy of an opcode a
+	// fault corrupts, and cmdBuf the buffer a restore decodes Cmd into.
 	drcBuf []drcEntry
+	fields [][]byte
+	opBuf  []byte
+	cmdBuf []byte
 }
 
 // New returns a layout with the given layer names.
@@ -198,10 +207,14 @@ func (l *Layout) Name() string { return "magic" }
 // Init implements sim.Program.
 func (l *Layout) Init(ctx *sim.Ctx) error { return nil }
 
-func (l *Layout) layer(name string) *Layer {
-	for i := range l.Layers {
-		if l.Layers[i].Name == name {
-			return &l.Layers[i]
+func (l *Layout) layer(name string) *Layer { return findLayer(l.Layers, name) }
+
+// findLayer returns the named layer of layers, or nil.
+func findLayer[N string | []byte](layers []Layer, name N) *Layer {
+	for i := range layers {
+		//failtrans:alloc none: a string(name) comparison operand is compiler-recognized and aliases name
+		if layers[i].Name == string(name) {
+			return &layers[i]
 		}
 	}
 	return nil
@@ -300,15 +313,16 @@ func (l *Layout) spacingViolations(rects []Rect) int {
 	return violations
 }
 
-// BoxQuery returns the tiles of a layer intersecting r.
-func (l *Layout) BoxQuery(layer *Layer, r Rect) []Rect {
-	var out []Rect
+// BoxCount is the box query: the number of the layer's tiles intersecting
+// r.
+func (l *Layout) BoxCount(layer *Layer, r Rect) int {
+	n := 0
 	for _, t := range layer.Rects {
 		if t.Intersects(r) {
-			out = append(out, t)
+			n++
 		}
 	}
-	return out
+	return n
 }
 
 // check verifies the no-overlap and area invariants of every layer, in the
@@ -347,6 +361,8 @@ func (l *Layout) check(ctx *sim.Ctx) bool {
 }
 
 // Step implements sim.Program: read command → apply → (stamp) → render.
+//
+//failtrans:hotpath
 func (l *Layout) Step(ctx *sim.Ctx) sim.Status {
 	switch l.Phase {
 	case phaseRead:
@@ -355,7 +371,7 @@ func (l *Layout) Step(ctx *sim.Ctx) sim.Status {
 			l.Phase = phaseDone
 			return sim.Ready
 		}
-		l.Cmd = string(in)
+		l.Cmd = in
 		l.Commands++
 		l.Phase = phaseApply
 		if l.ThinkTime > 0 {
@@ -368,12 +384,11 @@ func (l *Layout) Step(ctx *sim.Ctx) sim.Status {
 		l.apply(ctx)
 		return sim.Ready
 	case phaseStamp:
-		now := ctx.Now()
-		l.LastMsg += fmt.Sprintf(" @%dms", now/time.Millisecond)
+		l.LastMsg = appendStamp(l.LastMsg, ctx.Now())
 		l.Phase = phaseRender
 		return sim.Ready
 	case phaseRender:
-		ctx.Output(l.LastMsg)
+		ctx.OutputBytes(l.LastMsg)
 		l.Phase = phaseRead
 		return sim.Ready
 	default:
@@ -392,88 +407,119 @@ func (l *Layout) Step(ctx *sim.Ctx) sim.Status {
 //	quit
 func (l *Layout) apply(ctx *sim.Ctx) {
 	l.Phase = phaseRead // commands that render override below
-	fields := strings.Fields(l.Cmd)
+	l.fields = l.fields[:0]
+	for f, rest := apputil.NextField(l.Cmd); len(f) > 0; f, rest = apputil.NextField(rest) {
+		l.fields = append(l.fields, f)
+	}
+	fields := l.fields
 	if len(fields) == 0 {
 		return
 	}
+	//failtrans:alloc the hierarchy commands name cells and instances with strings of their own; the measured sessions issue none
 	if l.applyCellCommand(fields) {
 		return
 	}
 	kind := ctx.Fault("magic.cmd")
 	if kind == sim.StackBitFlip && len(fields) > 1 {
-		// The parsed opcode byte flips in flight.
-		op := []byte(fields[0])
-		apputil.FlipBit(op, l.salt())
-		fields[0] = string(op)
+		// The parsed opcode byte flips in flight, in a copy: the command
+		// text is the input's own.
+		l.opBuf = append(l.opBuf[:0], fields[0]...)
+		apputil.FlipBit(l.opBuf, l.salt())
+		fields[0] = l.opBuf
 	}
-	switch fields[0] {
+	//failtrans:alloc none: a string(fields[0]) switch tag is compiler-recognized and aliases the field
+	switch string(fields[0]) {
 	case "paint", "erase", "box":
 		if len(fields) != 6 {
-			l.LastMsg = "?syntax " + l.Cmd
+			l.LastMsg = append(l.LastMsg[:0], "?syntax "...)
+			l.LastMsg = append(l.LastMsg, l.Cmd...)
 			l.Phase = phaseRender
 			return
 		}
 		var layer *Layer
 		if l.Editing != "" {
-			layer = l.cell(l.Editing).cellLayer(fields[1])
+			//failtrans:alloc editing a cell definition, which the measured sessions never do
+			layer = l.cell(l.Editing).cellLayer(string(fields[1]))
 		} else {
-			layer = l.layer(fields[1])
+			layer = findLayer(l.Layers, fields[1])
 		}
 		if layer == nil {
-			l.LastMsg = "?layer " + fields[1]
+			l.LastMsg = append(l.LastMsg[:0], "?layer "...)
+			l.LastMsg = append(l.LastMsg, fields[1]...)
 			l.Phase = phaseRender
 			return
 		}
-		x, _ := strconv.Atoi(fields[2])
-		y, _ := strconv.Atoi(fields[3])
-		wd, _ := strconv.Atoi(fields[4])
-		h, _ := strconv.Atoi(fields[5])
+		x := int(apputil.ParseInt(fields[2]))
+		y := int(apputil.ParseInt(fields[3]))
+		wd := int(apputil.ParseInt(fields[4]))
+		h := int(apputil.ParseInt(fields[5]))
 		r := Rect{x, y, x + wd, y + h}
-		switch fields[0] {
-		case "paint":
+		switch fields[0][0] { // the opcode is paint, erase or box
+		case 'p':
 			l.Paint(ctx, layer, r)
-		case "erase":
+		case 'e':
 			l.Erase(ctx, layer, r)
 		default:
-			hits := l.BoxQuery(layer, r)
-			l.LastMsg = fmt.Sprintf("box %s: %d tiles", layer.Name, len(hits))
+			l.LastMsg = appendNamed(l.LastMsg[:0], "box ", layer.Name, l.BoxCount(layer, r), " tiles")
 			l.Phase = phaseRender
 		}
 	case "drc":
-		layer := l.layer(field(fields, 1))
+		layer := findLayer(l.Layers, field(fields, 1))
 		if layer == nil {
-			l.LastMsg = "?layer"
+			l.LastMsg = append(l.LastMsg[:0], "?layer"...)
 			l.Phase = phaseRender
 			return
 		}
 		ctx.Compute(time.Duration(len(layer.Rects)) * 50 * time.Microsecond)
 		v := l.DRC(layer)
-		l.LastMsg = fmt.Sprintf("drc %s: %d violations", layer.Name, v)
+		l.LastMsg = appendNamed(l.LastMsg[:0], "drc ", layer.Name, v, " violations")
 		l.Phase = phaseStamp
 	case "area":
-		layer := l.layer(field(fields, 1))
+		layer := findLayer(l.Layers, field(fields, 1))
 		if layer == nil {
-			l.LastMsg = "?layer"
+			l.LastMsg = append(l.LastMsg[:0], "?layer"...)
 			l.Phase = phaseRender
 			return
 		}
-		l.LastMsg = fmt.Sprintf("area %s: %d in %d tiles", layer.Name, layer.Area, len(layer.Rects))
+		l.LastMsg = appendNamed(l.LastMsg[:0], "area ", layer.Name, layer.Area, " in ")
+		l.LastMsg = strconv.AppendInt(l.LastMsg, int64(len(layer.Rects)), 10)
+		l.LastMsg = append(l.LastMsg, " tiles"...)
 		l.Phase = phaseRender
 	case "check":
+		//failtrans:alloc the consistency check on request: it gathers every layer of every cell, and a violation is reported through fmt
 		l.check(ctx)
 	case "quit":
 		l.Phase = phaseDone
 	default:
-		l.LastMsg = "?cmd " + fields[0]
+		l.LastMsg = append(l.LastMsg[:0], "?cmd "...)
+		l.LastMsg = append(l.LastMsg, fields[0]...)
 		l.Phase = phaseRender
 	}
 }
 
-func field(fields []string, i int) string {
+func field(fields [][]byte, i int) []byte {
 	if i < len(fields) {
 		return fields[i]
 	}
-	return ""
+	return nil
+}
+
+// appendNamed appends a reply about a named layer, in the format
+// fmt.Sprintf("%s%s: %d%s", head, name, n, tail).
+func appendNamed(b []byte, head, name string, n int, tail string) []byte {
+	b = append(b, head...)
+	b = append(b, name...)
+	b = append(b, ": "...)
+	b = strconv.AppendInt(b, int64(n), 10)
+	return append(b, tail...)
+}
+
+// appendStamp appends the clock stamp a drc reply ends with, in the format
+// fmt.Sprintf(" @%dms", now/time.Millisecond).
+func appendStamp(b []byte, now time.Duration) []byte {
+	b = append(b, " @"...)
+	b = strconv.AppendInt(b, int64(now/time.Millisecond), 10)
+	return append(b, "ms"...)
 }
 
 // injectGeometry applies the armed fault to a geometry operation.
@@ -545,9 +591,9 @@ func (l *Layout) AppendState(dst []byte) ([]byte, error) {
 	e := apputil.Enc{B: dst}
 	marshalLayers(&e, l.Layers)
 	e.Int(l.Phase)
-	e.Str(l.Cmd)
+	e.Bytes(l.Cmd)
 	e.Int(l.Commands)
-	e.Str(l.LastMsg)
+	e.Bytes(l.LastMsg)
 	e.Int(l.MinSpacing)
 	e.I64(int64(l.ThinkTime))
 	e.I64(int64(l.CmdCost))
@@ -562,9 +608,10 @@ func (l *Layout) UnmarshalState(data []byte) error {
 	d := apputil.Dec{B: data}
 	l.Layers = unmarshalLayers(&d)
 	l.Phase = d.Int()
-	l.Cmd = d.Str()
+	l.cmdBuf = d.BytesInto(l.cmdBuf[:0])
+	l.Cmd = l.cmdBuf[:len(l.cmdBuf):len(l.cmdBuf)]
 	l.Commands = d.Int()
-	l.LastMsg = d.Str()
+	l.LastMsg = d.BytesInto(l.LastMsg[:0])
 	l.MinSpacing = d.Int()
 	l.ThinkTime = time.Duration(d.I64())
 	l.CmdCost = time.Duration(d.I64())

@@ -362,6 +362,8 @@ func (e *Editor) scratchFD(fd int64) {
 
 // render emits the screen update. A corrupted row crashes in screenLine,
 // before the visible event (and before any commit-prior-to-visible).
+//
+//failtrans:hotpath
 func (e *Editor) render(ctx *sim.Ctx) {
 	screen := e.screenLine()
 	if e.UseSyscall {
@@ -370,7 +372,7 @@ func (e *Editor) render(ctx *sim.Ctx) {
 			return
 		}
 	} else {
-		ctx.Output(string(screen))
+		ctx.OutputBytes(screen)
 	}
 }
 

@@ -3,7 +3,6 @@ package postgres
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"failtrans/internal/apps/apputil"
 )
@@ -63,7 +62,7 @@ func (t *BTree) Get(key int64) (RID, bool) {
 	for !n.Leaf {
 		n = n.Children[childIndex(n.Keys, key)]
 	}
-	i := sort.Search(len(n.Keys), func(i int) bool { return n.Keys[i] >= key })
+	i, _ := slices.BinarySearch(n.Keys, key)
 	if i < len(n.Keys) && n.Keys[i] == key {
 		return n.RIDs[i], true
 	}
@@ -71,15 +70,27 @@ func (t *BTree) Get(key int64) (RID, bool) {
 }
 
 // childIndex returns which child of an interior node covers key: the first
-// separator strictly greater than key.
+// separator strictly greater than key. The search probes as sort.Search
+// does, so a corrupted (unsorted) node routes the same way.
 func childIndex(keys []int64, key int64) int {
-	return sort.Search(len(keys), func(i int) bool { return keys[i] > key })
+	i, _ := slices.BinarySearchFunc(keys, key, after)
+	return i
+}
+
+// after orders a separator against a search key so that a binary search
+// finds the first separator strictly greater than the key.
+func after(sep, key int64) int {
+	if sep > key {
+		return 1
+	}
+	return -1
 }
 
 // Put inserts or replaces key's RID. It reports whether the key was new.
 func (t *BTree) Put(key int64, rid RID) bool {
 	added, split, right, sep := t.root.put(key, rid)
 	if split {
+		//failtrans:alloc index growth: a root split, once per level the tree gains
 		t.root = &node{Keys: []int64{sep}, Children: []*node{t.root, right}}
 	}
 	if added {
@@ -92,7 +103,7 @@ func (t *BTree) Put(key int64, rid RID) bool {
 // and separator key.
 func (n *node) put(key int64, rid RID) (added, split bool, right *node, sep int64) {
 	if n.Leaf {
-		i := sort.Search(len(n.Keys), func(i int) bool { return n.Keys[i] >= key })
+		i, _ := slices.BinarySearch(n.Keys, key)
 		if i < len(n.Keys) && n.Keys[i] == key {
 			n.RIDs[i] = rid
 			return false, false, nil, 0
@@ -122,6 +133,7 @@ func (n *node) put(key int64, rid RID) (added, split bool, right *node, sep int6
 	}
 	// Split.
 	mid := len(n.Keys) / 2
+	//failtrans:alloc index growth: one node per split, at most one split per btreeOrder/2 inserts into a node
 	r := &node{Leaf: n.Leaf}
 	if n.Leaf {
 		r.Keys = append(r.Keys, n.Keys[mid:]...)
@@ -147,7 +159,7 @@ func (t *BTree) Delete(key int64) bool {
 	for !n.Leaf {
 		n = n.Children[childIndex(n.Keys, key)]
 	}
-	i := sort.Search(len(n.Keys), func(i int) bool { return n.Keys[i] >= key })
+	i, _ := slices.BinarySearch(n.Keys, key)
 	if i >= len(n.Keys) || n.Keys[i] != key {
 		return false
 	}
@@ -157,34 +169,29 @@ func (t *BTree) Delete(key int64) bool {
 	return true
 }
 
-// Scan calls fn for every key in [lo, hi] in order; fn returning false
-// stops the scan.
-func (t *BTree) Scan(lo, hi int64, fn func(key int64, rid RID) bool) {
-	t.root.scan(lo, hi, fn)
+// appendRange appends every entry with a key in [lo, hi] to dst, in key
+// order, and returns the extended slice.
+func (t *BTree) appendRange(dst []hit, lo, hi int64) []hit {
+	return t.root.appendRange(dst, lo, hi)
 }
 
-func (n *node) scan(lo, hi int64, fn func(int64, RID) bool) bool {
+func (n *node) appendRange(dst []hit, lo, hi int64) []hit {
 	if n.Leaf {
-		i := sort.Search(len(n.Keys), func(i int) bool { return n.Keys[i] >= lo })
+		i, _ := slices.BinarySearch(n.Keys, lo)
 		for ; i < len(n.Keys) && n.Keys[i] <= hi; i++ {
-			if !fn(n.Keys[i], n.RIDs[i]) {
-				return false
-			}
+			dst = append(dst, hit{n.Keys[i], n.RIDs[i]})
 		}
-		return true
+		return dst
 	}
 	// First child that can hold keys >= lo: child ci covers
 	// [keys[ci-1], keys[ci]), so we need the first keys[ci] > lo.
-	start := sort.Search(len(n.Keys), func(i int) bool { return n.Keys[i] > lo })
-	for ci := start; ci < len(n.Children); ci++ {
+	for ci := childIndex(n.Keys, lo); ci < len(n.Children); ci++ {
 		if ci > 0 && n.Keys[ci-1] > hi {
 			break
 		}
-		if !n.Children[ci].scan(lo, hi, fn) {
-			return false
-		}
+		dst = n.Children[ci].appendRange(dst, lo, hi)
 	}
-	return true
+	return dst
 }
 
 // Check verifies the ordering, bound, and uniform-depth invariants; it

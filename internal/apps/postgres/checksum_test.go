@@ -300,16 +300,17 @@ func TestPageMutatorsAllocateNothing(t *testing.T) {
 		}
 	}
 	p := new(Page)
+	cmd := []byte(" insert\t42 forty-two")
 	for name, f := range map[string]func(){
 		"Insert":    func() { *p = *tmpl; p.Insert(tuple) },
 		"Delete":    func() { *p = *tmpl; p.Delete(1) },
 		"Overwrite": func() { *p = *tmpl; p.Overwrite(1, tuple[:12]) },
-		"nextField": func() {
-			op, rest := nextField(" insert\t42 forty-two")
-			arg1, rest := nextField(rest)
-			arg2, _ := nextField(rest)
-			if op == "" || arg1 == "" || arg2 == "" {
-				t.Fatal("nextField lost a field")
+		"NextField": func() {
+			op, rest := apputil.NextField(cmd)
+			arg1, rest := apputil.NextField(rest)
+			arg2, _ := apputil.NextField(rest)
+			if len(op) == 0 || len(arg1) == 0 || len(arg2) == 0 || apputil.ParseInt(arg1) != 42 {
+				t.Fatal("NextField lost a field")
 			}
 		},
 	} {

@@ -5,8 +5,6 @@ import (
 	"math"
 	"strconv"
 	"time"
-	"unicode"
-	"unicode/utf8"
 
 	"failtrans/internal/apps/apputil"
 	"failtrans/internal/kernel"
@@ -38,9 +36,16 @@ type DB struct {
 	// HavePage notes whether CurPage is valid yet.
 	HavePage bool
 
-	Phase   int
-	Cmd     string
-	LastMsg string
+	Phase int
+	// Cmd is the command being applied, read where it lies: a view of the
+	// input Ctx.Input returned (the immutable script, or a replay log's
+	// record, whose written bytes never move) or, after a restore, of
+	// cmdBuf. Nothing writes through it.
+	Cmd []byte
+	// LastMsg is the reply the next render shows: a capacity-clamped view of
+	// reply, or, in a fork that has not replied yet, of its frozen
+	// template's. Nothing writes through it.
+	LastMsg []byte
 	Ops     int
 
 	File    string
@@ -50,9 +55,14 @@ type DB struct {
 	faultSalt uint64
 
 	// Scratch, never marshaled and never handed to a fork: tuple is the
-	// tuple insert and update build, hits the index entries scan visits.
-	tuple []byte
-	hits  []hit
+	// tuple insert and update build, hits the index entries a scan or a
+	// count visits, reply the buffer replies are built in (LastMsg views
+	// it), and cmdBuf the buffer a restore decodes Cmd into. A fork starts without them, so
+	// neither it nor its template ever writes bytes the other can see.
+	tuple  []byte
+	hits   []hit
+	reply  []byte
+	cmdBuf []byte
 }
 
 // hit is one index entry a scan visits.
@@ -103,24 +113,20 @@ func (db *DB) Init(ctx *sim.Ctx) error {
 }
 
 // Step implements sim.Program.
+//
+//failtrans:hotpath
 func (db *DB) Step(ctx *sim.Ctx) sim.Status {
 	switch db.Phase {
 	case phaseOpen:
-		ret, err := ctx.Syscall("open", []byte(db.File), []byte{1})
-		if err != nil {
-			ctx.Crash("postgres: " + err.Error())
-			return sim.Crashed
-		}
-		db.Pool.FD = kernel.Int(ret[0])
-		db.Phase = phaseRead
-		return sim.Ready
+		//failtrans:alloc once per process: the open that starts the session
+		return db.open(ctx)
 	case phaseRead:
 		in, ok := ctx.Input()
 		if !ok {
 			db.Phase = phaseDone
 			return sim.Ready
 		}
-		db.Cmd = string(in)
+		db.Cmd = in
 		db.Ops++
 		db.Phase = phaseApply
 		return sim.Ready
@@ -128,16 +134,29 @@ func (db *DB) Step(ctx *sim.Ctx) sim.Status {
 		ctx.Compute(db.OpCost)
 		db.apply(ctx)
 		if db.Ops%checkEveryOps == 0 {
+			//failtrans:alloc the periodic full check, once per checkEveryOps commands: its recursive index walk is a closure, and a violation is reported through fmt
 			db.runCheck(ctx)
 		}
 		return sim.Ready
 	case phaseRender:
-		ctx.Output(db.LastMsg)
+		ctx.OutputBytes(db.LastMsg)
 		db.Phase = phaseRead
 		return sim.Ready
 	default:
 		return sim.Done
 	}
+}
+
+// open opens the heap file and moves on to the first command.
+func (db *DB) open(ctx *sim.Ctx) sim.Status {
+	ret, err := ctx.Syscall("open", []byte(db.File), []byte{1})
+	if err != nil {
+		ctx.Crash("postgres: " + err.Error())
+		return sim.Crashed
+	}
+	db.Pool.FD = kernel.Int(ret[0])
+	db.Phase = phaseRead
+	return sim.Ready
 }
 
 // CheckConsistency implements sim.Checker: validate the index invariants
@@ -158,18 +177,19 @@ func (db *DB) runCheck(ctx *sim.Ctx) {
 
 func (db *DB) apply(ctx *sim.Ctx) {
 	db.Phase = phaseRead
-	op, rest := nextField(db.Cmd)
-	if op == "" {
+	op, rest := apputil.NextField(db.Cmd)
+	if len(op) == 0 {
 		return
 	}
-	arg1, rest := nextField(rest)
-	arg2, _ := nextField(rest)
+	arg1, rest := apputil.NextField(rest)
+	arg2, _ := apputil.NextField(rest)
 	kind := ctx.Fault("pg.op")
-	key := parseInt(arg1)
+	key := apputil.ParseInt(arg1)
 	if kind == sim.StackBitFlip {
 		key ^= 1 << (db.salt() % 16) // the parsed key flips in flight
 	}
-	switch op {
+	//failtrans:alloc none: a string(op) switch tag is compiler-recognized and aliases op
+	switch string(op) {
 	case "insert":
 		db.insert(ctx, key, arg2, kind)
 	case "select":
@@ -179,88 +199,83 @@ func (db *DB) apply(ctx *sim.Ctx) {
 	case "delete":
 		db.del(ctx, key)
 	case "scan":
-		db.scan(ctx, key, parseInt(arg2))
+		db.scan(ctx, key, apputil.ParseInt(arg2))
 	case "count":
-		hi := parseInt(arg2)
-		n := 0
-		db.Index.Scan(key, hi, func(int64, RID) bool { n++; return true })
-		db.LastMsg = fmt.Sprintf("count [%d,%d]: %d", key, hi, n)
-		db.Phase = phaseRender
+		hi := apputil.ParseInt(arg2)
+		db.hits = db.Index.appendRange(db.hits[:0], key, hi)
+		db.reply = appendRangeReply(db.reply[:0], "count [", key, hi, int64(len(db.hits)))
+		db.showReply()
 	case "check":
+		//failtrans:alloc the full check on request: its recursive index walk is a closure, and a violation is reported through fmt
 		db.runCheck(ctx)
 	case "flush":
 		if err := db.Pool.FlushAll(ctx); err != nil {
 			ctx.Crash(err.Error())
 		}
 	case "vacuum":
+		//failtrans:alloc vacuum is a maintenance command: it regroups the whole index once
 		n, err := db.vacuum(ctx)
 		if err != nil {
 			ctx.Crash(err.Error())
 			return
 		}
-		db.LastMsg = fmt.Sprintf("vacuum: reclaimed %d dead slots", n)
-		db.Phase = phaseRender
+		db.reply = append(db.reply[:0], "vacuum: reclaimed "...)
+		db.reply = strconv.AppendInt(db.reply, int64(n), 10)
+		db.reply = append(db.reply, " dead slots"...)
+		db.showReply()
 	case "quit":
 		db.Phase = phaseDone
 	default:
-		db.LastMsg = "?cmd " + op
-		db.Phase = phaseRender
+		db.reply = append(db.reply[:0], "?cmd "...)
+		db.reply = append(db.reply, op...)
+		db.showReply()
 	}
 }
 
-// nextField returns the first field of s and what follows it, splitting
-// around runs of white space exactly as strings.Fields does; f is empty when
-// s holds no field.
-func nextField(s string) (f, rest string) {
-	i := skipField(s, 0, true)
-	j := skipField(s, i, false)
-	return s[i:j], s[j:]
+// showReply makes the reply just built in the reply scratch the one the
+// next render shows.
+func (db *DB) showReply() {
+	db.LastMsg = db.reply[:len(db.reply):len(db.reply)]
+	db.Phase = phaseRender
 }
 
-// asciiSpace marks the six ASCII bytes unicode.IsSpace accepts.
-var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
-
-// skipField returns the offset of the first rune at or after i that is not
-// white space (space true) or that is (space false), as unicode.IsSpace
-// classifies it; invalid UTF-8 is not space. ASCII bytes are classified
-// without decoding.
-func skipField(s string, i int, space bool) int {
-	for i < len(s) {
-		if c := s[i]; c < utf8.RuneSelf {
-			if asciiSpace[c] != space {
-				break
-			}
-			i++
-			continue
-		}
-		r, n := utf8.DecodeRuneInString(s[i:])
-		if unicode.IsSpace(r) != space {
-			break
-		}
-		i += n
-	}
-	return i
+// appendRangeReply appends the reply of a range command, in the format
+// fmt.Sprintf("%s%d,%d]: %d", head, lo, hi, n).
+func appendRangeReply(b []byte, head string, lo, hi, n int64) []byte {
+	b = append(b, head...)
+	b = strconv.AppendInt(b, lo, 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, hi, 10)
+	b = append(b, "]: "...)
+	return strconv.AppendInt(b, n, 10)
 }
 
-// parseInt parses a decimal query argument as strconv.ParseInt does,
-// ignoring its error (an out-of-range value saturates); a missing argument
-// is 0.
-func parseInt(s string) int64 {
-	if s == "" {
-		return 0
+// appendKeyed appends the head of a keyed reply, fmt.Sprintf("%s %d: ",
+// op, key).
+func appendKeyed(b []byte, op string, key int64) []byte {
+	b = append(b, op...)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, key, 10)
+	return append(b, ": "...)
+}
+
+// appendHex8 appends v as fmt's %08x does: eight lower-case hex digits.
+func appendHex8(b []byte, v uint32) []byte {
+	const digits = "0123456789abcdef"
+	for shift := 28; shift >= 0; shift -= 4 {
+		b = append(b, digits[v>>shift&0xf])
 	}
-	v, _ := strconv.ParseInt(s, 10, 64)
-	return v
+	return b
 }
 
 // insert adds a tuple to the heap and the index.
-func (db *DB) insert(ctx *sim.Ctx, key int64, value string, kind sim.FaultKind) {
+func (db *DB) insert(ctx *sim.Ctx, key int64, value []byte, kind sim.FaultKind) {
 	tuple := appendTuple(db.tuple[:0], key, value)
 	db.tuple = tuple
 	switch kind {
 	case sim.OffByOne:
 		// The slot bookkeeping will point one byte into the tuple.
-		defer func() { db.offByOneLastRID() }()
+		defer db.offByOneLastRID()
 	case sim.HeapBitFlip:
 		db.flipCachedPageBit()
 	case sim.InitFault:
@@ -329,8 +344,9 @@ func (db *DB) targetPage(ctx *sim.Ctx, need int) (*Page, error) {
 func (db *DB) query(ctx *sim.Ctx, key int64) {
 	rid, ok := db.Index.Get(key)
 	if !ok {
-		db.LastMsg = fmt.Sprintf("select %d: not found", key)
-		db.Phase = phaseRender
+		db.reply = appendKeyed(db.reply[:0], "select", key)
+		db.reply = append(db.reply, "not found"...)
+		db.showReply()
 		return
 	}
 	p, err := db.Pool.Get(ctx, rid.Page)
@@ -343,6 +359,7 @@ func (db *DB) query(ctx *sim.Ctx, key int64) {
 		return
 	}
 	if raw == nil {
+		//failtrans:alloc cold error path: an index entry for a deleted tuple crashes the step
 		ctx.Crash(fmt.Sprintf("postgres: index points to deleted tuple %d/%d", rid.Page, rid.Slot))
 		return
 	}
@@ -352,18 +369,21 @@ func (db *DB) query(ctx *sim.Ctx, key int64) {
 		return
 	}
 	if k != key {
+		//failtrans:alloc cold error path: a tuple that disagrees with its index entry crashes the step
 		ctx.Crash(fmt.Sprintf("postgres: tuple key %d != index key %d", k, key))
 		return
 	}
-	db.LastMsg = fmt.Sprintf("select %d: %s", key, v)
-	db.Phase = phaseRender
+	db.reply = appendKeyed(db.reply[:0], "select", key)
+	db.reply = append(db.reply, v...)
+	db.showReply()
 }
 
-func (db *DB) update(ctx *sim.Ctx, key int64, value string) {
+func (db *DB) update(ctx *sim.Ctx, key int64, value []byte) {
 	rid, ok := db.Index.Get(key)
 	if !ok {
-		db.LastMsg = fmt.Sprintf("update %d: not found", key)
-		db.Phase = phaseRender
+		db.reply = appendKeyed(db.reply[:0], "update", key)
+		db.reply = append(db.reply, "not found"...)
+		db.showReply()
 		return
 	}
 	p, err := db.Pool.getOwned(ctx, rid.Page)
@@ -405,11 +425,7 @@ func (db *DB) del(ctx *sim.Ctx, key int64) {
 // scan outputs the number of tuples and a value checksum over [lo,hi],
 // verifying every heap tuple against its index key.
 func (db *DB) scan(ctx *sim.Ctx, lo, hi int64) {
-	db.hits = db.hits[:0]
-	db.Index.Scan(lo, hi, func(k int64, rid RID) bool {
-		db.hits = append(db.hits, hit{k, rid})
-		return true
-	})
+	db.hits = db.Index.appendRange(db.hits[:0], lo, hi)
 	count := 0
 	var sum uint32
 	for _, h := range db.hits {
@@ -431,14 +447,17 @@ func (db *DB) scan(ctx *sim.Ctx, lo, hi int64) {
 			return
 		}
 		if k != h.key {
+			//failtrans:alloc cold error path: a tuple that disagrees with its index entry crashes the step
 			ctx.Crash(fmt.Sprintf("postgres: scan tuple key %d != index key %d", k, h.key))
 			return
 		}
 		count++
 		sum ^= apputil.Checksum(raw)
 	}
-	db.LastMsg = fmt.Sprintf("scan [%d,%d]: %d tuples sum=%08x", lo, hi, count, sum)
-	db.Phase = phaseRender
+	db.reply = appendRangeReply(db.reply[:0], "scan [", lo, hi, int64(count))
+	db.reply = append(db.reply, " tuples sum="...)
+	db.reply = appendHex8(db.reply, sum)
+	db.showReply()
 }
 
 // flipCachedPageBit corrupts a cached page's tuple area without touching
@@ -488,8 +507,8 @@ func (db *DB) AppendState(dst []byte) ([]byte, error) {
 	e.I64(int64(db.CurPage))
 	e.Bool(db.HavePage)
 	e.Int(db.Phase)
-	e.Str(db.Cmd)
-	e.Str(db.LastMsg)
+	e.Bytes(db.Cmd)
+	e.Bytes(db.LastMsg)
 	e.Int(db.Ops)
 	e.Str(db.File)
 	e.I64(int64(db.OpCost))
@@ -514,7 +533,7 @@ func (db *DB) Fork() (sim.Program, error) {
 	nd := *db
 	nd.Index = db.Index.clone()
 	nd.Pool = db.Pool.fork()
-	nd.tuple, nd.hits = nil, nil
+	nd.tuple, nd.hits, nd.reply, nd.cmdBuf = nil, nil, nil, nil
 	return &nd, nil
 }
 
@@ -536,8 +555,10 @@ func (db *DB) UnmarshalState(data []byte) error {
 	db.CurPage = uint32(d.I64())
 	db.HavePage = d.Bool()
 	db.Phase = d.Int()
-	db.Cmd = d.Str()
-	db.LastMsg = d.Str()
+	db.cmdBuf = d.BytesInto(db.cmdBuf[:0])
+	db.Cmd = db.cmdBuf[:len(db.cmdBuf):len(db.cmdBuf)]
+	db.reply = d.BytesInto(db.reply[:0])
+	db.LastMsg = db.reply[:len(db.reply):len(db.reply)]
 	db.Ops = d.Int()
 	db.File = d.Str()
 	db.OpCost = time.Duration(d.I64())
@@ -550,17 +571,11 @@ func (db *DB) UnmarshalState(data []byte) error {
 // slots moved. It returns the number of slots reclaimed.
 func (db *DB) vacuum(ctx *sim.Ctx) (int, error) {
 	// Group live index entries by page.
-	byPage := make(map[uint32][]struct {
-		key  int64
-		slot uint16
-	})
-	db.Index.Scan(math.MinInt64, math.MaxInt64, func(k int64, rid RID) bool {
-		byPage[rid.Page] = append(byPage[rid.Page], struct {
-			key  int64
-			slot uint16
-		}{k, rid.Slot})
-		return true
-	})
+	db.hits = db.Index.appendRange(db.hits[:0], math.MinInt64, math.MaxInt64)
+	byPage := make(map[uint32][]hit)
+	for _, h := range db.hits {
+		byPage[h.rid.Page] = append(byPage[h.rid.Page], h)
+	}
 	reclaimed := 0
 	for pid := uint32(0); pid < db.Pool.NumPages; pid++ {
 		p, err := db.Pool.getOwned(ctx, pid)
@@ -574,9 +589,9 @@ func (db *DB) vacuum(ctx *sim.Ctx) (int, error) {
 		}
 		reclaimed += before - p.NSlots()
 		for _, ent := range byPage[pid] {
-			newSlot, ok := remap[ent.slot]
+			newSlot, ok := remap[ent.rid.Slot]
 			if !ok {
-				return reclaimed, fmt.Errorf("postgres: vacuum lost tuple for key %d (page %d slot %d)", ent.key, pid, ent.slot)
+				return reclaimed, fmt.Errorf("postgres: vacuum lost tuple for key %d (page %d slot %d)", ent.key, pid, ent.rid.Slot)
 			}
 			db.Index.Put(ent.key, RID{Page: pid, Slot: newSlot})
 		}

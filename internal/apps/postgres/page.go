@@ -66,6 +66,7 @@ func (p *Page) mustMutable() {
 
 // NewPage formats an empty page with the given id.
 func NewPage(id uint32) *Page {
+	//failtrans:alloc a fresh heap page: one per PageSize bytes of tuples inserted
 	p := &Page{}
 	binary.LittleEndian.PutUint32(p.Data[offPageID:], id)
 	p.setNSlots(0)
@@ -160,6 +161,7 @@ func (p *Page) Insert(tuple []byte) (int, error) {
 // view of the page: it is valid only until the page's next write.
 func (p *Page) Read(i int) ([]byte, error) {
 	if i < 0 || i >= p.NSlots() {
+		//failtrans:alloc cold error path: a bad slot number is a corrupt index: the caller crashes
 		return nil, fmt.Errorf("postgres: page %d slot %d out of range (%d slots)", p.ID(), i, p.NSlots())
 	}
 	off, ln := p.slot(i)
@@ -167,6 +169,7 @@ func (p *Page) Read(i int) ([]byte, error) {
 		return nil, nil // deleted
 	}
 	if off < headerLen || off+ln > PageSize {
+		//failtrans:alloc cold error path: a slot pointing off the page is a corrupt page: the caller crashes
 		return nil, fmt.Errorf("postgres: page %d slot %d points outside page (%d+%d)", p.ID(), i, off, ln)
 	}
 	return p.Data[off : off+ln : off+ln], nil
@@ -265,11 +268,13 @@ func appendTuple[V string | []byte](dst []byte, key int64, value V) []byte {
 // next write.
 func DecodeTuple(t []byte) (key int64, value []byte, err error) {
 	if len(t) < 10 {
+		//failtrans:alloc cold error path: a malformed tuple is a corrupt page: the caller crashes
 		return 0, nil, fmt.Errorf("postgres: tuple too short (%d bytes)", len(t))
 	}
 	key = int64(binary.LittleEndian.Uint64(t[0:8]))
 	n := int(binary.LittleEndian.Uint16(t[8:10]))
 	if 10+n > len(t) {
+		//failtrans:alloc cold error path: a malformed tuple is a corrupt page: the caller crashes
 		return 0, nil, fmt.Errorf("postgres: tuple length %d overruns %d bytes", n, len(t))
 	}
 	return key, t[10 : 10+n : 10+n], nil

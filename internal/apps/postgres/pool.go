@@ -50,6 +50,7 @@ func (bp *Pool) own(id uint32) *Page {
 	if !p.sealed {
 		return p
 	}
+	//failtrans:alloc one page per page a fork dirties, once: the copy-on-write cost of a shared page
 	np := &Page{Data: p.Data, Dirty: p.Dirty, crcOK: p.crcOK}
 	bp.pages[id] = np
 	return np
@@ -111,12 +112,16 @@ func (bp *Pool) Get(ctx *sim.Ctx, id uint32) (*Page, error) {
 		return nil, err
 	}
 	if len(ret[0]) != PageSize {
+		//failtrans:alloc cold error path: a short read crashes the step
 		return nil, fmt.Errorf("postgres: short page read (%d bytes) for page %d", len(ret[0]), id)
 	}
+	//failtrans:alloc a cache miss: one page per page read from disk
 	p := &Page{}
 	copy(p.Data[:], ret[0])
 	if !p.VerifyCRC() || p.ID() != id {
+		//failtrans:alloc cold error path: a page that fails its checksum crashes the process
 		ctx.Crash(fmt.Sprintf("postgres: page %d failed checksum on read", id))
+		//failtrans:alloc cold error path: a page that fails its checksum crashes the process
 		return nil, fmt.Errorf("postgres: page %d corrupt", id)
 	}
 	p.crcOK = true

@@ -167,22 +167,13 @@ func TestBTreeManyKeysAndScan(t *testing.T) {
 			t.Fatalf("Get(%d) = %v %v", k, rid, ok)
 		}
 	}
-	var got []int64
-	bt.Scan(100, 199, func(k int64, _ RID) bool {
-		got = append(got, k)
-		return true
-	})
-	if len(got) != 100 || got[0] != 100 || got[99] != 199 {
-		t.Errorf("Scan returned %d keys [%v..%v]", len(got), got[0], got[len(got)-1])
+	got := bt.appendRange(nil, 100, 199)
+	if len(got) != 100 || got[0].key != 100 || got[99].key != 199 || got[0].rid.Page != 100 {
+		t.Errorf("appendRange returned %d keys [%v..%v]", len(got), got[0], got[len(got)-1])
 	}
-	// Early termination.
-	count := 0
-	bt.Scan(0, int64(n), func(int64, RID) bool {
-		count++
-		return count < 10
-	})
-	if count != 10 {
-		t.Errorf("early-stop scan visited %d", count)
+	// Appending extends what the buffer holds.
+	if all := bt.appendRange(got, 0, int64(n)); len(all) != 100+n || all[100].key != 0 {
+		t.Errorf("appendRange onto 100 entries returned %d", len(all))
 	}
 }
 
@@ -223,16 +214,12 @@ func TestBTreeMatchesMapModel(t *testing.T) {
 			return false
 		}
 		// Scan over everything must equal the sorted model.
-		var scanned []int64
-		bt.Scan(-1000, 1000, func(k int64, _ RID) bool {
-			scanned = append(scanned, k)
-			return true
-		})
+		scanned := bt.appendRange(nil, -1000, 1000)
 		if len(scanned) != len(model) {
 			return false
 		}
-		for i := 1; i < len(scanned); i++ {
-			if scanned[i-1] >= scanned[i] {
+		for i, h := range scanned {
+			if h.rid != model[h.key] || i > 0 && scanned[i-1].key >= h.key {
 				return false
 			}
 		}

@@ -231,8 +231,7 @@ func (t *TM) progress(ctx *sim.Ctx) sim.Status {
 		return sim.Ready
 	case phReport:
 		t.line = appendReport(t.line[:0], t.Iter, t.Updated[0])
-		//failtrans:alloc visible output is kept in World.Outputs: one string per report
-		ctx.Output(string(t.line))
+		ctx.OutputBytes(t.line)
 		t.Phase = phStamp
 		return sim.Ready
 	default:

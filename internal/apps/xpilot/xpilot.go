@@ -565,8 +565,7 @@ func (c *Client) Step(ctx *sim.Ctx) sim.Status {
 	case cliRender:
 		ctx.Compute(c.RenderCost)
 		c.line = appendFrameLine(c.line[:0], c.LastFrame, c.Me)
-		//failtrans:alloc visible output is kept in World.Outputs: one string per rendered frame
-		ctx.Output(string(c.line))
+		ctx.OutputBytes(c.line)
 		c.Frames++
 		if c.Frames%c.InputEvery == c.Me%c.InputEvery {
 			c.Phase = cliInput

@@ -20,14 +20,19 @@ import (
 // volume is independent of the host, so this is the fig8_sweep benchmark's
 // alloc_kb_per_op and allocs_per_op as a go test. Each ceiling is about
 // 1.25× what the recycled octree and tile lists, the geometric segment
-// growth, the ND and send scratch buffers and the message path's reused
-// scratch leave, measured under the race detector (which allocates up to
-// 1.2× more) where that is higher; without them treadmarks and magic exceed
-// their byte ceilings. With a fresh frame encoder and two fmt.Sprintf calls
-// per xpilot frame, two page copies per transferred DSM page and a
-// reslicing outbox pop, and a map per dependency-carrying send, the xpilot
-// rows made 0.84–1.17 allocations (64–87 B) per step and the treadmarks rows
-// 0.63–1.19 (516–612 B), every one past its ceiling. The
+// growth, the ND and send scratch buffers, the message path's reused
+// scratch and the output arena leave, measured under the race detector
+// (which allocates up to 1.2× more) where that is higher; without them
+// treadmarks and magic exceed their byte ceilings. With a fresh frame
+// encoder and two fmt.Sprintf calls per xpilot frame, two page copies per
+// transferred DSM page and a reslicing outbox pop, and a map per
+// dependency-carrying send, the xpilot rows made 0.84–1.17 allocations
+// (64–87 B) per step and the treadmarks rows 0.63–1.19 (516–612 B), every
+// one past its ceiling. With a string of its own per visible output and,
+// in magic, per command (plus strings.Fields and fmt.Sprintf per command),
+// the nvi rows made 0.31–0.32 allocations per step, the magic rows
+// 1.74–1.97 (116–145 B) and the xpilot rows 0.11–0.13, every one past its
+// allocation ceiling. The
 // runtime counters are process-wide, so each case is the minimum over three
 // fresh worlds: stray runtime allocations (under -race some hundred bytes,
 // enough to lift magic's 155-step run past its ceiling) only ever add, so
@@ -39,14 +44,14 @@ func TestFig8AllocBudget(t *testing.T) {
 		bytes   float64 // bytes per world step
 		mallocs float64 // allocations per world step
 	}{
-		{"nvi", protocol.CPVS, 150, 0.40},
-		{"nvi", protocol.CBNDVSLog, 205, 0.40},
-		{"magic", protocol.CPVS, 165, 2.35},
-		{"magic", protocol.CBNDVSLog, 240, 2.45},
-		{"xpilot", protocol.CPVS, 49, 0.15},
-		{"xpilot", protocol.CBNDVSLog, 68, 0.17},
-		{"xpilot", protocol.CPV2PC, 57, 0.16},
-		{"xpilot", protocol.CBNDV2PC, 57, 0.16},
+		{"nvi", protocol.CPVS, 75, 0.075},
+		{"nvi", protocol.CBNDVSLog, 80, 0.085},
+		{"magic", protocol.CPVS, 87, 0.48},
+		{"magic", protocol.CBNDVSLog, 106, 0.55},
+		{"xpilot", protocol.CPVS, 49, 0.045},
+		{"xpilot", protocol.CBNDVSLog, 68, 0.06},
+		{"xpilot", protocol.CPV2PC, 57, 0.05},
+		{"xpilot", protocol.CBNDV2PC, 57, 0.052},
 		{"treadmarks", protocol.CPVS, 400, 0.16},
 		{"treadmarks", protocol.CBNDVSLog, 530, 0.22},
 		{"treadmarks", protocol.CPV2PC, 430, 0.21},
@@ -80,31 +85,36 @@ func TestFig8AllocBudget(t *testing.T) {
 			t.Errorf("%s/%s allocates %.1f B per world step, ceiling %.0f", tc.app, tc.policy.Name, perStep, tc.bytes)
 		}
 		if mallocsPerStep > tc.mallocs {
-			t.Errorf("%s/%s allocates %.3f times per world step, ceiling %.2f", tc.app, tc.policy.Name, mallocsPerStep, tc.mallocs)
+			t.Errorf("%s/%s allocates %.3f times per world step, ceiling %.3f", tc.app, tc.policy.Name, mallocsPerStep, tc.mallocs)
 		}
 	}
 }
 
-// TestTablesAllocBudget bounds the bytes Table 1 allocates per injection run
-// at test scale, for each app under a committing and a logging protocol, as
-// ftbench runs the study (snapshot forks, serial campaign). This is the
-// tables_commit and tables_log benchmarks' alloc_kb_per_op as a go test.
-// Each ceiling is about 1.25× what copy-on-write postgres forks, the query
-// scratch buffers, nvi's screen and file scratch and the reused syscall
-// argument vector leave, measured under the race detector (up to 1.1× more);
-// with a marshal round-trip postgres fork and per-call argument and line
-// buffers, every row exceeds its ceiling (nvi 181/195 KB, postgres
-// 244/191 KB per run).
+// TestTablesAllocBudget bounds the bytes and the allocations Table 1 makes
+// per injection run at test scale, for each app under a committing and a
+// logging protocol, as ftbench runs the study (snapshot forks, serial
+// campaign). This is the tables_commit and tables_log benchmarks'
+// alloc_kb_per_op and allocs_per_op as a go test. Each byte ceiling is about
+// 1.25× what copy-on-write postgres forks, the query scratch buffers, nvi's
+// screen and file scratch and the reused syscall argument vector leave,
+// measured under the race detector (up to 1.1× more); with a marshal
+// round-trip postgres fork and per-call argument and line buffers, every row
+// exceeds its ceiling (nvi 181/195 KB, postgres 244/191 KB per run). Each
+// allocation ceiling is about 1.25× what the output arena and the command
+// views leave (under the race detector: nvi 161/167, postgres 236/230 per
+// run); with a string per visible output, per postgres command and per
+// fmt-built reply, every row exceeds it (nvi 378/407, postgres 488/491).
 func TestTablesAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		app     string
 		policy  protocol.Policy
 		ceiling float64 // bytes per injection run
+		mallocs float64 // allocations per injection run
 	}{
-		{"nvi", protocol.CPVS, 142_000},
-		{"nvi", protocol.CBNDVSLog, 145_000},
-		{"postgres", protocol.CPVS, 220_000},
-		{"postgres", protocol.CBNDVSLog, 153_000},
+		{"nvi", protocol.CPVS, 142_000, 200},
+		{"nvi", protocol.CBNDVSLog, 145_000, 210},
+		{"postgres", protocol.CPVS, 220_000, 295},
+		{"postgres", protocol.CBNDVSLog, 153_000, 290},
 	} {
 		s := faults.NewAppStudy(tc.app)
 		s.Policy = tc.policy
@@ -122,9 +132,13 @@ func TestTablesAllocBudget(t *testing.T) {
 			runs += r.Runs
 		}
 		perRun := float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
-		t.Logf("%s/%s: %.0f B per run over %d runs", tc.app, tc.policy.Name, perRun, runs)
+		mallocsPerRun := float64(after.Mallocs-before.Mallocs) / float64(runs)
+		t.Logf("%s/%s: %.0f B and %.0f allocations per run over %d runs", tc.app, tc.policy.Name, perRun, mallocsPerRun, runs)
 		if perRun > tc.ceiling {
 			t.Errorf("%s/%s allocates %.0f B per injection run, ceiling %.0f", tc.app, tc.policy.Name, perRun, tc.ceiling)
+		}
+		if mallocsPerRun > tc.mallocs {
+			t.Errorf("%s/%s allocates %.0f times per injection run, ceiling %.0f", tc.app, tc.policy.Name, mallocsPerRun, tc.mallocs)
 		}
 	}
 }

@@ -19,34 +19,45 @@ func asJSON(t *testing.T, v any) string {
 	return string(buf)
 }
 
+// TestAppStudyParallelMatchesSerial: an app campaign (CPVS, the study's
+// default) at several workers matches the serial one byte for byte. Its
+// forks of one sealed template step at once, each printing into its own
+// byte arena and, for postgres, its own reply buffer while parsing its
+// command where the script holds it; under -race this is also the check
+// that no two of them write a byte in common.
 func TestAppStudyParallelMatchesSerial(t *testing.T) {
-	serial := smallStudy("nvi")
-	got, err := serial.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := asJSON(t, got)
-	for _, workers := range []int{2, 4, 7} {
-		s := smallStudy("nvi")
-		s.Parallel = workers
-		s.CampaignObs = obs.NewCampaignMetrics(workers)
-		rs, err := s.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if j := asJSON(t, rs); j != want {
-			t.Errorf("workers=%d diverged from serial:\n got %s\nwant %s", workers, j, want)
-		}
-		// The early exit means speculation overshoots; every overshot run
-		// must be accounted as discarded, never folded into the results.
-		var workerRuns int64
-		for i := range s.CampaignObs.Workers {
-			workerRuns += s.CampaignObs.Workers[i].Runs
-		}
-		if workerRuns != s.CampaignObs.Accepted+s.CampaignObs.Discarded {
-			t.Errorf("workers=%d: runs %d != accepted %d + discarded %d",
-				workers, workerRuns, s.CampaignObs.Accepted, s.CampaignObs.Discarded)
-		}
+	for _, app := range []string{"nvi", "postgres"} {
+		t.Run(app, func(t *testing.T) {
+			serial := smallStudy(app)
+			got, err := serial.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := asJSON(t, got)
+			for _, workers := range []int{2, 4, 7} {
+				s := smallStudy(app)
+				s.Parallel = workers
+				s.CampaignObs = obs.NewCampaignMetrics(workers)
+				rs, err := s.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if j := asJSON(t, rs); j != want {
+					t.Errorf("workers=%d diverged from serial:\n got %s\nwant %s", workers, j, want)
+				}
+				// The early exit means speculation overshoots; every overshot
+				// run must be accounted as discarded, never folded into the
+				// results.
+				var workerRuns int64
+				for i := range s.CampaignObs.Workers {
+					workerRuns += s.CampaignObs.Workers[i].Runs
+				}
+				if workerRuns != s.CampaignObs.Accepted+s.CampaignObs.Discarded {
+					t.Errorf("workers=%d: runs %d != accepted %d + discarded %d",
+						workers, workerRuns, s.CampaignObs.Accepted, s.CampaignObs.Discarded)
+				}
+			}
+		})
 	}
 }
 

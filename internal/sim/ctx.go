@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"time"
+	"unsafe"
 
 	"failtrans/internal/event"
 )
@@ -352,7 +353,28 @@ func (p *Proc) dropDuplicates(now time.Duration) {
 
 // Output emits a visible event the user can see. Visible events can never
 // be undone.
-func (c *Ctx) Output(s string) {
+func (c *Ctx) Output(s string) { c.output(s) }
+
+// OutputBytes emits b as a visible event, like Output, without a string of
+// the caller's own: the text is copied into bytes from the world's byte
+// arena (allocBytes), and Outputs keeps a string over that copy. That
+// string is the one unsafe.String in the simulator. It is sound because
+// nothing writes those bytes again: allocBytes hands a span out once and
+// never rewinds its block, this call keeps no slice of the span, a fork
+// starts a block of its own, and the frozen template whose strings a fork
+// shares refuses to step. The copy is made before the pre-visible hook,
+// since a commit there marshals the program's state and may reuse the
+// scratch b lives in; b may be reused as soon as the call returns.
+//
+//failtrans:hotpath
+func (c *Ctx) OutputBytes(b []byte) {
+	text := c.p.World.allocBytes(len(b))
+	copy(text, b)
+	c.output(unsafe.String(unsafe.SliceData(text), len(text)))
+}
+
+// output is the one path a visible event takes.
+func (c *Ctx) output(s string) {
 	c.before(event.Visible, event.Deterministic, "output")
 	if c.crashed {
 		// Crashed in the pre-visible hook: nothing becomes visible.

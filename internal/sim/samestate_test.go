@@ -256,32 +256,32 @@ func TestSameStateCoversEveryField(t *testing.T) {
 		"Procs": c, "Recovery": c, "OS": c, "Latency": c, "RecordTrace": c,
 		"MaxTime": c, "MaxSteps": c, "ScanSched": c, "doneCount": c, "deadCount": c,
 		"msgSeq": c, "seed": c, "inited": c,
-		"Clock":        offset,
-		"stepCount":    offset,
-		"EventCount":   offset,
-		"Outputs":      "history; each process's output count is compared as an offset: a re-execution repeats visible outputs",
-		"outProc":      "history; its length is the sum of the output counts",
-		"Trace":        "history: the events recorded so far never steer a step",
-		"clockReads":   "history: the guard reads a template's count at two points, never a step",
-		"Faults":       "per-run harness wiring; the caller establishes that its injectors agree from here on",
-		"Metrics":      sink,
-		"Tracer":       sink,
-		"DebugLog":     sink,
-		"sched":        index,
-		"schedMask":    index,
-		"schedShift":   index,
-		"schedCur":     index,
-		"schedDue":     index,
-		"schedTail":    index,
-		"schedLen":     index,
-		"schedStale":   index,
-		"schedBuilt":   index,
-		"msgBlock":     "message arena: storage for messages, which compare by value",
-		"payloadBlock": "message arena: storage for payloads, which compare by value",
-		"ndBuf":        scratch,
-		"argv":         scratch,
-		"sameOff":      scratch,
-		"frozen":       "copy-on-write bookkeeping: a sealed template and its fork differ only here",
+		"Clock":      offset,
+		"stepCount":  offset,
+		"EventCount": offset,
+		"Outputs":    "history; each process's output count is compared as an offset: a re-execution repeats visible outputs",
+		"outProc":    "history; its length is the sum of the output counts",
+		"Trace":      "history: the events recorded so far never steer a step",
+		"clockReads": "history: the guard reads a template's count at two points, never a step",
+		"Faults":     "per-run harness wiring; the caller establishes that its injectors agree from here on",
+		"Metrics":    sink,
+		"Tracer":     sink,
+		"DebugLog":   sink,
+		"sched":      index,
+		"schedMask":  index,
+		"schedShift": index,
+		"schedCur":   index,
+		"schedDue":   index,
+		"schedTail":  index,
+		"schedLen":   index,
+		"schedStale": index,
+		"schedBuilt": index,
+		"msgBlock":   "message arena: storage for messages, which compare by value",
+		"byteBlock":  "byte arena: storage for payloads, which compare by value, and Outputs strings, which compare by count",
+		"ndBuf":      scratch,
+		"argv":       scratch,
+		"sameOff":    scratch,
+		"frozen":     "copy-on-write bookkeeping: a sealed template and its fork differ only here",
 	})
 	fieldguard.Check(t, reflect.TypeOf(Proc{}), map[string]string{
 		"Index": c, "Prog": c, "status": c, "inbox": c, "retained": c, "rngSeed": c,

@@ -272,13 +272,15 @@ type World struct {
 	doneCount int
 	deadCount int
 
-	// msgBlock/payloadBlock are the message arenas: send bump-allocates
-	// Msg headers and payload bytes out of fixed-size blocks instead of
-	// two heap objects per message. Messages are immutable once enqueued
-	// (every mutation path copies first), so blocks are safely shared
-	// with forks; a fork starts fresh blocks of its own.
-	msgBlock     []Msg
-	payloadBlock []byte
+	// msgBlock/byteBlock are the world's arenas: send bump-allocates Msg
+	// headers and payload bytes, and Ctx.OutputBytes the text of a visible
+	// output, out of blocks instead of a heap object each. Their bytes are
+	// written once, when they are handed out, and never again: messages
+	// are immutable once enqueued (every mutation path copies first) and
+	// visible output is never undone, not even by a rollback. So blocks
+	// are safely shared with forks; a fork starts fresh blocks of its own.
+	msgBlock  []Msg
+	byteBlock []byte
 
 	// ndBuf is the scratch every live ND value that needs encoding (a
 	// receive record, a syscall result, a signal name, a clock or random
@@ -303,12 +305,18 @@ type World struct {
 	frozen bool
 }
 
-// msgBlockSize and payloadBlockSize size the message arena blocks: big
-// enough to amortize allocation to noise, small enough that a mostly-idle
-// world wastes little.
+// msgBlockSize sizes the message header blocks, and byteBlockMin and
+// byteBlockMax bound the byte blocks: big enough to amortize allocation to
+// noise, small enough that a mostly-idle world wastes little. Byte blocks
+// start small and double up to the cap, because most campaign forks send
+// or print only a few lines (a fixed 4 KiB first block per fork raised
+// the tables workloads' allocated bytes per run past their 1 % bound),
+// while a 10⁵-process fleet sends megabytes (a 4 or 8 KiB cap raised its
+// allocations per scheduling decision by 5.6 or 1.9 %).
 const (
-	msgBlockSize     = 256
-	payloadBlockSize = 16 << 10
+	msgBlockSize = 256
+	byteBlockMin = 128
+	byteBlockMax = 16 << 10
 )
 
 // allocMsg bump-allocates one message header from the arena. A full block
@@ -326,22 +334,25 @@ func (w *World) allocMsg() *Msg {
 	return &w.msgBlock[n]
 }
 
-// allocBytes bump-allocates n payload bytes, capacity-clamped so an
-// appending consumer can never bleed into the next payload.
+// allocBytes bump-allocates n bytes, capacity-clamped so an appending
+// consumer can never bleed into the next span. A block too full for n is
+// abandoned to the spans already handed out of it, and the next one is
+// twice as big, up to byteBlockMax, and never smaller than n; nothing
+// rewinds a block, so handed-out bytes never move and are never reused.
 //
 //failtrans:hotpath
 func (w *World) allocBytes(n int) []byte {
-	if len(w.payloadBlock)+n > cap(w.payloadBlock) {
-		size := payloadBlockSize
-		if n > size {
-			size = n
+	if len(w.byteBlock)+n > cap(w.byteBlock) {
+		size := byteBlockMin
+		if c := cap(w.byteBlock); c > 0 {
+			size = min(2*c, byteBlockMax)
 		}
-		//failtrans:alloc amortized arena growth: one block per payloadBlockSize bytes
-		w.payloadBlock = make([]byte, 0, size)
+		//failtrans:alloc amortized arena growth: one block per byteBlockMax bytes, fewer while the world is young
+		w.byteBlock = make([]byte, 0, max(size, n))
 	}
-	off := len(w.payloadBlock)
-	w.payloadBlock = w.payloadBlock[:off+n]
-	return w.payloadBlock[off : off+n : off+n]
+	off := len(w.byteBlock)
+	w.byteBlock = w.byteBlock[:off+n]
+	return w.byteBlock[off : off+n : off+n]
 }
 
 // ndWord encodes one 64-bit ND value (a clock reading, a random draw) into
