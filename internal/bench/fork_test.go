@@ -101,10 +101,11 @@ func TestForkRejectsUnforkableApps(t *testing.T) {
 
 // TestForkOwnsWhatItWrites: as soon as Fork returns, a fork owns the state
 // nearly every fork writes — the kernel's nodes, nvi's line buffer and line
-// checksums, postgres's index and dc's message-dependency map are
-// pointer-distinct from its template's — and what the fork writes there
-// never reaches a second fork of the same template, which still holds the
-// state of a never-forked twin stepped as far.
+// checksums, postgres's index header (its nodes are copy-on-write) and dc's
+// message-dependency map are pointer-distinct from its template's — and
+// what the fork writes there never reaches a second fork of the same
+// template, which still holds the state of a never-forked twin stepped as
+// far.
 func TestForkOwnsWhatItWrites(t *testing.T) {
 	withDC := func(t *testing.T, w *sim.World, pol protocol.Policy) *sim.World {
 		w.RecordTrace = false
@@ -156,7 +157,7 @@ func TestForkOwnsWhatItWrites(t *testing.T) {
 			build: func(t *testing.T) *sim.World { return withDC(t, postgresWorld(200), protocol.CPVS) },
 			steps: 300,
 			owned: func(t *testing.T, f, tm *sim.World) map[string][2]uintptr {
-				return map[string][2]uintptr{"Index": {
+				return map[string][2]uintptr{"Index header": {
 					reflect.ValueOf(f.Procs[0].Prog.(*postgres.DB).Index).Pointer(),
 					reflect.ValueOf(tm.Procs[0].Prog.(*postgres.DB).Index).Pointer(),
 				}}
