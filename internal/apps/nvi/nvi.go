@@ -19,7 +19,6 @@
 package nvi
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"strconv"
@@ -354,10 +353,10 @@ func (e *Editor) screenLine() []byte {
 	return b
 }
 
-// scratchFD starts the scratch buffer with fd in kernel.I64's encoding: a
+// scratchFD starts the scratch buffer with fd as a syscall word: a
 // syscall's fd argument is scratch[:8], and its data is appended behind it.
 func (e *Editor) scratchFD(fd int64) {
-	e.scratch = binary.LittleEndian.AppendUint64(e.scratch[:0], uint64(fd))
+	e.scratch = kernel.AppendI64(e.scratch[:0], fd)
 }
 
 // render emits the screen update. A corrupted row crashes in screenLine,
