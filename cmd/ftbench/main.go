@@ -22,11 +22,12 @@
 // into the full campaign report.
 //
 // With -veto, the table1/table2 studies additionally arm each app's
-// Discount Checking instance with the matching mined commit-veto policy
-// from the named .ftv file (written by ftreport -veto); -experiment veto
-// instead runs the self-contained two-phase campaign (phase 1 mines the
-// policy, phase 2 re-runs the same seeds under it) and prints the
-// clawed-back violation delta.
+// Discount Checking instance with the commit-veto policy of its machine
+// mined from the named campaign ledgers (repeatable, concatenated in flag
+// order as with ftreport -ledger; key "<study>/<app>/<protocol>");
+// -experiment veto instead runs the self-contained two-phase campaign
+// (phase 1 mines the policy, phase 2 re-runs the same seeds under it) and
+// prints the clawed-back violation delta.
 //
 // -experiment fleet runs the scheduler scalability sweep: the fleet echo
 // workload at -fleet-sizes processes (default 100,1000,10000) under the
@@ -41,7 +42,7 @@
 //
 //	ftbench -experiment all|fig8|table1|table2|space|veto|fleet [-app nvi] [-scale 1] [-crashes 50]
 //	ftbench ... [-fleet-sizes 100,1000,10000]
-//	ftbench ... [-parallel N] [-json out.json] [-ledger campaign.ftl] [-veto policy.ftv]
+//	ftbench ... [-parallel N] [-json out.json] [-ledger campaign.ftl] [-veto mined.ftl ...]
 //	ftbench ... [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 package main
 
@@ -61,18 +62,24 @@ import (
 	"failtrans/internal/bench"
 	"failtrans/internal/obs"
 	"failtrans/internal/obs/ledger"
-	"failtrans/internal/statemachine"
 )
 
 // experiments lists the accepted -experiment values.
 var experiments = []string{"all", "fig8", "table1", "table2", "space", "veto", "fleet"}
+
+// multiFlag collects a repeatable string flag.
+type multiFlag []string
+
+func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
+func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
 
 // options is the parsed command line.
 type options struct {
 	experiment, app          string
 	scale, crashes, parallel int
 	jsonPath, ledgerPath     string
-	vetoPath, fleetSizes     string
+	vetoPaths                multiFlag
+	fleetSizes               string
 	cpuprofile, memprofile   string
 }
 
@@ -88,7 +95,7 @@ func (o *options) check() ([]int, error) {
 	}
 	// The veto experiment mines its own phase-1 policy and must start
 	// veto-free.
-	if o.vetoPath != "" && o.experiment == "veto" {
+	if len(o.vetoPaths) > 0 && o.experiment == "veto" {
 		return nil, fmt.Errorf("-veto arms table1/table2 studies; it cannot be combined with -experiment veto")
 	}
 	sizes := []int{100, 1_000, 10_000}
@@ -120,7 +127,7 @@ func main() {
 	flag.IntVar(&o.parallel, "parallel", runtime.GOMAXPROCS(0), "campaign worker count (1 = serial; results are identical either way)")
 	flag.StringVar(&o.jsonPath, "json", "", "also write the results as JSON to this path")
 	flag.StringVar(&o.ledgerPath, "ledger", "", "append one forensic record per run to this campaign-ledger file (for ftreport)")
-	flag.StringVar(&o.vetoPath, "veto", "", "arm table1/table2 studies with mined commit-veto policies from this .ftv file (see ftreport -veto)")
+	flag.Var(&o.vetoPaths, "veto", "arm table1/table2 studies with the commit-veto policies mined from this campaign ledger (repeatable; concatenated in flag order)")
 	flag.StringVar(&o.cpuprofile, "cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	flag.StringVar(&o.memprofile, "memprofile", "", "write a pprof heap profile at exit to this file")
 	flag.StringVar(&o.fleetSizes, "fleet-sizes", "", "comma-separated fleet sizes for -experiment fleet (default 100,1000,10000)")
@@ -134,19 +141,13 @@ func main() {
 
 	// Every input is read and every output created before any simulation,
 	// so a bad path fails now rather than after an hours-long campaign.
-	var vetoPolicies []*statemachine.VetoPolicy
-	if o.vetoPath != "" {
-		f, err := os.Open(o.vetoPath)
+	var veto *ledger.Miner
+	if len(o.vetoPaths) > 0 {
+		recs, err := ledger.ReadPaths("ftbench", os.Stderr, o.vetoPaths)
 		if err != nil {
 			die("-veto", err)
 		}
-		vetoPolicies, err = statemachine.ReadPolicies(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			die("-veto", err)
-		}
+		veto = ledger.Analyze(recs).Miner
 	}
 	var jsonFile *os.File
 	if o.jsonPath != "" {
@@ -216,7 +217,7 @@ func main() {
 	// counters so a serial and a parallel run of the same seed produce
 	// byte-identical files.
 	campObs := obs.NewCampaignMetrics(o.parallel)
-	study := bench.StudyOptions{Crashes: o.crashes, Workers: o.parallel, CampaignObs: campObs, Ledger: lw, Veto: vetoPolicies}
+	study := bench.StudyOptions{Crashes: o.crashes, Workers: o.parallel, CampaignObs: campObs, Ledger: lw, Veto: veto}
 	report := map[string]any{}
 
 	run := func(name string, fn func() error) {

@@ -8,9 +8,10 @@
 //     cross-check verdicts;
 //   - a Perfetto/Chrome-trace campaign overview (one span per run over
 //     deterministic virtual worker tracks, colored by outcome);
-//   - a Graphviz rendering of one mined machine's dangerous-path coloring;
-//   - a commit-veto policy file (.ftv) serializing every mined machine's
-//     commit-unsafe states, loadable by ftbench/ftsim -veto.
+//   - a Graphviz rendering of one mined machine's dangerous-path coloring.
+//
+// ftbench -veto and ftsim -veto mine the same ledgers with the same miner
+// and arm their studies with the machines' commit-veto policies.
 //
 // Every ledger output is a pure function of the ledger bytes, which are
 // themselves invariant across worker counts and snapshot modes — so two
@@ -36,7 +37,6 @@
 //	ftreport -ledger campaign.ftl [-ledger more.ftl ...]
 //	         [-md report.md] [-trace trace.json -workers 8]
 //	         [-dot machine.dot [-key table1/nvi/two-phase]]
-//	         [-veto policy.ftv]
 //	ftreport -demo | -machine FILE | -events FILE [-proc 0] [-crashed=false]
 //	         [-dot machine.dot]
 package main
@@ -68,7 +68,7 @@ type options struct {
 	demo            bool
 	md, trace       string
 	workers         int
-	dot, key, veto  string
+	dot, key        string
 	proc            int
 	crashed         bool
 }
@@ -84,7 +84,6 @@ func main() {
 	flag.IntVar(&o.workers, "workers", 8, "with -ledger: virtual worker tracks for -trace")
 	flag.StringVar(&o.dot, "dot", "", "write the selected machine's Graphviz coloring to this file")
 	flag.StringVar(&o.key, "key", "", "with -ledger: mined machine to render with -dot (study/app/protocol; default: first mined)")
-	flag.StringVar(&o.veto, "veto", "", "with -ledger: write the mined commit-veto policies (.ftv, for ftbench -veto) to this file")
 	flag.IntVar(&o.proc, "proc", 0, "with -events: process whose events form the path")
 	flag.BoolVar(&o.crashed, "crashed", true, "with -events: treat the path's final state as a crash state")
 	flag.Parse()
@@ -128,7 +127,7 @@ func (o *options) check() error {
 		msg string
 	}{
 		{modes != 1, "exactly one of -ledger, -machine, -events and -demo is required"},
-		{!ledgerOn && (set["md"] || set["trace"] || set["workers"] || set["veto"]), "-md, -trace, -workers and -veto apply only with -ledger"},
+		{!ledgerOn && (set["md"] || set["trace"] || set["workers"]), "-md, -trace and -workers apply only with -ledger"},
 		{o.workers < 1, "-workers must be >= 1"},
 		{set["key"] && (!ledgerOn || o.dot == ""), "-key selects the -dot machine of a -ledger report; it needs both"},
 		{(set["proc"] || set["crashed"]) && !eventsOn, "-proc and -crashed apply only with -events"},
@@ -143,16 +142,9 @@ func (o *options) check() error {
 
 // reportLedgers writes the ledger artifacts the options ask for.
 func (o *options) reportLedgers() {
-	recs, err := ledger.ReadFiles(func(path string) (io.ReadCloser, error) {
-		return os.Open(path)
-	}, o.ledgers)
+	recs, err := ledger.ReadPaths("ftreport", os.Stderr, o.ledgers)
 	if err != nil {
-		// A torn final record (crash mid-append) leaves a clean prefix;
-		// every other read error is fatal.
-		if !errors.Is(err, ledger.ErrTruncated) {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "ftreport: warning: %v — analyzing the %d complete records before the tear\n", err, len(recs))
+		fail(err)
 	}
 	rp := ledger.Analyze(recs)
 
@@ -191,15 +183,6 @@ func (o *options) reportLedgers() {
 		}
 		writeTo(o.dot, func(w io.Writer) error {
 			return rp.WriteMachineDot(w, k)
-		})
-	}
-	if o.veto != "" {
-		ps := rp.Miner.VetoPolicies()
-		if len(ps) == 0 {
-			fail(fmt.Errorf("no machines mined from %d records; nothing for -veto", len(recs)))
-		}
-		writeTo(o.veto, func(w io.Writer) error {
-			return statemachine.WritePolicies(w, ps)
 		})
 	}
 }

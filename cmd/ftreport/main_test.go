@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -11,7 +12,6 @@ import (
 
 	"failtrans/internal/bench"
 	"failtrans/internal/obs/ledger"
-	"failtrans/internal/statemachine"
 )
 
 // TestMain lets the tests run ftreport itself: re-executed with
@@ -73,9 +73,9 @@ func TestRejectsBadCommandLine(t *testing.T) {
 	}{
 		{"no input", nil, "exactly one of -ledger, -machine, -events and -demo is required"},
 		{"two inputs", []string{"-demo", "-machine", "m.txt"}, "exactly one of -ledger, -machine, -events and -demo is required"},
-		{"md without ledger", []string{"-demo", "-md", "r.md"}, "-md, -trace, -workers and -veto apply only with -ledger"},
-		{"workers without ledger", []string{"-machine", "m.txt", "-workers", "2"}, "-md, -trace, -workers and -veto apply only with -ledger"},
-		{"veto without ledger", []string{"-events", "e.jsonl", "-veto", "p.ftv"}, "-md, -trace, -workers and -veto apply only with -ledger"},
+		{"md without ledger", []string{"-demo", "-md", "r.md"}, "-md, -trace and -workers apply only with -ledger"},
+		{"workers without ledger", []string{"-machine", "m.txt", "-workers", "2"}, "-md, -trace and -workers apply only with -ledger"},
+		{"retired veto flag", []string{"-ledger", "missing.ftl", "-veto", "policy"}, "flag provided but not defined: -veto"},
 		{"zero workers", []string{"-ledger", "missing.ftl", "-workers", "0"}, "-workers must be >= 1"},
 		{"key without dot", []string{"-ledger", "missing.ftl", "-key", "table1/nvi/CPVS"}, "-key selects the -dot machine of a -ledger report; it needs both"},
 		{"key without ledger", []string{"-demo", "-dot", "m.dot", "-key", "table1/nvi/CPVS"}, "-key selects the -dot machine of a -ledger report; it needs both"},
@@ -256,24 +256,20 @@ func TestCampaignLedgerForensics(t *testing.T) {
 	}
 }
 
-// TestCommitVeto closes the mining loop: the policies ftreport -veto mines
-// from a Table 1 ledger defer commits when Table 1 re-runs under them, and
-// a two-phase veto campaign's ledger renders its Commit veto section.
+// TestCommitVeto closes the mining loop: the machines mined from a Table 1
+// ledger, read from its path as ftbench -veto reads it, defer commits when
+// Table 1 re-runs under their policies, and a two-phase veto campaign's
+// ledger renders its Commit veto section.
 func TestCommitVeto(t *testing.T) {
 	dir := t.TempDir()
-	t1, ftv := filepath.Join(dir, "table1.ftl"), filepath.Join(dir, "table1.ftv")
+	t1 := filepath.Join(dir, "table1.ftl")
 	writeLedger(t, t1, table1, bench.StudyOptions{Workers: 4})
-	mustRun(t, "", "-ledger", t1, "-veto", ftv)
-	b := readFile(t, ftv)
-	if !bytes.HasPrefix(b, []byte("ftveto v1\n")) || !bytes.Contains(b, []byte("\nunsafe|")) {
-		t.Fatalf("policy file lacks its magic line or an unsafe state:\n%.300s", b)
-	}
-	ps, err := statemachine.ReadPolicies(bytes.NewReader(b))
+	mined, err := ledger.ReadPaths("ftreport", io.Discard, []string{t1})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	vetoed := writeLedger(t, filepath.Join(dir, "table1-veto.ftl"), table1, bench.StudyOptions{Workers: 4, Veto: ps})
+	vetoed := writeLedger(t, filepath.Join(dir, "table1-veto.ftl"), table1, bench.StudyOptions{Workers: 4, Veto: ledger.Analyze(mined).Miner})
 	recs, err := ledger.ReadAll(bytes.NewReader(vetoed))
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	ftsim -app nvi -protocol CPVS -medium rio [-scale 1] [-stop proc:step]...
-//	      [-tracefile out.json] [-metrics] [-debug]
+//	      [-tracefile out.json] [-metrics] [-veto mined.ftl ...]
 //	ftsim -app nvi -seeds 20 [-parallel N]
 //
 // -tracefile writes a Chrome trace-event / Perfetto-compatible JSON timeline
@@ -22,10 +22,12 @@
 // campaign-ledger file — single runs and -seeds campaigns alike — for
 // cmd/ftreport.
 //
-// -veto arms the run's Discount Checking instance with a mined commit-veto
-// policy (an .ftv file from ftreport -veto, key "ftsim/<app>/<protocol>"):
-// commits whose mined state is on a dangerous path are deferred, and the
-// run's veto counters are printed with the DC statistics.
+// -veto arms the run's Discount Checking instance with the commit-veto
+// policy of the machine "ftsim/<app>/<protocol>" mined from the named
+// campaign ledgers (repeatable, concatenated in flag order as with
+// ftreport -ledger; typically an earlier -seeds -ledger campaign): commits
+// whose mined state is on a dangerous path are deferred, and the run's
+// veto counters are printed with the DC statistics.
 package main
 
 import (
@@ -34,6 +36,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -52,29 +55,14 @@ import (
 	"failtrans/internal/trace"
 )
 
-// apps lists the workloads BuildWorld accepts, each with the number of
-// processes its world has (at every -scale).
-var apps = []struct {
-	name  string
-	procs int
-}{{"nvi", 1}, {"magic", 1}, {"xpilot", 4}, {"treadmarks", 4}}
-
 // validateChoices rejects bad -app/-protocol/-medium values before any work
-// happens, each with a one-line error naming the accepted values. It returns
-// the app's process count.
-func validateChoices(app, pol, medium string) (procs int, err error) {
-	names := make([]string, len(apps))
-	for i, a := range apps {
-		names[i] = a.name
-		if app == a.name {
-			procs = a.procs
-		}
-	}
-	if procs == 0 {
-		return 0, fmt.Errorf("unknown -app %q (accepted: %s)", app, strings.Join(names, ", "))
+// happens, each with a one-line error naming the accepted values.
+func validateChoices(app, pol, medium string) error {
+	if !slices.Contains(bench.Fig8Apps, app) {
+		return fmt.Errorf("unknown -app %q (accepted: %s)", app, strings.Join(bench.Fig8Apps, ", "))
 	}
 	if medium != "rio" && medium != "disk" {
-		return 0, fmt.Errorf("unknown -medium %q (accepted: rio, disk)", medium)
+		return fmt.Errorf("unknown -medium %q (accepted: rio, disk)", medium)
 	}
 	if pol != "NONE" {
 		if _, err := protocol.ByName(pol); err != nil {
@@ -83,39 +71,48 @@ func validateChoices(app, pol, medium string) (procs int, err error) {
 			for _, p := range protocol.Space() {
 				names = append(names, p.Name)
 			}
-			return 0, fmt.Errorf("unknown -protocol %q (accepted: %s)", pol, strings.Join(names, ", "))
+			return fmt.Errorf("unknown -protocol %q (accepted: %s)", pol, strings.Join(names, ", "))
 		}
 	}
-	return procs, nil
+	return nil
 }
 
 // stop is one parsed -stop flag.
 type stop struct{ proc, step int }
 
-// parseStops checks every -stop value against the app's process count before
-// anything is built: proc:step, both decimal with nothing after them, proc in
-// [0, procs), step >= 0.
-func parseStops(vals []string, app string, procs int) ([]stop, error) {
+// parseStops checks every -stop value before anything is written: proc:step,
+// both decimal with nothing after them, step >= 0, and proc in [0, procs)
+// for the processes of the world bench.BuildWorld builds for cfg.
+func parseStops(vals []string, cfg config) ([]stop, error) {
+	if len(vals) == 0 {
+		return nil, nil
+	}
+	w, err := bench.BuildWorld(cfg.app, cfg.scale, cfg.seed)
+	if err != nil {
+		return nil, err
+	}
+	procs := len(w.Procs)
 	stops := make([]stop, 0, len(vals))
 	for _, v := range vals {
 		ps, ss, ok := strings.Cut(v, ":")
 		proc, perr := strconv.Atoi(ps)
 		step, serr := strconv.Atoi(ss)
 		if !ok || perr != nil || serr != nil || proc < 0 || proc >= procs || step < 0 {
-			return nil, fmt.Errorf("bad -stop %q (want proc:step with proc in 0..%d for -app %s and step >= 0)", v, procs-1, app)
+			return nil, fmt.Errorf("bad -stop %q (want proc:step with proc in 0..%d for -app %s and step >= 0)", v, procs-1, cfg.app)
 		}
 		stops = append(stops, stop{proc, step})
 	}
 	return stops, nil
 }
 
-type stopList []string
+// multiFlag collects a repeatable string flag.
+type multiFlag []string
 
-func (s *stopList) String() string     { return strings.Join(*s, ",") }
-func (s *stopList) Set(v string) error { *s = append(*s, v); return nil }
+func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
+func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
 
 func main() {
-	app := flag.String("app", "nvi", "nvi | magic | xpilot | treadmarks")
+	app := flag.String("app", "nvi", strings.Join(bench.Fig8Apps, " | "))
 	polName := flag.String("protocol", "CPVS", "protocol name (see ftbench -experiment space), or NONE")
 	mediumName := flag.String("medium", "rio", "rio | disk")
 	scale := flag.Int("scale", 1, "workload scale")
@@ -124,30 +121,35 @@ func main() {
 	dump := flag.String("dump", "", "write the recorded event trace (JSON lines) to this file")
 	tracefile := flag.String("tracefile", "", "write a Perfetto/Chrome trace-event JSON timeline (virtual time) to this file")
 	metricsFlag := flag.Bool("metrics", false, "print the full metrics snapshot after the run")
-	debug := flag.Bool("debug", false, "print scheduler/recovery debug diagnostics to stderr")
 	seeds := flag.Int("seeds", 1, "run a campaign over this many consecutive seeds instead of one run")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "campaign worker count for -seeds (1 = serial; output is identical either way)")
 	ledgerPath := flag.String("ledger", "", "append one forensic record per run to this campaign-ledger file (for ftreport)")
-	vetoPath := flag.String("veto", "", "arm the DC with a mined commit-veto policy from this .ftv file (key ftsim/<app>/<protocol>)")
-	var stopVals stopList
+	var stopVals, vetoPaths multiFlag
 	flag.Var(&stopVals, "stop", "inject a stop failure as proc:step (repeatable)")
+	flag.Var(&vetoPaths, "veto", "arm the DC with the commit-veto policy of machine ftsim/<app>/<protocol> mined from this campaign ledger (repeatable; concatenated in flag order)")
 	flag.Parse()
 
-	// Every flag is checked before a file is created or a world built; a
-	// command line ftsim cannot run exits 2.
-	procs, err := validateChoices(*app, *polName, *mediumName)
+	// Every flag is checked before a file is created or the run's world
+	// built; a command line ftsim cannot run exits 2.
+	if err := validateChoices(*app, *polName, *mediumName); err != nil {
+		usage(err)
+	}
+	cfg := config{app: *app, protocol: *polName, medium: *mediumName, kind: "none", scale: *scale, seed: *seed}
+	stops, err := parseStops(stopVals, cfg)
 	if err != nil {
 		usage(err)
 	}
-	stops, err := parseStops(stopVals, *app, procs)
-	if err != nil {
-		usage(err)
+	if *seeds > 1 && (*tracefile != "" || *dump != "" || *metricsFlag || len(stops) > 0 || len(vetoPaths) > 0) {
+		usage(fmt.Errorf("-seeds campaigns support none of -tracefile, -dump, -metrics, -stop, -veto (run a single seed for those)"))
 	}
-	if *seeds > 1 && (*tracefile != "" || *dump != "" || *metricsFlag || *debug || len(stops) > 0 || *vetoPath != "") {
-		usage(fmt.Errorf("-seeds campaigns support none of -tracefile, -dump, -metrics, -debug, -stop, -veto (run a single seed for those)"))
-	}
-	if *vetoPath != "" && *polName == "NONE" {
+	if len(vetoPaths) > 0 && *polName == "NONE" {
 		usage(fmt.Errorf("-veto arms the DC's commit decisions; it needs a -protocol other than NONE"))
+	}
+	// The veto ledgers are read before the -ledger file is created, so
+	// naming one file for both reads the old campaign, not an empty one.
+	var veto *statemachine.VetoPolicy
+	if len(vetoPaths) > 0 {
+		veto = minedPolicy(vetoPaths, "ftsim/"+*app+"/"+*polName)
 	}
 
 	// The ledger file is created before any simulation so a bad path fails
@@ -177,7 +179,6 @@ func main() {
 		}
 	}
 
-	cfg := config{app: *app, protocol: *polName, medium: *mediumName, kind: "none", scale: *scale, seed: *seed}
 	if *seeds > 1 {
 		if err := runCampaign(cfg, *seeds, *parallel, lw); err != nil {
 			fail(err)
@@ -199,11 +200,13 @@ func main() {
 		if *metricsFlag || *tracefile != "" {
 			w.EnableObs(*tracefile != "")
 		}
-		if *debug {
-			w.DebugLog = &obs.DebugLog{Enabled: true, W: os.Stderr}
-		}
-		if *vetoPath != "" {
-			armVeto(d, *vetoPath, "ftsim/"+*app+"/"+*polName)
+		if veto != nil {
+			// ftsim records carry no fault activation, so the run's mined
+			// position is simply CommitStateKey(n) after n commits — the
+			// same commit-count space ftsim-study machines are keyed in.
+			d.CommitVeto = func(p *sim.Proc, label string) bool {
+				return veto.CommitUnsafe(ledger.CommitStateKey(d.Stats.TotalCheckpoints()))
+			}
 		}
 		for _, s := range stops {
 			w.ScheduleStop(s.proc, s.step)
@@ -235,7 +238,7 @@ func main() {
 		fmt.Printf("commit bytes:   %d  commit time: %v\n", d.Stats.CommitBytes, d.Stats.CommitTime)
 		fmt.Printf("log records:    %d (%d bytes)\n", d.Stats.LogRecords, d.Stats.LogBytes)
 		fmt.Printf("recoveries:     %d  2pc rounds: %d\n", d.Stats.Recoveries, d.Stats.TwoPhaseRounds)
-		if *vetoPath != "" {
+		if veto != nil {
 			fmt.Printf("commit veto:    %d consulted, %d vetoed (%d at save-work points)\n",
 				d.Stats.VetoConsults, d.Stats.CommitsVetoed, d.Stats.VetoedSaveWork)
 		}
@@ -309,33 +312,20 @@ func main() {
 	}
 }
 
-// armVeto loads the .ftv policy file and installs the policy for key on the
-// DC's commit-veto hook. ftsim records carry no fault activation, so the
-// run's mined position is simply CommitStateKey(n) after n commits — the
-// same commit-count space ftsim-study machines are keyed in.
-func armVeto(d *dc.DC, path, key string) {
-	f, err := os.Open(path)
+// minedPolicy reads the campaign ledgers at paths, mines them and returns
+// the commit-veto policy of the machine key; a key no ledger mined fails
+// the command, naming the keys it did.
+func minedPolicy(paths []string, key string) *statemachine.VetoPolicy {
+	recs, err := ledger.ReadPaths("ftsim", os.Stderr, paths)
 	if err != nil {
 		fail(fmt.Errorf("-veto: %w", err))
 	}
-	ps, err := statemachine.ReadPolicies(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
+	mn := ledger.Analyze(recs).Miner
+	md := mn.Get(key)
+	if md == nil {
+		fail(fmt.Errorf("-veto: no policy for %q in %s (have: %s)", key, strings.Join(paths, ", "), strings.Join(mn.Keys(), ", ")))
 	}
-	if err != nil {
-		fail(fmt.Errorf("-veto: %w", err))
-	}
-	pol := statemachine.FindPolicy(ps, key)
-	if pol == nil {
-		keys := make([]string, 0, len(ps))
-		for _, p := range ps {
-			keys = append(keys, p.Key)
-		}
-		fail(fmt.Errorf("-veto: no policy for %q in %s (have: %s)", key, path, strings.Join(keys, ", ")))
-	}
-	d.CommitVeto = func(p *sim.Proc, label string) bool {
-		return pol.CommitUnsafe(ledger.CommitStateKey(d.Stats.TotalCheckpoints()))
-	}
+	return md.VetoPolicy()
 }
 
 // config names one ftsim run; kind is its ledger record's fault kind.

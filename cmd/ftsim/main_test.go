@@ -8,8 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"failtrans/internal/bench"
 )
 
 // TestMain lets the tests run ftsim itself: re-executed with
@@ -58,7 +56,7 @@ func TestRejectsBadInputUpFront(t *testing.T) {
 		{"unknown protocol", []string{"-protocol", "CPVX"}, "accepted: NONE, "},
 		{"unknown medium", []string{"-medium", "tape"}, "accepted: rio, disk"},
 		{"seeds with tracefile", []string{"-seeds", "3", "-tracefile", "t.json"}, "-seeds campaigns support none of -tracefile"},
-		{"veto without a protocol", []string{"-protocol", "NONE", "-veto", "x.ftv"}, "needs a -protocol other than NONE"},
+		{"veto without a protocol", []string{"-protocol", "NONE", "-veto", "x.ftl"}, "needs a -protocol other than NONE"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ledger := filepath.Join(t.TempDir(), "runs.ftl")
@@ -90,18 +88,57 @@ func TestStopInjectsAFailure(t *testing.T) {
 	}
 }
 
-// TestAppsTableMatchesBuildWorld: the process counts -stop is checked
-// against are the ones the worlds really have, at more than one scale.
-func TestAppsTableMatchesBuildWorld(t *testing.T) {
-	for _, a := range apps {
-		for _, scale := range []int{1, 3} {
-			w, err := bench.BuildWorld(a.name, scale, 1)
-			if err != nil {
-				t.Fatal(err)
+// TestVetoReadsLedgers: -veto mines the campaign ledgers it is given. A
+// -seeds campaign's ledger arms the run's commit veto; a torn copy of it
+// arms the same veto after a warning; a file that is not a ledger, and a
+// ledger that mined no machine for the run, exit 1 naming why.
+func TestVetoReadsLedgers(t *testing.T) {
+	dir := t.TempDir()
+	path := func(name string) string { return filepath.Join(dir, name) }
+	if code, _, stderr := ftsim(t, "-seeds", "3", "-parallel", "2", "-ledger", path("nvi.ftl")); code != 0 {
+		t.Fatalf("campaign: exit %d: %s", code, stderr)
+	}
+	code, armed, stderr := ftsim(t, "-veto", path("nvi.ftl"))
+	if code != 0 || !strings.Contains(armed, "commit veto:    ") || strings.Contains(armed, "commit veto:    0 consulted") {
+		t.Fatalf("ledger -veto: exit %d, stderr %q; want a consulted veto in:\n%s", code, stderr, armed)
+	}
+
+	base, err := os.ReadFile(path("nvi.ftl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path("torn.ftl"), append(base, "0|ftsim|nvi"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, stdout, stderr := ftsim(t, "-veto", path("torn.ftl"))
+	if code != 0 || stdout != armed || !strings.Contains(stderr, "ftsim: warning: ") || !strings.Contains(stderr, "complete records before the tear") {
+		t.Errorf("torn -veto ledger: exit %d, stderr %q; want a warning and the untorn ledger's run", code, stderr)
+	}
+
+	// The body of a policy file of the retired format: not a ledger.
+	if err := os.WriteFile(path("policy"), []byte("machine|ftsim/nvi/CPVS|3\nunsafe|c3\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		args []string
+		want []string // substrings of stderr
+	}{
+		{"not a ledger", []string{"-veto", path("policy")}, []string{"ftsim: -veto: ", "ledger: bad magic line"}},
+		{"no machine for the run", []string{"-app", "magic", "-veto", path("nvi.ftl")}, []string{`-veto: no policy for "ftsim/magic/CPVS"`, "(have: ftsim/nvi/CPVS)"}},
+	} {
+		ledger := path("runs.ftl")
+		code, stdout, stderr := ftsim(t, append(tc.args, "-ledger", ledger)...)
+		if code != 1 || stdout != "" {
+			t.Errorf("%s: exit %d, stdout %q; want exit 1 and nothing printed", tc.name, code, stdout)
+		}
+		for _, want := range tc.want {
+			if !strings.Contains(stderr, want) {
+				t.Errorf("%s: stderr %q lacks %q", tc.name, stderr, want)
 			}
-			if len(w.Procs) != a.procs {
-				t.Errorf("%s at scale %d has %d processes, apps says %d", a.name, scale, len(w.Procs), a.procs)
-			}
+		}
+		if _, err := os.Stat(ledger); err == nil {
+			t.Errorf("%s: created the -ledger file before failing on -veto", tc.name)
 		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"failtrans/internal/protocol"
 	"failtrans/internal/sim"
 	"failtrans/internal/stablestore"
-	"failtrans/internal/statemachine"
 )
 
 // The execution-mode matrix. Worker count, where an injection run's world
@@ -91,7 +90,7 @@ func (c cell) table1(t *testing.T, m *obs.CampaignMetrics, out map[string][]byte
 }
 
 // table2 is table1 for the OS study, optionally under a commit veto.
-func (c cell) table2(t *testing.T, name string, crashes int, veto []*statemachine.VetoPolicy, out map[string][]byte) {
+func (c cell) table2(t *testing.T, name string, crashes int, veto *ledger.Miner, out map[string][]byte) {
 	t.Helper()
 	var l bytes.Buffer
 	o := StudyOptions{Crashes: crashes, Workers: c.workers, Ledger: ledger.NewWriter(&l), Veto: veto}
@@ -151,9 +150,9 @@ func ftsimTrace(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-// run produces every artefact of the cell; veto is the policy set its
-// veto-armed Table 2 row runs under.
-func (c cell) run(t *testing.T, veto []*statemachine.VetoPolicy) (map[string][]byte, *obs.CampaignMetrics) {
+// run produces every artefact of the cell; veto holds the mined machines
+// whose policies its veto-armed Table 2 row runs under.
+func (c cell) run(t *testing.T, veto *ledger.Miner) (map[string][]byte, *obs.CampaignMetrics) {
 	t.Helper()
 	prev := sim.DefaultScanSched
 	sim.DefaultScanSched = c.scan
@@ -174,10 +173,10 @@ func (c cell) run(t *testing.T, veto []*statemachine.VetoPolicy) (map[string][]b
 	return got, m
 }
 
-// minedTable2Veto mines a Table 2 campaign's ledger into commit-veto
-// policies and checks they bite: re-running the campaign under them must
-// defer commits, or the veto row would compare plain Table 2 twice.
-func minedTable2Veto(t *testing.T) []*statemachine.VetoPolicy {
+// minedTable2Veto mines a Table 2 campaign's ledger and checks that its
+// machines' commit-veto policies bite: re-running the campaign under them
+// must defer commits, or the veto row would compare plain Table 2 twice.
+func minedTable2Veto(t *testing.T) *ledger.Miner {
 	t.Helper()
 	mined := map[string][]byte{}
 	production.table2(t, "mine", vetoCrashes, nil, mined)
@@ -185,7 +184,7 @@ func minedTable2Veto(t *testing.T) []*statemachine.VetoPolicy {
 	if err != nil {
 		t.Fatal(err)
 	}
-	veto := ledger.Analyze(recs).Miner.VetoPolicies()
+	veto := ledger.Analyze(recs).Miner
 	production.table2(t, "veto", vetoCrashes, veto, mined)
 	if recs, err = ledger.ReadAll(bytes.NewReader(mined["veto.ftl"])); err != nil {
 		t.Fatal(err)

@@ -10,7 +10,6 @@ import (
 	"failtrans/internal/obs"
 	"failtrans/internal/obs/ledger"
 	"failtrans/internal/protocol"
-	"failtrans/internal/statemachine"
 )
 
 // wallClock supplies wall-clock nanoseconds to the studies' fork-latency
@@ -25,9 +24,9 @@ type Table1Result struct {
 }
 
 // StudyOptions is what a caller chooses about a fault study; everything
-// else is the paper's configuration (faults.NewAppStudy). None of the five
-// changes a result: studies are byte-identical for any worker count, and
-// metrics and the ledger are pure observation.
+// else is the paper's configuration (faults.NewAppStudy). Only Veto changes
+// a result: studies are byte-identical for any worker count, and metrics
+// and the ledger are pure observation.
 type StudyOptions struct {
 	// Crashes is how many crashes to collect per fault type (~50 reproduces
 	// the paper; smaller values run faster).
@@ -39,10 +38,10 @@ type StudyOptions struct {
 	CampaignObs *obs.CampaignMetrics
 	// Ledger, if non-nil, receives one forensic record per run.
 	Ledger *ledger.Writer
-	// Veto arms each app's study with its matching mined commit-veto
-	// policy (key "<study>/<app>/<protocol>"; apps without one run
-	// veto-free).
-	Veto []*statemachine.VetoPolicy
+	// Veto, if non-nil, arms each app's study with the commit-veto policy
+	// of its machine mined from campaign ledgers (key
+	// "<study>/<app>/<protocol>"; apps without one run veto-free).
+	Veto *ledger.Miner
 }
 
 // apply configures one app's study ("table1" or "table2") from the options.
@@ -53,7 +52,12 @@ func (o StudyOptions) apply(s *faults.AppStudy, study string) {
 	s.WallClock = wallClock
 	s.CampaignObs = o.CampaignObs
 	s.Ledger = o.Ledger
-	s.Veto = statemachine.FindPolicy(o.Veto, study+"/"+s.App+"/"+s.Policy.Name)
+	if o.Veto == nil {
+		return
+	}
+	if md := o.Veto.Get(study + "/" + s.App + "/" + s.Policy.Name); md != nil {
+		s.Veto = md.VetoPolicy()
+	}
 }
 
 // Table1 runs the application fault-injection study.

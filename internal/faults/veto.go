@@ -32,8 +32,8 @@ func (d VetoDelta) ClawedBack() int { return d.Baseline.Violations - d.Vetoed.Vi
 // VetoOutcome is a two-phase campaign's full result.
 type VetoOutcome struct {
 	// Key is the mined machine the policy came from; Policy the policy
-	// itself (loadable into further studies or serializable via
-	// statemachine.WritePolicies).
+	// itself — the one ftbench -veto arms from the same machine, mined
+	// out of the campaign's ledger.
 	Key    string
 	Policy *statemachine.VetoPolicy
 	// Baseline and Vetoed are the two phases' per-kind results, in

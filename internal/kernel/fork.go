@@ -12,8 +12,8 @@ import (
 // node up front (cloneNode), one node clone per node: its file tables,
 // limits and counters are its own from the start, and only the file
 // contents stay shared until a first mutation privatizes them (ownFile).
-// The Metrics/Tracer sinks and the OnCorrupt/OnPanic callbacks do not carry
-// over: they are per-run harness wiring, and the original's callbacks would
+// The Metrics/Tracer sinks and the OnCorrupt callback do not carry over:
+// they are per-run harness wiring, and the original's callback would
 // observe the wrong world.
 func (k *Kernel) ForkOS(clock func() time.Duration) sim.OS {
 	k.Freeze()

@@ -199,8 +199,6 @@ type Kernel struct {
 	// decide per corruption whether kernel state also reached user
 	// memory).
 	OnCorrupt func(pid int)
-	// OnPanic, if set, is called when a node's kernel panics.
-	OnPanic func(pid int)
 
 	// Metrics, if non-nil, receives per-syscall and fault-study counters.
 	Metrics *obs.Metrics
@@ -385,9 +383,6 @@ func (k *Kernel) Call(pid int, name string, args [][]byte) ([][]byte, event.NDCl
 					n.fault.traced = false
 					k.Tracer.End(pid, now)
 					k.Tracer.Instant(pid, "kernel", "panic", now)
-				}
-				if k.OnPanic != nil {
-					k.OnPanic(pid)
 				}
 			}
 			return nil, nd, ErrNodeCrashed

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"failtrans/internal/event"
+	"failtrans/internal/obs"
 )
 
 func call(t *testing.T, k *Kernel, pid int, name string, args ...[]byte) [][]byte {
@@ -154,8 +155,7 @@ func TestFaultCorruptionWindow(t *testing.T) {
 	k.Clock = func() time.Duration { return now }
 	var corrupted []int
 	k.OnCorrupt = func(pid int) { corrupted = append(corrupted, pid) }
-	var panicked []int
-	k.OnPanic = func(pid int) { panicked = append(panicked, pid) }
+	k.Metrics = obs.NewMetrics(1)
 
 	k.WriteFile(0, "f", []byte("AAAAAAAA"))
 	fd := Int(call(t, k, 0, "open", []byte("f"))[0])
@@ -179,8 +179,8 @@ func TestFaultCorruptionWindow(t *testing.T) {
 	if !errors.Is(err, ErrNodeCrashed) {
 		t.Errorf("err = %v, want ErrNodeCrashed", err)
 	}
-	if len(panicked) != 1 {
-		t.Errorf("OnPanic calls = %v", panicked)
+	if k.Metrics.KernelPanics != 1 {
+		t.Errorf("KernelPanics = %d, want 1", k.Metrics.KernelPanics)
 	}
 
 	// Reboot clears the panic; the file table is gone but files remain.

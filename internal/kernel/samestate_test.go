@@ -115,7 +115,6 @@ func TestKernelSameStateCoversEveryField(t *testing.T) {
 		"nodes":     c,
 		"Clock":     "wiring to the owning world's clock",
 		"OnCorrupt": sink,
-		"OnPanic":   sink,
 		"Metrics":   sink,
 		"Tracer":    sink,
 		"CowFiles":  "copy-on-write statistics",

@@ -129,9 +129,11 @@ func TestReaderRejects(t *testing.T) {
 	cases := map[string]string{
 		"bad magic":      strings.Replace(valid, "ftledger v2", "notaledger", 1),
 		"future version": strings.Replace(valid, "ftledger v2", "ftledger v9", 1),
-		"short line":     headerOnly + "0|only|three\n",
-		"bad outcome":    strings.Replace(valid, "|crash|L|", "|exploded|L|", 1),
-		"commit count":   strings.Replace(valid, "3,7,40", "3,7", 1),
+		// v1 records lack the veton|vetosw columns.
+		"v1 ledger":    "ftledger v1\n0|table1|nvi|CPVS|rio|stop|1|4|crash|LS|2|5|5|9|3|10|3|1|0|1|3\n",
+		"short line":   headerOnly + "0|only|three\n",
+		"bad outcome":  strings.Replace(valid, "|crash|L|", "|exploded|L|", 1),
+		"commit count": strings.Replace(valid, "3,7,40", "3,7", 1),
 		// A count-only record's commitn sizes the commit chain the miner
 		// builds: a million is an out-of-memory kill.
 		"commitn past the cap": countOnly(MaxCommitN + 1),
@@ -363,10 +365,10 @@ func TestRecordPoolReset(t *testing.T) {
 	Put(r2)
 }
 
-// FuzzReadAll drives a ledger through everything ftreport does with one:
-// ReadAll → Analyze → every report writer and the veto export must never
-// panic, and the records ReadAll returned (the clean prefix, for a torn
-// tail) re-read identically after Writer.Append.
+// FuzzReadAll drives a ledger through everything the commands do with one:
+// ReadAll → Analyze → every report writer and every mined machine's veto
+// policy must never panic, and the records ReadAll returned (the clean
+// prefix, for a torn tail) re-read identically after Writer.Append.
 func FuzzReadAll(f *testing.F) {
 	for _, recs := range [][]Record{sampleRecords(), vetoRecords()} {
 		var buf bytes.Buffer
@@ -376,7 +378,7 @@ func FuzzReadAll(f *testing.F) {
 		}
 		f.Add(buf.String())
 	}
-	f.Add("ftledger v1\n0|table1|nvi|CPVS|rio|stop|1|4|crash|LS|2|5|5|9|3|10|3|1|0|1|3\n0|t|a|p|m|k|1|1|ok|R|0")
+	f.Add("ftledger v2\n0|table1|nvi|CPVS|rio|stop|1|4|crash|LS|2|5|5|9|3|10|3|1|0|1|0|0|3\n0|t|a|p|m|k|1|1|ok|R|0")
 	f.Add("ftledger v2\n0|table2|nvi|CPVS|rio|k|1|5|crash|-|3|9|0|0|-4|0|0|-5|-1|-2|0|0|-\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		recs, _ := ReadAll(strings.NewReader(in))
@@ -407,7 +409,7 @@ func FuzzReadAll(f *testing.F) {
 			if err := rp.WriteMachineDot(io.Discard, key); err != nil {
 				t.Fatal(err)
 			}
+			rp.Miner.Get(key).VetoPolicy()
 		}
-		rp.Miner.VetoPolicies()
 	})
 }

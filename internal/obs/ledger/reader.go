@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 )
@@ -35,19 +36,14 @@ func outcomeByName(s string) (Outcome, bool) {
 	return 0, false
 }
 
-// fieldCount is the per-version record field count: v2 appends the
-// veton|vetosw columns before the commit list.
-func fieldCount(version int) int {
-	if version >= 2 {
-		return 23
-	}
-	return 21
-}
+// fieldCount is a record's field count: the veton|vetosw columns sit
+// before the commit list.
+const fieldCount = 23
 
 // ReadAll parses a ledger stream. It accepts comment lines (leading '#')
-// anywhere, validates the version line (v1 and v2 are accepted; v1
-// records read back with zero veto fields), the field count of every
-// record, and the commit-list/commit-count consistency.
+// anywhere, validates the version line (only Version is accepted), the
+// field count of every record, and the commit-list/commit-count
+// consistency.
 //
 // A stream whose final line lacks its newline — including a tear inside
 // the header — yields every record before the tear plus an error wrapping
@@ -83,8 +79,8 @@ func ReadAll(r io.Reader) ([]Record, error) {
 	if _, err := fmt.Sscanf(magic, "ftledger v%d", &v); err != nil {
 		return nil, fmt.Errorf("ledger: bad magic line %q", magic)
 	}
-	if v < 1 || v > Version {
-		return nil, fmt.Errorf("ledger: unsupported version %d (reader speaks v1..v%d)", v, Version)
+	if v != Version {
+		return nil, fmt.Errorf("ledger: unsupported version %d (reader speaks v%d)", v, Version)
 	}
 	var out []Record
 	for {
@@ -98,7 +94,7 @@ func ReadAll(r io.Reader) ([]Record, error) {
 		if text == "" || strings.HasPrefix(text, "#") {
 			continue
 		}
-		rec, err := parseLine(text, v)
+		rec, err := parseLine(text)
 		if err != nil {
 			return nil, fmt.Errorf("ledger: line %d: %w", line, err)
 		}
@@ -129,11 +125,25 @@ func ReadFiles(open func(string) (io.ReadCloser, error), paths []string) ([]Reco
 	return out, nil
 }
 
-func parseLine(text string, version int) (Record, error) {
+// ReadPaths is the commands' ledger input (ftreport -ledger, ftbench and
+// ftsim -veto): ReadFiles over the named files, in order. A torn final
+// record (a crash mid-append) leaves a clean prefix, so ReadPaths writes a
+// warning naming cmd to warn and returns the complete records before the
+// tear; every other read error is returned.
+func ReadPaths(cmd string, warn io.Writer, paths []string) ([]Record, error) {
+	recs, err := ReadFiles(func(p string) (io.ReadCloser, error) { return os.Open(p) }, paths)
+	if errors.Is(err, ErrTruncated) {
+		fmt.Fprintf(warn, "%s: warning: %v — using the %d complete records before the tear\n", cmd, err, len(recs))
+		return recs, nil
+	}
+	return recs, err
+}
+
+func parseLine(text string) (Record, error) {
 	var r Record
 	f := strings.Split(text, "|")
-	if want := fieldCount(version); len(f) != want {
-		return r, fmt.Errorf("have %d fields, want %d (v%d)", len(f), want, version)
+	if len(f) != fieldCount {
+		return r, fmt.Errorf("have %d fields, want %d", len(f), fieldCount)
 	}
 	ints := func(idx int, dst *int) error {
 		v, err := strconv.Atoi(f[idx])
@@ -212,18 +222,14 @@ func parseLine(text string, version int) (Record, error) {
 	if err := ints(19, &r.ViolN); err != nil {
 		return r, err
 	}
-	commitsField := 20
-	if version >= 2 {
-		if err := ints(20, &r.VetoN); err != nil {
-			return r, err
-		}
-		if err := ints(21, &r.VetoSaveWorkN); err != nil {
-			return r, err
-		}
-		commitsField = 22
+	if err := ints(20, &r.VetoN); err != nil {
+		return r, err
 	}
-	if f[commitsField] != "-" {
-		parts := strings.Split(f[commitsField], ",")
+	if err := ints(21, &r.VetoSaveWorkN); err != nil {
+		return r, err
+	}
+	if f[22] != "-" {
+		parts := strings.Split(f[22], ",")
 		r.Commits = make([]int, len(parts))
 		for i, p := range parts {
 			v, err := strconv.Atoi(p)

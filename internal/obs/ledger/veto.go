@@ -15,13 +15,3 @@ import "failtrans/internal/statemachine"
 func (md *Mined) VetoPolicy() *statemachine.VetoPolicy {
 	return statemachine.NewVetoPolicyFromColoring(md.Key, md.Runs, md.states, md.Coloring())
 }
-
-// VetoPolicies exports one policy per mined machine, in ledger
-// (first-appearance) order.
-func (mn *Miner) VetoPolicies() []*statemachine.VetoPolicy {
-	ps := make([]*statemachine.VetoPolicy, 0, len(mn.order))
-	for _, key := range mn.order {
-		ps = append(ps, mn.byKey[key].VetoPolicy())
-	}
-	return ps
-}

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"reflect"
 	"testing"
-
-	"failtrans/internal/statemachine"
 )
 
 // vetoRecords is a small table1-shaped campaign: runs through "c0 c1 c2"
@@ -39,8 +37,8 @@ func vetoRecords() []Record {
 }
 
 // TestLedgerMineVetoRoundTrip closes the loop the subsystem exists for:
-// records → mined machine → VetoPolicy → ftveto bytes → loaded policy must
-// reproduce the in-memory coloring's verdict for every mined state.
+// records → mined machine → VetoPolicy must reproduce the coloring's
+// verdict for every mined state.
 func TestLedgerMineVetoRoundTrip(t *testing.T) {
 	mn := NewMiner()
 	recs := vetoRecords()
@@ -81,24 +79,6 @@ func TestLedgerMineVetoRoundTrip(t *testing.T) {
 	}
 	if unsafe == 0 {
 		t.Fatal("policy vetoes nothing")
-	}
-
-	var buf bytes.Buffer
-	if err := statemachine.WritePolicies(&buf, mn.VetoPolicies()); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := statemachine.ReadPolicies(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lp := statemachine.FindPolicy(loaded, md.Key)
-	if lp == nil {
-		t.Fatalf("serialized file lost machine %q", md.Key)
-	}
-	for name, id := range md.states {
-		if got, want := lp.CommitUnsafe(name), col.CommitUnsafeAt(id); got != want {
-			t.Errorf("loaded policy: %s = %v, coloring says %v", name, got, want)
-		}
 	}
 }
 

@@ -7,10 +7,8 @@ import (
 	"strings"
 )
 
-// Version is the ledger format version the writer emits. The reader also
-// accepts v1 (21 fields, no veto columns, no 'V' flag); v2 appends the
-// veton|vetosw columns before the commit list and adds the 'V' flag for
-// veto-active runs.
+// Version is the ledger format version the writer emits and the only one
+// ReadAll accepts.
 const Version = 2
 
 // header is the two-line file preamble: a versioned magic line and a

@@ -141,19 +141,3 @@ func TestTracerJSONShapes(t *testing.T) {
 		t.Error("re-serializing the same tracer must be byte-identical")
 	}
 }
-
-func TestDebugLogGating(t *testing.T) {
-	var nilLog *DebugLog
-	nilLog.Printf("must not panic %d", 1)
-	var buf bytes.Buffer
-	l := &DebugLog{W: &buf}
-	l.Printf("hidden")
-	if buf.Len() != 0 {
-		t.Error("disabled logger must be silent")
-	}
-	l.Enabled = true
-	l.Printf("shown %d\n", 7)
-	if got := buf.String(); got != "shown 7\n" {
-		t.Errorf("got %q", got)
-	}
-}

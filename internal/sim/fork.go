@@ -79,7 +79,7 @@ func (w *World) Frozen() bool { return w.frozen }
 // ready to resume from the exact point the original has reached; to carry the
 // original's run on, step another fork. The template's pages are shared and
 // privatized by each fork on first write. Observability sinks (Metrics,
-// Tracer, DebugLog) and the Faults injector are NOT carried over — they are
+// Tracer) and the Faults injector are NOT carried over — they are
 // per-run harness concerns; the caller re-installs what it needs. The event
 // Trace is copied when RecordTrace is set.
 //

@@ -1,11 +1,8 @@
 package sim
 
 import (
-	"io"
 	"testing"
 	"time"
-
-	"failtrans/internal/obs"
 )
 
 // TestInboxMinCacheMatchesScan cross-checks the cached inbox delivery
@@ -68,25 +65,29 @@ func TestInboxMinCacheMatchesScan(t *testing.T) {
 	}
 }
 
-// TestRequeueEmpty: requeueing nothing is a no-op — in particular the debug
-// diagnostic runs only for a real requeue.
+// TestRequeueEmpty: requeueing nothing is a no-op — in particular the
+// requeue instant is traced only for a real requeue.
 func TestRequeueEmpty(t *testing.T) {
 	w := NewWorld(1, &counter{N: 1})
-	w.DebugLog = &obs.DebugLog{Enabled: true, W: io.Discard}
+	_, tr := w.EnableObs(true)
 	p := w.Procs[0]
 	w.Requeue(p, nil)
 	if len(p.inbox) != 0 || p.inbox != nil {
 		t.Fatalf("requeue of nothing mutated the inbox: %v", p.inbox)
+	}
+	if tr.Len() != 0 {
+		t.Fatalf("requeue of nothing traced %d events", tr.Len())
 	}
 }
 
 // TestRequeueAheadOfInbox: a divergence makes the receives a re-execution
 // will not be handed deliverable now — copies addressed to the process,
 // re-timed to the clock, ahead of the live inbox in the given order — and
-// refreshes the cached delivery minimum. The caller's messages are not
-// touched.
+// refreshes the cached delivery minimum; a traced world marks the requeue
+// on the process's track. The caller's messages are not touched.
 func TestRequeueAheadOfInbox(t *testing.T) {
 	w := NewWorld(1, &counter{N: 1})
+	_, tr := w.EnableObs(true)
 	p := w.Procs[0]
 	p.inboxAdd(&Msg{ID: 1, DeliverAt: time.Second})
 	w.Clock = 5 * time.Millisecond
@@ -105,5 +106,8 @@ func TestRequeueAheadOfInbox(t *testing.T) {
 	}
 	if at, ok := p.earliestInbox(); !ok || at != w.Clock {
 		t.Fatalf("cached minimum stale after requeue: (%v,%v), want (%v,true)", at, ok, w.Clock)
+	}
+	if tr.Len() != 1 {
+		t.Errorf("requeue traced %d events, want its one instant", tr.Len())
 	}
 }

@@ -266,7 +266,6 @@ func TestSameStateCoversEveryField(t *testing.T) {
 		"Faults":     "per-run harness wiring; the caller establishes that its injectors agree from here on",
 		"Metrics":    sink,
 		"Tracer":     sink,
-		"DebugLog":   sink,
 		"sched":      index,
 		"schedMask":  index,
 		"schedShift": index,

@@ -238,9 +238,6 @@ type World struct {
 	// Tracer, if non-nil, receives causal spans and flow arrows over
 	// virtual time (exported as Chrome trace-event JSON).
 	Tracer *obs.Tracer
-	// DebugLog, if non-nil and enabled, receives scheduler diagnostics;
-	// nil (the default) is silent.
-	DebugLog *obs.DebugLog
 
 	// ScanSched selects the legacy O(Procs) scheduling scan instead of
 	// the readiness index — the differential oracle the equivalence tests
@@ -547,7 +544,9 @@ func (w *World) Requeue(p *Proc, ms []Msg) {
 	if len(ms) == 0 {
 		return
 	}
-	w.DebugLog.Printf("sim: requeue p%d steps=%d msgs=%d\n", p.Index, p.Steps, len(ms))
+	if w.Tracer != nil {
+		w.Tracer.Instant(p.Index, "sim", "requeue", w.Clock)
+	}
 	pre := make([]*Msg, 0, len(ms)+len(p.inbox))
 	for _, m := range ms {
 		c := w.allocMsg()

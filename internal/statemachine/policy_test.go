@@ -1,9 +1,6 @@
 package statemachine
 
 import (
-	"bytes"
-	"reflect"
-	"strings"
 	"testing"
 
 	"failtrans/internal/event"
@@ -60,107 +57,6 @@ func TestFixedNDDoomGolden(t *testing.T) {
 	if nilPol.CommitUnsafe("mid") {
 		t.Error("nil policy vetoed a commit")
 	}
-}
-
-func TestVetoPolicyFileRoundTrip(t *testing.T) {
-	m, names := fixedNDMachine()
-	col := m.DangerousPaths()
-	ps := []*VetoPolicy{
-		NewVetoPolicyFromColoring("table1/nvi/CPVS", 42, names, col),
-		{Key: "table1/postgres/CPVS", Runs: 3, Unsafe: map[string]bool{"c9": true, "a2/stop:1": true}},
-	}
-	var buf bytes.Buffer
-	if err := WritePolicies(&buf, ps); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(buf.String(), VetoMagic+"\n") {
-		t.Fatalf("missing magic line in %q", buf.String())
-	}
-	var buf2 bytes.Buffer
-	if err := WritePolicies(&buf2, ps); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Fatal("two serializations of the same policies differ")
-	}
-
-	got, err := ReadPolicies(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(ps) {
-		t.Fatalf("read %d policies, want %d", len(got), len(ps))
-	}
-	for i, want := range ps {
-		p := got[i]
-		if p.Key != want.Key || p.Runs != want.Runs {
-			t.Errorf("policy %d header (%s, %d), want (%s, %d)", i, p.Key, p.Runs, want.Key, want.Runs)
-		}
-		for s := range want.Unsafe {
-			if !p.CommitUnsafe(s) {
-				t.Errorf("policy %d lost unsafe state %s", i, s)
-			}
-		}
-		if len(p.Unsafe) != len(want.Unsafe) {
-			t.Errorf("policy %d has %d unsafe states, want %d", i, len(p.Unsafe), len(want.Unsafe))
-		}
-	}
-	if FindPolicy(got, "table1/postgres/CPVS") != got[1] {
-		t.Error("FindPolicy missed an existing key")
-	}
-	if FindPolicy(got, "missing") != nil {
-		t.Error("FindPolicy invented a policy")
-	}
-}
-
-func TestVetoPolicyRejects(t *testing.T) {
-	bad := []*VetoPolicy{{Key: "evil|key", Unsafe: map[string]bool{}}}
-	if err := WritePolicies(&bytes.Buffer{}, bad); err == nil {
-		t.Error("key containing '|' accepted")
-	}
-	bad = []*VetoPolicy{{Key: "k", Unsafe: map[string]bool{"s|t": true}}}
-	if err := WritePolicies(&bytes.Buffer{}, bad); err == nil {
-		t.Error("state containing '|' accepted")
-	}
-	for name, in := range map[string]string{
-		"empty":           "",
-		"bad magic":       "notveto v1\nmachine|k|1\n",
-		"orphan unsafe":   VetoMagic + "\nunsafe|c1\n",
-		"bad run count":   VetoMagic + "\nmachine|k|many\n",
-		"unknown line":    VetoMagic + "\nwat|c1\n",
-		"machine 2 field": VetoMagic + "\nmachine|k\n",
-		"repeated key":    VetoMagic + "\nmachine|k|1\nunsafe|c1\nmachine|k|2\n",
-	} {
-		if _, err := ReadPolicies(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-}
-
-// FuzzReadPolicies: whatever ReadPolicies accepts, WritePolicies writes
-// back and ReadPolicies reads again unchanged — read → write → read is a
-// fixed point.
-func FuzzReadPolicies(f *testing.F) {
-	f.Add(VetoMagic + "\nmachine|table1/nvi/CPVS|42\nunsafe|c3\nunsafe|a2/stop:1\n\nmachine|table2/nvi/CPVS|0\n")
-	f.Add(VetoMagic + "\nmachine|k|1\nunsafe|c1\nmachine|k|2\n")
-	f.Add(VetoMagic + "\r\nmachine|k|+7\r\nunsafe|s\r\r\n")
-	f.Fuzz(func(t *testing.T, in string) {
-		ps, err := ReadPolicies(strings.NewReader(in))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := WritePolicies(&buf, ps); err != nil {
-			t.Fatalf("WritePolicies refused what ReadPolicies accepted: %v", err)
-		}
-		again, err := ReadPolicies(&buf)
-		if err != nil {
-			t.Fatalf("re-read of %q: %v", buf.String(), err)
-		}
-		if !reflect.DeepEqual(again, ps) {
-			t.Fatalf("read → write → read moved the policies of %q (rewritten as %q)", in, buf.String())
-		}
-	})
 }
 
 // chainMachine builds a deep commit chain with a branchy tail, the shape
