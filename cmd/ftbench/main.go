@@ -35,8 +35,9 @@
 // ns-per-scheduling-decision and protocol-overhead curves (see
 // internal/bench/fleet.go).
 //
-// Bad input is rejected before any simulation starts (exit 2), and every
-// output file is created up front, so a typo cannot cost a campaign.
+// Bad input is rejected before any simulation starts (exit 2), a flag the
+// chosen -experiment never reads included, and every output file is
+// created up front, so a typo cannot cost a campaign.
 //
 // Usage:
 //
@@ -83,20 +84,34 @@ type options struct {
 	cpuprofile, memprofile   string
 }
 
+// readers lists the flags some experiments never read: what each one does
+// and the -experiment values that read it. The veto experiment mines its
+// own phase-1 policy and must start veto-free, so it never reads -veto.
+var readers = []struct {
+	flag, does  string
+	experiments []string
+}{
+	{"veto", "-veto arms table1/table2 studies", []string{"all", "table1", "table2"}},
+	{"scale", "-scale sizes fig8's workloads", []string{"all", "fig8"}},
+	{"app", "-app restricts fig8 or veto to one app", []string{"fig8", "veto"}},
+	{"fleet-sizes", "-fleet-sizes sizes -experiment fleet's fleets", []string{"fleet"}},
+	{"crashes", "-crashes sets the fault studies' crash target", []string{"all", "table1", "table2", "veto"}},
+}
+
 // check rejects a command line that could only fail — or silently do
 // nothing — once simulation is under way, and returns the parsed fleet
-// sizes.
-func (o *options) check() ([]int, error) {
+// sizes. set holds the names of the flags the command line sets.
+func (o *options) check(set map[string]bool) ([]int, error) {
 	if !slices.Contains(experiments, o.experiment) {
 		return nil, fmt.Errorf("unknown -experiment %q (accepted: %s)", o.experiment, strings.Join(experiments, ", "))
 	}
 	if o.crashes < 1 {
 		return nil, fmt.Errorf("-crashes must be at least 1, got %d", o.crashes)
 	}
-	// The veto experiment mines its own phase-1 policy and must start
-	// veto-free.
-	if len(o.vetoPaths) > 0 && o.experiment == "veto" {
-		return nil, fmt.Errorf("-veto arms table1/table2 studies; it cannot be combined with -experiment veto")
+	for _, r := range readers {
+		if set[r.flag] && !slices.Contains(r.experiments, o.experiment) {
+			return nil, fmt.Errorf("%s; -experiment %s never reads it", r.does, o.experiment)
+		}
 	}
 	sizes := []int{100, 1_000, 10_000}
 	if o.fleetSizes != "" {
@@ -133,7 +148,9 @@ func main() {
 	flag.StringVar(&o.fleetSizes, "fleet-sizes", "", "comma-separated fleet sizes for -experiment fleet (default 100,1000,10000)")
 	flag.Parse()
 
-	fleetSizes, err := o.check()
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	fleetSizes, err := o.check(set)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ftbench: %v\n", err)
 		os.Exit(2)

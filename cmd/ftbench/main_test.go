@@ -52,6 +52,11 @@ func TestRejectsBadInputUpFront(t *testing.T) {
 		{"zero crashes", []string{"-experiment", "table1", "-crashes", "0"}, 2, "-crashes must be at least 1"},
 		{"retired bench flag", []string{"-bench"}, 2, "flag provided but not defined: -bench"},
 		{"veto under veto experiment", []string{"-experiment", "veto", "-veto", "x.ftl"}, 2, "-veto arms table1/table2 studies"},
+		{"veto outside the fault studies", []string{"-experiment", "space", "-veto", "x.ftl"}, 2, "-veto arms table1/table2 studies; -experiment space never reads it"},
+		{"scale outside fig8", []string{"-experiment", "table1", "-scale", "7"}, 2, "-scale sizes fig8's workloads; -experiment table1 never reads it"},
+		{"app outside fig8 and veto", []string{"-experiment", "all", "-app", "magic"}, 2, "-app restricts fig8 or veto to one app; -experiment all never reads it"},
+		{"fleet sizes outside fleet", []string{"-experiment", "space", "-fleet-sizes", "5,6"}, 2, "-fleet-sizes sizes -experiment fleet's fleets; -experiment space never reads it"},
+		{"crashes without a fault study", []string{"-experiment", "fig8", "-crashes", "3"}, 2, "-crashes sets the fault studies' crash target; -experiment fig8 never reads it"},
 		{"bad fleet size", []string{"-experiment", "fleet", "-fleet-sizes", "100,x"}, 2, `bad size "x"`},
 		{"tiny fleet size", []string{"-experiment", "fleet", "-fleet-sizes", "1"}, 2, `bad size "1"`},
 		{"unreadable veto file", []string{"-experiment", "table1", "-veto", missing}, 1, "-veto:"},

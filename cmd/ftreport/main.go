@@ -10,8 +10,8 @@
 //     deterministic virtual worker tracks, colored by outcome);
 //   - a Graphviz rendering of one mined machine's dangerous-path coloring.
 //
-// ftbench -veto and ftsim -veto mine the same ledgers with the same miner
-// and arm their studies with the machines' commit-veto policies.
+// ftbench -veto mines the same ledgers with the same miner and arms its
+// studies with the machines' commit-veto policies.
 //
 // Every ledger output is a pure function of the ledger bytes, which are
 // themselves invariant across worker counts and snapshot modes — so two

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	ftsim -app nvi -protocol CPVS -medium rio [-scale 1] [-stop proc:step]...
-//	      [-tracefile out.json] [-metrics] [-veto mined.ftl ...]
+//	      [-tracefile out.json] [-metrics] [-v]
 //	ftsim -app nvi -seeds 20 [-parallel N]
 //
 // -tracefile writes a Chrome trace-event / Perfetto-compatible JSON timeline
@@ -21,13 +21,6 @@
 // -ledger appends one forensic record per run (study "ftsim") to the named
 // campaign-ledger file — single runs and -seeds campaigns alike — for
 // cmd/ftreport.
-//
-// -veto arms the run's Discount Checking instance with the commit-veto
-// policy of the machine "ftsim/<app>/<protocol>" mined from the named
-// campaign ledgers (repeatable, concatenated in flag order as with
-// ftreport -ledger; typically an earlier -seeds -ledger campaign): commits
-// whose mined state is on a dangerous path are deferred, and the run's
-// veto counters are printed with the DC statistics.
 package main
 
 import (
@@ -51,7 +44,6 @@ import (
 	"failtrans/internal/recovery"
 	"failtrans/internal/sim"
 	"failtrans/internal/stablestore"
-	"failtrans/internal/statemachine"
 	"failtrans/internal/trace"
 )
 
@@ -124,9 +116,8 @@ func main() {
 	seeds := flag.Int("seeds", 1, "run a campaign over this many consecutive seeds instead of one run")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "campaign worker count for -seeds (1 = serial; output is identical either way)")
 	ledgerPath := flag.String("ledger", "", "append one forensic record per run to this campaign-ledger file (for ftreport)")
-	var stopVals, vetoPaths multiFlag
+	var stopVals multiFlag
 	flag.Var(&stopVals, "stop", "inject a stop failure as proc:step (repeatable)")
-	flag.Var(&vetoPaths, "veto", "arm the DC with the commit-veto policy of machine ftsim/<app>/<protocol> mined from this campaign ledger (repeatable; concatenated in flag order)")
 	flag.Parse()
 
 	// Every flag is checked before a file is created or the run's world
@@ -139,17 +130,15 @@ func main() {
 	if err != nil {
 		usage(err)
 	}
-	if *seeds > 1 && (*tracefile != "" || *dump != "" || *metricsFlag || len(stops) > 0 || len(vetoPaths) > 0) {
-		usage(fmt.Errorf("-seeds campaigns support none of -tracefile, -dump, -metrics, -stop, -veto (run a single seed for those)"))
+	if *seeds > 1 && (*tracefile != "" || *dump != "" || *metricsFlag || len(stops) > 0 || *verbose) {
+		usage(fmt.Errorf("-seeds campaigns support none of -tracefile, -dump, -metrics, -stop, -v (run a single seed for those)"))
 	}
-	if len(vetoPaths) > 0 && *polName == "NONE" {
-		usage(fmt.Errorf("-veto arms the DC's commit decisions; it needs a -protocol other than NONE"))
-	}
-	// The veto ledgers are read before the -ledger file is created, so
-	// naming one file for both reads the old campaign, not an empty one.
-	var veto *statemachine.VetoPolicy
-	if len(vetoPaths) > 0 {
-		veto = minedPolicy(vetoPaths, "ftsim/"+*app+"/"+*polName)
+	if *seeds <= 1 {
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "parallel" {
+				usage(fmt.Errorf("-parallel sets the worker count of a -seeds campaign; a single run has no workers"))
+			}
+		})
 	}
 
 	// The ledger file is created before any simulation so a bad path fails
@@ -200,14 +189,6 @@ func main() {
 		if *metricsFlag || *tracefile != "" {
 			w.EnableObs(*tracefile != "")
 		}
-		if veto != nil {
-			// ftsim records carry no fault activation, so the run's mined
-			// position is simply CommitStateKey(n) after n commits — the
-			// same commit-count space ftsim-study machines are keyed in.
-			d.CommitVeto = func(p *sim.Proc, label string) bool {
-				return veto.CommitUnsafe(ledger.CommitStateKey(d.Stats.TotalCheckpoints()))
-			}
-		}
 		for _, s := range stops {
 			w.ScheduleStop(s.proc, s.step)
 		}
@@ -238,10 +219,6 @@ func main() {
 		fmt.Printf("commit bytes:   %d  commit time: %v\n", d.Stats.CommitBytes, d.Stats.CommitTime)
 		fmt.Printf("log records:    %d (%d bytes)\n", d.Stats.LogRecords, d.Stats.LogBytes)
 		fmt.Printf("recoveries:     %d  2pc rounds: %d\n", d.Stats.Recoveries, d.Stats.TwoPhaseRounds)
-		if veto != nil {
-			fmt.Printf("commit veto:    %d consulted, %d vetoed (%d at save-work points)\n",
-				d.Stats.VetoConsults, d.Stats.CommitsVetoed, d.Stats.VetoedSaveWork)
-		}
 	}
 	// The paper's §3 heuristic, applied to this run's event mix.
 	sum := trace.Summarize(w.Trace)
@@ -310,22 +287,6 @@ func main() {
 		ledger.Put(rec)
 		ledgerClose()
 	}
-}
-
-// minedPolicy reads the campaign ledgers at paths, mines them and returns
-// the commit-veto policy of the machine key; a key no ledger mined fails
-// the command, naming the keys it did.
-func minedPolicy(paths []string, key string) *statemachine.VetoPolicy {
-	recs, err := ledger.ReadPaths("ftsim", os.Stderr, paths)
-	if err != nil {
-		fail(fmt.Errorf("-veto: %w", err))
-	}
-	mn := ledger.Analyze(recs).Miner
-	md := mn.Get(key)
-	if md == nil {
-		fail(fmt.Errorf("-veto: no policy for %q in %s (have: %s)", key, strings.Join(paths, ", "), strings.Join(mn.Keys(), ", ")))
-	}
-	return md.VetoPolicy()
 }
 
 // config names one ftsim run; kind is its ledger record's fault kind.

@@ -56,7 +56,9 @@ func TestRejectsBadInputUpFront(t *testing.T) {
 		{"unknown protocol", []string{"-protocol", "CPVX"}, "accepted: NONE, "},
 		{"unknown medium", []string{"-medium", "tape"}, "accepted: rio, disk"},
 		{"seeds with tracefile", []string{"-seeds", "3", "-tracefile", "t.json"}, "-seeds campaigns support none of -tracefile"},
-		{"veto without a protocol", []string{"-protocol", "NONE", "-veto", "x.ftl"}, "needs a -protocol other than NONE"},
+		{"seeds with verbose output", []string{"-seeds", "3", "-v"}, "-seeds campaigns support none of -tracefile, -dump, -metrics, -stop, -v"},
+		{"parallel on a single run", []string{"-parallel", "2"}, "-parallel sets the worker count of a -seeds campaign"},
+		{"retired veto flag", []string{"-veto", "x.ftl"}, "flag provided but not defined: -veto"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ledger := filepath.Join(t.TempDir(), "runs.ftl")
@@ -84,61 +86,6 @@ func TestStopInjectsAFailure(t *testing.T) {
 	for _, want := range []string{"proc 0 (nvi): status=done steps=", "crashes=1", "recoveries:     1"} {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("output lacks %q:\n%s", want, stdout)
-		}
-	}
-}
-
-// TestVetoReadsLedgers: -veto mines the campaign ledgers it is given. A
-// -seeds campaign's ledger arms the run's commit veto; a torn copy of it
-// arms the same veto after a warning; a file that is not a ledger, and a
-// ledger that mined no machine for the run, exit 1 naming why.
-func TestVetoReadsLedgers(t *testing.T) {
-	dir := t.TempDir()
-	path := func(name string) string { return filepath.Join(dir, name) }
-	if code, _, stderr := ftsim(t, "-seeds", "3", "-parallel", "2", "-ledger", path("nvi.ftl")); code != 0 {
-		t.Fatalf("campaign: exit %d: %s", code, stderr)
-	}
-	code, armed, stderr := ftsim(t, "-veto", path("nvi.ftl"))
-	if code != 0 || !strings.Contains(armed, "commit veto:    ") || strings.Contains(armed, "commit veto:    0 consulted") {
-		t.Fatalf("ledger -veto: exit %d, stderr %q; want a consulted veto in:\n%s", code, stderr, armed)
-	}
-
-	base, err := os.ReadFile(path("nvi.ftl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path("torn.ftl"), append(base, "0|ftsim|nvi"...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, stdout, stderr := ftsim(t, "-veto", path("torn.ftl"))
-	if code != 0 || stdout != armed || !strings.Contains(stderr, "ftsim: warning: ") || !strings.Contains(stderr, "complete records before the tear") {
-		t.Errorf("torn -veto ledger: exit %d, stderr %q; want a warning and the untorn ledger's run", code, stderr)
-	}
-
-	// The body of a policy file of the retired format: not a ledger.
-	if err := os.WriteFile(path("policy"), []byte("machine|ftsim/nvi/CPVS|3\nunsafe|c3\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name string
-		args []string
-		want []string // substrings of stderr
-	}{
-		{"not a ledger", []string{"-veto", path("policy")}, []string{"ftsim: -veto: ", "ledger: bad magic line"}},
-		{"no machine for the run", []string{"-app", "magic", "-veto", path("nvi.ftl")}, []string{`-veto: no policy for "ftsim/magic/CPVS"`, "(have: ftsim/nvi/CPVS)"}},
-	} {
-		ledger := path("runs.ftl")
-		code, stdout, stderr := ftsim(t, append(tc.args, "-ledger", ledger)...)
-		if code != 1 || stdout != "" {
-			t.Errorf("%s: exit %d, stdout %q; want exit 1 and nothing printed", tc.name, code, stdout)
-		}
-		for _, want := range tc.want {
-			if !strings.Contains(stderr, want) {
-				t.Errorf("%s: stderr %q lacks %q", tc.name, stderr, want)
-			}
-		}
-		if _, err := os.Stat(ledger); err == nil {
-			t.Errorf("%s: created the -ledger file before failing on -veto", tc.name)
 		}
 	}
 }

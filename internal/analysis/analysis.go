@@ -65,9 +65,6 @@ type Pass struct {
 	driver   *driver
 }
 
-// Fset returns the FileSet shared by every package of the run.
-func (p *Pass) Fset() *token.FileSet { return p.driver.fset }
-
 // Reportf records a finding at pos. Suppression filtering happens in the
 // driver, so analyzers report unconditionally.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
@@ -101,17 +98,9 @@ type Finish struct {
 	driver   *driver
 }
 
-// Fset returns the FileSet shared by every package of the run.
-func (f *Finish) Fset() *token.FileSet { return f.driver.fset }
-
 // Reportf records a finding at pos, exactly as Pass.Reportf does.
 func (f *Finish) Reportf(pos token.Pos, format string, args ...any) {
 	f.driver.report(Diagnostic{Pos: pos, Analyzer: f.Analyzer.Name, Message: fmt.Sprintf(format, args...)})
-}
-
-// Suppressed mirrors Pass.Suppressed for Finish-phase decisions.
-func (f *Finish) Suppressed(pos token.Pos) bool {
-	return f.driver.suppressed(pos, f.Analyzer.SuppressTag)
 }
 
 // AllObjectFacts returns every (object, fact) pair this analyzer exported,

@@ -73,9 +73,6 @@ func (cfg Config) Norm() Config {
 	return cfg
 }
 
-// Procs is the total process count of the fleet cfg describes.
-func (cfg Config) Procs() int { n := cfg.Norm(); return n.Servers + n.Clients }
-
 // Sized returns the canonical curve configuration for a fleet of about n
 // total processes: one server shard per 64 clients, two rounds, and the
 // visible-output width fixed at 16 reporters regardless of n.

@@ -573,15 +573,6 @@ func (l *Layout) salt() uint64 {
 	return l.faultSalt
 }
 
-// TotalTiles returns the tile count across layers (assertions).
-func (l *Layout) TotalTiles() int {
-	n := 0
-	for _, layer := range l.Layers {
-		n += len(layer.Rects)
-	}
-	return n
-}
-
 // MarshalState implements sim.Program.
 func (l *Layout) MarshalState() ([]byte, error) { return l.AppendState(nil) }
 

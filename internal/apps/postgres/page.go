@@ -251,11 +251,6 @@ func (p *Page) VerifyCRC() bool {
 
 // Tuple codec: [key int64][len uint16][value].
 
-// EncodeTuple serializes a key/value pair.
-func EncodeTuple(key int64, value []byte) []byte {
-	return appendTuple(make([]byte, 0, 10+len(value)), key, value)
-}
-
 // appendTuple serializes a key/value pair behind dst.
 func appendTuple[V string | []byte](dst []byte, key int64, value V) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(key))
@@ -325,15 +320,4 @@ func (p *Page) Compact() (map[uint16]uint16, error) {
 	p.Dirty = true
 	p.UpdateCRC()
 	return remap, nil
-}
-
-// LiveTuples counts non-deleted slots.
-func (p *Page) LiveTuples() int {
-	n := 0
-	for i := 0; i < p.NSlots(); i++ {
-		if _, ln := p.slot(i); ln != 0 {
-			n++
-		}
-	}
-	return n
 }

@@ -6,6 +6,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"failtrans/internal/faults"
+	"failtrans/internal/sim"
 )
 
 func TestMagicSessionTerminates(t *testing.T) {
@@ -155,6 +158,30 @@ func TestTable1Small(t *testing.T) {
 	}
 	if !strings.Contains(out, "Heisenbugs") {
 		t.Error("Table 1 should print the §4.1 composition")
+	}
+
+	// A kind that never crashed has no rate: it prints "—" with its run
+	// count and stays out of the Average and the composition.
+	buf.Reset()
+	(&Table1Result{
+		Nvi: []faults.TypeResult{
+			{Kind: sim.StackBitFlip, Runs: 60, Crashes: 50, Violations: 10},
+			{Kind: sim.HeapBitFlip, Runs: 70, Crashes: 50, Violations: 30},
+		},
+		Postgres: []faults.TypeResult{
+			{Kind: sim.StackBitFlip, Runs: 600},
+			{Kind: sim.HeapBitFlip, Runs: 80, Crashes: 50, Violations: 40},
+		},
+	}).Print(&buf)
+	for _, want := range []string{
+		"stack bit flip                  20%   — (600 runs)\n",
+		"heap bit flip                   60%            80%\n",
+		"Average                         40%            80%\n",
+		"with  5% Heisenbugs: Lose-work upheld in 2% of crashes (violated in 98%)\n",
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("zero-crash Table 1 lacks %q:\n%s", want, buf.String())
+		}
 	}
 }
 

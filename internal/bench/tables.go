@@ -79,17 +79,52 @@ func Table1(o StudyOptions) (*Table1Result, error) {
 	return out, nil
 }
 
-// avgViolationPct averages the per-type violation percentages (as the
-// paper's "Average" row does).
-func avgViolationPct(rs []faults.TypeResult) float64 {
-	if len(rs) == 0 {
-		return 0
+// faultCell is one cell of a fault table: a percentage of a fault kind's
+// crashes, which is undefined for a kind that never crashed.
+type faultCell struct {
+	pct           float64
+	crashes, runs int
+}
+
+// String renders the percentage, or "—" with the run count when no run
+// crashed.
+func (c faultCell) String() string {
+	if c.crashes == 0 {
+		return fmt.Sprintf("— (%d runs)", c.runs)
 	}
-	sum := 0.0
-	for _, r := range rs {
-		sum += r.ViolationPct()
+	return fmt.Sprintf("%.0f%%", c.pct)
+}
+
+// mean averages the percentages of the cells that have one, as the paper's
+// "Average" row averages its fault kinds; a kind that never crashed is left
+// out, and the mean has none (crashes 0) when no cell has one.
+func mean(cells ...faultCell) faultCell {
+	var m faultCell
+	n := 0
+	for _, c := range cells {
+		m.crashes += c.crashes
+		m.runs += c.runs
+		if c.crashes > 0 {
+			m.pct += c.pct
+			n++
+		}
 	}
-	return sum / float64(len(rs))
+	if n > 0 {
+		m.pct /= float64(n)
+	}
+	return m
+}
+
+// printFaultRows renders a fault table's nvi and postgres columns, one row
+// per fault kind, then the Average row, and returns each column's mean.
+func printFaultRows(w io.Writer, kinds []string, cols [2][]faultCell) [2]faultCell {
+	fmt.Fprintf(w, "%-20s %14s %14s\n", "Fault Type", "nvi", "postgres")
+	for i, kind := range kinds {
+		fmt.Fprintf(w, "%-20s %14s %14s\n", kind, cols[0][i], cols[1][i])
+	}
+	avg := [2]faultCell{mean(cols[0]...), mean(cols[1]...)}
+	fmt.Fprintf(w, "%-20s %14s %14s\n", "Average", avg[0], avg[1])
+	return avg
 }
 
 // Print renders Table 1 plus the paper's §4.1 composition with the
@@ -97,19 +132,25 @@ func avgViolationPct(rs []faults.TypeResult) float64 {
 // Heisenbugs).
 func (t *Table1Result) Print(w io.Writer) {
 	fmt.Fprintf(w, "Table 1: fraction of application faults that violate Lose-work\n")
-	fmt.Fprintf(w, "%-20s %14s %14s\n", "Fault Type", "nvi", "postgres")
+	kinds := make([]string, len(t.Nvi))
+	var cols [2][]faultCell
 	for i := range t.Nvi {
-		fmt.Fprintf(w, "%-20s %13.0f%% %13.0f%%\n",
-			t.Nvi[i].Kind, t.Nvi[i].ViolationPct(), t.Postgres[i].ViolationPct())
+		kinds[i] = t.Nvi[i].Kind.String()
+		for c, r := range []faults.TypeResult{t.Nvi[i], t.Postgres[i]} {
+			cols[c] = append(cols[c], faultCell{r.ViolationPct(), r.Crashes, r.Runs})
+		}
 	}
-	nv, pg := avgViolationPct(t.Nvi), avgViolationPct(t.Postgres)
-	fmt.Fprintf(w, "%-20s %13.0f%% %13.0f%%\n", "Average", nv, pg)
+	avgs := printFaultRows(w, kinds, cols)
 
 	// §4.1 composition: these violation rates apply to Heisenbugs only;
-	// Bohrbugs (85-95% of field bugs) violate Lose-work inherently.
-	avg := (nv + pg) / 2
+	// Bohrbugs (85-95% of field bugs) violate Lose-work inherently. The
+	// violation rate is the mean of the apps' averages.
+	avg := mean(avgs[:]...)
+	if avg.crashes == 0 {
+		return
+	}
 	for _, heisen := range []float64{5, 15} {
-		upheld := (100 - avg) / 100 * heisen
+		upheld := (100 - avg.pct) / 100 * heisen
 		fmt.Fprintf(w, "with %2.0f%% Heisenbugs: Lose-work upheld in %.0f%% of crashes (violated in %.0f%%)\n",
 			heisen, upheld, 100-upheld)
 	}
@@ -143,19 +184,15 @@ func Table2(o StudyOptions) (*Table2Result, error) {
 // Print renders Table 2.
 func (t *Table2Result) Print(w io.Writer) {
 	fmt.Fprintf(w, "Table 2: percent of OS faults with failed recovery\n")
-	fmt.Fprintf(w, "%-20s %14s %14s\n", "Fault Type", "nvi", "postgres")
-	avg := func(rs []faults.OSTypeResult) float64 {
-		sum := 0.0
-		for _, r := range rs {
-			sum += r.FailurePct()
-		}
-		return sum / float64(len(rs))
-	}
+	kinds := make([]string, len(t.Nvi))
+	var cols [2][]faultCell
 	for i := range t.Nvi {
-		fmt.Fprintf(w, "%-20s %13.0f%% %13.0f%%\n",
-			t.Nvi[i].Kind, t.Nvi[i].FailurePct(), t.Postgres[i].FailurePct())
+		kinds[i] = t.Nvi[i].Kind.String()
+		for c, r := range []faults.OSTypeResult{t.Nvi[i], t.Postgres[i]} {
+			cols[c] = append(cols[c], faultCell{r.FailurePct(), r.Crashes, r.Runs})
+		}
 	}
-	fmt.Fprintf(w, "%-20s %13.0f%% %13.0f%%\n", "Average", avg(t.Nvi), avg(t.Postgres))
+	printFaultRows(w, kinds, cols)
 }
 
 // PrintSpace renders the Figure 3 protocol space as an ASCII scatter plot

@@ -90,8 +90,11 @@ func scenarios() []scenario {
 				return w
 			},
 			outcome: func(w *sim.World) []string {
-				l := w.Procs[0].Prog.(*magic.Layout)
-				return []string{fmt.Sprintf("tiles=%d", l.TotalTiles())}
+				tiles := 0
+				for _, layer := range w.Procs[0].Prog.(*magic.Layout).Layers {
+					tiles += len(layer.Rects)
+				}
+				return []string{fmt.Sprintf("tiles=%d", tiles)}
 			},
 			digestExact: true,
 			maxSteps:    500_000,

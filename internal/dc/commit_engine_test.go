@@ -188,11 +188,14 @@ func TestObsDeterministicAcrossRuns(t *testing.T) {
 		if d.Stats.Recoveries == 0 {
 			t.Fatal("no recovery happened; determinism test is vacuous")
 		}
-		var buf bytes.Buffer
+		var snap, buf bytes.Buffer
+		if err := m.WriteSnapshot(&snap); err != nil {
+			t.Fatal(err)
+		}
 		if err := tr.WriteJSON(&buf); err != nil {
 			t.Fatal(err)
 		}
-		return m.Snapshot(), buf.Bytes()
+		return snap.Bytes(), buf.Bytes()
 	}
 	snapA, jsonA := run()
 	snapB, jsonB := run()

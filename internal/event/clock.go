@@ -2,8 +2,8 @@ package event
 
 // VC is a vector clock: VC[p] counts the events of process p known to have
 // happened at or before the clock's owner. Vector clocks characterize
-// happens-before exactly: for events a, b with clocks va, vb,
-// a happens-before b iff va.Before(vb).
+// happens-before exactly: for distinct events a, b with clocks va, vb that
+// count their own event, a happens-before b iff va.LE(vb).
 type VC []int
 
 // NewVC returns a zeroed vector clock for n processes.
@@ -37,19 +37,4 @@ func (v VC) LE(o VC) bool {
 		}
 	}
 	return true
-}
-
-// Before reports whether v happens-before o: v ≤ o and v ≠ o.
-func (v VC) Before(o VC) bool {
-	return v.LE(o) && !o.LE(v)
-}
-
-// Concurrent reports whether neither clock happens-before the other.
-func (v VC) Concurrent(o VC) bool {
-	return !v.LE(o) && !o.LE(v)
-}
-
-// Equal reports component-wise equality.
-func (v VC) Equal(o VC) bool {
-	return v.LE(o) && o.LE(v)
 }

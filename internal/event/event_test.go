@@ -78,8 +78,8 @@ func TestTraceAppendAssignsIndexes(t *testing.T) {
 	if e1.ID.I != 0 || e2.ID.I != 1 || e3.ID.I != 0 {
 		t.Errorf("assigned indexes = %d,%d,%d, want 0,1,0", e1.ID.I, e2.ID.I, e3.ID.I)
 	}
-	if tr.Len() != 3 {
-		t.Errorf("Len = %d, want 3", tr.Len())
+	if len(tr.Events) != 3 {
+		t.Errorf("%d events, want 3", len(tr.Events))
 	}
 }
 
@@ -98,17 +98,6 @@ func TestTraceAppendRejectsOutOfOrder(t *testing.T) {
 	tr.MustAppend(Event{ID: ID{P: 0, I: -1}})
 	if _, err := tr.Append(Event{ID: ID{P: 0, I: 5}}); err == nil {
 		t.Error("Append with skipped index succeeded, want error")
-	}
-}
-
-func TestByProcess(t *testing.T) {
-	tr := NewTrace(2)
-	tr.MustAppend(Event{ID: ID{P: 0, I: -1}, Label: "a"})
-	tr.MustAppend(Event{ID: ID{P: 1, I: -1}, Label: "b"})
-	tr.MustAppend(Event{ID: ID{P: 0, I: -1}, Label: "c"})
-	evs := tr.ByProcess(0)
-	if len(evs) != 2 || evs[0].Label != "a" || evs[1].Label != "c" {
-		t.Errorf("ByProcess(0) = %v", evs)
 	}
 }
 
@@ -163,8 +152,8 @@ func TestHappensBeforeConcurrent(t *testing.T) {
 	}
 	ca, _ := hb.Clock(a)
 	cb, _ := hb.Clock(b)
-	if !ca.Concurrent(cb) {
-		t.Error("clocks of independent events should be Concurrent")
+	if ca.LE(cb) || cb.LE(ca) {
+		t.Error("clocks of independent events should be incomparable")
 	}
 }
 
@@ -190,25 +179,28 @@ func TestUnmatchedReceiveMergesNothing(t *testing.T) {
 	}
 }
 
+// TestCausalPast: in Figure 2, the events that happen-before A's commit are
+// exactly B's ND event, B's send and A's receive.
 func TestCausalPast(t *testing.T) {
 	tr := buildMessageTrace()
 	hb := NewHB(tr)
-	past := hb.CausalPast(ID{P: 0, I: 1})
+	commit := ID{P: 0, I: 1}
 	want := map[ID]bool{{P: 1, I: 0}: true, {P: 1, I: 1}: true, {P: 0, I: 0}: true}
-	if len(past) != len(want) {
-		t.Fatalf("CausalPast = %v, want 3 events", past)
-	}
-	for _, id := range past {
-		if !want[id] {
-			t.Errorf("unexpected event %v in causal past", id)
+	for _, e := range tr.Events {
+		if got := hb.HappensBefore(e.ID, commit); got != want[e.ID] {
+			t.Errorf("HappensBefore(%v, commit) = %v, want %v", e.ID, got, want[e.ID])
 		}
 	}
 }
 
+// TestCausalPastUnknown: an event outside the trace has an empty causal
+// past.
 func TestCausalPastUnknown(t *testing.T) {
 	tr := buildMessageTrace()
 	hb := NewHB(tr)
-	if past := hb.CausalPast(ID{P: 9, I: 9}); past != nil {
-		t.Errorf("CausalPast of unknown event = %v, want nil", past)
+	for _, e := range tr.Events {
+		if hb.HappensBefore(e.ID, ID{P: 9, I: 9}) {
+			t.Errorf("%v happens-before an event outside the trace", e.ID)
+		}
 	}
 }

@@ -55,20 +55,6 @@ func (t *Trace) Fork() *Trace {
 	return nt
 }
 
-// Len returns the number of recorded events.
-func (t *Trace) Len() int { return len(t.Events) }
-
-// ByProcess returns the events of process p in execution order.
-func (t *Trace) ByProcess(p int) []Event {
-	var out []Event
-	for _, e := range t.Events {
-		if e.ID.P == p {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // Clocks computes the vector clock of every event in the trace. The clock of
 // event e counts e itself, so clocks[i][p] is the number of events of p in
 // the causal past of t.Events[i], inclusive. Receives merge the clock of
@@ -99,14 +85,13 @@ func (t *Trace) Clocks() []VC {
 
 // HB is a precomputed happens-before oracle over one trace.
 type HB struct {
-	trace  *Trace
 	clocks []VC
 	pos    map[ID]int
 }
 
 // NewHB computes the happens-before relation for t.
 func NewHB(t *Trace) *HB {
-	h := &HB{trace: t, clocks: t.Clocks(), pos: make(map[ID]int, len(t.Events))}
+	h := &HB{clocks: t.Clocks(), pos: make(map[ID]int, len(t.Events))}
 	for i, e := range t.Events {
 		h.pos[e.ID] = i
 	}
@@ -146,26 +131,3 @@ func (h *HB) HappensBefore(a, b ID) bool {
 // CausallyPrecedes is the paper's causality approximation: identical to
 // HappensBefore, named separately to keep call sites honest about intent.
 func (h *HB) CausallyPrecedes(a, b ID) bool { return h.HappensBefore(a, b) }
-
-// CausalPast returns the IDs of all events that happen-before id, in trace
-// order.
-func (h *HB) CausalPast(id ID) []ID {
-	i, ok := h.pos[id]
-	if !ok {
-		return nil
-	}
-	target := h.clocks[i]
-	var out []ID
-	for j, e := range h.trace.Events {
-		if j == i {
-			continue
-		}
-		c := h.clocks[j]
-		// e is in the past of id iff e's count of itself is visible in
-		// target's clock.
-		if target[e.ID.P] >= c[e.ID.P] && c.LE(target) {
-			out = append(out, e.ID)
-		}
-	}
-	return out
-}

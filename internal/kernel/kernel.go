@@ -157,21 +157,6 @@ func (n *node) removeFile(path string) {
 	}
 }
 
-// addNames accumulates the node's live file names: the base's, minus local
-// deletions, plus the node's own.
-func (n *node) addNames(set map[string]bool) {
-	if n.base != nil {
-		for p := range n.base.fs {
-			if !n.deleted[p] {
-				set[p] = true
-			}
-		}
-	}
-	for p := range n.fs {
-		set[p] = true
-	}
-}
-
 // flatten folds the base into the node ahead of a freeze: one merged file
 // map, sharing the file bytes (a frozen node's files are never written, its
 // own no more than its base's), and no base reference left behind.
@@ -257,11 +242,6 @@ func (k *Kernel) node(pid int) *node {
 	return n
 }
 
-// WriteFile seeds a file on pid's node (test/bench setup).
-func (k *Kernel) WriteFile(pid int, path string, data []byte) {
-	k.node(pid).setFile(path, append([]byte(nil), data...))
-}
-
 // ReadFile reads a file from pid's node directly (assertions in tests).
 func (k *Kernel) ReadFile(pid int, path string) ([]byte, bool) {
 	n := k.nodes[pid]
@@ -273,28 +253,6 @@ func (k *Kernel) ReadFile(pid int, path string) ([]byte, bool) {
 		return nil, false
 	}
 	return append([]byte(nil), d...), true
-}
-
-// Files lists pid's node's files, sorted.
-func (k *Kernel) Files(pid int) []string {
-	set := make(map[string]bool)
-	if n := k.nodes[pid]; n != nil {
-		n.addNames(set)
-	}
-	out := make([]string, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Syscalls returns the number of syscalls pid's node has served.
-func (k *Kernel) Syscalls(pid int) int64 {
-	if n := k.nodes[pid]; n != nil {
-		return n.Syscall
-	}
-	return 0
 }
 
 // InjectFault opens a corruption window on pid's node starting now; after

@@ -83,9 +83,7 @@ func TestKernelSameState(t *testing.T) {
 	// was sealed.
 	for name, read := range map[string]func(k *Kernel){
 		"FaultCorrupted": func(k *Kernel) { k.FaultCorrupted(2) },
-		"Syscalls":       func(k *Kernel) { k.Syscalls(2) },
 		"ReadFile":       func(k *Kernel) { k.ReadFile(2, "a.txt") },
-		"Files":          func(k *Kernel) { k.Files(2) },
 		"Faulted":        func(k *Kernel) { k.Faulted(2) },
 	} {
 		r := sealed()

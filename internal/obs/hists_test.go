@@ -71,7 +71,7 @@ func TestSnapshotWithoutHistsGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := m.Snapshot(); !bytes.Equal(got, want) {
+		if got := snapshot(t, m); !bytes.Equal(got, want) {
 			t.Errorf("snapshot differs from %s:\n%s", c.golden, got)
 		}
 		if s := m.Summarize(); s.CommitP50Ns != 0 || s.CommitMaxNs != 0 || s.Commits != 30 {

@@ -125,8 +125,8 @@ func ReadFiles(open func(string) (io.ReadCloser, error), paths []string) ([]Reco
 	return out, nil
 }
 
-// ReadPaths is the commands' ledger input (ftreport -ledger, ftbench and
-// ftsim -veto): ReadFiles over the named files, in order. A torn final
+// ReadPaths is the commands' ledger input (ftreport -ledger, ftbench
+// -veto): ReadFiles over the named files, in order. A torn final
 // record (a crash mid-append) leaves a clean prefix, so ReadPaths writes a
 // warning naming cmd to warn and returns the complete records before the
 // tear; every other read error is returned.

@@ -197,23 +197,34 @@ func (rp *Report) writeFaultTable(w io.Writer, study string, groups []*Group, ti
 		fmt.Fprintf(w, "---|")
 	}
 	fmt.Fprintf(w, "\n")
-	avg := make([]float64, len(apps))
+	// A kind that never crashed has no rate: its cell reads "—" with the
+	// run count, and the average over the kinds leaves it out.
+	sum := make([]float64, len(apps))
+	crashed := make([]int, len(apps))
 	for _, kind := range kinds {
 		fmt.Fprintf(w, "| %s |", kind)
 		for i, app := range apps {
 			g := findGroup(groups, app, kind)
-			if g == nil {
+			switch {
+			case g == nil:
 				fmt.Fprintf(w, " - |")
-				continue
+			case g.Crashes == 0:
+				fmt.Fprintf(w, " — (%d runs) |", g.Runs)
+			default:
+				sum[i] += g.ViolationPct()
+				crashed[i]++
+				fmt.Fprintf(w, " %.0f%% (%d/%d) |", g.ViolationPct(), g.LoseWork, g.Crashes)
 			}
-			avg[i] += g.ViolationPct() / float64(len(kinds))
-			fmt.Fprintf(w, " %.0f%% (%d/%d) |", g.ViolationPct(), g.LoseWork, g.Crashes)
 		}
 		fmt.Fprintf(w, "\n")
 	}
 	fmt.Fprintf(w, "| **Average** |")
 	for i := range apps {
-		fmt.Fprintf(w, " %.0f%% |", avg[i])
+		if crashed[i] == 0 {
+			fmt.Fprintf(w, " — |")
+			continue
+		}
+		fmt.Fprintf(w, " %.0f%% |", sum[i]/float64(crashed[i]))
 	}
 	fmt.Fprintf(w, "\n")
 

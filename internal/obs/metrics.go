@@ -375,17 +375,6 @@ func (m *Metrics) WriteSnapshot(w io.Writer) error {
 	return nil
 }
 
-// Snapshot returns WriteSnapshot's output as a byte slice.
-func (m *Metrics) Snapshot() []byte {
-	var b sliceWriter
-	m.WriteSnapshot(&b)
-	return b
-}
-
-type sliceWriter []byte
-
-func (s *sliceWriter) Write(p []byte) (int, error) { *s = append(*s, p...); return len(p), nil }
-
 // RunSummary condenses a registry into the compact per-experiment metrics
 // block embedded in machine-readable reports (ftbench -json).
 type RunSummary struct {

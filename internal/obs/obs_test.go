@@ -60,8 +60,8 @@ func TestMetricsSnapshotDeterministic(t *testing.T) {
 		m.Steps = 42
 		return m
 	}
-	a := build().Snapshot()
-	b := build().Snapshot()
+	a := snapshot(t, build())
+	b := snapshot(t, build())
 	if !bytes.Equal(a, b) {
 		t.Fatalf("snapshots differ:\n%s\n---\n%s", a, b)
 	}
@@ -140,4 +140,14 @@ func TestTracerJSONShapes(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Error("re-serializing the same tracer must be byte-identical")
 	}
+}
+
+// snapshot returns m's WriteSnapshot output.
+func snapshot(t *testing.T, m *Metrics) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := m.WriteSnapshot(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
 }

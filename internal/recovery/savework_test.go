@@ -174,7 +174,12 @@ func TestSaveWorkNoViolationsImpliesNoOrphans(t *testing.T) {
 			return true // only examine Save-work-clean traces
 		}
 		for p := 0; p < tr.NumProcs; p++ {
-			n := len(tr.ByProcess(p))
+			n := 0
+			for _, e := range tr.Events {
+				if e.ID.P == p {
+					n++
+				}
+			}
 			for cut := 0; cut <= n; cut++ {
 				if len(FindOrphans(tr, p, cut)) != 0 {
 					t.Logf("seed %d: orphan despite Save-work holding (fail p%d at %d)", seed, p, cut)

@@ -89,12 +89,6 @@ type Ctx struct {
 	crashReason string
 }
 
-// Proc returns the owning process.
-func (c *Ctx) Proc() *Proc { return c.p }
-
-// World returns the owning world.
-func (c *Ctx) World() *World { return c.p.World }
-
 // NowVirtual returns the current virtual time without recording any event.
 // It counts as a clock read (World.ClockReads): a program that reads it
 // depends on absolute time.

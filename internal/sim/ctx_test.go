@@ -183,7 +183,7 @@ func TestNDEventsAllocateNothing(t *testing.T) {
 			if _, ok := ctx.Recv(); !ok {
 				t.Fatal("no message to receive")
 			}
-			w.CommitPoint(ctx.Proc()) // as a committing layer would, so retention does not grow
+			w.CommitPoint(ctx.p) // as a committing layer would, so retention does not grow
 		}},
 		{"Now", func() { ctx.Now() }},
 		{"Rand", func() { ctx.Rand() }},
@@ -261,7 +261,7 @@ func TestDelayParkedProcess(t *testing.T) {
 func TestAccessors(t *testing.T) {
 	w := NewWorld(2, &counter{N: 1}, &counter{N: 1})
 	p := w.Procs[1]
-	if p.Ctx().Proc() != p || p.Ctx().World() != w {
+	if p.Ctx().p != p || p.World != w {
 		t.Error("accessor identity broken")
 	}
 	ev := w.RecordCommit(p, "manual")

@@ -72,9 +72,6 @@ func (w *World) Freeze() {
 	w.frozen = true
 }
 
-// Frozen reports whether Freeze has sealed this world as a fork template.
-func (w *World) Frozen() bool { return w.frozen }
-
 // Fork seals the world with Freeze and returns an independent fork of it,
 // ready to resume from the exact point the original has reached; to carry the
 // original's run on, step another fork. The template's pages are shared and

@@ -112,7 +112,7 @@ func TestForkIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !w.Frozen() {
+	if !w.frozen {
 		t.Fatal("Fork left the world unsealed")
 	}
 	if _, err := w.Step(); err == nil {

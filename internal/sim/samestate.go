@@ -30,12 +30,11 @@ import (
 // by them, and everything else exactly, and reports the offsets. All-zero
 // offsets are an exact match. A nonzero offset holds only as far as nothing
 // reads an absolute position: a program that reads the clock (Ctx.Now,
-// Ctx.NowVirtual, the OS's gettimeofday — counted in ClockReads) or that
-// reaches Ctx.Proc() or Ctx.World() for a position breaks the argument, and
-// so does a step or time limit. SameState refuses nonzero offsets under a
-// limit; the caller must establish that the template's suffix reads no
-// clock (its ClockReads does not move) and that its programs reach for no
-// position.
+// Ctx.NowVirtual, the OS's gettimeofday — counted in ClockReads) breaks the
+// argument, and so does a step or time limit. No other position is within a
+// program's reach, since Ctx leads to neither its Proc nor its World.
+// SameState refuses nonzero offsets under a limit; the caller must establish
+// that the template's suffix reads no clock (its ClockReads does not move).
 
 // Offsets is how far a world's positions run ahead of the template state
 // SameState matched (negative: behind). Each is uniform: every process's
@@ -61,9 +60,7 @@ func (o Offsets) Zero() bool { return o == Offsets{} }
 // asks it in addition to comparing those bytes). off holds the world's
 // offsets: a layer compares the positions it keeps shifted by them, may
 // match its own advancing counters as offsets too (setting off.Layer), and
-// compares the rest exactly. The argument holds only for a program that
-// reads no position: one that reaches Ctx.Proc() or Ctx.World() for a step
-// count or the clock breaks it. SameState must only read the template, a
+// compares the rest exactly. SameState must only read the template, a
 // sealed world's component shared by concurrent runs, and must answer false
 // whenever it cannot prove equality.
 type StateComparer interface {
@@ -102,9 +99,7 @@ func (w *World) ClockReads() int64 { return w.clockReads }
 // or derived bookkeeping: they never steer a step. SameState writes only
 // w's own offset scratch and pooled encoding scratch, and only reads t, so
 // any number of runs may compare against one template concurrently; it
-// allocates nothing once the pool holds a buffer. A program that reaches
-// Ctx.Proc() or Ctx.World() for a position breaks the offset argument (see
-// above).
+// allocates nothing once the pool holds a buffer.
 func (w *World) SameState(t *World, progs [][]byte) (Offsets, bool) {
 	// The layers fill the offsets through a pointer; a local would move to
 	// the heap on every call, since the pointer crosses StateComparer.

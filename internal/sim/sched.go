@@ -412,8 +412,3 @@ func (w *World) schedWiden(at time.Duration) {
 		w.schedPlace(p, w.schedSlot(p.schedAt))
 	}
 }
-
-// SchedLen reports how many processes the readiness index currently holds —
-// the "active" in O(active). Zero for scan-scheduled worlds and before the
-// first indexed decision.
-func (w *World) SchedLen() int { return w.schedLen }

@@ -392,8 +392,8 @@ func TestProcHotFieldsFirst(t *testing.T) {
 	t.Logf("Proc is %d bytes; its Ctx starts at byte %d", proc.Size(), ctx.Offset)
 }
 
-// TestSchedLenTracksActive: SchedLen is the "active" in O(active) — it
-// counts runnable processes, not fleet size.
+// TestSchedLenTracksActive: schedLen, the readiness index's size, is the
+// "active" in O(active) — it counts runnable processes, not fleet size.
 func TestSchedLenTracksActive(t *testing.T) {
 	w := NewWorld(6, &counter{N: 2}, &counter{N: 2}, &pinger{Rounds: 1}, &ponger{Max: 1})
 	if err := w.Init(); err != nil {
@@ -402,8 +402,8 @@ func TestSchedLenTracksActive(t *testing.T) {
 	if _, err := w.Step(); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.SchedLen(); got == 0 || got > len(w.Procs) {
-		t.Fatalf("SchedLen = %d, want within (0, %d]", got, len(w.Procs))
+	if got := w.schedLen; got == 0 || got > len(w.Procs) {
+		t.Fatalf("schedLen = %d, want within (0, %d]", got, len(w.Procs))
 	}
 	for {
 		more, err := w.Step()
@@ -415,8 +415,8 @@ func TestSchedLenTracksActive(t *testing.T) {
 		}
 	}
 	// Drained: one final pick observed an empty index.
-	if got := w.SchedLen(); got != 0 {
-		t.Fatalf("SchedLen after drain = %d, want 0", got)
+	if got := w.schedLen; got != 0 {
+		t.Fatalf("schedLen after drain = %d, want 0", got)
 	}
 }
 
@@ -479,7 +479,7 @@ func (s *scripted) MarshalState() ([]byte, error) { return nil, nil }
 func (s *scripted) UnmarshalState([]byte) error   { return nil }
 
 func (s *scripted) Step(ctx *Ctx) Status {
-	*s.log = append(*s.log, decision{ctx.Proc().Index, ctx.NowVirtual()})
+	*s.log = append(*s.log, decision{ctx.p.Index, ctx.NowVirtual()})
 	if s.pc+1 >= len(s.script) {
 		return Done
 	}

@@ -535,7 +535,7 @@ func TestTraceDisabled(t *testing.T) {
 	if err := w.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if w.Trace.Len() != 0 {
+	if len(w.Trace.Events) != 0 {
 		t.Error("trace recorded despite RecordTrace=false")
 	}
 	if w.EventCount == 0 {

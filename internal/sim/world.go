@@ -759,9 +759,6 @@ func (w *World) AllDone() bool {
 // DoneCount reports how many processes ran to completion.
 func (w *World) DoneCount() int { return w.doneCount }
 
-// DeadCount reports how many processes crashed unrecovered.
-func (w *World) DeadCount() int { return w.deadCount }
-
 // Live reports how many processes are neither Done nor dead — the "active"
 // the scheduler's O(active) is measured against. O(1) via the same
 // transition counters.

@@ -292,61 +292,3 @@ func syncDir(dir string) error {
 
 // Close releases the underlying file.
 func (s *FileStore) Close() error { return s.f.Close() }
-
-// MemStore is the simulator-facing stable store: a plain map that, by
-// construction, survives simulated crashes (a simulated crash destroys only
-// process-volatile state, never the stable store).
-type MemStore struct {
-	m map[string][]byte
-	// BytesWritten accumulates the total payload written, for cost
-	// accounting.
-	BytesWritten int64
-}
-
-// NewMem returns an empty in-memory stable store.
-func NewMem() *MemStore { return &MemStore{m: make(map[string][]byte)} }
-
-// Put records key=val.
-func (s *MemStore) Put(key string, val []byte) error {
-	s.m[key] = append([]byte(nil), val...)
-	s.BytesWritten += int64(len(val))
-	return nil
-}
-
-// Get returns the current value of key.
-func (s *MemStore) Get(key string) ([]byte, bool) {
-	v, ok := s.m[key]
-	if !ok {
-		return nil, false
-	}
-	return append([]byte(nil), v...), true
-}
-
-// Delete removes key.
-func (s *MemStore) Delete(key string) error {
-	delete(s.m, key)
-	return nil
-}
-
-// Keys returns all live keys, sorted.
-func (s *MemStore) Keys() []string {
-	out := make([]string, 0, len(s.m))
-	for k := range s.m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Store is the interface shared by MemStore and FileStore.
-type Store interface {
-	Put(key string, val []byte) error
-	Get(key string) ([]byte, bool)
-	Delete(key string) error
-	Keys() []string
-}
-
-var (
-	_ Store = (*MemStore)(nil)
-	_ Store = (*FileStore)(nil)
-)

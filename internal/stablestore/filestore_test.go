@@ -173,31 +173,6 @@ func TestFileStoreCompact(t *testing.T) {
 	}
 }
 
-func TestMemStore(t *testing.T) {
-	s := NewMem()
-	s.Put("a", []byte("1"))
-	s.Put("b", []byte("2"))
-	s.Delete("a")
-	if _, ok := s.Get("a"); ok {
-		t.Error("deleted key still present")
-	}
-	if v, ok := s.Get("b"); !ok || string(v) != "2" {
-		t.Error("Get(b) failed")
-	}
-	if keys := s.Keys(); len(keys) != 1 || keys[0] != "b" {
-		t.Errorf("Keys = %v", keys)
-	}
-	if s.BytesWritten != 2 {
-		t.Errorf("BytesWritten = %d, want 2", s.BytesWritten)
-	}
-	// Returned values must not alias the stored copy.
-	v, _ := s.Get("b")
-	v[0] = 'x'
-	if v2, _ := s.Get("b"); string(v2) != "2" {
-		t.Error("Get returned an aliased slice")
-	}
-}
-
 // TestFileStoreMatchesMapModel: a random operation sequence applied to the
 // file store and to a plain map must agree, including across a reopen.
 func TestFileStoreMatchesMapModel(t *testing.T) {

@@ -1,6 +1,7 @@
 package statemachine
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -28,8 +29,8 @@ func TestWriteDotGolden(t *testing.T) {
 	// Sanity of the coloring the rendering depends on: the crash event and
 	// its fixed-ND sibling's ancestor are dangerous, states 0 and 1 are
 	// commit-unsafe, states 2 and 3 are safe.
-	if got := c.DangerousEvents(); len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Fatalf("DangerousEvents = %v, want [0 2]", got)
+	if got := c.Colored; !slices.Equal(got, []bool{true, false, true, false}) {
+		t.Fatalf("Colored = %v, want edges 0 and 2", got)
 	}
 
 	var sb strings.Builder

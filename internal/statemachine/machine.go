@@ -22,7 +22,6 @@ package statemachine
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"failtrans/internal/event"
 )
@@ -174,18 +173,6 @@ func (c *Coloring) stateDoomed(s StateID, out [][]EventID) bool {
 		}
 	}
 	return all
-}
-
-// DangerousEvents returns the sorted IDs of all colored events.
-func (c *Coloring) DangerousEvents() []EventID {
-	var ids []EventID
-	for i, col := range c.Colored {
-		if col {
-			ids = append(ids, EventID(i))
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 // Dangerous reports whether edge id is on a dangerous path.

@@ -5,8 +5,7 @@
 // there lies on a dangerous path. dc consults the policy at each commit
 // decision point and defers commits in doomed states. A policy is always
 // built from a machine mined in memory: a veto campaign mines its phase-1
-// records, and ftbench/ftsim -veto mine the campaign ledgers they are
-// given.
+// records, and ftbench -veto mines the campaign ledgers it is given.
 package statemachine
 
 // VetoPolicy is one machine's commit-veto verdicts, keyed by state name.

@@ -121,9 +121,6 @@ func (s *Segment) PageSize() int { return s.pageSize }
 // Size returns the current segment size in bytes.
 func (s *Segment) Size() int { return s.size }
 
-// Frozen reports whether the segment has been sealed as a COW template.
-func (s *Segment) Frozen() bool { return s.frozen }
-
 // pages returns the current page count.
 func (s *Segment) pages() int { return (s.size + s.pageSize - 1) / s.pageSize }
 
