@@ -215,7 +215,7 @@ func main() {
 			i, p.Prog.Name(), p.Status(), p.Steps, p.Crashes)
 	}
 	if d != nil {
-		fmt.Printf("checkpoints:    %v (total %d)\n", d.Stats.Checkpoints, d.Stats.TotalCheckpoints())
+		fmt.Printf("checkpoints:    %v (total %d)\n", d.Checkpoints(), d.Stats.TotalCheckpoints())
 		fmt.Printf("commit bytes:   %d  commit time: %v\n", d.Stats.CommitBytes, d.Stats.CommitTime)
 		fmt.Printf("log records:    %d (%d bytes)\n", d.Stats.LogRecords, d.Stats.LogBytes)
 		fmt.Printf("recoveries:     %d  2pc rounds: %d\n", d.Stats.Recoveries, d.Stats.TwoPhaseRounds)

@@ -20,7 +20,8 @@
 //   - Suppression directives are first-class. A finding on a line carrying
 //     the analyzer's suppression tag (//failtrans:<tag> <reason>), or on
 //     the line directly below it, is dropped by the driver — and the driver
-//     itself reports any failtrans directive whose reason is missing, so a
+//     itself reports any failtrans directive whose reason is missing, and
+//     any suppression that silenced no finding and cut no propagation, so a
 //     suppression can never be silent.
 package analysis
 
@@ -74,9 +75,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // Suppressed reports whether a finding of this analyzer at pos would be
 // silenced by a suppression directive. Analyzers only need it when a
 // directive must also stop derived work (e.g. cutting a call-graph edge),
-// since the driver already filters reported diagnostics.
+// since the driver already filters reported diagnostics. Asking does not
+// count the directive as used: whether the cut mattered is known only to
+// the Finish hook, which says so with Finish.Cut.
 func (p *Pass) Suppressed(pos token.Pos) bool {
-	return p.driver.suppressed(pos, p.Analyzer.SuppressTag)
+	return len(p.driver.index.forcing(pos, p.Analyzer.SuppressTag)) > 0
 }
 
 // ExportObjectFact attaches fact to obj for this analyzer. Objects are
@@ -101,6 +104,14 @@ type Finish struct {
 // Reportf records a finding at pos, exactly as Pass.Reportf does.
 func (f *Finish) Reportf(pos token.Pos, format string, args ...any) {
 	f.driver.report(Diagnostic{Pos: pos, Analyzer: f.Analyzer.Name, Message: fmt.Sprintf(format, args...)})
+}
+
+// Cut counts the suppression in force at pos as used: the Finish hook
+// calls it for a propagation edge that Pass.Suppressed cut out of a
+// function the propagation reached. A directive whose only cut is in a
+// function nothing reaches silences nothing, and is reported as such.
+func (f *Finish) Cut(pos token.Pos) {
+	f.driver.suppressed(pos, f.Analyzer.SuppressTag)
 }
 
 // AllObjectFacts returns every (object, fact) pair this analyzer exported,

@@ -31,9 +31,11 @@ import (
 //
 // The suppression tags REQUIRE a human-readable reason; the driver
 // reports a directive-level diagnostic when one is missing, so CI cannot
-// go green with an unexplained suppression. A trailing suppression (code
-// before it on the line) applies to findings on its own line; a standalone
-// comment line applies to the line directly below it.
+// go green with an unexplained suppression, and another for a suppression
+// that silenced no finding of its analyzer and cut no propagation, so one
+// cannot outlive the code it excused. A trailing suppression (code before
+// it on the line) applies to findings on its own line; a standalone comment
+// line applies to the line directly below it.
 const (
 	TagNondet          = "nondet"
 	TagAlloc           = "alloc"
@@ -110,14 +112,17 @@ func InterceptedAnnotated(doc *ast.CommentGroup) bool {
 // force.
 type directiveIndex struct {
 	fset *token.FileSet
-	// byLine maps filename -> line -> tags suppressed there.
-	byLine map[string]map[int][]string
-	// all collects every directive for validation.
-	all []Directive
+	// byLine maps filename -> line -> the directives in force there, as
+	// indexes into all.
+	byLine map[string]map[int][]int
+	// all collects every directive for validation; used marks the ones a
+	// suppression query answered yes for.
+	all  []Directive
+	used []bool
 }
 
 func newDirectiveIndex(fset *token.FileSet) *directiveIndex {
-	return &directiveIndex{fset: fset, byLine: make(map[string]map[int][]string)}
+	return &directiveIndex{fset: fset, byLine: make(map[string]map[int][]int)}
 }
 
 // addFile indexes every failtrans directive of one parsed file. A trailing
@@ -144,33 +149,60 @@ func (ix *directiveIndex) addFile(f *ast.File) {
 			if !ok {
 				continue
 			}
+			i := len(ix.all)
 			ix.all = append(ix.all, d)
+			ix.used = append(ix.used, false)
 			pos := ix.fset.Position(d.Pos)
 			lines := ix.byLine[pos.Filename]
 			if lines == nil {
-				lines = make(map[int][]string)
+				lines = make(map[int][]int)
 				ix.byLine[pos.Filename] = lines
 			}
-			lines[pos.Line] = append(lines[pos.Line], d.Tag)
+			lines[pos.Line] = append(lines[pos.Line], i)
 			if col, ok := occupied[pos.Line]; !ok || pos.Column < col {
-				lines[pos.Line+1] = append(lines[pos.Line+1], d.Tag)
+				lines[pos.Line+1] = append(lines[pos.Line+1], i)
 			}
 		}
 	}
 }
 
-// suppressed reports whether tag is in force at pos.
+// suppressed reports whether tag is in force at pos, and marks the
+// directives that put it there used.
 func (ix *directiveIndex) suppressed(pos token.Pos, tag string) bool {
+	in := ix.forcing(pos, tag)
+	for _, i := range in {
+		ix.used[i] = true
+	}
+	return len(in) > 0
+}
+
+// forcing returns the indexes of the directives that put tag in force at
+// pos.
+func (ix *directiveIndex) forcing(pos token.Pos, tag string) []int {
 	if tag == "" || !pos.IsValid() {
-		return false
+		return nil
 	}
 	p := ix.fset.Position(pos)
-	for _, t := range ix.byLine[p.Filename][p.Line] {
-		if t == tag {
-			return true
+	var in []int
+	for _, i := range ix.byLine[p.Filename][p.Line] {
+		if ix.all[i].Tag == tag {
+			in = append(in, i)
 		}
 	}
-	return false
+	return in
+}
+
+// reportUnused reports every suppression whose analyzer ran (tags maps a
+// suppression tag to its analyzer's name) and that was never in force where
+// the analyzer reported a finding or made a cut that mattered
+// (Finish.Cut).
+func (ix *directiveIndex) reportUnused(tags map[string]string, report func(Diagnostic)) {
+	for i, d := range ix.all {
+		if a, ok := tags[d.Tag]; ok && !ix.used[i] {
+			report(Diagnostic{Pos: d.Pos, Analyzer: "directive",
+				Message: "suppression //failtrans:" + d.Tag + " silences no " + a + " finding here: delete it"})
+		}
+	}
 }
 
 // validate reports malformed directives: unknown tags (typos would

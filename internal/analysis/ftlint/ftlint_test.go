@@ -143,6 +143,62 @@ func main() { fmt.Println(scratch.Used()) }
 	}
 }
 
+// TestPlantedUselessSuppressionIsCaught: in a temp module, a suppression
+// that silences an allocation on a hot path and one that cuts a hot
+// function's call edge stand, while one over a line that allocates nothing
+// and one that cuts an edge out of a function no root reaches are reported;
+// run over one package alone, which cannot see every caller a suppression
+// may serve, none is.
+func TestPlantedUselessSuppressionIsCaught(t *testing.T) {
+	dir := t.TempDir()
+	write(t, filepath.Join(dir, "go.mod"), "module failtrans\n\ngo 1.22\n")
+	write(t, filepath.Join(dir, "internal", "scratch", "scratch.go"), `package scratch
+
+// Hot is a hot-path root.
+//
+//failtrans:hotpath
+func Hot(b []byte) []byte {
+	//failtrans:alloc planted: silences the make below
+	buf := make([]byte, len(b))
+	copy(buf, b)
+	//failtrans:alloc planted: cuts the hot edge into cold
+	cold(buf)
+	//failtrans:alloc planted stale: the next line allocates nothing
+	return buf
+}
+
+func cold(b []byte) []byte { return append([]byte(nil), b...) }
+
+// Warm is reached from no root.
+func Warm(b []byte) {
+	//failtrans:alloc planted stale: Warm is not hot, so there is no edge to cut
+	cold(b)
+}
+`)
+	res, err := ftlint.Run(dir, nil)
+	if err != nil {
+		t.Fatalf("ftlint.Run: %v", err)
+	}
+	var got []int
+	for _, d := range res.Diags {
+		if d.Analyzer != "directive" || !strings.Contains(d.Message, "silences no hotpathcheck finding") {
+			t.Errorf("unexpected diagnostic: %s", analysis.FormatDiag(res.Fset, d))
+			continue
+		}
+		got = append(got, res.Fset.Position(d.Pos).Line)
+	}
+	if want := []int{12, 20}; !slices.Equal(got, want) {
+		t.Errorf("useless suppressions reported on lines %v, want %v", got, want)
+	}
+	res, err = ftlint.Run(dir, []string{"./internal/scratch"})
+	if err != nil {
+		t.Fatalf("ftlint.Run: %v", err)
+	}
+	for _, d := range res.Diags {
+		t.Errorf("a one-package run reported: %s", analysis.FormatDiag(res.Fset, d))
+	}
+}
+
 // uncalledExports returns, sorted, the exported functions and methods
 // declared in the non-test files of the module's internal/ and cmd/
 // packages that no non-test file refers to outside their own body, and
@@ -388,7 +444,7 @@ func Step() error { return os.WriteFile("out", nil, 0o644) }
 // field has to join this inventory on purpose.
 func TestCowAnnotationsPresent(t *testing.T) {
 	want := map[string]int{ // file under the module root -> cowshared annotations
-		"internal/vista/vista.go":   1, // Segment.mem
+		"internal/vista/vista.go":   2, // Segment.mem, Segment.savedReg
 		"internal/kernel/kernel.go": 1, // node.fs
 		"internal/dc/dc.go":         1, // ndLog.segs
 		"internal/apps/nvi/nvi.go":  1, // Editor.undo

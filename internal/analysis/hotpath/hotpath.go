@@ -44,12 +44,14 @@ func New() *analysis.Analyzer {
 }
 
 // A summary is the per-function fact: annotation state, statically-resolved
-// callees (facts cross package boundaries through it), and the allocation
-// findings to surface should the function prove hot.
+// callees (facts cross package boundaries through it), the calls a
+// suppression cut out of them, and the allocation findings to surface
+// should the function prove hot.
 type summary struct {
 	fn        *types.Func
 	annotated bool
 	callees   []*types.Func
+	cuts      []token.Pos
 	findings  []finding
 }
 
@@ -152,9 +154,11 @@ func checkCall(pass *analysis.Pass, info *types.Info, call *ast.CallExpr, s *sum
 	if fn := analysis.CalleeFunc(info, call); fn != nil && fn.Pkg() != nil {
 		if fn.Pkg().Path() == "fmt" {
 			add(call.Pos(), "fmt.%s allocates (formatting state and interface walks)", fn.Name())
-		} else if !pass.Suppressed(call.Pos()) {
+		} else if pass.Suppressed(call.Pos()) {
 			// A suppressed call is a sanctioned cold branch: the edge is
 			// cut and hotness does not propagate into the callee.
+			s.cuts = append(s.cuts, call.Pos())
+		} else {
 			s.callees = append(s.callees, fn)
 		}
 	}
@@ -365,6 +369,9 @@ func finish(f *analysis.Finish) {
 		s := of.Fact.(*summary)
 		for _, fd := range s.findings {
 			f.Reportf(fd.pos, "hot path (via %s): %s", root, fd.msg)
+		}
+		for _, pos := range s.cuts {
+			f.Cut(pos)
 		}
 	}
 }

@@ -69,6 +69,7 @@ type fnFact struct {
 	boundary bool
 	effects  []effect
 	callees  []*types.Func
+	cuts     []token.Pos // calls a suppression removed from effects and callees
 }
 
 type effect struct {
@@ -126,6 +127,7 @@ func (c *checker) collect(pass *analysis.Pass, body *ast.BlockStmt, fact *fnFact
 			return true
 		}
 		if pass.Suppressed(call.Pos()) {
+			fact.cuts = append(fact.cuts, call.Pos())
 			return true // reasoned escape hatch: no effect, no edge
 		}
 		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
@@ -304,6 +306,9 @@ func (c *checker) finish(f *analysis.Finish) {
 			f.Reportf(e.pos,
 				"%s bypasses the intercepted event alphabet (%s); route it through the dc/kernel/sim interception surface or suppress with //failtrans:uninterceptible <reason>",
 				e.what, via)
+		}
+		for _, pos := range fact.cuts {
+			f.Cut(pos)
 		}
 	}
 }

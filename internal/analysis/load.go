@@ -53,6 +53,8 @@ type loader struct {
 	pkgs     map[string]*Package // type-checked local packages
 	visiting map[string]bool     // on the current walk's stack
 	order    []*Package          // dependencies first
+	// whole is set when a pattern selects every package under Dir.
+	whole bool
 }
 
 func newLoader(cfg Config) *loader {
@@ -247,6 +249,7 @@ func (l *loader) expand() ([]string, error) {
 		if !filepath.IsAbs(root) {
 			root = filepath.Join(l.cfg.Dir, root)
 		}
+		l.whole = l.whole || tree && filepath.Clean(root) == filepath.Clean(l.cfg.Dir)
 		if !tree {
 			if err := add(root); err != nil {
 				return nil, err

@@ -33,7 +33,10 @@ func (d *driver) suppressed(pos token.Pos, t string) bool { return d.index.suppr
 // per-package Run in dependency order, then each Finish hook over the
 // accumulated fact table. Findings suppressed by their analyzer's tag are
 // filtered out; malformed directives become "directive" findings of their
-// own.
+// own, and so, when the patterns select every package under Dir, do the
+// suppressions of an analyzer that ran which silenced nothing. A partial run
+// does not judge them: a hot-path root or a workload function that needs a
+// suppression may live in any package that imports it.
 func Run(cfg Config, analyzers []*Analyzer) (*Result, error) {
 	l := newLoader(cfg)
 	pkgs, err := l.loadAll()
@@ -67,8 +70,12 @@ func Run(cfg Config, analyzers []*Analyzer) (*Result, error) {
 		}
 	}
 	tags := make(map[string]string, len(analyzers))
+	suppressors := make(map[string]string, len(analyzers))
 	for _, a := range analyzers {
 		tags[a.Name] = a.SuppressTag
+		if a.SuppressTag != "" {
+			suppressors[a.SuppressTag] = a.Name
+		}
 	}
 	var kept []Diagnostic
 	for _, diag := range d.diags {
@@ -76,6 +83,9 @@ func Run(cfg Config, analyzers []*Analyzer) (*Result, error) {
 			continue
 		}
 		kept = append(kept, diag)
+	}
+	if l.whole {
+		d.index.reportUnused(suppressors, func(diag Diagnostic) { kept = append(kept, diag) })
 	}
 	sort.SliceStable(kept, func(i, j int) bool {
 		pi, pj := l.fset.Position(kept[i].Pos), l.fset.Position(kept[j].Pos)

@@ -212,7 +212,8 @@ func (l *Layout) layer(name string) *Layer { return findLayer(l.Layers, name) }
 // findLayer returns the named layer of layers, or nil.
 func findLayer[N string | []byte](layers []Layer, name N) *Layer {
 	for i := range layers {
-		//failtrans:alloc none: a string(name) comparison operand is compiler-recognized and aliases name
+		// A string(name) comparison operand is compiler-recognized: it
+		// aliases name and allocates nothing.
 		if layers[i].Name == string(name) {
 			return &layers[i]
 		}

@@ -59,10 +59,13 @@ type DB struct {
 	// count visits, reply the buffer replies are built in (LastMsg views
 	// it), and cmdBuf the buffer a restore decodes Cmd into. A fork starts without them, so
 	// neither it nor its template ever writes bytes the other can see.
-	tuple  []byte
-	hits   []hit
-	reply  []byte
-	cmdBuf []byte
+	// hitsCap is the capacity a fork's first scan sizes hits to: the
+	// largest its ancestors' grew to.
+	tuple   []byte
+	hits    []hit
+	hitsCap int
+	reply   []byte
+	cmdBuf  []byte
 }
 
 // hit is one index entry a scan visits.
@@ -202,7 +205,7 @@ func (db *DB) apply(ctx *sim.Ctx) {
 		db.scan(ctx, key, apputil.ParseInt(arg2))
 	case "count":
 		hi := apputil.ParseInt(arg2)
-		db.hits = db.Index.appendRange(db.hits[:0], key, hi)
+		db.rangeHits(key, hi)
 		db.reply = appendRangeReply(db.reply[:0], "count [", key, hi, int64(len(db.hits)))
 		db.showReply()
 	case "check":
@@ -422,10 +425,21 @@ func (db *DB) del(ctx *sim.Ctx, key int64) {
 	db.Index.Delete(key)
 }
 
+// rangeHits fills the hits scratch with the index entries in [lo,hi]. A
+// fork's first call sizes the scratch once, to hitsCap, instead of regrowing
+// it by doubling from nothing.
+func (db *DB) rangeHits(lo, hi int64) {
+	if db.hits == nil && db.hitsCap > 0 {
+		//failtrans:alloc once per fork that scans: every later scan reuses the buffer
+		db.hits = make([]hit, 0, db.hitsCap)
+	}
+	db.hits = db.Index.appendRange(db.hits[:0], lo, hi)
+}
+
 // scan outputs the number of tuples and a value checksum over [lo,hi],
 // verifying every heap tuple against its index key.
 func (db *DB) scan(ctx *sim.Ctx, lo, hi int64) {
-	db.hits = db.Index.appendRange(db.hits[:0], lo, hi)
+	db.rangeHits(lo, hi)
 	count := 0
 	var sum uint32
 	for _, h := range db.hits {
@@ -527,13 +541,14 @@ func (db *DB) Freeze() {
 // a fork that copies the DB struct, the index header, the pool's page map
 // and its LRU list. The fork shares the template's pages and index nodes
 // until its first write to each (Pool.own, node.own); scratch is not handed
-// on.
+// on, only the size its first scan gives hits.
 func (db *DB) Fork() (sim.Program, error) {
 	db.Freeze()
 	nd := *db
 	nd.Index = db.Index.fork()
 	nd.Pool = db.Pool.fork()
 	nd.tuple, nd.hits, nd.reply, nd.cmdBuf = nil, nil, nil, nil
+	nd.hitsCap = max(db.hitsCap, cap(db.hits))
 	return &nd, nil
 }
 
@@ -571,7 +586,7 @@ func (db *DB) UnmarshalState(data []byte) error {
 // slots moved. It returns the number of slots reclaimed.
 func (db *DB) vacuum(ctx *sim.Ctx) (int, error) {
 	// Group live index entries by page.
-	db.hits = db.Index.appendRange(db.hits[:0], math.MinInt64, math.MaxInt64)
+	db.rangeHits(math.MinInt64, math.MaxInt64)
 	byPage := make(map[uint32][]hit)
 	for _, h := range db.hits {
 		byPage[h.rid.Page] = append(byPage[h.rid.Page], h)

@@ -207,12 +207,12 @@ func TestForkOwnsWhatItWrites(t *testing.T) {
 			owned := tc.owned(t, f, tmpl)
 			if tmpl.OS != nil {
 				fn, tn := reflect.ValueOf(f.OS).Elem().FieldByName("nodes"), reflect.ValueOf(tmpl.OS).Elem().FieldByName("nodes")
-				for it := tn.MapRange(); it.Next(); {
+				for pid := 0; pid < tn.Len(); pid++ {
 					var fp uintptr
-					if n := fn.MapIndex(it.Key()); n.IsValid() {
-						fp = n.Pointer()
+					if pid < fn.Len() {
+						fp = fn.Index(pid).Addr().Pointer()
 					}
-					owned[fmt.Sprintf("kernel node %v", it.Key())] = [2]uintptr{fp, it.Value().Pointer()}
+					owned[fmt.Sprintf("kernel node %d", pid)] = [2]uintptr{fp, tn.Index(pid).Addr().Pointer()}
 				}
 			}
 			var shared []string

@@ -216,9 +216,10 @@ func tracksIn(data []byte) int {
 }
 
 // TestForkRecoveryFixedAllocs pins what forking a frozen one-process DC
-// allocates: the DC, its per-process records, Stats.Checkpoints, and the
-// segment's copy-on-write view with its copy of the register file. A
-// per-process field kept outside proc would add an allocation per fork.
+// allocates: the DC, its per-process records (commit counts included), and
+// the segment's copy-on-write view, which shares the template's register
+// file. A per-process field kept outside proc would add an allocation per
+// fork.
 func TestForkRecoveryFixedAllocs(t *testing.T) {
 	w := sim.NewWorld(1, &idleProg{})
 	w.RecordTrace = false
@@ -227,7 +228,7 @@ func TestForkRecoveryFixedAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Freeze()
-	const want = 5
+	const want = 3
 	if n := testing.AllocsPerRun(100, func() { d.ForkRecovery(w) }); n != want {
 		t.Errorf("ForkRecovery of a frozen one-process DC allocates %.0f times, want %d", n, want)
 	}

@@ -36,8 +36,9 @@ const registerFileSize = 64
 
 // Stats aggregates what DC did during a run.
 type Stats struct {
-	// Checkpoints counts commits per process.
-	Checkpoints []int
+	// checkpoints counts commits across processes (DC.Checkpoints has them
+	// per process).
+	checkpoints int
 	// CommitBytes is the total dirty payload written by commits.
 	CommitBytes int64
 	// CommitTime is the virtual time spent committing.
@@ -65,14 +66,8 @@ type Stats struct {
 	Divergences int
 }
 
-// TotalCheckpoints sums commits across processes.
-func (s *Stats) TotalCheckpoints() int {
-	n := 0
-	for _, c := range s.Checkpoints {
-		n += c
-	}
-	return n
-}
+// TotalCheckpoints is the number of commits across processes.
+func (s *Stats) TotalCheckpoints() int { return s.checkpoints }
 
 // Segment sizes of the ND log: a process's first segment holds logSegMin
 // bytes, and each later one doubles, up to logSegMax. A record larger than
@@ -241,6 +236,8 @@ type proc struct {
 	// img is the process's reusable checkpoint-image buffer, so a
 	// steady-state commit serializes into preallocated memory.
 	img []byte
+	// commits counts the process's commits since Attach.
+	commits int
 	// pendingCommit defers commit-after-event to the end of the step.
 	pendingCommit string
 	// ndSince marks non-determinism since the last commit.
@@ -359,15 +356,13 @@ type DC struct {
 // New builds a DC for w with the given policy and commit medium and
 // attaches it as the world's recovery layer.
 func New(w *sim.World, pol protocol.Policy, medium stablestore.Medium) *DC {
-	n := len(w.Procs)
 	d := &DC{
 		World:     w,
 		Policy:    pol,
 		Medium:    medium,
 		PageSize:  vista.DefaultPageSize,
-		procs:     make([]proc, n),
+		procs:     make([]proc, len(w.Procs)),
 		registers: make([]byte, registerFileSize),
-		Stats:     Stats{Checkpoints: make([]int, n)},
 	}
 	w.Recovery = d
 	return d
@@ -386,8 +381,20 @@ func (d *DC) Attach() error {
 		}
 	}
 	// The initial commit is part of setup, not of the measured run.
-	d.Stats = Stats{Checkpoints: make([]int, len(d.World.Procs))}
+	d.Stats = Stats{}
+	for i := range d.procs {
+		d.procs[i].commits = 0
+	}
 	return nil
+}
+
+// Checkpoints returns each process's commit count since Attach.
+func (d *DC) Checkpoints() []int {
+	out := make([]int, len(d.procs))
+	for i := range d.procs {
+		out[i] = d.procs[i].commits
+	}
+	return out
 }
 
 func (d *DC) seg(i int) *vista.Segment {
@@ -501,7 +508,8 @@ func (d *DC) finishCommit(p *sim.Proc, st vista.Stats, label string) {
 	start := p.Clock()
 	cost := d.Medium.CommitCost(st.Bytes)
 	d.World.AddTime(p, cost)
-	d.Stats.Checkpoints[p.Index]++
+	d.procs[p.Index].commits++
+	d.Stats.checkpoints++
 	d.Stats.CommitBytes += int64(st.Bytes)
 	d.Stats.CommitTime += cost
 	if m := d.World.Metrics; m != nil {

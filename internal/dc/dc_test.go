@@ -464,8 +464,8 @@ func TestTwoPhaseCommitsPeers(t *testing.T) {
 	if d.Stats.TwoPhaseRounds != 3 {
 		t.Errorf("2PC rounds = %d, want 3 (one per visible)", d.Stats.TwoPhaseRounds)
 	}
-	if d.Stats.Checkpoints[0] != 3 || d.Stats.Checkpoints[1] != 3 {
-		t.Errorf("checkpoints = %v, want [3 3]", d.Stats.Checkpoints)
+	if c := d.Checkpoints(); c[0] != 3 || c[1] != 3 {
+		t.Errorf("checkpoints = %v, want [3 3]", c)
 	}
 }
 
@@ -490,7 +490,7 @@ func TestDependentTwoPhaseScope(t *testing.T) {
 	if d.Stats.TwoPhaseRounds == 0 {
 		t.Error("CBNDV-2PC should coordinate at visibles")
 	}
-	if d.Stats.Checkpoints[0] == 0 {
+	if d.Checkpoints()[0] == 0 {
 		t.Error("requester never committed")
 	}
 }
@@ -667,7 +667,7 @@ func TestStatsAccounting(t *testing.T) {
 	if d.Stats.CommitBytes <= 0 || d.Stats.CommitTime <= 0 {
 		t.Errorf("stats not accumulated: %+v", d.Stats)
 	}
-	if d.Stats.TotalCheckpoints() != d.Stats.Checkpoints[0] {
+	if d.Stats.TotalCheckpoints() != d.Checkpoints()[0] {
 		t.Error("TotalCheckpoints mismatch")
 	}
 }

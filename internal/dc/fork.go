@@ -49,7 +49,6 @@ func (d *DC) ForkRecovery(w *sim.World) sim.Recovery {
 		ChecksFailed:      d.ChecksFailed,
 		Stats:             d.Stats,
 	}
-	nd.Stats.Checkpoints = append([]int(nil), d.Stats.Checkpoints...)
 	// Written log bytes never change, so the fork shares every segment and
 	// copies only the spines, all into one backing array. Each segment is
 	// capacity-clamped, so the fork's first record starts a new segment, and

@@ -179,6 +179,7 @@ func TestDCSameStateCoversEveryField(t *testing.T) {
 		"stepsBase":  "offset: a Steps position, compared shifted by the world's Steps offset",
 		"epoch":      "offset: advances at each commit and is read only against the dependency maps; exact while one holds an entry",
 		"img":        "scratch: the image buffer is refilled before every use",
+		"commits":    stats,
 		"replayOpen": "tracer bookkeeping: pairs a replay window's Begin with its End",
 	})
 }

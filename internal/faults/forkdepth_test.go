@@ -25,12 +25,20 @@ func holdsBase(t *testing.T, v reflect.Value) bool {
 // preserve along the chain of snapshots, each sealed from a fork of the one
 // before: a sealed world is flat — no segment or kernel node reads through
 // a base — so forking the deepest snapshot allocates exactly what
-// forking a never-forked world at the same step does. Run with -v for the per-snapshot fork cost table,
+// forking a never-forked world at the same step does, and no more than the
+// app's ceiling. Run with -v for the per-snapshot fork cost table,
 // which localizes a regression to the depth where a layer stops sharing.
 func TestForkCostBySnapshotDepth(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds two full-length templates")
 	}
+	// What one fork of these one-process worlds allocates: 5 in sim (the
+	// world, its outputs, process table, process slab and clock closure), 2
+	// in dc (the DC and its process records), 1 vista segment, 3 in the
+	// kernel (the kernel, its node slab and descriptor array), and the
+	// program's own fork: 4 for nvi's editor, 5 or 6 for postgres's DB,
+	// index header, pool, page map and LRU list.
+	ceiling := map[string]float64{"nvi": 15, "postgres": 17}
 	for _, app := range []string{"nvi", "postgres"} {
 		s := NewAppStudy(app)
 		c, err := s.buildPrefixCache()
@@ -67,6 +75,9 @@ func TestForkCostBySnapshotDepth(t *testing.T) {
 				app, len(c.snaps)-1, got, want)
 		}
 		t.Logf("%s: a fork of snapshot %d allocates %.0f times", app, len(c.snaps)-1, got)
+		if got > ceiling[app] {
+			t.Errorf("%s: a fork allocates %.0f times, more than the ceiling of %.0f", app, got, ceiling[app])
+		}
 		for i := range c.snaps {
 			snap := &c.snaps[i]
 			procs := reflect.ValueOf(snap.world.Recovery).Elem().FieldByName("procs")
@@ -75,10 +86,10 @@ func TestForkCostBySnapshotDepth(t *testing.T) {
 					t.Errorf("%s: snapshot %d segment %d reads through a base", app, i, j)
 				}
 			}
-			k := reflect.ValueOf(snap.world.OS)
-			for it := k.Elem().FieldByName("nodes").MapRange(); it.Next(); {
-				if holdsBase(t, it.Value()) {
-					t.Errorf("%s: snapshot %d kernel node %v reads through a base", app, i, it.Key())
+			nodes := reflect.ValueOf(snap.world.OS).Elem().FieldByName("nodes")
+			for pid := 0; pid < nodes.Len(); pid++ {
+				if holdsBase(t, nodes.Index(pid).Addr()) {
+					t.Errorf("%s: snapshot %d kernel node %d reads through a base", app, i, pid)
 				}
 			}
 			const reps = 200

@@ -154,15 +154,15 @@ func (o *OSStudy) runOne(k RunKey, cache *prefixCache) (RunResult, error) {
 	from := cache.before(k.FireAt)
 	snap := &cache.snaps[from]
 	scribble := &memoryScribble{}
-	var crashes *int
 	injSteps := -1 // the world step count at injection
 	w, d, err := o.open(snap, scribble, func(d *dc.DC) {
-		crashes = giveUpOnCrashLoop(d, nil)
+		giveUpOnCrashLoop(d, nil)
 		o.armOSVeto(d, k.Kind, &injSteps)
 	})
 	if err != nil {
 		return res, err
 	}
+	recovered := d.Stats.Recoveries // as giveUpOnCrashLoop armed it: open steps nothing
 	// Each buggy kernel execution serving a syscall has a small chance of
 	// writing through a wild pointer into user pages; the application's
 	// exposure is therefore proportional to its syscall rate within the
@@ -201,7 +201,7 @@ func (o *OSStudy) runOne(k RunKey, cache *prefixCache) (RunResult, error) {
 		res.conv = &convergence{skipped: e.worldSteps - met.steps, rejoined: true}
 	}
 	res.Propagated = kern.FaultCorrupted(0)
-	if injSteps >= 0 && *crashes > 0 {
+	if injSteps >= 0 && d.Stats.Recoveries > recovered {
 		res.Crashed = true
 		res.Recovered = end.done
 		res.Propagated = res.Propagated || scribble.fired

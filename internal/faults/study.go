@@ -107,20 +107,21 @@ const maxRecoveries = 3
 
 // giveUpOnCrashLoop arms d to switch recovery off after maxRecoveries
 // crashes, so the next crash is final, and to call first, if non-nil, once
-// the first crash has rolled back (p.Steps is still the crash position). It
-// returns the crash count it keeps.
-func giveUpOnCrashLoop(d *dc.DC, first func(p *sim.Proc)) *int {
-	crashes := new(int)
+// the first crash has rolled back (p.Steps is still the crash position).
+// The hook counts crashes by d's own rollback count past its value at
+// arming (OnCrash advances it just before it calls the hook), so it keeps
+// no counter of its own.
+func giveUpOnCrashLoop(d *dc.DC, first func(p *sim.Proc)) {
+	armedAt := d.Stats.Recoveries
 	d.RecoveryHook = func(p *sim.Proc, reason string) {
-		*crashes++
-		if *crashes == 1 && first != nil {
+		crashes := d.Stats.Recoveries - armedAt
+		if crashes == 1 && first != nil {
 			first(p)
 		}
-		if *crashes > maxRecoveries {
+		if crashes > maxRecoveries {
 			d.DisableRecovery = true
 		}
 	}
-	return crashes
 }
 
 // cleanRun runs the study's session fault-free, with no recovery layer, and

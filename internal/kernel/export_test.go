@@ -11,7 +11,7 @@ func (k *Kernel) WriteFile(pid int, path string, data []byte) {
 // deletions, plus the node's own.
 func (k *Kernel) Files(pid int) []string {
 	set := make(map[string]bool)
-	if n := k.nodes[pid]; n != nil {
+	if n := k.served(pid); n != nil {
 		if n.base != nil {
 			for p := range n.base.fs {
 				if !n.deleted[p] {
@@ -33,7 +33,7 @@ func (k *Kernel) Files(pid int) []string {
 
 // Syscalls returns the number of syscalls pid's node has served.
 func (k *Kernel) Syscalls(pid int) int64 {
-	if n := k.nodes[pid]; n != nil {
+	if n := k.served(pid); n != nil {
 		return n.Syscall
 	}
 	return 0

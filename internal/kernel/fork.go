@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"bytes"
+	"slices"
 	"time"
 
 	"failtrans/internal/sim"
@@ -9,43 +10,47 @@ import (
 
 // ForkOS implements sim.ForkableOS: it seals the kernel with Freeze and
 // returns a fork wired to the forked world's clock. The fork clones every
-// node up front (cloneNode), one node clone per node: its file tables,
-// limits and counters are its own from the start, and only the file
-// contents stay shared until a first mutation privatizes them (ownFile).
-// The Metrics/Tracer sinks and the OnCorrupt callback do not carry over:
-// they are per-run harness wiring, and the original's callback would
-// observe the wrong world.
+// node up front (cloneNode) into one node slab, and every node's file table
+// into one descriptor array they share: its file tables, limits and
+// counters are its own from the start, and only the file contents stay
+// shared until a first mutation privatizes them (ownFile). That is three
+// allocations however many nodes and open files there are, and one more per
+// open fault window. The Metrics/Tracer sinks and the OnCorrupt callback do
+// not carry over: they are per-run harness wiring, and the original's
+// callback would observe the wrong world.
 func (k *Kernel) ForkOS(clock func() time.Duration) sim.OS {
 	k.Freeze()
-	nodes := make(map[int]*node, len(k.nodes))
-	for pid, n := range k.nodes {
-		nodes[pid] = cloneNode(n)
+	total := 0
+	for i := range k.nodes {
+		total += len(k.nodes[i].fds)
 	}
-	return &Kernel{Clock: clock, nodes: nodes}
+	f := &Kernel{Clock: clock, nodes: make([]node, len(k.nodes))}
+	fds := make([]fdEntry, total)
+	for i := range k.nodes {
+		if tn := &k.nodes[i]; tn.served {
+			m := copy(fds, tn.fds)
+			f.nodes[i] = cloneNode(tn, fds[:m:m])
+			fds = fds[m:]
+		}
+	}
+	return f
 }
 
-// cloneNode copies a frozen template node for a COW fork: file tables and
-// counters are copied, file contents stay shared behind the base reference
-// (tn belongs to a frozen kernel, so it can never change), and an open
-// fault window clones with traced cleared, since the fork has no tracer
-// holding the matching Begin.
-func cloneNode(tn *node) *node {
-	nn := &node{
+// cloneNode copies a frozen template node for a COW fork: counters are
+// copied, fds is the node's copy of the file table — capacity-clamped, so
+// growing it moves it out of the array the fork's nodes share — file
+// contents stay shared behind the base reference (tn belongs to a frozen
+// kernel, so it can never change), and an open fault window clones with
+// traced cleared, since the fork has no tracer holding the matching Begin.
+func cloneNode(tn *node, fds []fdEntry) node {
+	nn := node{
+		served:  true,
+		fds:     fds,
 		nextFD:  tn.nextFD,
 		fdLimit: tn.fdLimit,
 		edits:   tn.edits,
 		Syscall: tn.Syscall,
 		base:    tn,
-	}
-	if len(tn.fds) > 0 {
-		nn.fds = make(map[int]*fdEntry, len(tn.fds))
-		entries := make([]fdEntry, 0, len(tn.fds))
-		for fd, e := range tn.fds {
-			entries = append(entries, fdEntry{Path: e.Path, Offset: e.Offset})
-			nn.fds[fd] = &entries[len(entries)-1]
-		}
-	} else {
-		nn.fds = make(map[int]*fdEntry)
 	}
 	if tn.fault != nil {
 		nn.fault = &kernelFault{
@@ -70,14 +75,17 @@ func cloneNode(tn *node) *node {
 // without a byte compare. With equal node and file counts, finding every
 // template node and file in k proves the sets equal, so SameState walks the
 // template's maps (a frozen kernel has one of each) and k's own overlays,
-// never the file maps k's nodes share with their template's.
+// never the file maps k's nodes share with their template's. Both node
+// slabs end at their highest served pid, so equal node sets make equal
+// lengths.
 func (k *Kernel) SameState(template any, off *sim.Offsets) bool {
 	t, ok := template.(*Kernel)
 	if !ok || len(k.nodes) != len(t.nodes) {
 		return false
 	}
-	for pid, tn := range t.nodes {
-		if n := k.nodes[pid]; n == nil || !n.sameState(tn, off) {
+	for pid := range t.nodes {
+		n, tn := &k.nodes[pid], &t.nodes[pid]
+		if n.served != tn.served || tn.served && !n.sameState(tn, off) {
 			return false
 		}
 	}
@@ -90,8 +98,7 @@ func (n *node) sameScalars(t *node, off *sim.Offsets) bool {
 	if n == t {
 		return true
 	}
-	if n.nextFD != t.nextFD || n.fdLimit != t.fdLimit || len(n.fds) != len(t.fds) ||
-		!sameFault(n.fault, t.fault, off.Clock) {
+	if n.nextFD != t.nextFD || n.fdLimit != t.fdLimit || !sameFault(n.fault, t.fault, off.Clock) {
 		return false
 	}
 	if n.edits != t.edits || n.Syscall != t.Syscall {
@@ -100,13 +107,7 @@ func (n *node) sameScalars(t *node, off *sim.Offsets) bool {
 		}
 		off.Layer = true
 	}
-	for fd, e := range n.fds {
-		te, ok := t.fds[fd]
-		if !ok || e.Path != te.Path || e.Offset != te.Offset {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(n.fds, t.fds)
 }
 
 // sameState compares two nodes' behaviour-relevant state; see

@@ -157,7 +157,8 @@ func TestForkMatchesNeverForkedTwin(t *testing.T) {
 			}
 
 			g := f.fork()
-			for pid, n := range f.k.nodes {
+			for pid := range f.k.nodes {
+				n := &f.k.nodes[pid]
 				if n.base != nil || n.deleted != nil {
 					t.Errorf("sealed fork's node %d still reads through a base", pid)
 				}
@@ -175,11 +176,20 @@ func TestForkMatchesNeverForkedTwin(t *testing.T) {
 	}
 }
 
-// TestForkFirstSaveAllocatesTwice: a fork's node starts without save
-// scratch, and its first SaveProcState sizes the fd list and the blob
-// before filling them — two allocations more than a save that reuses them,
-// however many fds are open (with append's growth, five fds cost ten).
-func TestForkFirstSaveAllocatesTwice(t *testing.T) {
+// mallocs counts the heap allocations f makes.
+func mallocs(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestForkFirstSaveAllocatesOnce: a fork's node starts without save
+// scratch, and its first SaveProcState sizes the blob before filling it —
+// one allocation more than a save that reuses it, however many fds are
+// open (the table is already in descriptor order, so nothing is sorted).
+func TestForkFirstSaveAllocatesOnce(t *testing.T) {
 	r := newRig()
 	for _, p := range []string{"a.dat", "some/longer/path/b.dat", "c", "d.log", "e.tmp"} {
 		if _, _, err := r.k.Call(0, "open", [][]byte{[]byte(p), {1}}); err != nil {
@@ -187,29 +197,63 @@ func TestForkFirstSaveAllocatesTwice(t *testing.T) {
 		}
 	}
 	want := string(r.k.SaveProcState(0))
-	mallocs := func(f func()) uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		f()
-		runtime.ReadMemStats(&after)
-		return after.Mallocs - before.Mallocs
-	}
 	// The minimum over fresh forks: a stray runtime allocation only adds.
 	fewest := uint64(math.MaxUint64)
 	for range 3 {
 		f := r.fork()
-		f.k.node(0)
 		var got []byte
 		first := mallocs(func() { got = f.k.SaveProcState(0) })
 		if string(got) != want {
 			t.Fatal("the fork saves a different file table")
 		}
-		// A save that reuses the scratch costs only what the runtime adds
-		// (the race detector's map iteration).
 		again := mallocs(func() { f.k.SaveProcState(0) })
 		fewest = min(fewest, first-min(first, again))
 	}
-	if fewest > 2 {
-		t.Errorf("a fork's first save allocates %d times more than its second, want 2", fewest)
+	if fewest != 1 {
+		t.Errorf("a fork's first save allocates %d times more than its second, want 1", fewest)
+	}
+}
+
+// TestForkCopiesInFixedAllocations pins what a kernel fork and its first
+// steps allocate: ForkOS makes the kernel, one node slab and one descriptor
+// array for all nodes, however many nodes and open files the template has;
+// restoring a file table it saved refills that array in place; and a first
+// write past the end of an inherited file copies the file once, with room
+// for the write.
+func TestForkCopiesInFixedAllocations(t *testing.T) {
+	r := newRig()
+	for pid := 0; pid < 4; pid++ {
+		for _, p := range []string{"a", "b", "c"} {
+			r.run([]op{sys(pid, "open", []byte(p), []byte{1}), sys(pid, "write", I64(3), []byte("0123456789"))})
+		}
+	}
+	var f *Kernel
+	if n := testing.AllocsPerRun(50, func() { f = r.k.ForkOS(r.k.Clock).(*Kernel) }); n != 3 {
+		t.Errorf("forking a 4-node kernel with 12 open files allocates %.0f times, want 3", n)
+	}
+	blob := append([]byte(nil), f.SaveProcState(1)...)
+	if n := testing.AllocsPerRun(50, func() { f.RestoreProcState(1, blob) }); n != 0 {
+		t.Errorf("restoring a saved file table allocates %.0f times, want 0", n)
+	}
+	// A write inside the inherited file and one past its end each copy it
+	// once: the privatized copy already has room for the longer write.
+	writeAt := func(off int64, data string) uint64 {
+		fewest := uint64(math.MaxUint64)
+		for range 3 {
+			f := r.fork()
+			if _, _, err := f.k.Call(2, "lseek", [][]byte{I64(3), I64(off)}); err != nil {
+				t.Fatal(err)
+			}
+			args := [][]byte{I64(3), []byte(data)}
+			fewest = min(fewest, mallocs(func() {
+				if _, _, err := f.k.Call(2, "write", args); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		return fewest
+	}
+	if inside, past := writeAt(0, "xx"), writeAt(10, "past the end"); past != inside {
+		t.Errorf("a fork's first write past the end of an inherited file allocates %d times, one inside it %d", past, inside)
 	}
 }

@@ -5,6 +5,12 @@
 // are transient-ND; open is fixed-ND, it depends on kernel resource state;
 // regular-file reads and writes are deterministic in the simulator).
 //
+// The tables are slices, not maps: the nodes are a slab indexed by pid (the
+// simulator's dense process indices), and each node's open files are a
+// slice kept sorted by descriptor. A copy-on-write fork therefore copies a
+// kernel in a fixed number of allocations — the kernel, one node slab and
+// one descriptor array its nodes share — whatever the process count.
+//
 // The kernel is also the fault-injection target for the paper's Table 2
 // study: an injected kernel fault opens a corruption window during which
 // syscall results returned to the application are silently corrupted
@@ -14,10 +20,11 @@
 package kernel
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"failtrans/internal/event"
@@ -32,7 +39,9 @@ var ErrNodeCrashed = errors.New("kernel: node crashed")
 // fixed non-determinism in open).
 const MaxOpenFiles = 64
 
+// fdEntry is one open file: its descriptor, path and offset.
 type fdEntry struct {
+	FD     int
 	Path   string
 	Offset int64
 }
@@ -50,13 +59,20 @@ type kernelFault struct {
 }
 
 type node struct {
+	// served marks a pid the kernel has served. Only node() sets it; the
+	// slab's other slots are pids the kernel never served, which SameState
+	// tells apart from served ones and the readers answer for without
+	// creating a node.
+	served bool
 	// fs's byte-slice values may alias a frozen base node's contents
 	// (file() hands them out uncopied); setFile requires owned data and
 	// ownFile privatizes a base file before mutation, so every insert
 	// goes through one of the two.
 	//failtrans:cowshared setFile,ownFile
-	fs     map[string][]byte
-	fds    map[int]*fdEntry
+	fs map[string][]byte
+	// fds is the open-file table, sorted by descriptor, without duplicates.
+	// open hands out nextFD, which only increases, so it appends.
+	fds    []fdEntry
 	nextFD int
 	// fdLimit is the node's open-file limit; ExpandResources raises it,
 	// turning the paper's fixed non-determinism of open into transient
@@ -74,11 +90,10 @@ type node struct {
 	base    *node
 	deleted map[string]bool
 
-	// saveFDs and saveBuf are SaveProcState's reusable scratch: the commit
-	// path serializes the file table once per checkpoint and appends the
-	// blob into the image immediately. Never cloned into forks (each fork's
+	// saveBuf is SaveProcState's reusable scratch: the commit path
+	// serializes the file table once per checkpoint and appends the blob
+	// into the image immediately. Never cloned into forks (each fork's
 	// nodes start with zero scratch).
-	saveFDs []int
 	saveBuf []byte
 
 	// ret and retWord are dispatch's scratch for a call that returns one
@@ -124,8 +139,10 @@ func (n *node) setFile(path string, data []byte) {
 
 // ownFile returns a privately-owned copy of path's contents, privatizing it
 // out of the frozen base on first mutation — the per-file analogue of
-// vista's first-touch page copy. The second return mirrors file().
-func (n *node) ownFile(path string, k *Kernel) ([]byte, bool) {
+// vista's first-touch page copy. The copy has room for size bytes, the
+// extent the mutation needs, with growFile's headroom, so a write past EOF
+// copies an inherited file once. The second return mirrors file().
+func (n *node) ownFile(path string, size int64, k *Kernel) ([]byte, bool) {
 	if d, ok := n.fs[path]; ok {
 		return d, true
 	}
@@ -136,7 +153,12 @@ func (n *node) ownFile(path string, k *Kernel) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	cow := append([]byte(nil), d...)
+	room := int64(len(d))
+	if size > room {
+		room = size + size/2
+	}
+	cow := make([]byte, len(d), room)
+	copy(cow, d)
 	if n.fs == nil {
 		n.fs = make(map[string][]byte) // COW forks defer the overlay map
 	}
@@ -173,6 +195,37 @@ func (n *node) flatten() {
 	n.fs, n.base, n.deleted = fs, nil, nil
 }
 
+// fdIndex finds fd in the sorted file table: its index and whether it is
+// open, or else the index it would be inserted at.
+func (n *node) fdIndex(fd int) (int, bool) {
+	return slices.BinarySearchFunc(n.fds, fd, func(e fdEntry, fd int) int { return cmp.Compare(e.FD, fd) })
+}
+
+// fd returns fd's entry in the file table, or nil if fd is not open. The
+// pointer is valid until the table next changes.
+func (n *node) fd(fd int) *fdEntry {
+	if i, ok := n.fdIndex(fd); ok {
+		return &n.fds[i]
+	}
+	return nil
+}
+
+// setFD installs e in the file table, replacing the entry with the same
+// descriptor if there is one, and keeps the table sorted. An entry past the
+// table's last descriptor (every open) is an append.
+func (n *node) setFD(e fdEntry) {
+	if k := len(n.fds); k == 0 || n.fds[k-1].FD < e.FD {
+		n.fds = append(n.fds, e)
+		return
+	}
+	i, ok := n.fdIndex(e.FD)
+	if ok {
+		n.fds[i] = e
+		return
+	}
+	n.fds = slices.Insert(n.fds, i, e)
+}
+
 // Kernel implements sim.OS for any number of processes, each on its own
 // node (its own filesystem and file table), matching the paper's testbed
 // where distributed workloads ran on four machines.
@@ -196,8 +249,12 @@ type Kernel struct {
 	CowFiles int
 	CowBytes int64
 
-	// nodes holds a node per pid the kernel has served; node() adds them.
-	nodes map[int]*node
+	// nodes is the node slab, indexed by pid: one slot per pid up to the
+	// highest the kernel has served, a slot served once node() created it.
+	// Nothing keeps a pointer into the slab across a node() call that may
+	// grow it, except a fork's base reference into its frozen template's
+	// slab, which never grows.
+	nodes []node
 }
 
 // Freeze seals the kernel as an immutable fork template: forks clone its
@@ -210,8 +267,8 @@ type Kernel struct {
 // nothing the second time, so any number of forks may then be taken
 // concurrently.
 func (k *Kernel) Freeze() {
-	for _, n := range k.nodes {
-		if n.base != nil {
+	for i := range k.nodes {
+		if n := &k.nodes[i]; n.base != nil {
 			n.flatten()
 		}
 	}
@@ -219,7 +276,7 @@ func (k *Kernel) Freeze() {
 
 // New returns a kernel with no nodes; nodes are created on first use.
 func New() *Kernel {
-	return &Kernel{Clock: func() time.Duration { return 0 }, nodes: make(map[int]*node)}
+	return &Kernel{Clock: func() time.Duration { return 0 }}
 }
 
 // SetObs implements sim.ObsSink: the world hands the kernel its metrics
@@ -230,21 +287,31 @@ func (k *Kernel) SetObs(m *obs.Metrics, t *obs.Tracer) {
 }
 
 // node returns pid's node, creating it on first use. It is the only path
-// that creates a node: the readers look pid up in k.nodes and answer for a
+// that creates a node: the readers look pid up with served and answer for a
 // pid the kernel has never served without one, so reading a kernel never
 // changes what SameState compares, and never writes a sealed template.
 func (k *Kernel) node(pid int) *node {
-	if n, ok := k.nodes[pid]; ok {
-		return n
+	if pid >= len(k.nodes) {
+		k.nodes = append(k.nodes, make([]node, pid+1-len(k.nodes))...)
 	}
-	n := &node{fs: make(map[string][]byte), fds: make(map[int]*fdEntry), nextFD: 3, fdLimit: MaxOpenFiles}
-	k.nodes[pid] = n
+	n := &k.nodes[pid]
+	if !n.served {
+		*n = node{served: true, fs: make(map[string][]byte), nextFD: 3, fdLimit: MaxOpenFiles}
+	}
 	return n
+}
+
+// served returns pid's node, or nil if the kernel has never served pid.
+func (k *Kernel) served(pid int) *node {
+	if pid < 0 || pid >= len(k.nodes) || !k.nodes[pid].served {
+		return nil
+	}
+	return &k.nodes[pid]
 }
 
 // ReadFile reads a file from pid's node directly (assertions in tests).
 func (k *Kernel) ReadFile(pid int, path string) ([]byte, bool) {
-	n := k.nodes[pid]
+	n := k.served(pid)
 	if n == nil {
 		return nil, false
 	}
@@ -274,7 +341,7 @@ func (k *Kernel) InjectFault(pid int, window time.Duration) {
 // syscall result before panicking (i.e. manifested as a propagation
 // failure rather than a stop failure).
 func (k *Kernel) FaultCorrupted(pid int) bool {
-	n := k.nodes[pid]
+	n := k.served(pid)
 	return n != nil && n.fault != nil && n.fault.corrupted
 }
 
@@ -282,7 +349,7 @@ func (k *Kernel) FaultCorrupted(pid int) bool {
 // open, or closed by a panic the node has not rebooted from. It only reads
 // the kernel.
 func (k *Kernel) Faulted(pid int) bool {
-	n := k.nodes[pid]
+	n := k.served(pid)
 	return n != nil && n.fault != nil
 }
 
@@ -308,7 +375,7 @@ func (k *Kernel) Reboot(pid int) {
 		k.Tracer.End(pid, k.Clock())
 	}
 	n.fault = nil
-	n.fds = make(map[int]*fdEntry)
+	n.fds = n.fds[:0]
 	n.nextFD = 3
 }
 
@@ -406,25 +473,26 @@ func (k *Kernel) dispatch(n *node, name string, args [][]byte) ([][]byte, error)
 		}
 		fd := n.nextFD
 		n.nextFD++
-		n.fds[fd] = &fdEntry{Path: path}
+		n.setFD(fdEntry{FD: fd, Path: path})
 		return n.i64Result(int64(fd)), nil
 	case "close":
 		fd, err := fdArg(args)
 		if err != nil {
 			return nil, err
 		}
-		if _, ok := n.fds[fd]; !ok {
+		i, ok := n.fdIndex(fd)
+		if !ok {
 			return nil, fmt.Errorf("kernel: close bad fd %d", fd)
 		}
-		delete(n.fds, fd)
+		n.fds = slices.Delete(n.fds, i, i+1)
 		return nil, nil
 	case "read":
 		fd, err := fdArg(args)
 		if err != nil {
 			return nil, err
 		}
-		e, ok := n.fds[fd]
-		if !ok {
+		e := n.fd(fd)
+		if e == nil {
 			return nil, fmt.Errorf("kernel: read bad fd %d", fd)
 		}
 		if len(args) < 2 {
@@ -447,16 +515,16 @@ func (k *Kernel) dispatch(n *node, name string, args [][]byte) ([][]byte, error)
 		if err != nil {
 			return nil, err
 		}
-		e, ok := n.fds[fd]
-		if !ok {
+		e := n.fd(fd)
+		if e == nil {
 			return nil, fmt.Errorf("kernel: write bad fd %d", fd)
 		}
 		if len(args) < 2 {
 			return nil, fmt.Errorf("kernel: write needs data")
 		}
 		data := args[1]
-		file, _ := n.ownFile(e.Path, k)
 		need := e.Offset + int64(len(data))
+		file, _ := n.ownFile(e.Path, need, k)
 		if int64(len(file)) < need {
 			file = growFile(file, need)
 		}
@@ -469,8 +537,8 @@ func (k *Kernel) dispatch(n *node, name string, args [][]byte) ([][]byte, error)
 		if err != nil {
 			return nil, err
 		}
-		e, ok := n.fds[fd]
-		if !ok {
+		e := n.fd(fd)
+		if e == nil {
 			return nil, fmt.Errorf("kernel: lseek bad fd %d", fd)
 		}
 		if len(args) < 2 {
@@ -484,7 +552,7 @@ func (k *Kernel) dispatch(n *node, name string, args [][]byte) ([][]byte, error)
 		}
 		path := string(args[0])
 		size := Int(args[1])
-		data, ok := n.ownFile(path, k)
+		data, ok := n.ownFile(path, 0, k)
 		if !ok {
 			return nil, fmt.Errorf("kernel: truncate %s: no such file", path)
 		}
@@ -527,26 +595,18 @@ func (k *Kernel) SaveProcState(pid int) []byte {
 	n := k.node(pid)
 	// Size the scratch first: a fork's node starts without it, and its
 	// first save would otherwise grow it once per few fds.
-	fds := n.saveFDs[:0]
-	if cap(fds) < len(n.fds) {
-		fds = make([]int, 0, len(n.fds))
-	}
 	size := 16
-	for fd, e := range n.fds {
-		fds = append(fds, fd)
+	for _, e := range n.fds {
 		size += 24 + len(e.Path)
 	}
-	sort.Ints(fds)
-	n.saveFDs = fds
 	out := n.saveBuf[:0]
 	if cap(out) < size {
 		out = make([]byte, 0, size)
 	}
-	out = AppendI64(out, int64(len(fds)))
+	out = AppendI64(out, int64(len(n.fds)))
 	out = AppendI64(out, int64(n.nextFD))
-	for _, fd := range fds {
-		e := n.fds[fd]
-		out = AppendI64(out, int64(fd))
+	for _, e := range n.fds {
+		out = AppendI64(out, int64(e.FD))
 		out = AppendI64(out, e.Offset)
 		out = AppendI64(out, int64(len(e.Path)))
 		out = append(out, e.Path...)
@@ -558,7 +618,12 @@ func (k *Kernel) SaveProcState(pid int) []byte {
 // RestoreProcState implements sim.OS: the node reboots (clearing any panic)
 // and the file table is rebuilt from the checkpointed blob — the paper's
 // "copies syscall parameters and uses them to directly reconstruct relevant
-// kernel state during recovery".
+// kernel state during recovery". A blob SaveProcState wrote lists its
+// descriptors in ascending order, so the table refills by appending into
+// the space the reboot left; any other blob still yields a sorted table:
+// its entries are placed by descriptor, negative ones included, and of two
+// with the same descriptor the later wins. A truncated blob restores the
+// entries before the cut.
 func (k *Kernel) RestoreProcState(pid int, blob []byte) {
 	k.Reboot(pid)
 	n := k.node(pid)
@@ -576,13 +641,27 @@ func (k *Kernel) RestoreProcState(pid int, blob []byte) {
 		if plen < 0 || plen > len(blob)-p {
 			return
 		}
-		path := string(blob[p : p+plen])
+		path := n.reopenedPath(blob[p : p+plen])
 		p += plen
 		if _, ok := n.file(path); !ok {
 			n.setFile(path, nil)
 		}
-		n.fds[int(fd)] = &fdEntry{Path: path, Offset: off}
+		n.setFD(fdEntry{FD: int(fd), Path: path, Offset: off})
 	}
+}
+
+// reopenedPath returns the path of the entry RestoreProcState appends next.
+// The reboot before a restore leaves the table's old entries in its backing
+// array, and a restore mostly reopens the files they name, so when the old
+// entry in the slot names the same path its string is reused rather than
+// allocated again.
+func (n *node) reopenedPath(raw []byte) string {
+	if i := len(n.fds); i < cap(n.fds) {
+		if old := n.fds[:i+1][i].Path; old == string(raw) {
+			return old
+		}
+	}
+	return string(raw)
 }
 
 func fdArg(args [][]byte) (int, error) {

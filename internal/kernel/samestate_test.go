@@ -93,8 +93,8 @@ func TestKernelSameState(t *testing.T) {
 		if !f.k.SameState(r.k, &off) || !off.Zero() {
 			t.Errorf("%s of an unserved pid moved the fork off its template", name)
 		}
-		if read(r.k); len(r.k.nodes) != 2 {
-			t.Errorf("%s of an unserved pid gave the sealed template %d nodes, want 2", name, len(r.k.nodes))
+		if read(r.k); len(r.k.nodes) != 2 || r.k.served(2) != nil {
+			t.Errorf("%s of an unserved pid gave the sealed template %d node slots, want 2", name, len(r.k.nodes))
 		}
 	}
 }
@@ -120,12 +120,11 @@ func TestKernelSameStateCoversEveryField(t *testing.T) {
 	})
 	const offset = "offset: a counter that only advances and that only an open fault window reads; exact while one is open"
 	fieldguard.Check(t, reflect.TypeOf(node{}), map[string]string{
-		"fs": c, "fds": c, "nextFD": c, "fdLimit": c, "fault": c,
+		"served": c, "fs": c, "fds": c, "nextFD": c, "fdLimit": c, "fault": c,
 		"edits":   offset,
 		"Syscall": offset,
 		"base":    cow,
 		"deleted": cow,
-		"saveFDs": scratch,
 		"saveBuf": scratch,
 		"ret":     scratch,
 		"retWord": scratch,

@@ -393,8 +393,8 @@ func (c *Ctx) Syscall(name string, args ...[]byte) ([][]byte, error) {
 		return nil, fmt.Errorf("sim: no OS attached (syscall %s)", name)
 	}
 	// The OS sees the arguments in the world's argv, valid only during the
-	// call, so the caller's variadic array does not escape.
-	//failtrans:alloc argv grows to the widest syscall once per world (and per fork)
+	// call, so the caller's variadic array does not escape; argv grows to
+	// the widest syscall once per world (and per fork).
 	w.argv = append(w.argv[:0], args...)
 	if name == "gettimeofday" {
 		w.clockReads++ // the OS answers it with the clock

@@ -231,3 +231,32 @@ func ExampleSegment_Freeze() {
 		f.Contents(), tmpl.Contents(), f.CowPages)
 	// Output: fork="fork-mid-state" template="template state" privatized=1
 }
+
+// TestForkSharesRegistersUntilCommit: a fork reads its template's register
+// file instead of copying it, so Fork allocates the segment alone; a Commit
+// of the same registers keeps reading it and allocates nothing for them, and
+// the first Commit of other ones saves into a register file of the fork's
+// own, leaving the template's and a sibling fork's as they were.
+func TestForkSharesRegistersUntilCommit(t *testing.T) {
+	tmpl := NewSegment(0, 32)
+	tmpl.SetContents(pat(64, 1))
+	tmpl.Commit([]byte("template registers"))
+	tmpl.Freeze()
+	if n := testing.AllocsPerRun(100, func() { tmpl.Fork() }); n != 1 {
+		t.Errorf("Fork allocates %.0f times, want 1", n)
+	}
+	f, sibling := tmpl.Fork(), tmpl.Fork()
+	f.SetContents(pat(64, 1))
+	if n := testing.AllocsPerRun(10, func() { f.Commit([]byte("template registers")) }); n != 0 || !f.sharedReg {
+		t.Errorf("a fork's commit of its template's registers allocates %.0f times (still shared: %v), want 0 (true)", n, f.sharedReg)
+	}
+	f.Commit([]byte("fork registers...."))
+	if string(f.savedReg) != "fork registers...." {
+		t.Errorf("the fork saved %q", f.savedReg)
+	}
+	for name, s := range map[string]*Segment{"template": tmpl, "sibling": sibling} {
+		if string(s.savedReg) != "template registers" {
+			t.Errorf("the fork's commit changed the %s's registers to %q", name, s.savedReg)
+		}
+	}
+}

@@ -68,6 +68,7 @@ func TestSameContentsCoversEveryField(t *testing.T) {
 		"frozen":      "copy-on-write bookkeeping: a sealed template and its fork differ only here",
 		"base":        cow,
 		"overlay":     cow,
+		"sharedReg":   cow,
 		"CommitCount": stats,
 		"LoggedBytes": stats,
 		"CowPages":    stats,

@@ -63,8 +63,13 @@ type Segment struct {
 	// a frozen template, and writablePage privatizes a fork's page into
 	// overlay before the write lands.
 	//failtrans:cowshared mustMutable,writablePage
-	mem      []byte
-	savedReg []byte
+	mem []byte
+	// savedReg is the register file the last Commit saved. A fork reads its
+	// template's (sharedReg) until a Commit saves different bytes, which
+	// makes it the fork's own first: Fork copies no registers.
+	//failtrans:cowshared saveRegisters
+	savedReg  []byte
+	sharedReg bool
 	// pending counts the pages SetContents dirtied that the next Commit
 	// reports; it is zero everywhere else.
 	pending int
@@ -323,7 +328,7 @@ func (s *Segment) Commit(registers []byte) Stats {
 	s.mustMutable()
 	st := Stats{Pages: s.pending, Bytes: s.pending*s.pageSize + len(registers)}
 	s.pending = 0
-	s.savedReg = append(s.savedReg[:0], registers...)
+	s.saveRegisters(registers)
 	s.CommitCount++
 	if m := s.Metrics; m != nil {
 		m.Commits++
@@ -397,9 +402,10 @@ func (s *Segment) Freeze() {
 }
 
 // Fork seals the segment with Freeze and returns an independent copy-on-write
-// fork of it: the memory image is shared with the receiver — which Freeze
-// guarantees can never change — and pages are privatized only as the fork
-// writes them, so forking costs O(metadata). The Metrics sink does not carry
+// fork of it: the memory image and the register file are shared with the
+// receiver — which Freeze guarantees can never change — and pages and
+// registers are privatized only as the fork writes them, so forking costs
+// O(metadata) and one allocation. The Metrics sink does not carry
 // over (observability is per-run), and the overlay index waits for the first
 // privatized page.
 func (s *Segment) Fork() *Segment {
@@ -408,10 +414,25 @@ func (s *Segment) Fork() *Segment {
 		pageSize:    s.pageSize,
 		size:        s.size,
 		base:        s,
-		savedReg:    append([]byte(nil), s.savedReg...),
+		savedReg:    s.savedReg,
+		sharedReg:   true,
 		CommitCount: s.CommitCount,
 		LoggedBytes: s.LoggedBytes,
 	}
+}
+
+// saveRegisters saves the register file with a commit, in place once it is
+// the segment's own. A fork goes on reading its template's while its commits
+// save the same bytes, and drops it for a file of its own at the first that
+// saves different ones.
+func (s *Segment) saveRegisters(registers []byte) {
+	if s.sharedReg {
+		if bytes.Equal(s.savedReg, registers) {
+			return
+		}
+		s.savedReg, s.sharedReg = nil, false
+	}
+	s.savedReg = append(s.savedReg[:0], registers...)
 }
 
 // SameContents reports whether s holds exactly t's committed state: the same
